@@ -1,5 +1,4 @@
-//! Memory-scale accounting for the external-memory search tier: closed-set
-//! bytes per state under the narrowed u64 key vs the u128 baseline, the
+//! Memory-scale accounting for the external-memory search tier: the
 //! frontier sustained under the 256 MiB reference budget (with the spill
 //! tier forced on to measure its throughput), and the spill-disabled
 //! headline nodes/sec. Emits `BENCH_memory_scale.json`.
@@ -9,9 +8,9 @@
 //! last row proves the capacity levers cost nothing when they are off.
 
 use sortsynth_isa::{IsaMode, Machine};
-use sortsynth_search::{synthesize, KeyWidth, SynthesisConfig};
+use sortsynth_search::{synthesize, SynthesisConfig};
 
-use crate::util::{fmt_duration, peak_rss_kb, time, write_bench_json, BenchConfig, Table};
+use crate::util::{fmt_duration, peak_rss_kb, time, write_bench_json, BenchConfig};
 
 use super::search_core;
 
@@ -30,33 +29,14 @@ pub const HEADLINE_TOLERANCE: f64 = 0.05;
 /// search's resident estimate at or below this.
 pub const REFERENCE_BUDGET_BYTES: u64 = 256 << 20;
 
-/// Minimum closed-set bytes-per-state reduction the u64 key must deliver
-/// against the u128 baseline (the key store halves exactly; 1.8 leaves
-/// room for per-row rounding on tiny runs).
-pub const MIN_KEY_REDUCTION: f64 = 1.8;
-
-/// Closed-set key bytes per interned state for one (machine, width) run.
-fn bytes_per_state(machine: &Machine, width: KeyWidth) -> (u64, u64, f64) {
-    let result = synthesize(&SynthesisConfig::best(machine.clone()).key_width(width));
-    assert!(
-        result.found_len.is_some(),
-        "n={} {:?} @ {width:?}: no kernel found",
-        machine.n(),
-        machine.mode()
-    );
-    let states = result.stats.interned_states.max(1);
-    let bytes = result.stats.key_bytes;
-    (bytes, states, bytes as f64 / states as f64)
-}
-
 /// Runs the experiment.
 pub fn run(cfg: &BenchConfig) {
-    println!("== memory-scale search (u64 keys, spill tier, headline tax) ==");
+    println!("== memory-scale search (spill tier, headline) ==");
 
     // ---- spill-disabled headline ---------------------------------------
     // Measured first, before the experiment's own workloads fragment the
     // heap: the capacity levers must be free when off — best config, no
-    // budget, default (u64) keys, the production path after this change.
+    // budget, the production path.
     let (headline_isa, headline_machine, reference) = if cfg.quick {
         (
             "cmov",
@@ -70,49 +50,31 @@ pub fn run(cfg: &BenchConfig) {
             HEADLINE_N4_CMOV_NODES_PER_SEC,
         )
     };
-    // Best-of-5, both key widths interleaved: the absolute reference was
-    // recorded on a differently loaded container, so the load-proof form
-    // of the "no tax" claim is the same-process u64 : u128 ratio — the
-    // u128 rows are exactly the pre-PR configuration.
+    // Best-of-5: the absolute reference was recorded on a differently
+    // loaded container, so the fastest of several runs is the comparable
+    // number.
     let iters = if cfg.quick { 1 } else { 5 };
     let mut best: Option<(f64, std::time::Duration)> = None;
-    let mut best_wide: Option<(f64, std::time::Duration)> = None;
     for _ in 0..iters {
-        for width in [KeyWidth::U64, KeyWidth::U128] {
-            let run_cfg = SynthesisConfig::best(headline_machine.clone()).key_width(width);
-            let (result, elapsed) = time(|| synthesize(&run_cfg));
-            assert!(result.found_len.is_some(), "headline run found no kernel");
-            let nps = result.stats.expanded as f64 / elapsed.as_secs_f64().max(1e-9);
-            let slot = if width == KeyWidth::U64 {
-                &mut best
-            } else {
-                &mut best_wide
-            };
-            if slot.as_ref().is_none_or(|(_, t)| elapsed < *t) {
-                *slot = Some((nps, elapsed));
-            }
+        let run_cfg = SynthesisConfig::best(headline_machine.clone());
+        let (result, elapsed) = time(|| synthesize(&run_cfg));
+        assert!(result.found_len.is_some(), "headline run found no kernel");
+        let nps = result.stats.expanded as f64 / elapsed.as_secs_f64().max(1e-9);
+        if best.as_ref().is_none_or(|(_, t)| elapsed < *t) {
+            best = Some((nps, elapsed));
         }
     }
     let (nps, elapsed) = best.expect("at least one headline run");
-    let (nps_wide, _) = best_wide.expect("at least one u128 headline run");
     let ratio = nps / reference;
-    let tax_ratio = nps / nps_wide.max(1e-9);
     let rss_kb = peak_rss_kb().unwrap_or(0);
     println!(
         "headline (spill disabled): n={} {headline_isa} {nps:.0} nodes/sec in {} \
-         ({tax_ratio:.3}x the same-process u128 baseline of {nps_wide:.0}; \
-         {ratio:.3}x the committed pre-spill reference, informational off the \
+         ({ratio:.3}x the committed pre-spill reference, informational off the \
          reference container)",
         headline_machine.n(),
         fmt_duration(elapsed),
     );
     if std::env::var("SORTSYNTH_ENFORCE_BASELINE").as_deref() == Ok("1") && !cfg.quick {
-        assert!(
-            tax_ratio >= 1.0 - HEADLINE_TOLERANCE,
-            "u64 headline fell to {tax_ratio:.3}x the same-process u128 baseline \
-             (floor {:.2}x)",
-            1.0 - HEADLINE_TOLERANCE
-        );
         assert!(
             ratio >= 1.0 - HEADLINE_TOLERANCE,
             "spill-disabled headline fell to {ratio:.3}x the pre-spill reference \
@@ -120,53 +82,6 @@ pub fn run(cfg: &BenchConfig) {
             1.0 - HEADLINE_TOLERANCE
         );
     }
-
-    // ---- closed-set bytes per state, u64 vs u128 -----------------------
-    let mut machines = vec![
-        ("cmov", Machine::new(3, 1, IsaMode::Cmov)),
-        ("minmax", Machine::new(3, 1, IsaMode::MinMax)),
-    ];
-    if !cfg.quick {
-        machines.push(("minmax", Machine::new(4, 1, IsaMode::MinMax)));
-        machines.push(("cmov", Machine::new(4, 1, IsaMode::Cmov)));
-    }
-
-    let mut table = Table::new(&[
-        "isa",
-        "n",
-        "states",
-        "u64 B/state",
-        "u128 B/state",
-        "reduction",
-    ]);
-    let mut key_rows = Vec::new();
-    for (isa, machine) in &machines {
-        let (b64, states, bps64) = bytes_per_state(machine, KeyWidth::U64);
-        let (b128, _, bps128) = bytes_per_state(machine, KeyWidth::U128);
-        let reduction = bps128 / bps64.max(1e-9);
-        assert!(
-            reduction >= MIN_KEY_REDUCTION,
-            "n={} {isa}: u64 keys reduced closed-set bytes/state only {reduction:.2}x \
-             (u64 {bps64:.1} B, u128 {bps128:.1} B; floor {MIN_KEY_REDUCTION}x)",
-            machine.n()
-        );
-        table.row_strings(vec![
-            (*isa).into(),
-            machine.n().to_string(),
-            states.to_string(),
-            format!("{bps64:.1}"),
-            format!("{bps128:.1}"),
-            format!("{reduction:.2}x"),
-        ]);
-        key_rows.push(format!(
-            "{{\"isa\":\"{isa}\",\"n\":{},\"interned_states\":{states},\
-             \"key_bytes_u64\":{b64},\"key_bytes_u128\":{b128},\
-             \"bytes_per_state_u64\":{bps64:.2},\"bytes_per_state_u128\":{bps128:.2},\
-             \"reduction\":{reduction:.3}}}",
-            machine.n()
-        ));
-    }
-    table.print();
 
     // ---- spill tier under budget ---------------------------------------
     // The largest layered cell of the run set, first fully resident to
@@ -249,21 +164,17 @@ pub fn run(cfg: &BenchConfig) {
         budgeted_elapsed.as_secs_f64() * 1e3,
     );
 
-    table.write_csv(&cfg.ensure_out_dir().join("memory_scale.csv"));
     write_bench_json(
         "memory_scale",
         &format!(
             "{{\"experiment\":\"memory_scale\",\"quick\":{},\
-             \"min_key_reduction\":{MIN_KEY_REDUCTION},\
-             \"key_rows\":[{}],\"spill\":{spill_json},\
+             \"spill\":{spill_json},\
              \"headline\":{{\"isa\":\"{headline_isa}\",\"n\":{},\
-             \"nodes_per_sec\":{nps:.1},\"u128_nodes_per_sec\":{nps_wide:.1},\
-             \"tax_ratio\":{tax_ratio:.4},\
+             \"nodes_per_sec\":{nps:.1},\
              \"reference_nodes_per_sec\":{reference:.1},\
              \"ratio\":{ratio:.4},\"tolerance\":{HEADLINE_TOLERANCE},\
              \"peak_rss_kb\":{rss_kb}}}}}\n",
             cfg.quick,
-            key_rows.join(","),
             headline_machine.n(),
         ),
     );

@@ -78,7 +78,6 @@ const VALUED: &[&str] = &[
     "wait-ms",
     "mem-limit",
     "resume",
-    "key-width",
     "spill-dir",
     "search-mem-limit",
 ];

@@ -13,8 +13,8 @@ use sortsynth_portfolio::{
     backend_for, BackendKind, BackendStatus, DispatchPolicy, Portfolio, POLICY_FILE,
 };
 use sortsynth_search::{
-    prove_no_solution, synthesize, try_synthesize, BoundVerdict, Cut, KeyWidth, Outcome,
-    SearchBudget, SynthesisConfig,
+    prove_no_solution, synthesize, try_synthesize, BoundVerdict, Cut, Outcome, SearchBudget,
+    SynthesisConfig,
 };
 use sortsynth_service::{Client, ReplySource, Response, Server, ServiceConfig};
 use sortsynth_verify::{dce, verify, Verdict};
@@ -31,10 +31,10 @@ pub const USAGE: &str = "usage:
                                                   or `portfolio` to race them all first-win
                     [--record FILE]               leave a flight recording of the search
                     [--mem-limit BYTES]           spill cold search state to disk past this
-                                                  budget (suffixes: K, M, G; sequential engine)
+                                                  budget (suffixes: K, M, G; layered search,
+                                                  one search thread whatever --threads says)
                     [--spill-dir DIR]             where spill segments + journal live
                     [--resume DIR]                resume a killed search from its journal
-                    [--key-width 64|128]          closed-set key width (default 64)
   sortsynth profile --n N [--scratch M] [--isa cmov|minmax] [--plain] [--max-len L] [--cut K]
                     [--threads T] [--timeout SECS]   per-phase time table of one search
   sortsynth inspect <recording.ssfr> [--json]    post-mortem summary of a flight recording
@@ -186,15 +186,6 @@ fn synth(args: &ParsedArgs) -> Result<(), ArgsError> {
     }
     if let Some(dir) = args.options.get("resume") {
         cfg = cfg.resume_from(PathBuf::from(dir));
-    }
-    match args.options.get("key-width").map(String::as_str) {
-        None | Some("64") => {}
-        Some("128") => cfg = cfg.key_width(KeyWidth::U128),
-        Some(other) => {
-            return Err(ArgsError::new(format!(
-                "--key-width: `{other}` (expected 64 or 128)"
-            )))
-        }
     }
     // The arena sizing table lives next to the kernel cache so repeat
     // queries pre-size their arenas instead of growing into them.

@@ -1,4 +1,4 @@
-//! Bucketed open lists for the best-first engines.
+//! The bucketed open list every search shard selects from.
 //!
 //! f-values in this search are small dense integers — bounded by
 //! `max_len + max_dist` when the distance table is on, and by the depth
@@ -8,10 +8,12 @@
 //!
 //! # Exact heap-order equivalence
 //!
-//! The binary-heap open list pops entries in ascending `(f, g, id)`
-//! order, and the differential harness (`bucket_equivalence.rs`) pins the
-//! two implementations to *identical* expansion traces in single-thread
-//! runs. A flat bucket-per-f with FIFO lanes cannot promise that — f-ties
+//! A binary-heap open list pops entries in ascending `(f, g, id)` order,
+//! and the queue reproduces that order exactly: the `proptest_search`
+//! suite pins it against a reference `BinaryHeap` over random push/pop
+//! interleavings, and the `golden_trace` suite pins the whole search to
+//! counters recorded while a heap reference ran alongside. A flat
+//! bucket-per-f with FIFO lanes cannot promise that — f-ties
 //! between goal entries (f = g) and frontier entries interleave by
 //! arrival, not by `(g, id)`. So the queue is two-level: the outer `Vec`
 //! is indexed by f, each f-bucket's inner `Vec` is indexed by g, and each
@@ -20,7 +22,7 @@
 //! (almost) sorted; the rare out-of-order push — a reopened state or a
 //! re-generated goal re-pushing an old id — bubbles backward into the
 //! lane's unconsumed tail, which stays sorted. Pop therefore returns the
-//! exact `(f, g, id)` minimum, and a heap-vs-bucket run is bit-identical.
+//! exact `(f, g, id)` minimum, bit-identical to a heap.
 //!
 //! # Monotone cursor and admissibility
 //!
@@ -39,21 +41,17 @@
 //!
 //! Like the heap, the queue never removes or rewrites an entry in place:
 //! a reopened state is pushed again at its improved `(f, g)` and the old
-//! entry is discarded lazily at pop time by the engines' staleness checks
-//! against `StateMeta`/`ParEdge` (counted in `stale_pops`). The queue
+//! entry is discarded lazily at pop time by the drivers' staleness checks
+//! against the shard's edge table (counted in `stale_pops`). The queue
 //! itself only promises ordered delivery of everything pushed.
 //!
 //! # Growth
 //!
-//! Both levels grow on demand. The engines size the outer level from the
+//! Both levels grow on demand. The shards size the outer level from the
 //! `max_len + max_dist` estimate, but f-values above it are legal —
 //! machines past the distance table's action limit skip the table and
 //! search with weaker, unbounded heuristics — so `push` grows rather
 //! than panicking (regression-tested next to the oversized-machine test).
-
-use std::collections::BinaryHeap;
-
-use crate::config::OpenList;
 
 /// An `(f, g)` lane: state ids sorted ascending from `next` on, consumed
 /// through `next`. A fully drained lane releases its buffer only via
@@ -225,85 +223,6 @@ impl BucketQueue {
     }
 }
 
-/// An entry in the binary-heap variant; ordered so the `BinaryHeap`
-/// max-heap pops the smallest `(f, g, id)` first, matching
-/// [`BucketQueue::pop`] exactly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct HeapEntry {
-    f: u64,
-    g: u32,
-    id: u32,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.f, other.g, other.id).cmp(&(self.f, self.g, self.id))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The open list behind both engines: the production [`BucketQueue`] or
-/// the reference `BinaryHeap`, selected by [`OpenList`] in the config so
-/// the differential harness can pin one against the other.
-#[derive(Clone, Debug)]
-pub(crate) enum OpenQueue {
-    Heap(BinaryHeap<HeapEntry>),
-    Bucket(BucketQueue),
-}
-
-impl OpenQueue {
-    /// An empty queue of the configured kind, pre-sized (bucket variant)
-    /// for f-values below `f_hint`.
-    pub(crate) fn new(kind: OpenList, f_hint: usize) -> Self {
-        OpenQueue::with_hints(kind, f_hint, 0)
-    }
-
-    /// [`OpenQueue::new`] plus a per-lane capacity hint (bucket variant
-    /// only), from the sizing table's recorded peak open depth.
-    pub(crate) fn with_hints(kind: OpenList, f_hint: usize, lane_hint: usize) -> Self {
-        match kind {
-            OpenList::Heap => OpenQueue::Heap(BinaryHeap::new()),
-            OpenList::Bucket => OpenQueue::Bucket(BucketQueue::with_hints(f_hint, lane_hint)),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, f: u64, g: u32, id: u32) {
-        match self {
-            OpenQueue::Heap(h) => h.push(HeapEntry { f, g, id }),
-            OpenQueue::Bucket(b) => b.push(f, g, id),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(u64, u32, u32)> {
-        match self {
-            OpenQueue::Heap(h) => h.pop().map(|e| (e.f, e.g, e.id)),
-            OpenQueue::Bucket(b) => b.pop(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            OpenQueue::Heap(h) => h.len(),
-            OpenQueue::Bucket(b) => b.len(),
-        }
-    }
-
-    /// Bucket-cursor scan steps (0 for the heap variant).
-    pub(crate) fn scans(&self) -> u64 {
-        match self {
-            OpenQueue::Heap(_) => 0,
-            OpenQueue::Bucket(b) => b.scans(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,29 +307,5 @@ mod tests {
         let mut q = BucketQueue::new();
         q.push(3, 2, 1);
         assert!(q.buckets[3].lanes[2].ids.capacity() <= 8);
-    }
-
-    #[test]
-    fn open_queue_variants_agree() {
-        let pushes = [
-            (4u64, 4u32, 0u32),
-            (2, 1, 5),
-            (2, 1, 3),
-            (9, 9, 1),
-            (2, 2, 2),
-        ];
-        let mut heap = OpenQueue::new(OpenList::Heap, 0);
-        let mut bucket = OpenQueue::new(OpenList::Bucket, 16);
-        for &(f, g, id) in &pushes {
-            heap.push(f, g, id);
-            bucket.push(f, g, id);
-        }
-        assert_eq!(heap.len(), bucket.len());
-        for _ in 0..pushes.len() {
-            assert_eq!(heap.pop(), bucket.pop());
-        }
-        assert_eq!(heap.pop(), None);
-        assert_eq!(bucket.pop(), None);
-        assert_eq!(heap.scans(), 0);
     }
 }

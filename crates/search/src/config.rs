@@ -8,44 +8,11 @@ use sortsynth_isa::Machine;
 use crate::budget::SearchBudget;
 use crate::progress::ProgressHook;
 
-/// Width of the closed/open-set key derived from the 128-bit content hash
-/// ([`crate::state::key_of`]).
-///
-/// The narrow width xor-folds the two 64-bit halves — the exact fold the
-/// identity hasher already uses for bucket selection — halving closed-set
-/// bytes per state. Soundness is pinned by the `key_width` collision fuzz
-/// suite (≥10M random state pairs per ISA find no fold collision between
-/// distinct states) and by the u64-vs-u128 differential matrix asserting
-/// identical costs and prune counters; the analytic collision probability
-/// at n = 4 scale (~2.6e5 states) is ≈ 1.8e-9 per run. The wide width
-/// stays available as the differential reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KeyWidth {
-    /// 64-bit folded keys — the production default (16-byte map entries).
-    #[default]
-    U64,
-    /// Full 128-bit keys — the differential reference (32-byte map
-    /// entries).
-    U128,
-}
-
-impl KeyWidth {
-    /// Bytes of one `key → id` closed-map entry (key + `u32` id, padded to
-    /// the key's alignment) — the per-state closed-set cost the
-    /// `memory_scale` bench reports.
-    pub fn entry_bytes(self) -> u64 {
-        match self {
-            KeyWidth::U64 => 16,
-            KeyWidth::U128 => 32,
-        }
-    }
-}
-
 /// Open-state selection strategy (§3.1).
 ///
 /// Orthogonal to [`SynthesisConfig::threads`]: either strategy can run on
 /// one thread (exact sequential expansion order) or many (the sharded
-/// HDA*-style engine in [`crate::synthesize`]'s parallel mode).
+/// HDA*-style driver in [`crate::synthesize`]'s parallel mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Dijkstra-style layered enumeration: all programs of length ℓ are
@@ -86,25 +53,6 @@ impl Heuristic {
     pub fn is_admissible(self) -> bool {
         matches!(self, Heuristic::None | Heuristic::MaxRemaining)
     }
-}
-
-/// Open-list implementation behind the best-first engines.
-///
-/// Purely an implementation choice: both variants pop entries in the
-/// exact same ascending `(f, g, state id)` order, which the
-/// `bucket_equivalence` differential suite pins by asserting identical
-/// expansion traces. The heap stays available as the reference
-/// implementation for that harness (and as a fallback), the bucket queue
-/// is the production default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OpenList {
-    /// The [`crate::BucketQueue`]: O(1) push and amortized-O(1) pop over
-    /// the small dense f-range of this search.
-    #[default]
-    Bucket,
-    /// The reference `std::collections::BinaryHeap` with `O(log n)`
-    /// operations.
-    Heap,
 }
 
 /// The §3.5 non-optimality-preserving cut. A freshly generated state of
@@ -155,9 +103,6 @@ pub struct SynthesisConfig {
     pub machine: Machine,
     /// Open-state selection strategy.
     pub strategy: Strategy,
-    /// Open-list implementation (bucket queue by default; the binary heap
-    /// remains as the differential-testing reference).
-    pub open_list: OpenList,
     /// Optional §3.5 cut.
     pub cut: Option<Cut>,
     /// Enable the §3.3 per-assignment remaining-budget viability check
@@ -215,38 +160,23 @@ pub struct SynthesisConfig {
     /// Search worker threads. `1` (the default) preserves today's exact
     /// sequential expansion order — bit-for-bit reproducible stats and DAG.
     /// `0` means "auto": use [`std::thread::available_parallelism`]. Any
-    /// other value runs the sharded parallel engine with that many workers
-    /// (see the crate docs' "Parallel search" section). All-solutions mode
-    /// always runs sequentially: the full solution DAG needs globally
-    /// ordered parent edges.
+    /// other value runs the sharded driver with that many workers (see
+    /// DESIGN.md, "Parallel search"). Runs the sharded driver
+    /// cannot serve fall back to the single-shard driver whatever this is
+    /// set to: all-solutions mode (the full solution DAG needs globally
+    /// ordered parent edges) and runs with a memory budget or a resume
+    /// journal (the spill tier streams one shard's layers).
     pub threads: usize,
-    /// Test-only determinism harness: when set, every parallel worker
-    /// derives an RNG from this seed and injects random yields/sleeps
-    /// between expansions, perturbing thread interleavings so stress tests
-    /// can shake out schedule-dependent bugs. Ignored by the sequential
-    /// engine.
-    #[doc(hidden)]
-    pub perturb_seed: Option<u64>,
-    /// Test-only crash harness: when set, the sequential engine panics once
-    /// this many states have been expanded — *after* the progress tick for
-    /// that expansion, so the flight recorder's crash-dump property (the
-    /// last delivered snapshot survives a worker panic) can be tested
-    /// deterministically. Ignored by the parallel engine.
-    #[doc(hidden)]
-    pub panic_after: Option<u64>,
-    /// Closed/open-set key width (see [`KeyWidth`]). `U64` by default;
-    /// `U128` remains as the differential reference.
-    pub key_width: KeyWidth,
     /// Approximate resident-memory budget for search bookkeeping (arena
-    /// spans + closed map + per-node metadata). When set, the sequential
-    /// layered engine activates the external-memory tier: frontier spans
-    /// over budget spill to checksummed append-only segments under
+    /// spans + closed map + per-node metadata). When set, a layered run
+    /// activates the external-memory tier: frontier spans over budget
+    /// spill to checksummed append-only segments under
     /// [`SynthesisConfig::spill_dir`], expanded layers are compacted out of
     /// the arena, old closed-set entries are evicted to sorted segments
     /// with delayed duplicate detection on re-read, and a journal
-    /// checkpoint after every completed layer makes the run resumable. The
-    /// A* and parallel engines ignore the budget (documented limitation of
-    /// this tier).
+    /// checkpoint after every completed layer makes the run resumable. A
+    /// budgeted run always uses the single-shard driver; A* runs ignore
+    /// the budget (documented limitation of this tier).
     pub mem_budget_bytes: Option<u64>,
     /// Directory for spill segments and the resume journal. Defaults to a
     /// fresh per-run directory under the system temp dir when a budget is
@@ -274,7 +204,6 @@ impl SynthesisConfig {
         SynthesisConfig {
             machine,
             strategy: Strategy::Layered,
-            open_list: OpenList::default(),
             cut: None,
             budget_viability: false,
             optimal_instrs_only: false,
@@ -288,9 +217,6 @@ impl SynthesisConfig {
             progress_every: 0,
             progress_hook: None,
             threads: 1,
-            perturb_seed: None,
-            panic_after: None,
-            key_width: KeyWidth::default(),
             mem_budget_bytes: None,
             spill_dir: None,
             resume_dir: None,
@@ -320,12 +246,6 @@ impl SynthesisConfig {
     /// Sets the open-state selection strategy.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Selects the open-list implementation.
-    pub fn open_list(mut self, open_list: OpenList) -> Self {
-        self.open_list = open_list;
         self
     }
 
@@ -409,28 +329,6 @@ impl SynthesisConfig {
     /// all available cores, otherwise that many parallel workers.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Installs the test-only interleaving perturbation seed (see
-    /// [`SynthesisConfig::perturb_seed`]).
-    #[doc(hidden)]
-    pub fn perturb_seed(mut self, seed: u64) -> Self {
-        self.perturb_seed = Some(seed);
-        self
-    }
-
-    /// Installs the test-only crash injection threshold (see
-    /// [`SynthesisConfig::panic_after`]).
-    #[doc(hidden)]
-    pub fn panic_after(mut self, expansions: u64) -> Self {
-        self.panic_after = Some(expansions);
-        self
-    }
-
-    /// Selects the closed/open-set key width (see [`KeyWidth`]).
-    pub fn key_width(mut self, width: KeyWidth) -> Self {
-        self.key_width = width;
         self
     }
 

@@ -1,6 +1,9 @@
-//! The enumerative synthesis engine: layered (Dijkstra) and A* search with
-//! deduplication, viability checks, and cuts (§3 of the paper).
+//! The enumerative synthesis engine: the public result types, the shared
+//! expansion step (instruction selection, viability, goal detection, and
+//! cuts — §3.2–§3.5 of the paper), and the single-shard driver running
+//! layered (Dijkstra) or A* search over the core in [`crate::shard`].
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use sortsynth_isa::{BatchStepper, Instr, MachineState, Op, Program};
@@ -8,27 +11,18 @@ use sortsynth_isa::{BatchStepper, Instr, MachineState, Op, Program};
 use sortsynth_obs::names;
 use sortsynth_obs::profile::{Phase, PhaseProbe, PHASE_COUNT};
 
-use crate::bucket::OpenQueue;
 use crate::config::{Strategy, SynthesisConfig};
 use crate::distance::{DistanceTable, UNSORTABLE};
-use crate::heuristics::heuristic_from_meta;
-use crate::intern::StateArena;
-use crate::progress::{SearchProgress, ShardProgress};
-use crate::sizing::{SizingRow, SizingTable};
+use crate::shard::{
+    parent_idx, parent_ref, Cand, Closing, Edge, Facts, Merged, MinPerm, ParentRef, RunFrame,
+    Shard, Throttle, PARENT_NONE,
+};
+use crate::sizing::SizingTable;
 use crate::spill::{self, Journal, JournalMeta, JournalNode, ResumeError, SpillTier};
 use crate::state::{
-    assignment_erased, canonicalize_slice, key_of, perm_count_slice, value_reg_mask, ProjScratch,
-    StateSet,
+    assignment_erased, canonicalize_slice, key_of, narrow_key, perm_count_slice, value_reg_mask,
+    ProjScratch, StateSet,
 };
-
-/// Default progress-emission throttle (expansions between snapshots) when
-/// [`SynthesisConfig::progress_every`] is 0.
-pub(crate) const DEFAULT_PROGRESS_EVERY: u64 = 4096;
-
-/// Time floor on progress delivery: even when the expansion-count throttle
-/// has not tripped, a snapshot is delivered at least this often, so slow
-/// expansions (big machines, degraded pruning) still produce a live signal.
-pub(crate) const PROGRESS_TIME_FLOOR: Duration = Duration::from_millis(500);
 
 /// How a synthesis run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,11 +122,9 @@ pub struct SearchStats {
     /// queued. Sequential best-first runs count their pop-time skips here;
     /// parallel runs aggregate the shards' [`ShardStats::stale_drops`].
     pub stale_pops: u64,
-    /// Cursor-advance steps the bucketed open lists spent scanning empty
-    /// buckets/lanes (0 under [`crate::OpenList::Heap`] and in layered
-    /// sequential runs, which keep no open list). The amortized-O(1)
-    /// selection claim is this number staying small relative to
-    /// [`SearchStats::expanded`].
+    /// Cursor-advance steps the shards' bucketed open lists spent scanning
+    /// empty buckets/lanes. The amortized-O(1) selection claim is this
+    /// number staying small relative to [`SearchStats::expanded`].
     pub bucket_scans: u64,
     /// SWAR passes taken by batch expansion: each pass steps up to
     /// [`sortsynth_isa::SWAR_LANES`] packed parent assignments through one
@@ -140,8 +132,7 @@ pub struct SearchStats {
     pub swar_batches: u64,
     /// Frontier states whose assignment spans were written to a spill
     /// segment instead of the arena (external-memory tier; 0 unless
-    /// [`SynthesisConfig::mem_budget_bytes`] is set on a sequential layered
-    /// run).
+    /// [`SynthesisConfig::mem_budget_bytes`] is set on a layered run).
     pub spilled_open: u64,
     /// Closed-map entries evicted to sorted on-disk segments under budget
     /// pressure.
@@ -157,16 +148,15 @@ pub struct SearchStats {
     /// store, closed map) after construction. A run pre-sized from the
     /// sizing table pins this to zero after warm-up.
     pub arena_reallocs: u64,
-    /// Bytes of closed-map storage reserved at end of run (capacity × entry
-    /// size at the configured [`crate::config::KeyWidth`]) — halved by the
-    /// u64 key representation.
+    /// Bytes of closed-map storage reserved at end of run: capacity × the
+    /// 16-byte entry of a folded `u64` key and a `u32` id.
     pub key_bytes: u64,
     /// Bytes appended to spill segments (frontier spans + closed entries).
     pub spilled_bytes: u64,
     /// Spill segment files created over the run.
     pub spill_segments: u64,
     /// Estimated resident footprint at end of run: arena spans, closed map,
-    /// per-state metadata, and parent edges. The quantity the spill tier
+    /// per-state metadata, and edges. The quantity the spill tier
     /// holds under [`SynthesisConfig::mem_budget_bytes`].
     pub resident_bytes: u64,
     /// Parallel mode only: per-worker/shard counter blocks, in worker order.
@@ -181,8 +171,11 @@ pub struct SearchStats {
     pub phase_nanos: [u64; PHASE_COUNT],
 }
 
-/// Counters owned by one parallel worker (= one closed-set shard). See
-/// [`SearchStats::shards`].
+/// The counter block of one shard: the single-shard driver's only shard,
+/// or one parallel worker's. The only counter type the search keeps —
+/// expansion fills the pruning counters, [`crate::shard::Shard::merge`]
+/// the merge dispositions — and the run's [`SearchStats`] totals are its
+/// sums. See [`SearchStats::shards`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// States this worker expanded (own or stolen).
@@ -228,28 +221,36 @@ pub struct ShardStats {
     pub swar_batches: u64,
 }
 
-/// A node of the solution DAG: a unique canonical state, with every
-/// minimal-length (parent, instruction) edge that produced it.
-#[derive(Debug, Clone)]
-struct Node {
-    /// Primary parent (`u32::MAX` for the root).
-    parent: u32,
-    /// Action index on the primary parent edge. `u16` because large
-    /// machines exceed 256 actions (n = 2 with 8 scratch has 315).
-    instr: u16,
-    /// Additional same-length parents (populated in all-solutions mode).
-    more_parents: Vec<(u32, u16)>,
-    /// Program length at which this state is reached.
-    len: u16,
+impl ShardStats {
+    /// Adds `other` into `self`, counter by counter.
+    pub(crate) fn add(&mut self, other: &ShardStats) {
+        self.expanded += other.expanded;
+        self.generated += other.generated;
+        self.viability_pruned += other.viability_pruned;
+        self.cut_pruned += other.cut_pruned;
+        self.dead_write_pruned += other.dead_write_pruned;
+        self.value_flow_pruned += other.value_flow_pruned;
+        self.merged += other.merged;
+        self.dedup_hits += other.dedup_hits;
+        self.reopened += other.reopened;
+        self.stale_drops += other.stale_drops;
+        self.bound_pruned += other.bound_pruned;
+        self.states_kept += other.states_kept;
+        self.routed += other.routed;
+        self.steals += other.steals;
+        self.scratch_reused += other.scratch_reused;
+        self.swar_batches += other.swar_batches;
+    }
 }
-
-const NO_PARENT: u32 = u32::MAX;
 
 /// The deduplicated search DAG with its goal nodes; every root-to-goal path
 /// is a distinct minimal-length sorting kernel.
 #[derive(Debug, Clone)]
 pub struct SolutionDag {
-    nodes: Vec<Node>,
+    /// One primary edge per node (node ids are arena ids).
+    edges: Vec<Edge>,
+    /// Extra same-length parents per node (all-solutions mode only).
+    more: HashMap<u32, Vec<(u32, u16)>>,
     goals: Vec<u32>,
     actions: Vec<Instr>,
 }
@@ -258,32 +259,38 @@ impl SolutionDag {
     /// Builds a degenerate DAG holding exactly one root-to-goal chain (or
     /// just the root when `path` is `None`). `path` is a sequence of action
     /// indices; an empty path means the initial state itself is the goal.
-    /// Used by the parallel engine, whose first-solution mode tracks a
+    /// Used by the sharded driver, whose first-solution mode tracks a
     /// single incumbent path instead of the full parent DAG.
     pub(crate) fn from_path(actions: Vec<Instr>, path: Option<&[u16]>) -> SolutionDag {
-        let mut nodes = vec![Node {
-            parent: NO_PARENT,
+        let mut edges = vec![Edge {
+            parent: PARENT_NONE,
+            g: 0,
             instr: 0,
-            more_parents: Vec::new(),
-            len: 0,
         }];
         let mut goals = Vec::new();
         if let Some(path) = path {
             for (i, &ai) in path.iter().enumerate() {
-                nodes.push(Node {
-                    parent: i as u32,
+                edges.push(Edge {
+                    parent: parent_ref(0, i as u32),
+                    g: (i + 1) as u32,
                     instr: ai,
-                    more_parents: Vec::new(),
-                    len: (i + 1) as u16,
                 });
             }
-            goals.push((nodes.len() - 1) as u32);
+            goals.push((edges.len() - 1) as u32);
         }
         SolutionDag {
-            nodes,
+            edges,
+            more: HashMap::new(),
             goals,
             actions,
         }
+    }
+
+    /// Every `(parent, action)` edge into `node`: the primary edge first.
+    fn parents(&self, node: u32) -> impl Iterator<Item = (u32, u16)> + '_ {
+        let e = self.edges[node as usize];
+        std::iter::once((parent_idx(e.parent), e.instr))
+            .chain(self.more.get(&node).into_iter().flatten().copied())
     }
 
     /// The action list that edge indices refer to.
@@ -305,20 +312,16 @@ impl SolutionDag {
         if self.goals.is_empty() {
             return 0;
         }
-        let mut order: Vec<u32> = (0..self.nodes.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| self.nodes[i as usize].len);
-        let mut count = vec![0u64; self.nodes.len()];
+        let mut order: Vec<u32> = (0..self.edges.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| self.edges[i as usize].g);
+        let mut count = vec![0u64; self.edges.len()];
         for &i in &order {
-            let node = &self.nodes[i as usize];
-            if node.parent == NO_PARENT {
-                count[i as usize] = 1;
-                continue;
-            }
-            let mut c = count[node.parent as usize];
-            for &(p, _) in &node.more_parents {
-                c = c.saturating_add(count[p as usize]);
-            }
-            count[i as usize] = c;
+            count[i as usize] = if self.edges[i as usize].parent == PARENT_NONE {
+                1
+            } else {
+                self.parents(i)
+                    .fold(0u64, |c, (p, _)| c.saturating_add(count[p as usize]))
+            };
         }
         self.goals
             .iter()
@@ -347,16 +350,13 @@ impl SolutionDag {
         if out.len() >= limit {
             return;
         }
-        let node = &self.nodes[node_idx as usize];
-        if node.parent == NO_PARENT {
+        if self.edges[node_idx as usize].parent == PARENT_NONE {
             let mut prog: Program = suffix.clone();
             prog.reverse();
             out.push(prog);
             return;
         }
-        let mut edges = vec![(node.parent, node.instr)];
-        edges.extend_from_slice(&node.more_parents);
-        for (parent, ai) in edges {
+        for (parent, ai) in self.parents(node_idx) {
             if out.len() >= limit {
                 return;
             }
@@ -399,9 +399,10 @@ impl SynthesisResult {
 /// This is the main entry point of the crate; see [`SynthesisConfig`] for
 /// the knobs and the crate docs for a guided example. With
 /// [`SynthesisConfig::threads`] resolved to more than one worker the run is
-/// handed to the sharded parallel engine ([`crate::parallel`]) — except in
-/// all-solutions mode, which needs the sequential engine's globally ordered
-/// parent edges to build the full solution DAG.
+/// handed to the sharded driver ([`crate::parallel`]) — except in
+/// all-solutions mode, which needs globally ordered parent edges to build
+/// the full solution DAG, and in budgeted or resumed runs, whose spill tier
+/// streams one shard's layers. Those run on the single-shard driver.
 pub fn synthesize(cfg: &SynthesisConfig) -> SynthesisResult {
     try_synthesize(cfg).unwrap_or_else(|e| panic!("synthesis failed to start: {e}"))
 }
@@ -411,12 +412,9 @@ pub fn synthesize(cfg: &SynthesisConfig) -> SynthesisResult {
 /// missing journal, a checksum-detected torn segment, or a configuration
 /// mismatch is reported, never silently replayed.
 pub fn try_synthesize(cfg: &SynthesisConfig) -> Result<SynthesisResult, ResumeError> {
-    if cfg.effective_threads() > 1 && !cfg.all_solutions {
-        if cfg.resume_dir.is_some() {
-            return Err(ResumeError::Unsupported {
-                why: "resume requires the sequential engine (threads = 1)",
-            });
-        }
+    let single_shard =
+        cfg.all_solutions || cfg.mem_budget_bytes.is_some() || cfg.resume_dir.is_some();
+    if cfg.effective_threads() > 1 && !single_shard {
         return Ok(crate::parallel::run(cfg));
     }
     Engine::new(cfg).run()
@@ -426,8 +424,8 @@ pub fn try_synthesize(cfg: &SynthesisConfig) -> Result<SynthesisResult, ResumeEr
 /// and the machine fits. Machines with many scratch registers overflow the
 /// table's action bitset; they search without the distance-based aids
 /// instead of panicking, and the fallback is recorded in
-/// [`SearchStats::distance_table_skipped`]. Shared by the sequential engine
-/// and the parallel shard setup, so the skip flag is reported on both paths.
+/// [`SearchStats::distance_table_skipped`]. Shared by both drivers, so the
+/// skip flag is reported on both paths.
 pub(crate) fn build_distance_table(
     cfg: &SynthesisConfig,
     stats: &mut SearchStats,
@@ -446,18 +444,11 @@ pub(crate) fn build_distance_table(
     }
 }
 
-/// What became of one generated successor.
-enum Gen {
-    Goal(u32),
-    Fresh(u32),
-    Pruned,
-}
-
 /// One successor surviving expansion, described by its span in the shared
 /// scratch buffer ([`SuccessorBuf`]) plus every fact computed while it was
-/// generated. The owner-side merge ([`Engine::merge`] or a parallel shard)
-/// consumes these without touching the assignments again — beyond one
-/// `memcpy` of the span into the arena for fresh states.
+/// generated. The owner's [`Shard::merge`] consumes these without touching
+/// the assignments again — beyond one `memcpy` of the span into the arena
+/// for fresh states.
 pub(crate) struct SuccMeta {
     /// Index of the applied action in the machine's action list. `u16`
     /// because large machines exceed 256 actions.
@@ -466,8 +457,8 @@ pub(crate) struct SuccMeta {
     pub offset: u32,
     /// Span length (canonical assignment count).
     pub len: u32,
-    /// Content hash of the span ([`crate::state::key_of`]).
-    pub key: u128,
+    /// Folded content hash of the span ([`crate::narrow_key`]).
+    pub key: u64,
     /// Permutation count (for cuts and heuristics).
     pub perm: u32,
     /// Max per-assignment distance (0 when the run has no table).
@@ -495,6 +486,24 @@ impl SuccessorBuf {
     /// The assignment span of one successor.
     pub fn assigns_of(&self, m: &SuccMeta) -> &[MachineState] {
         &self.assigns[m.offset as usize..(m.offset + m.len) as usize]
+    }
+
+    /// One successor as a merge offer: the candidate at length `g` under
+    /// `parent`, and the facts that insert it.
+    pub fn offer(&self, m: &SuccMeta, g: u32, parent: ParentRef) -> (Cand, Facts<'_>) {
+        let cand = Cand {
+            key: m.key,
+            g,
+            parent,
+            instr: m.ai,
+        };
+        let facts = Facts {
+            assigns: self.assigns_of(m),
+            perm: m.perm,
+            max_dist: m.max_dist,
+            goal: m.goal,
+        };
+        (cand, facts)
     }
 }
 
@@ -526,8 +535,7 @@ impl ExpandScratch {
     }
 }
 
-/// The read-only inputs of state expansion, shared between the sequential
-/// engine and the parallel workers (which hold no `Engine`).
+/// The read-only inputs of state expansion, shared by both drivers.
 pub(crate) struct ExpandCtx<'a> {
     pub cfg: &'a SynthesisConfig,
     pub actions: &'a [Instr],
@@ -538,10 +546,9 @@ impl ExpandCtx<'_> {
     /// The thread-safe part of expansion: instruction selection (§3.2),
     /// viability (§3.3), goal detection (§3.4), and the cut (§3.5).
     /// Deduplication (§3.6) happens later, at the owner of the successor's
-    /// key ([`Engine::merge`] or the parallel shard owner). `prev_instr` is
-    /// the instruction on the edge that produced `state` (used by the
-    /// dead-write cut; ignored when the cut is off), `bound` the caller's
-    /// current inclusive length bound.
+    /// key ([`Shard::merge`]). `prev_instr` is the instruction on the edge
+    /// that produced `state` (used by the dead-write cut; ignored when the
+    /// cut is off), `bound` the caller's current inclusive length bound.
     ///
     /// `state` is a raw canonical assignment slice (arena-resident or
     /// copied scratch); survivors land in `scratch.buf` as spans plus
@@ -564,10 +571,13 @@ impl ExpandCtx<'_> {
         bound: u32,
         cut_threshold: Option<u32>,
         scratch: &mut ExpandScratch,
-        counters: &mut WorkerCounters,
+        counters: &mut ShardStats,
         probe: &mut PhaseProbe,
     ) {
         counters.expanded += 1;
+        // An expansion that leaves the scratch capacities unchanged
+        // allocated nothing here ([`SearchStats::scratch_reused`]).
+        let reserved = scratch.capacity_signature();
         scratch.buf.clear();
         // Successor-distance fast path: with the parent's encodings in hand
         // a candidate's viability check is one table row scan — unsortable
@@ -788,53 +798,38 @@ impl ExpandCtx<'_> {
             let span = &mut assigns[m.offset as usize..(m.offset + m.len) as usize];
             let kept = canonicalize_slice(span);
             m.len = kept as u32;
-            m.key = key_of(&span[..kept]);
+            m.key = narrow_key(key_of(&span[..kept]));
+        }
+        if scratch.capacity_signature() == reserved {
+            counters.scratch_reused += 1;
         }
         probe.lap(Phase::Canonicalize);
     }
 }
 
+/// The single-shard driver: layered or A* search over one [`Shard`], on the
+/// calling thread, with the external-memory tier.
 struct Engine<'a> {
     cfg: &'a SynthesisConfig,
     actions: Vec<Instr>,
     table: Option<DistanceTable>,
-    /// The interned states. Node ids and arena ids coincide: exactly the
-    /// kept states are interned, in the same order `nodes` grows.
-    arena: StateArena,
-    nodes: Vec<Node>,
-    /// Minimum permutation count seen among kept states of each length.
-    min_perm: Vec<u32>,
-    goals: Vec<u32>,
+    /// The only shard. Node ids and arena ids coincide.
+    shard: Shard,
+    min_perm: MinPerm,
     /// Inclusive length bound (dynamic: shrinks when solutions are found in
     /// all-solutions mode).
     bound: u32,
     stats: SearchStats,
-    start: Instant,
-    deadline: Option<Instant>,
-    /// Fresh node ids queued by [`Engine::merge`] for the caller to pick
-    /// up: the next layer in layered mode, heap pushes in A* mode.
-    pending_frontier: Vec<u32>,
+    frame: RunFrame<'a>,
+    throttle: Throttle,
     /// Current frontier bound for progress snapshots: the layer depth in
     /// layered mode, the last popped `f` in A* mode.
     current_f: Option<u64>,
-    /// Expansion count at the last delivered progress snapshot.
-    last_progress_expanded: u64,
-    /// Wall-clock time of the last delivered progress snapshot, for the
-    /// [`PROGRESS_TIME_FLOOR`].
-    last_progress_at: Instant,
     /// Reused expansion buffers ([`ExpandCtx::expand`] output).
     scratch: ExpandScratch,
     /// Per-run phase profiler probe (inert unless the profiler was enabled
     /// when the run started).
     probe: PhaseProbe,
-    /// External-memory tier (layered sequential runs under
-    /// [`SynthesisConfig::mem_budget_bytes`], and every resumed run).
-    spill: Option<SpillTier>,
-    /// Peak frontier/open depth, recorded into the sizing table.
-    peak_open: u64,
-    /// Per-lane capacity hint for the bucketed open list, derived from the
-    /// sizing table's recorded peak open depth (0 = no hint).
-    lane_hint: usize,
 }
 
 impl<'a> Engine<'a> {
@@ -844,65 +839,47 @@ impl<'a> Engine<'a> {
         let probe = PhaseProbe::new();
         let mut stats = SearchStats::default();
         let table = build_distance_table(cfg, &mut stats);
-        let start = Instant::now();
-        // Effective deadline: the earlier of the relative time limit and the
-        // budget's absolute deadline.
-        let deadline = match (cfg.time_limit.map(|d| start + d), cfg.budget.deadline()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        let frame = RunFrame::new(cfg, stats.distance_table_skipped);
+        let throttle = Throttle::new(&frame);
         let actions = cfg.machine.actions();
         // Edge records store action indices as `u16`.
         assert!(actions.len() <= u16::MAX as usize + 1);
-        // Pre-size the arena and node store: a measured sizing row beats
+        let bound = cfg.max_len.unwrap_or(u32::MAX);
+        let sizing_row = SizingTable::row_for(cfg, 1);
+        // Open entries spread over a handful of hot (f, g) lanes; a quarter
+        // of the recorded peak per lane covers the densest one without
+        // over-reserving the rest.
+        let lane_hint = sizing_row.map_or(0, |r| (r.open_depth / 4) as usize);
+        let mut shard = Shard::new(cfg, open_f_hint(bound, table.as_ref()), lane_hint);
+        // Pre-size the arena and edge table: a measured sizing row beats
         // everything; otherwise derive a (clamped) estimate from the
         // distance table's encoding count. Budgeted runs skip the estimate
         // — pre-reserving a full-population arena would defeat the budget.
-        let mut arena = StateArena::with_key_width(cfg.key_width);
-        let mut nodes = Vec::new();
-        let sizing_row = cfg
-            .sizing_path
-            .as_deref()
-            .map(SizingTable::load)
-            .and_then(|t| t.lookup(&cfg.machine, 1));
         if let Some(row) = sizing_row {
             let states = row.states as usize + row.states as usize / 8 + 64;
             let assigns = row.assigns as usize + row.assigns as usize / 8 + 1024;
-            arena.reserve(states, assigns);
-            nodes.reserve(states);
+            shard.reserve(states, assigns);
         } else if cfg.mem_budget_bytes.is_none() {
             if let Some(t) = table.as_ref() {
                 let states = (t.encodings() * 32).min(512 * 1024);
                 let per_state = sortsynth_isa::factorial(cfg.machine.n()) as usize;
                 let assigns = states.saturating_mul(per_state).min(16 * 1024 * 1024);
-                arena.reserve(states, assigns);
-                nodes.reserve(states);
+                shard.reserve(states, assigns);
             }
         }
         Engine {
+            cfg,
             actions,
             table,
-            arena,
-            nodes,
-            min_perm: Vec::new(),
-            goals: Vec::new(),
-            bound: cfg.max_len.unwrap_or(u32::MAX),
+            shard,
+            min_perm: MinPerm::new(),
+            bound,
             stats,
-            start,
-            deadline,
-            pending_frontier: Vec::new(),
+            frame,
+            throttle,
             current_f: None,
-            last_progress_expanded: 0,
-            last_progress_at: start,
             scratch: ExpandScratch::default(),
             probe,
-            spill: None,
-            peak_open: 0,
-            // Open entries spread over a handful of hot (f, g) lanes; a
-            // quarter of the recorded peak per lane covers the densest one
-            // without over-reserving the rest.
-            lane_hint: sizing_row.map_or(0, |r| (r.open_depth / 4) as usize),
-            cfg,
         }
     }
 
@@ -914,34 +891,18 @@ impl<'a> Engine<'a> {
             self.run_layered(frontier, g)
         } else {
             let init = StateSet::initial(&cfg.machine);
-            let init_perm = init.perm_count(&cfg.machine);
-            let init_dist = self.table.as_ref().map_or(0, |t| t.max_dist(&init));
-            let init_goal = init.is_goal(&cfg.machine);
-            let root = self.arena.insert_new(
-                init.key(),
-                init.assignments(),
-                init_perm,
-                init_dist,
-                init_goal,
-            );
+            let (root, goal) =
+                self.shard
+                    .seed(&init, &cfg.machine, self.table.as_ref(), &self.min_perm);
             debug_assert_eq!(root, 0);
-            self.nodes.push(Node {
-                parent: NO_PARENT,
-                instr: 0,
-                more_parents: Vec::new(),
-                len: 0,
-            });
-            self.note_min_perm(0, init_perm);
-            self.stats.states_kept = 1;
-
-            if init_goal {
-                self.goals.push(0);
+            if goal {
+                self.shard.goals.push(root);
                 Outcome::Solved
             } else {
-                // The external-memory tier serves the sequential layered
-                // strategy; A* runs ignore the budget (their pop order
-                // revisits arbitrary layers, which defeats streaming
-                // frontier segments) — documented in DESIGN.md.
+                // The external-memory tier serves the layered strategy; A*
+                // runs ignore the budget (their pop order revisits
+                // arbitrary layers, which defeats streaming frontier
+                // segments) — documented in DESIGN.md.
                 if let Some(budget) = cfg.mem_budget_bytes {
                     if cfg.strategy == Strategy::Layered {
                         let dir = cfg
@@ -950,89 +911,54 @@ impl<'a> Engine<'a> {
                             .unwrap_or_else(spill::default_spill_dir);
                         let tier = SpillTier::new(dir, budget)
                             .unwrap_or_else(|e| panic!("cannot create spill directory: {e}"));
-                        self.spill = Some(tier);
-                        self.checkpoint(0, &[0]);
+                        self.shard.spill = Some(tier);
+                        self.checkpoint(0, &[root]);
                     }
                 }
                 // Re-stamp so the first Select lap starts at the search
                 // proper, not at probe creation (the table build is
                 // attributed separately).
                 self.probe.skip();
-                match self.cfg.strategy {
-                    Strategy::Layered => self.run_layered(vec![0], 0),
+                match cfg.strategy {
+                    Strategy::Layered => {
+                        let frontier = self.take_layer();
+                        self.run_layered(frontier, 0)
+                    }
                     Strategy::AStar { .. } => self.run_astar(),
                 }
             }
         };
 
-        self.stats.search_time = self.start.elapsed();
-        self.stats.interned_states = self.arena.len() as u64;
-        self.stats.arena_bytes = self.arena.assign_bytes();
-        self.stats.key_bytes = self.arena.key_bytes();
-        self.stats.arena_reallocs = self.arena.reallocs();
-        self.stats.resident_bytes = self.resident_bytes();
-        if let Some(tier) = &self.spill {
-            self.stats.spilled_open = tier.spilled_open;
-            self.stats.spilled_closed = tier.spilled_closed;
-            self.stats.ddd_dedup_hits = tier.ddd_dedup_hits;
-            self.stats.spilled_bytes = tier.spilled_bytes;
-            self.stats.spill_segments = tier.segments_created;
-        }
-        self.stats.phase_nanos = self.probe.nanos();
-        if self.probe.is_on() {
-            // The table build ran before the first probe stamp; its time is
-            // already measured separately, so it joins the attribution for
-            // free.
-            self.stats.phase_nanos[Phase::TableBuild as usize] =
-                self.stats.distance_build.as_nanos() as u64;
-        }
-        // Every run — solved, exhausted, limited, or cancelled — flushes one
-        // final snapshot (so consumers always see the closing counters) and
-        // publishes its totals to the process-wide metrics registry.
-        self.emit_progress(self.pending_frontier.len() as u64, Some(outcome));
-        publish_search_metrics(&self.stats, outcome);
-        if matches!(
+        let end = Closing {
             outcome,
-            Outcome::Solved | Outcome::SolvedAll | Outcome::Exhausted
-        ) {
-            // Completed runs feed the sizing table, so the next run of this
-            // configuration pre-sizes its arena and skips the growth spikes.
-            if let Some(path) = self.cfg.sizing_path.as_deref() {
-                let mut table = SizingTable::load(path);
-                table.record(
-                    &self.cfg.machine,
-                    1,
-                    SizingRow {
-                        states: self.arena.len() as u64,
-                        assigns: self.arena.assign_len() as u64,
-                        arena_bytes: self.arena.assign_bytes(),
-                        open_depth: self.peak_open,
-                    },
-                );
-                table.save(path);
-            }
-            // A completed run that spilled into a default temp directory
-            // leaves nothing to resume — reclaim the disk.
-            if let Some(tier) = &self.spill {
-                if self.cfg.spill_dir.is_none() && self.cfg.resume_dir.is_none() {
-                    tier.cleanup();
-                }
-            }
-        }
-        let found_len = self
-            .goals
-            .first()
-            .map(|&g| self.nodes[g as usize].len as u32);
+            open: self.shard.open.len() as u64,
+            f_bound: self.current_f,
+        };
+        let stats = self.frame.finish(
+            self.throttle,
+            std::slice::from_ref(&self.shard),
+            self.stats,
+            &self.probe,
+            end,
+        );
+        let Shard {
+            edges,
+            goals,
+            more_parents,
+            ..
+        } = self.shard;
+        let found_len = goals.first().map(|&g| edges[g as usize].g);
         Ok(SynthesisResult {
-            minimal_certified: found_len.is_some() && self.cfg.guarantees_minimal(),
+            minimal_certified: found_len.is_some() && cfg.guarantees_minimal(),
             dag: SolutionDag {
-                nodes: self.nodes,
-                goals: self.goals,
+                edges,
+                more: more_parents,
+                goals,
                 actions: self.actions,
             },
             found_len,
             outcome,
-            stats: self.stats,
+            stats,
         })
     }
 
@@ -1055,50 +981,36 @@ impl<'a> Engine<'a> {
         spill::verify_segments(dir, &journal)?;
         let budget = self.cfg.mem_budget_bytes.unwrap_or(journal.budget);
         let tier = SpillTier::resumed(dir.to_path_buf(), budget, &journal)?;
+        let shard = &mut self.shard;
         for m in &journal.metas {
-            self.arena.restore_meta(m.len, m.perm, m.max_dist, m.goal);
+            shard.arena.restore_meta(m.len, m.perm, m.max_dist, m.goal);
         }
         for &(key, id) in &journal.closed {
-            self.arena.restore_closed(key, id);
+            shard.arena.restore_closed(key, id);
         }
         for (id, span) in &journal.spans {
-            self.arena.restore_span(*id, span);
+            shard.arena.restore_span(*id, span);
         }
-        self.nodes = journal
-            .nodes
-            .iter()
-            .map(|n| Node {
-                parent: n.parent,
+        for (id, n) in journal.nodes.iter().enumerate() {
+            shard.edges.push(Edge {
+                parent: match n.parent {
+                    u32::MAX => PARENT_NONE,
+                    p => parent_ref(0, p),
+                },
+                g: n.len as u32,
                 instr: n.instr,
-                more_parents: n.more.clone(),
-                len: n.len,
-            })
-            .collect();
-        self.min_perm = journal.min_perm.clone();
-        self.goals = journal.goals.clone();
+            });
+            if !n.more.is_empty() {
+                shard.more_parents.insert(id as u32, n.more.clone());
+            }
+        }
+        self.min_perm.restore(&journal.min_perm);
+        shard.goals = journal.goals.clone();
         self.bound = journal.bound;
-        self.stats.expanded = journal.expanded;
-        self.stats.generated = journal.generated;
-        self.stats.dedup_hits = journal.dedup_hits;
-        self.stats.viability_pruned = journal.viability_pruned;
-        self.stats.cut_pruned = journal.cut_pruned;
-        self.stats.dead_write_pruned = journal.dead_write_pruned;
-        self.stats.value_flow_pruned = journal.value_flow_pruned;
-        self.stats.states_kept = journal.states_kept;
-        self.stats.scratch_reused = journal.scratch_reused;
-        self.stats.swar_batches = journal.swar_batches;
-        self.stats.resumed_frontier_states = journal.frontier.len() as u64;
-        self.spill = Some(tier);
+        shard.counters = journal.counters.clone();
+        self.frame.resumed_frontier_states = journal.frontier.len() as u64;
+        shard.spill = Some(tier);
         Ok((journal.frontier.clone(), journal.g))
-    }
-
-    /// Estimated resident footprint: arena spans + closed map + per-state
-    /// metadata + parent edges. The spill tier's merge-time trigger.
-    fn resident_bytes(&self) -> u64 {
-        self.arena.assign_bytes()
-            + self.arena.key_bytes()
-            + self.arena.len() as u64 * 16
-            + self.nodes.len() as u64 * std::mem::size_of::<Node>() as u64
     }
 
     /// End-of-layer spill maintenance: seal the frontier segment under
@@ -1109,65 +1021,61 @@ impl<'a> Engine<'a> {
     /// journal checkpoint for the next layer.
     fn end_of_layer(&mut self, g: u32, next: &mut Vec<u32>) {
         debug_assert!(next.windows(2).all(|w| w[0] < w[1]), "frontier id order");
-        let tier = self.spill.as_mut().expect("end_of_layer without spill");
+        let shard = &mut self.shard;
+        let tier = shard.spill.as_mut().expect("end_of_layer without spill");
         tier.seal_frontier();
         let dead = tier.ddd_filter();
         if !dead.is_empty() {
             next.retain(|id| dead.binary_search(id).is_err());
         }
-        let over_budget = {
-            let budget = self.spill.as_ref().unwrap().budget();
-            self.resident_bytes() > budget
-        };
-        if over_budget {
-            let evicted = self
+        let budget = tier.budget();
+        if shard.resident_bytes() > budget {
+            let evicted = shard
                 .arena
                 .evict_closed(|id| next.binary_search(&id).is_ok());
-            self.spill.as_mut().unwrap().append_closed(g, evicted);
+            let tier = shard.spill.as_mut().expect("spill tier");
+            tier.append_closed(g, evicted);
         }
-        self.arena.compact_spans(next);
+        shard.arena.compact_spans(next);
         self.checkpoint(g + 1, next);
     }
 
     /// Writes the journal checkpoint declaring layer `g` (with frontier
     /// `frontier`) as the next layer to expand.
     fn checkpoint(&mut self, g: u32, frontier: &[u32]) {
-        let tier = self.spill.as_ref().expect("checkpoint without spill");
+        let shard = &self.shard;
+        let tier = shard.spill.as_ref().expect("checkpoint without spill");
         let journal = Journal {
             fingerprint: spill::config_fingerprint(self.cfg),
             g,
             bound: self.bound,
             budget: tier.budget(),
-            min_perm: self.min_perm.clone(),
-            goals: self.goals.clone(),
-            expanded: self.stats.expanded,
-            generated: self.stats.generated,
-            dedup_hits: self.stats.dedup_hits,
-            viability_pruned: self.stats.viability_pruned,
-            cut_pruned: self.stats.cut_pruned,
-            dead_write_pruned: self.stats.dead_write_pruned,
-            value_flow_pruned: self.stats.value_flow_pruned,
-            states_kept: self.stats.states_kept,
-            scratch_reused: self.stats.scratch_reused,
-            swar_batches: self.stats.swar_batches,
+            min_perm: self.min_perm.to_vec(),
+            goals: shard.goals.clone(),
+            counters: shard.counters.clone(),
             spilled_open: tier.spilled_open,
             spilled_closed: tier.spilled_closed,
             ddd_dedup_hits: tier.ddd_dedup_hits,
             spilled_bytes: tier.spilled_bytes,
             spill_segments: tier.segments_created,
-            nodes: self
-                .nodes
+            nodes: shard
+                .edges
                 .iter()
-                .map(|n| JournalNode {
-                    parent: n.parent,
-                    instr: n.instr,
-                    len: n.len,
-                    more: n.more_parents.clone(),
+                .enumerate()
+                .map(|(id, e)| JournalNode {
+                    parent: parent_idx(e.parent),
+                    instr: e.instr,
+                    len: e.g as u16,
+                    more: shard
+                        .more_parents
+                        .get(&(id as u32))
+                        .cloned()
+                        .unwrap_or_default(),
                 })
                 .collect(),
-            metas: (0..self.arena.len() as u32)
+            metas: (0..shard.arena.len() as u32)
                 .map(|id| {
-                    let m = self.arena.meta(id);
+                    let m = shard.arena.meta(id);
                     JournalMeta {
                         len: m.assign_count(),
                         perm: m.perm,
@@ -1176,20 +1084,32 @@ impl<'a> Engine<'a> {
                     }
                 })
                 .collect(),
-            closed: self.arena.closed_entries(),
+            closed: shard.arena.closed_entries(),
             frontier: frontier.to_vec(),
             spans: frontier
                 .iter()
-                .filter(|&&id| self.arena.has_span(id))
-                .map(|&id| (id, self.arena.assignments(id).to_vec()))
+                .filter(|&&id| shard.arena.has_span(id))
+                .map(|&id| (id, shard.arena.assignments(id).to_vec()))
                 .collect(),
             frontier_seg: tier.frontier_seg(),
             closed_segs: tier.closed_segs(),
         };
-        self.spill
+        self.shard
+            .spill
             .as_mut()
             .expect("checkpoint without spill")
             .write_journal(&journal);
+    }
+
+    /// Drains the open list — in layered mode, exactly the next layer, in
+    /// ascending id order.
+    fn take_layer(&mut self) -> Vec<u32> {
+        let open = &mut self.shard.open;
+        let mut layer = Vec::with_capacity(open.len());
+        while let Some((_, _, id)) = open.pop() {
+            layer.push(id);
+        }
+        layer
     }
 
     // ------------------------------------------------------------------
@@ -1199,15 +1119,14 @@ impl<'a> Engine<'a> {
     fn run_layered(&mut self, mut frontier: Vec<u32>, mut g: u32) -> Outcome {
         loop {
             if g >= self.bound || frontier.is_empty() {
-                return if self.goals.is_empty() {
+                return if self.shard.goals.is_empty() {
                     Outcome::Exhausted
                 } else {
                     Outcome::SolvedAll
                 };
             }
             self.current_f = Some(g as u64);
-            self.peak_open = self.peak_open.max(frontier.len() as u64);
-            let cut_threshold = self.cut_threshold_for(g);
+            let cut_threshold = self.min_perm.threshold(self.cfg.cut, g);
             // Merge each state's successors immediately, so goals (and
             // progress samples) accumulate through the layer instead of
             // appearing all at once at its end.
@@ -1221,29 +1140,29 @@ impl<'a> Engine<'a> {
                 // arena) can't alias it; the move is two pointer swaps.
                 let buf = std::mem::take(&mut self.scratch.buf);
                 for m in &buf.metas {
-                    match self.merge(node, m, buf.assigns_of(m), g + 1) {
+                    match self.merge_succ(node, g, m, &buf) {
                         // Layer order makes the first goal minimal-length.
-                        Gen::Goal(_) if !self.cfg.all_solutions => {
+                        Merged::Goal(_) if !self.cfg.all_solutions => {
                             self.probe.lap(Phase::Intern);
                             return Outcome::Solved;
                         }
-                        Gen::Goal(_) => self.bound = self.bound.min(g + 1),
-                        Gen::Fresh(_) | Gen::Pruned => {}
+                        Merged::Goal(_) => self.bound = self.bound.min(g + 1),
+                        _ => {}
                     }
                 }
                 self.scratch.buf = buf;
                 self.probe.lap(Phase::Intern);
-                self.sample_progress(self.pending_frontier.len() as u64);
-                if self.over_limits() {
-                    return self.limit_outcome();
+                self.tick();
+                if let Some(limit) = self.frame.limit(self.shard.counters.generated) {
+                    return limit;
                 }
             }
-            let mut next = std::mem::take(&mut self.pending_frontier);
-            if self.spill.is_some() {
+            let mut next = self.take_layer();
+            if self.shard.spill.is_some() {
                 self.end_of_layer(g, &mut next);
             }
-            if self.over_limits() {
-                return self.limit_outcome();
+            if let Some(limit) = self.frame.limit(self.shard.counters.generated) {
+                return limit;
             }
             frontier = next;
             g += 1;
@@ -1254,28 +1173,12 @@ impl<'a> Engine<'a> {
     // A* / best-first search ordered by f = g + h (§3.1).
     // ------------------------------------------------------------------
     fn run_astar(&mut self) -> Outcome {
-        let heuristic = match self.cfg.strategy {
-            Strategy::AStar { heuristic } => heuristic,
-            Strategy::Layered => unreachable!("run_astar called for layered strategy"),
-        };
-        let mut open = OpenQueue::with_hints(
-            self.cfg.open_list,
-            open_f_hint(self.bound, self.table.as_ref()),
-            self.lane_hint,
-        );
-        let m0 = *self.arena.meta(0);
-        open.push(
-            heuristic_from_meta(heuristic, m0.perm, m0.assign_count(), m0.max_dist) as u64,
-            0,
-            0,
-        );
-
-        let outcome = loop {
+        loop {
             // One sampled probe cycle per expansion; the pop and staleness
             // checks are selection.
             self.probe.begin_cycle();
-            let Some((f, g, node)) = open.pop() else {
-                break if self.goals.is_empty() {
+            let Some((f, g, node)) = self.shard.open.pop() else {
+                return if self.shard.goals.is_empty() {
                     Outcome::Exhausted
                 } else {
                     Outcome::SolvedAll
@@ -1286,57 +1189,34 @@ impl<'a> Engine<'a> {
             // Goals are queued with f = g and accepted when *popped*, the
             // standard A* discipline: every open state that could lead to a
             // shorter kernel (f < g_goal) is expanded first.
-            if self.arena.meta(node).goal {
-                break Outcome::Solved;
+            if self.shard.arena.meta(node).goal {
+                return Outcome::Solved;
             }
-            if g >= self.bound {
-                self.stats.stale_pops += 1;
+            // Skip entries overtaken by the bound, and stale entries: the
+            // state was re-reached at a shorter length after this entry was
+            // pushed.
+            if g >= self.bound || self.shard.edges[node as usize].g != g {
+                self.shard.counters.stale_drops += 1;
                 continue;
             }
-            // Skip stale entries: the state was re-reached at a shorter
-            // length after this entry was pushed.
-            if self.nodes[node as usize].len as u32 != g {
-                self.stats.stale_pops += 1;
-                continue;
-            }
-            let cut_threshold = self.cut_threshold_for(g);
+            let cut_threshold = self.min_perm.threshold(self.cfg.cut, g);
             self.expand_node(node, g, cut_threshold);
             let buf = std::mem::take(&mut self.scratch.buf);
             for m in &buf.metas {
-                match self.merge(node, m, buf.assigns_of(m), g + 1) {
-                    Gen::Goal(idx) => {
-                        self.bound = self.bound.min(g + 1);
-                        if !self.cfg.all_solutions {
-                            open.push((g + 1) as u64, g + 1, idx);
-                        }
+                if let Merged::Goal(idx) = self.merge_succ(node, g, m, &buf) {
+                    self.bound = self.bound.min(g + 1);
+                    if !self.cfg.all_solutions {
+                        self.shard.open.push((g + 1) as u64, g + 1, idx);
                     }
-                    Gen::Fresh(idx) => {
-                        let queued = self
-                            .pending_frontier
-                            .pop()
-                            .expect("fresh node queued a frontier entry");
-                        debug_assert_eq!(queued, idx);
-                        let meta = self.arena.meta(idx);
-                        let h = heuristic_from_meta(
-                            heuristic,
-                            meta.perm,
-                            meta.assign_count(),
-                            meta.max_dist,
-                        );
-                        open.push((g + 1) as u64 + h as u64, g + 1, idx);
-                    }
-                    Gen::Pruned => {}
                 }
             }
             self.scratch.buf = buf;
             self.probe.lap(Phase::Intern);
-            if self.over_limits() {
-                break self.limit_outcome();
+            self.tick();
+            if let Some(limit) = self.frame.limit(self.shard.counters.generated) {
+                return limit;
             }
-            self.sample_progress(open.len() as u64);
-        };
-        self.stats.bucket_scans += open.scans();
-        outcome
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1344,273 +1224,70 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
 
     /// Expands `node` in place: runs the shared expansion core over the
-    /// arena-resident state, folds the pruning counters into the run stats,
-    /// and leaves survivors in `self.scratch.buf`.
+    /// state's span (resident, or streamed back from its frontier
+    /// segment) and leaves survivors in `self.scratch.buf`.
     fn expand_node(&mut self, node: u32, g: u32, cut_threshold: Option<u32>) {
+        let Shard {
+            arena,
+            edges,
+            counters,
+            spill,
+            ..
+        } = &mut self.shard;
         // The instruction on the parent edge, for the dead-write cut.
-        let prev_instr = {
-            let n = &self.nodes[node as usize];
-            (n.parent != NO_PARENT).then(|| self.actions[n.instr as usize])
+        let e = edges[node as usize];
+        let prev_instr = (e.parent != PARENT_NONE).then(|| self.actions[e.instr as usize]);
+        let state = if arena.has_span(node) {
+            arena.assignments(node)
+        } else {
+            // Spilled frontier state: layered expansion visits frontier ids
+            // in increasing (append) order, so this is one sequential read
+            // per layer.
+            spill
+                .as_mut()
+                .expect("state without a resident span outside spill mode")
+                .fetch_span(node)
         };
-        let mut counters = WorkerCounters::default();
-        let before = self.scratch.capacity_signature();
         let ctx = ExpandCtx {
             cfg: self.cfg,
             actions: &self.actions,
             table: self.table.as_ref(),
         };
-        if self.arena.has_span(node) {
-            ctx.expand(
-                self.arena.assignments(node),
-                prev_instr,
-                g,
-                self.bound,
-                cut_threshold,
-                &mut self.scratch,
-                &mut counters,
-                &mut self.probe,
-            );
-        } else {
-            // Spilled frontier state: stream its span back from the sealed
-            // frontier segment. Layered expansion visits frontier ids in
-            // increasing (append) order, so this is one sequential read per
-            // layer.
-            let tier = self
-                .spill
-                .as_mut()
-                .expect("state without a resident span outside spill mode");
-            let span = tier.fetch_span(node);
-            ctx.expand(
-                span,
-                prev_instr,
-                g,
-                self.bound,
-                cut_threshold,
-                &mut self.scratch,
-                &mut counters,
-                &mut self.probe,
-            );
-        }
-        if self.scratch.capacity_signature() == before {
-            self.stats.scratch_reused += 1;
-        }
-        self.stats.expanded += counters.expanded;
-        self.stats.generated += counters.generated;
-        self.stats.viability_pruned += counters.viability_pruned;
-        self.stats.cut_pruned += counters.cut_pruned;
-        self.stats.dead_write_pruned += counters.dead_write_pruned;
-        self.stats.value_flow_pruned += counters.value_flow_pruned;
-        self.stats.swar_batches += counters.swar_batches;
+        ctx.expand(
+            state,
+            prev_instr,
+            g,
+            self.bound,
+            cut_threshold,
+            &mut self.scratch,
+            counters,
+            &mut self.probe,
+        );
     }
 
-    /// Deduplicates a surviving successor (§3.6) against the interner and
-    /// threads it into the node arena; fresh non-goal states are queued on
-    /// the pending frontier for the caller to pick up.
-    fn merge(&mut self, parent: u32, m: &SuccMeta, assigns: &[MachineState], g_succ: u32) -> Gen {
-        if let Some(existing) = self.arena.get(m.key) {
-            let existing_len = self.nodes[existing as usize].len as u32;
-            if existing_len < g_succ {
-                self.stats.dedup_hits += 1;
-                return Gen::Pruned;
-            }
-            if existing_len == g_succ {
-                if self.cfg.all_solutions {
-                    self.nodes[existing as usize]
-                        .more_parents
-                        .push((parent, m.ai));
-                }
-                self.stats.dedup_hits += 1;
-                return Gen::Pruned;
-            }
-            // Shorter path to a known state (possible under inadmissible
-            // A* ordering): re-parent and treat as fresh.
-            let node = &mut self.nodes[existing as usize];
-            node.parent = parent;
-            node.instr = m.ai;
-            node.len = g_succ as u16;
-            node.more_parents.clear();
-            if m.goal {
-                return Gen::Goal(existing);
-            }
-            self.note_min_perm(g_succ, m.perm);
-            self.pending_frontier.push(existing);
-            return Gen::Fresh(existing);
-        }
-
-        // Spill decision (external-memory tier): once the resident estimate
-        // crosses the budget, fresh non-goal states keep their closed-set
-        // entry and metadata but their span goes to the frontier segment.
-        // Goals stay resident — reconstruction and bound updates touch them
-        // immediately.
-        let spill_over = match self.spill.as_ref() {
-            Some(tier) if !m.goal => self.resident_bytes() > tier.budget(),
-            _ => false,
-        };
-        let idx = if spill_over {
-            let idx = self
-                .arena
-                .insert_spilled(m.key, m.len, m.perm, m.max_dist, m.goal);
-            self.spill
-                .as_mut()
-                .unwrap()
-                .spill_span(g_succ, idx, assigns);
-            idx
-        } else {
-            self.arena
-                .insert_new(m.key, assigns, m.perm, m.max_dist, m.goal)
-        };
-        if let Some(spill) = &mut self.spill {
-            let stored = self.arena.stored_key(m.key);
-            spill.note_fresh(stored, idx);
-        }
-        debug_assert_eq!(idx as usize, self.nodes.len());
-        self.nodes.push(Node {
-            parent,
-            instr: m.ai,
-            more_parents: Vec::new(),
-            len: g_succ as u16,
-        });
-        self.stats.states_kept += 1;
-        if m.goal {
-            self.goals.push(idx);
-            return Gen::Goal(idx);
-        }
-        self.note_min_perm(g_succ, m.perm);
-        self.pending_frontier.push(idx);
-        Gen::Fresh(idx)
+    /// Offers one surviving successor of `parent` to the shard.
+    fn merge_succ(&mut self, parent: u32, g: u32, m: &SuccMeta, buf: &SuccessorBuf) -> Merged {
+        let (cand, facts) = buf.offer(m, g + 1, parent_ref(0, parent));
+        self.shard
+            .merge(&cand, Some(facts), u32::MAX, &self.min_perm)
     }
 
-    fn note_min_perm(&mut self, len: u32, perm: u32) {
-        let len = len as usize;
-        if self.min_perm.len() <= len {
-            self.min_perm.resize(len + 1, u32::MAX);
-        }
-        if perm < self.min_perm[len] {
-            self.min_perm[len] = perm;
-        }
-    }
-
-    /// Cut threshold for states of length `g + 1`, derived from the best
-    /// permutation count at length `g` (§3.5).
-    fn cut_threshold_for(&self, g: u32) -> Option<u32> {
-        let cut = self.cfg.cut?;
-        let min_prev = *self.min_perm.get(g as usize)?;
-        (min_prev != u32::MAX).then(|| cut.threshold(min_prev))
-    }
-
-    fn over_limits(&self) -> bool {
-        if let Some(limit) = self.cfg.node_limit {
-            if self.stats.generated >= limit {
-                return true;
-            }
-        }
-        if self.cfg.budget.is_cancelled() {
-            return true;
-        }
-        if let Some(deadline) = self.deadline {
-            // Time checks are cheap relative to state expansion; check every
-            // call.
-            if Instant::now() >= deadline {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn limit_outcome(&self) -> Outcome {
-        if let Some(limit) = self.cfg.node_limit {
-            if self.stats.generated >= limit {
-                return Outcome::NodeLimit;
-            }
-        }
-        if self.cfg.budget.is_cancelled() {
-            return Outcome::Cancelled;
-        }
-        Outcome::TimeLimit
-    }
-
-    fn sample_progress(&mut self, open: u64) {
-        self.peak_open = self.peak_open.max(open);
-        if self.cfg.progress_every != 0
-            && self.stats.expanded.is_multiple_of(self.cfg.progress_every)
-        {
-            self.stats.progress.push(ProgressSample {
-                elapsed_secs: self.start.elapsed().as_secs_f64(),
-                open_states: open,
-                solutions: self.goals.len() as u64,
-            });
-        }
-        self.tick_progress(open);
-        if let Some(after) = self.cfg.panic_after {
-            // Test-only crash injection, after the progress tick so the
-            // snapshot at the threshold is delivered before the unwind.
-            if self.stats.expanded >= after {
-                panic!("injected panic after {after} expansions (test harness)");
-            }
-        }
-    }
-
-    /// Throttled mid-search snapshot delivery: at most one snapshot per
-    /// `progress_every` expansions (default [`DEFAULT_PROGRESS_EVERY`]),
-    /// but at least one per [`PROGRESS_TIME_FLOOR`] so slow expansions
-    /// still produce a live signal.
-    fn tick_progress(&mut self, open: u64) {
-        if !crate::progress::delivery_active(self.cfg.progress_hook.as_ref()) {
-            return;
-        }
-        let every = if self.cfg.progress_every > 0 {
-            self.cfg.progress_every
-        } else {
-            DEFAULT_PROGRESS_EVERY
-        };
-        if self.stats.expanded - self.last_progress_expanded < every
-            && self.last_progress_at.elapsed() < PROGRESS_TIME_FLOOR
-        {
-            return;
-        }
-        self.emit_progress(open, None);
-    }
-
-    /// Builds one [`SearchProgress`] snapshot and delivers it to the hook
-    /// and (when tracing is active) the structured event stream.
-    fn emit_progress(&mut self, open: u64, outcome: Option<Outcome>) {
-        if !crate::progress::delivery_active(self.cfg.progress_hook.as_ref()) {
-            return;
-        }
-        self.last_progress_expanded = self.stats.expanded;
-        self.last_progress_at = Instant::now();
-        let snapshot = SearchProgress {
-            elapsed: self.start.elapsed(),
-            expanded: self.stats.expanded,
-            generated: self.stats.generated,
+    /// Records a progress sample and delivers a throttled snapshot.
+    fn tick(&mut self) {
+        let open = self.shard.open.len() as u64;
+        let (frame, shard) = (&self.frame, &self.shard);
+        self.throttle.tick(
+            frame,
+            shard.counters.expanded,
             open,
-            f_bound: self.current_f,
-            viability_pruned: self.stats.viability_pruned,
-            cut_pruned: self.stats.cut_pruned,
-            dedup_hits: self.stats.dedup_hits,
-            dead_write_pruned: self.stats.dead_write_pruned,
-            value_flow_pruned: self.stats.value_flow_pruned,
-            distance_table_skipped: self.stats.distance_table_skipped,
-            finished: outcome.is_some(),
-            outcome,
-            spilled_open: self.spill.as_ref().map_or(0, |t| t.spilled_open),
-            spilled_closed: self.spill.as_ref().map_or(0, |t| t.spilled_closed),
-            ddd_dedup_hits: self.spill.as_ref().map_or(0, |t| t.ddd_dedup_hits),
-            resumed_frontier_states: self.stats.resumed_frontier_states,
-            resident_bytes: self.resident_bytes(),
-            spilled_bytes: self.spill.as_ref().map_or(0, |t| t.spilled_bytes),
-            shards: vec![ShardProgress {
-                interned_states: self.arena.len() as u64,
-                arena_bytes: self.arena.assign_bytes(),
-                open_depth: open,
-            }],
-        };
-        crate::progress::deliver(self.cfg.progress_hook.as_ref(), &snapshot);
+            shard.goals.len() as u64,
+            || frame.snapshot([shard], open, self.current_f, None),
+        );
     }
 }
 
-/// Adds one run's totals to the process-wide metric families. Shared by the
-/// sequential engine and the parallel coordinator.
+/// Adds one run's totals to the process-wide metric families. Called once
+/// per run, by [`RunFrame::finish`].
 pub(crate) fn publish_search_metrics(stats: &SearchStats, outcome: Outcome) {
     let r = sortsynth_obs::registry();
     r.counter(
@@ -1736,7 +1413,7 @@ pub(crate) fn publish_search_metrics(stats: &SearchStats, outcome: Outcome) {
     if !stats.shards.is_empty() {
         r.counter(
             names::SEARCH_PARALLEL_RUNS_TOTAL,
-            "Search runs executed by the sharded parallel engine.",
+            "Search runs executed by the sharded driver.",
         )
         .inc();
         r.counter(
@@ -1750,19 +1427,6 @@ pub(crate) fn publish_search_metrics(stats: &SearchStats, outcome: Outcome) {
         )
         .add(stats.steals);
     }
-}
-
-/// Expansion-side counters accumulated by one worker (or the sequential
-/// engine) and folded into [`SearchStats`] by the caller.
-#[derive(Default)]
-pub(crate) struct WorkerCounters {
-    pub expanded: u64,
-    pub generated: u64,
-    pub viability_pruned: u64,
-    pub cut_pruned: u64,
-    pub dead_write_pruned: u64,
-    pub value_flow_pruned: u64,
-    pub swar_batches: u64,
 }
 
 /// Whether the symbolic value-flow cut may discard `instr` as a successor of

@@ -1,17 +1,17 @@
 //! Identity hashing for keys that are already uniform hashes.
 //!
-//! The closed/visited maps of both engines are keyed by [`crate::StateSet`]
-//! content keys: 128-bit values produced by two independent multiply-rotate
-//! accumulators ([`crate::state::key_of`]). Re-hashing them through SipHash
-//! (the `std` default) costs a full keyed permutation per probe and adds
-//! nothing — the key bits are already uniformly distributed. The identity
-//! hasher below just folds the two halves together, turning every map
-//! operation into a mask-and-probe.
+//! The closed/visited maps are keyed by folded [`crate::StateSet`] content
+//! keys: the 64-bit xor-fold ([`crate::narrow_key`]) of two independent
+//! multiply-rotate accumulators ([`crate::state::key_of`]). Re-hashing them
+//! through SipHash (the `std` default) costs a full keyed permutation per
+//! probe and adds nothing — the key bits are already uniformly distributed.
+//! The identity hasher below passes them straight through, turning every
+//! map operation into a mask-and-probe.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
-/// `BuildHasher` for maps keyed by `u128` state keys.
+/// `BuildHasher` for maps keyed by folded state keys.
 #[derive(Clone, Copy, Default, Debug)]
 pub(crate) struct IdentityKeyHasher;
 
@@ -23,9 +23,7 @@ impl BuildHasher for IdentityKeyHasher {
     }
 }
 
-/// Passes key bits straight through to the table. The xor-fold keeps both
-/// 64-bit halves of a state key relevant to the bucket index, so a
-/// collision in the *map* still requires a collision of the full fold.
+/// Passes key bits straight through to the table.
 #[derive(Default)]
 pub(crate) struct IdentityHasher(u64);
 
@@ -35,7 +33,7 @@ impl Hasher for IdentityHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (not used by the u128 fast path).
+        // Generic fallback (not used by the u64 fast path).
         for &b in bytes {
             self.0 = self.0.rotate_left(8) ^ u64::from(b);
         }
@@ -44,20 +42,10 @@ impl Hasher for IdentityHasher {
     fn write_u64(&mut self, v: u64) {
         self.0 = v;
     }
-
-    fn write_u128(&mut self, v: u128) {
-        self.0 = (v >> 64) as u64 ^ v as u64;
-    }
 }
 
-/// A `u128`-keyed map probing on the key's own bits.
-pub(crate) type KeyMap<V> = HashMap<u128, V, IdentityKeyHasher>;
-
-/// A `u64`-keyed map for narrowed keys ([`crate::KeyWidth::U64`]). The
-/// narrow key *is* the xor-fold the `write_u128` path would compute, so
-/// wide and narrow maps probe identical bucket sequences — only the stored
-/// key (and thus the entry size) differs.
-pub(crate) type NarrowKeyMap<V> = HashMap<u64, V, IdentityKeyHasher>;
+/// A map keyed by folded `u64` state keys, probing on the key's own bits.
+pub(crate) type KeyMap<V> = HashMap<u64, V, IdentityKeyHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -67,28 +55,21 @@ mod tests {
     fn map_round_trip() {
         let mut m: KeyMap<u32> = KeyMap::default();
         for i in 0..1000u32 {
-            // Spread keys across both halves.
-            let k = ((i as u128) << 64) | (i as u128).wrapping_mul(0x9E37_79B9);
+            // Spread keys across both halves of the word.
+            let k = ((i as u64) << 32) | (i as u64).wrapping_mul(0x9E37_79B9);
             m.insert(k, i);
         }
         assert_eq!(m.len(), 1000);
         for i in 0..1000u32 {
-            let k = ((i as u128) << 64) | (i as u128).wrapping_mul(0x9E37_79B9);
+            let k = ((i as u64) << 32) | (i as u64).wrapping_mul(0x9E37_79B9);
             assert_eq!(m.get(&k), Some(&i));
         }
     }
 
     #[test]
-    fn fold_uses_both_halves() {
+    fn keys_pass_through_unchanged() {
         let mut h = IdentityKeyHasher.build_hasher();
-        h.write_u128(1 << 64);
-        let hi = h.finish();
-        let mut h = IdentityKeyHasher.build_hasher();
-        h.write_u128(1);
-        let lo = h.finish();
-        assert_eq!(hi, lo, "xor-fold maps both halves onto the same lane");
-        let mut h = IdentityKeyHasher.build_hasher();
-        h.write_u128((1 << 64) | 1);
-        assert_eq!(h.finish(), 0);
+        h.write_u64(0xDEAD_BEEF_0123_4567);
+        assert_eq!(h.finish(), 0xDEAD_BEEF_0123_4567);
     }
 }

@@ -10,23 +10,28 @@
 //! * a `Vec<StateMeta>` of per-state facts — span, permutation count,
 //!   max per-assignment distance, goal flag — computed **once** when the
 //!   state is interned, so heuristics and goal checks become field reads;
-//! * an identity-hashed `key → id` map that doubles as the closed set.
+//! * an identity-hashed map from the folded 64-bit content key to the id,
+//!   which doubles as the closed set.
 //!
 //! Ids are dense and allocation stops once the backing vectors reach their
 //! high-water mark, so the steady-state cost of keeping a state is a
-//! `memcpy` of its span plus one map insert. The sequential engine owns one
-//! arena; each parallel shard owns its own (single-writer, behind the
-//! shard's existing lock), so interning never takes a global lock.
+//! `memcpy` of its span plus one map insert. Every [`crate::shard::Shard`]
+//! owns one arena — the single-shard driver's only shard, or one per
+//! parallel worker behind that shard's lock — so interning never takes a
+//! global lock.
 
 use sortsynth_isa::MachineState;
 
-use crate::config::KeyWidth;
-use crate::hashers::{KeyMap, NarrowKeyMap};
-use crate::state::narrow_key;
+use crate::hashers::KeyMap;
 
 /// Sentinel offset marking a state whose span is not resident (spilled to
 /// a frontier segment, or compacted away after its layer was expanded).
 pub(crate) const SPAN_NONE: u32 = u32::MAX;
+
+/// Bytes of one `key → id` closed-map entry (`u64` key + `u32` id, padded
+/// to the key's alignment): the per-state closed-set cost behind
+/// [`crate::SearchStats::key_bytes`].
+pub(crate) const KEY_ENTRY_BYTES: u64 = 16;
 
 /// Per-state facts cached at intern time. Everything the hot loop needs
 /// after interning — heuristic inputs, goal flag, the span — without
@@ -55,66 +60,13 @@ impl StateMeta {
     }
 }
 
-/// The closed map at its configured key width ([`KeyWidth`]). Both arms
-/// probe identical bucket sequences (the narrow key *is* the wide key's
-/// xor-fold); the narrow arm halves the per-entry footprint from 32 to
-/// 16 bytes.
-pub(crate) enum KeyStore {
-    Wide(KeyMap<u32>),
-    Narrow(NarrowKeyMap<u32>),
-}
-
-impl KeyStore {
-    fn new(width: KeyWidth) -> Self {
-        match width {
-            KeyWidth::U64 => KeyStore::Narrow(NarrowKeyMap::default()),
-            KeyWidth::U128 => KeyStore::Wide(KeyMap::default()),
-        }
-    }
-
-    #[inline]
-    fn get(&self, key: u128) -> Option<u32> {
-        match self {
-            KeyStore::Wide(m) => m.get(&key).copied(),
-            KeyStore::Narrow(m) => m.get(&narrow_key(key)).copied(),
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, key: u128, id: u32) -> Option<u32> {
-        match self {
-            KeyStore::Wide(m) => m.insert(key, id),
-            KeyStore::Narrow(m) => m.insert(narrow_key(key), id),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        match self {
-            KeyStore::Wide(m) => m.capacity(),
-            KeyStore::Narrow(m) => m.capacity(),
-        }
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        match self {
-            KeyStore::Wide(m) => m.reserve(additional),
-            KeyStore::Narrow(m) => m.reserve(additional),
-        }
-    }
-
-    fn width(&self) -> KeyWidth {
-        match self {
-            KeyStore::Wide(_) => KeyWidth::U128,
-            KeyStore::Narrow(_) => KeyWidth::U64,
-        }
-    }
-}
-
 /// The interner. See the module docs for the layout.
+#[derive(Default)]
 pub(crate) struct StateArena {
     assigns: Vec<MachineState>,
     metas: Vec<StateMeta>,
-    ids: KeyStore,
+    /// The closed set: folded content key ([`crate::narrow_key`]) → id.
+    ids: KeyMap<u32>,
     /// Growth events (capacity change of the span store, meta store, or
     /// closed map) since construction/pre-sizing — the
     /// [`crate::SearchStats::arena_reallocs`] counter. A correctly
@@ -122,22 +74,7 @@ pub(crate) struct StateArena {
     reallocs: u64,
 }
 
-impl Default for StateArena {
-    fn default() -> Self {
-        StateArena::with_key_width(KeyWidth::default())
-    }
-}
-
 impl StateArena {
-    pub fn with_key_width(width: KeyWidth) -> Self {
-        StateArena {
-            assigns: Vec::new(),
-            metas: Vec::new(),
-            ids: KeyStore::new(width),
-            reallocs: 0,
-        }
-    }
-
     /// Pre-sizes the backing structures for an expected population
     /// (`states` interned states holding `assign_total` assignments in
     /// all), so steady-state interning never reallocates.
@@ -149,15 +86,15 @@ impl StateArena {
 
     /// Looks up the id interned for `key`, if any.
     #[inline]
-    pub fn get(&self, key: u128) -> Option<u32> {
-        self.ids.get(key)
+    pub fn get(&self, key: u64) -> Option<u32> {
+        self.ids.get(&key).copied()
     }
 
     /// Interns a state known to be absent (callers check [`StateArena::get`]
     /// first) and returns its dense id.
     pub fn insert_new(
         &mut self,
-        key: u128,
+        key: u64,
         assigns: &[MachineState],
         perm: u32,
         max_dist: u16,
@@ -190,7 +127,7 @@ impl StateArena {
     /// facts, no resident assignments.
     pub fn insert_spilled(
         &mut self,
-        key: u128,
+        key: u64,
         len: u32,
         perm: u32,
         max_dist: u16,
@@ -260,11 +197,9 @@ impl StateArena {
     }
 
     /// Bytes of closed-map storage currently reserved (capacity × entry
-    /// size at the configured [`KeyWidth`]) — the
-    /// [`crate::SearchStats::key_bytes`] stat the `memory_scale` bench
-    /// compares across widths.
+    /// size) — the [`crate::SearchStats::key_bytes`] stat.
     pub fn key_bytes(&self) -> u64 {
-        self.ids.capacity() as u64 * self.ids.width().entry_bytes()
+        self.ids.capacity() as u64 * KEY_ENTRY_BYTES
     }
 
     /// Growth events since construction (see the `reallocs` field).
@@ -311,62 +246,33 @@ impl StateArena {
     }
 
     /// Evicts closed-map entries whose id fails `keep`, returning the
-    /// evicted `(wide key, id)` pairs (narrow keys zero-extended) for the
-    /// caller to persist in a sorted closed segment. Delayed duplicate
-    /// detection re-checks future candidates against those segments.
+    /// evicted `(key, id)` pairs (keys zero-extended to the spill format's
+    /// 128 bits) for the caller to persist in a sorted closed segment.
+    /// Delayed duplicate detection re-checks future candidates against
+    /// those segments.
     pub fn evict_closed<F: FnMut(u32) -> bool>(&mut self, mut keep: F) -> Vec<(u128, u32)> {
         let mut evicted = Vec::new();
-        match &mut self.ids {
-            KeyStore::Wide(m) => m.retain(|&k, &mut id| {
-                let live = keep(id);
-                if !live {
-                    evicted.push((k, id));
-                }
-                live
-            }),
-            KeyStore::Narrow(m) => m.retain(|&k, &mut id| {
-                let live = keep(id);
-                if !live {
-                    evicted.push((k as u128, id));
-                }
-                live
-            }),
-        }
+        self.ids.retain(|&k, &mut id| {
+            let live = keep(id);
+            if !live {
+                evicted.push((k as u128, id));
+            }
+            live
+        });
         evicted
     }
 
-    /// All resident closed-map entries as `(wide key, id)` pairs (narrow
-    /// keys zero-extended) — journal checkpoint material.
+    /// All resident closed-map entries as zero-extended `(key, id)` pairs —
+    /// journal checkpoint material.
     pub fn closed_entries(&self) -> Vec<(u128, u32)> {
-        match &self.ids {
-            KeyStore::Wide(m) => m.iter().map(|(&k, &id)| (k, id)).collect(),
-            KeyStore::Narrow(m) => m.iter().map(|(&k, &id)| (k as u128, id)).collect(),
-        }
-    }
-
-    /// The key a spill segment / DDD comparison stores for a candidate's
-    /// content key at this arena's width: the full key in wide mode, the
-    /// zero-extended fold in narrow mode.
-    #[inline]
-    pub fn stored_key(&self, key: u128) -> u128 {
-        match self.ids.width() {
-            KeyWidth::U128 => key,
-            KeyWidth::U64 => narrow_key(key) as u128,
-        }
+        self.ids.iter().map(|(&k, &id)| (k as u128, id)).collect()
     }
 
     /// Resume support: re-registers a closed-map entry for an
-    /// already-restored meta. `key` is a stored-width key as persisted by
+    /// already-restored meta. `key` is a zero-extended key as persisted by
     /// [`StateArena::closed_entries`].
     pub fn restore_closed(&mut self, key: u128, id: u32) {
-        match &mut self.ids {
-            KeyStore::Wide(m) => {
-                m.insert(key, id);
-            }
-            KeyStore::Narrow(m) => {
-                m.insert(key as u64, id);
-            }
-        }
+        self.ids.insert(key as u64, id);
     }
 
     /// Resume support: appends a meta (in dense id order) without a span or
@@ -398,17 +304,22 @@ impl StateArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{key_of, StateSet};
+    use crate::state::{key_of, narrow_key, StateSet};
     use sortsynth_isa::{IsaMode, Machine};
+
+    /// The folded closed-set key of a state.
+    fn key(s: &StateSet) -> u64 {
+        narrow_key(s.key())
+    }
 
     #[test]
     fn intern_round_trip() {
         let m = Machine::new(3, 1, IsaMode::Cmov);
         let set = StateSet::initial(&m);
         let mut arena = StateArena::default();
-        assert_eq!(arena.get(set.key()), None);
-        let id = arena.insert_new(set.key(), set.assignments(), 6, 4, false);
-        assert_eq!(arena.get(set.key()), Some(id));
+        assert_eq!(arena.get(key(&set)), None);
+        let id = arena.insert_new(key(&set), set.assignments(), 6, 4, false);
+        assert_eq!(arena.get(key(&set)), Some(id));
         assert_eq!(arena.assignments(id), set.assignments());
         let meta = arena.meta(id);
         assert_eq!((meta.perm, meta.assign_count()), (6, 6));
@@ -419,43 +330,37 @@ mod tests {
     }
 
     #[test]
-    fn key_widths_agree_and_presizing_pins_reallocs() {
+    fn presizing_pins_reallocs() {
         let m = Machine::new(3, 1, IsaMode::Cmov);
         let init = StateSet::initial(&m);
-        let mut wide = StateArena::with_key_width(KeyWidth::U128);
-        let mut narrow = StateArena::with_key_width(KeyWidth::U64);
-        narrow.reserve(512, 8192);
+        let mut unsized_arena = StateArena::default();
+        let mut sized = StateArena::default();
+        sized.reserve(512, 8192);
         let mut frontier = vec![init];
         for _ in 0..2 {
             let mut next = Vec::new();
             for state in frontier {
-                let key = key_of(state.assignments());
-                let w = match wide.get(key) {
-                    Some(id) => id,
-                    None => {
-                        let id = wide.insert_new(key, state.assignments(), 0, 0, false);
-                        for a in m.actions() {
-                            next.push(state.apply(a));
-                        }
-                        id
+                let k = key(&state);
+                if sized.get(k).is_none() {
+                    sized.insert_new(k, state.assignments(), 0, 0, false);
+                    unsized_arena.insert_new(k, state.assignments(), 0, 0, false);
+                    for a in m.actions() {
+                        next.push(state.apply(a));
                     }
-                };
-                let n = match narrow.get(key) {
-                    Some(id) => id,
-                    None => narrow.insert_new(key, state.assignments(), 0, 0, false),
-                };
-                assert_eq!(w, n, "wide and narrow maps intern identical id sequences");
+                }
             }
             frontier = next;
         }
-        assert!(wide.len() > 10);
-        assert_eq!(narrow.len(), wide.len());
-        assert_eq!(narrow.reallocs(), 0, "pre-sized arena must not grow");
-        assert!(wide.reallocs() > 0, "unsized arena grows from empty");
-        // Map bytes per entry: the narrow store costs half the wide store.
+        assert!(sized.len() > 10);
+        assert_eq!(sized.reallocs(), 0, "pre-sized arena must not grow");
+        assert!(
+            unsized_arena.reallocs() > 0,
+            "unsized arena grows from empty"
+        );
         assert_eq!(
-            KeyWidth::U128.entry_bytes(),
-            2 * KeyWidth::U64.entry_bytes()
+            sized.key_bytes() % KEY_ENTRY_BYTES,
+            0,
+            "closed-map bytes are whole entries"
         );
     }
 
@@ -465,22 +370,22 @@ mod tests {
         let a = StateSet::initial(&m);
         let b = a.apply(m.actions()[0]);
         let mut arena = StateArena::default();
-        let ia = arena.insert_new(a.key(), a.assignments(), 0, 0, false);
-        let ib = arena.insert_spilled(b.key(), b.assignments().len() as u32, 0, 0, false);
+        let ia = arena.insert_new(key(&a), a.assignments(), 0, 0, false);
+        let ib = arena.insert_spilled(key(&b), b.assignments().len() as u32, 0, 0, false);
         assert!(arena.has_span(ia));
         assert!(!arena.has_span(ib));
-        assert_eq!(arena.get(b.key()), Some(ib));
+        assert_eq!(arena.get(key(&b)), Some(ib));
         arena.restore_span(ib, b.assignments());
         assert_eq!(arena.assignments(ib), b.assignments());
         arena.compact_spans(&[ib]);
         assert!(!arena.has_span(ia));
         assert_eq!(arena.assignments(ib), b.assignments());
         let evicted = arena.evict_closed(|id| id != ia);
-        assert_eq!(evicted, vec![(arena.stored_key(a.key()), ia)]);
-        assert_eq!(arena.get(a.key()), None);
-        assert_eq!(arena.get(b.key()), Some(ib));
-        arena.restore_closed(arena.stored_key(a.key()), ia);
-        assert_eq!(arena.get(a.key()), Some(ia));
+        assert_eq!(evicted, vec![(key(&a) as u128, ia)]);
+        assert_eq!(arena.get(key(&a)), None);
+        assert_eq!(arena.get(key(&b)), Some(ib));
+        arena.restore_closed(key(&a) as u128, ia);
+        assert_eq!(arena.get(key(&a)), Some(ia));
     }
 
     /// Satellite property: interner id equality must coincide with
@@ -497,12 +402,16 @@ mod tests {
         for _ in 0..3 {
             let mut next = Vec::new();
             for state in frontier {
-                let key = key_of(state.assignments());
-                assert_eq!(key, state.key(), "slice key matches StateSet::key");
-                let id = match arena.get(key) {
+                assert_eq!(
+                    key_of(state.assignments()),
+                    state.key(),
+                    "slice key matches StateSet::key"
+                );
+                let k = key(&state);
+                let id = match arena.get(k) {
                     Some(id) => id,
                     None => {
-                        let id = arena.insert_new(key, state.assignments(), 0, 0, false);
+                        let id = arena.insert_new(k, state.assignments(), 0, 0, false);
                         for a in m.actions() {
                             next.push(state.apply(a));
                         }
@@ -564,9 +473,9 @@ mod tests {
                 let mut arena = StateArena::default();
                 let ids: Vec<u32> = sets
                     .iter()
-                    .map(|s| match arena.get(s.key()) {
+                    .map(|s| match arena.get(key(s)) {
                         Some(id) => id,
-                        None => arena.insert_new(s.key(), s.assignments(), 0, 0, false),
+                        None => arena.insert_new(key(s), s.assignments(), 0, 0, false),
                     })
                     .collect();
                 for i in 0..sets.len() {

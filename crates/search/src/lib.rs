@@ -50,6 +50,7 @@ mod lower_bound;
 mod netsort;
 mod parallel;
 mod progress;
+mod shard;
 mod sizing;
 mod solutions;
 mod spill;
@@ -57,7 +58,7 @@ mod state;
 
 pub use bucket::BucketQueue;
 pub use budget::{CancelHandle, SearchBudget};
-pub use config::{Cut, Heuristic, KeyWidth, OpenList, Strategy, SynthesisConfig};
+pub use config::{Cut, Heuristic, Strategy, SynthesisConfig};
 pub use distance::{ActionSet, DistanceTable, UNSORTABLE};
 pub use engine::{
     synthesize, try_synthesize, Outcome, ProgressSample, SearchStats, ShardStats, SolutionDag,

@@ -61,7 +61,7 @@ pub struct SearchProgress {
     /// How the run ended; only set when `finished`.
     pub outcome: Option<Outcome>,
     /// Per-shard memory state at snapshot time: one entry per parallel
-    /// worker shard, or a single entry for the sequential engine. These are
+    /// worker shard, or a single entry for the single-shard driver. These are
     /// live values — their running maxima are the high-water marks the
     /// flight recorder exists to capture.
     pub shards: Vec<ShardProgress>,
@@ -158,8 +158,7 @@ pub(crate) fn delivery_active(hook: Option<&ProgressHook>) -> bool {
 }
 
 /// Delivers one snapshot to the hook (if any) and, when tracing is active,
-/// mirrors it as a `search_progress` trace event. Shared by the sequential
-/// engine and the parallel coordinator/workers.
+/// mirrors it as a `search_progress` trace event.
 pub(crate) fn deliver(hook: Option<&ProgressHook>, snapshot: &SearchProgress) {
     use sortsynth_obs::{FieldValue, Level};
 

@@ -16,6 +16,8 @@ use std::path::Path;
 
 use sortsynth_isa::{IsaMode, Machine};
 
+use crate::config::SynthesisConfig;
+
 /// First line of the sizing file; a file with any other header is ignored.
 const HEADER: &str = "# sortsynth sizing v1";
 
@@ -119,6 +121,13 @@ impl SizingTable {
             Some((_, existing)) => existing.max_merge(row),
             None => self.rows.push((key, row)),
         }
+    }
+
+    /// The row recorded for `cfg`'s machine at `threads` workers, from the
+    /// table at [`SynthesisConfig::sizing_path`] (none when unset).
+    pub fn row_for(cfg: &SynthesisConfig, threads: u32) -> Option<SizingRow> {
+        let path = cfg.sizing_path.as_deref()?;
+        SizingTable::load(path).lookup(&cfg.machine, threads)
     }
 
     /// The recorded high-water marks for `machine` at `threads` workers.

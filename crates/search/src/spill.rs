@@ -1,8 +1,8 @@
 //! External-memory spill tier: disk-backed open-list spans, closed-set
 //! segments with delayed duplicate detection, and a resume journal.
 //!
-//! Under [`crate::SynthesisConfig::mem_budget_bytes`] the sequential layered
-//! engine keeps its resident footprint near the budget by moving cold data
+//! Under [`crate::SynthesisConfig::mem_budget_bytes`] a layered run on the
+//! single-shard driver keeps its resident footprint near the budget by moving cold data
 //! into checksummed append-only segments ([`sortsynth_obs::segment`], WAL
 //! discipline):
 //!
@@ -48,6 +48,7 @@ use sortsynth_obs::segment::{self, SegmentError, SegmentReader, SegmentWriter};
 use sortsynth_obs::Histogram;
 
 use crate::config::SynthesisConfig;
+use crate::engine::ShardStats;
 
 /// Magic for frontier-span segments.
 pub(crate) const FRONTIER_MAGIC: &[u8; 8] = b"SSSPILLF";
@@ -75,7 +76,7 @@ pub enum ResumeError {
         dir: PathBuf,
     },
     /// The journal was written by a run with a different configuration
-    /// (machine, strategy, key width, or cuts).
+    /// (machine, strategy, or cuts).
     ConfigMismatch {
         /// Fingerprint of the requesting configuration.
         expected: u64,
@@ -88,8 +89,8 @@ pub enum ResumeError {
         /// Which journal section failed to decode.
         what: &'static str,
     },
-    /// The requesting configuration cannot be resumed (e.g. non-layered
-    /// strategy or a parallel run).
+    /// The requesting configuration cannot be resumed (a non-layered
+    /// strategy).
     Unsupported {
         /// Why the configuration is not resumable.
         why: &'static str,
@@ -142,21 +143,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Fingerprints every configuration knob that changes the search space or
-/// the on-disk key representation. A journal only resumes under a
-/// fingerprint-identical configuration; budgets, limits, and observability
-/// knobs are deliberately excluded (resuming under a different memory
-/// budget is fine and useful).
+/// Fingerprints every configuration knob that changes the search space. A
+/// journal only resumes under a fingerprint-identical configuration;
+/// budgets, limits, thread counts, and observability knobs are deliberately
+/// excluded (resuming under a different memory budget is fine and useful).
 pub(crate) fn config_fingerprint(cfg: &SynthesisConfig) -> u64 {
     let m = &cfg.machine;
     let desc = format!(
-        "n={} scratch={} mode={:?} strategy={:?} key={:?} cut={:?} \
+        "n={} scratch={} mode={:?} strategy={:?} cut={:?} \
          opt_first={} dead_write={} value_flow={} budget_viab={} all={} max_len={:?}",
         m.n(),
         m.scratch(),
         m.mode(),
         cfg.strategy,
-        cfg.key_width,
         cfg.cut,
         cfg.optimal_instrs_only,
         cfg.dead_write_cut,
@@ -520,17 +519,9 @@ pub(crate) struct Journal {
     pub budget: u64,
     pub min_perm: Vec<u32>,
     pub goals: Vec<u32>,
-    // Search counters at the checkpoint (layers < g fully counted).
-    pub expanded: u64,
-    pub generated: u64,
-    pub dedup_hits: u64,
-    pub viability_pruned: u64,
-    pub cut_pruned: u64,
-    pub dead_write_pruned: u64,
-    pub value_flow_pruned: u64,
-    pub states_kept: u64,
-    pub scratch_reused: u64,
-    pub swar_batches: u64,
+    /// Search counters at the checkpoint (layers < g fully counted). The
+    /// merge-disposition and routing counters are not persisted.
+    pub counters: ShardStats,
     pub spilled_open: u64,
     pub spilled_closed: u64,
     pub ddd_dedup_hits: u64,
@@ -563,17 +554,18 @@ impl Journal {
         for &g in &self.goals {
             put_u32(&mut out, g);
         }
+        let c = &self.counters;
         for c in [
-            self.expanded,
-            self.generated,
-            self.dedup_hits,
-            self.viability_pruned,
-            self.cut_pruned,
-            self.dead_write_pruned,
-            self.value_flow_pruned,
-            self.states_kept,
-            self.scratch_reused,
-            self.swar_batches,
+            c.expanded,
+            c.generated,
+            c.dedup_hits,
+            c.viability_pruned,
+            c.cut_pruned,
+            c.dead_write_pruned,
+            c.value_flow_pruned,
+            c.states_kept,
+            c.scratch_reused,
+            c.swar_batches,
             self.spilled_open,
             self.spilled_closed,
             self.ddd_dedup_hits,
@@ -702,16 +694,19 @@ impl Journal {
             budget,
             min_perm,
             goals,
-            expanded: counters[0],
-            generated: counters[1],
-            dedup_hits: counters[2],
-            viability_pruned: counters[3],
-            cut_pruned: counters[4],
-            dead_write_pruned: counters[5],
-            value_flow_pruned: counters[6],
-            states_kept: counters[7],
-            scratch_reused: counters[8],
-            swar_batches: counters[9],
+            counters: ShardStats {
+                expanded: counters[0],
+                generated: counters[1],
+                dedup_hits: counters[2],
+                viability_pruned: counters[3],
+                cut_pruned: counters[4],
+                dead_write_pruned: counters[5],
+                value_flow_pruned: counters[6],
+                states_kept: counters[7],
+                scratch_reused: counters[8],
+                swar_batches: counters[9],
+                ..ShardStats::default()
+            },
             spilled_open: counters[10],
             spilled_closed: counters[11],
             ddd_dedup_hits: counters[12],
@@ -899,16 +894,12 @@ mod tests {
             budget: 1 << 28,
             min_perm: vec![24, 12, 6],
             goals: vec![],
-            expanded: 100,
-            generated: 900,
-            dedup_hits: 50,
-            viability_pruned: 10,
-            cut_pruned: 4,
-            dead_write_pruned: 3,
-            value_flow_pruned: 2,
-            states_kept: 101,
-            scratch_reused: 99,
-            swar_batches: 88,
+            counters: ShardStats {
+                expanded: 100,
+                generated: 900,
+                swar_batches: 88,
+                ..ShardStats::default()
+            },
             spilled_open: 7,
             spilled_closed: 11,
             ddd_dedup_hits: 5,
@@ -959,6 +950,7 @@ mod tests {
         assert_eq!(decoded.g, 3);
         assert_eq!(decoded.bound, 20);
         assert_eq!(decoded.min_perm, journal.min_perm);
+        assert_eq!(decoded.counters, journal.counters);
         assert_eq!(decoded.nodes.len(), 2);
         assert_eq!(decoded.nodes[1].more, vec![(0, 4)]);
         assert_eq!(decoded.metas[1].perm, 4);
@@ -968,7 +960,6 @@ mod tests {
         assert_eq!(decoded.spans, journal.spans);
         assert_eq!(decoded.frontier_seg, journal.frontier_seg);
         assert_eq!(decoded.closed_segs, journal.closed_segs);
-        assert_eq!(decoded.swar_batches, 88);
         assert_eq!(decoded.spilled_bytes, 4096);
     }
 
@@ -981,16 +972,7 @@ mod tests {
             budget: 0,
             min_perm: vec![],
             goals: vec![],
-            expanded: 0,
-            generated: 0,
-            dedup_hits: 0,
-            viability_pruned: 0,
-            cut_pruned: 0,
-            dead_write_pruned: 0,
-            value_flow_pruned: 0,
-            states_kept: 0,
-            scratch_reused: 0,
-            swar_batches: 0,
+            counters: ShardStats::default(),
             spilled_open: 0,
             spilled_closed: 0,
             ddd_dedup_hits: 0,
@@ -1039,16 +1021,7 @@ mod tests {
             budget: 0,
             min_perm: vec![],
             goals: vec![],
-            expanded: 0,
-            generated: 0,
-            dedup_hits: 0,
-            viability_pruned: 0,
-            cut_pruned: 0,
-            dead_write_pruned: 0,
-            value_flow_pruned: 0,
-            states_kept: 0,
-            scratch_reused: 0,
-            swar_batches: 0,
+            counters: ShardStats::default(),
             spilled_open: tier.spilled_open,
             spilled_closed: tier.spilled_closed,
             ddd_dedup_hits: tier.ddd_dedup_hits,
@@ -1105,16 +1078,7 @@ mod tests {
             budget: 0,
             min_perm: vec![],
             goals: vec![],
-            expanded: 0,
-            generated: 0,
-            dedup_hits: 0,
-            viability_pruned: 0,
-            cut_pruned: 0,
-            dead_write_pruned: 0,
-            value_flow_pruned: 0,
-            states_kept: 0,
-            scratch_reused: 0,
-            swar_batches: 0,
+            counters: ShardStats::default(),
             spilled_open: tier.spilled_open,
             spilled_closed: tier.spilled_closed,
             ddd_dedup_hits: tier.ddd_dedup_hits,
@@ -1142,12 +1106,23 @@ mod tests {
     fn fingerprint_distinguishes_configurations() {
         let a = SynthesisConfig::new(Machine::new(3, 1, IsaMode::Cmov));
         let b = SynthesisConfig::new(Machine::new(4, 1, IsaMode::Cmov));
-        let c = SynthesisConfig::new(Machine::new(3, 1, IsaMode::Cmov))
-            .key_width(crate::config::KeyWidth::U128);
+        let c = SynthesisConfig::new(Machine::new(3, 1, IsaMode::Cmov)).dead_write_cut(true);
         assert_ne!(config_fingerprint(&a), config_fingerprint(&b));
         assert_ne!(config_fingerprint(&a), config_fingerprint(&c));
-        // Budgets and limits are excluded on purpose.
-        let d = SynthesisConfig::new(Machine::new(3, 1, IsaMode::Cmov)).mem_budget_bytes(1 << 20);
+        // Budgets, limits, thread counts, and observability knobs are
+        // excluded on purpose.
+        let d = SynthesisConfig::new(Machine::new(3, 1, IsaMode::Cmov))
+            .mem_budget_bytes(1 << 20)
+            .threads(2)
+            .progress_every(1);
         assert_eq!(config_fingerprint(&a), config_fingerprint(&d));
+        // Journals written while the fingerprint still named the closed-set
+        // key width carry a different fingerprint, so resuming one is a
+        // `ConfigMismatch` (see `spill_round_trip_and_ddd`), never a
+        // replay.
+        let legacy = "n=3 scratch=1 mode=Cmov strategy=Layered key=U64 cut=None \
+                      opt_first=false dead_write=false value_flow=false budget_viab=false \
+                      all=false max_len=None";
+        assert_ne!(config_fingerprint(&a), fnv1a(legacy.as_bytes()));
     }
 }

@@ -116,7 +116,7 @@ pub(crate) fn key_of(assigns: &[MachineState]) -> u128 {
     // upward), so without this the two halves differ only in their top
     // bits when states differ only in trailing flag bits — and the
     // [`narrow_key`] xor-fold cancels exactly those, colliding distinct
-    // states. Caught by the key_width collision fuzz.
+    // states. Caught by the fold collision fuzz.
     h1 = mix(h1 ^ assigns.len() as u64);
     h2 = mix(h2);
     ((h1 as u128) << 64) | h2 as u128
@@ -131,11 +131,11 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Folds a 128-bit content key to the 64-bit closed-set key used by
-/// [`crate::KeyWidth::U64`]. This is exactly the xor-fold the identity
-/// hasher applies for bucket selection, so narrowing changes the stored key
-/// width without changing any probe sequence. Public so the collision-fuzz
-/// suite and benches can probe the fold directly.
+/// Folds a 128-bit content key to the 64-bit key the closed sets store and
+/// route by. Soundness rests on the fold being collision-free between
+/// distinct canonical states, which the `key_width` fuzz suite hunts for
+/// over millions of random states per ISA. Public so that suite and the
+/// benches can probe the fold directly.
 #[inline]
 pub fn narrow_key(key: u128) -> u64 {
     (key >> 64) as u64 ^ key as u64

@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sortsynth_isa::{IsaMode, Machine};
-use sortsynth_search::{synthesize, Heuristic, OpenList, Strategy, SynthesisConfig};
+use sortsynth_search::{synthesize, Heuristic, Strategy, SynthesisConfig};
 
 struct CountingAlloc;
 
@@ -100,7 +100,6 @@ fn bucket_astar_expansion_is_allocation_free_in_steady_state() {
         .strategy(Strategy::AStar {
             heuristic: Heuristic::MaxRemaining,
         })
-        .open_list(OpenList::Bucket)
         .optimal_instrs_only(true)
         .budget_viability(true)
         .max_len(11);

@@ -1,32 +1,23 @@
-//! Differential suite pinning the bucketed open list to the reference
-//! binary heap.
+//! Best-first search through the sharded driver.
 //!
-//! [`BucketQueue`]'s contract is *exact* heap-order equivalence: both open
-//! lists pop entries in ascending `(f, g, state id)`, so a single-threaded
-//! best-first run must be bit-identical between the two — same kernel,
-//! same expansion count, same pruning counters, same stale-pop count.
-//! The matrix covers n = 2..4 on both ISA modes across the lossless A*
-//! configurations (admissible heuristic on/off × dead-write cut on/off);
-//! single-threaded rows assert full trace equality, parallel rows (2 and 4
-//! workers, where expansion order races) assert cost equality and
-//! oracle-verified kernels.
-//!
-//! Every synthesized kernel additionally passes the sortsynth-verify gate
-//! (exhaustive n! permutation oracle at these sizes): swapping the open
-//! list must not just preserve cost, it must keep emitting *correct*
-//! kernels.
+//! The single-thread A* traces are pinned exactly by `golden_trace.rs`
+//! (whose constants were recorded while the bucketed open list still ran
+//! against a reference `BinaryHeap`; the queue-level comparison lives on in
+//! `proptest_search.rs`). Here the same lossless A* configurations run
+//! through the sharded driver, where expansion order races: every thread
+//! count must land on the single-thread optimal cost with a kernel the
+//! sortsynth-verify gate (exhaustive n! permutation oracle at these sizes)
+//! accepts.
 
 use sortsynth_isa::{IsaMode, Machine};
 use sortsynth_search::{
-    synthesize, Heuristic, OpenList, Outcome, Strategy, SynthesisConfig, SynthesisResult,
+    synthesize, Heuristic, Outcome, Strategy, SynthesisConfig, SynthesisResult,
 };
 
 /// Lossless best-first configurations for `machine`, labelled. Unlike the
 /// layered rows of `parallel_equivalence`, every row here runs
-/// [`Strategy::AStar`] so the sequential engine actually selects through
-/// the open list under test. Both heuristics are admissible, and the
-/// dead-write cut is lossless, so heap and bucket must agree on the
-/// optimal cost in every cell.
+/// [`Strategy::AStar`]. Both heuristics are admissible, and the dead-write
+/// cut is lossless, so every thread count must agree on the optimal cost.
 fn astar_configs(machine: &Machine, bound: u32) -> Vec<(&'static str, SynthesisConfig)> {
     let astar = |heuristic| Strategy::AStar { heuristic };
     let base = || SynthesisConfig::new(machine.clone()).max_len(bound);
@@ -56,59 +47,19 @@ fn check_kernel(machine: &Machine, label: &str, result: &SynthesisResult) {
     }
 }
 
-/// Runs `cfg` under both open lists, asserting the single-threaded runs
-/// are trace-identical and every parallel thread count is cost-identical.
-fn assert_heap_bucket_equal(
-    machine: &Machine,
-    label: &str,
-    cfg: &SynthesisConfig,
-    threads: &[usize],
-) {
-    let heap = synthesize(&cfg.clone().open_list(OpenList::Heap));
-    let bucket = synthesize(&cfg.clone().open_list(OpenList::Bucket));
-
-    // Single-threaded: the bucket queue is a drop-in reimplementation of
-    // the heap's pop order, so the entire search unfolds identically —
-    // every counter that reflects a search *decision* must match exactly.
-    assert_eq!(heap.found_len, bucket.found_len, "{label}: cost");
-    assert_eq!(heap.outcome, bucket.outcome, "{label}: outcome");
-    assert_eq!(
-        heap.first_program(),
-        bucket.first_program(),
-        "{label}: kernel"
-    );
-    let (h, b) = (&heap.stats, &bucket.stats);
-    assert_eq!(h.expanded, b.expanded, "{label}: expanded");
-    assert_eq!(h.generated, b.generated, "{label}: generated");
-    assert_eq!(h.states_kept, b.states_kept, "{label}: states_kept");
-    assert_eq!(h.dedup_hits, b.dedup_hits, "{label}: dedup_hits");
-    assert_eq!(h.viability_pruned, b.viability_pruned, "{label}: viability");
-    assert_eq!(h.cut_pruned, b.cut_pruned, "{label}: cut");
-    assert_eq!(
-        h.dead_write_pruned, b.dead_write_pruned,
-        "{label}: dead-write"
-    );
-    assert_eq!(h.stale_pops, b.stale_pops, "{label}: stale_pops");
-    assert_eq!(h.swar_batches, b.swar_batches, "{label}: swar_batches");
-    // The scan counter is what *distinguishes* the implementations: the
-    // heap never cursor-scans, the bucket queue attributes all its
-    // empty-bucket walking here.
-    assert_eq!(h.bucket_scans, 0, "{label}: heap must not count scans");
-    check_kernel(machine, &format!("{label} heap@1"), &heap);
-    check_kernel(machine, &format!("{label} bucket@1"), &bucket);
-
-    // Parallel: expansion order races, so only the optimal cost and kernel
-    // correctness are invariant — per-counter equality is not.
+/// Runs `cfg` on one thread and at every count in `threads`, asserting the
+/// sharded runs land on the single-thread cost with correct kernels.
+fn assert_threads_agree(machine: &Machine, label: &str, cfg: &SynthesisConfig, threads: &[usize]) {
+    let sequential = synthesize(cfg);
+    check_kernel(machine, &format!("{label}@1"), &sequential);
     for &t in threads {
-        for (kind, name) in [(OpenList::Heap, "heap"), (OpenList::Bucket, "bucket")] {
-            let result = synthesize(&cfg.clone().open_list(kind).threads(t));
-            assert_eq!(
-                result.found_len, heap.found_len,
-                "{label} {name}@{t}: diverged from sequential ({:?})",
-                result.outcome
-            );
-            check_kernel(machine, &format!("{label} {name}@{t}"), &result);
-        }
+        let result = synthesize(&cfg.clone().threads(t));
+        assert_eq!(
+            result.found_len, sequential.found_len,
+            "{label}@{t}: diverged from sequential ({:?})",
+            result.outcome
+        );
+        check_kernel(machine, &format!("{label}@{t}"), &result);
     }
 }
 
@@ -122,7 +73,7 @@ fn n2_both_isas_full_matrix() {
             IsaMode::MinMax => 3,
         };
         for (label, cfg) in astar_configs(&machine, bound) {
-            assert_heap_bucket_equal(&machine, &format!("n2 {mode:?} {label}"), &cfg, &[2, 4]);
+            assert_threads_agree(&machine, &format!("n2 {mode:?} {label}"), &cfg, &[2, 4]);
         }
     }
 }
@@ -132,7 +83,7 @@ fn n2_both_isas_full_matrix() {
 fn n3_minmax_full_matrix() {
     let machine = Machine::new(3, 1, IsaMode::MinMax);
     for (label, cfg) in astar_configs(&machine, 8) {
-        assert_heap_bucket_equal(&machine, &format!("n3 MinMax {label}"), &cfg, &[2, 4]);
+        assert_threads_agree(&machine, &format!("n3 MinMax {label}"), &cfg, &[2, 4]);
     }
 }
 
@@ -150,7 +101,7 @@ fn n3_cmov_guided_rows() {
         .collect();
     assert_eq!(rows.len(), 2);
     for (label, cfg) in rows {
-        assert_heap_bucket_equal(&machine, &format!("n3 Cmov {label}"), &cfg, &[2]);
+        assert_threads_agree(&machine, &format!("n3 Cmov {label}"), &cfg, &[2]);
     }
 }
 
@@ -164,41 +115,17 @@ fn n4_minmax_guided_row() {
             heuristic: Heuristic::MaxRemaining,
         })
         .max_len(15);
-    assert_heap_bucket_equal(&machine, "n4 MinMax maxrem", &cfg, &[4]);
-}
-
-/// Release-only completion of the matrix: the n = 4 cmov space needs the
-/// full best() configuration to finish in reasonable time. Sequential
-/// best() is layered (no open list), so the interesting cells are the
-/// parallel ones, where both open-list kinds drive the sharded engine.
-/// Run by the CI `perf-smoke` job with `--release -- --include-ignored`.
-#[test]
-#[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
-#[ignore = "minutes in debug mode; CI runs it with --release"]
-fn n4_cmov_best_config_heap_bucket_agree() {
-    let machine = Machine::new(4, 1, IsaMode::Cmov);
-    let cfg = SynthesisConfig::best(machine.clone());
-    for kind in [OpenList::Heap, OpenList::Bucket] {
-        for t in [1, 2, 4] {
-            let result = synthesize(&cfg.clone().open_list(kind).threads(t));
-            assert_eq!(
-                result.found_len,
-                Some(20),
-                "{kind:?}@{t} missed the length-20 kernel ({:?})",
-                result.outcome
-            );
-            check_kernel(&machine, &format!("n4 Cmov best {kind:?}@{t}"), &result);
-        }
-    }
+    assert_threads_agree(&machine, "n4 MinMax maxrem", &cfg, &[4]);
 }
 
 #[test]
 #[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
-fn seeded_stress_bucket_parallel_is_interleaving_invariant() {
-    // The same bucket-queue parallel search, 20 times, each with a
-    // different seed for the test-only per-worker yield/sleep injection —
-    // so the thread interleavings genuinely differ — must always land on
-    // the heap-sequential optimal cost with an oracle-accepted kernel.
+fn repeated_oversubscribed_astar_is_interleaving_invariant() {
+    // The same sharded A* search 20 times at 8 workers: on a host with
+    // fewer cores the workers are oversubscribed, so the scheduler
+    // preempts them at different points every run and the interleavings
+    // genuinely differ. Every run must land on the single-thread optimal
+    // cost with an oracle-accepted kernel.
     let machine = Machine::new(3, 1, IsaMode::MinMax);
     let cfg = SynthesisConfig::new(machine.clone())
         .budget_viability(true)
@@ -206,48 +133,41 @@ fn seeded_stress_bucket_parallel_is_interleaving_invariant() {
             heuristic: Heuristic::MaxRemaining,
         })
         .max_len(8);
-    let reference = synthesize(&cfg.clone().open_list(OpenList::Heap));
+    let reference = synthesize(&cfg);
     let expected = reference.found_len.expect("n3 minmax solves");
     assert_eq!(expected, 8);
 
-    for seed in 0..20u64 {
-        let result = synthesize(
-            &cfg.clone()
-                .open_list(OpenList::Bucket)
-                .threads(4)
-                .perturb_seed(0xFEED_1000 + seed),
-        );
+    for run in 0..20 {
+        let result = synthesize(&cfg.clone().threads(8));
         assert_eq!(
             result.found_len,
             Some(expected),
-            "seed {seed}: cost diverged ({:?})",
+            "run {run}: cost diverged ({:?})",
             result.outcome
         );
-        check_kernel(&machine, &format!("stress seed {seed}"), &result);
+        check_kernel(&machine, &format!("stress run {run}"), &result);
     }
 }
 
 #[test]
 #[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
-fn oversized_machine_runs_on_both_open_lists() {
+fn oversized_machine_runs_best_first_on_both_drivers() {
     // Regression: a machine past the distance table's action limit takes
-    // the no-table fallback; the open-list swap must not disturb it on
-    // either the sequential or the sharded setup path.
+    // the no-table fallback, whose f-values outgrow the open list's sizing
+    // estimate; neither the single-shard nor the sharded setup path may
+    // trip over it.
     let machine = Machine::new(2, 8, IsaMode::Cmov);
     assert!(!sortsynth_search::DistanceTable::supports(&machine));
-    for kind in [OpenList::Heap, OpenList::Bucket] {
-        for t in [1usize, 4] {
-            let cfg = SynthesisConfig::new(machine.clone())
-                .strategy(Strategy::AStar {
-                    heuristic: Heuristic::None,
-                })
-                .open_list(kind)
-                .max_len(4)
-                .threads(t);
-            let result = synthesize(&cfg);
-            assert_eq!(result.found_len, Some(4), "{kind:?}@{t}");
-            assert_eq!(result.outcome, Outcome::Solved, "{kind:?}@{t}");
-            check_kernel(&machine, &format!("oversized {kind:?}@{t}"), &result);
-        }
+    for t in [1usize, 4] {
+        let cfg = SynthesisConfig::new(machine.clone())
+            .strategy(Strategy::AStar {
+                heuristic: Heuristic::None,
+            })
+            .max_len(4)
+            .threads(t);
+        let result = synthesize(&cfg);
+        assert_eq!(result.found_len, Some(4), "@{t}");
+        assert_eq!(result.outcome, Outcome::Solved, "@{t}");
+        check_kernel(&machine, &format!("oversized @{t}"), &result);
     }
 }

@@ -26,25 +26,27 @@ fn tmp(tag: &str) -> PathBuf {
     dir.join("search.ssfr")
 }
 
-/// Crash-dump property: a panic mid-search (test-only injection) leaves a
-/// parseable, checksummed recording whose final frame carries the last
-/// delivered snapshot.
+/// Crash-dump property: a panic mid-search leaves a parseable, checksummed
+/// recording whose final frame carries the last delivered snapshot.
 #[test]
 fn panic_mid_search_leaves_a_parseable_recording() {
     let path = tmp("crash");
     let recorder = Arc::new(FlightRecorder::create(&path).unwrap());
     let rec = Arc::clone(&recorder);
+    // Every expansion delivers a snapshot; the hook records each one and
+    // then crashes the search on the snapshot for expansion 50. A plain
+    // n=4 config keeps the search far from completion without paying for
+    // the distance table.
     let hook = ProgressHook::new(move |p| {
         let _ = rec.record(&p.recorder_frame());
+        if p.expanded >= 50 {
+            panic!("injected crash at {} expansions", p.expanded);
+        }
     });
-    // Every expansion delivers a snapshot, and the engine panics right
-    // after delivering the one for expansion 50. A plain n=4 config keeps
-    // the search far from completion without paying for the distance table.
     let cfg = SynthesisConfig::new(Machine::new(4, 1, IsaMode::Cmov))
         .max_len(15)
         .progress_every(1)
-        .progress_hook(hook)
-        .panic_after(50);
+        .progress_hook(hook);
     let outcome = catch_unwind(AssertUnwindSafe(|| synthesize(&cfg)));
     assert!(outcome.is_err(), "the injected panic must propagate");
 

@@ -1,116 +1,20 @@
-//! Soundness of the narrowed u64 closed-set key ([`KeyWidth::U64`]).
+//! Soundness of the folded u64 closed-set key.
 //!
-//! Narrowing xor-folds the 128-bit content hash to 64 bits before it is
-//! stored, halving closed-map bytes per state. A fold collision between two
+//! The closed sets store the xor-fold of the 128-bit content hash
+//! ([`narrow_key`]), 16 bytes per map entry. A fold collision between two
 //! *different* canonical states would silently merge them and could produce
-//! a wrong "optimal" length, so the narrowing is defended on two fronts:
-//!
-//! 1. a **differential matrix**: every (n, ISA, threads) cell runs under
-//!    both key widths and must produce identical optimal costs — and, for
-//!    the deterministic sequential engine, identical prune counters;
-//! 2. **collision fuzzing**: millions of random canonical states must map
-//!    to distinct narrowed keys (distinct 128-bit keys implied). The quick
-//!    rows run in CI; the `#[ignore]` rows push past 10M states per ISA
-//!    under `--release -- --ignored`.
+//! a wrong "optimal" length, so the fold is fuzzed here: millions of random
+//! canonical states must map to distinct folded keys (distinct 128-bit keys
+//! implied). The quick rows run in CI; the `#[ignore]` rows push past 10M
+//! states per ISA under `--release -- --ignored`. Whole searches are pinned
+//! by `golden_trace.rs`, whose constants were recorded while a full 128-bit
+//! key ran alongside with identical counters.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 use sortsynth_isa::{IsaMode, Machine, MachineState};
-use sortsynth_search::{narrow_key, synthesize, KeyWidth, StateSet, SynthesisConfig};
-
-/// The distance-table configuration for one machine, at one width.
-fn cfg(machine: &Machine, bound: u32, width: KeyWidth) -> SynthesisConfig {
-    SynthesisConfig::new(machine.clone())
-        .budget_viability(true)
-        .max_len(bound)
-        .key_width(width)
-}
-
-/// Runs one matrix cell at both widths and asserts cost equality; for
-/// sequential runs additionally pins every prune counter (the sequential
-/// engine is deterministic, so the key representation must be invisible in
-/// them). Parallel runs assert cost only — interleavings perturb counter
-/// attribution across shards.
-fn assert_widths_agree(machine: &Machine, label: &str, bound: u32, threads: usize) {
-    let narrow = synthesize(&cfg(machine, bound, KeyWidth::U64).threads(threads));
-    let wide = synthesize(&cfg(machine, bound, KeyWidth::U128).threads(threads));
-    assert_eq!(
-        narrow.found_len, wide.found_len,
-        "{label}@{threads}t: key width changed the optimal cost (u64 {:?}, u128 {:?})",
-        narrow.outcome, wide.outcome
-    );
-    if let Some(prog) = narrow.first_program() {
-        sortsynth_verify::gate(machine, &prog)
-            .unwrap_or_else(|e| panic!("{label}@{threads}t: oracle rejected u64 kernel: {e:?}"));
-    }
-    if threads <= 1 {
-        let (a, b) = (&narrow.stats, &wide.stats);
-        assert_eq!(a.generated, b.generated, "{label}: generated");
-        assert_eq!(a.expanded, b.expanded, "{label}: expanded");
-        assert_eq!(a.dedup_hits, b.dedup_hits, "{label}: dedup_hits");
-        assert_eq!(a.viability_pruned, b.viability_pruned, "{label}: viability");
-        assert_eq!(a.cut_pruned, b.cut_pruned, "{label}: cut");
-        assert_eq!(
-            a.dead_write_pruned, b.dead_write_pruned,
-            "{label}: dead-write"
-        );
-        assert_eq!(
-            a.value_flow_pruned, b.value_flow_pruned,
-            "{label}: value-flow"
-        );
-        assert_eq!(a.states_kept, b.states_kept, "{label}: states_kept");
-        assert_eq!(a.interned_states, b.interned_states, "{label}: interned");
-        // The whole point of the narrowing: same states, half the key bytes.
-        assert!(
-            a.key_bytes * 2 <= b.key_bytes || b.key_bytes == 0,
-            "{label}: u64 key store ({} B) is not half the u128 store ({} B)",
-            a.key_bytes,
-            b.key_bytes
-        );
-    }
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "differential matrix is too slow under miri")]
-fn key_width_differential_matrix() {
-    let cells: &[(u8, IsaMode, u32)] = &[
-        (2, IsaMode::Cmov, 4),
-        (2, IsaMode::MinMax, 3),
-        (3, IsaMode::Cmov, 11),
-        (3, IsaMode::MinMax, 8),
-        (4, IsaMode::MinMax, 15),
-    ];
-    for &(n, mode, bound) in cells {
-        let machine = Machine::new(n, 1, mode);
-        for threads in [1usize, 4] {
-            assert_widths_agree(&machine, &format!("n{n} {mode:?}"), bound, threads);
-        }
-    }
-}
-
-/// Completes the matrix at the headline cell. Run by the CI `memory-smoke`
-/// job with `--release -- --include-ignored`.
-#[test]
-#[cfg_attr(miri, ignore = "differential matrix is too slow under miri")]
-#[ignore = "n4 cmov needs --release; CI runs it"]
-fn key_width_differential_n4_cmov() {
-    let machine = Machine::new(4, 1, IsaMode::Cmov);
-    for threads in [1usize, 4] {
-        let narrow = synthesize(
-            &SynthesisConfig::best(machine.clone())
-                .key_width(KeyWidth::U64)
-                .threads(threads),
-        );
-        let wide = synthesize(
-            &SynthesisConfig::best(machine.clone())
-                .key_width(KeyWidth::U128)
-                .threads(threads),
-        );
-        assert_eq!(narrow.found_len, Some(20), "u64 @ {threads}t");
-        assert_eq!(wide.found_len, Some(20), "u128 @ {threads}t");
-    }
-}
+use sortsynth_search::{narrow_key, StateSet};
 
 /// Splitmix64: a tiny, deterministic PRNG so the fuzz corpus is reproducible
 /// without threading `rand` state through helpers.
@@ -179,7 +83,7 @@ fn narrowed_keys_are_collision_free_deep() {
 }
 
 proptest! {
-    /// Key equality is exactly assignment-set equality, at both widths: the
+    /// Key equality is exactly assignment-set equality, wide and folded: the
     /// canonical key (and its fold) is a pure function of the canonical
     /// assignment list, insensitive to input order and duplicates.
     #[test]

@@ -174,11 +174,12 @@ fn n4_cmov_best_config_agrees_across_thread_counts() {
 
 #[test]
 #[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
-fn seeded_stress_is_invariant_under_interleaving_perturbation() {
-    // Satellite 2: the same parallel search, 20 times, each run with a
-    // different seed for the test-only per-worker yield/sleep injection —
-    // so the thread interleavings genuinely differ — must always produce
-    // the sequential optimal cost and internally consistent statistics.
+fn repeated_oversubscribed_runs_are_interleaving_invariant() {
+    // The same sharded search, 20 times, at 8 workers: on a host with fewer
+    // cores the workers are oversubscribed, so the scheduler preempts them
+    // at different points every run and the thread interleavings genuinely
+    // differ. Every run must produce the sequential optimal cost and
+    // internally consistent statistics.
     let machine = Machine::new(3, 1, IsaMode::MinMax);
     let cfg = SynthesisConfig::new(machine.clone())
         .budget_viability(true)
@@ -187,29 +188,29 @@ fn seeded_stress_is_invariant_under_interleaving_perturbation() {
     let expected = sequential.found_len.expect("n3 minmax solves");
     assert_eq!(expected, 8);
 
-    for seed in 0..20u64 {
-        let result = synthesize(&cfg.clone().threads(4).perturb_seed(0xFEED_0000 + seed));
+    for run in 0..20 {
+        let result = synthesize(&cfg.clone().threads(8));
         assert_eq!(
             result.found_len,
             Some(expected),
-            "seed {seed}: cost diverged ({:?})",
+            "run {run}: cost diverged ({:?})",
             result.outcome
         );
         let prog = result.first_program().expect("kernel");
         sortsynth_verify::gate(&machine, &prog)
-            .unwrap_or_else(|e| panic!("seed {seed}: oracle rejected kernel: {e:?}"));
+            .unwrap_or_else(|e| panic!("run {run}: oracle rejected kernel: {e:?}"));
 
         let s = &result.stats;
         // Lower bounds from the optimal path: every proper prefix of the
         // kernel was expanded and kept.
         assert!(
             s.expanded >= expected as u64,
-            "seed {seed}: expanded {} < {expected}",
+            "run {run}: expanded {} < {expected}",
             s.expanded
         );
         assert!(
             s.states_kept >= expected as u64,
-            "seed {seed}: kept {} < {expected}",
+            "run {run}: kept {} < {expected}",
             s.states_kept
         );
         // No state is counted twice by a shard: every merged candidate has
@@ -223,20 +224,20 @@ fn seeded_stress_is_invariant_under_interleaving_perturbation() {
         assert_eq!(
             merged,
             dedup + reopened + bound + (kept - 1),
-            "seed {seed}: merge dispositions must partition merged candidates"
+            "run {run}: merge dispositions must partition merged candidates"
         );
-        assert_eq!(s.states_kept, kept, "seed {seed}: shard sums match totals");
+        assert_eq!(s.states_kept, kept, "run {run}: shard sums match totals");
         assert_eq!(
             s.expanded,
             s.shards.iter().map(|sh| sh.expanded).sum::<u64>(),
-            "seed {seed}"
+            "run {run}"
         );
         // Quiescence drained everything: a candidate routed off-shard is
         // merged by its owner exactly once.
         let routed: u64 = s.shards.iter().map(|sh| sh.routed).sum();
         assert!(
             merged >= routed,
-            "seed {seed}: routed {routed} candidates but merged only {merged}"
+            "run {run}: routed {routed} candidates but merged only {merged}"
         );
     }
 }

@@ -13,7 +13,19 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use sortsynth_isa::{IsaMode, Machine};
-use sortsynth_search::{synthesize, try_synthesize, SynthesisConfig};
+use sortsynth_search::{synthesize, try_synthesize, ProgressHook, SynthesisConfig};
+
+/// Crashes the run it is installed in once `expansions` states have been
+/// expanded: with `progress_every(1)` the hook sees every expansion's
+/// snapshot, so the panic unwinds out of the search right there.
+fn crash_after(cfg: SynthesisConfig, expansions: u64) -> SynthesisConfig {
+    cfg.progress_every(1)
+        .progress_hook(ProgressHook::new(move |p| {
+            if p.expanded >= expansions {
+                panic!("injected crash after {expansions} expansions");
+            }
+        }))
+}
 
 /// Fresh per-test scratch directory (removed up front so reruns of a
 /// failed test never see stale segments).
@@ -93,12 +105,12 @@ fn killed_run_resumes_from_journal_to_the_same_optimum() {
     // Killed run: the panic unwinds out of `synthesize`; the journal on
     // disk was written at the start of the layer the crash landed in.
     let killed = catch_unwind(AssertUnwindSafe(|| {
-        synthesize(
-            &layered(&machine, 11)
+        synthesize(&crash_after(
+            layered(&machine, 11)
                 .mem_budget_bytes(64 << 10)
-                .spill_dir(dir.clone())
-                .panic_after(crash_at),
-        )
+                .spill_dir(dir.clone()),
+            crash_at,
+        ))
     }));
     assert!(killed.is_err(), "crash injection did not fire");
 
@@ -122,6 +134,46 @@ fn killed_run_resumes_from_journal_to_the_same_optimum() {
 }
 
 #[test]
+#[cfg_attr(miri, ignore = "spill differential does real file I/O")]
+fn multi_thread_budgeted_runs_spill_and_resume() {
+    // A budget or a journal pins the run to the single-shard driver, so
+    // `threads(2)` keeps the budget: the run spills, lands on the resident
+    // optimum, and a killed run resumes under the same thread count.
+    let machine = Machine::new(3, 1, IsaMode::Cmov);
+    let dir = scratch("threads");
+    let resident = synthesize(&layered(&machine, 11).threads(2));
+    let budgeted = synthesize(
+        &layered(&machine, 11)
+            .threads(2)
+            .mem_budget_bytes(64 << 10)
+            .spill_dir(dir.clone()),
+    );
+    assert_eq!(budgeted.found_len, resident.found_len);
+    assert!(
+        budgeted.stats.spilled_bytes > 0,
+        "threads(2) ignored the budget"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let crash_at = budgeted.stats.expanded / 2;
+    let killed = catch_unwind(AssertUnwindSafe(|| {
+        synthesize(&crash_after(
+            layered(&machine, 11)
+                .threads(2)
+                .mem_budget_bytes(64 << 10)
+                .spill_dir(dir.clone()),
+            crash_at,
+        ))
+    }));
+    assert!(killed.is_err(), "crash injection did not fire");
+    let resumed = try_synthesize(&layered(&machine, 11).threads(2).resume_from(dir.clone()))
+        .expect("threads(2) journal resume failed");
+    assert_eq!(resumed.found_len, Some(11), "{:?}", resumed.outcome);
+    assert!(resumed.stats.resumed_frontier_states > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 #[cfg_attr(miri, ignore = "corruption test does real file I/O")]
 fn torn_segment_byte_is_rejected_on_resume() {
     let machine = Machine::new(3, 1, IsaMode::MinMax);
@@ -131,12 +183,12 @@ fn torn_segment_byte_is_rejected_on_resume() {
     // written at each layer boundary references real segment bytes almost
     // immediately; ten expansions is comfortably past the first boundary.
     let killed = catch_unwind(AssertUnwindSafe(|| {
-        synthesize(
-            &layered(&machine, 8)
+        synthesize(&crash_after(
+            layered(&machine, 8)
                 .mem_budget_bytes(1)
-                .spill_dir(dir.clone())
-                .panic_after(10),
-        )
+                .spill_dir(dir.clone()),
+            10,
+        ))
     }));
     assert!(killed.is_err(), "crash injection did not fire");
 

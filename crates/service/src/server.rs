@@ -99,8 +99,9 @@ pub struct ServiceConfig {
     pub record_dir: Option<PathBuf>,
     /// Memory budget applied to every engine-route search. When the
     /// resident estimate crosses it, cold open-list buckets and closed-set
-    /// segments spill to disk instead of growing the heap (sequential
-    /// engine only — the spill tier is bypassed when `search_threads != 1`).
+    /// segments spill to disk instead of growing the heap. A budgeted
+    /// search always runs on one search thread, whatever `search_threads`
+    /// says.
     /// Enabled by `sortsynth serve --search-mem-limit`.
     pub search_mem_limit: Option<u64>,
 }
