@@ -77,7 +77,7 @@ pub fn run(cfg: &BenchConfig) {
         let rec_cfg = SynthesisConfig::best(machine.clone())
             .progress_every(8192)
             .progress_hook(ProgressHook::new(move |p| {
-                let _ = recorder.record(&p.recorder_frame());
+                let _ = recorder.record(p);
             }));
         let (result, elapsed) = time(|| synthesize(&rec_cfg));
         rec.observe(result.stats, elapsed);

@@ -99,8 +99,8 @@ struct Counters {
 /// Mirrors one cache counter increment into the process-wide metrics
 /// registry (so `sortsynth serve` exposes live cache efficacy without
 /// polling [`KernelCache::stats`]).
-fn obs_inc(name: &str, help: &str) {
-    sortsynth_obs::registry().counter(name, help).inc();
+fn obs_inc(name: &str) {
+    names::counter(name).inc();
 }
 
 /// Why the static-verification gate refused an entry.
@@ -169,12 +169,7 @@ impl KernelCache {
         load.verify_rejected = (intact - entries.len()) as u64;
         load.verify_skipped = skipped;
         if skipped > 0 {
-            sortsynth_obs::registry()
-                .counter(
-                    names::VERIFY_GATE_SKIPPED_TOTAL,
-                    "Gate re-analyses skipped via a valid gate stamp.",
-                )
-                .add(skipped);
+            names::counter(names::VERIFY_GATE_SKIPPED_TOTAL).add(skipped);
         }
         if load.rejected_tail || load.verify_rejected > 0 {
             disk::rewrite_atomic(&dir, entries.iter())?;
@@ -204,7 +199,7 @@ impl KernelCache {
         if let Some(entry) = self.lru.get(fingerprint) {
             if entry.query == *query {
                 self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
-                obs_inc(names::CACHE_MEMORY_HITS_TOTAL, "In-memory cache hits.");
+                obs_inc(names::CACHE_MEMORY_HITS_TOTAL);
                 return Some(entry);
             }
         }
@@ -214,7 +209,8 @@ impl KernelCache {
             let _guard = store.file.lock();
             let scan_start = std::time::Instant::now();
             let scanned = disk::load(&store.dir);
-            names::cache_disk_promotion_seconds().observe_duration(scan_start.elapsed());
+            names::histogram(names::CACHE_DISK_PROMOTION_SECONDS)
+                .observe_duration(scan_start.elapsed());
             if let Ok((entries, _)) = scanned {
                 // Latest write wins: scan from the back.
                 if let Some(entry) = entries.into_iter().rev().find(|e| e.query == *query) {
@@ -224,10 +220,7 @@ impl KernelCache {
                     let stamped = entry.gate_stamp_valid();
                     if stamped {
                         self.counters.verify_skipped.fetch_add(1, Ordering::Relaxed);
-                        obs_inc(
-                            names::VERIFY_GATE_SKIPPED_TOTAL,
-                            "Gate re-analyses skipped via a valid gate stamp.",
-                        );
+                        obs_inc(names::VERIFY_GATE_SKIPPED_TOTAL);
                     }
                     if stamped || gate_error(&entry).is_none() {
                         let entry = Arc::new(entry);
@@ -235,27 +228,18 @@ impl KernelCache {
                         self.lru.insert(Arc::clone(&entry));
                         self.note_evictions(evicted_before);
                         self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        obs_inc(
-                            names::CACHE_DISK_HITS_TOTAL,
-                            "Disk-log hits promoted into memory.",
-                        );
+                        obs_inc(names::CACHE_DISK_HITS_TOTAL);
                         return Some(entry);
                     }
                     self.counters
                         .verify_rejected
                         .fetch_add(1, Ordering::Relaxed);
-                    obs_inc(
-                        names::CACHE_VERIFY_REJECTED_TOTAL,
-                        "Disk entries rejected by the verification gate.",
-                    );
+                    obs_inc(names::CACHE_VERIFY_REJECTED_TOTAL);
                 }
             }
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        obs_inc(
-            names::CACHE_MISSES_TOTAL,
-            "Lookups that missed both cache tiers.",
-        );
+        obs_inc(names::CACHE_MISSES_TOTAL);
         None
     }
 
@@ -264,12 +248,7 @@ impl KernelCache {
     fn note_evictions(&self, before: u64) {
         let evicted = self.lru.evictions() - before;
         if evicted > 0 {
-            sortsynth_obs::registry()
-                .counter(
-                    names::CACHE_EVICTIONS_TOTAL,
-                    "Entries evicted from the in-memory LRU.",
-                )
-                .add(evicted);
+            names::counter(names::CACHE_EVICTIONS_TOTAL).add(evicted);
         }
     }
 
@@ -289,10 +268,7 @@ impl KernelCache {
             self.counters
                 .verify_rejected
                 .fetch_add(1, Ordering::Relaxed);
-            obs_inc(
-                names::CACHE_VERIFY_REJECTED_TOTAL,
-                "Disk entries rejected by the verification gate.",
-            );
+            obs_inc(names::CACHE_VERIFY_REJECTED_TOTAL);
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("kernel refused by verification gate: {why}"),
@@ -308,7 +284,7 @@ impl KernelCache {
         self.lru.insert(entry);
         self.note_evictions(evicted_before);
         self.counters.insertions.fetch_add(1, Ordering::Relaxed);
-        obs_inc(names::CACHE_INSERTIONS_TOTAL, "Cache entries inserted.");
+        obs_inc(names::CACHE_INSERTIONS_TOTAL);
         Ok(())
     }
 

@@ -8,7 +8,8 @@ use sortsynth_cache::{CacheEntry, CutSpec, KernelCache, KernelQuery};
 use sortsynth_isa::{analyze, sampling_score, InstrMix, Machine, Program, ThroughputModel};
 use sortsynth_jit::JitKernel;
 use sortsynth_kernels::{interpret, Kernel};
-use sortsynth_obs::{info, warn};
+use sortsynth_obs::progress::COLUMNS;
+use sortsynth_obs::{info, warn, SearchProgress, ShardSnapshot};
 use sortsynth_portfolio::{
     backend_for, BackendKind, BackendStatus, DispatchPolicy, Portfolio, POLICY_FILE,
 };
@@ -195,7 +196,7 @@ fn synth(args: &ParsedArgs) -> Result<(), ArgsError> {
     if let Some(recorder) = flight_recorder(args)? {
         cfg = cfg.progress_hook(sortsynth_search::ProgressHook::new(move |p| {
             // Recording is best-effort: a full disk must not fail the synth.
-            let _ = recorder.record(&p.recorder_frame());
+            let _ = recorder.record(p);
         }));
     }
     let result = try_synthesize(&cfg).map_err(|e| ArgsError::new(e.to_string()))?;
@@ -723,7 +724,7 @@ fn client_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
 }
 
 /// One rendered line of a live progress frame.
-fn progress_line(frame: &sortsynth_service::ProgressReply, nodes_per_sec: f64) -> String {
+fn progress_line(frame: &SearchProgress, nodes_per_sec: f64) -> String {
     let f_bound = match frame.f_bound {
         Some(f) => f.to_string(),
         None => "-".to_string(),
@@ -736,7 +737,7 @@ fn progress_line(frame: &sortsynth_service::ProgressReply, nodes_per_sec: f64) -
     };
     let mut line = format!(
         "t={:>7.2}s  expanded={:<10} open={:<9} f={:<3} nodes/s={:<9.0} mem={}",
-        frame.elapsed_millis as f64 / 1000.0,
+        frame.elapsed.as_secs_f64(),
         frame.expanded,
         frame.open,
         f_bound,
@@ -761,14 +762,14 @@ fn progress_line(frame: &sortsynth_service::ProgressReply, nodes_per_sec: f64) -
 fn stream_watch(
     client: &mut Client,
     args: &ParsedArgs,
-    render: impl Fn(&sortsynth_service::ProgressReply, f64),
+    render: impl Fn(&SearchProgress, f64),
 ) -> Result<(), ArgsError> {
     let backend = args.options.get("backend").cloned();
     let wait_ms = args.num::<u64>("wait-ms")?;
     client
         .begin_watch(synth_query(args)?, backend, wait_ms)
         .map_err(|e| ArgsError::new(format!("request: {e}")))?;
-    let mut prev: Option<(u64, u64)> = None; // (elapsed_millis, expanded)
+    let mut prev: Option<(Duration, u64)> = None; // (elapsed, expanded)
     loop {
         match client
             .next_frame()
@@ -776,16 +777,16 @@ fn stream_watch(
         {
             Response::Progress(frame) => {
                 let nodes_per_sec = match prev {
-                    Some((t0, e0)) if frame.elapsed_millis > t0 => {
-                        (frame.expanded.saturating_sub(e0)) as f64
-                            / ((frame.elapsed_millis - t0) as f64 / 1000.0)
+                    Some((t0, e0)) if frame.elapsed > t0 => {
+                        frame.expanded.saturating_sub(e0) as f64
+                            / (frame.elapsed - t0).as_secs_f64()
                     }
-                    _ if frame.elapsed_millis > 0 => {
-                        frame.expanded as f64 / (frame.elapsed_millis as f64 / 1000.0)
+                    _ if !frame.elapsed.is_zero() => {
+                        frame.expanded as f64 / frame.elapsed.as_secs_f64()
                     }
                     _ => 0.0,
                 };
-                prev = Some((frame.elapsed_millis, frame.expanded));
+                prev = Some((frame.elapsed, frame.expanded));
                 let finished = frame.finished;
                 render(&frame, nodes_per_sec);
                 if finished {
@@ -914,8 +915,8 @@ fn inspect_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
     }
     let first = recording.frames.first().unwrap();
     let last = recording.frames.last().unwrap();
-    let duration_secs = last.elapsed_micros as f64 / 1e6;
-    let avg_nodes_per_sec = if last.elapsed_micros > 0 {
+    let duration_secs = last.elapsed.as_secs_f64();
+    let avg_nodes_per_sec = if duration_secs > 0.0 {
         last.expanded as f64 / duration_secs
     } else {
         0.0
@@ -926,10 +927,11 @@ fn inspect_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
     let mut peak_nodes_per_sec = avg_nodes_per_sec;
     for pair in recording.frames.windows(2) {
         let dt = pair[1]
-            .elapsed_micros
-            .saturating_sub(pair[0].elapsed_micros);
-        if dt > 0 {
-            let rate = pair[1].expanded.saturating_sub(pair[0].expanded) as f64 / (dt as f64 / 1e6);
+            .elapsed
+            .saturating_sub(pair[0].elapsed)
+            .as_secs_f64();
+        if dt > 0.0 {
+            let rate = pair[1].expanded.saturating_sub(pair[0].expanded) as f64 / dt;
             peak_nodes_per_sec = peak_nodes_per_sec.max(rate);
         }
     }
@@ -939,7 +941,7 @@ fn inspect_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
         .map(|f| f.shards.len())
         .max()
         .unwrap_or(0);
-    let mut shard_peaks = vec![sortsynth_obs::ShardFrame::default(); shard_count];
+    let mut shard_peaks = vec![ShardSnapshot::default(); shard_count];
     for frame in &recording.frames {
         for (i, shard) in frame.shards.iter().enumerate() {
             let peak = &mut shard_peaks[i];
@@ -956,57 +958,34 @@ fn inspect_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
         .unwrap_or((0, 0));
 
     if args.flag("json") {
-        use serde::Value;
+        use serde::{Serialize, Value};
         let shards = shard_peaks
             .iter()
             .map(|s| {
-                Value::map([
-                    ("interned_states", Value::UInt(s.interned_states)),
-                    ("arena_bytes", Value::UInt(s.arena_bytes)),
-                    ("open_depth", Value::UInt(s.open_depth)),
-                ])
+                let values = s.values().map(Value::UInt);
+                Value::map(ShardSnapshot::FIELDS.into_iter().zip(values))
             })
             .collect();
-        let value = Value::map([
+        let columns = COLUMNS
+            .iter()
+            .map(|col| (col.name, (col.get)(last).serialize()));
+        let value = Value::map(columns.chain([
             ("frames", Value::UInt(recording.frames.len() as u64)),
             ("segments", Value::UInt(recording.segments as u64)),
             ("lost_bytes", Value::UInt(recording.lost_bytes)),
             ("rejected_tail", Value::Bool(recording.rejected_tail)),
             ("duration_secs", Value::Float(duration_secs)),
             ("finished", Value::Bool(last.finished)),
-            (
-                "outcome",
-                match &last.outcome {
-                    Some(o) => Value::Str(o.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("expanded", Value::UInt(last.expanded)),
-            ("generated", Value::UInt(last.generated)),
-            ("open", Value::UInt(last.open)),
+            ("outcome", last.outcome.serialize()),
             ("avg_nodes_per_sec", Value::Float(avg_nodes_per_sec)),
             ("peak_nodes_per_sec", Value::Float(peak_nodes_per_sec)),
-            ("viability_pruned", Value::UInt(last.viability_pruned)),
-            ("cut_pruned", Value::UInt(last.cut_pruned)),
-            ("dedup_hits", Value::UInt(last.dedup_hits)),
-            ("dead_write_pruned", Value::UInt(last.dead_write_pruned)),
-            ("value_flow_pruned", Value::UInt(last.value_flow_pruned)),
-            ("spilled_open", Value::UInt(last.spilled_open)),
-            ("spilled_closed", Value::UInt(last.spilled_closed)),
-            ("ddd_dedup_hits", Value::UInt(last.ddd_dedup_hits)),
-            (
-                "resumed_frontier_states",
-                Value::UInt(last.resumed_frontier_states),
-            ),
-            ("resident_bytes", Value::UInt(last.resident_bytes)),
-            ("spilled_bytes", Value::UInt(last.spilled_bytes)),
             (
                 "distance_table_skipped",
                 Value::Bool(last.distance_table_skipped),
             ),
             ("peak_arena_bytes", Value::UInt(peak_arena_bytes)),
             ("shards", Value::Seq(shards)),
-        ]);
+        ]));
         println!(
             "{}",
             serde_json::to_string(&value).expect("value-tree serialization is infallible")

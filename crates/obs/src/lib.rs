@@ -22,6 +22,8 @@
 //!   search hot loop: per-worker cache-line-padded [`PhaseProbe`]s attribute
 //!   wall time to a fixed [`Phase`] taxonomy, off by default with one
 //!   relaxed load per search when disabled.
+//! * [`progress`] — the one progress schema: the [`SearchProgress`]
+//!   snapshot every layer carries, with its counter columns declared once.
 //! * [`recorder`] — the flight recorder: a bounded, checksummed, crash-safe
 //!   on-disk ring of search progress snapshots ([`FlightRecorder`]) with a
 //!   torn-tail-tolerant reader ([`read_recording`]) for post-mortem
@@ -66,6 +68,7 @@ mod level;
 pub mod metrics;
 pub mod names;
 pub mod profile;
+pub mod progress;
 pub mod recorder;
 pub mod segment;
 pub mod trace;
@@ -73,7 +76,8 @@ pub mod trace;
 pub use level::{log_emit, log_enabled, log_level, set_log_level, Level};
 pub use metrics::{registry, Counter, Gauge, Histogram, Registry};
 pub use profile::{PaddedU64, Phase, PhaseProbe, PHASE_COUNT};
-pub use recorder::{read_recording, FlightRecorder, Frame, Recording, ShardFrame};
+pub use progress::{SearchProgress, ShardSnapshot};
+pub use recorder::{read_recording, FlightRecorder, Recording};
 pub use trace::{
     add_subscriber, emit, enabled, now_micros, remove_subscriber, set_enabled, Event, EventKind,
     FieldValue, FileSubscriber, RingBuffer, Span, Subscriber,

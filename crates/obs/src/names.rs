@@ -1,448 +1,269 @@
-//! Well-known metric names shared across the sortsynth crates.
+//! Well-known metric families shared across the sortsynth crates.
 //!
-//! Instrumented code gets handles via `registry().counter(NAME, HELP)`; the
-//! service calls [`register_well_known`] at startup so the exposition always
-//! contains every family — a scraper sees `sortsynth_requests_total 0`
-//! rather than a missing series before the first request arrives.
+//! Every family is declared once, in the [`FAMILIES`] table below: its
+//! name, kind, and help text. Instrumented code gets handles by name
+//! ([`counter`], [`gauge`], [`histogram`]) and the help text comes from the
+//! table, so the exposition's `# HELP` line does not depend on which site
+//! registers a family first. The service calls [`register_well_known`] at
+//! startup so the exposition always contains every family — a scraper sees
+//! `sortsynth_requests_total 0` rather than a missing series before the
+//! first request arrives.
 
 use std::sync::Arc;
 
-use crate::metrics::{registry, Histogram, LATENCY_BUCKETS};
+use crate::metrics::{registry, Counter, Gauge, Histogram, LATENCY_BUCKETS};
 
-// --- request / service ---
-/// Requests accepted into the admission queue.
-pub const REQUESTS_TOTAL: &str = "sortsynth_requests_total";
-/// Requests shed because the admission queue was full.
-pub const REQUESTS_SHED_TOTAL: &str = "sortsynth_requests_shed_total";
-/// End-to-end request latency (queue wait + execution), seconds.
-pub const REQUEST_SECONDS: &str = "sortsynth_request_seconds";
-/// Jobs currently waiting in the admission queue.
-pub const QUEUE_DEPTH: &str = "sortsynth_queue_depth";
-/// Jobs currently executing on workers.
-pub const INFLIGHT_REQUESTS: &str = "sortsynth_inflight_requests";
-/// Worker panics caught and converted to error replies.
-pub const WORKER_PANICS_TOTAL: &str = "sortsynth_worker_panics_total";
-/// Requests that joined an identical in-flight search instead of starting
-/// their own.
-pub const SINGLEFLIGHT_COALESCED_TOTAL: &str = "sortsynth_singleflight_coalesced_total";
-/// Searches started by single-flight leaders.
-pub const SEARCHES_STARTED_TOTAL: &str = "sortsynth_searches_started_total";
-
-// --- cache ---
-/// In-memory cache hits.
-pub const CACHE_MEMORY_HITS_TOTAL: &str = "sortsynth_cache_memory_hits_total";
-/// Disk-log hits promoted into memory.
-pub const CACHE_DISK_HITS_TOTAL: &str = "sortsynth_cache_disk_hits_total";
-/// Lookups that missed both tiers.
-pub const CACHE_MISSES_TOTAL: &str = "sortsynth_cache_misses_total";
-/// Entries inserted.
-pub const CACHE_INSERTIONS_TOTAL: &str = "sortsynth_cache_insertions_total";
-/// Entries evicted from the in-memory LRU.
-pub const CACHE_EVICTIONS_TOTAL: &str = "sortsynth_cache_evictions_total";
-/// Disk entries rejected by the verification gate.
-pub const CACHE_VERIFY_REJECTED_TOTAL: &str = "sortsynth_cache_verify_rejected_total";
-/// Latency of disk-log scans on a memory miss, seconds.
-pub const CACHE_DISK_PROMOTION_SECONDS: &str = "sortsynth_cache_disk_promotion_seconds";
-
-// --- verification ---
-/// Gate admissions decided by a symbolic permutation certificate.
-pub const VERIFY_SYMBOLIC_CERTIFIED_TOTAL: &str = "sortsynth_verify_symbolic_certified_total";
-/// Gate rejections decided by a symbolic permutation refutation.
-pub const VERIFY_SYMBOLIC_REFUTED_TOTAL: &str = "sortsynth_verify_symbolic_refuted_total";
-/// Symbolic analyses that exceeded their budget inside the gate.
-pub const VERIFY_SYMBOLIC_BAILOUT_TOTAL: &str = "sortsynth_verify_symbolic_bailout_total";
-/// Gate decisions that fell back to the exhaustive permutation oracle.
-pub const VERIFY_ORACLE_TOTAL: &str = "sortsynth_verify_oracle_total";
-/// Cache recoveries that skipped re-verification via a valid checksum stamp.
-pub const VERIFY_GATE_SKIPPED_TOTAL: &str = "sortsynth_verify_gate_skipped_total";
-/// End-to-end gate latency, seconds.
-pub const VERIFY_GATE_SECONDS: &str = "sortsynth_verify_gate_seconds";
-
-// --- search ---
-/// Search engine runs completed (any outcome).
-pub const SEARCH_RUNS_TOTAL: &str = "sortsynth_search_runs_total";
-/// States expanded across all searches.
-pub const SEARCH_EXPANDED_TOTAL: &str = "sortsynth_search_expanded_total";
-/// States generated across all searches.
-pub const SEARCH_GENERATED_TOTAL: &str = "sortsynth_search_generated_total";
-/// Searches that ended in `Outcome::Cancelled`.
-pub const SEARCH_CANCELLED_TOTAL: &str = "sortsynth_search_cancelled_total";
-/// States pruned by the dead-write cut.
-pub const SEARCH_DEAD_WRITE_PRUNED_TOTAL: &str = "sortsynth_search_dead_write_pruned_total";
-/// States pruned by the value-flow cut.
-pub const SEARCH_VALUE_FLOW_PRUNED_TOTAL: &str = "sortsynth_search_value_flow_pruned_total";
-/// Heuristic lookups that skipped the distance table.
-pub const SEARCH_DISTANCE_TABLE_SKIPPED_TOTAL: &str =
-    "sortsynth_search_distance_table_skipped_total";
-/// States pruned by cost-bound cuts.
-pub const SEARCH_CUT_PRUNED_TOTAL: &str = "sortsynth_search_cut_pruned_total";
-/// States pruned by the viability filter.
-pub const SEARCH_VIABILITY_PRUNED_TOTAL: &str = "sortsynth_search_viability_pruned_total";
-/// Duplicate states dropped by the closed set.
-pub const SEARCH_DEDUP_HITS_TOTAL: &str = "sortsynth_search_dedup_hits_total";
-/// Search runs executed by the sharded parallel engine.
-pub const SEARCH_PARALLEL_RUNS_TOTAL: &str = "sortsynth_search_parallel_runs_total";
-/// Successors routed across shard boundaries in parallel searches.
-pub const SEARCH_ROUTED_TOTAL: &str = "sortsynth_search_routed_total";
-/// Open entries stolen by idle parallel workers.
-pub const SEARCH_STEALS_TOTAL: &str = "sortsynth_search_steals_total";
-/// Unique canonical states interned into search arenas.
-pub const SEARCH_INTERNED_STATES_TOTAL: &str = "sortsynth_search_interned_states_total";
-/// Expansions served entirely from already-reserved scratch capacity.
-pub const SEARCH_SCRATCH_REUSED_TOTAL: &str = "sortsynth_search_scratch_reused_total";
-/// Open entries discarded at pop as stale (reopened or bound-overtaken).
-pub const SEARCH_STALE_POPS_TOTAL: &str = "sortsynth_search_stale_pops_total";
-/// Empty-bucket cursor scans performed by bucketed open lists.
-pub const SEARCH_BUCKET_SCANS_TOTAL: &str = "sortsynth_search_bucket_scans_total";
-/// SWAR lane passes taken by batch expansion.
-pub const SEARCH_SWAR_BATCHES_TOTAL: &str = "sortsynth_search_swar_batches_total";
-/// Bytes of assignment storage held by the last run's state arena(s).
-pub const SEARCH_ARENA_BYTES: &str = "sortsynth_search_arena_bytes";
-/// Estimated resident search-bookkeeping bytes (arena + closed map +
-/// per-node metadata) of the last run.
-pub const SEARCH_RESIDENT_BYTES: &str = "sortsynth_search_resident_bytes";
-/// Bytes held in external-memory spill segments by the last run.
-pub const SEARCH_SPILLED_BYTES: &str = "sortsynth_search_spilled_bytes";
-/// Spill segment files held by the last run.
-pub const SEARCH_SPILL_SEGMENTS: &str = "sortsynth_search_spill_segments";
-/// Frontier states spilled to disk segments.
-pub const SEARCH_SPILLED_OPEN_TOTAL: &str = "sortsynth_search_spilled_open_total";
-/// Closed-set entries evicted to sorted disk segments.
-pub const SEARCH_SPILLED_CLOSED_TOTAL: &str = "sortsynth_search_spilled_closed_total";
-/// Duplicates caught by delayed duplicate detection against spilled
-/// closed segments.
-pub const SEARCH_DDD_DEDUP_HITS_TOTAL: &str = "sortsynth_search_ddd_dedup_hits_total";
-/// Frontier states restored from resume journals.
-pub const SEARCH_RESUMED_FRONTIER_TOTAL: &str = "sortsynth_search_resumed_frontier_total";
-/// Latency of spill segment writes, seconds.
-pub const SEARCH_SPILL_WRITE_SECONDS: &str = "sortsynth_search_spill_write_seconds";
-/// Latency of spill segment reads (frontier streams + DDD joins), seconds.
-pub const SEARCH_SPILL_READ_SECONDS: &str = "sortsynth_search_spill_read_seconds";
-
-// --- portfolio ---
-/// Portfolio races executed (one per query reaching the executor).
-pub const PORTFOLIO_RACES_TOTAL: &str = "sortsynth_portfolio_races_total";
-/// Races that produced a verify-gated winner.
-pub const PORTFOLIO_WIN_TOTAL: &str = "sortsynth_portfolio_win_total";
-/// Arms that completed with a solution but lost the race (or were
-/// out-raced before finishing verification).
-pub const PORTFOLIO_LOSS_TOTAL: &str = "sortsynth_portfolio_loss_total";
-/// Arms stopped early by race cancellation.
-pub const PORTFOLIO_CANCELLED_TOTAL: &str = "sortsynth_portfolio_cancelled_total";
-/// Candidate winners rejected by the static verification gate.
-pub const PORTFOLIO_VERIFY_REJECTED_TOTAL: &str = "sortsynth_portfolio_verify_rejected_total";
-/// Races whose first (policy-ranked) wave missed and widened to the rest.
-pub const PORTFOLIO_WIDENED_TOTAL: &str = "sortsynth_portfolio_widened_total";
-/// Time from race start to the first verified solution, seconds.
-pub const PORTFOLIO_TTFS_SECONDS: &str = "sortsynth_portfolio_ttfs_seconds";
-
-// --- introspection ---
-/// Flight-recorder frames appended (across all recordings).
-pub const RECORDER_FRAMES_TOTAL: &str = "sortsynth_recorder_frames_total";
-/// Flight-recorder bytes written (headers + payloads).
-pub const RECORDER_BYTES_TOTAL: &str = "sortsynth_recorder_bytes_total";
-/// Flight-recorder segment rotations.
-pub const RECORDER_ROTATIONS_TOTAL: &str = "sortsynth_recorder_rotations_total";
-/// Watch streams opened against in-flight searches.
-pub const WATCH_STREAMS_TOTAL: &str = "sortsynth_watch_streams_total";
-/// Progress frames delivered to watch subscribers.
-pub const WATCH_FRAMES_TOTAL: &str = "sortsynth_watch_frames_total";
-
-// --- SAT / CEGIS ---
-/// CDCL conflicts across all solver runs.
-pub const SAT_CONFLICTS_TOTAL: &str = "sortsynth_sat_conflicts_total";
-/// CDCL restarts across all solver runs.
-pub const SAT_RESTARTS_TOTAL: &str = "sortsynth_sat_restarts_total";
-/// Clauses learned across all solver runs.
-pub const SAT_LEARNED_CLAUSES_TOTAL: &str = "sortsynth_sat_learned_clauses_total";
-/// CEGIS refinement iterations across all synthesis calls.
-pub const CEGIS_ITERATIONS_TOTAL: &str = "sortsynth_cegis_iterations_total";
-
-/// The spill segment write-latency histogram (registered on first use).
-pub fn search_spill_write_seconds() -> Arc<Histogram> {
-    registry().histogram(
-        SEARCH_SPILL_WRITE_SECONDS,
-        "Spill segment write latency in seconds.",
-        LATENCY_BUCKETS,
-    )
+/// The kind of a metric family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A monotonically increasing counter.
+    Counter,
+    /// A value that can go up and down.
+    Gauge,
+    /// A latency histogram over [`LATENCY_BUCKETS`].
+    Histogram,
 }
 
-/// The spill segment read-latency histogram (registered on first use).
-pub fn search_spill_read_seconds() -> Arc<Histogram> {
-    registry().histogram(
-        SEARCH_SPILL_READ_SECONDS,
-        "Spill segment read latency in seconds.",
-        LATENCY_BUCKETS,
-    )
+/// One metric family: its name, kind, and help text.
+#[derive(Debug, Clone, Copy)]
+pub struct FamilyDef {
+    /// The exposition name.
+    pub name: &'static str,
+    /// Counter, gauge, or histogram.
+    pub kind: Kind,
+    /// The `# HELP` text.
+    pub help: &'static str,
 }
 
-/// The end-to-end request latency histogram (registered on first use).
-pub fn request_seconds() -> Arc<Histogram> {
-    registry().histogram(
-        REQUEST_SECONDS,
-        "End-to-end request latency in seconds.",
-        LATENCY_BUCKETS,
-    )
+/// Declares the family table: one documented `pub const NAME: &str` per
+/// row, the [`FAMILIES`] slice, and the by-name lookup [`family`].
+macro_rules! families {
+    ($( $konst:ident = $name:literal, $kind:ident, $help:literal; )*) => {
+        $( #[doc = $help] pub const $konst: &str = $name; )*
+
+        /// Every well-known family, in declaration order.
+        pub const FAMILIES: &[FamilyDef] = &[$(
+            FamilyDef { name: $name, kind: Kind::$kind, help: $help },
+        )*];
+
+        /// The declared family called `name`, if any.
+        pub fn family(name: &str) -> Option<&'static FamilyDef> {
+            match name {
+                $( $name => Some(&FamilyDef { name: $name, kind: Kind::$kind, help: $help }), )*
+                _ => None,
+            }
+        }
+    };
 }
 
-/// The time-to-first-verified-solution histogram (registered on first use).
-pub fn portfolio_ttfs_seconds() -> Arc<Histogram> {
-    registry().histogram(
-        PORTFOLIO_TTFS_SECONDS,
-        "Time from race start to the first verified solution, in seconds.",
-        LATENCY_BUCKETS,
-    )
+families! {
+    // --- request / service ---
+    REQUESTS_TOTAL = "sortsynth_requests_total", Counter,
+        "Requests accepted into the admission queue.";
+    REQUESTS_SHED_TOTAL = "sortsynth_requests_shed_total", Counter,
+        "Requests shed because the admission queue was full.";
+    REQUEST_SECONDS = "sortsynth_request_seconds", Histogram,
+        "End-to-end request latency in seconds.";
+    QUEUE_DEPTH = "sortsynth_queue_depth", Gauge,
+        "Jobs currently waiting in the admission queue.";
+    INFLIGHT_REQUESTS = "sortsynth_inflight_requests", Gauge,
+        "Jobs currently executing on workers.";
+    WORKER_PANICS_TOTAL = "sortsynth_worker_panics_total", Counter,
+        "Worker panics caught and converted to error replies.";
+    SINGLEFLIGHT_COALESCED_TOTAL = "sortsynth_singleflight_coalesced_total", Counter,
+        "Requests coalesced onto an identical in-flight search.";
+    SEARCHES_STARTED_TOTAL = "sortsynth_searches_started_total", Counter,
+        "Searches started by single-flight leaders.";
+
+    // --- cache ---
+    CACHE_MEMORY_HITS_TOTAL = "sortsynth_cache_memory_hits_total", Counter,
+        "In-memory cache hits.";
+    CACHE_DISK_HITS_TOTAL = "sortsynth_cache_disk_hits_total", Counter,
+        "Disk-log hits promoted into memory.";
+    CACHE_MISSES_TOTAL = "sortsynth_cache_misses_total", Counter,
+        "Lookups that missed both cache tiers.";
+    CACHE_INSERTIONS_TOTAL = "sortsynth_cache_insertions_total", Counter,
+        "Cache entries inserted.";
+    CACHE_EVICTIONS_TOTAL = "sortsynth_cache_evictions_total", Counter,
+        "Entries evicted from the in-memory LRU.";
+    CACHE_VERIFY_REJECTED_TOTAL = "sortsynth_cache_verify_rejected_total", Counter,
+        "Disk entries rejected by the verification gate.";
+    CACHE_DISK_PROMOTION_SECONDS = "sortsynth_cache_disk_promotion_seconds", Histogram,
+        "Disk-log scan latency on memory miss, in seconds.";
+
+    // --- verification ---
+    VERIFY_SYMBOLIC_CERTIFIED_TOTAL = "sortsynth_verify_symbolic_certified_total", Counter,
+        "Gate admissions decided by a symbolic permutation certificate.";
+    VERIFY_SYMBOLIC_REFUTED_TOTAL = "sortsynth_verify_symbolic_refuted_total", Counter,
+        "Gate rejections decided by a symbolic permutation refutation.";
+    VERIFY_SYMBOLIC_BAILOUT_TOTAL = "sortsynth_verify_symbolic_bailout_total", Counter,
+        "Symbolic analyses that exceeded their budget inside the gate.";
+    VERIFY_ORACLE_TOTAL = "sortsynth_verify_oracle_total", Counter,
+        "Gate decisions that fell back to the exhaustive permutation oracle.";
+    VERIFY_GATE_SKIPPED_TOTAL = "sortsynth_verify_gate_skipped_total", Counter,
+        "Cache recoveries that skipped re-verification via a valid checksum stamp.";
+    VERIFY_GATE_SECONDS = "sortsynth_verify_gate_seconds", Histogram,
+        "End-to-end verification-gate latency in seconds.";
+
+    // --- search ---
+    SEARCH_RUNS_TOTAL = "sortsynth_search_runs_total", Counter,
+        "Search engine runs completed (any outcome).";
+    SEARCH_EXPANDED_TOTAL = "sortsynth_search_expanded_total", Counter,
+        "States expanded across all searches.";
+    SEARCH_GENERATED_TOTAL = "sortsynth_search_generated_total", Counter,
+        "States generated across all searches.";
+    SEARCH_CANCELLED_TOTAL = "sortsynth_search_cancelled_total", Counter,
+        "Searches cancelled via SearchBudget.";
+    SEARCH_DEAD_WRITE_PRUNED_TOTAL = "sortsynth_search_dead_write_pruned_total", Counter,
+        "States pruned by the dead-write cut.";
+    SEARCH_VALUE_FLOW_PRUNED_TOTAL = "sortsynth_search_value_flow_pruned_total", Counter,
+        "States pruned by the value-flow cut.";
+    SEARCH_DISTANCE_TABLE_SKIPPED_TOTAL = "sortsynth_search_distance_table_skipped_total", Counter,
+        "Heuristic lookups that skipped the distance table.";
+    SEARCH_CUT_PRUNED_TOTAL = "sortsynth_search_cut_pruned_total", Counter,
+        "States pruned by cost-bound cuts.";
+    SEARCH_VIABILITY_PRUNED_TOTAL = "sortsynth_search_viability_pruned_total", Counter,
+        "States pruned by the viability filter.";
+    SEARCH_DEDUP_HITS_TOTAL = "sortsynth_search_dedup_hits_total", Counter,
+        "Duplicate states dropped by the closed set.";
+    SEARCH_PARALLEL_RUNS_TOTAL = "sortsynth_search_parallel_runs_total", Counter,
+        "Search runs executed by the sharded parallel engine.";
+    SEARCH_ROUTED_TOTAL = "sortsynth_search_routed_total", Counter,
+        "Successors routed across shard boundaries.";
+    SEARCH_STEALS_TOTAL = "sortsynth_search_steals_total", Counter,
+        "Open entries stolen by idle parallel workers.";
+    SEARCH_INTERNED_STATES_TOTAL = "sortsynth_search_interned_states_total", Counter,
+        "Unique canonical states interned into search arenas.";
+    SEARCH_SCRATCH_REUSED_TOTAL = "sortsynth_search_scratch_reused_total", Counter,
+        "Expansions served from already-reserved scratch capacity.";
+    SEARCH_STALE_POPS_TOTAL = "sortsynth_search_stale_pops_total", Counter,
+        "Open entries discarded at pop as stale (reopened or bound-overtaken).";
+    SEARCH_BUCKET_SCANS_TOTAL = "sortsynth_search_bucket_scans_total", Counter,
+        "Empty-bucket cursor scans performed by bucketed open lists.";
+    SEARCH_SWAR_BATCHES_TOTAL = "sortsynth_search_swar_batches_total", Counter,
+        "SWAR lane passes taken by batch expansion.";
+    SEARCH_ARENA_BYTES = "sortsynth_search_arena_bytes", Gauge,
+        "Assignment bytes held by the last run's state arena(s).";
+    SEARCH_RESIDENT_BYTES = "sortsynth_search_resident_bytes", Gauge,
+        "Estimated resident search-bookkeeping bytes of the last run.";
+    SEARCH_SPILLED_BYTES = "sortsynth_search_spilled_bytes", Gauge,
+        "Bytes held in external-memory spill segments by the last run.";
+    SEARCH_SPILL_SEGMENTS = "sortsynth_search_spill_segments", Gauge,
+        "Spill segment files held by the last run.";
+    SEARCH_SPILLED_OPEN_TOTAL = "sortsynth_search_spilled_open_total", Counter,
+        "Frontier states spilled to disk segments.";
+    SEARCH_SPILLED_CLOSED_TOTAL = "sortsynth_search_spilled_closed_total", Counter,
+        "Closed-set entries evicted to sorted disk segments.";
+    SEARCH_DDD_DEDUP_HITS_TOTAL = "sortsynth_search_ddd_dedup_hits_total", Counter,
+        "Duplicates caught by delayed duplicate detection.";
+    SEARCH_RESUMED_FRONTIER_TOTAL = "sortsynth_search_resumed_frontier_total", Counter,
+        "Frontier states restored from resume journals.";
+    SEARCH_SPILL_WRITE_SECONDS = "sortsynth_search_spill_write_seconds", Histogram,
+        "Spill segment write latency in seconds.";
+    SEARCH_SPILL_READ_SECONDS = "sortsynth_search_spill_read_seconds", Histogram,
+        "Spill segment read latency in seconds.";
+
+    // --- portfolio ---
+    PORTFOLIO_RACES_TOTAL = "sortsynth_portfolio_races_total", Counter,
+        "Portfolio races executed (one per query reaching the executor).";
+    PORTFOLIO_WIN_TOTAL = "sortsynth_portfolio_win_total", Counter,
+        "Races that produced a verify-gated winner.";
+    PORTFOLIO_LOSS_TOTAL = "sortsynth_portfolio_loss_total", Counter,
+        "Arms that completed a solution but lost the race.";
+    PORTFOLIO_CANCELLED_TOTAL = "sortsynth_portfolio_cancelled_total", Counter,
+        "Arms stopped early by race cancellation.";
+    PORTFOLIO_VERIFY_REJECTED_TOTAL = "sortsynth_portfolio_verify_rejected_total", Counter,
+        "Candidate winners rejected by the static verification gate.";
+    PORTFOLIO_WIDENED_TOTAL = "sortsynth_portfolio_widened_total", Counter,
+        "Races whose first wave missed and widened to the remaining arms.";
+    PORTFOLIO_TTFS_SECONDS = "sortsynth_portfolio_ttfs_seconds", Histogram,
+        "Time from race start to the first verified solution, in seconds.";
+
+    // --- introspection ---
+    RECORDER_FRAMES_TOTAL = "sortsynth_recorder_frames_total", Counter,
+        "Flight-recorder frames appended.";
+    RECORDER_BYTES_TOTAL = "sortsynth_recorder_bytes_total", Counter,
+        "Flight-recorder bytes written.";
+    RECORDER_ROTATIONS_TOTAL = "sortsynth_recorder_rotations_total", Counter,
+        "Flight-recorder segment rotations.";
+    WATCH_STREAMS_TOTAL = "sortsynth_watch_streams_total", Counter,
+        "Watch streams opened against in-flight searches.";
+    WATCH_FRAMES_TOTAL = "sortsynth_watch_frames_total", Counter,
+        "Progress frames delivered to watch subscribers.";
+
+    // --- SAT / CEGIS ---
+    SAT_CONFLICTS_TOTAL = "sortsynth_sat_conflicts_total", Counter,
+        "CDCL conflicts across all solver runs.";
+    SAT_RESTARTS_TOTAL = "sortsynth_sat_restarts_total", Counter,
+        "CDCL restarts across all solver runs.";
+    SAT_LEARNED_CLAUSES_TOTAL = "sortsynth_sat_learned_clauses_total", Counter,
+        "Clauses learned across all solver runs.";
+    CEGIS_ITERATIONS_TOTAL = "sortsynth_cegis_iterations_total", Counter,
+        "CEGIS refinement iterations across all synthesis calls.";
 }
 
-/// The disk-promotion latency histogram (registered on first use).
-pub fn cache_disk_promotion_seconds() -> Arc<Histogram> {
-    registry().histogram(
-        CACHE_DISK_PROMOTION_SECONDS,
-        "Disk-log scan latency on memory miss, in seconds.",
-        LATENCY_BUCKETS,
-    )
+/// The declared family `name`, checked to be of `kind`. Panics otherwise:
+/// an undeclared or mistyped family is a programming error, not a runtime
+/// condition.
+fn declared(name: &str, kind: Kind) -> &'static FamilyDef {
+    match family(name) {
+        Some(f) if f.kind == kind => f,
+        Some(f) => panic!("metric `{name}` is declared as a {:?}", f.kind),
+        None => panic!("metric `{name}` is not a declared family"),
+    }
 }
 
-/// The verification-gate latency histogram (registered on first use).
-pub fn verify_gate_seconds() -> Arc<Histogram> {
-    registry().histogram(
-        VERIFY_GATE_SECONDS,
-        "End-to-end verification-gate latency in seconds.",
-        LATENCY_BUCKETS,
-    )
+/// The declared counter `name` (registered on first use).
+pub fn counter(name: &str) -> Arc<Counter> {
+    registry().counter(name, declared(name, Kind::Counter).help)
+}
+
+/// The declared gauge `name` (registered on first use).
+pub fn gauge(name: &str) -> Arc<Gauge> {
+    registry().gauge(name, declared(name, Kind::Gauge).help)
+}
+
+/// The declared latency histogram `name` (registered on first use).
+pub fn histogram(name: &str) -> Arc<Histogram> {
+    let help = declared(name, Kind::Histogram).help;
+    registry().histogram(name, help, LATENCY_BUCKETS)
+}
+
+/// Publishes one run's total to the declared family `name`: a counter
+/// adds `value`, a gauge is set to it.
+pub fn publish(name: &str, value: u64) {
+    match family(name).map(|f| f.kind) {
+        Some(Kind::Gauge) => gauge(name).set(value as i64),
+        _ => counter(name).add(value),
+    }
 }
 
 /// Registers every well-known family in the default registry so the
 /// Prometheus exposition is complete from the first scrape. Idempotent.
 pub fn register_well_known() {
-    let r = registry();
-    r.counter(
-        REQUESTS_TOTAL,
-        "Requests accepted into the admission queue.",
-    );
-    r.counter(
-        REQUESTS_SHED_TOTAL,
-        "Requests shed because the admission queue was full.",
-    );
-    request_seconds();
-    r.gauge(
-        QUEUE_DEPTH,
-        "Jobs currently waiting in the admission queue.",
-    );
-    r.gauge(INFLIGHT_REQUESTS, "Jobs currently executing on workers.");
-    r.counter(
-        WORKER_PANICS_TOTAL,
-        "Worker panics caught and converted to error replies.",
-    );
-    r.counter(
-        SINGLEFLIGHT_COALESCED_TOTAL,
-        "Requests coalesced onto an identical in-flight search.",
-    );
-    r.counter(
-        SEARCHES_STARTED_TOTAL,
-        "Searches started by single-flight leaders.",
-    );
-
-    r.counter(CACHE_MEMORY_HITS_TOTAL, "In-memory cache hits.");
-    r.counter(CACHE_DISK_HITS_TOTAL, "Disk-log hits promoted into memory.");
-    r.counter(CACHE_MISSES_TOTAL, "Lookups that missed both cache tiers.");
-    r.counter(CACHE_INSERTIONS_TOTAL, "Cache entries inserted.");
-    r.counter(
-        CACHE_EVICTIONS_TOTAL,
-        "Entries evicted from the in-memory LRU.",
-    );
-    r.counter(
-        CACHE_VERIFY_REJECTED_TOTAL,
-        "Disk entries rejected by the verification gate.",
-    );
-    cache_disk_promotion_seconds();
-
-    r.counter(
-        VERIFY_SYMBOLIC_CERTIFIED_TOTAL,
-        "Gate admissions decided by a symbolic permutation certificate.",
-    );
-    r.counter(
-        VERIFY_SYMBOLIC_REFUTED_TOTAL,
-        "Gate rejections decided by a symbolic permutation refutation.",
-    );
-    r.counter(
-        VERIFY_SYMBOLIC_BAILOUT_TOTAL,
-        "Symbolic analyses that exceeded their budget inside the gate.",
-    );
-    r.counter(
-        VERIFY_ORACLE_TOTAL,
-        "Gate decisions that fell back to the exhaustive permutation oracle.",
-    );
-    r.counter(
-        VERIFY_GATE_SKIPPED_TOTAL,
-        "Cache recoveries that skipped re-verification via a valid checksum stamp.",
-    );
-    verify_gate_seconds();
-
-    r.counter(
-        SEARCH_RUNS_TOTAL,
-        "Search engine runs completed (any outcome).",
-    );
-    r.counter(
-        SEARCH_EXPANDED_TOTAL,
-        "States expanded across all searches.",
-    );
-    r.counter(
-        SEARCH_GENERATED_TOTAL,
-        "States generated across all searches.",
-    );
-    r.counter(
-        SEARCH_CANCELLED_TOTAL,
-        "Searches cancelled via SearchBudget.",
-    );
-    r.counter(
-        SEARCH_DEAD_WRITE_PRUNED_TOTAL,
-        "States pruned by the dead-write cut.",
-    );
-    r.counter(
-        SEARCH_VALUE_FLOW_PRUNED_TOTAL,
-        "States pruned by the value-flow cut.",
-    );
-    r.counter(
-        SEARCH_DISTANCE_TABLE_SKIPPED_TOTAL,
-        "Heuristic lookups that skipped the distance table.",
-    );
-    r.counter(SEARCH_CUT_PRUNED_TOTAL, "States pruned by cost-bound cuts.");
-    r.counter(
-        SEARCH_VIABILITY_PRUNED_TOTAL,
-        "States pruned by the viability filter.",
-    );
-    r.counter(
-        SEARCH_DEDUP_HITS_TOTAL,
-        "Duplicate states dropped by the closed set.",
-    );
-    r.counter(
-        SEARCH_PARALLEL_RUNS_TOTAL,
-        "Search runs executed by the sharded parallel engine.",
-    );
-    r.counter(
-        SEARCH_ROUTED_TOTAL,
-        "Successors routed across shard boundaries.",
-    );
-    r.counter(
-        SEARCH_STEALS_TOTAL,
-        "Open entries stolen by idle parallel workers.",
-    );
-    r.counter(
-        SEARCH_INTERNED_STATES_TOTAL,
-        "Unique canonical states interned into search arenas.",
-    );
-    r.counter(
-        SEARCH_SCRATCH_REUSED_TOTAL,
-        "Expansions served from already-reserved scratch capacity.",
-    );
-    r.counter(
-        SEARCH_STALE_POPS_TOTAL,
-        "Open entries discarded at pop as stale (reopened or bound-overtaken).",
-    );
-    r.counter(
-        SEARCH_BUCKET_SCANS_TOTAL,
-        "Empty-bucket cursor scans performed by bucketed open lists.",
-    );
-    r.counter(
-        SEARCH_SWAR_BATCHES_TOTAL,
-        "SWAR lane passes taken by batch expansion.",
-    );
-    r.gauge(
-        SEARCH_ARENA_BYTES,
-        "Assignment bytes held by the last run's state arena(s).",
-    );
-    r.gauge(
-        SEARCH_RESIDENT_BYTES,
-        "Estimated resident search-bookkeeping bytes of the last run.",
-    );
-    r.gauge(
-        SEARCH_SPILLED_BYTES,
-        "Bytes held in external-memory spill segments by the last run.",
-    );
-    r.gauge(
-        SEARCH_SPILL_SEGMENTS,
-        "Spill segment files held by the last run.",
-    );
-    r.counter(
-        SEARCH_SPILLED_OPEN_TOTAL,
-        "Frontier states spilled to disk segments.",
-    );
-    r.counter(
-        SEARCH_SPILLED_CLOSED_TOTAL,
-        "Closed-set entries evicted to sorted disk segments.",
-    );
-    r.counter(
-        SEARCH_DDD_DEDUP_HITS_TOTAL,
-        "Duplicates caught by delayed duplicate detection.",
-    );
-    r.counter(
-        SEARCH_RESUMED_FRONTIER_TOTAL,
-        "Frontier states restored from resume journals.",
-    );
-    search_spill_write_seconds();
-    search_spill_read_seconds();
-
-    r.counter(
-        PORTFOLIO_RACES_TOTAL,
-        "Portfolio races executed (one per query reaching the executor).",
-    );
-    r.counter(
-        PORTFOLIO_WIN_TOTAL,
-        "Races that produced a verify-gated winner.",
-    );
-    r.counter(
-        PORTFOLIO_LOSS_TOTAL,
-        "Arms that completed a solution but lost the race.",
-    );
-    r.counter(
-        PORTFOLIO_CANCELLED_TOTAL,
-        "Arms stopped early by race cancellation.",
-    );
-    r.counter(
-        PORTFOLIO_VERIFY_REJECTED_TOTAL,
-        "Candidate winners rejected by the static verification gate.",
-    );
-    r.counter(
-        PORTFOLIO_WIDENED_TOTAL,
-        "Races whose first wave missed and widened to the remaining arms.",
-    );
-    portfolio_ttfs_seconds();
-
-    r.counter(RECORDER_FRAMES_TOTAL, "Flight-recorder frames appended.");
-    r.counter(RECORDER_BYTES_TOTAL, "Flight-recorder bytes written.");
-    r.counter(
-        RECORDER_ROTATIONS_TOTAL,
-        "Flight-recorder segment rotations.",
-    );
-    r.counter(
-        WATCH_STREAMS_TOTAL,
-        "Watch streams opened against in-flight searches.",
-    );
-    r.counter(
-        WATCH_FRAMES_TOTAL,
-        "Progress frames delivered to watch subscribers.",
-    );
+    for f in FAMILIES {
+        match f.kind {
+            Kind::Counter => drop(counter(f.name)),
+            Kind::Gauge => drop(gauge(f.name)),
+            Kind::Histogram => drop(histogram(f.name)),
+        }
+    }
     crate::profile::register_phase_counters();
-
-    r.counter(
-        SAT_CONFLICTS_TOTAL,
-        "CDCL conflicts across all solver runs.",
-    );
-    r.counter(SAT_RESTARTS_TOTAL, "CDCL restarts across all solver runs.");
-    r.counter(
-        SAT_LEARNED_CLAUSES_TOTAL,
-        "Clauses learned across all solver runs.",
-    );
-    r.counter(
-        CEGIS_ITERATIONS_TOTAL,
-        "CEGIS refinement iterations across all synthesis calls.",
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Names are unique: the by-name lookup finds every row as declared.
+    #[test]
+    fn every_family_is_found_by_name() {
+        for f in FAMILIES {
+            let found = family(f.name).expect("declared");
+            assert_eq!((found.kind, found.help), (f.kind, f.help), "{}", f.name);
+        }
+        assert!(family("sortsynth_undeclared_total").is_none());
+    }
 
     #[test]
     fn well_known_families_appear_in_exposition() {

@@ -13,7 +13,7 @@
 //! frame*:  seq         (u64 LE — monotonically increasing frame number)
 //!          payload_len (u32 LE)
 //!          checksum    (u64 LE — FNV-1a of the payload bytes)
-//!          payload     (binary frame body, see [`Frame`])
+//!          payload     (binary frame body, see below)
 //! ```
 //!
 //! Every [`FlightRecorder::record`] appends one frame with a single
@@ -31,29 +31,31 @@
 //!
 //! # Frame payload
 //!
-//! Fixed little-endian fields, then a per-shard table:
+//! A [`SearchProgress`] in little-endian fields, then a per-shard table:
 //!
 //! ```text
-//! elapsed_micros u64 | expanded u64 | generated u64 | open u64
-//! f_bound u64 (u64::MAX = none)
-//! viability_pruned u64 | cut_pruned u64 | dedup_hits u64
-//! dead_write_pruned u64 | value_flow_pruned u64
-//! [v2+] spilled_open u64 | spilled_closed u64 | ddd_dedup_hits u64
-//! [v2+] resumed_frontier_states u64 | resident_bytes u64 | spilled_bytes u64
+//! elapsed_micros u64
+//! column* u64        (the schema's COLUMNS in table order; an absent
+//!                     f_bound is u64::MAX)
 //! flags u8 (bit0 finished, bit1 distance_table_skipped)
 //! outcome_len u8 | outcome bytes (UTF-8, empty = none)
 //! shard_count u32 | shard* { interned_states u64, arena_bytes u64, open_depth u64 }
 //! ```
 //!
-//! Version 2 inserted the six external-memory counters after the v1 fixed
-//! block; the reader keys the layout off the segment header's version and
-//! decodes v1 recordings with those fields zeroed, so old recordings stay
+//! A segment at version `v` holds exactly the columns whose `since ≤ v`.
+//! Version 2 appended the six external-memory counters to the v1 block;
+//! the reader keys the layout off the segment header's version and decodes
+//! v1 recordings with those fields zeroed, so old recordings stay
 //! inspectable.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::Duration;
+
+use crate::names;
+use crate::progress::{SearchProgress, ShardSnapshot, COLUMNS};
 
 /// Segment magic; eight bytes so the header is naturally aligned.
 pub const MAGIC: &[u8; 8] = b"SSFLIGHT";
@@ -78,163 +80,67 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// One recorded progress snapshot. Mirrors the search engine's
-/// `SearchProgress` (plus per-shard memory high-water marks) without
-/// depending on the search crate — `sortsynth-obs` is the bottom of the
-/// dependency stack.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Frame {
-    /// Frame number, assigned by the recorder at append time (monotonic
-    /// across rotations).
-    pub seq: u64,
-    /// Microseconds since the search started.
-    pub elapsed_micros: u64,
-    /// States expanded so far.
-    pub expanded: u64,
-    /// States generated so far.
-    pub generated: u64,
-    /// Open-list size (summed across shards).
-    pub open: u64,
-    /// Current frontier bound: layer depth / last popped f (sequential) or
-    /// the incumbent-derived length bound (parallel).
-    pub f_bound: Option<u64>,
-    /// Viability prunes so far.
-    pub viability_pruned: u64,
-    /// §3.5 cut prunes so far.
-    pub cut_pruned: u64,
-    /// Closed-set dedup hits so far.
-    pub dedup_hits: u64,
-    /// Dead-write cut prunes so far.
-    pub dead_write_pruned: u64,
-    /// Value-flow cut prunes so far.
-    pub value_flow_pruned: u64,
-    /// Frontier states spilled to disk segments so far (v2; 0 in v1
-    /// recordings).
-    pub spilled_open: u64,
-    /// Closed-set entries evicted to sorted disk segments so far (v2).
-    pub spilled_closed: u64,
-    /// Duplicates caught by delayed duplicate detection against spilled
-    /// closed segments (v2).
-    pub ddd_dedup_hits: u64,
-    /// Frontier states restored from a resume journal (v2).
-    pub resumed_frontier_states: u64,
-    /// Estimated resident search-bookkeeping bytes (v2).
-    pub resident_bytes: u64,
-    /// Bytes currently held in spill segments (v2).
-    pub spilled_bytes: u64,
-    /// Whether the distance table was skipped (oversized machine).
-    pub distance_table_skipped: bool,
-    /// Whether this is the run's final snapshot.
-    pub finished: bool,
-    /// Outcome tag on the final snapshot (`Solved`, `Cancelled`, …).
-    pub outcome: Option<String>,
-    /// Per-shard memory high-water marks (one entry for the sequential
-    /// engine).
-    pub shards: Vec<ShardFrame>,
-}
-
-/// Per-shard state of one frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardFrame {
-    /// States interned in this shard's arena.
-    pub interned_states: u64,
-    /// Bytes held by this shard's assignment arena.
-    pub arena_bytes: u64,
-    /// This shard's open-list depth.
-    pub open_depth: u64,
-}
-
-impl Frame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.elapsed_micros,
-            self.expanded,
-            self.generated,
-            self.open,
-            self.f_bound.unwrap_or(u64::MAX),
-            self.viability_pruned,
-            self.cut_pruned,
-            self.dedup_hits,
-            self.dead_write_pruned,
-            self.value_flow_pruned,
-            self.spilled_open,
-            self.spilled_closed,
-            self.ddd_dedup_hits,
-            self.resumed_frontier_states,
-            self.resident_bytes,
-            self.spilled_bytes,
-        ] {
+/// Encodes one frame payload: every [`COLUMNS`] entry as a `u64` (an
+/// absent bound as `u64::MAX`), then the flags, outcome, and shard table.
+fn encode(p: &SearchProgress, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(p.elapsed.as_micros() as u64).to_le_bytes());
+    for col in COLUMNS {
+        out.extend_from_slice(&(col.get)(p).unwrap_or(u64::MAX).to_le_bytes());
+    }
+    let flags = (p.finished as u8) | ((p.distance_table_skipped as u8) << 1);
+    out.push(flags);
+    let outcome = p.outcome.as_deref().unwrap_or("");
+    let outcome = &outcome.as_bytes()[..outcome.len().min(255)];
+    out.push(outcome.len() as u8);
+    out.extend_from_slice(outcome);
+    out.extend_from_slice(&(p.shards.len() as u32).to_le_bytes());
+    for shard in &p.shards {
+        for v in shard.values() {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        let flags = (self.finished as u8) | ((self.distance_table_skipped as u8) << 1);
-        out.push(flags);
-        let outcome = self.outcome.as_deref().unwrap_or("");
-        let outcome = &outcome.as_bytes()[..outcome.len().min(255)];
-        out.push(outcome.len() as u8);
-        out.extend_from_slice(outcome);
-        out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
-        for shard in &self.shards {
-            out.extend_from_slice(&shard.interned_states.to_le_bytes());
-            out.extend_from_slice(&shard.arena_bytes.to_le_bytes());
-            out.extend_from_slice(&shard.open_depth.to_le_bytes());
-        }
     }
+}
 
-    fn decode(seq: u64, payload: &[u8], version: u32) -> Option<Frame> {
-        let mut cur = Cursor {
-            buf: payload,
-            at: 0,
-        };
-        let mut fixed = [0u64; 16];
-        let fixed_count = if version >= 2 { 16 } else { 10 };
-        for slot in fixed.iter_mut().take(fixed_count) {
-            *slot = cur.u64()?;
+/// Decodes a payload written at format `version`: columns introduced
+/// after `version` are absent from the payload and read as 0.
+fn decode(payload: &[u8], version: u32) -> Option<SearchProgress> {
+    let mut cur = Cursor {
+        buf: payload,
+        at: 0,
+    };
+    let mut p = SearchProgress {
+        elapsed: Duration::from_micros(cur.u64()?),
+        ..SearchProgress::default()
+    };
+    for col in COLUMNS.iter().filter(|c| c.since <= version) {
+        let v = cur.u64()?;
+        if !(col.nullable && v == u64::MAX) {
+            (col.set)(&mut p, v);
         }
-        let flags = cur.u8()?;
-        let outcome_len = cur.u8()? as usize;
-        let outcome_bytes = cur.bytes(outcome_len)?;
-        let outcome = if outcome_len == 0 {
-            None
-        } else {
-            Some(String::from_utf8(outcome_bytes.to_vec()).ok()?)
-        };
-        let shard_count = cur.u32()? as usize;
-        // A frame never carries more shards than bytes remaining allow.
-        if shard_count > cur.remaining() / 24 {
-            return None;
-        }
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            shards.push(ShardFrame {
-                interned_states: cur.u64()?,
-                arena_bytes: cur.u64()?,
-                open_depth: cur.u64()?,
-            });
-        }
-        Some(Frame {
-            seq,
-            elapsed_micros: fixed[0],
-            expanded: fixed[1],
-            generated: fixed[2],
-            open: fixed[3],
-            f_bound: (fixed[4] != u64::MAX).then_some(fixed[4]),
-            viability_pruned: fixed[5],
-            cut_pruned: fixed[6],
-            dedup_hits: fixed[7],
-            dead_write_pruned: fixed[8],
-            value_flow_pruned: fixed[9],
-            spilled_open: fixed[10],
-            spilled_closed: fixed[11],
-            ddd_dedup_hits: fixed[12],
-            resumed_frontier_states: fixed[13],
-            resident_bytes: fixed[14],
-            spilled_bytes: fixed[15],
-            distance_table_skipped: flags & 0b10 != 0,
-            finished: flags & 0b1 != 0,
-            outcome,
-            shards,
-        })
     }
+    let flags = cur.u8()?;
+    p.finished = flags & 0b1 != 0;
+    p.distance_table_skipped = flags & 0b10 != 0;
+    let outcome_len = cur.u8()? as usize;
+    let outcome_bytes = cur.bytes(outcome_len)?;
+    if outcome_len > 0 {
+        p.outcome = Some(String::from_utf8(outcome_bytes.to_vec()).ok()?);
+    }
+    let shard_count = cur.u32()? as usize;
+    // A frame never carries more shards than bytes remaining allow.
+    if shard_count > cur.remaining() / 24 {
+        return None;
+    }
+    p.shards = (0..shard_count)
+        .map(|_| {
+            Some(ShardSnapshot::from_values([
+                cur.u64()?,
+                cur.u64()?,
+                cur.u64()?,
+            ]))
+        })
+        .collect::<Option<_>>()?;
+    Some(p)
 }
 
 struct Cursor<'a> {
@@ -339,11 +245,12 @@ impl FlightRecorder {
         &self.path
     }
 
-    /// Appends one frame (the recorder assigns `frame.seq`); flushed before
-    /// returning, so the frame survives any later crash.
-    pub fn record(&self, frame: &Frame) -> io::Result<u64> {
+    /// Appends one snapshot as a frame and returns the frame number the
+    /// recorder assigned; flushed before returning, so the frame survives
+    /// any later crash.
+    pub fn record(&self, progress: &SearchProgress) -> io::Result<u64> {
         let mut payload = Vec::with_capacity(128);
-        frame.encode(&mut payload);
+        encode(progress, &mut payload);
         assert!(payload.len() as u32 <= MAX_PAYLOAD, "oversized frame");
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let seq = inner.next_seq;
@@ -359,12 +266,7 @@ impl FlightRecorder {
             };
             inner.file = file;
             inner.bytes = bytes;
-            crate::registry()
-                .counter(
-                    crate::names::RECORDER_ROTATIONS_TOTAL,
-                    "Flight-recorder segment rotations.",
-                )
-                .inc();
+            names::counter(names::RECORDER_ROTATIONS_TOTAL).inc();
         }
         let mut buf = Vec::with_capacity(20 + payload.len());
         buf.extend_from_slice(&seq.to_le_bytes());
@@ -374,19 +276,8 @@ impl FlightRecorder {
         inner.file.write_all(&buf)?;
         inner.file.flush()?;
         inner.bytes += buf.len() as u64;
-        let registry = crate::registry();
-        registry
-            .counter(
-                crate::names::RECORDER_FRAMES_TOTAL,
-                "Flight-recorder frames appended.",
-            )
-            .inc();
-        registry
-            .counter(
-                crate::names::RECORDER_BYTES_TOTAL,
-                "Flight-recorder bytes written.",
-            )
-            .add(buf.len() as u64);
+        names::counter(names::RECORDER_FRAMES_TOTAL).inc();
+        names::counter(names::RECORDER_BYTES_TOTAL).add(buf.len() as u64);
         Ok(seq)
     }
 }
@@ -395,7 +286,10 @@ impl FlightRecorder {
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Recording {
     /// Intact frames, oldest first (stitched across segments).
-    pub frames: Vec<Frame>,
+    pub frames: Vec<SearchProgress>,
+    /// Frame numbers, one per entry of `frames`: monotonic across
+    /// rotations.
+    pub seqs: Vec<u64>,
     /// Segment files read.
     pub segments: u32,
     /// Bytes discarded as torn or corrupt (0 on a clean read).
@@ -448,12 +342,13 @@ fn read_segment(path: &Path, recording: &mut Recording) -> io::Result<bool> {
             recording.rejected_tail = true;
             break;
         }
-        let Some(frame) = Frame::decode(seq, &payload, version) else {
+        let Some(frame) = decode(&payload, version) else {
             recording.rejected_tail = true;
             break;
         };
         consumed += (head.len() + payload.len()) as u64;
         recording.frames.push(frame);
+        recording.seqs.push(seq);
     }
     recording.lost_bytes += total.saturating_sub(consumed);
     Ok(true)
@@ -506,10 +401,9 @@ mod tests {
         dir.join("run.ssfr")
     }
 
-    fn frame(expanded: u64) -> Frame {
-        Frame {
-            seq: 0,
-            elapsed_micros: expanded * 10,
+    fn frame(expanded: u64) -> SearchProgress {
+        SearchProgress {
+            elapsed: Duration::from_micros(expanded * 10),
             expanded,
             generated: expanded * 7,
             open: 42,
@@ -529,18 +423,65 @@ mod tests {
             finished: false,
             outcome: None,
             shards: vec![
-                ShardFrame {
+                ShardSnapshot {
                     interned_states: expanded,
                     arena_bytes: expanded * 100,
                     open_depth: 21,
                 },
-                ShardFrame {
+                ShardSnapshot {
                     interned_states: expanded / 2,
                     arena_bytes: expanded * 50,
                     open_depth: 21,
                 },
             ],
         }
+    }
+
+    /// Golden pin: the v2 payload of one fully populated frame, byte for
+    /// byte. A change here breaks every recording already on disk.
+    #[test]
+    fn v2_frame_encoding_is_pinned() {
+        let mut f = frame(300);
+        f.f_bound = Some(9);
+        f.dead_write_pruned = 8;
+        f.resumed_frontier_states = 12;
+        f.distance_table_skipped = true;
+        f.finished = true;
+        f.outcome = Some("Solved".into());
+        let mut bytes = Vec::new();
+        encode(&f, &mut bytes);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = concat!(
+            // elapsed_micros, expanded, generated, open, f_bound
+            "b80b000000000000",
+            "2c01000000000000",
+            "3408000000000000",
+            "2a00000000000000",
+            "0900000000000000",
+            // viability, cut, dedup, dead-write, value-flow
+            "0300000000000000",
+            "0200000000000000",
+            "0100000000000000",
+            "0800000000000000",
+            "0400000000000000",
+            // v2: spilled open/closed, DDD, resumed, resident, spilled bytes
+            "6400000000000000",
+            "3c00000000000000",
+            "0600000000000000",
+            "0c00000000000000",
+            "004b000000000000",
+            "c012000000000000",
+            // flags, outcome "Solved", two shards
+            "0306536f6c766564",
+            "02000000",
+            "2c01000000000000",
+            "3075000000000000",
+            "1500000000000000",
+            "9600000000000000",
+            "983a000000000000",
+            "1500000000000000",
+        );
+        assert_eq!(hex, golden);
     }
 
     #[test]
@@ -559,7 +500,7 @@ mod tests {
         assert!(!recording.rejected_tail && recording.lost_bytes == 0);
         assert_eq!(recording.segments, 1);
         let last = recording.frames.last().unwrap();
-        assert_eq!(last.seq, 3);
+        assert_eq!(recording.seqs, [0, 1, 2, 3]);
         assert!(last.finished);
         assert_eq!(last.outcome.as_deref(), Some("Solved"));
         assert_eq!(last.shards.len(), 2);
@@ -601,8 +542,8 @@ mod tests {
         assert!(!recording.rejected_tail && recording.lost_bytes == 0);
         let f = &recording.frames[0];
         assert_eq!(
-            (f.elapsed_micros, f.expanded, f.generated, f.open),
-            (10, 20, 30, 40)
+            (f.elapsed, f.expanded, f.generated, f.open),
+            (Duration::from_micros(10), 20, 30, 40)
         );
         assert_eq!(f.f_bound, None);
         assert_eq!(f.value_flow_pruned, 5);
@@ -668,7 +609,8 @@ mod tests {
         assert_eq!(recording.segments, 2);
         assert!(!recording.rejected_tail);
         // Stitched frames are consecutive and end at the last append.
-        let seqs: Vec<u64> = recording.frames.iter().map(|f| f.seq).collect();
+        let seqs = &recording.seqs;
+        assert_eq!(seqs.len(), recording.frames.len());
         assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "{seqs:?}");
         assert_eq!(*seqs.last().unwrap(), 39);
         assert!(recording.frames.len() < 40, "old segments were dropped");

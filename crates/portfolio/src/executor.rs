@@ -103,13 +103,7 @@ impl Portfolio {
         policy: Option<&DispatchPolicy>,
     ) -> RaceReport {
         let start = Instant::now();
-        let registry = sortsynth_obs::registry();
-        registry
-            .counter(
-                names::PORTFOLIO_RACES_TOTAL,
-                "Portfolio races executed (one per query reaching the executor).",
-            )
-            .inc();
+        names::counter(names::PORTFOLIO_RACES_TOTAL).inc();
         let machine = query.machine();
         let kinds = self.kinds();
         let (first, rest) = match policy {
@@ -129,12 +123,7 @@ impl Portfolio {
         self.run_wave(&first, query, budget, &machine, start, &mut report);
         if report.winner.is_none() && !rest.is_empty() && !budget.is_exhausted() {
             report.widened = true;
-            registry
-                .counter(
-                    names::PORTFOLIO_WIDENED_TOTAL,
-                    "Races whose first wave missed and widened to the remaining arms.",
-                )
-                .inc();
+            names::counter(names::PORTFOLIO_WIDENED_TOTAL).inc();
             self.run_wave(&rest, query, budget, &machine, start, &mut report);
         }
         report.elapsed = start.elapsed();
@@ -165,7 +154,6 @@ impl Portfolio {
         // separately cancels losing arms.
         let (race_budget, race_handle) = budget.clone().cancellable();
         let (tx, rx) = mpsc::channel::<BackendOutcome>();
-        let registry = sortsynth_obs::registry();
         std::thread::scope(|scope| {
             for arm in &arms {
                 let tx = tx.clone();
@@ -207,28 +195,19 @@ impl Portfolio {
                                 report.found_len = Some(program.len() as u32);
                                 report.minimal_certified = *minimal_certified;
                                 report.program = Some(program.clone());
-                                registry
-                                    .counter(
-                                        names::PORTFOLIO_WIN_TOTAL,
-                                        "Races that produced a verify-gated winner.",
-                                    )
-                                    .inc();
+                                names::counter(names::PORTFOLIO_WIN_TOTAL).inc();
                                 arm_counter(
                                     out.kind,
                                     "wins_total",
                                     "Races this backend won with a verified solution.",
                                 );
-                                names::portfolio_ttfs_seconds().observe_duration(start.elapsed());
+                                names::histogram(names::PORTFOLIO_TTFS_SECONDS)
+                                    .observe_duration(start.elapsed());
                                 race_handle.cancel();
                             }
                             Err(_) => {
                                 report.verify_rejected += 1;
-                                registry
-                                    .counter(
-                                        names::PORTFOLIO_VERIFY_REJECTED_TOTAL,
-                                        "Candidate winners rejected by the verification gate.",
-                                    )
-                                    .inc();
+                                names::counter(names::PORTFOLIO_VERIFY_REJECTED_TOTAL).inc();
                                 arm_counter(
                                     out.kind,
                                     "verify_rejected_total",
@@ -238,12 +217,7 @@ impl Portfolio {
                         }
                     }
                     BackendStatus::Found { .. } | BackendStatus::NoProgram => {
-                        registry
-                            .counter(
-                                names::PORTFOLIO_LOSS_TOTAL,
-                                "Arms that completed a solution but lost the race.",
-                            )
-                            .inc();
+                        names::counter(names::PORTFOLIO_LOSS_TOTAL).inc();
                         arm_counter(
                             out.kind,
                             "losses_total",
@@ -251,12 +225,7 @@ impl Portfolio {
                         );
                     }
                     BackendStatus::Budget => {
-                        registry
-                            .counter(
-                                names::PORTFOLIO_CANCELLED_TOTAL,
-                                "Arms stopped early by race cancellation.",
-                            )
-                            .inc();
+                        names::counter(names::PORTFOLIO_CANCELLED_TOTAL).inc();
                         arm_counter(
                             out.kind,
                             "cancelled_total",

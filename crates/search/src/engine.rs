@@ -120,7 +120,7 @@ pub struct SearchStats {
     /// Open entries discarded at pop without expansion: superseded by a
     /// reopen at a shorter length, or overtaken by the length bound while
     /// queued. Sequential best-first runs count their pop-time skips here;
-    /// parallel runs aggregate the shards' [`ShardStats::stale_drops`].
+    /// parallel runs aggregate the shards' [`ShardStats::stale_pops`].
     pub stale_pops: u64,
     /// Cursor-advance steps the shards' bucketed open lists spent scanning
     /// empty buckets/lanes. The amortized-O(1) selection claim is this
@@ -201,7 +201,9 @@ pub struct ShardStats {
     pub reopened: u64,
     /// Open entries discarded at pop without expansion: superseded by a
     /// reopen, or overtaken by the shared incumbent bound while queued.
-    pub stale_drops: u64,
+    /// Summed into [`SearchStats::stale_pops`] and
+    /// `sortsynth_search_stale_pops_total`.
+    pub stale_pops: u64,
     /// Candidates discarded at merge against the shared incumbent bound.
     /// Merge-side only, so per shard
     /// `merged == dedup_hits + reopened + bound_pruned + fresh states kept`
@@ -233,7 +235,7 @@ impl ShardStats {
         self.merged += other.merged;
         self.dedup_hits += other.dedup_hits;
         self.reopened += other.reopened;
-        self.stale_drops += other.stale_drops;
+        self.stale_pops += other.stale_pops;
         self.bound_pruned += other.bound_pruned;
         self.states_kept += other.states_kept;
         self.routed += other.routed;
@@ -1196,7 +1198,7 @@ impl<'a> Engine<'a> {
             // state was re-reached at a shorter length after this entry was
             // pushed.
             if g >= self.bound || self.shard.edges[node as usize].g != g {
-                self.shard.counters.stale_drops += 1;
+                self.shard.counters.stale_pops += 1;
                 continue;
             }
             let cut_threshold = self.min_perm.threshold(self.cfg.cut, g);
@@ -1281,152 +1283,68 @@ impl<'a> Engine<'a> {
             shard.counters.expanded,
             open,
             shard.goals.len() as u64,
-            || frame.snapshot([shard], open, self.current_f, None),
+            || frame.snapshot([shard], open, self.current_f),
         );
     }
 }
 
 /// Adds one run's totals to the process-wide metric families. Called once
-/// per run, by [`RunFrame::finish`].
+/// per run, by [`RunFrame::finish`]; each family's kind and help text come
+/// from the [`names::FAMILIES`] table.
 pub(crate) fn publish_search_metrics(stats: &SearchStats, outcome: Outcome) {
-    let r = sortsynth_obs::registry();
-    r.counter(
-        names::SEARCH_RUNS_TOTAL,
-        "Search engine runs completed (any outcome).",
-    )
-    .inc();
-    r.counter(
-        names::SEARCH_EXPANDED_TOTAL,
-        "States expanded across all searches.",
-    )
-    .add(stats.expanded);
-    r.counter(
-        names::SEARCH_GENERATED_TOTAL,
-        "States generated across all searches.",
-    )
-    .add(stats.generated);
-    r.counter(
-        names::SEARCH_VIABILITY_PRUNED_TOTAL,
-        "States pruned by the viability filter.",
-    )
-    .add(stats.viability_pruned);
-    r.counter(
-        names::SEARCH_CUT_PRUNED_TOTAL,
-        "States pruned by cost-bound cuts.",
-    )
-    .add(stats.cut_pruned);
-    r.counter(
-        names::SEARCH_DEAD_WRITE_PRUNED_TOTAL,
-        "States pruned by the dead-write cut.",
-    )
-    .add(stats.dead_write_pruned);
-    r.counter(
-        names::SEARCH_VALUE_FLOW_PRUNED_TOTAL,
-        "States pruned by the symbolic value-flow cut.",
-    )
-    .add(stats.value_flow_pruned);
-    r.counter(
-        names::SEARCH_DEDUP_HITS_TOTAL,
-        "Duplicate states dropped by the closed set.",
-    )
-    .add(stats.dedup_hits);
-    r.counter(
-        names::SEARCH_INTERNED_STATES_TOTAL,
-        "Unique canonical states interned into search arenas.",
-    )
-    .add(stats.interned_states);
-    r.counter(
-        names::SEARCH_SCRATCH_REUSED_TOTAL,
-        "Expansions served from already-reserved scratch capacity.",
-    )
-    .add(stats.scratch_reused);
-    r.counter(
-        names::SEARCH_STALE_POPS_TOTAL,
-        "Open entries discarded at pop as stale (reopened or bound-overtaken).",
-    )
-    .add(stats.stale_pops);
-    r.counter(
-        names::SEARCH_BUCKET_SCANS_TOTAL,
-        "Empty-bucket cursor scans performed by bucketed open lists.",
-    )
-    .add(stats.bucket_scans);
-    r.counter(
-        names::SEARCH_SWAR_BATCHES_TOTAL,
-        "SWAR lane passes taken by batch expansion.",
-    )
-    .add(stats.swar_batches);
-    r.gauge(
-        names::SEARCH_ARENA_BYTES,
-        "Assignment bytes held by the last run's state arena(s).",
-    )
-    .set(stats.arena_bytes as i64);
-    r.gauge(
-        names::SEARCH_RESIDENT_BYTES,
-        "Estimated resident search footprint at end of the last run.",
-    )
-    .set(stats.resident_bytes as i64);
-    r.gauge(
-        names::SEARCH_SPILLED_BYTES,
-        "Bytes held by the last run's spill segments.",
-    )
-    .set(stats.spilled_bytes as i64);
-    r.gauge(
-        names::SEARCH_SPILL_SEGMENTS,
-        "Spill segment files created by the last run.",
-    )
-    .set(stats.spill_segments as i64);
-    r.counter(
-        names::SEARCH_SPILLED_OPEN_TOTAL,
-        "Frontier spans written to spill segments.",
-    )
-    .add(stats.spilled_open);
-    r.counter(
-        names::SEARCH_SPILLED_CLOSED_TOTAL,
-        "Closed-map entries evicted to spill segments.",
-    )
-    .add(stats.spilled_closed);
-    r.counter(
-        names::SEARCH_DDD_DEDUP_HITS_TOTAL,
-        "Frontier states deleted by delayed duplicate detection.",
-    )
-    .add(stats.ddd_dedup_hits);
-    r.counter(
-        names::SEARCH_RESUMED_FRONTIER_TOTAL,
-        "Frontier states restored from resume journals.",
-    )
-    .add(stats.resumed_frontier_states);
-    if stats.distance_table_skipped {
-        r.counter(
-            names::SEARCH_DISTANCE_TABLE_SKIPPED_TOTAL,
-            "Heuristic lookups that skipped the distance table.",
-        )
-        .inc();
+    let parallel = !stats.shards.is_empty();
+    for (name, value) in [
+        (names::SEARCH_RUNS_TOTAL, 1),
+        (names::SEARCH_EXPANDED_TOTAL, stats.expanded),
+        (names::SEARCH_GENERATED_TOTAL, stats.generated),
+        (names::SEARCH_VIABILITY_PRUNED_TOTAL, stats.viability_pruned),
+        (names::SEARCH_CUT_PRUNED_TOTAL, stats.cut_pruned),
+        (
+            names::SEARCH_DEAD_WRITE_PRUNED_TOTAL,
+            stats.dead_write_pruned,
+        ),
+        (
+            names::SEARCH_VALUE_FLOW_PRUNED_TOTAL,
+            stats.value_flow_pruned,
+        ),
+        (names::SEARCH_DEDUP_HITS_TOTAL, stats.dedup_hits),
+        (names::SEARCH_INTERNED_STATES_TOTAL, stats.interned_states),
+        (names::SEARCH_SCRATCH_REUSED_TOTAL, stats.scratch_reused),
+        (names::SEARCH_STALE_POPS_TOTAL, stats.stale_pops),
+        (names::SEARCH_BUCKET_SCANS_TOTAL, stats.bucket_scans),
+        (names::SEARCH_SWAR_BATCHES_TOTAL, stats.swar_batches),
+        (names::SEARCH_ARENA_BYTES, stats.arena_bytes),
+        (names::SEARCH_RESIDENT_BYTES, stats.resident_bytes),
+        (names::SEARCH_SPILLED_BYTES, stats.spilled_bytes),
+        (names::SEARCH_SPILL_SEGMENTS, stats.spill_segments),
+        (names::SEARCH_SPILLED_OPEN_TOTAL, stats.spilled_open),
+        (names::SEARCH_SPILLED_CLOSED_TOTAL, stats.spilled_closed),
+        (names::SEARCH_DDD_DEDUP_HITS_TOTAL, stats.ddd_dedup_hits),
+        (
+            names::SEARCH_RESUMED_FRONTIER_TOTAL,
+            stats.resumed_frontier_states,
+        ),
+    ] {
+        names::publish(name, value);
     }
-    if outcome == Outcome::Cancelled {
-        r.counter(
-            names::SEARCH_CANCELLED_TOTAL,
-            "Searches cancelled via SearchBudget.",
-        )
-        .inc();
+    // Families that only count some runs.
+    for (name, applies) in [
+        (
+            names::SEARCH_DISTANCE_TABLE_SKIPPED_TOTAL,
+            stats.distance_table_skipped,
+        ),
+        (names::SEARCH_CANCELLED_TOTAL, outcome == Outcome::Cancelled),
+        (names::SEARCH_PARALLEL_RUNS_TOTAL, parallel),
+    ] {
+        if applies {
+            names::publish(name, 1);
+        }
+    }
+    if parallel {
+        names::publish(names::SEARCH_ROUTED_TOTAL, stats.routed);
+        names::publish(names::SEARCH_STEALS_TOTAL, stats.steals);
     }
     sortsynth_obs::profile::publish_phase_nanos(&stats.phase_nanos);
-    if !stats.shards.is_empty() {
-        r.counter(
-            names::SEARCH_PARALLEL_RUNS_TOTAL,
-            "Search runs executed by the sharded driver.",
-        )
-        .inc();
-        r.counter(
-            names::SEARCH_ROUTED_TOTAL,
-            "Successors routed across shard boundaries.",
-        )
-        .add(stats.routed);
-        r.counter(
-            names::SEARCH_STEALS_TOTAL,
-            "Open entries stolen by idle parallel workers.",
-        )
-        .add(stats.steals);
-    }
 }
 
 /// Whether the symbolic value-flow cut may discard `instr` as a successor of

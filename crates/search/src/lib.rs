@@ -66,7 +66,7 @@ pub use engine::{
 };
 pub use heuristics::heuristic_value;
 pub use lower_bound::{prove_no_solution, prove_optimal_length, BoundVerdict, LowerBoundResult};
-pub use progress::{ProgressHook, SearchProgress, ShardProgress};
+pub use progress::{ProgressHook, SearchProgress};
 pub use solutions::{
     command_signature, distinct_command_signatures, sample_lowest_strata, score_strata,
 };

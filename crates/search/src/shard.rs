@@ -14,8 +14,8 @@
 //!   dedup, reopen at a shorter length, fresh insert with the spill
 //!   decision, and the open-list push.
 //! * [`ShardStats`] is the only counter block. Each shard owns one; the
-//!   run's [`SearchStats`] totals are folded from them in
-//!   [`RunFrame::finish`].
+//!   run's [`SearchStats`] totals and every progress snapshot are folded
+//!   from them by one fold, `RunFrame::fold`.
 //! * [`RunFrame`] owns the deadline and the limit precedence, builds every
 //!   progress snapshot, and finishes every run; [`Throttle`] is the
 //!   progress throttle, owned by whichever thread emits snapshots.
@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 
 use sortsynth_isa::{Machine, MachineState};
 use sortsynth_obs::profile::{Phase, PhaseProbe};
+use sortsynth_obs::ShardSnapshot;
 
 use crate::bucket::BucketQueue;
 use crate::config::{Cut, Heuristic, Strategy, SynthesisConfig};
@@ -34,7 +35,7 @@ use crate::distance::DistanceTable;
 use crate::engine::{publish_search_metrics, Outcome, ProgressSample, SearchStats, ShardStats};
 use crate::heuristics::heuristic_from_meta;
 use crate::intern::StateArena;
-use crate::progress::{deliver, delivery_active, SearchProgress, ShardProgress};
+use crate::progress::{deliver, delivery_active, SearchProgress};
 use crate::sizing::{SizingRow, SizingTable};
 use crate::spill::SpillTier;
 use crate::state::{narrow_key, StateSet};
@@ -355,8 +356,8 @@ impl Shard {
             + (self.edges.len() * std::mem::size_of::<Edge>()) as u64
     }
 
-    fn progress(&self) -> ShardProgress {
-        ShardProgress {
+    fn snapshot_row(&self) -> ShardSnapshot {
+        ShardSnapshot {
             interned_states: self.arena.len() as u64,
             arena_bytes: self.arena.assign_bytes(),
             open_depth: self.open.len() as u64,
@@ -419,69 +420,20 @@ impl<'a> RunFrame<'a> {
         None
     }
 
-    /// One progress snapshot over `shards` (live totals may trail the
-    /// workers by an expansion; final snapshots are exact).
-    pub fn snapshot<S: Deref<Target = Shard>>(
+    /// The one fold over the shards: sums their counter blocks, arena and
+    /// memory figures, and spill tiers into `stats`, and returns one
+    /// snapshot row per shard. Live snapshots and the run's final totals
+    /// both come from here.
+    fn fold<S: Deref<Target = Shard>>(
         &self,
         shards: impl IntoIterator<Item = S>,
-        open: u64,
-        f_bound: Option<u64>,
-        finished: Option<Outcome>,
-    ) -> SearchProgress {
-        let mut c = ShardStats::default();
-        let mut progress = Vec::new();
-        let mut resident_bytes = 0;
-        let (mut spilled_open, mut spilled_closed, mut ddd, mut spilled_bytes) = (0, 0, 0, 0);
-        for shard in shards {
-            c.add(&shard.counters);
-            progress.push(shard.progress());
-            resident_bytes += shard.resident_bytes();
-            if let Some(tier) = &shard.spill {
-                spilled_open += tier.spilled_open;
-                spilled_closed += tier.spilled_closed;
-                ddd += tier.ddd_dedup_hits;
-                spilled_bytes += tier.spilled_bytes;
-            }
-        }
-        SearchProgress {
-            elapsed: self.start.elapsed(),
-            expanded: c.expanded,
-            generated: c.generated,
-            open,
-            f_bound,
-            viability_pruned: c.viability_pruned,
-            cut_pruned: c.cut_pruned,
-            dedup_hits: c.dedup_hits,
-            dead_write_pruned: c.dead_write_pruned,
-            value_flow_pruned: c.value_flow_pruned,
-            distance_table_skipped: self.table_skipped,
-            spilled_open,
-            spilled_closed,
-            ddd_dedup_hits: ddd,
-            resumed_frontier_states: self.resumed_frontier_states,
-            resident_bytes,
-            spilled_bytes,
-            finished: finished.is_some(),
-            outcome: finished,
-            shards: progress,
-        }
-    }
-
-    /// Ends a run: folds the shards' counter blocks into `stats` (per-shard
-    /// blocks are kept only when there is more than one shard), records
-    /// the sizing row and reclaims a default spill directory on completed
-    /// runs, emits the final snapshot, and publishes the run's metrics.
-    pub fn finish(
-        &self,
-        throttle: Throttle,
-        shards: &[Shard],
-        mut stats: SearchStats,
-        probe: &PhaseProbe,
-        end: Closing,
-    ) -> SearchStats {
+        stats: &mut SearchStats,
+    ) -> Vec<ShardSnapshot> {
         let mut total = ShardStats::default();
+        let mut rows = Vec::new();
         for shard in shards {
             total.add(&shard.counters);
+            rows.push(shard.snapshot_row());
             stats.interned_states += shard.arena.len() as u64;
             stats.arena_bytes += shard.arena.assign_bytes();
             stats.key_bytes += shard.arena.key_bytes();
@@ -506,14 +458,76 @@ impl<'a> RunFrame<'a> {
         stats.states_kept = total.states_kept;
         stats.scratch_reused = total.scratch_reused;
         stats.swar_batches = total.swar_batches;
-        stats.stale_pops = total.stale_drops;
+        stats.stale_pops = total.stale_pops;
         stats.routed = total.routed;
         stats.steals = total.steals;
         stats.bound_pruned = total.bound_pruned;
+        stats.resumed_frontier_states = self.resumed_frontier_states;
+        rows
+    }
+
+    /// The snapshot of folded `stats` (see [`RunFrame::fold`]).
+    fn progress(
+        &self,
+        stats: &SearchStats,
+        shards: Vec<ShardSnapshot>,
+        open: u64,
+        f_bound: Option<u64>,
+        finished: Option<Outcome>,
+    ) -> SearchProgress {
+        SearchProgress {
+            elapsed: self.start.elapsed(),
+            expanded: stats.expanded,
+            generated: stats.generated,
+            open,
+            f_bound,
+            viability_pruned: stats.viability_pruned,
+            cut_pruned: stats.cut_pruned,
+            dedup_hits: stats.dedup_hits,
+            dead_write_pruned: stats.dead_write_pruned,
+            value_flow_pruned: stats.value_flow_pruned,
+            spilled_open: stats.spilled_open,
+            spilled_closed: stats.spilled_closed,
+            ddd_dedup_hits: stats.ddd_dedup_hits,
+            resumed_frontier_states: stats.resumed_frontier_states,
+            resident_bytes: stats.resident_bytes,
+            spilled_bytes: stats.spilled_bytes,
+            distance_table_skipped: self.table_skipped,
+            finished: finished.is_some(),
+            outcome: finished.map(|o| format!("{o:?}")),
+            shards,
+        }
+    }
+
+    /// One progress snapshot over `shards` (live totals may trail the
+    /// workers by an expansion; final snapshots are exact).
+    pub fn snapshot<S: Deref<Target = Shard>>(
+        &self,
+        shards: impl IntoIterator<Item = S>,
+        open: u64,
+        f_bound: Option<u64>,
+    ) -> SearchProgress {
+        let mut stats = SearchStats::default();
+        let rows = self.fold(shards, &mut stats);
+        self.progress(&stats, rows, open, f_bound, None)
+    }
+
+    /// Ends a run: folds the shards into `stats` (per-shard counter blocks
+    /// are kept only when there is more than one shard), records the
+    /// sizing row and reclaims a default spill directory on completed
+    /// runs, emits the final snapshot, and publishes the run's metrics.
+    pub fn finish(
+        &self,
+        throttle: Throttle,
+        shards: &[Shard],
+        mut stats: SearchStats,
+        probe: &PhaseProbe,
+        end: Closing,
+    ) -> SearchStats {
+        let rows = self.fold(shards, &mut stats);
         if shards.len() > 1 {
             stats.shards = shards.iter().map(|s| s.counters.clone()).collect();
         }
-        stats.resumed_frontier_states = self.resumed_frontier_states;
         stats.progress = throttle.samples;
         stats.search_time = self.start.elapsed();
         stats.phase_nanos = probe.nanos();
@@ -557,7 +571,7 @@ impl<'a> RunFrame<'a> {
         // final snapshot (so consumers always see the closing counters) and
         // publishes its totals to the process-wide metrics registry.
         if delivery_active(self.cfg.progress_hook.as_ref()) {
-            let snapshot = self.snapshot(shards, end.open, end.f_bound, Some(outcome));
+            let snapshot = self.progress(&stats, rows, end.open, end.f_bound, Some(outcome));
             deliver(self.cfg.progress_hook.as_ref(), &snapshot);
         }
         publish_search_metrics(&stats, outcome);

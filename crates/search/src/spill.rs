@@ -239,8 +239,8 @@ impl SpillTier {
             ddd_dedup_hits: 0,
             spilled_bytes: 0,
             segments_created: 0,
-            write_hist: names::search_spill_write_seconds(),
-            read_hist: names::search_spill_read_seconds(),
+            write_hist: names::histogram(names::SEARCH_SPILL_WRITE_SECONDS),
+            read_hist: names::histogram(names::SEARCH_SPILL_READ_SECONDS),
         })
     }
 

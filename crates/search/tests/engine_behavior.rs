@@ -257,7 +257,7 @@ fn cancelled_search_flushes_final_progress_and_counts_cancellation() {
     assert_eq!(finished.len(), 1, "exactly one final snapshot");
     let last = snapshots.last().expect("at least the final snapshot");
     assert!(last.finished, "final snapshot comes last");
-    assert_eq!(last.outcome, Some(Outcome::Cancelled));
+    assert_eq!(last.outcome.as_deref(), Some("Cancelled"));
     assert_eq!(last.expanded, result.stats.expanded);
     assert_eq!(last.generated, result.stats.generated);
 

@@ -13,7 +13,9 @@ use sortsynth_search::{synthesize, Outcome, ProgressHook, SynthesisConfig};
 
 /// Serializes tests that toggle or observe the global profiler switch: the
 /// probe latches `sortsynth_obs::profile::enabled()` at engine construction,
-/// so a concurrent toggle would leak into the profiler-off assertions.
+/// so a concurrent toggle would leak into the profiler-off assertions. The
+/// metric and trace tests take it too: their searches would compete for
+/// the CPUs with the profiler's wall-time attribution check.
 fn switch_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -38,7 +40,7 @@ fn panic_mid_search_leaves_a_parseable_recording() {
     // n=4 config keeps the search far from completion without paying for
     // the distance table.
     let hook = ProgressHook::new(move |p| {
-        let _ = rec.record(&p.recorder_frame());
+        let _ = rec.record(p);
         if p.expanded >= 50 {
             panic!("injected crash at {} expansions", p.expanded);
         }
@@ -67,8 +69,10 @@ fn panic_mid_search_leaves_a_parseable_recording() {
     assert!(last.shards[0].interned_states > 0);
     assert!(last.shards[0].arena_bytes > 0);
     // Frames are sequenced and monotone in expansion count.
+    for pair in recording.seqs.windows(2) {
+        assert_eq!(pair[1], pair[0] + 1);
+    }
     for pair in recording.frames.windows(2) {
-        assert_eq!(pair[1].seq, pair[0].seq + 1);
         assert!(pair[1].expanded >= pair[0].expanded);
     }
 }
@@ -81,7 +85,7 @@ fn completed_search_records_a_finished_final_frame() {
     let recorder = Arc::new(FlightRecorder::create(&path).unwrap());
     let rec = Arc::clone(&recorder);
     let hook = ProgressHook::new(move |p| {
-        let _ = rec.record(&p.recorder_frame());
+        let _ = rec.record(p);
     });
     let cfg = SynthesisConfig::best(Machine::new(3, 1, IsaMode::Cmov))
         .progress_every(16)
@@ -171,4 +175,126 @@ fn parallel_run_reports_phase_time_and_shard_memory() {
     assert_eq!(last.shards.len(), 2, "one shard entry per worker");
     assert_eq!(last.interned_states(), result.stats.interned_states);
     assert_eq!(last.arena_bytes(), result.stats.arena_bytes);
+}
+
+/// Golden pin: the `sortsynth_search_*` families a server exposes, with
+/// their kinds. Scrapers key dashboards off these lines.
+#[test]
+fn search_metric_families_are_pinned() {
+    let _guard = switch_lock();
+    sortsynth_obs::names::register_well_known();
+    let result = synthesize(&SynthesisConfig::best(Machine::new(3, 1, IsaMode::Cmov)));
+    assert_eq!(result.outcome, Outcome::Solved);
+    let text = sortsynth_obs::registry().render_prometheus();
+    let mut types: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("# TYPE sortsynth_search_"))
+        .collect();
+    types.sort_unstable();
+    assert_eq!(
+        types,
+        [
+            "# TYPE sortsynth_search_arena_bytes gauge",
+            "# TYPE sortsynth_search_bucket_scans_total counter",
+            "# TYPE sortsynth_search_cancelled_total counter",
+            "# TYPE sortsynth_search_cut_pruned_total counter",
+            "# TYPE sortsynth_search_ddd_dedup_hits_total counter",
+            "# TYPE sortsynth_search_dead_write_pruned_total counter",
+            "# TYPE sortsynth_search_dedup_hits_total counter",
+            "# TYPE sortsynth_search_distance_table_skipped_total counter",
+            "# TYPE sortsynth_search_expanded_total counter",
+            "# TYPE sortsynth_search_generated_total counter",
+            "# TYPE sortsynth_search_interned_states_total counter",
+            "# TYPE sortsynth_search_parallel_runs_total counter",
+            "# TYPE sortsynth_search_resident_bytes gauge",
+            "# TYPE sortsynth_search_resumed_frontier_total counter",
+            "# TYPE sortsynth_search_routed_total counter",
+            "# TYPE sortsynth_search_runs_total counter",
+            "# TYPE sortsynth_search_scratch_reused_total counter",
+            "# TYPE sortsynth_search_spill_read_seconds histogram",
+            "# TYPE sortsynth_search_spill_segments gauge",
+            "# TYPE sortsynth_search_spill_write_seconds histogram",
+            "# TYPE sortsynth_search_spilled_bytes gauge",
+            "# TYPE sortsynth_search_spilled_closed_total counter",
+            "# TYPE sortsynth_search_spilled_open_total counter",
+            "# TYPE sortsynth_search_stale_pops_total counter",
+            "# TYPE sortsynth_search_steals_total counter",
+            "# TYPE sortsynth_search_swar_batches_total counter",
+            "# TYPE sortsynth_search_value_flow_pruned_total counter",
+            "# TYPE sortsynth_search_viability_pruned_total counter",
+        ]
+    );
+}
+
+/// Every `sortsynth_search_*` family a search publishes carries the help
+/// text of the one family table, whichever side registered it first.
+#[test]
+fn search_metric_help_comes_from_the_family_table() {
+    let _guard = switch_lock();
+    let result = synthesize(&SynthesisConfig::best(Machine::new(3, 1, IsaMode::Cmov)).threads(2));
+    assert_eq!(result.outcome, Outcome::Solved);
+    let text = sortsynth_obs::registry().render_prometheus();
+    let mut checked = 0;
+    for line in text.lines() {
+        let Some(rest) = line.strip_prefix("# HELP sortsynth_search_") else {
+            continue;
+        };
+        let (suffix, help) = rest.split_once(' ').unwrap();
+        let name = format!("sortsynth_search_{suffix}");
+        assert_eq!(
+            help,
+            sortsynth_obs::names::family(&name).expect("declared").help,
+            "{name}"
+        );
+        checked += 1;
+    }
+    assert!(checked >= 20, "a search publishes its families: {checked}");
+}
+
+/// The `search_progress` trace event carries every column of the progress
+/// schema, spill state included.
+#[test]
+fn search_progress_events_carry_spill_state() {
+    use sortsynth_obs::{FieldValue, RingBuffer};
+
+    let _guard = switch_lock();
+    let ring = Arc::new(RingBuffer::new(1 << 16));
+    let id = sortsynth_obs::add_subscriber(ring.clone());
+    sortsynth_obs::set_enabled(true);
+    let result = synthesize(
+        &SynthesisConfig::new(Machine::new(3, 1, IsaMode::Cmov))
+            .budget_viability(true)
+            .max_len(11)
+            .mem_budget_bytes(64 << 10),
+    );
+    sortsynth_obs::remove_subscriber(id);
+    assert!(result.stats.spilled_bytes > 0, "the budget forced a spill");
+
+    let u64_field = |e: &sortsynth_obs::Event, name: &str| match e.field(name) {
+        Some(FieldValue::U64(v)) => Some(*v),
+        _ => None,
+    };
+    // Other tests may trace concurrently: this run's final event is the
+    // finished one with its expansion count.
+    let events = ring.drain();
+    let last = events
+        .iter()
+        .filter(|e| e.name == "search_progress")
+        .filter(|e| matches!(e.field("finished"), Some(FieldValue::Bool(true))))
+        .find(|e| u64_field(e, "expanded") == Some(result.stats.expanded))
+        .expect("the run's final search_progress event");
+    assert!(u64_field(last, "spilled_bytes").is_some_and(|b| b > 0));
+    assert_eq!(
+        u64_field(last, "spilled_bytes"),
+        Some(result.stats.spilled_bytes)
+    );
+    for name in [
+        "spilled_open",
+        "spilled_closed",
+        "ddd_dedup_hits",
+        "resumed_frontier_states",
+        "resident_bytes",
+    ] {
+        assert!(u64_field(last, name).is_some(), "missing {name}");
+    }
 }

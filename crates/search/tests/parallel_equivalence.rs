@@ -301,7 +301,7 @@ fn cancelled_parallel_search_joins_workers_and_flushes_once() {
     let snapshots = snapshots.lock().unwrap();
     let finished: Vec<_> = snapshots.iter().filter(|p| p.finished).collect();
     assert_eq!(finished.len(), 1, "exactly one final snapshot");
-    assert_eq!(finished[0].outcome, Some(Outcome::Cancelled));
+    assert_eq!(finished[0].outcome.as_deref(), Some("Cancelled"));
     let last = snapshots.last().expect("at least the final snapshot");
     assert!(last.finished, "final snapshot comes last");
 }

@@ -109,14 +109,14 @@ impl Client {
     }
 
     /// Convenience wrapper: attaches to `query`'s flight and collects every
-    /// streamed [`crate::proto::ProgressReply`] until the stream ends.
+    /// streamed [`sortsynth_obs::SearchProgress`] until the stream ends.
     /// Errors with the server's message if there is no matching flight.
     pub fn watch(
         &mut self,
         query: KernelQuery,
         backend: Option<String>,
         wait_ms: Option<u64>,
-    ) -> io::Result<Vec<crate::proto::ProgressReply>> {
+    ) -> io::Result<Vec<sortsynth_obs::SearchProgress>> {
         self.begin_watch(query, backend, wait_ms)?;
         let mut frames = Vec::new();
         loop {

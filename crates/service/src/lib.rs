@@ -47,8 +47,8 @@ pub mod watch;
 
 pub use client::Client;
 pub use proto::{
-    AnalyzeReply, CheckReply, LintReply, ProgressReply, ReplySource, Request, Response, ShardReply,
-    StatsReply, SynthReply, TimeoutReply,
+    AnalyzeReply, CheckReply, LintReply, ReplySource, Request, Response, StatsReply, SynthReply,
+    TimeoutReply,
 };
 pub use server::{Server, ServerHandle, ServiceConfig};
 pub use singleflight::{LeaderToken, Role, SingleFlight};

@@ -17,10 +17,12 @@
 //! how the admission-control tests make overload deterministic.
 
 use std::io::{self, ErrorKind, Read, Write};
+use std::time::Duration;
 
 use serde::{Deserialize, Error, Serialize, Value};
 use sortsynth_cache::KernelQuery;
 use sortsynth_isa::Machine;
+use sortsynth_obs::progress::{SearchProgress, ShardSnapshot, COLUMNS};
 
 /// Hard cap on one frame's payload (1 MiB).
 pub const MAX_FRAME: u32 = 1 << 20;
@@ -282,99 +284,6 @@ pub struct StatsReply {
     pub portfolio: Vec<PortfolioRowReply>,
 }
 
-/// One shard's live memory/backlog state inside a [`ProgressReply`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardReply {
-    /// Unique canonical states interned into the shard's arena.
-    pub interned_states: u64,
-    /// Bytes of assignment storage held by the shard's arena.
-    pub arena_bytes: u64,
-    /// The shard's open-list depth.
-    pub open_depth: u64,
-}
-
-/// One streamed progress frame of an in-flight search (reply to
-/// [`Request::Watch`]). The stream ends with the frame whose `finished`
-/// is `true`; after that the connection returns to request/response.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ProgressReply {
-    /// Milliseconds since the observed search started.
-    pub elapsed_millis: u64,
-    /// States expanded so far.
-    pub expanded: u64,
-    /// States generated so far.
-    pub generated: u64,
-    /// Open (unexpanded) states at snapshot time.
-    pub open: u64,
-    /// Current frontier bound, if the search has started expanding.
-    pub f_bound: Option<u64>,
-    /// Successors dropped by viability checks so far.
-    pub viability_pruned: u64,
-    /// Successors dropped by the permutation-count cut so far.
-    pub cut_pruned: u64,
-    /// Successors dropped as duplicates so far.
-    pub dedup_hits: u64,
-    /// Successors skipped by the dead-write cut so far.
-    pub dead_write_pruned: u64,
-    /// Successors skipped by the symbolic value-flow cut so far.
-    pub value_flow_pruned: u64,
-    /// Open states whose spans were spilled to disk so far (0 unless the
-    /// search runs under a memory budget).
-    pub spilled_open: u64,
-    /// Closed-set entries evicted to disk segments so far.
-    pub spilled_closed: u64,
-    /// Duplicates caught by delayed duplicate detection so far.
-    pub ddd_dedup_hits: u64,
-    /// Frontier states restored from a resume journal (0 for fresh runs).
-    pub resumed_frontier_states: u64,
-    /// Estimated resident bytes of the search.
-    pub resident_bytes: u64,
-    /// Bytes written to spill segments so far.
-    pub spilled_bytes: u64,
-    /// `true` on the stream's final frame.
-    pub finished: bool,
-    /// How the search ended (`Solved`, `Exhausted`, …); only on the final
-    /// frame.
-    pub outcome: Option<String>,
-    /// Per-shard live memory levels (one entry for the sequential engine).
-    pub shards: Vec<ShardReply>,
-}
-
-impl ProgressReply {
-    /// Builds a wire frame from an engine snapshot.
-    pub fn from_progress(p: &sortsynth_search::SearchProgress) -> Self {
-        ProgressReply {
-            elapsed_millis: p.elapsed.as_millis() as u64,
-            expanded: p.expanded,
-            generated: p.generated,
-            open: p.open,
-            f_bound: p.f_bound,
-            viability_pruned: p.viability_pruned,
-            cut_pruned: p.cut_pruned,
-            dedup_hits: p.dedup_hits,
-            dead_write_pruned: p.dead_write_pruned,
-            value_flow_pruned: p.value_flow_pruned,
-            spilled_open: p.spilled_open,
-            spilled_closed: p.spilled_closed,
-            ddd_dedup_hits: p.ddd_dedup_hits,
-            resumed_frontier_states: p.resumed_frontier_states,
-            resident_bytes: p.resident_bytes,
-            spilled_bytes: p.spilled_bytes,
-            finished: p.finished,
-            outcome: p.outcome.map(|o| format!("{o:?}")),
-            shards: p
-                .shards
-                .iter()
-                .map(|s| ShardReply {
-                    interned_states: s.interned_states,
-                    arena_bytes: s.arena_bytes,
-                    open_depth: s.open_depth,
-                })
-                .collect(),
-        }
-    }
-}
-
 /// A correctness-check answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckReply {
@@ -444,7 +353,7 @@ pub enum Response {
     Stats(StatsReply),
     /// One streamed frame of an in-flight search (reply to
     /// [`Request::Watch`]; many frames per request).
-    Progress(ProgressReply),
+    Progress(SearchProgress),
     /// The request was malformed or failed.
     Error {
         /// Human-readable reason.
@@ -586,24 +495,70 @@ impl Deserialize for PortfolioRowReply {
     }
 }
 
-impl Serialize for ShardReply {
-    fn serialize(&self) -> Value {
-        Value::map([
-            ("interned_states", self.interned_states.serialize()),
-            ("arena_bytes", self.arena_bytes.serialize()),
-            ("open_depth", self.open_depth.serialize()),
-        ])
-    }
+/// The body of a `progress` message: `elapsed_millis`, one key per
+/// schema column, `finished`, `outcome`, and the shard table.
+/// `distance_table_skipped` is not on the wire.
+fn progress_value(p: &SearchProgress) -> Value {
+    let shards = p
+        .shards
+        .iter()
+        .map(|shard| {
+            let values = shard.values().map(|v| v.serialize());
+            Value::map(ShardSnapshot::FIELDS.into_iter().zip(values))
+        })
+        .collect();
+    Value::map(
+        [
+            ("type", s("progress")),
+            ("elapsed_millis", (p.elapsed.as_millis() as u64).serialize()),
+            ("finished", p.finished.serialize()),
+            ("outcome", p.outcome.serialize()),
+            ("shards", Value::Seq(shards)),
+        ]
+        .into_iter()
+        .chain(
+            COLUMNS
+                .iter()
+                .map(|col| (col.name, (col.get)(p).serialize())),
+        ),
+    )
 }
 
-impl Deserialize for ShardReply {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(ShardReply {
-            interned_states: u64::deserialize(value.required("interned_states")?)?,
-            arena_bytes: u64::deserialize(value.required("arena_bytes")?)?,
-            open_depth: u64::deserialize(value.required("open_depth")?)?,
-        })
+/// Parses a `progress` message body. Columns of the first schema
+/// generation are required; later columns are optional so an older peer's
+/// frames decode with zeros.
+fn progress_from_value(value: &Value) -> Result<SearchProgress, Error> {
+    let mut p = SearchProgress {
+        elapsed: Duration::from_millis(u64::deserialize(value.required("elapsed_millis")?)?),
+        finished: bool::deserialize(value.required("finished")?)?,
+        outcome: Option::<String>::deserialize(value.required("outcome")?)?,
+        ..SearchProgress::default()
+    };
+    for col in COLUMNS {
+        let v = match value.get(col.name) {
+            None if col.since > 1 => continue,
+            _ => value.required(col.name)?,
+        };
+        let v = if col.nullable {
+            Option::<u64>::deserialize(v)?
+        } else {
+            Some(u64::deserialize(v)?)
+        };
+        if let Some(v) = v {
+            (col.set)(&mut p, v);
+        }
     }
+    let Value::Seq(shards) = value.required("shards")? else {
+        return Err(Error::new("`shards` is not a sequence"));
+    };
+    for shard in shards {
+        let mut values = [0; 3];
+        for (v, key) in values.iter_mut().zip(ShardSnapshot::FIELDS) {
+            *v = u64::deserialize(shard.required(key)?)?;
+        }
+        p.shards.push(ShardSnapshot::from_values(values));
+    }
+    Ok(p)
 }
 
 impl Serialize for Response {
@@ -684,31 +639,7 @@ impl Serialize for Response {
                 ("portfolio_widened", reply.portfolio_widened.serialize()),
                 ("portfolio", reply.portfolio.serialize()),
             ]),
-            Response::Progress(reply) => Value::map([
-                ("type", s("progress")),
-                ("elapsed_millis", reply.elapsed_millis.serialize()),
-                ("expanded", reply.expanded.serialize()),
-                ("generated", reply.generated.serialize()),
-                ("open", reply.open.serialize()),
-                ("f_bound", reply.f_bound.serialize()),
-                ("viability_pruned", reply.viability_pruned.serialize()),
-                ("cut_pruned", reply.cut_pruned.serialize()),
-                ("dedup_hits", reply.dedup_hits.serialize()),
-                ("dead_write_pruned", reply.dead_write_pruned.serialize()),
-                ("value_flow_pruned", reply.value_flow_pruned.serialize()),
-                ("spilled_open", reply.spilled_open.serialize()),
-                ("spilled_closed", reply.spilled_closed.serialize()),
-                ("ddd_dedup_hits", reply.ddd_dedup_hits.serialize()),
-                (
-                    "resumed_frontier_states",
-                    reply.resumed_frontier_states.serialize(),
-                ),
-                ("resident_bytes", reply.resident_bytes.serialize()),
-                ("spilled_bytes", reply.spilled_bytes.serialize()),
-                ("finished", reply.finished.serialize()),
-                ("outcome", reply.outcome.serialize()),
-                ("shards", reply.shards.serialize()),
-            ]),
+            Response::Progress(progress) => progress_value(progress),
             Response::Error { message } => {
                 Value::map([("type", s("error")), ("message", message.serialize())])
             }
@@ -799,47 +730,7 @@ impl Deserialize for Response {
                     Some(v) => Vec::<PortfolioRowReply>::deserialize(v)?,
                 },
             })),
-            "progress" => Ok(Response::Progress(ProgressReply {
-                elapsed_millis: u64::deserialize(value.required("elapsed_millis")?)?,
-                expanded: u64::deserialize(value.required("expanded")?)?,
-                generated: u64::deserialize(value.required("generated")?)?,
-                open: u64::deserialize(value.required("open")?)?,
-                f_bound: Option::<u64>::deserialize(value.required("f_bound")?)?,
-                viability_pruned: u64::deserialize(value.required("viability_pruned")?)?,
-                cut_pruned: u64::deserialize(value.required("cut_pruned")?)?,
-                dedup_hits: u64::deserialize(value.required("dedup_hits")?)?,
-                dead_write_pruned: u64::deserialize(value.required("dead_write_pruned")?)?,
-                value_flow_pruned: u64::deserialize(value.required("value_flow_pruned")?)?,
-                // Spill fields are optional on the wire: an older peer's
-                // frames decode with zeros.
-                spilled_open: match value.get("spilled_open") {
-                    None => 0,
-                    Some(v) => u64::deserialize(v)?,
-                },
-                spilled_closed: match value.get("spilled_closed") {
-                    None => 0,
-                    Some(v) => u64::deserialize(v)?,
-                },
-                ddd_dedup_hits: match value.get("ddd_dedup_hits") {
-                    None => 0,
-                    Some(v) => u64::deserialize(v)?,
-                },
-                resumed_frontier_states: match value.get("resumed_frontier_states") {
-                    None => 0,
-                    Some(v) => u64::deserialize(v)?,
-                },
-                resident_bytes: match value.get("resident_bytes") {
-                    None => 0,
-                    Some(v) => u64::deserialize(v)?,
-                },
-                spilled_bytes: match value.get("spilled_bytes") {
-                    None => 0,
-                    Some(v) => u64::deserialize(v)?,
-                },
-                finished: bool::deserialize(value.required("finished")?)?,
-                outcome: Option::<String>::deserialize(value.required("outcome")?)?,
-                shards: Vec::<ShardReply>::deserialize(value.required("shards")?)?,
-            })),
+            "progress" => progress_from_value(value).map(Response::Progress),
             "error" => Ok(Response::Error {
                 message: String::deserialize(value.required("message")?)?,
             }),
@@ -998,42 +889,12 @@ mod tests {
                     total_millis: 40,
                 }],
             }),
-            Response::Progress(ProgressReply {
-                elapsed_millis: 750,
-                expanded: 4096,
-                generated: 90_000,
-                open: 1200,
-                f_bound: Some(9),
-                viability_pruned: 60_000,
-                cut_pruned: 10_000,
-                dedup_hits: 14_000,
-                dead_write_pruned: 500,
-                value_flow_pruned: 300,
-                spilled_open: 2000,
-                spilled_closed: 1500,
-                ddd_dedup_hits: 77,
-                resumed_frontier_states: 12,
-                resident_bytes: 3 << 20,
-                spilled_bytes: 5 << 20,
-                finished: false,
-                outcome: None,
-                shards: vec![
-                    ShardReply {
-                        interned_states: 3000,
-                        arena_bytes: 1 << 20,
-                        open_depth: 700,
-                    },
-                    ShardReply {
-                        interned_states: 2800,
-                        arena_bytes: 900_000,
-                        open_depth: 500,
-                    },
-                ],
-            }),
-            Response::Progress(ProgressReply {
+            full_progress(),
+            Response::Progress(SearchProgress::default()),
+            Response::Progress(SearchProgress {
                 finished: true,
                 outcome: Some("Solved".into()),
-                ..ProgressReply::default()
+                ..SearchProgress::default()
             }),
             Response::Error {
                 message: "bad".into(),
@@ -1042,6 +903,111 @@ mod tests {
         for resp in &responses {
             assert_eq!(&round_trip(resp), resp);
         }
+    }
+
+    /// A fully populated progress frame: every counter distinct and
+    /// non-zero, two shards. (`distance_table_skipped` is not on the
+    /// wire.)
+    fn full_progress() -> Response {
+        Response::Progress(SearchProgress {
+            elapsed: Duration::from_millis(750),
+            expanded: 4096,
+            generated: 90_000,
+            open: 1200,
+            f_bound: Some(9),
+            viability_pruned: 60_000,
+            cut_pruned: 10_000,
+            dedup_hits: 14_000,
+            dead_write_pruned: 500,
+            value_flow_pruned: 300,
+            spilled_open: 2000,
+            spilled_closed: 1500,
+            ddd_dedup_hits: 77,
+            resumed_frontier_states: 12,
+            resident_bytes: 3 << 20,
+            spilled_bytes: 5 << 20,
+            distance_table_skipped: false,
+            finished: true,
+            outcome: Some("Solved".into()),
+            shards: vec![
+                ShardSnapshot {
+                    interned_states: 3000,
+                    arena_bytes: 1 << 20,
+                    open_depth: 700,
+                },
+                ShardSnapshot {
+                    interned_states: 2800,
+                    arena_bytes: 900_000,
+                    open_depth: 500,
+                },
+            ],
+        })
+    }
+
+    /// Golden pin: the `progress` message's JSON, key order included. A
+    /// change here breaks `watch` against every deployed peer.
+    #[test]
+    fn progress_wire_encoding_is_pinned() {
+        let golden = concat!(
+            r#"{"cut_pruned":10000,"ddd_dedup_hits":77,"dead_write_pruned":500,"#,
+            r#""dedup_hits":14000,"elapsed_millis":750,"expanded":4096,"f_bound":9,"#,
+            r#""finished":true,"generated":90000,"open":1200,"outcome":"Solved","#,
+            r#""resident_bytes":3145728,"resumed_frontier_states":12,"shards":["#,
+            r#"{"arena_bytes":1048576,"interned_states":3000,"open_depth":700},"#,
+            r#"{"arena_bytes":900000,"interned_states":2800,"open_depth":500}],"#,
+            r#""spilled_bytes":5242880,"spilled_closed":1500,"spilled_open":2000,"#,
+            r#""type":"progress","value_flow_pruned":300,"viability_pruned":60000}"#,
+        );
+        let full = full_progress();
+        assert_eq!(serde_json::to_string(&full).unwrap(), golden);
+        assert_eq!(round_trip(&full), full);
+    }
+
+    /// The `progress` compatibility rule: the six v2 (spill/resume) keys
+    /// are optional and decode as 0 when an older peer leaves them out;
+    /// every v1 key stays required.
+    #[test]
+    fn progress_v2_keys_are_optional_and_v1_keys_required() {
+        let v2_keys = [
+            "spilled_open",
+            "spilled_closed",
+            "ddd_dedup_hits",
+            "resumed_frontier_states",
+            "resident_bytes",
+            "spilled_bytes",
+        ];
+        let Value::Map(full) = full_progress().serialize() else {
+            panic!("a response serializes to a map");
+        };
+        let without = |keys: &[&str]| {
+            let mut map = full.clone();
+            for key in keys {
+                map.remove(*key);
+            }
+            serde_json::to_string(&Value::Map(map)).unwrap()
+        };
+        let legacy: Response = serde_json::from_str(&without(&v2_keys)).unwrap();
+        let Response::Progress(p) = legacy else {
+            panic!("decodes as progress: {legacy:?}");
+        };
+        assert_eq!(p.expanded, 4096);
+        assert_eq!(
+            [
+                p.spilled_open,
+                p.spilled_closed,
+                p.ddd_dedup_hits,
+                p.resumed_frontier_states,
+                p.resident_bytes,
+                p.spilled_bytes
+            ],
+            [0; 6],
+            "missing v2 keys decode as zero"
+        );
+        let err = serde_json::from_str::<Response>(&without(&["expanded"])).unwrap_err();
+        assert!(
+            err.to_string().contains("expanded"),
+            "the error names the missing v1 key: {err}"
+        );
     }
 
     #[test]

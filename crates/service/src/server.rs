@@ -42,7 +42,7 @@ use sortsynth_search::{synthesize, Cut, Outcome, ProgressHook, SearchBudget, Syn
 
 use crate::proto::{
     read_message, write_message, AnalyzeReply, CheckReply, LintReply, PortfolioRowReply,
-    ProgressReply, ReplySource, Request, Response, StatsReply, SynthReply, TimeoutReply,
+    ReplySource, Request, Response, StatsReply, SynthReply, TimeoutReply,
 };
 use crate::singleflight::{Role, SingleFlight};
 use crate::watch::WatchHub;
@@ -425,17 +425,9 @@ fn worker_loop(jobs: Receiver<Job>, shared: Arc<Shared>) {
         match jobs.recv_timeout(Duration::from_millis(50)) {
             Ok(job) => {
                 shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                sortsynth_obs::registry()
-                    .gauge(
-                        names::QUEUE_DEPTH,
-                        "Jobs currently waiting in the admission queue.",
-                    )
-                    .dec();
+                names::gauge(names::QUEUE_DEPTH).dec();
                 shared.inflight.fetch_add(1, Ordering::Relaxed);
-                let inflight = sortsynth_obs::registry().gauge(
-                    names::INFLIGHT_REQUESTS,
-                    "Jobs currently executing on workers.",
-                );
+                let inflight = names::gauge(names::INFLIGHT_REQUESTS);
                 inflight.inc();
                 let execute_span = Span::child_of(job.span_id, "execute");
                 // A panicking handler (engine bug, pathological query) must
@@ -447,12 +439,7 @@ fn worker_loop(jobs: Receiver<Job>, shared: Arc<Shared>) {
                 }))
                 .unwrap_or_else(|payload| {
                     shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    sortsynth_obs::registry()
-                        .counter(
-                            names::WORKER_PANICS_TOTAL,
-                            "Worker panics caught and converted to error replies.",
-                        )
-                        .inc();
+                    names::counter(names::WORKER_PANICS_TOTAL).inc();
                     Response::Error {
                         message: format!("request handler panicked: {}", panic_message(&payload)),
                     }
@@ -607,19 +594,8 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             Ok(()) => {
                 shared.requests_total.fetch_add(1, Ordering::Relaxed);
                 shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-                let registry = sortsynth_obs::registry();
-                registry
-                    .counter(
-                        names::REQUESTS_TOTAL,
-                        "Requests accepted into the admission queue.",
-                    )
-                    .inc();
-                registry
-                    .gauge(
-                        names::QUEUE_DEPTH,
-                        "Jobs currently waiting in the admission queue.",
-                    )
-                    .inc();
+                names::counter(names::REQUESTS_TOTAL).inc();
+                names::gauge(names::QUEUE_DEPTH).inc();
                 // Admission is implied by the request span itself; only the
                 // shed path gets an explicit marker event.
                 reply_rx.recv().unwrap_or_else(|_| Response::Error {
@@ -628,12 +604,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             }
             Err(TrySendError::Full(_)) => {
                 shared.shed_total.fetch_add(1, Ordering::Relaxed);
-                sortsynth_obs::registry()
-                    .counter(
-                        names::REQUESTS_SHED_TOTAL,
-                        "Requests shed because the admission queue was full.",
-                    )
-                    .inc();
+                names::counter(names::REQUESTS_SHED_TOTAL).inc();
                 span.event("shed", &[]);
                 Response::Overloaded
             }
@@ -641,7 +612,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                 message: "server shutting down".to_string(),
             },
         };
-        names::request_seconds().observe_duration(accepted.elapsed());
+        names::histogram(names::REQUEST_SECONDS).observe_duration(accepted.elapsed());
         span.event(
             "reply",
             &[("type", FieldValue::Static(response_name(&response)))],
@@ -677,17 +648,8 @@ fn handle_watch(
         )
         .is_ok();
     };
-    let registry = sortsynth_obs::registry();
-    registry
-        .counter(
-            names::WATCH_STREAMS_TOTAL,
-            "Watch streams attached to in-flight searches.",
-        )
-        .inc();
-    let frames = registry.counter(
-        names::WATCH_FRAMES_TOTAL,
-        "Progress frames streamed to watchers.",
-    );
+    names::counter(names::WATCH_STREAMS_TOTAL).inc();
+    let frames = names::counter(names::WATCH_FRAMES_TOTAL);
     // Prime with the latest frame, then stream live ones. The hub
     // guarantees termination: every flight ends with a `finished` frame
     // (synthesized as `Abandoned` if the search unwound).
@@ -870,12 +832,7 @@ fn handle_synth(
     match shared.flights.join(route.flight_key(query)) {
         Role::Follower(Some(response)) => {
             shared.coalesced.fetch_add(1, Ordering::Relaxed);
-            sortsynth_obs::registry()
-                .counter(
-                    names::SINGLEFLIGHT_COALESCED_TOTAL,
-                    "Requests coalesced onto an identical in-flight search.",
-                )
-                .inc();
+            names::counter(names::SINGLEFLIGHT_COALESCED_TOTAL).inc();
             mark_coalesced(response)
         }
         Role::Follower(None) => Response::Error {
@@ -883,12 +840,7 @@ fn handle_synth(
         },
         Role::Leader(token) => {
             shared.searches_started.fetch_add(1, Ordering::SeqCst);
-            sortsynth_obs::registry()
-                .counter(
-                    names::SEARCHES_STARTED_TOTAL,
-                    "Searches started by single-flight leaders.",
-                )
-                .inc();
+            names::counter(names::SEARCHES_STARTED_TOTAL).inc();
             let search_span = Span::child_of(span_id, "search");
             search_span.event(
                 "query",
@@ -948,9 +900,9 @@ fn run_search(
     cfg.progress_hook = Some(ProgressHook::new(move |p| {
         if let Some(recorder) = &recorder {
             // Recording is best-effort: a full disk must not fail a search.
-            let _ = recorder.record(&p.recorder_frame());
+            let _ = recorder.record(p);
         }
-        hub.publish(flight_key, &ProgressReply::from_progress(p));
+        hub.publish(flight_key, p);
     }));
 
     let result = synthesize(&cfg);

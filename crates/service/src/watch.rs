@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::proto::ProgressReply;
+use sortsynth_obs::SearchProgress;
 
 /// How often [`WatchHub::attach`] re-checks for a flight while waiting for
 /// one to start.
@@ -27,8 +27,8 @@ struct FlightChannel {
     /// Distinguishes this registration from a later one under the same key,
     /// so a guard dropped late never tears down its successor.
     id: u64,
-    subs: Vec<Sender<ProgressReply>>,
-    last: Option<ProgressReply>,
+    subs: Vec<Sender<SearchProgress>>,
+    last: Option<SearchProgress>,
 }
 
 /// Fan-out registry of in-flight searches.
@@ -75,7 +75,7 @@ impl WatchHub {
     /// Publishes one frame to every subscriber of `key`. A `finished` frame
     /// ends the stream and removes the flight. Unknown keys are ignored
     /// (the flight already ended).
-    pub fn publish(&self, key: u64, frame: &ProgressReply) {
+    pub fn publish(&self, key: u64, frame: &SearchProgress) {
         let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
         let Some(channel) = flights.get_mut(&key) else {
             return;
@@ -95,7 +95,7 @@ impl WatchHub {
         &self,
         key: u64,
         wait: Duration,
-    ) -> Option<(Receiver<ProgressReply>, Option<ProgressReply>)> {
+    ) -> Option<(Receiver<SearchProgress>, Option<SearchProgress>)> {
         let deadline = Instant::now() + wait;
         loop {
             {
@@ -145,11 +145,11 @@ impl Drop for WatchGuard<'_> {
 mod tests {
     use super::*;
 
-    fn frame(expanded: u64, finished: bool) -> ProgressReply {
-        ProgressReply {
+    fn frame(expanded: u64, finished: bool) -> SearchProgress {
+        SearchProgress {
             expanded,
             finished,
-            ..ProgressReply::default()
+            ..SearchProgress::default()
         }
     }
 

@@ -15,22 +15,9 @@ use crate::encoding::{encode, EncodeOptions};
 /// The SAT core itself stays dependency-free; this front-end is the one
 /// place its counters meet the observability layer.
 fn report_solver_round(solver: &Solver, iteration: u32, tests: usize, result: SolveResult) {
-    let r = sortsynth_obs::registry();
-    r.counter(
-        names::SAT_CONFLICTS_TOTAL,
-        "CDCL conflicts across all solver runs.",
-    )
-    .add(solver.conflicts());
-    r.counter(
-        names::SAT_RESTARTS_TOTAL,
-        "CDCL restarts across all solver runs.",
-    )
-    .add(solver.restarts());
-    r.counter(
-        names::SAT_LEARNED_CLAUSES_TOTAL,
-        "Clauses learned across all solver runs.",
-    )
-    .add(solver.num_learnt() as u64);
+    names::counter(names::SAT_CONFLICTS_TOTAL).add(solver.conflicts());
+    names::counter(names::SAT_RESTARTS_TOTAL).add(solver.restarts());
+    names::counter(names::SAT_LEARNED_CLAUSES_TOTAL).add(solver.num_learnt() as u64);
     if sortsynth_obs::enabled() {
         sortsynth_obs::trace::event(
             Level::Debug,
@@ -220,12 +207,7 @@ pub fn smt_cegis(
         let result = enc.solver.solve_budgeted(budget.conflicts, remaining);
         conflicts += enc.solver.conflicts();
         report_solver_round(&enc.solver, iterations, tests.len(), result);
-        sortsynth_obs::registry()
-            .counter(
-                names::CEGIS_ITERATIONS_TOTAL,
-                "CEGIS refinement iterations across all synthesis calls.",
-            )
-            .inc();
+        names::counter(names::CEGIS_ITERATIONS_TOTAL).inc();
         match result {
             SolveResult::Unsat => {
                 return (

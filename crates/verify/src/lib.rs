@@ -37,6 +37,7 @@ use std::time::Instant;
 
 use serde::{Serialize, Value};
 use sortsynth_isa::{Instr, IsaMode, Machine, Op};
+use sortsynth_obs::names;
 
 pub use dce::dce;
 pub use network::{extract_network, network_witness, Comparator};
@@ -534,34 +535,15 @@ pub fn gate(machine: &Machine, prog: &[Instr]) -> Result<(), GateError> {
 pub fn gate_detail(machine: &Machine, prog: &[Instr]) -> (Result<(), GateError>, GatePath) {
     let started = Instant::now();
     let decided = gate_stages(machine, prog);
-    let registry = sortsynth_obs::registry();
-    sortsynth_obs::names::verify_gate_seconds().observe(started.elapsed().as_secs_f64());
+    names::histogram(names::VERIFY_GATE_SECONDS).observe(started.elapsed().as_secs_f64());
     match decided {
-        (Ok(()), GatePath::Symbolic) => registry
-            .counter(
-                sortsynth_obs::names::VERIFY_SYMBOLIC_CERTIFIED_TOTAL,
-                "Gate admissions decided by a symbolic permutation certificate.",
-            )
-            .inc(),
-        (Err(_), GatePath::Symbolic) => registry
-            .counter(
-                sortsynth_obs::names::VERIFY_SYMBOLIC_REFUTED_TOTAL,
-                "Gate rejections decided by a symbolic permutation refutation.",
-            )
-            .inc(),
+        (Ok(()), GatePath::Symbolic) => {
+            names::counter(names::VERIFY_SYMBOLIC_CERTIFIED_TOTAL).inc()
+        }
+        (Err(_), GatePath::Symbolic) => names::counter(names::VERIFY_SYMBOLIC_REFUTED_TOTAL).inc(),
         (_, GatePath::Oracle) => {
-            registry
-                .counter(
-                    sortsynth_obs::names::VERIFY_SYMBOLIC_BAILOUT_TOTAL,
-                    "Symbolic analyses that exceeded their budget inside the gate.",
-                )
-                .inc();
-            registry
-                .counter(
-                    sortsynth_obs::names::VERIFY_ORACLE_TOTAL,
-                    "Gate decisions that fell back to the exhaustive permutation oracle.",
-                )
-                .inc();
+            names::counter(names::VERIFY_SYMBOLIC_BAILOUT_TOTAL).inc();
+            names::counter(names::VERIFY_ORACLE_TOTAL).inc();
         }
         _ => {}
     }
