@@ -19,7 +19,7 @@ use crate::util::{fmt_duration, write_bench_json, BenchConfig, Table};
 
 /// The sequential enumerative optimum — the differential reference.
 fn reference_len(query: &KernelQuery) -> u32 {
-    let out = backend_for(BackendKind::AStar).run(query, &SearchBudget::unlimited(), None);
+    let out = backend_for(BackendKind::AStar).run(query, &SearchBudget::unlimited());
     match out.status {
         BackendStatus::Found { program, .. } => program.len() as u32,
         other => panic!("sequential reference failed: {other:?}"),

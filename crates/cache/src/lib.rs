@@ -195,13 +195,8 @@ impl KernelCache {
     /// promoted back into the front. Fingerprint collisions are ruled out by
     /// comparing the stored query for equality.
     pub fn get(&self, query: &KernelQuery) -> Option<Arc<CacheEntry>> {
-        let fingerprint = query.fingerprint();
-        if let Some(entry) = self.lru.get(fingerprint) {
-            if entry.query == *query {
-                self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
-                obs_inc(names::CACHE_MEMORY_HITS_TOTAL);
-                return Some(entry);
-            }
+        if let Some(entry) = self.resident(query) {
+            return Some(entry);
         }
         if let Some(store) = &self.store {
             // Hold the append lock while scanning so a concurrent insert
@@ -241,6 +236,19 @@ impl KernelCache {
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
         obs_inc(names::CACHE_MISSES_TOTAL);
         None
+    }
+
+    /// Looks up a query in the memory front only, never scanning the disk.
+    /// A hit counts as a memory hit; a miss counts nothing, so a re-check
+    /// after a [`Self::get`] that already counted the miss counts it once.
+    pub fn resident(&self, query: &KernelQuery) -> Option<Arc<CacheEntry>> {
+        let entry = self
+            .lru
+            .get(query.fingerprint())
+            .filter(|entry| entry.query == *query)?;
+        self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
+        obs_inc(names::CACHE_MEMORY_HITS_TOTAL);
+        Some(entry)
     }
 
     /// Publishes LRU evictions that happened since `before` to the metrics

@@ -1,20 +1,18 @@
 //! Subcommand implementations.
 
 use std::io::Read as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use sortsynth_cache::{CacheEntry, CutSpec, KernelCache, KernelQuery};
+use sortsynth_cache::{CutSpec, KernelQuery};
 use sortsynth_isa::{analyze, sampling_score, InstrMix, Machine, Program, ThroughputModel};
 use sortsynth_jit::JitKernel;
 use sortsynth_kernels::{interpret, Kernel};
 use sortsynth_obs::progress::COLUMNS;
 use sortsynth_obs::{info, warn, SearchProgress, ShardSnapshot};
-use sortsynth_portfolio::{
-    backend_for, BackendKind, BackendStatus, DispatchPolicy, Portfolio, POLICY_FILE,
-};
+use sortsynth_portfolio::{engine_config, Answerer, Failure, Route};
 use sortsynth_search::{
-    prove_no_solution, synthesize, try_synthesize, BoundVerdict, Cut, Outcome, SearchBudget,
+    prove_no_solution, synthesize, try_synthesize, BoundVerdict, SearchBudget, SearchStats,
     SynthesisConfig,
 };
 use sortsynth_service::{Client, ReplySource, Response, Server, ServiceConfig};
@@ -106,311 +104,131 @@ fn synth_query(args: &ParsedArgs) -> Result<KernelQuery, ArgsError> {
     Ok(query)
 }
 
-fn open_cache(dir: &str) -> Result<KernelCache, ArgsError> {
-    KernelCache::open(PathBuf::from(dir), 1024)
-        .map_err(|e| ArgsError::new(format!("--cache-dir {dir}: {e}")))
-}
-
+/// `sortsynth synth`: answers the query through the same path the server
+/// uses (cache get, route, run, cache insert), with `--backend` choosing the
+/// route. `--all` runs the engine route on its own query and prints every
+/// kernel it found.
 fn synth(args: &ParsedArgs) -> Result<(), ArgsError> {
-    if let Some(name) = args.options.get("backend") {
-        if args.flag("all") {
-            return Err(ArgsError::new(
-                "--backend answers one query; it cannot enumerate with --all",
-            ));
+    let backend = args.options.get("backend").map(String::as_str);
+    let all = args.flag("all");
+    if all && backend.is_some() {
+        return Err(ArgsError::new(
+            "--backend answers one query; it cannot enumerate with --all",
+        ));
+    }
+    let mut query = synth_query(args)?;
+    if all {
+        // All-solutions needs the optimality-preserving configuration: no
+        // first-instruction restriction, and no cut unless one is asked for.
+        query.optimal_instrs_only = false;
+        query.budget_viability = true;
+        if !args.options.contains_key("cut") {
+            query.cut = None;
         }
-        return synth_backend(args, name);
+        if query.max_len.is_none() {
+            // Find the optimal length first, then enumerate at it.
+            let best = KernelQuery::best(query.n, query.scratch, query.mode);
+            let probe = synthesize(&engine_config(&best));
+            query.max_len = Some(
+                probe
+                    .found_len
+                    .ok_or_else(|| ArgsError::new("no kernel found"))?,
+            );
+        }
     }
-    let machine = machine_from(args)?;
-    let mut cfg = if args.flag("plain") {
-        SynthesisConfig::new(machine.clone())
+    let dir = args.options.get("cache-dir").map(String::as_str);
+    let answers = Answerer::open(dir.map(Path::new), 1024, None)
+        .map_err(|e| ArgsError::new(format!("--cache-dir {}: {e}", dir.unwrap_or_default())))?;
+    let mut cfg = run_flags(args, answers.engine_config(&query))?;
+    cfg.all_solutions = all;
+    let answer = if all {
+        answers.run(&query, &Route::Engine, cfg)
     } else {
-        SynthesisConfig::best(machine.clone())
-    };
-    if let Some(max_len) = args.num::<u32>("max-len")? {
-        cfg = cfg.max_len(max_len);
+        answers.answer(&query, backend, cfg)
     }
-    if let Some(k) = args.num::<f64>("cut")? {
-        cfg = cfg.cut(Cut::Factor(k));
-    }
-    // `--all` enumerates rather than answers one query; the cache keys a
-    // single canonical kernel per query, so the two are mutually exclusive.
-    let cache = match args.options.get("cache-dir") {
-        Some(dir) if !args.flag("all") => Some(open_cache(dir)?),
-        _ => None,
-    };
-    if let Some(cache) = &cache {
-        let query = synth_query(args)?;
-        if let Some(entry) = cache.get(&query) {
-            info!("# length {}, from cache", entry.program.len());
-            print!("{}", machine.format_program(&entry.program));
+    .map_err(|failure| ArgsError::new(failure.to_string()))?;
+    if let Some(result) = &answer.search {
+        report_stats(&result.stats);
+        if let (true, Some(len)) = (all, result.found_len) {
+            info!(
+                "# {} kernels of length {len} ({} states, {:?})",
+                result.solution_count(),
+                result.stats.generated,
+                result.stats.search_time
+            );
+            let limit = args.num::<usize>("limit")?.unwrap_or(10);
+            for (i, prog) in result.dag.programs(limit).iter().enumerate() {
+                println!("# solution {}", i + 1);
+                print!("{}", query.machine().format_program(prog));
+                println!();
+            }
             return Ok(());
         }
     }
-    if args.flag("all") {
-        // All-solutions needs the optimality-preserving configuration.
-        cfg = SynthesisConfig::new(machine.clone())
-            .budget_viability(true)
-            .all_solutions(true);
-        if let Some(max_len) = args.num::<u32>("max-len")? {
-            cfg = cfg.max_len(max_len);
-        } else {
-            // Find the optimal length first, then enumerate at it.
-            let probe = synthesize(&SynthesisConfig::best(machine.clone()));
-            let len = probe
-                .found_len
-                .ok_or_else(|| ArgsError::new("no kernel found"))?;
-            cfg = cfg.max_len(len);
-        }
-        if let Some(k) = args.num::<f64>("cut")? {
-            cfg = cfg.cut(Cut::Factor(k));
-        }
-    }
-    if args.flag("dead-write-cut") {
-        cfg = cfg.dead_write_cut(true);
-    }
-    if args.flag("value-flow-cut") {
-        cfg = cfg.value_flow_cut(true);
-    }
+    // Printed exactly as `client synth` prints the server's reply.
+    render_response(Response::answer(&query, Ok(answer)))
+}
+
+/// Applies the run flags of `synth` and `profile` to `cfg`: they change how the search runs
+/// and what it leaves behind, never which kernel it answers with, so they
+/// are not part of the query.
+fn run_flags(args: &ParsedArgs, mut cfg: SynthesisConfig) -> Result<SynthesisConfig, ArgsError> {
+    cfg.dead_write_cut = args.flag("dead-write-cut");
+    cfg.value_flow_cut = args.flag("value-flow-cut");
     if let Some(threads) = args.num::<usize>("threads")? {
         // All-solutions enumeration always runs sequentially (the full DAG
         // needs ordered parent edges); the engine ignores `threads` there.
-        cfg = cfg.threads(threads);
+        cfg.threads = threads;
     }
     if let Some(secs) = args.num::<f64>("timeout")? {
-        cfg = cfg.search_budget(SearchBudget::with_timeout(Duration::from_secs_f64(secs)));
+        cfg.budget = SearchBudget::with_timeout(Duration::from_secs_f64(secs));
     }
     if let Some(limit) = args.options.get("mem-limit") {
-        cfg = cfg.mem_budget_bytes(parse_bytes(limit)?);
+        cfg.mem_budget_bytes = Some(parse_bytes(limit)?);
     }
-    if let Some(dir) = args.options.get("spill-dir") {
-        cfg = cfg.spill_dir(PathBuf::from(dir));
-    }
-    if let Some(dir) = args.options.get("resume") {
-        cfg = cfg.resume_from(PathBuf::from(dir));
-    }
-    // The arena sizing table lives next to the kernel cache so repeat
-    // queries pre-size their arenas instead of growing into them.
-    if let Some(dir) = args.options.get("cache-dir") {
-        cfg = cfg.sizing_path(PathBuf::from(dir).join("sizing.txt"));
-    }
-    if let Some(recorder) = flight_recorder(args)? {
-        cfg = cfg.progress_hook(sortsynth_search::ProgressHook::new(move |p| {
+    cfg.spill_dir = args.options.get("spill-dir").map(PathBuf::from);
+    cfg.resume_dir = args.options.get("resume").map(PathBuf::from);
+    if let Some(path) = args.options.get("record") {
+        let recorder = sortsynth_obs::FlightRecorder::create(path)
+            .map_err(|e| ArgsError::new(format!("--record {path}: {e}")))?;
+        cfg.progress_hook = Some(sortsynth_search::ProgressHook::new(move |p| {
             // Recording is best-effort: a full disk must not fail the synth.
             let _ = recorder.record(p);
         }));
     }
-    let result = try_synthesize(&cfg).map_err(|e| ArgsError::new(e.to_string()))?;
-    if result.stats.distance_table_skipped {
-        warn!("# note: machine too large for the distance table; searched with degraded pruning");
-    }
-    if result.stats.resumed_frontier_states > 0 {
+    Ok(cfg)
+}
+
+/// The stderr notes a finished search leaves: resume, spill, and the
+/// lossless cuts' work.
+fn report_stats(stats: &SearchStats) {
+    if stats.resumed_frontier_states > 0 {
         info!(
             "# resumed {} frontier states from the journal",
-            result.stats.resumed_frontier_states
+            stats.resumed_frontier_states
         );
     }
-    if result.stats.spilled_bytes > 0 {
+    if stats.spilled_bytes > 0 {
         info!(
             "# spilled {} to disk ({} open states, {} closed entries, {} DDD duplicates)",
-            fmt_bytes(result.stats.spilled_bytes),
-            result.stats.spilled_open,
-            result.stats.spilled_closed,
-            result.stats.ddd_dedup_hits
+            fmt_bytes(stats.spilled_bytes),
+            stats.spilled_open,
+            stats.spilled_closed,
+            stats.ddd_dedup_hits
         );
     }
-    if result.stats.dead_write_pruned > 0 {
+    if stats.dead_write_pruned > 0 {
         info!(
             "# dead-write cut pruned {} successors",
-            result.stats.dead_write_pruned
+            stats.dead_write_pruned
         );
     }
-    if result.stats.value_flow_pruned > 0 {
+    if stats.value_flow_pruned > 0 {
         info!(
             "# value-flow cut pruned {} successors",
-            result.stats.value_flow_pruned
+            stats.value_flow_pruned
         );
     }
-    match result.found_len {
-        None => match result.outcome {
-            Outcome::TimeLimit | Outcome::Cancelled => Err(ArgsError::new(format!(
-                "synthesis timed out after {:?} ({} states generated)",
-                result.stats.search_time, result.stats.generated
-            ))),
-            _ => Err(ArgsError::new(format!(
-                "no kernel found (outcome {:?})",
-                result.outcome
-            ))),
-        },
-        Some(len) => {
-            if args.flag("all") {
-                let count = result.solution_count();
-                info!(
-                    "# {count} kernels of length {len} ({} states, {:?})",
-                    result.stats.generated, result.stats.search_time
-                );
-                let limit = args.num::<usize>("limit")?.unwrap_or(10);
-                for (i, prog) in result.dag.programs(limit).iter().enumerate() {
-                    println!("# solution {}", i + 1);
-                    print!("{}", machine.format_program(prog));
-                    println!();
-                }
-            } else {
-                info!(
-                    "# length {len}, {} states explored in {:?}",
-                    result.stats.generated, result.stats.search_time
-                );
-                let prog = result.first_program().expect("found_len implies a program");
-                print!("{}", machine.format_program(&prog));
-                if let Some(cache) = &cache {
-                    // A full disk is not a reason to fail the command.
-                    let _ = cache.insert(CacheEntry {
-                        query: synth_query(args)?,
-                        program: prog,
-                        minimal_certified: result.minimal_certified,
-                        search_millis: result.stats.search_time.as_millis() as u64,
-                        gate_checksum: None,
-                    });
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
-/// `--record FILE`: a flight recorder for the search about to run.
-fn flight_recorder(
-    args: &ParsedArgs,
-) -> Result<Option<std::sync::Arc<sortsynth_obs::FlightRecorder>>, ArgsError> {
-    match args.options.get("record") {
-        None => Ok(None),
-        Some(path) => sortsynth_obs::FlightRecorder::create(path)
-            .map(|r| Some(std::sync::Arc::new(r)))
-            .map_err(|e| ArgsError::new(format!("--record {path}: {e}"))),
-    }
-}
-
-/// `sortsynth synth --backend B`: run one named backend in process, or
-/// `portfolio` to race every backend first-win behind the verify gate.
-fn synth_backend(args: &ParsedArgs, name: &str) -> Result<(), ArgsError> {
-    let machine = machine_from(args)?;
-    let query = synth_query(args)?;
-    let budget = match args.num::<f64>("timeout")? {
-        Some(secs) => SearchBudget::with_timeout(Duration::from_secs_f64(secs)),
-        None => SearchBudget::unlimited(),
-    };
-    let cache = args
-        .options
-        .get("cache-dir")
-        .map(|dir| open_cache(dir))
-        .transpose()?;
-    if let Some(cache) = &cache {
-        if let Some(entry) = cache.get(&query) {
-            info!("# length {}, from cache", entry.program.len());
-            print!("{}", machine.format_program(&entry.program));
-            return Ok(());
-        }
-    }
-    let (program, minimal_certified, search_millis) = if name == "portfolio" {
-        // Same learned dispatch table as the server: load it from the cache
-        // directory when one is given, record this race back into it.
-        let policy_path = args
-            .options
-            .get("cache-dir")
-            .map(|dir| PathBuf::from(dir).join(POLICY_FILE));
-        let mut policy = policy_path
-            .as_deref()
-            .map(DispatchPolicy::load)
-            .unwrap_or_default();
-        let report = Portfolio::all().run(&query, &budget, Some(&policy));
-        policy.record(&query, &report);
-        if let Some(path) = &policy_path {
-            let _ = policy.save(path);
-        }
-        match (report.winner, report.program) {
-            (Some(winner), Some(program)) => {
-                info!(
-                    "# length {}, won by {} ({} of {} arms reported{}) in {:?}",
-                    program.len(),
-                    winner.name(),
-                    report.outcomes.len(),
-                    BackendKind::ALL.len(),
-                    if report.widened { ", widened" } else { "" },
-                    report.elapsed
-                );
-                (
-                    program,
-                    report.minimal_certified,
-                    report.elapsed.as_millis() as u64,
-                )
-            }
-            _ if budget.is_exhausted() => {
-                return Err(ArgsError::new(format!(
-                    "portfolio timed out after {:?} without a verified winner",
-                    report.elapsed
-                )))
-            }
-            _ => return Err(ArgsError::new("no kernel found by any backend")),
-        }
-    } else {
-        let kind = BackendKind::parse(name).ok_or_else(|| {
-            ArgsError::new(format!(
-                "unknown backend `{name}` (expected portfolio or one of: {})",
-                BackendKind::ALL
-                    .iter()
-                    .map(|k| k.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ))
-        })?;
-        let out = backend_for(kind).run(&query, &budget, None);
-        match out.status {
-            BackendStatus::Found {
-                program,
-                minimal_certified,
-            } => {
-                sortsynth_verify::gate(&machine, &program).map_err(|e| {
-                    ArgsError::new(format!(
-                        "backend `{name}` produced a program the verifier refused: {e}"
-                    ))
-                })?;
-                info!(
-                    "# length {}, backend {name}{} in {:?}",
-                    program.len(),
-                    if minimal_certified { ", minimal" } else { "" },
-                    out.elapsed
-                );
-                (program, minimal_certified, out.elapsed.as_millis() as u64)
-            }
-            BackendStatus::NoProgram => {
-                return Err(ArgsError::new(format!(
-                    "backend `{name}` proved no kernel exists within the bound"
-                )))
-            }
-            BackendStatus::Budget => {
-                return Err(ArgsError::new(format!(
-                    "backend `{name}` timed out after {:?}",
-                    out.elapsed
-                )))
-            }
-            BackendStatus::Unsupported => {
-                return Err(ArgsError::new(format!(
-                    "backend `{name}` does not support this query"
-                )))
-            }
-        }
-    };
-    print!("{}", machine.format_program(&program));
-    if let Some(cache) = &cache {
-        // A full disk is not a reason to fail the command.
-        let _ = cache.insert(CacheEntry {
-            query,
-            program,
-            minimal_certified,
-            search_millis,
-            gate_checksum: None,
-        });
-    }
-    Ok(())
 }
 
 fn prove(args: &ParsedArgs) -> Result<(), ArgsError> {
@@ -822,25 +640,9 @@ fn profile_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
     use sortsynth_obs::profile::{time_global, Phase, PHASE_COUNT};
 
     sortsynth_obs::profile::set_enabled(true);
-    let machine = machine_from(args)?;
-    let mut cfg = if args.flag("plain") {
-        SynthesisConfig::new(machine.clone())
-    } else {
-        SynthesisConfig::best(machine.clone())
-    };
-    if let Some(max_len) = args.num::<u32>("max-len")? {
-        cfg = cfg.max_len(max_len);
-    }
-    if let Some(k) = args.num::<f64>("cut")? {
-        cfg = cfg.cut(Cut::Factor(k));
-    }
-    if let Some(threads) = args.num::<usize>("threads")? {
-        cfg = cfg.threads(threads);
-    }
-    if let Some(secs) = args.num::<f64>("timeout")? {
-        cfg = cfg.search_budget(SearchBudget::with_timeout(Duration::from_secs_f64(secs)));
-    }
-    let result = synthesize(&cfg);
+    let cfg = run_flags(args, engine_config(&synth_query(args)?))?;
+    let machine = &cfg.machine;
+    let result = try_synthesize(&cfg).map_err(|e| ArgsError::new(e.to_string()))?;
 
     // The engine attributes its own phases; the verification gate of the
     // found kernel runs here, timed onto the VerifyGate counter (read back
@@ -850,10 +652,8 @@ fn profile_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
     let mut gate_nanos = 0;
     if let Some(prog) = result.first_program() {
         let before = sortsynth_obs::registry().counter_value(&gate_counter);
-        time_global(Phase::VerifyGate, || {
-            sortsynth_verify::gate(&machine, &prog)
-        })
-        .map_err(|e| ArgsError::new(format!("verification gate refused the kernel: {e}")))?;
+        time_global(Phase::VerifyGate, || sortsynth_verify::gate(machine, &prog))
+            .map_err(|e| ArgsError::new(format!("verification gate refused the kernel: {e}")))?;
         gate_nanos = sortsynth_obs::registry().counter_value(&gate_counter) - before;
         phase_nanos[Phase::VerifyGate as usize] += gate_nanos;
     }
@@ -1147,11 +947,11 @@ fn render_response(response: Response) -> Result<(), ArgsError> {
         Response::Synth(reply) => {
             let source = match reply.source {
                 ReplySource::Computed => "computed",
-                ReplySource::Cache => "cache",
+                ReplySource::Cache => "from cache",
                 ReplySource::Coalesced => "coalesced",
             };
             if reply.distance_table_skipped {
-                warn!("# note: machine too large for the distance table; server searched with degraded pruning");
+                warn!("# note: machine too large for the distance table; searched with degraded pruning");
             }
             match reply.program {
                 Some(text) => {
@@ -1253,12 +1053,7 @@ fn render_response(response: Response) -> Result<(), ArgsError> {
             }
             Ok(())
         }
-        Response::Timeout(t) => Err(ArgsError::new(format!(
-            "server timed out after {} ms ({} states generated{})",
-            t.elapsed_ms,
-            t.generated,
-            if t.cancelled { ", cancelled" } else { "" }
-        ))),
+        Response::Timeout(t) => Err(ArgsError::new(format!("server {}", Failure::Timeout(t)))),
         Response::Progress(frame) => {
             // Progress frames normally stay inside the watch stream loop;
             // render a stray one rather than erroring.

@@ -262,6 +262,45 @@ fn synth_cache_dir_round_trip() {
 }
 
 #[test]
+fn backend_answer_is_a_cache_hit_for_the_engine_route() {
+    let dir = std::env::temp_dir().join(format!(
+        "sortsynth-cli-backend-cache-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache_dir = dir.to_str().expect("utf-8 temp path");
+
+    // A named backend answers the query and caches it under the query key.
+    let cold = sortsynth()
+        .args([
+            "synth",
+            "--n",
+            "3",
+            "--backend",
+            "astar",
+            "--cache-dir",
+            cache_dir,
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(cold.status.success(), "{cold:?}");
+    let cold_program = String::from_utf8_lossy(&cold.stdout).to_string();
+    assert_eq!(cold_program.lines().count(), 11, "{cold_program}");
+    assert!(!String::from_utf8_lossy(&cold.stderr).contains("from cache"));
+
+    // The same query without a backend is answered from that entry.
+    let warm = sortsynth()
+        .args(["synth", "--n", "3", "--cache-dir", cache_dir])
+        .output()
+        .expect("binary runs");
+    assert!(warm.status.success(), "{warm:?}");
+    assert_eq!(String::from_utf8_lossy(&warm.stdout), cold_program);
+    assert!(String::from_utf8_lossy(&warm.stderr).contains("from cache"));
+
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
 fn serve_and_client_round_trip() {
     use std::io::{BufRead as _, BufReader};
 

@@ -11,12 +11,16 @@
 
 use std::time::{Duration, Instant};
 
-use sortsynth_cache::{CutSpec, KernelQuery};
+use sortsynth_cache::KernelQuery;
 use sortsynth_isa::{IsaMode, Program};
-use sortsynth_search::{synthesize, Cut, Outcome, ProgressHook, SearchBudget, SynthesisConfig};
+use sortsynth_search::{
+    try_synthesize, Outcome, ResumeError, SearchBudget, SynthesisConfig, SynthesisResult,
+};
 use sortsynth_solvers::{
     smt_cegis, synthesize_minimal, Budget, CegisDomain, EncodeOptions, SynthOutcome,
 };
+
+use crate::answer::engine_config;
 
 /// The racing roster: every synthesis engine the portfolio can dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -141,12 +145,7 @@ pub trait Backend: Send + Sync {
     /// Runs the engine on `query` under `budget`. Implementations must poll
     /// the budget cooperatively and return [`BackendStatus::Budget`] when
     /// it trips; they must never outlive the call (no detached threads).
-    fn run(
-        &self,
-        query: &KernelQuery,
-        budget: &SearchBudget,
-        hook: Option<&ProgressHook>,
-    ) -> BackendOutcome;
+    fn run(&self, query: &KernelQuery, budget: &SearchBudget) -> BackendOutcome;
 }
 
 /// Constructs the default adapter for `kind`.
@@ -207,39 +206,36 @@ impl Backend for AStarBackend {
         }
     }
 
-    fn run(
-        &self,
-        query: &KernelQuery,
-        budget: &SearchBudget,
-        hook: Option<&ProgressHook>,
-    ) -> BackendOutcome {
-        let start = Instant::now();
-        let mut cfg = SynthesisConfig::new(query.machine());
+    fn run(&self, query: &KernelQuery, budget: &SearchBudget) -> BackendOutcome {
+        let mut cfg = engine_config(query);
         cfg.threads = self.threads;
-        cfg.optimal_instrs_only = query.optimal_instrs_only;
-        cfg.budget_viability = query.budget_viability;
-        cfg.max_len = query.max_len;
-        cfg.cut = query.cut.map(|cut| match cut {
-            CutSpec::Factor { millis } => Cut::Factor(millis as f64 / 1000.0),
-            CutSpec::Additive { add } => Cut::Additive(add),
-        });
         cfg.budget = budget.clone();
-        cfg.progress_hook = hook.cloned();
-        let result = synthesize(&cfg);
-        let status = match result.outcome {
-            Outcome::Solved | Outcome::SolvedAll | Outcome::Exhausted => {
-                match result.first_program() {
-                    Some(program) => BackendStatus::Found {
-                        program,
-                        minimal_certified: result.minimal_certified,
-                    },
-                    None => BackendStatus::NoProgram,
-                }
-            }
-            Outcome::TimeLimit | Outcome::Cancelled | Outcome::NodeLimit => BackendStatus::Budget,
-        };
-        outcome(self.kind(), status, start)
+        search(self.kind(), &cfg)
+            .expect("a search without a resume directory always starts")
+            .0
     }
+}
+
+/// Runs the enumerative search `cfg` describes as the `kind` arm, and hands
+/// back the whole result too: the body of the A* adapters, and of the engine
+/// route, which runs it with the caller's engine settings.
+pub(crate) fn search(
+    kind: BackendKind,
+    cfg: &SynthesisConfig,
+) -> Result<(BackendOutcome, SynthesisResult), ResumeError> {
+    let start = Instant::now();
+    let result = try_synthesize(cfg)?;
+    let status = match result.outcome {
+        Outcome::Solved | Outcome::SolvedAll | Outcome::Exhausted => match result.first_program() {
+            Some(program) => BackendStatus::Found {
+                program,
+                minimal_certified: result.minimal_certified,
+            },
+            None => BackendStatus::NoProgram,
+        },
+        Outcome::TimeLimit | Outcome::Cancelled | Outcome::NodeLimit => BackendStatus::Budget,
+    };
+    Ok((outcome(kind, status, start), result))
 }
 
 /// SMT-CEGIS, iterated over lengths from 1 so the first hit is minimal.
@@ -250,12 +246,7 @@ impl Backend for CegisBackend {
         BackendKind::Cegis
     }
 
-    fn run(
-        &self,
-        query: &KernelQuery,
-        budget: &SearchBudget,
-        _hook: Option<&ProgressHook>,
-    ) -> BackendOutcome {
+    fn run(&self, query: &KernelQuery, budget: &SearchBudget) -> BackendOutcome {
         let start = Instant::now();
         let machine = query.machine();
         for len in 1..=upper_len(query) {
@@ -298,12 +289,7 @@ impl Backend for SmtMinBackend {
         BackendKind::SmtMin
     }
 
-    fn run(
-        &self,
-        query: &KernelQuery,
-        budget: &SearchBudget,
-        _hook: Option<&ProgressHook>,
-    ) -> BackendOutcome {
+    fn run(&self, query: &KernelQuery, budget: &SearchBudget) -> BackendOutcome {
         let start = Instant::now();
         let machine = query.machine();
         let (result, _) = synthesize_minimal(
@@ -338,12 +324,7 @@ impl Backend for MctsBackend {
         BackendKind::Mcts
     }
 
-    fn run(
-        &self,
-        query: &KernelQuery,
-        budget: &SearchBudget,
-        _hook: Option<&ProgressHook>,
-    ) -> BackendOutcome {
+    fn run(&self, query: &KernelQuery, budget: &SearchBudget) -> BackendOutcome {
         let start = Instant::now();
         let result = sortsynth_mcts::run(&sortsynth_mcts::MctsConfig {
             machine: query.machine(),
@@ -376,12 +357,7 @@ impl Backend for StokeBackend {
         BackendKind::Stoke
     }
 
-    fn run(
-        &self,
-        query: &KernelQuery,
-        budget: &SearchBudget,
-        _hook: Option<&ProgressHook>,
-    ) -> BackendOutcome {
+    fn run(&self, query: &KernelQuery, budget: &SearchBudget) -> BackendOutcome {
         let start = Instant::now();
         let result = sortsynth_stoke::run(&sortsynth_stoke::StokeConfig {
             machine: query.machine(),
@@ -419,12 +395,7 @@ impl Backend for PlanBackend {
         BackendKind::Plan
     }
 
-    fn run(
-        &self,
-        query: &KernelQuery,
-        budget: &SearchBudget,
-        _hook: Option<&ProgressHook>,
-    ) -> BackendOutcome {
+    fn run(&self, query: &KernelQuery, budget: &SearchBudget) -> BackendOutcome {
         let start = Instant::now();
         if query.n > 3 {
             return outcome(self.kind(), BackendStatus::Unsupported, start);
@@ -484,7 +455,7 @@ mod tests {
             BackendKind::SmtMin,
             BackendKind::Plan,
         ] {
-            let out = backend_for(kind).run(&query, &SearchBudget::unlimited(), None);
+            let out = backend_for(kind).run(&query, &SearchBudget::unlimited());
             let prog = out
                 .program()
                 .unwrap_or_else(|| panic!("{} found no program: {:?}", kind.name(), out.status));
@@ -499,7 +470,7 @@ mod tests {
         let (budget, handle) = SearchBudget::unlimited().cancellable();
         handle.cancel();
         for kind in BackendKind::ALL {
-            let out = backend_for(kind).run(&query, &budget, None);
+            let out = backend_for(kind).run(&query, &budget);
             assert!(
                 matches!(out.status, BackendStatus::Budget),
                 "{} ignored a pre-cancelled budget: {:?}",

@@ -164,7 +164,7 @@ impl Portfolio {
                     // on: arms are black boxes (SMT, MCTS, …), so the race
                     // accounts their whole run rather than inner phases.
                     let profiled = profile::enabled().then(Instant::now);
-                    let out = arm.run(query, &arm_budget, None);
+                    let out = arm.run(query, &arm_budget);
                     if let Some(t0) = profiled {
                         let name = format!(
                             "sortsynth_portfolio_{}_nanos_total",

@@ -17,6 +17,10 @@
 //! * [`DispatchPolicy`] — a learned per-query-shape win-rate table,
 //!   persisted as JSON next to the kernel cache, that shrinks the first
 //!   wave to historically-best arms and only widens on a miss.
+//! * [`Answerer`] — the one answer path the service and the CLI share:
+//!   cache get, then [`Route`] (the engine, one backend, or a race), then
+//!   run, then cache insert, with [`engine_config`] as the one mapping from
+//!   a query to the engine configuration it describes.
 //!
 //! Losing arms are *cancelled, then joined*: every engine polls the shared
 //! budget cooperatively (per expansion, per CDCL decision, per MCMC
@@ -37,10 +41,12 @@
 //! assert!(report.winner.is_some());
 //! ```
 
+mod answer;
 mod backend;
 mod executor;
 mod policy;
 
+pub use answer::{engine_config, Answer, Answerer, Failure, RaceTally, Route, Timeout};
 pub use backend::{backend_for, upper_len, Backend, BackendKind, BackendOutcome, BackendStatus};
 pub use executor::{Portfolio, RaceReport};
 pub use policy::{DispatchPolicy, PolicyRow, POLICY_FILE};

@@ -32,7 +32,7 @@ fn win_total() -> u64 {
 /// The sequential enumerative answer for `query` — the differential
 /// reference every race is compared against.
 fn sequential_optimum(query: &KernelQuery) -> u32 {
-    let out = backend_for(BackendKind::AStar).run(query, &SearchBudget::unlimited(), None);
+    let out = backend_for(BackendKind::AStar).run(query, &SearchBudget::unlimited());
     match out.status {
         BackendStatus::Found { program, .. } => program.len() as u32,
         other => panic!("sequential reference failed: {other:?}"),

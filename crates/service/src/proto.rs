@@ -23,6 +23,14 @@ use serde::{Deserialize, Error, Serialize, Value};
 use sortsynth_cache::KernelQuery;
 use sortsynth_isa::Machine;
 use sortsynth_obs::progress::{SearchProgress, ShardSnapshot, COLUMNS};
+use sortsynth_portfolio::{Answer, Failure};
+
+/// One row of the learned portfolio dispatch table in a [`StatsReply`]: the
+/// policy's own row type, which encodes the same on the wire and on disk.
+pub use sortsynth_portfolio::PolicyRow as PortfolioRowReply;
+/// Diagnostics returned when a request's deadline expired: the answer
+/// path's own timeout record.
+pub use sortsynth_portfolio::Timeout as TimeoutReply;
 
 /// Hard cap on one frame's payload (1 MiB).
 pub const MAX_FRAME: u32 = 1 << 20;
@@ -209,37 +217,6 @@ pub struct SynthReply {
     pub backend: Option<String>,
 }
 
-/// Diagnostics returned when a request's deadline expired mid-search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimeoutReply {
-    /// States generated before the budget expired.
-    pub generated: u64,
-    /// States expanded before the budget expired.
-    pub expanded: u64,
-    /// Wall-clock milliseconds spent searching.
-    pub elapsed_ms: u64,
-    /// `true` if the budget was cancelled rather than timing out.
-    pub cancelled: bool,
-}
-
-/// One row of the learned portfolio dispatch table: how an arm has fared
-/// on a query shape (mirrors `sortsynth_portfolio::PolicyRow`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PortfolioRowReply {
-    /// The query shape, canonically `n/scratch/mode` (e.g. `3/1/cmov`).
-    pub shape: String,
-    /// The backend's kebab-case name (e.g. `astar-par`).
-    pub backend: String,
-    /// Races this arm won for the shape.
-    pub wins: u64,
-    /// Races this arm completed without winning.
-    pub losses: u64,
-    /// Races this arm was cancelled in.
-    pub cancelled: u64,
-    /// Total wall-clock milliseconds this arm spent on the shape.
-    pub total_millis: u64,
-}
-
 /// A live-gauges snapshot of the running server (reply to
 /// [`Request::Stats`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -361,6 +338,37 @@ pub enum Response {
     },
 }
 
+impl Response {
+    /// The wire form of an answer from the answer path, or of why there is
+    /// none: a timeout keeps its own reply, every other failure its wording.
+    pub fn answer(query: &KernelQuery, answer: Result<Answer, Failure>) -> Response {
+        match answer {
+            Ok(answer) => Response::Synth(SynthReply {
+                program: answer
+                    .program
+                    .as_ref()
+                    .map(|program| query.machine().format_program(program)),
+                found_len: answer.program.as_ref().map(|program| program.len() as u32),
+                minimal_certified: answer.minimal_certified,
+                source: if answer.cached {
+                    ReplySource::Cache
+                } else {
+                    ReplySource::Computed
+                },
+                search_millis: answer.millis,
+                distance_table_skipped: answer
+                    .search
+                    .is_some_and(|result| result.stats.distance_table_skipped),
+                backend: answer.backend.map(|kind| kind.name().to_string()),
+            }),
+            Err(Failure::Timeout(timeout)) => Response::Timeout(timeout),
+            Err(failure) => Response::Error {
+                message: failure.to_string(),
+            },
+        }
+    }
+}
+
 impl Serialize for Request {
     fn serialize(&self) -> Value {
         match self {
@@ -465,32 +473,6 @@ impl Deserialize for LintReply {
             severity: String::deserialize(value.required("severity")?)?,
             index: Option::<u64>::deserialize(value.required("index")?)?,
             message: String::deserialize(value.required("message")?)?,
-        })
-    }
-}
-
-impl Serialize for PortfolioRowReply {
-    fn serialize(&self) -> Value {
-        Value::map([
-            ("shape", self.shape.serialize()),
-            ("backend", self.backend.serialize()),
-            ("wins", self.wins.serialize()),
-            ("losses", self.losses.serialize()),
-            ("cancelled", self.cancelled.serialize()),
-            ("total_millis", self.total_millis.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for PortfolioRowReply {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(PortfolioRowReply {
-            shape: String::deserialize(value.required("shape")?)?,
-            backend: String::deserialize(value.required("backend")?)?,
-            wins: u64::deserialize(value.required("wins")?)?,
-            losses: u64::deserialize(value.required("losses")?)?,
-            cancelled: u64::deserialize(value.required("cancelled")?)?,
-            total_millis: u64::deserialize(value.required("total_millis")?)?,
         })
     }
 }

@@ -26,23 +26,21 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use sortsynth_cache::{fnv1a, CacheEntry, CutSpec, KernelCache, KernelQuery};
-use sortsynth_isa::{analyze, Machine, ThroughputModel};
+use sortsynth_cache::KernelQuery;
+use sortsynth_isa::{analyze, ThroughputModel};
 use sortsynth_obs::FlightRecorder;
 use sortsynth_obs::{names, FieldValue, Span};
-use sortsynth_portfolio::{
-    backend_for, BackendKind, BackendStatus, DispatchPolicy, Portfolio, POLICY_FILE,
-};
-use sortsynth_search::{synthesize, Cut, Outcome, ProgressHook, SearchBudget, SynthesisConfig};
+use sortsynth_portfolio::{Answerer, Route};
+use sortsynth_search::{ProgressHook, SearchBudget};
 
 use crate::proto::{
-    read_message, write_message, AnalyzeReply, CheckReply, LintReply, PortfolioRowReply,
-    ReplySource, Request, Response, StatsReply, SynthReply, TimeoutReply,
+    read_message, write_message, AnalyzeReply, CheckReply, LintReply, ReplySource, Request,
+    Response, StatsReply, TimeoutReply,
 };
 use crate::singleflight::{Role, SingleFlight};
 use crate::watch::WatchHub;
@@ -137,7 +135,8 @@ struct Job {
 
 /// State shared by the acceptor, connection threads, and workers.
 struct Shared {
-    cache: KernelCache,
+    /// The answer path: kernel cache, dispatch table, and default roster.
+    answers: Answerer,
     flights: SingleFlight<Response>,
     jobs: Sender<Job>,
     searches_started: AtomicU64,
@@ -154,16 +153,6 @@ struct Shared {
     coalesced: AtomicU64,
     queue_depth: AtomicI64,
     inflight: AtomicI64,
-    /// Default portfolio roster for unrouted synth requests (`None` = the
-    /// classic engine path).
-    portfolio_route: Option<Vec<BackendKind>>,
-    /// The learned dispatch table, shared by every race and persisted to
-    /// `policy_path` after each update.
-    policy: Mutex<DispatchPolicy>,
-    policy_path: Option<PathBuf>,
-    portfolio_races: AtomicU64,
-    portfolio_wins: AtomicU64,
-    portfolio_widened: AtomicU64,
     /// Live-attach fan-out registry, keyed by single-flight key. `Arc` so
     /// the search progress hook (which must be `'static`) can publish into
     /// it from worker threads.
@@ -175,15 +164,13 @@ struct Shared {
     /// Memory budget for engine-route searches
     /// (`ServiceConfig::search_mem_limit`).
     search_mem_limit: Option<u64>,
-    /// Arena sizing table, persisted next to the durable cache so repeated
-    /// shapes pre-size their arenas; memory-only servers size from scratch.
-    sizing_path: Option<PathBuf>,
 }
 
 impl Shared {
     /// Builds the [`Request::Stats`] snapshot.
     fn stats_reply(&self) -> StatsReply {
-        let cache = self.cache.stats();
+        let cache = self.answers.cache().stats();
+        let (rows, races) = self.answers.policy();
         StatsReply {
             uptime_ms: self.started.elapsed().as_millis() as u64,
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
@@ -200,24 +187,10 @@ impl Shared {
             cache_evictions: cache.evictions,
             cache_verify_rejected: cache.verify_rejected,
             cache_verify_skipped: cache.verify_skipped + cache.load.verify_skipped,
-            portfolio_races: self.portfolio_races.load(Ordering::Relaxed),
-            portfolio_wins: self.portfolio_wins.load(Ordering::Relaxed),
-            portfolio_widened: self.portfolio_widened.load(Ordering::Relaxed),
-            portfolio: self
-                .policy
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .rows()
-                .into_iter()
-                .map(|row| PortfolioRowReply {
-                    shape: row.shape,
-                    backend: row.backend,
-                    wins: row.wins,
-                    losses: row.losses,
-                    cancelled: row.cancelled,
-                    total_millis: row.total_millis,
-                })
-                .collect(),
+            portfolio_races: races.races,
+            portfolio_wins: races.wins,
+            portfolio_widened: races.widened,
+            portfolio: rows,
         }
     }
 }
@@ -247,36 +220,14 @@ impl Server {
                 io::Error::new(io::ErrorKind::InvalidInput, "unresolvable addr")
             })?)?;
         let addr = listener.local_addr()?;
-        let cache = match &config.cache_dir {
-            Some(dir) => KernelCache::open(dir, config.cache_capacity)?,
-            None => KernelCache::in_memory(config.cache_capacity),
-        };
-        let portfolio_route = match &config.portfolio {
-            None => None,
-            Some(names) if names.is_empty() => Some(BackendKind::ALL.to_vec()),
-            Some(names) => {
-                let mut kinds = Vec::new();
-                for name in names {
-                    let kind = BackendKind::parse(name).ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            format!("unknown portfolio backend `{name}`"),
-                        )
-                    })?;
-                    if !kinds.contains(&kind) {
-                        kinds.push(kind);
-                    }
-                }
-                Some(kinds)
-            }
-        };
-        // The dispatch table lives next to the durable cache so a restarted
-        // server keeps its routing knowledge; memory-only servers start cold.
-        let policy_path = config.cache_dir.as_ref().map(|dir| dir.join(POLICY_FILE));
-        let policy = match &policy_path {
-            Some(path) => DispatchPolicy::load(path),
-            None => DispatchPolicy::new(),
-        };
+        // The dispatch and sizing tables live next to the durable cache, so
+        // a restarted server keeps what it learned; memory-only servers
+        // start cold.
+        let answers = Answerer::open(
+            config.cache_dir.as_deref(),
+            config.cache_capacity,
+            config.portfolio.as_deref(),
+        )?;
         // Pre-register every metric family so the first `metrics` reply is
         // complete even before any request has touched a counter.
         names::register_well_known();
@@ -285,7 +236,7 @@ impl Server {
         }
         let (jobs_tx, jobs_rx) = channel::bounded::<Job>(config.queue_depth.max(1));
         let shared = Arc::new(Shared {
-            cache,
+            answers,
             flights: SingleFlight::new(),
             jobs: jobs_tx,
             searches_started: AtomicU64::new(0),
@@ -299,17 +250,10 @@ impl Server {
             coalesced: AtomicU64::new(0),
             queue_depth: AtomicI64::new(0),
             inflight: AtomicI64::new(0),
-            portfolio_route,
-            policy: Mutex::new(policy),
-            policy_path,
-            portfolio_races: AtomicU64::new(0),
-            portfolio_wins: AtomicU64::new(0),
-            portfolio_widened: AtomicU64::new(0),
             watch: Arc::new(WatchHub::new()),
             record_dir: config.record_dir.clone(),
             recording_seq: AtomicU64::new(0),
             search_mem_limit: config.search_mem_limit,
-            sizing_path: config.cache_dir.as_ref().map(|dir| dir.join("sizing.txt")),
         });
         let mut workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
             .map(|i| {
@@ -405,7 +349,7 @@ impl ServerHandle {
 
     /// Cache statistics snapshot.
     pub fn cache_stats(&self) -> sortsynth_cache::CacheStats {
-        self.shared.cache.stats()
+        self.shared.answers.cache().stats()
     }
 
     /// Stops accepting, drains the workers, and joins the acceptor.
@@ -634,9 +578,11 @@ fn handle_watch(
     backend: Option<&str>,
     wait_ms: Option<u64>,
 ) -> bool {
-    let route = match SynthRoute::resolve(shared, backend) {
+    let route = match shared.answers.route(backend) {
         Ok(route) => route,
-        Err(message) => return write_message(writer, &Response::Error { message }).is_ok(),
+        Err(failure) => {
+            return write_message(writer, &Response::answer(query, Err(failure))).is_ok()
+        }
     };
     let wait = Duration::from_millis(wait_ms.unwrap_or(DEFAULT_WATCH_WAIT_MS));
     let Some((rx, last)) = shared.watch.attach(route.flight_key(query), wait) else {
@@ -653,7 +599,8 @@ fn handle_watch(
     // Prime with the latest frame, then stream live ones. The hub
     // guarantees termination: every flight ends with a `finished` frame
     // (synthesized as `Abandoned` if the search unwound).
-    if let Some(frame) = last {
+    let live = std::iter::from_fn(|| rx.recv().ok());
+    for frame in last.into_iter().chain(live) {
         let finished = frame.finished;
         if write_message(writer, &Response::Progress(frame)).is_err() {
             return false;
@@ -663,31 +610,10 @@ fn handle_watch(
             return true;
         }
     }
-    loop {
-        match rx.recv() {
-            Ok(frame) => {
-                let finished = frame.finished;
-                if write_message(writer, &Response::Progress(frame)).is_err() {
-                    return false;
-                }
-                frames.inc();
-                if finished {
-                    return true;
-                }
-            }
-            Err(_) => {
-                // The flight was replaced out from under us; end the stream
-                // explicitly rather than leaving the client waiting.
-                return write_message(
-                    writer,
-                    &Response::Error {
-                        message: "watch stream interrupted".to_string(),
-                    },
-                )
-                .is_ok();
-            }
-        }
-    }
+    // The flight was replaced out from under us; end the stream explicitly
+    // rather than leaving the client waiting.
+    let message = "watch stream interrupted".to_string();
+    write_message(writer, &Response::Error { message }).is_ok()
 }
 
 /// Deadline stamped when the request is admitted: synth requests honour
@@ -710,10 +636,14 @@ fn execute(shared: &Shared, job: &Job) -> Response {
             Response::Slept
         }
         Request::Check { machine, program } => match machine.parse_program(program) {
-            Ok(prog) => Response::Check(CheckReply {
-                correct: machine.is_correct(&prog),
-                counterexamples: machine.counterexamples(&prog).len() as u64,
-            }),
+            Ok(prog) => {
+                // One pass of the n! oracle answers both fields.
+                let counterexamples = machine.counterexamples(&prog).len() as u64;
+                Response::Check(CheckReply {
+                    correct: counterexamples == 0,
+                    counterexamples,
+                })
+            }
             Err(e) => Response::Error {
                 message: format!("parse error: {e}"),
             },
@@ -760,52 +690,8 @@ fn execute(shared: &Shared, job: &Job) -> Response {
     }
 }
 
-/// How a synth request is executed.
-enum SynthRoute {
-    /// The classic single-engine A* path.
-    Engine,
-    /// One named backend through its portfolio adapter.
-    Single(BackendKind),
-    /// A first-win race over this roster.
-    Race(Vec<BackendKind>),
-}
-
-impl SynthRoute {
-    /// Resolves the request's `backend` field against the server default.
-    /// The error is the message for a `Response::Error` (kept as a bare
-    /// `String` so the `Err` variant stays small).
-    fn resolve(shared: &Shared, backend: Option<&str>) -> Result<SynthRoute, String> {
-        match backend {
-            None => Ok(match &shared.portfolio_route {
-                Some(kinds) => SynthRoute::Race(kinds.clone()),
-                None => SynthRoute::Engine,
-            }),
-            Some("portfolio") => Ok(SynthRoute::Race(
-                shared
-                    .portfolio_route
-                    .clone()
-                    .unwrap_or_else(|| BackendKind::ALL.to_vec()),
-            )),
-            Some(name) => match BackendKind::parse(name) {
-                Some(kind) => Ok(SynthRoute::Single(kind)),
-                None => Err(format!("unknown backend `{name}`")),
-            },
-        }
-    }
-
-    /// Single-flight key: routes that can produce different answers (or do
-    /// different amounts of work) must not coalesce with each other, so the
-    /// route perturbs the query fingerprint. The classic path keeps the
-    /// bare fingerprint for wire compatibility with older clients.
-    fn flight_key(&self, query: &KernelQuery) -> u64 {
-        match self {
-            SynthRoute::Engine => query.fingerprint(),
-            SynthRoute::Single(kind) => query.fingerprint() ^ fnv1a(kind.name().as_bytes()),
-            SynthRoute::Race(_) => query.fingerprint() ^ fnv1a(b"portfolio"),
-        }
-    }
-}
-
+/// Answers one synth request: deadline check, cache get, route, then the
+/// single-flight coalesced run.
 fn handle_synth(
     shared: &Shared,
     query: &KernelQuery,
@@ -815,21 +701,28 @@ fn handle_synth(
 ) -> Response {
     // Deadline may already have expired in the queue.
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Response::Timeout(TimeoutReply {
-            generated: 0,
-            expanded: 0,
-            elapsed_ms: 0,
-            cancelled: false,
-        });
+        return Response::Timeout(TimeoutReply::default());
     }
-    if let Some(entry) = shared.cache.get(query) {
-        return entry_reply(&entry, ReplySource::Cache);
+    if let Some(answer) = shared.answers.cached(query) {
+        return Response::answer(query, Ok(answer));
     }
-    let route = match SynthRoute::resolve(shared, backend) {
-        Ok(route) => route,
-        Err(message) => return Response::Error { message },
-    };
-    match shared.flights.join(route.flight_key(query)) {
+    match shared.answers.route(backend) {
+        Ok(route) => coalesce(shared, query, &route, deadline, span_id),
+        Err(failure) => Response::answer(query, Err(failure)),
+    }
+}
+
+/// Runs a cache miss's route once per flight key: the first request leads,
+/// identical requests arriving meanwhile follow with a clone of its reply.
+fn coalesce(
+    shared: &Shared,
+    query: &KernelQuery,
+    route: &Route,
+    deadline: Option<Instant>,
+    span_id: u64,
+) -> Response {
+    let key = route.flight_key(query);
+    match shared.flights.join(key) {
         Role::Follower(Some(response)) => {
             shared.coalesced.fetch_add(1, Ordering::Relaxed);
             names::counter(names::SINGLEFLIGHT_COALESCED_TOTAL).inc();
@@ -839,267 +732,68 @@ fn handle_synth(
             message: "coalesced search was abandoned".to_string(),
         },
         Role::Leader(token) => {
-            shared.searches_started.fetch_add(1, Ordering::SeqCst);
-            names::counter(names::SEARCHES_STARTED_TOTAL).inc();
-            let search_span = Span::child_of(span_id, "search");
-            search_span.event(
-                "query",
-                &[(
-                    "fingerprint",
-                    FieldValue::Str(format!("{:016x}", query.fingerprint())),
-                )],
-            );
-            let response = match &route {
-                SynthRoute::Engine => run_search(shared, query, deadline, route.flight_key(query)),
-                SynthRoute::Single(kind) => run_single(shared, query, *kind, deadline),
-                SynthRoute::Race(kinds) => run_race(shared, query, kinds, deadline),
+            // A request that missed the cache while the previous leader was
+            // still searching can join only after that leader completed its
+            // flight — by which time its answer is in the memory front (see
+            // the singleflight docs). Re-check before searching again.
+            let response = match shared.answers.resident(query) {
+                Some(answer) => Response::answer(query, Ok(answer)),
+                None => search(shared, query, route, key, deadline, span_id),
             };
-            drop(search_span);
-            // `run_search` has already published any solution to the cache,
-            // so completing the flight here preserves the
-            // exactly-one-search invariant (see the singleflight docs).
             token.complete(response.clone());
             response
         }
     }
 }
 
-/// Builds the engine configuration the query describes and runs it.
-fn run_search(
+/// Leads one search: the route runs on the answer path, which inserts the
+/// kernel into the cache before the caller completes the flight.
+fn search(
     shared: &Shared,
     query: &KernelQuery,
+    route: &Route,
+    key: u64,
     deadline: Option<Instant>,
-    flight_key: u64,
+    span_id: u64,
 ) -> Response {
-    let machine: Machine = query.machine();
-    let mut cfg = SynthesisConfig::new(machine);
+    shared.searches_started.fetch_add(1, Ordering::SeqCst);
+    names::counter(names::SEARCHES_STARTED_TOTAL).inc();
+    let search_span = Span::child_of(span_id, "search");
+    search_span.event(
+        "query",
+        &[(
+            "fingerprint",
+            FieldValue::Str(format!("{:016x}", query.fingerprint())),
+        )],
+    );
+    let mut cfg = shared.answers.engine_config(query);
     cfg.threads = shared.search_threads;
-    cfg.optimal_instrs_only = query.optimal_instrs_only;
-    cfg.budget_viability = query.budget_viability;
-    cfg.max_len = query.max_len;
-    cfg.cut = query.cut.map(|cut| match cut {
-        CutSpec::Factor { millis } => Cut::Factor(millis as f64 / 1000.0),
-        CutSpec::Additive { add } => Cut::Additive(add),
-    });
+    cfg.mem_budget_bytes = shared.search_mem_limit;
     if let Some(deadline) = deadline {
         cfg.budget = SearchBudget::with_deadline(deadline);
     }
-    cfg.mem_budget_bytes = shared.search_mem_limit;
-    cfg.sizing_path = shared.sizing_path.clone();
     // Every engine search is observable: register the flight so watchers
     // can attach, and (when configured) leave a flight recording on disk.
     // The engine's guaranteed final snapshot publishes the `finished`
     // frame; the guard covers the unwind path with a synthetic one.
-    let _watch_guard = shared.watch.begin(flight_key);
-    let recorder = shared.record_dir.as_ref().and_then(|dir| {
-        let seq = shared.recording_seq.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("search-{:016x}-{seq}.ssfr", query.fingerprint()));
-        FlightRecorder::create(&path).ok()
+    let _watch_guard = (*route == Route::Engine).then(|| {
+        let recorder = shared.record_dir.as_ref().and_then(|dir| {
+            let seq = shared.recording_seq.fetch_add(1, Ordering::Relaxed);
+            let path = dir.join(format!("search-{:016x}-{seq}.ssfr", query.fingerprint()));
+            FlightRecorder::create(&path).ok()
+        });
+        let hub = Arc::clone(&shared.watch);
+        cfg.progress_hook = Some(ProgressHook::new(move |p| {
+            if let Some(recorder) = &recorder {
+                // Recording is best-effort: a full disk must not fail a
+                // search.
+                let _ = recorder.record(p);
+            }
+            hub.publish(key, p);
+        }));
+        shared.watch.begin(key)
     });
-    let hub = Arc::clone(&shared.watch);
-    cfg.progress_hook = Some(ProgressHook::new(move |p| {
-        if let Some(recorder) = &recorder {
-            // Recording is best-effort: a full disk must not fail a search.
-            let _ = recorder.record(p);
-        }
-        hub.publish(flight_key, p);
-    }));
-
-    let result = synthesize(&cfg);
-    match result.outcome {
-        Outcome::Solved | Outcome::SolvedAll | Outcome::Exhausted => {
-            match result.first_program() {
-                Some(program) => {
-                    let entry = CacheEntry {
-                        query: query.clone(),
-                        program,
-                        minimal_certified: result.minimal_certified,
-                        search_millis: result.stats.search_time.as_millis() as u64,
-                        gate_checksum: None,
-                    };
-                    // A full disk is not a reason to withhold the answer; the
-                    // entry still lands in the memory front.
-                    let _ = shared.cache.insert(entry.clone());
-                    let mut response = entry_reply(&entry, ReplySource::Computed);
-                    if let Response::Synth(reply) = &mut response {
-                        reply.distance_table_skipped = result.stats.distance_table_skipped;
-                    }
-                    response
-                }
-                None => Response::Synth(SynthReply {
-                    program: None,
-                    found_len: None,
-                    minimal_certified: false,
-                    source: ReplySource::Computed,
-                    search_millis: result.stats.search_time.as_millis() as u64,
-                    distance_table_skipped: result.stats.distance_table_skipped,
-                    backend: None,
-                }),
-            }
-        }
-        Outcome::TimeLimit | Outcome::Cancelled => Response::Timeout(TimeoutReply {
-            generated: result.stats.generated,
-            expanded: result.stats.expanded,
-            elapsed_ms: result.stats.search_time.as_millis() as u64,
-            cancelled: result.outcome == Outcome::Cancelled,
-        }),
-        Outcome::NodeLimit => Response::Error {
-            message: "search hit an unexpected node limit".to_string(),
-        },
-    }
-}
-
-/// The request deadline as a cooperative backend budget.
-fn backend_budget(deadline: Option<Instant>) -> SearchBudget {
-    match deadline {
-        Some(deadline) => SearchBudget::with_deadline(deadline),
-        None => SearchBudget::unlimited(),
-    }
-}
-
-/// Runs one named backend through its portfolio adapter.
-fn run_single(
-    shared: &Shared,
-    query: &KernelQuery,
-    kind: BackendKind,
-    deadline: Option<Instant>,
-) -> Response {
-    let out = backend_for(kind).run(query, &backend_budget(deadline), None);
-    let elapsed_ms = out.elapsed.as_millis() as u64;
-    match out.status {
-        BackendStatus::Found {
-            program,
-            minimal_certified,
-        } => {
-            // Stochastic arms bypass the race's verify gate on this path,
-            // so gate here: an unverifiable program must never be served
-            // (or cached) as an answer.
-            if let Err(e) = sortsynth_verify::gate(&query.machine(), &program) {
-                return Response::Error {
-                    message: format!("backend `{}` produced a rejected program: {e}", kind.name()),
-                };
-            }
-            let entry = CacheEntry {
-                query: query.clone(),
-                program,
-                minimal_certified,
-                search_millis: elapsed_ms,
-                gate_checksum: None,
-            };
-            let _ = shared.cache.insert(entry.clone());
-            with_backend(
-                entry_reply(&entry, ReplySource::Computed),
-                Some(kind.name().to_string()),
-            )
-        }
-        BackendStatus::NoProgram => with_backend(
-            Response::Synth(SynthReply {
-                program: None,
-                found_len: None,
-                minimal_certified: false,
-                source: ReplySource::Computed,
-                search_millis: elapsed_ms,
-                distance_table_skipped: false,
-                backend: None,
-            }),
-            Some(kind.name().to_string()),
-        ),
-        BackendStatus::Budget => Response::Timeout(TimeoutReply {
-            generated: 0,
-            expanded: 0,
-            elapsed_ms,
-            cancelled: false,
-        }),
-        BackendStatus::Unsupported => Response::Error {
-            message: format!("backend `{}` does not support this query", kind.name()),
-        },
-    }
-}
-
-/// Races `kinds` through the portfolio executor, records the outcome into
-/// the learned dispatch policy, and persists the table.
-fn run_race(
-    shared: &Shared,
-    query: &KernelQuery,
-    kinds: &[BackendKind],
-    deadline: Option<Instant>,
-) -> Response {
-    let budget = backend_budget(deadline);
-    // Race against a snapshot so arms never block on the policy lock.
-    let snapshot = shared
-        .policy
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
-    let report = Portfolio::from_kinds(kinds).run(query, &budget, Some(&snapshot));
-    shared.portfolio_races.fetch_add(1, Ordering::Relaxed);
-    if report.widened {
-        shared.portfolio_widened.fetch_add(1, Ordering::Relaxed);
-    }
-    {
-        let mut policy = shared.policy.lock().unwrap_or_else(|e| e.into_inner());
-        policy.record(query, &report);
-        if let Some(path) = &shared.policy_path {
-            // Persistence is best-effort: a full disk must not fail the
-            // request whose answer is already in hand.
-            let _ = policy.save(path);
-        }
-    }
-    let elapsed_ms = report.elapsed.as_millis() as u64;
-    match (report.winner, report.program) {
-        (Some(winner), Some(program)) => {
-            shared.portfolio_wins.fetch_add(1, Ordering::Relaxed);
-            let entry = CacheEntry {
-                query: query.clone(),
-                program,
-                minimal_certified: report.minimal_certified,
-                search_millis: elapsed_ms,
-                gate_checksum: None,
-            };
-            let _ = shared.cache.insert(entry.clone());
-            with_backend(
-                entry_reply(&entry, ReplySource::Computed),
-                Some(winner.name().to_string()),
-            )
-        }
-        _ if budget.is_exhausted() => Response::Timeout(TimeoutReply {
-            generated: 0,
-            expanded: 0,
-            elapsed_ms,
-            cancelled: false,
-        }),
-        // Every arm completed without a program: a genuine (exact-arm)
-        // no-program answer for the query's bounds.
-        _ => Response::Synth(SynthReply {
-            program: None,
-            found_len: None,
-            minimal_certified: false,
-            source: ReplySource::Computed,
-            search_millis: elapsed_ms,
-            distance_table_skipped: false,
-            backend: None,
-        }),
-    }
-}
-
-/// Stamps the producing backend onto a synth reply.
-fn with_backend(mut response: Response, backend: Option<String>) -> Response {
-    if let Response::Synth(reply) = &mut response {
-        reply.backend = backend;
-    }
-    response
-}
-
-fn entry_reply(entry: &CacheEntry, source: ReplySource) -> Response {
-    Response::Synth(SynthReply {
-        program: Some(entry.query.machine().format_program(&entry.program)),
-        found_len: Some(entry.program.len() as u32),
-        minimal_certified: entry.minimal_certified,
-        source,
-        search_millis: entry.search_millis,
-        distance_table_skipped: false,
-        backend: None,
-    })
+    Response::answer(query, shared.answers.run(query, route, cfg))
 }
 
 fn mark_coalesced(response: Response) -> Response {
@@ -1109,5 +803,44 @@ fn mark_coalesced(response: Response) -> Response {
             Response::Synth(reply)
         }
         other => other,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sortsynth_isa::IsaMode;
+
+    /// Request B misses the cache while leader A is still searching; A's
+    /// search inserts its kernel and A completes its flight; only then does
+    /// B join, finding no flight. B must be answered from the memory front
+    /// rather than lead a second search.
+    #[test]
+    fn a_late_joiner_does_not_rerun_a_finished_search() {
+        let config = ServiceConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let Server {
+            shared, workers, ..
+        } = Server::bind(config).unwrap();
+        let (query, route) = (KernelQuery::best(2, 1, IsaMode::Cmov), Route::Engine);
+        let key = route.flight_key(&query);
+        let Role::Leader(a) = shared.flights.join(key) else {
+            panic!("the first joiner leads");
+        };
+        assert!(shared.answers.cached(&query).is_none(), "B misses");
+        a.complete(search(&shared, &query, &route, key, None, 0));
+        let Response::Synth(b) = coalesce(&shared, &query, &route, None, 0) else {
+            panic!("expected a synth reply");
+        };
+        assert_eq!(b.source, ReplySource::Cache);
+        assert_eq!(b.found_len, Some(4));
+        assert_eq!(shared.searches_started.load(Ordering::SeqCst), 1);
+        shared.shutdown.store(true, Ordering::SeqCst);
+        for worker in workers {
+            worker.join().unwrap();
+        }
     }
 }

@@ -7,10 +7,12 @@
 //! until the leader's result is published, then receives a clone of it.
 //!
 //! The invariant the synthesis server relies on: the leader publishes its
-//! result to the kernel cache *before* completing the flight, so a request
-//! for a given key either hits the cache, joins the flight, or leads it —
-//! with a cold cache, exactly one search runs no matter how many identical
-//! requests race.
+//! result to the kernel cache *before* completing the flight, and a new
+//! leader re-checks the cache's memory front before it searches (a request
+//! that missed the cache while the previous leader searched can join only
+//! after that flight completed). So a request for a given key hits the
+//! cache, joins the flight, or leads it — with a cold cache, exactly one
+//! search runs no matter how many identical requests race.
 //!
 //! If a leader unwinds without completing (a panic in the computation), the
 //! token's `Drop` publishes `None` so followers wake with an error instead

@@ -449,3 +449,135 @@ fn portfolio_route_races_persists_policy_and_reports_the_winner() {
     handle.shutdown().unwrap();
     fs::remove_dir_all(&dir).unwrap();
 }
+
+/// What one route's synth reply must look like.
+struct RoutePin {
+    /// The request's `backend` field.
+    backend: Option<&'static str>,
+    /// The cold reply's `backend`; `Some("*")` means "some exact arm" (a
+    /// race's winner is whichever verified arm reported first).
+    replied_backend: Option<&'static str>,
+}
+
+/// Whether an answer produced by `backend` certifies minimality: the
+/// enumerative search under the query's `k = 1` cut does not, the solver
+/// and planner arms do.
+fn certifies_minimality(backend: Option<&str>) -> bool {
+    !matches!(backend, None | Some("astar") | Some("astar-par"))
+}
+
+/// Golden pins for every synth route on a fresh server: the cold reply,
+/// the warm repeat, and the reply to an already-expired deadline.
+#[test]
+fn golden_route_pins() {
+    const EXACT_ARMS: [&str; 5] = ["astar", "astar-par", "cegis", "smt-min", "plan"];
+    let query = KernelQuery::best(3, 1, IsaMode::Cmov);
+    let pins = [
+        RoutePin {
+            backend: None,
+            replied_backend: None,
+        },
+        RoutePin {
+            backend: Some("astar"),
+            replied_backend: Some("astar"),
+        },
+        RoutePin {
+            backend: Some("astar-par"),
+            replied_backend: Some("astar-par"),
+        },
+        RoutePin {
+            backend: Some("portfolio"),
+            replied_backend: Some("*"),
+        },
+    ];
+    for pin in &pins {
+        let route = pin.backend.unwrap_or("<engine>");
+        let handle = start(local_config());
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let backend = pin.backend.map(str::to_string);
+
+        // A deadline that expired before the worker picked the request up
+        // is answered without touching the cache or any engine.
+        let expired = client
+            .synth_with(query.clone(), Some(0), backend.clone())
+            .unwrap();
+        assert_eq!(
+            expired,
+            Response::Timeout(sortsynth_service::TimeoutReply {
+                generated: 0,
+                expanded: 0,
+                elapsed_ms: 0,
+                cancelled: false,
+            }),
+            "{route}: expired deadline"
+        );
+        assert_eq!(handle.searches_started(), 0, "{route}");
+
+        let Response::Synth(cold) = client
+            .synth_with(query.clone(), Some(120_000), backend.clone())
+            .unwrap()
+        else {
+            panic!("{route}: expected a synth reply");
+        };
+        assert_eq!(cold.source, ReplySource::Computed, "{route}");
+        assert_eq!(cold.found_len, Some(11), "{route}");
+        let minimal = certifies_minimality(cold.backend.as_deref());
+        assert_eq!(cold.minimal_certified, minimal, "{route}");
+        assert!(!cold.distance_table_skipped, "{route}");
+        match pin.replied_backend {
+            Some("*") => assert!(
+                EXACT_ARMS.contains(&cold.backend.as_deref().unwrap_or("")),
+                "{route}: winner {:?}",
+                cold.backend
+            ),
+            expected => assert_eq!(cold.backend.as_deref(), expected, "{route}"),
+        }
+        let text = cold.program.clone().expect("kernel text");
+        let machine = query.machine();
+        assert!(machine.is_correct(&machine.parse_program(&text).unwrap()));
+        assert_eq!(handle.searches_started(), 1, "{route}");
+
+        // The warm repeat is a cache hit whatever route was asked for, and
+        // cache hits name no backend.
+        let Response::Synth(warm) = client
+            .synth_with(query.clone(), Some(120_000), backend.clone())
+            .unwrap()
+        else {
+            panic!("{route}: expected a synth reply");
+        };
+        assert_eq!(warm.source, ReplySource::Cache, "{route}");
+        assert_eq!(warm.backend, None, "{route}");
+        assert_eq!(warm.found_len, Some(11), "{route}");
+        assert_eq!(warm.minimal_certified, minimal, "{route}");
+        assert!(!warm.distance_table_skipped, "{route}");
+        assert_eq!(warm.program.as_deref(), Some(text.as_str()), "{route}");
+        assert_eq!(handle.searches_started(), 1, "{route}");
+        handle.shutdown().unwrap();
+    }
+
+    // An unknown backend is a protocol error on a cold cache, warm or not
+    // (nothing was cached), and an expired deadline still wins over it.
+    let handle = start(local_config());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let nope = Some("nope".to_string());
+    let Response::Timeout(expired) = client
+        .synth_with(query.clone(), Some(0), nope.clone())
+        .unwrap()
+    else {
+        panic!("expired deadline answers before routing");
+    };
+    assert_eq!((expired.generated, expired.expanded), (0, 0));
+    for _ in 0..2 {
+        match client
+            .synth_with(query.clone(), Some(60_000), nope.clone())
+            .unwrap()
+        {
+            Response::Error { message } => {
+                assert!(message.contains("unknown backend `nope`"), "{message}")
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!(handle.searches_started(), 0);
+    handle.shutdown().unwrap();
+}

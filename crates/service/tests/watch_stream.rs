@@ -17,14 +17,20 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A query whose search runs for seconds in a test build: n = 4 without the
-/// distance table (whose construction would delay the first progress frame)
-/// and a deadline that expires long after several 500 ms progress-floor
-/// ticks have fired.
+/// A query whose search outlives any deadline the test gives it, in debug
+/// and release builds alike: n = 4 with no pruning aids (so no distance
+/// table, whose construction would delay the first progress frame) and a
+/// length bound below the optimum of 20, so it can neither find a kernel
+/// nor exhaust the space before the deadline, which expires long after
+/// several 500 ms progress-floor ticks have fired.
 fn slow_query() -> KernelQuery {
-    let mut query = KernelQuery::best(4, 1, IsaMode::Cmov);
-    query.optimal_instrs_only = false;
-    query
+    KernelQuery {
+        max_len: Some(15),
+        optimal_instrs_only: false,
+        budget_viability: false,
+        cut: None,
+        ..KernelQuery::best(4, 1, IsaMode::Cmov)
+    }
 }
 
 #[test]
