@@ -1,39 +1,27 @@
-//! The on-disk kernel log: an append-friendly sequence of checksummed,
-//! self-delimiting entries behind a versioned header.
+//! The on-disk kernel log, `kernels.sskc`: a [`sortsynth_obs::segment`]
+//! record file with magic `SSKCACHE` and version 1. Each record is one
+//! entry, tagged with its query fingerprint; the payload is the entry's
+//! canonical [`CacheEntry`] JSON.
 //!
-//! # Format
-//!
-//! ```text
-//! header:  "SSKCACHE"  (8 bytes magic)
-//!          version     (u32 LE, currently 1)
-//! entry*:  fingerprint (u64 LE — the KernelQuery fingerprint)
-//!          payload_len (u32 LE)
-//!          checksum    (u64 LE — FNV-1a of the payload bytes)
-//!          payload     (payload_len bytes of canonical CacheEntry JSON)
-//! ```
-//!
-//! Inserts append a single framed entry (one `write_all` + flush), so the
-//! common path never rewrites the file. Recovery reads entries until the
-//! first frame that is short, oversized, checksum-mismatched, or
-//! unparsable, and treats everything from that point on as lost — the
-//! standard write-ahead-log discipline: a torn tail from a crash costs the
-//! tail, never the prefix. [`rewrite_atomic`] (used by compaction and
-//! corruption repair) builds the file aside and renames it into place so
-//! readers never observe a half-written store.
+//! Inserts append a single record, so the common path never rewrites the
+//! file. Recovery ([`load`]) keeps the intact prefix: it stops at the first
+//! record that is torn, oversized, checksum-mismatched, unparsable, or
+//! whose tag disagrees with its payload's fingerprint, and treats the rest
+//! as lost. [`rewrite_atomic`] (compaction and corruption repair) replaces
+//! the whole file atomically, so readers never observe a half-written
+//! store.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
 
+use sortsynth_obs::segment::{self, SegmentWriter};
+
 use crate::entry::CacheEntry;
-use crate::query::fnv1a;
 
 /// File magic. Eight bytes so the header is naturally aligned.
 pub const MAGIC: &[u8; 8] = b"SSKCACHE";
 /// Current format version. Bumping it invalidates every existing store.
 pub const VERSION: u32 = 1;
-/// Hard cap on a single entry payload; anything larger is corruption.
-pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 /// Name of the log file inside a cache directory.
 pub const LOG_FILE: &str = "kernels.sskc";
 
@@ -65,159 +53,65 @@ pub fn log_path(dir: &Path) -> PathBuf {
     dir.join(LOG_FILE)
 }
 
-fn read_exact_or_eof(file: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match file.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(false)
-                } else {
-                    Err(io::Error::new(ErrorKind::UnexpectedEof, "torn frame"))
-                }
-            }
-            Ok(k) => filled += k,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
 /// Loads every intact entry from the log in `dir`. Missing file is an empty,
 /// clean load. A bad header invalidates the file; a bad entry truncates the
 /// logical log at that entry.
 pub fn load(dir: &Path) -> io::Result<(Vec<CacheEntry>, LoadReport)> {
-    let path = log_path(dir);
-    let mut report = LoadReport::default();
-    let mut file = match File::open(&path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok((Vec::new(), report)),
+    let scan = segment::scan(
+        &log_path(dir),
+        MAGIC,
+        VERSION..=VERSION,
+        |_, tag, payload| {
+            let entry = CacheEntry::from_payload(payload).ok()?;
+            // A record whose fingerprint disagrees with its own payload is as
+            // corrupt as a bad checksum.
+            (entry.fingerprint() == tag).then_some(entry)
+        },
+    );
+    let scan = match scan {
+        Ok(scan) => scan,
+        Err(e) if e.kind() == ErrorKind::NotFound => {
+            return Ok((Vec::new(), LoadReport::default()))
+        }
         Err(e) => return Err(e),
     };
-    let total = file.metadata()?.len();
-
-    let mut header = [0u8; 12];
-    if !matches!(read_exact_or_eof(&mut file, &mut header), Ok(true))
-        || &header[..8] != MAGIC
-        || u32::from_le_bytes(header[8..12].try_into().unwrap()) != VERSION
-    {
-        report.invalidated = true;
-        report.rejected_tail = true;
-        report.lost_bytes = total;
-        return Ok((Vec::new(), report));
-    }
-
-    let mut entries = Vec::new();
-    let mut consumed = header.len() as u64;
-    loop {
-        let mut frame = [0u8; 20];
-        match read_exact_or_eof(&mut file, &mut frame) {
-            Ok(false) => break,
-            Ok(true) => {}
-            Err(_) => {
-                report.rejected_tail = true;
-                break;
-            }
-        }
-        let fingerprint = u64::from_le_bytes(frame[0..8].try_into().unwrap());
-        let payload_len = u32::from_le_bytes(frame[8..12].try_into().unwrap());
-        let checksum = u64::from_le_bytes(frame[12..20].try_into().unwrap());
-        if payload_len > MAX_PAYLOAD {
-            report.rejected_tail = true;
-            break;
-        }
-        let mut payload = vec![0u8; payload_len as usize];
-        match read_exact_or_eof(&mut file, &mut payload) {
-            Ok(true) => {}
-            _ => {
-                report.rejected_tail = true;
-                break;
-            }
-        }
-        if fnv1a(&payload) != checksum {
-            report.rejected_tail = true;
-            break;
-        }
-        let entry = match CacheEntry::from_payload(&payload) {
-            Ok(e) => e,
-            Err(_) => {
-                report.rejected_tail = true;
-                break;
-            }
-        };
-        // A frame whose fingerprint disagrees with its own payload is as
-        // corrupt as a bad checksum.
-        if entry.fingerprint() != fingerprint {
-            report.rejected_tail = true;
-            break;
-        }
-        consumed += (frame.len() + payload.len()) as u64;
-        entries.push(entry);
-        report.loaded += 1;
-    }
-    report.lost_bytes = total.saturating_sub(consumed);
-    Ok((entries, report))
-}
-
-fn encode_entry(entry: &CacheEntry, out: &mut Vec<u8>) {
-    let payload = entry.to_payload();
-    out.extend_from_slice(&entry.fingerprint().to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let report = LoadReport {
+        loaded: scan.records.len() as u64,
+        lost_bytes: scan.lost_bytes,
+        rejected_tail: scan.rejected_tail,
+        invalidated: scan.version.is_none(),
+        ..LoadReport::default()
+    };
+    Ok((scan.records, report))
 }
 
 /// Opens the log for appending, writing a fresh header if the file is new.
-pub fn open_for_append(dir: &Path) -> io::Result<File> {
-    fs::create_dir_all(dir)?;
-    let path = log_path(dir);
-    let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-    if file.metadata()?.len() == 0 {
-        let mut header = Vec::with_capacity(12);
-        header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        file.write_all(&header)?;
-        file.flush()?;
-    }
-    Ok(file)
+pub fn open_for_append(dir: &Path) -> io::Result<SegmentWriter> {
+    SegmentWriter::open_append(log_path(dir), MAGIC, VERSION)
 }
 
-/// Appends one framed entry. The frame is assembled in memory and written
-/// with a single `write_all`, so a crash can tear at most the final frame —
-/// which recovery then drops.
-pub fn append(file: &mut File, entry: &CacheEntry) -> io::Result<()> {
-    let mut buf = Vec::new();
-    encode_entry(entry, &mut buf);
-    file.write_all(&buf)?;
-    file.flush()
+/// Appends one entry as one record, so a crash can tear at most this
+/// entry — which recovery then drops.
+pub fn append(log: &mut SegmentWriter, entry: &CacheEntry) -> io::Result<()> {
+    log.append(entry.fingerprint(), &entry.to_payload())
 }
 
-/// Rewrites the whole log atomically: serialize to `<log>.tmp`, fsync, then
-/// rename over the live file. Used for compaction and to repair a store
-/// whose tail was rejected.
+/// Rewrites the whole log atomically ([`segment::write_atomic`]). Used for
+/// compaction and to repair a store whose tail was rejected.
 pub fn rewrite_atomic<'a>(
     dir: &Path,
     entries: impl IntoIterator<Item = &'a CacheEntry>,
 ) -> io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let path = log_path(dir);
-    let tmp = path.with_extension("sskc.tmp");
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    for entry in entries {
-        encode_entry(entry, &mut buf);
-    }
-    let mut file = File::create(&tmp)?;
-    file.write_all(&buf)?;
-    file.sync_all()?;
-    drop(file);
-    fs::rename(&tmp, &path)
+    let records = entries
+        .into_iter()
+        .map(|entry| (entry.fingerprint(), entry.to_payload()));
+    segment::write_atomic(&log_path(dir), MAGIC, VERSION, records)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::fs;
+
     use super::*;
     use crate::query::KernelQuery;
     use sortsynth_isa::{IsaMode, Machine};

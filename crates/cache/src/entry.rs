@@ -2,8 +2,9 @@
 
 use serde::{Deserialize, Error, Serialize, Value};
 use sortsynth_isa::Program;
+use sortsynth_obs::segment::fnv1a;
 
-use crate::query::{fnv1a, KernelQuery};
+use crate::query::KernelQuery;
 
 /// One cached synthesis result.
 ///

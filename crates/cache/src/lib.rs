@@ -46,7 +46,6 @@ mod entry;
 mod memory;
 mod query;
 
-use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,11 +53,15 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sortsynth_obs::names;
+use sortsynth_obs::segment::SegmentWriter;
 
 pub use disk::{LoadReport, LOG_FILE, VERSION};
 pub use entry::CacheEntry;
 pub use memory::ShardedLru;
-pub use query::{fnv1a, CutSpec, KernelQuery};
+pub use query::{CutSpec, KernelQuery};
+/// FNV-1a 64, the hash behind every query fingerprint (re-exported from
+/// the record layer, which checksums with it).
+pub use sortsynth_obs::segment::fnv1a;
 
 /// Counters describing cache behaviour since open.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -119,8 +122,8 @@ fn gate_error(entry: &CacheEntry) -> Option<String> {
 struct DiskStore {
     dir: PathBuf,
     /// Append handle, serialized so concurrent inserts can't interleave
-    /// frames.
-    file: Mutex<File>,
+    /// records.
+    file: Mutex<SegmentWriter>,
 }
 
 /// The kernel cache: LRU front, optional durable log behind it.

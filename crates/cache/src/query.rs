@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Error, Serialize, Value};
 use sortsynth_isa::{IsaMode, Machine};
+use sortsynth_obs::segment::fnv1a;
 
 /// Largest register file the packed machine state supports (mirrors
 /// `sortsynth_isa::state::MAX_REGS`, which is not exported).
@@ -120,17 +121,6 @@ impl KernelQuery {
     pub fn fingerprint(&self) -> u64 {
         fnv1a(self.canonical_string().as_bytes())
     }
-}
-
-/// FNV-1a 64-bit — the workspace-standard checksum/fingerprint hash (no
-/// external hashing crates are available; see `vendor/README.md`).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 impl Serialize for CutSpec {

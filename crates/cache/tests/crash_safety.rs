@@ -84,3 +84,14 @@ fn bit_flipped_entry_is_rejected_and_resynthesized() {
         bytes[mid] ^= 0x01;
     });
 }
+
+#[test]
+fn overlong_length_field_is_rejected_and_resynthesized() {
+    // The entry's payload_len claims one byte more than the file holds:
+    // recovery must refuse it before allocating, not read past the end.
+    corruption_round_trip("overlong", |bytes| {
+        let at = 12 + 8;
+        let left = (bytes.len() - at - 12) as u32;
+        bytes[at..at + 4].copy_from_slice(&(left + 1).to_le_bytes());
+    });
+}

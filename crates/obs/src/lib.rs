@@ -28,11 +28,12 @@
 //!   on-disk ring of search progress snapshots ([`FlightRecorder`]) with a
 //!   torn-tail-tolerant reader ([`read_recording`]) for post-mortem
 //!   analysis of long searches.
-//! * [`segment`] — generic checksummed append-only record segments (the
-//!   WAL discipline the cache store and flight recorder share), with both
-//!   a tolerant reader (drop the torn tail) and a strict reader (any
-//!   defect inside a recorded valid length is a hard error) — the search
-//!   engine's external-memory spill tier builds on the strict flavor.
+//! * [`segment`] — the one checksummed record-file layer: tagged records
+//!   behind a magic + version header, written by the kernel cache's log,
+//!   the flight recorder, and the search engine's spill tier, with a
+//!   tolerant reader (keep the intact prefix; the cache and the recorder)
+//!   and a strict reader (any defect inside a recorded valid length is a
+//!   hard error; the spill tier), plus atomic whole-file replacement.
 //!
 //! Overhead is designed to vanish when nobody is watching: metric updates
 //! are single relaxed atomic operations, span and event emission first check

@@ -3,25 +3,18 @@
 //!
 //! # On-disk format
 //!
-//! A recording is one or two segment files (`<path>` plus, after a
-//! rotation, `<path>.1` holding the previous segment). Each segment is a
-//! write-ahead log in the same discipline as the kernel cache's store:
+//! A recording is one or two [`crate::segment`] files (`<path>` plus, after
+//! a rotation, `<path>.1` holding the previous segment): magic `SSFLIGHT`,
+//! version 2 (v1 recordings stay readable), one record per frame, tagged
+//! with the frame's `seq` (a frame number that keeps increasing across
+//! rotations), whose payload is the frame body below.
 //!
-//! ```text
-//! header:  "SSFLIGHT"  (8 bytes magic)
-//!          version     (u32 LE, currently 2; v1 recordings stay readable)
-//! frame*:  seq         (u64 LE — monotonically increasing frame number)
-//!          payload_len (u32 LE)
-//!          checksum    (u64 LE — FNV-1a of the payload bytes)
-//!          payload     (binary frame body, see below)
-//! ```
-//!
-//! Every [`FlightRecorder::record`] appends one frame with a single
-//! `write_all` + flush, so a crash (including a panicking search worker)
-//! can tear at most the final frame — which [`read_recording`] then drops,
-//! keeping the intact prefix. The snapshot delivered just before the
-//! crash is therefore always recoverable: callers feed the recorder from a
-//! progress hook whose delivery precedes the panic propagation.
+//! Every [`FlightRecorder::record`] appends one record, so a crash
+//! (including a panicking search worker) can tear at most the final frame
+//! — which [`read_recording`] then drops, keeping the intact prefix. The
+//! snapshot delivered just before the crash is therefore always
+//! recoverable: callers feed the recorder from a progress hook whose
+//! delivery precedes the panic propagation.
 //!
 //! Boundedness: when the live segment exceeds its byte budget the recorder
 //! rotates it aside to `<path>.1` (dropping the previous `.1`) and starts a
@@ -48,14 +41,15 @@
 //! v1 recordings with those fields zeroed, so old recordings stay
 //! inspectable.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, ErrorKind, Read, Write};
+use std::fs;
+use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::names;
 use crate::progress::{SearchProgress, ShardSnapshot, COLUMNS};
+use crate::segment::{self, SegmentWriter};
 
 /// Segment magic; eight bytes so the header is naturally aligned.
 pub const MAGIC: &[u8; 8] = b"SSFLIGHT";
@@ -63,22 +57,9 @@ pub const MAGIC: &[u8; 8] = b"SSFLIGHT";
 pub const VERSION: u32 = 2;
 /// Oldest segment version the reader still decodes.
 pub const MIN_VERSION: u32 = 1;
-/// Hard cap on one frame payload; anything larger is corruption.
-pub const MAX_PAYLOAD: u32 = 1024 * 1024;
 /// Default live-segment byte budget before rotation (per segment; a
 /// recording keeps the live segment plus one rotated predecessor).
 pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
-
-/// FNV-1a over a byte slice — the recorder's frame checksum. (Local copy:
-/// `sortsynth-obs` sits below every other crate and depends on nothing.)
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    hash
-}
 
 /// Encodes one frame payload: every [`COLUMNS`] entry as a `u64` (an
 /// absent bound as `u64::MAX`), then the flags, outcome, and shard table.
@@ -175,8 +156,7 @@ impl Cursor<'_> {
 }
 
 struct Inner {
-    file: File,
-    bytes: u64,
+    segment: SegmentWriter,
     next_seq: u64,
 }
 
@@ -186,23 +166,6 @@ pub struct FlightRecorder {
     path: PathBuf,
     segment_bytes: u64,
     inner: Mutex<Inner>,
-}
-
-fn open_segment(path: &Path) -> io::Result<(File, u64)> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        fs::create_dir_all(dir)?;
-    }
-    let mut file = OpenOptions::new()
-        .create(true)
-        .truncate(true)
-        .write(true)
-        .open(path)?;
-    let mut header = Vec::with_capacity(12);
-    header.extend_from_slice(MAGIC);
-    header.extend_from_slice(&VERSION.to_le_bytes());
-    file.write_all(&header)?;
-    file.flush()?;
-    Ok((file, header.len() as u64))
 }
 
 /// The rotated-predecessor path for a recording at `path`.
@@ -228,13 +191,12 @@ impl FlightRecorder {
         let path = path.into();
         // A fresh recording owns both segment slots.
         let _ = fs::remove_file(rotated_path(&path));
-        let (file, bytes) = open_segment(&path)?;
+        let segment = SegmentWriter::create(&path, MAGIC, VERSION)?;
         Ok(FlightRecorder {
             path,
             segment_bytes,
             inner: Mutex::new(Inner {
-                file,
-                bytes,
+                segment,
                 next_seq: 0,
             }),
         })
@@ -251,33 +213,22 @@ impl FlightRecorder {
     pub fn record(&self, progress: &SearchProgress) -> io::Result<u64> {
         let mut payload = Vec::with_capacity(128);
         encode(progress, &mut payload);
-        assert!(payload.len() as u32 <= MAX_PAYLOAD, "oversized frame");
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        if inner.bytes > self.segment_bytes.max(1) {
+        if inner.segment.bytes() > self.segment_bytes.max(1) {
             // Rotate: the live segment becomes `.1` (dropping the previous
             // one) and a fresh segment takes its place. Sequence numbers
             // keep counting, so a reader stitches segments unambiguously.
-            let (file, bytes) = {
-                let _ = fs::remove_file(rotated_path(&self.path));
-                fs::rename(&self.path, rotated_path(&self.path))?;
-                open_segment(&self.path)?
-            };
-            inner.file = file;
-            inner.bytes = bytes;
+            let _ = fs::remove_file(rotated_path(&self.path));
+            fs::rename(&self.path, rotated_path(&self.path))?;
+            inner.segment = SegmentWriter::create(&self.path, MAGIC, VERSION)?;
             names::counter(names::RECORDER_ROTATIONS_TOTAL).inc();
         }
-        let mut buf = Vec::with_capacity(20 + payload.len());
-        buf.extend_from_slice(&seq.to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        inner.file.write_all(&buf)?;
-        inner.file.flush()?;
-        inner.bytes += buf.len() as u64;
+        let before = inner.segment.bytes();
+        inner.segment.append(seq, &payload)?;
         names::counter(names::RECORDER_FRAMES_TOTAL).inc();
-        names::counter(names::RECORDER_BYTES_TOTAL).add(buf.len() as u64);
+        names::counter(names::RECORDER_BYTES_TOTAL).add(inner.segment.bytes() - before);
         Ok(seq)
     }
 }
@@ -299,76 +250,23 @@ pub struct Recording {
 }
 
 fn read_segment(path: &Path, recording: &mut Recording) -> io::Result<bool> {
-    let mut file = match File::open(path) {
-        Ok(f) => f,
+    let scan = segment::scan(
+        path,
+        MAGIC,
+        MIN_VERSION..=VERSION,
+        |version, seq, payload| Some((seq, decode(payload, version)?)),
+    );
+    let scan = match scan {
+        Ok(scan) => scan,
         Err(e) if e.kind() == ErrorKind::NotFound => return Ok(false),
         Err(e) => return Err(e),
     };
     recording.segments += 1;
-    let total = file.metadata()?.len();
-    let mut header = [0u8; 12];
-    let version = if matches!(read_exact_or_eof(&mut file, &mut header), Ok(true)) {
-        u32::from_le_bytes(header[8..12].try_into().unwrap())
-    } else {
-        0
-    };
-    if &header[..8] != MAGIC || !(MIN_VERSION..=VERSION).contains(&version) {
-        recording.rejected_tail = true;
-        recording.lost_bytes += total;
-        return Ok(true);
-    }
-    let mut consumed = header.len() as u64;
-    loop {
-        let mut head = [0u8; 20];
-        match read_exact_or_eof(&mut file, &mut head) {
-            Ok(false) => break,
-            Ok(true) => {}
-            Err(_) => {
-                recording.rejected_tail = true;
-                break;
-            }
-        }
-        let seq = u64::from_le_bytes(head[0..8].try_into().unwrap());
-        let payload_len = u32::from_le_bytes(head[8..12].try_into().unwrap());
-        let checksum = u64::from_le_bytes(head[12..20].try_into().unwrap());
-        if payload_len > MAX_PAYLOAD {
-            recording.rejected_tail = true;
-            break;
-        }
-        let mut payload = vec![0u8; payload_len as usize];
-        if !matches!(read_exact_or_eof(&mut file, &mut payload), Ok(true))
-            || fnv1a(&payload) != checksum
-        {
-            recording.rejected_tail = true;
-            break;
-        }
-        let Some(frame) = decode(&payload, version) else {
-            recording.rejected_tail = true;
-            break;
-        };
-        consumed += (head.len() + payload.len()) as u64;
-        recording.frames.push(frame);
+    recording.lost_bytes += scan.lost_bytes;
+    recording.rejected_tail |= scan.rejected_tail;
+    for (seq, frame) in scan.records {
         recording.seqs.push(seq);
-    }
-    recording.lost_bytes += total.saturating_sub(consumed);
-    Ok(true)
-}
-
-fn read_exact_or_eof(file: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match file.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(false)
-                } else {
-                    Err(io::Error::new(ErrorKind::UnexpectedEof, "torn frame"))
-                }
-            }
-            Ok(k) => filled += k,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
+        recording.frames.push(frame);
     }
     Ok(true)
 }
@@ -393,6 +291,9 @@ pub fn read_recording(path: impl AsRef<Path>) -> io::Result<Recording> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    // The recorder's frame checksum, as the hand-encoded segments below
+    // spell it.
+    use crate::segment::flight_fnv as fnv1a;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ssflight-{tag}-{}", std::process::id()));
@@ -483,6 +384,68 @@ mod tests {
         );
         assert_eq!(hex, golden);
     }
+
+    /// Golden pin: a whole two-frame segment as `FlightRecorder` writes it —
+    /// header, then per frame `seq`, length, checksum and payload.
+    #[test]
+    fn two_frame_segment_is_pinned() {
+        let path = tmp("pin");
+        let rec = FlightRecorder::create(&path).unwrap();
+        for expanded in [1u64, 2] {
+            let mut f = SearchProgress {
+                elapsed: Duration::from_micros(expanded * 1000),
+                expanded,
+                generated: expanded * 7,
+                ..SearchProgress::default()
+            };
+            f.finished = expanded == 2;
+            rec.record(&f).unwrap();
+        }
+        drop(rec);
+        let hex: String = fs::read(&path)
+            .unwrap()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN_SEGMENT);
+    }
+
+    const GOLDEN_SEGMENT: &str = concat!(
+        // header: "SSFLIGHT", version 2
+        "5353464c4947485402000000",
+        // frame 0: seq, payload_len 134, checksum
+        "0000000000000000",
+        "86000000",
+        "620ca72406b7d1cb",
+        // elapsed, expanded, generated, open, f_bound (absent)
+        "e803000000000000",
+        "0100000000000000",
+        "0700000000000000",
+        "0000000000000000",
+        "ffffffffffffffff",
+        // the other eleven counters, all zero
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000",
+        // flags, outcome_len 0, shard_count 0
+        "000000000000",
+        // frame 1: seq, payload_len 134, checksum
+        "0100000000000000",
+        "86000000",
+        "25fba2d064648f1d",
+        // elapsed, expanded, generated, open, f_bound (absent)
+        "d007000000000000",
+        "0200000000000000",
+        "0e00000000000000",
+        "0000000000000000",
+        "ffffffffffffffff",
+        // the other eleven counters, all zero
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000",
+        // flags, outcome_len 0, shard_count 0
+        "010000000000",
+    );
 
     #[test]
     fn record_then_read_round_trips() {

@@ -44,7 +44,7 @@ use std::time::Instant;
 
 use sortsynth_isa::MachineState;
 use sortsynth_obs::names;
-use sortsynth_obs::segment::{self, SegmentError, SegmentReader, SegmentWriter};
+use sortsynth_obs::segment::{self, fnv1a, SegmentError, SegmentReader, SegmentWriter};
 use sortsynth_obs::Histogram;
 
 use crate::config::SynthesisConfig;
@@ -56,12 +56,16 @@ pub(crate) const FRONTIER_MAGIC: &[u8; 8] = b"SSSPILLF";
 pub(crate) const CLOSED_MAGIC: &[u8; 8] = b"SSSPILLC";
 /// Magic for the resume journal.
 pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"SSJOURNL";
-/// On-disk format version shared by all three file kinds.
-pub(crate) const SPILL_VERSION: u32 = 1;
+/// On-disk format version shared by all three file kinds. Version 2 moved
+/// to tagged records: a directory written by an older build is refused as
+/// a bad header, never misparsed.
+pub(crate) const SPILL_VERSION: u32 = 2;
 /// Journal file name inside the spill directory.
 pub(crate) const JOURNAL_NAME: &str = "journal.ssj";
 /// Closed-segment record granularity: entries per checksummed record.
 const CLOSED_CHUNK: usize = 4096;
+/// Bytes per closed-segment entry: stored-width key u128 + state id u32.
+const CLOSED_ENTRY: usize = 20;
 
 /// Why resuming a search from a spill directory failed.
 #[derive(Debug)]
@@ -130,17 +134,6 @@ impl From<SegmentError> for ResumeError {
     fn from(e: SegmentError) -> Self {
         ResumeError::Segment(e)
     }
-}
-
-/// FNV-1a, the same function the segment layer checksums with; used here to
-/// fingerprint configurations.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Fingerprints every configuration knob that changes the search space. A
@@ -283,15 +276,13 @@ impl SpillTier {
             self.segments_created += 1;
         }
         let writer = self.writer.as_mut().unwrap();
-        let mut payload = Vec::with_capacity(8 + assigns.len() * 8);
-        put_u32(&mut payload, id);
-        put_u32(&mut payload, assigns.len() as u32);
+        let mut payload = Vec::with_capacity(assigns.len() * 8);
         for a in assigns {
             put_u64(&mut payload, a.bits());
         }
         let before = writer.bytes();
         writer
-            .append(&payload)
+            .append(id as u64, &payload)
             .unwrap_or_else(|e| panic!("spill tier frontier append failed: {e}"));
         self.spilled_bytes += writer.bytes() - before;
         self.spilled_open += 1;
@@ -344,27 +335,23 @@ impl SpillTier {
         }
         let reader = self.reader.as_mut().unwrap();
         loop {
-            let payload = reader
+            let (rid, payload) = reader
                 .next()
                 .unwrap_or_else(|e| panic!("spill tier frontier read failed: {e}"))
                 .unwrap_or_else(|| panic!("spilled span of state {id} missing from segment"));
-            let mut r = ByteReader::new(&payload);
-            let rid = r.u32().expect("frontier record id");
-            let len = r.u32().expect("frontier record length") as usize;
-            if rid != id {
+            if rid != id as u64 {
                 assert!(
-                    rid < id,
+                    rid < id as u64,
                     "frontier segment out of order: saw {rid} while looking for {id}"
                 );
                 continue;
             }
             self.read_buf.clear();
-            self.read_buf.reserve(len);
-            for _ in 0..len {
-                self.read_buf.push(MachineState::from_bits(
-                    r.u64().expect("frontier record bits"),
-                ));
-            }
+            self.read_buf.extend(
+                payload
+                    .chunks_exact(8)
+                    .map(|b| MachineState::from_bits(u64::from_le_bytes(b.try_into().unwrap()))),
+            );
             self.read_hist.observe(t0.elapsed().as_secs_f64());
             return &self.read_buf;
         }
@@ -391,15 +378,13 @@ impl SpillTier {
             )
             .unwrap_or_else(|e| panic!("spill tier cannot reopen closed segment: {e}"));
             let mut i = 0usize;
-            'seg: while let Some(payload) = reader
+            'seg: while let Some((_, payload)) = reader
                 .next()
                 .unwrap_or_else(|e| panic!("spill tier closed read failed: {e}"))
             {
-                let mut r = ByteReader::new(&payload);
-                let count = r.u32().expect("closed record count");
-                for _ in 0..count {
-                    let key = r.u128().expect("closed record key");
-                    let _evicted_id = r.u32().expect("closed record id");
+                // (key u128, evicted id u32) entries; only the key is read.
+                for entry in payload.chunks_exact(CLOSED_ENTRY) {
+                    let key = u128::from_le_bytes(entry[..16].try_into().unwrap());
                     while i < keys.len() && keys[i].0 < key {
                         i += 1;
                     }
@@ -432,14 +417,13 @@ impl SpillTier {
         let mut writer = SegmentWriter::create(self.dir.join(&name), CLOSED_MAGIC, SPILL_VERSION)
             .unwrap_or_else(|e| panic!("spill tier cannot create {name}: {e}"));
         for chunk in evicted.chunks(CLOSED_CHUNK) {
-            let mut payload = Vec::with_capacity(4 + chunk.len() * 20);
-            put_u32(&mut payload, chunk.len() as u32);
+            let mut payload = Vec::with_capacity(chunk.len() * CLOSED_ENTRY);
             for &(key, id) in chunk {
                 put_u128(&mut payload, key);
                 put_u32(&mut payload, id);
             }
             writer
-                .append(&payload)
+                .append(0, &payload)
                 .unwrap_or_else(|e| panic!("spill tier closed append failed: {e}"));
         }
         self.write_hist.observe(t0.elapsed().as_secs_f64());
@@ -467,12 +451,17 @@ impl SpillTier {
     /// so a kill at any point leaves the durable journal with every file
     /// it names still on disk.
     pub fn write_journal(&mut self, journal: &Journal) {
+        // Checkpoints larger than one record go out as consecutive
+        // records, so their size is bounded only by the filesystem.
         let payload = journal.encode();
+        let records = payload
+            .chunks(segment::MAX_RECORD as usize)
+            .map(|chunk| (0, chunk));
         segment::write_atomic(
             &self.dir.join(JOURNAL_NAME),
             JOURNAL_MAGIC,
             SPILL_VERSION,
-            &payload,
+            records,
         )
         .unwrap_or_else(|e| panic!("spill tier journal checkpoint failed: {e}"));
         for name in self.pending_delete.drain(..) {

@@ -10,10 +10,11 @@
 //! segment must be rejected, never silently trusted.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use sortsynth_isa::{IsaMode, Machine};
-use sortsynth_search::{synthesize, try_synthesize, ProgressHook, SynthesisConfig};
+use sortsynth_obs::segment::SegmentError;
+use sortsynth_search::{synthesize, try_synthesize, ProgressHook, ResumeError, SynthesisConfig};
 
 /// Crashes the run it is installed in once `expansions` states have been
 /// expanded: with `progress_every(1)` the hook sees every expansion's
@@ -173,24 +174,28 @@ fn multi_thread_budgeted_runs_spill_and_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Kills a min/max n = 3 run under a 1-byte budget and returns its
+/// configuration. The budget spills every span from layer 0 on, so the
+/// journal written at each layer boundary references real segment bytes
+/// almost immediately; ten expansions is comfortably past the first
+/// boundary.
+fn killed_minmax_run(dir: &Path) -> SynthesisConfig {
+    let cfg = layered(&Machine::new(3, 1, IsaMode::MinMax), 8)
+        .mem_budget_bytes(1)
+        .spill_dir(dir.to_path_buf());
+    let killed = catch_unwind(AssertUnwindSafe(|| {
+        synthesize(&crash_after(cfg.clone(), 10))
+    }));
+    assert!(killed.is_err(), "crash injection did not fire");
+    cfg
+}
+
 #[test]
 #[cfg_attr(miri, ignore = "corruption test does real file I/O")]
 fn torn_segment_byte_is_rejected_on_resume() {
     let machine = Machine::new(3, 1, IsaMode::MinMax);
     let dir = scratch("torn");
-
-    // A 1-byte budget spills every span from layer 0 on, so the journal
-    // written at each layer boundary references real segment bytes almost
-    // immediately; ten expansions is comfortably past the first boundary.
-    let killed = catch_unwind(AssertUnwindSafe(|| {
-        synthesize(&crash_after(
-            layered(&machine, 8)
-                .mem_budget_bytes(1)
-                .spill_dir(dir.clone()),
-            10,
-        ))
-    }));
-    assert!(killed.is_err(), "crash injection did not fire");
+    killed_minmax_run(&dir);
 
     // Flip one byte in the middle of every sealed segment: a torn tail or
     // bit rot anywhere in the journal-referenced region must surface as a
@@ -219,6 +224,65 @@ fn torn_segment_byte_is_rejected_on_resume() {
         "corruption surfaced as something other than a checksum failure: {msg}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "corruption test does real file I/O")]
+fn journal_from_an_older_spill_version_is_refused() {
+    let dir = scratch("oldversion");
+    killed_minmax_run(&dir);
+    // Rewrite the journal's header version to 1, the untagged record
+    // layout of older builds: resume must refuse the directory outright.
+    let path = dir.join("journal.ssj");
+    let mut bytes = std::fs::read(&path).expect("journal readable");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, bytes).expect("journal writable");
+    let err =
+        try_synthesize(&layered(&Machine::new(3, 1, IsaMode::MinMax), 8).resume_from(dir.clone()))
+            .expect_err("resume accepted a version-1 journal");
+    assert!(
+        matches!(err, ResumeError::Segment(SegmentError::BadHeader { .. })),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "crash injection does real file I/O")]
+fn torn_checkpoint_temp_file_does_not_affect_resume() {
+    let reference_dir = scratch("tmp-reference");
+    let dir = scratch("tmp-torn");
+    let cfg = killed_minmax_run(&dir);
+    let reference = synthesize(&cfg.clone().spill_dir(reference_dir.clone()));
+    // A kill between writing the next checkpoint and renaming it leaves a
+    // torn `journal.ssj.tmp` beside the last durable journal.
+    let journal = std::fs::read(dir.join("journal.ssj")).expect("journal readable");
+    std::fs::write(dir.join("journal.ssj.tmp"), &journal[..journal.len() / 2])
+        .expect("temp file writable");
+    let resumed = try_synthesize(
+        &layered(&Machine::new(3, 1, IsaMode::MinMax), 8)
+            .mem_budget_bytes(1)
+            .resume_from(dir.clone()),
+    )
+    .expect("resume beside a torn temp file failed");
+    assert!(resumed.stats.resumed_frontier_states > 0);
+    assert_eq!(resumed.outcome, reference.outcome);
+    assert_eq!(resumed.first_program(), reference.first_program());
+    let counters = |s: &sortsynth_search::SearchStats| {
+        (
+            s.expanded,
+            s.generated,
+            s.dedup_hits,
+            s.viability_pruned,
+            s.states_kept,
+            s.spilled_open,
+            s.spilled_closed,
+            s.ddd_dedup_hits,
+        )
+    };
+    assert_eq!(counters(&resumed.stats), counters(&reference.stats));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&reference_dir);
 }
 
 /// Warm-up then rerun with a sizing table: the recorded row must pre-size
