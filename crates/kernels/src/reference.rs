@@ -225,7 +225,7 @@ pub fn enum_minmax5() -> (Machine, Program) {
 }
 
 /// A **34-instruction** n = 6 min/max kernel synthesized by this workspace
-/// (108 s, one core) — two instructions below the 36-instruction
+/// (33 s, one core) — two instructions below the 36-instruction
 /// 12-comparator optimal-network implementation. The paper's evaluation
 /// stops at n = 5, so this extends its method one size further. Verified on
 /// all 720 permutations.

@@ -2,9 +2,26 @@
 //!
 //! Before the main search starts, the paper (§3.1, third heuristic; §3.2;
 //! §3.3) precomputes, for every *single* register assignment, the length of
-//! the shortest instruction sequence that sorts it. The space of single
-//! assignments is tiny (`(n+1)^(n+m) · 3` flag configurations), so this is a
-//! quick fixed-point computation. The table serves three purposes:
+//! the shortest instruction sequence that sorts it. The table covers
+//! `(n+1)^(n+m)` register contents per flag plane: three planes (flags
+//! clear, `lt`, `gt`) when the ISA has `cmp`, one for min/max, which never
+//! writes a flag. [`DistanceTable::build`] does work only where an
+//! assignment can still be sorted:
+//!
+//! 1. Every op copies a value and none makes a new one, so an assignment
+//!    missing a value of `1..=n` is [`UNSORTABLE`] outright, and so is every
+//!    successor. At n = 5, m = 1 only 2 520 of 46 656 contents per plane
+//!    survive this filter.
+//! 2. Each surviving (assignment, action) pair is stepped exactly once, into
+//!    a transient successor index that is dropped before `build` returns.
+//! 3. Backward induction from the sorted assignments runs over that index:
+//!    round `d` gives distance `d + 1` to every undecided assignment with a
+//!    distance-`d` successor.
+//! 4. One pass over all encodings then fills the first moves and the
+//!    successor-distance rows from that index, and each row of successor
+//!    projections from the one digit an action can change.
+//!
+//! The table serves three purposes:
 //!
 //! * the admissible `MaxRemaining` search heuristic — the maximum per-
 //!   assignment distance in a state lower-bounds the remaining program
@@ -16,7 +33,7 @@
 
 use sortsynth_isa::{Instr, Machine, MachineState, Reg};
 
-use crate::state::{ProjScratch, StateSet};
+use crate::state::{assignment_erased, ProjScratch, StateSet};
 
 /// Distance value meaning "cannot be sorted" (a value was erased).
 pub const UNSORTABLE: u16 = u16::MAX;
@@ -79,14 +96,10 @@ impl ActionSet {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DistanceTable {
-    machine: Machine,
+    layout: Layout,
     actions: Vec<Instr>,
     dist: Vec<u16>,
     first_moves: Option<Vec<ActionSet>>,
-    /// Radix for value digits: `n + 1` (values `0..=n`).
-    radix: usize,
-    /// Stride between flag planes: `radix^(n+m)`.
-    flag_stride: usize,
     /// Largest finite distance in the table.
     max_finite: u16,
     /// Successor distances, *encoding-major*: `succ_dist[enc * actions +
@@ -135,105 +148,130 @@ impl DistanceTable {
             actions.len() <= 256,
             "ActionSet supports at most 256 actions"
         );
-        let regs = machine.num_regs() as usize;
-        let radix = machine.n() as usize + 1;
-        let flag_stride = radix.pow(regs as u32);
-        let total = 3 * flag_stride;
+        let na = actions.len();
+        let layout = Layout::of(machine);
+        let total = layout.encodings();
 
-        let mut dist = vec![UNSORTABLE; total];
-        // Seed: every assignment whose value registers read 1..=n is sorted.
-        let mut frontier: Vec<u32> = Vec::new();
-        for (idx, d) in dist.iter_mut().enumerate() {
-            let st = decode(machine, radix, flag_stride, idx);
-            if machine.is_sorted(st) {
-                *d = 0;
-                frontier.push(idx as u32);
-            }
+        // Erasure ignores the flags, so the live (non-erased) encodings are
+        // plane 0's, repeated in every plane — in ascending encoding order.
+        let plane: Vec<u32> = (0..layout.flag_stride)
+            .filter(|&e| !assignment_erased(machine, layout.decode(e)))
+            .map(|e| e as u32)
+            .collect();
+        let live: Vec<u32> = (0..layout.planes)
+            .flat_map(|p| {
+                plane
+                    .iter()
+                    .map(move |&e| e + (p * layout.flag_stride) as u32)
+            })
+            .collect();
+
+        // The successor index: `succ[li * na + ai]` is the encoding reached
+        // from `live[li]` under `actions[ai]`.
+        let mut succ = Vec::with_capacity(live.len() * na);
+        for &e in &live {
+            let st = layout.decode(e as usize);
+            succ.extend(actions.iter().map(|&a| layout.encode(st.step(a)) as u32));
         }
 
-        // Backward induction: a state has distance d+1 if some action leads
-        // to a distance-d state. We iterate over the undecided states each
-        // round; the per-assignment space is small enough that this
-        // O(rounds · states · actions) sweep finishes in milliseconds for
-        // n ≤ 5.
-        let mut undecided: Vec<u32> = (0..total as u32)
-            .filter(|&i| dist[i as usize] == UNSORTABLE)
-            .collect();
-        let mut d: u16 = 0;
-        let mut max_finite = 0;
-        while !undecided.is_empty() {
-            let mut still = Vec::with_capacity(undecided.len());
-            let mut progressed = false;
-            for &idx in &undecided {
-                let st = decode(machine, radix, flag_stride, idx as usize);
-                let reaches_d = actions.iter().any(|&a| {
-                    let succ = encode(machine, radix, flag_stride, st.step(a));
-                    dist[succ] == d
-                });
-                if reaches_d {
-                    dist[idx as usize] = d + 1;
-                    max_finite = d + 1;
-                    progressed = true;
-                } else {
-                    still.push(idx);
-                }
+        // Backward induction from the sorted assignments: an undecided
+        // assignment gets distance d+1 in round d if some action leads to a
+        // distance-d assignment. Erased successors stay UNSORTABLE, so they
+        // never match.
+        let mut dist = vec![UNSORTABLE; total];
+        let mut undecided: Vec<u32> = Vec::with_capacity(live.len());
+        for (li, &e) in live.iter().enumerate() {
+            if machine.is_sorted(layout.decode(e as usize)) {
+                dist[e as usize] = 0;
+            } else {
+                undecided.push(li as u32);
             }
-            undecided = still;
-            if !progressed {
-                break; // the rest are unsortable (erased values)
+        }
+        let mut d: u16 = 0;
+        while !undecided.is_empty() {
+            let before = undecided.len();
+            undecided.retain(|&li| {
+                let li = li as usize;
+                let reaches_d = succ[li * na..(li + 1) * na]
+                    .iter()
+                    .any(|&s| dist[s as usize] == d);
+                if reaches_d {
+                    dist[live[li] as usize] = d + 1;
+                }
+                !reaches_d
+            });
+            if undecided.len() == before {
+                break; // the rest cannot reach a sorted assignment
             }
             d += 1;
         }
+        let max_finite = d;
 
-        let first_moves = with_first_moves.then(|| {
-            let mut moves = vec![ActionSet::empty(); total];
-            for idx in 0..total {
-                let here = dist[idx];
-                if here == 0 || here == UNSORTABLE {
-                    continue;
+        // The packed projection must fit 16 bits; machines big enough to
+        // overflow it also blow the entry cap, but gate explicitly rather
+        // than rely on that coincidence. The projection of an encoding is
+        // its low `n` digits (the value registers).
+        let proj_modulus = layout.radix.pow(machine.n() as u32);
+        let with_succ = proj_modulus <= 1 << 16 && na * total <= SUCC_DIST_MAX_ENTRIES;
+        let weight: Vec<isize> = actions
+            .iter()
+            .map(|a| match a.dst.index() {
+                r if r < machine.n() => layout.radix.pow(r as u32) as isize,
+                _ => 0,
+            })
+            .collect();
+        let mut first_moves = with_first_moves.then(|| vec![ActionSet::empty(); total]);
+        let (mut td, mut tp) = if with_succ {
+            (vec![UNSORTABLE; na * total], vec![0u16; na * total])
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        // One pass over every encoding. Projections are stepped for every
+        // row; distances and first moves come from the successor index for
+        // live rows. An erased row's successors are erased too, so its
+        // distances stay UNSORTABLE and its first moves empty.
+        let mut next_live = live.iter().enumerate().peekable();
+        for e in 0..total {
+            let row = e * na..(e + 1) * na;
+            if with_succ {
+                // Only the destination digit changes, and it counts toward
+                // the projection only if it is a value register.
+                let st = layout.decode(e);
+                let base = (e % proj_modulus) as isize;
+                for ((p, &a), &w) in tp[row.clone()].iter_mut().zip(&actions).zip(&weight) {
+                    let delta = st.step(a).reg(a.dst) as isize - st.reg(a.dst) as isize;
+                    *p = (base + delta * w) as u16;
                 }
-                let st = decode(machine, radix, flag_stride, idx);
-                for (ai, &a) in actions.iter().enumerate() {
-                    let succ = encode(machine, radix, flag_stride, st.step(a));
-                    if dist[succ] == here - 1 {
-                        moves[idx].insert(ai);
+            }
+            let Some((li, _)) = next_live.next_if(|&(_, &l)| l as usize == e) else {
+                continue;
+            };
+            let succs = &succ[li * na..(li + 1) * na];
+            if with_succ {
+                for (d, &s) in td[row].iter_mut().zip(succs) {
+                    *d = dist[s as usize];
+                }
+            }
+            let here = dist[e];
+            if let Some(moves) = first_moves.as_mut() {
+                if here != 0 && here != UNSORTABLE {
+                    for (ai, &s) in succs.iter().enumerate() {
+                        if dist[s as usize] == here - 1 {
+                            moves[e].insert(ai);
+                        }
                     }
                 }
             }
-            moves
-        });
-
-        // The packed projection must fit the entry's low 16 bits; machines
-        // big enough to overflow it also blow the entry cap, but gate
-        // explicitly rather than rely on that coincidence.
-        let proj_fits = (radix as u64).pow(machine.n() as u32) <= 1 << 16;
-        let (succ_dist, succ_proj) = if proj_fits && actions.len() * total <= SUCC_DIST_MAX_ENTRIES
-        {
-            let mut td = vec![0u16; actions.len() * total];
-            let mut tp = vec![0u16; actions.len() * total];
-            for idx in 0..total {
-                let st = decode(machine, radix, flag_stride, idx);
-                for (ai, &a) in actions.iter().enumerate() {
-                    let succ = st.step(a);
-                    td[idx * actions.len() + ai] = dist[encode(machine, radix, flag_stride, succ)];
-                    tp[idx * actions.len() + ai] = packed_proj(machine, radix, succ);
-                }
-            }
-            (Some(td), Some(tp))
-        } else {
-            (None, None)
-        };
+        }
 
         DistanceTable {
-            machine: machine.clone(),
+            layout,
             actions,
             dist,
             first_moves,
-            radix,
-            flag_stride,
             max_finite,
-            succ_dist,
-            succ_proj,
+            succ_dist: with_succ.then_some(td),
+            succ_proj: with_succ.then_some(tp),
         }
     }
 
@@ -245,12 +283,12 @@ impl DistanceTable {
 
     /// Shortest number of instructions sorting `assign`, or [`UNSORTABLE`].
     pub fn dist(&self, assign: MachineState) -> u16 {
-        self.dist[encode(&self.machine, self.radix, self.flag_stride, assign)]
+        self.dist[self.layout.encode(assign)]
     }
 
-    /// Number of per-assignment encodings the table covers — an upper bound
-    /// on distinct single assignments, which the engine scales into an
-    /// arena pre-sizing estimate when no measured sizing row exists.
+    /// Number of per-assignment encodings the table covers: `(n+1)^(n+m)`
+    /// register contents times the flag planes the ISA can reach (three
+    /// with `cmp`, one for min/max).
     pub fn encodings(&self) -> usize {
         self.dist.len()
     }
@@ -303,7 +341,7 @@ impl DistanceTable {
             .expect("DistanceTable built without first moves");
         let mut out = ActionSet::empty();
         for &a in assigns {
-            out.union_with(&moves[encode(&self.machine, self.radix, self.flag_stride, a)]);
+            out.union_with(&moves[self.layout.encode(a)]);
         }
         out
     }
@@ -338,7 +376,7 @@ impl DistanceTable {
     /// [`DistanceTable::succ_max_dist`]. Computed once per *expanded* state
     /// and reused across its whole action sweep.
     pub fn encode_assign(&self, assign: MachineState) -> u32 {
-        encode(&self.machine, self.radix, self.flag_stride, assign) as u32
+        self.layout.encode(assign) as u32
     }
 
     /// `max_dist` of the successor reached by action `ai` from the parent
@@ -457,6 +495,65 @@ impl DistanceTable {
     }
 }
 
+/// Where a single assignment sits in the table: the register digits
+/// (`0..=n`) radix-packed with register 0 least significant, then one block
+/// of `flag_stride` encodings per flag code. An ISA that never writes a flag
+/// gets one plane; `cmp` machines get three (clear, `lt`, `gt`).
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    regs: u8,
+    /// Radix for register digits: `n + 1` (values `0..=n`).
+    radix: usize,
+    /// Stride between flag planes: `radix^(n+m)`.
+    flag_stride: usize,
+    planes: usize,
+}
+
+impl Layout {
+    fn of(machine: &Machine) -> Self {
+        let writes_flags = machine.mode().ops().iter().any(|op| op.writes_flags());
+        Layout::with_planes(machine, if writes_flags { 3 } else { 1 })
+    }
+
+    fn with_planes(machine: &Machine, planes: usize) -> Self {
+        let radix = machine.n() as usize + 1;
+        Layout {
+            regs: machine.num_regs(),
+            radix,
+            flag_stride: radix.pow(machine.num_regs() as u32),
+            planes,
+        }
+    }
+
+    fn encodings(self) -> usize {
+        self.planes * self.flag_stride
+    }
+
+    fn encode(self, st: MachineState) -> usize {
+        let mut idx = 0usize;
+        for r in (0..self.regs).rev() {
+            let v = st.reg(Reg::new(r)) as usize;
+            debug_assert!(v < self.radix);
+            idx = idx * self.radix + v;
+        }
+        let flags = flag_code(st);
+        debug_assert!(flags < self.planes, "flagged state in a one-plane table");
+        flags * self.flag_stride + idx
+    }
+
+    fn decode(self, idx: usize) -> MachineState {
+        let flags = idx / self.flag_stride;
+        let mut rest = idx % self.flag_stride;
+        let mut st = MachineState::default();
+        for r in 0..self.regs {
+            st.set_reg(Reg::new(r), (rest % self.radix) as u8);
+            rest /= self.radix;
+        }
+        st.set_flags(flags == 1, flags == 2);
+        st
+    }
+}
+
 fn flag_code(st: MachineState) -> usize {
     match (st.lt_flag(), st.gt_flag()) {
         (false, false) => 0,
@@ -466,52 +563,171 @@ fn flag_code(st: MachineState) -> usize {
     }
 }
 
-/// Radix-packs the value registers `r1..rn` of `st`: `Σ reg(r) · radixʳ`.
-/// A bijection of the §3.5 permutation projection (each register holds a
-/// digit `< radix`) that fits 16 bits for every table-supported machine.
-fn packed_proj(machine: &Machine, radix: usize, st: MachineState) -> u16 {
-    let mut p = 0usize;
-    for r in (0..machine.n() as usize).rev() {
-        p = p * radix + st.reg(Reg::new(r as u8)) as usize;
-    }
-    p as u16
-}
-
-fn encode(machine: &Machine, radix: usize, flag_stride: usize, st: MachineState) -> usize {
-    let mut idx = 0usize;
-    for r in (0..machine.num_regs()).rev() {
-        let v = st.reg(Reg::new(r)) as usize;
-        debug_assert!(v < radix);
-        idx = idx * radix + v;
-    }
-    flag_code(st) * flag_stride + idx
-}
-
-fn decode(machine: &Machine, radix: usize, flag_stride: usize, idx: usize) -> MachineState {
-    let flags = idx / flag_stride;
-    let mut rest = idx % flag_stride;
-    let mut st = MachineState::default();
-    for r in 0..machine.num_regs() {
-        st.set_reg(Reg::new(r), (rest % radix) as u8);
-        rest /= radix;
-    }
-    st.set_flags(flags == 1, flags == 2);
-    st
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sortsynth_isa::IsaMode;
 
+    /// The full sweep, the reference for [`DistanceTable::build`]: three
+    /// flag planes whatever the ISA, and every encoding re-stepped under
+    /// every action in each round of induction, and again for the first
+    /// moves and the successor rows. No shortcut, so it checks the build's.
+    fn reference_build(machine: &Machine, with_first_moves: bool) -> DistanceTable {
+        let actions = machine.actions();
+        let layout = Layout::with_planes(machine, 3);
+        let radix = layout.radix;
+        let total = layout.encodings();
+
+        let mut dist = vec![UNSORTABLE; total];
+        for (idx, d) in dist.iter_mut().enumerate() {
+            if machine.is_sorted(layout.decode(idx)) {
+                *d = 0;
+            }
+        }
+
+        let mut undecided: Vec<u32> = (0..total as u32)
+            .filter(|&i| dist[i as usize] == UNSORTABLE)
+            .collect();
+        let mut d: u16 = 0;
+        let mut max_finite = 0;
+        while !undecided.is_empty() {
+            let mut still = Vec::with_capacity(undecided.len());
+            let mut progressed = false;
+            for &idx in &undecided {
+                let st = layout.decode(idx as usize);
+                let reaches_d = actions
+                    .iter()
+                    .any(|&a| dist[layout.encode(st.step(a))] == d);
+                if reaches_d {
+                    dist[idx as usize] = d + 1;
+                    max_finite = d + 1;
+                    progressed = true;
+                } else {
+                    still.push(idx);
+                }
+            }
+            undecided = still;
+            if !progressed {
+                break;
+            }
+            d += 1;
+        }
+
+        let first_moves = with_first_moves.then(|| {
+            let mut moves = vec![ActionSet::empty(); total];
+            for idx in 0..total {
+                let here = dist[idx];
+                if here == 0 || here == UNSORTABLE {
+                    continue;
+                }
+                let st = layout.decode(idx);
+                for (ai, &a) in actions.iter().enumerate() {
+                    if dist[layout.encode(st.step(a))] == here - 1 {
+                        moves[idx].insert(ai);
+                    }
+                }
+            }
+            moves
+        });
+
+        let proj_fits = (radix as u64).pow(machine.n() as u32) <= 1 << 16;
+        let (succ_dist, succ_proj) = if proj_fits && actions.len() * total <= SUCC_DIST_MAX_ENTRIES
+        {
+            let mut td = vec![0u16; actions.len() * total];
+            let mut tp = vec![0u16; actions.len() * total];
+            for idx in 0..total {
+                let st = layout.decode(idx);
+                for (ai, &a) in actions.iter().enumerate() {
+                    let succ = st.step(a);
+                    td[idx * actions.len() + ai] = dist[layout.encode(succ)];
+                    tp[idx * actions.len() + ai] = packed_proj(machine, radix, succ);
+                }
+            }
+            (Some(td), Some(tp))
+        } else {
+            (None, None)
+        };
+
+        DistanceTable {
+            layout,
+            actions,
+            dist,
+            first_moves,
+            max_finite,
+            succ_dist,
+            succ_proj,
+        }
+    }
+
+    /// Radix-packs the value registers `r1..rn` of `st`: `Σ reg(r) · radixʳ`.
+    fn packed_proj(machine: &Machine, radix: usize, st: MachineState) -> u16 {
+        let mut p = 0usize;
+        for r in (0..machine.n() as usize).rev() {
+            p = p * radix + st.reg(Reg::new(r as u8)) as usize;
+        }
+        p as u16
+    }
+
+    /// [`DistanceTable::build`] agrees with [`reference_build`] field by
+    /// field. A min/max table holds only the flag-free plane, which is the
+    /// reference's first `encodings()` entries (and rows); the reference's
+    /// flagged planes are unreachable without `cmp`.
+    fn assert_matches_reference(n: u8, mode: IsaMode) {
+        let m = Machine::new(n, 1, mode);
+        for with_first_moves in [false, true] {
+            let fast = DistanceTable::build(&m, with_first_moves);
+            let slow = reference_build(&m, with_first_moves);
+            let what = format!("n = {n} {mode:?} first moves {with_first_moves}");
+            let planes = if mode == IsaMode::Cmov { 3 } else { 1 };
+            assert_eq!(fast.encodings() * 3, slow.encodings() * planes, "{what}");
+            let len = fast.encodings();
+            let rows = len * fast.actions().len();
+            assert_eq!(fast.actions, slow.actions, "{what}");
+            assert!(fast.dist == slow.dist[..len], "dist differs: {what}");
+            assert_eq!(
+                fast.first_moves.as_deref(),
+                slow.first_moves.as_ref().map(|v| &v[..len]),
+                "first moves differ: {what}"
+            );
+            assert_eq!(fast.succ_dist.is_some(), slow.succ_dist.is_some(), "{what}");
+            if let (Some(f), Some(s)) = (&fast.succ_dist, &slow.succ_dist) {
+                assert!(f[..] == s[..rows], "succ_dist differs: {what}");
+            }
+            if let (Some(f), Some(s)) = (&fast.succ_proj, &slow.succ_proj) {
+                assert!(f[..] == s[..rows], "succ_proj differs: {what}");
+            }
+            assert_eq!(fast.max_finite, slow.max_finite, "{what}");
+        }
+    }
+
+    #[test]
+    fn build_matches_reference_n2_to_n4() {
+        for n in 2..=4 {
+            for mode in [IsaMode::Cmov, IsaMode::MinMax] {
+                assert_matches_reference(n, mode);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "the reference sweep takes seconds at n = 5; CI runs it in release"]
+    fn build_matches_reference_n5_cmov() {
+        assert_matches_reference(5, IsaMode::Cmov);
+    }
+
+    #[test]
+    #[ignore = "the reference sweep takes seconds at n = 5; CI runs it in release"]
+    fn build_matches_reference_n5_minmax() {
+        assert_matches_reference(5, IsaMode::MinMax);
+    }
+
     #[test]
     fn encode_decode_round_trip() {
-        let m = Machine::new(3, 1, IsaMode::Cmov);
-        let radix = 4;
-        let stride = radix_pow(radix, 4);
-        for idx in 0..3 * stride {
-            let st = decode(&m, radix, stride, idx);
-            assert_eq!(encode(&m, radix, stride, st), idx);
+        for mode in [IsaMode::Cmov, IsaMode::MinMax] {
+            let layout = Layout::of(&Machine::new(3, 1, mode));
+            for idx in 0..layout.encodings() {
+                assert_eq!(layout.encode(layout.decode(idx)), idx);
+            }
         }
     }
 
@@ -519,25 +735,22 @@ mod tests {
     /// up directly, for every assignment and every action.
     #[test]
     fn succ_dist_agrees_with_direct_lookup() {
-        let m = Machine::new(3, 1, IsaMode::Cmov);
-        let table = DistanceTable::build(&m, false);
-        assert!(table.has_succ_dist());
-        let stride = radix_pow(4, 4);
-        for idx in 0..3 * stride {
-            let st = decode(&m, 4, stride, idx);
-            let enc = [table.encode_assign(st)];
-            for (ai, &a) in table.actions().iter().enumerate() {
-                assert_eq!(
-                    table.succ_max_dist(ai, &enc),
-                    table.dist(st.step(a)),
-                    "idx {idx} action {ai}"
-                );
+        for mode in [IsaMode::Cmov, IsaMode::MinMax] {
+            let m = Machine::new(3, 1, mode);
+            let table = DistanceTable::build(&m, false);
+            assert!(table.has_succ_dist());
+            for idx in 0..table.encodings() {
+                let st = table.layout.decode(idx);
+                let enc = [table.encode_assign(st)];
+                for (ai, &a) in table.actions().iter().enumerate() {
+                    assert_eq!(
+                        table.succ_max_dist(ai, &enc),
+                        table.dist(st.step(a)),
+                        "{mode:?} idx {idx} action {ai}"
+                    );
+                }
             }
         }
-    }
-
-    fn radix_pow(radix: usize, e: u32) -> usize {
-        radix.pow(e)
     }
 
     #[test]

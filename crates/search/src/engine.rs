@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use sortsynth_isa::{BatchStepper, Instr, MachineState, Op, Program};
+use sortsynth_isa::{BatchStepper, Instr, Machine, MachineState, Op, Program};
 
 use sortsynth_obs::names;
 use sortsynth_obs::profile::{Phase, PhaseProbe, PHASE_COUNT};
@@ -420,6 +420,19 @@ pub fn try_synthesize(cfg: &SynthesisConfig) -> Result<SynthesisResult, ResumeEr
         return Ok(crate::parallel::run(cfg));
     }
     Engine::new(cfg).run()
+}
+
+/// The (states, assignments) arena pre-size for a run with a distance table
+/// and no measured sizing row: 32 states per single-assignment encoding of a
+/// three-flag-plane table, clamped. The estimate counts three planes even
+/// for min/max, whose table holds one, so what small runs reserve (and so
+/// what they pay in setup and RSS) does not depend on the table's layout.
+fn presize_estimate(machine: &Machine) -> (usize, usize) {
+    let encodings = 3 * (machine.n() as usize + 1).pow(machine.num_regs() as u32);
+    let states = encodings.saturating_mul(32).min(512 * 1024);
+    let per_state = sortsynth_isa::factorial(machine.n()) as usize;
+    let assigns = states.saturating_mul(per_state).min(16 * 1024 * 1024);
+    (states, assigns)
 }
 
 /// Builds the per-assignment distance table when the configuration needs it
@@ -861,13 +874,9 @@ impl<'a> Engine<'a> {
             let states = row.states as usize + row.states as usize / 8 + 64;
             let assigns = row.assigns as usize + row.assigns as usize / 8 + 1024;
             shard.reserve(states, assigns);
-        } else if cfg.mem_budget_bytes.is_none() {
-            if let Some(t) = table.as_ref() {
-                let states = (t.encodings() * 32).min(512 * 1024);
-                let per_state = sortsynth_isa::factorial(cfg.machine.n()) as usize;
-                let assigns = states.saturating_mul(per_state).min(16 * 1024 * 1024);
-                shard.reserve(states, assigns);
-            }
+        } else if cfg.mem_budget_bytes.is_none() && table.is_some() {
+            let (states, assigns) = presize_estimate(&cfg.machine);
+            shard.reserve(states, assigns);
         }
         Engine {
             cfg,
@@ -1387,4 +1396,32 @@ pub(crate) fn open_f_hint(bound: u32, table: Option<&DistanceTable>) -> usize {
     };
     let dist = table.map_or(0, |t| t.max_finite_dist() as usize);
     (depth + dist + 1).min(4096)
+}
+
+#[cfg(test)]
+mod tests {
+    use sortsynth_isa::{IsaMode, Machine};
+
+    use super::presize_estimate;
+
+    /// The arena pre-size for each machine a table-backed run can use: the
+    /// three-plane values, for min/max as for cmp/cmov.
+    #[test]
+    fn presize_estimate_is_pinned() {
+        let pinned = [
+            (2, (2_592, 5_184)),
+            (3, (24_576, 147_456)),
+            (4, (300_000, 7_200_000)),
+            (5, (524_288, 16_777_216)),
+        ];
+        for (n, expected) in pinned {
+            for mode in [IsaMode::Cmov, IsaMode::MinMax] {
+                assert_eq!(
+                    presize_estimate(&Machine::new(n, 1, mode)),
+                    expected,
+                    "n = {n} {mode:?}"
+                );
+            }
+        }
+    }
 }
