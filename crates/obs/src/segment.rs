@@ -34,7 +34,8 @@
 //!   cannot trust must fail loudly, never silently replay.
 //!
 //! [`write_atomic`] replaces a whole file (cache compaction and repair, the
-//! journal checkpoint): temp file, fsync, rename, directory fsync.
+//! journal checkpoint) from a lazily consumed stream of records: temp file,
+//! fsync, rename, directory fsync.
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -133,7 +134,6 @@ impl From<io::Error> for SegmentError {
 
 /// Appends checksummed records to a segment file.
 pub struct SegmentWriter {
-    path: PathBuf,
     file: BufWriter<File>,
     checksum: fn(&[u8]) -> u64,
     bytes: u64,
@@ -179,7 +179,6 @@ impl SegmentWriter {
             bytes = HEADER_LEN;
         }
         Ok(SegmentWriter {
-            path,
             file: BufWriter::new(file),
             checksum: checksum_for(magic),
             bytes,
@@ -215,11 +214,6 @@ impl SegmentWriter {
     /// Records appended by this writer.
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// The segment's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -431,21 +425,6 @@ pub fn write_atomic<P: AsRef<[u8]>>(
     File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
 
-/// Reads back a [`write_atomic`] file strictly: at least one intact record,
-/// payloads concatenated in order.
-pub fn read_atomic(path: &Path, magic: &[u8; 8], version: u32) -> Result<Vec<u8>, SegmentError> {
-    let len = fs::metadata(path)?.len();
-    let mut r = SegmentReader::open_strict(path, magic, version, len)?;
-    let (_, mut payload) = r.next()?.ok_or(SegmentError::Checksum {
-        path: path.to_path_buf(),
-        at: HEADER_LEN,
-    })?;
-    while let Some((_, chunk)) = r.next()? {
-        payload.extend_from_slice(&chunk);
-    }
-    Ok(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,31 +582,25 @@ mod tests {
 
     #[test]
     fn atomic_write_round_trips_and_detects_corruption() {
+        // Records go out in order, each checksummed on its own, so a reader
+        // streams a replaced file record by record (the spill journal).
         let path = tmp("atomic");
-        write_atomic(&path, MAGIC, 3, [(0, b"journal-state")]).unwrap();
-        assert_eq!(read_atomic(&path, MAGIC, 3).unwrap(), b"journal-state");
+        let records = [&b"journal-"[..], b"state-", b"tail"];
+        write_atomic(&path, MAGIC, 3, records.map(|c| (0, c))).unwrap();
         assert!(!path.with_extension("bin.tmp").exists());
+        let len = fs::metadata(&path).unwrap().len();
+        let mut r = SegmentReader::open_strict(&path, MAGIC, 3, len).unwrap();
+        for chunk in records {
+            assert_eq!(r.next().unwrap(), Some((0, chunk.to_vec())));
+        }
+        assert!(r.next().unwrap().is_none());
         let mut bytes = fs::read(&path).unwrap();
         let at = bytes.len() - 1;
         bytes[at] ^= 1;
         fs::write(&path, &bytes).unwrap();
-        assert!(read_atomic(&path, MAGIC, 3).is_err());
-    }
-
-    #[test]
-    fn atomic_read_concatenates_chunked_records() {
-        // A journal larger than MAX_RECORD is written as consecutive
-        // records; the reader must reassemble them in order. Exercised here
-        // with small records so the test doesn't shuffle 64 MiB.
-        let path = tmp("chunked");
-        write_atomic(
-            &path,
-            MAGIC,
-            3,
-            [&b"journal-"[..], b"state-", b"tail"].map(|c| (0, c)),
-        )
-        .unwrap();
-        assert_eq!(read_atomic(&path, MAGIC, 3).unwrap(), b"journal-state-tail");
+        let mut r = SegmentReader::open_strict(&path, MAGIC, 3, len).unwrap();
+        assert!(r.next().is_ok() && r.next().is_ok());
+        assert!(r.next().is_err());
     }
 
     #[test]

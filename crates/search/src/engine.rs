@@ -18,7 +18,7 @@ use crate::shard::{
     Shard, Throttle, PARENT_NONE,
 };
 use crate::sizing::SizingTable;
-use crate::spill::{self, Journal, JournalMeta, JournalNode, ResumeError, SpillTier};
+use crate::spill::{self, ResumeError, SpillTier};
 use crate::state::{
     assignment_erased, canonicalize_slice, key_of, narrow_key, perm_count_slice, value_reg_mask,
     ProjScratch, StateSet,
@@ -221,27 +221,112 @@ pub struct ShardStats {
     /// SWAR batch passes taken by this worker's expansions (see
     /// [`SearchStats::swar_batches`]).
     pub swar_batches: u64,
+    /// Frontier spans this shard's spill tier wrote to disk (see
+    /// [`SearchStats::spilled_open`]).
+    pub spilled_open: u64,
+    /// Closed-map entries this shard's spill tier evicted to disk.
+    pub spilled_closed: u64,
+    /// Fresh states deleted by delayed duplicate detection.
+    pub ddd_dedup_hits: u64,
+    /// Bytes appended to this shard's spill segments.
+    pub spilled_bytes: u64,
+    /// Spill segment files this shard created.
+    pub spill_segments: u64,
 }
 
 impl ShardStats {
+    /// Number of counters in the block.
+    pub(crate) const LEN: usize = 21;
+
+    /// Every counter, in declaration order — the journal's persisted form.
+    /// The destructure is exhaustive, so a counter added to the block does
+    /// not compile until it is listed here (and so persisted).
+    pub(crate) fn to_array(&self) -> [u64; Self::LEN] {
+        let ShardStats {
+            expanded,
+            generated,
+            viability_pruned,
+            cut_pruned,
+            dead_write_pruned,
+            value_flow_pruned,
+            merged,
+            dedup_hits,
+            reopened,
+            stale_pops,
+            bound_pruned,
+            states_kept,
+            routed,
+            steals,
+            scratch_reused,
+            swar_batches,
+            spilled_open,
+            spilled_closed,
+            ddd_dedup_hits,
+            spilled_bytes,
+            spill_segments,
+        } = *self;
+        [
+            expanded,
+            generated,
+            viability_pruned,
+            cut_pruned,
+            dead_write_pruned,
+            value_flow_pruned,
+            merged,
+            dedup_hits,
+            reopened,
+            stale_pops,
+            bound_pruned,
+            states_kept,
+            routed,
+            steals,
+            scratch_reused,
+            swar_batches,
+            spilled_open,
+            spilled_closed,
+            ddd_dedup_hits,
+            spilled_bytes,
+            spill_segments,
+        ]
+    }
+
+    /// The inverse of [`ShardStats::to_array`]: a struct literal, so a
+    /// counter added to the block does not compile until it is read back.
+    pub(crate) fn from_array(counters: [u64; Self::LEN]) -> ShardStats {
+        let mut counters = counters.into_iter();
+        let mut next = || counters.next().expect("one value per counter");
+        ShardStats {
+            expanded: next(),
+            generated: next(),
+            viability_pruned: next(),
+            cut_pruned: next(),
+            dead_write_pruned: next(),
+            value_flow_pruned: next(),
+            merged: next(),
+            dedup_hits: next(),
+            reopened: next(),
+            stale_pops: next(),
+            bound_pruned: next(),
+            states_kept: next(),
+            routed: next(),
+            steals: next(),
+            scratch_reused: next(),
+            swar_batches: next(),
+            spilled_open: next(),
+            spilled_closed: next(),
+            ddd_dedup_hits: next(),
+            spilled_bytes: next(),
+            spill_segments: next(),
+        }
+    }
+
     /// Adds `other` into `self`, counter by counter.
     pub(crate) fn add(&mut self, other: &ShardStats) {
-        self.expanded += other.expanded;
-        self.generated += other.generated;
-        self.viability_pruned += other.viability_pruned;
-        self.cut_pruned += other.cut_pruned;
-        self.dead_write_pruned += other.dead_write_pruned;
-        self.value_flow_pruned += other.value_flow_pruned;
-        self.merged += other.merged;
-        self.dedup_hits += other.dedup_hits;
-        self.reopened += other.reopened;
-        self.stale_pops += other.stale_pops;
-        self.bound_pruned += other.bound_pruned;
-        self.states_kept += other.states_kept;
-        self.routed += other.routed;
-        self.steals += other.steals;
-        self.scratch_reused += other.scratch_reused;
-        self.swar_batches += other.swar_batches;
+        let mut sum = self.to_array();
+        for (s, o) in sum.iter_mut().zip(other.to_array()) {
+            *s += o;
+        }
+        *self = ShardStats::from_array(sum);
     }
 }
 
@@ -896,10 +981,12 @@ impl<'a> Engine<'a> {
 
     fn run(mut self) -> Result<SynthesisResult, ResumeError> {
         let cfg = self.cfg;
-        let outcome = if let Some(dir) = cfg.resume_dir.clone() {
-            let (frontier, g) = self.restore_from(&dir)?;
+        let outcome = if let Some(dir) = cfg.resume_dir.as_deref() {
+            let resumed = spill::restore(dir, cfg, &mut self.shard, &self.min_perm)?;
+            self.bound = resumed.bound;
+            self.frame.resumed_frontier_states = resumed.frontier.len() as u64;
             self.probe.skip();
-            self.run_layered(frontier, g)
+            self.run_layered(resumed.frontier, resumed.g)
         } else {
             let init = StateSet::initial(&cfg.machine);
             let (root, goal) =
@@ -923,7 +1010,14 @@ impl<'a> Engine<'a> {
                         let tier = SpillTier::new(dir, budget)
                             .unwrap_or_else(|e| panic!("cannot create spill directory: {e}"));
                         self.shard.spill = Some(tier);
-                        self.checkpoint(0, &[root]);
+                        spill::checkpoint(
+                            &mut self.shard,
+                            cfg,
+                            &self.min_perm,
+                            0,
+                            self.bound,
+                            &[root],
+                        );
                     }
                 }
                 // Re-stamp so the first Select lap starts at the search
@@ -973,57 +1067,6 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Restores engine state from the journal in `dir` and returns the
-    /// frontier and layer to re-run. Every byte the journal references is
-    /// strictly re-verified (checksums against recorded valid lengths)
-    /// before anything is trusted; any defect is a [`ResumeError`]. The
-    /// checkpointed layer re-runs from its start — the journal was written
-    /// before the layer began, so a mid-layer crash loses at most one
-    /// layer's work, and a partially written next-layer frontier segment is
-    /// truncated automatically when its writer is recreated.
-    fn restore_from(&mut self, dir: &std::path::Path) -> Result<(Vec<u32>, u32), ResumeError> {
-        if self.cfg.strategy != Strategy::Layered {
-            return Err(ResumeError::Unsupported {
-                why: "resume requires the layered strategy",
-            });
-        }
-        let fingerprint = spill::config_fingerprint(self.cfg);
-        let journal = spill::load_journal(dir, fingerprint)?;
-        spill::verify_segments(dir, &journal)?;
-        let budget = self.cfg.mem_budget_bytes.unwrap_or(journal.budget);
-        let tier = SpillTier::resumed(dir.to_path_buf(), budget, &journal)?;
-        let shard = &mut self.shard;
-        for m in &journal.metas {
-            shard.arena.restore_meta(m.len, m.perm, m.max_dist, m.goal);
-        }
-        for &(key, id) in &journal.closed {
-            shard.arena.restore_closed(key, id);
-        }
-        for (id, span) in &journal.spans {
-            shard.arena.restore_span(*id, span);
-        }
-        for (id, n) in journal.nodes.iter().enumerate() {
-            shard.edges.push(Edge {
-                parent: match n.parent {
-                    u32::MAX => PARENT_NONE,
-                    p => parent_ref(0, p),
-                },
-                g: n.len as u32,
-                instr: n.instr,
-            });
-            if !n.more.is_empty() {
-                shard.more_parents.insert(id as u32, n.more.clone());
-            }
-        }
-        self.min_perm.restore(&journal.min_perm);
-        shard.goals = journal.goals.clone();
-        self.bound = journal.bound;
-        shard.counters = journal.counters.clone();
-        self.frame.resumed_frontier_states = journal.frontier.len() as u64;
-        shard.spill = Some(tier);
-        Ok((journal.frontier.clone(), journal.g))
-    }
-
     /// End-of-layer spill maintenance: seal the frontier segment under
     /// construction, run delayed duplicate detection over this layer's
     /// fresh interns (deleting duplicates of evicted states from `next`),
@@ -1035,81 +1078,20 @@ impl<'a> Engine<'a> {
         let shard = &mut self.shard;
         let tier = shard.spill.as_mut().expect("end_of_layer without spill");
         tier.seal_frontier();
-        let dead = tier.ddd_filter();
+        let dead = tier.ddd_filter(&mut shard.counters);
         if !dead.is_empty() {
             next.retain(|id| dead.binary_search(id).is_err());
         }
-        let budget = tier.budget();
+        let budget = tier.budget;
         if shard.resident_bytes() > budget {
             let evicted = shard
                 .arena
                 .evict_closed(|id| next.binary_search(&id).is_ok());
             let tier = shard.spill.as_mut().expect("spill tier");
-            tier.append_closed(g, evicted);
+            tier.append_closed(g, evicted, &mut shard.counters);
         }
         shard.arena.compact_spans(next);
-        self.checkpoint(g + 1, next);
-    }
-
-    /// Writes the journal checkpoint declaring layer `g` (with frontier
-    /// `frontier`) as the next layer to expand.
-    fn checkpoint(&mut self, g: u32, frontier: &[u32]) {
-        let shard = &self.shard;
-        let tier = shard.spill.as_ref().expect("checkpoint without spill");
-        let journal = Journal {
-            fingerprint: spill::config_fingerprint(self.cfg),
-            g,
-            bound: self.bound,
-            budget: tier.budget(),
-            min_perm: self.min_perm.to_vec(),
-            goals: shard.goals.clone(),
-            counters: shard.counters.clone(),
-            spilled_open: tier.spilled_open,
-            spilled_closed: tier.spilled_closed,
-            ddd_dedup_hits: tier.ddd_dedup_hits,
-            spilled_bytes: tier.spilled_bytes,
-            spill_segments: tier.segments_created,
-            nodes: shard
-                .edges
-                .iter()
-                .enumerate()
-                .map(|(id, e)| JournalNode {
-                    parent: parent_idx(e.parent),
-                    instr: e.instr,
-                    len: e.g as u16,
-                    more: shard
-                        .more_parents
-                        .get(&(id as u32))
-                        .cloned()
-                        .unwrap_or_default(),
-                })
-                .collect(),
-            metas: (0..shard.arena.len() as u32)
-                .map(|id| {
-                    let m = shard.arena.meta(id);
-                    JournalMeta {
-                        len: m.assign_count(),
-                        perm: m.perm,
-                        max_dist: m.max_dist,
-                        goal: m.goal,
-                    }
-                })
-                .collect(),
-            closed: shard.arena.closed_entries(),
-            frontier: frontier.to_vec(),
-            spans: frontier
-                .iter()
-                .filter(|&&id| shard.arena.has_span(id))
-                .map(|&id| (id, shard.arena.assignments(id).to_vec()))
-                .collect(),
-            frontier_seg: tier.frontier_seg(),
-            closed_segs: tier.closed_segs(),
-        };
-        self.shard
-            .spill
-            .as_mut()
-            .expect("checkpoint without spill")
-            .write_journal(&journal);
+        spill::checkpoint(shard, self.cfg, &self.min_perm, g + 1, self.bound, next);
     }
 
     /// Drains the open list — in layered mode, exactly the next layer, in

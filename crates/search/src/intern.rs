@@ -246,33 +246,31 @@ impl StateArena {
     }
 
     /// Evicts closed-map entries whose id fails `keep`, returning the
-    /// evicted `(key, id)` pairs (keys zero-extended to the spill format's
-    /// 128 bits) for the caller to persist in a sorted closed segment.
-    /// Delayed duplicate detection re-checks future candidates against
-    /// those segments.
-    pub fn evict_closed<F: FnMut(u32) -> bool>(&mut self, mut keep: F) -> Vec<(u128, u32)> {
+    /// evicted `(key, id)` pairs for the caller to persist in a sorted
+    /// closed segment. Delayed duplicate detection re-checks future
+    /// candidates against those segments.
+    pub fn evict_closed<F: FnMut(u32) -> bool>(&mut self, mut keep: F) -> Vec<(u64, u32)> {
         let mut evicted = Vec::new();
         self.ids.retain(|&k, &mut id| {
             let live = keep(id);
             if !live {
-                evicted.push((k as u128, id));
+                evicted.push((k, id));
             }
             live
         });
         evicted
     }
 
-    /// All resident closed-map entries as zero-extended `(key, id)` pairs —
-    /// journal checkpoint material.
-    pub fn closed_entries(&self) -> Vec<(u128, u32)> {
-        self.ids.iter().map(|(&k, &id)| (k as u128, id)).collect()
+    /// The resident closed-map entries `(key, id)`, in map order — what a
+    /// journal checkpoint streams.
+    pub fn closed(&self) -> impl ExactSizeIterator<Item = (u64, u32)> + '_ {
+        self.ids.iter().map(|(&k, &id)| (k, id))
     }
 
     /// Resume support: re-registers a closed-map entry for an
-    /// already-restored meta. `key` is a zero-extended key as persisted by
-    /// [`StateArena::closed_entries`].
-    pub fn restore_closed(&mut self, key: u128, id: u32) {
-        self.ids.insert(key as u64, id);
+    /// already-restored meta.
+    pub fn restore_closed(&mut self, key: u64, id: u32) {
+        self.ids.insert(key, id);
     }
 
     /// Resume support: appends a meta (in dense id order) without a span or
@@ -288,13 +286,13 @@ impl StateArena {
     }
 
     /// Resume support: re-attaches a resident span to a restored meta.
-    pub fn restore_span(&mut self, id: u32, assigns: &[MachineState]) {
+    pub fn restore_span(&mut self, id: u32, assigns: impl IntoIterator<Item = MachineState>) {
         let offset = u32::try_from(self.assigns.len()).expect("state arena span overflow");
-        self.assigns.extend_from_slice(assigns);
+        self.assigns.extend(assigns);
         let m = &mut self.metas[id as usize];
         debug_assert_eq!(
-            m.len as usize,
-            assigns.len(),
+            offset as usize + m.len as usize,
+            self.assigns.len(),
             "restored span length mismatch"
         );
         m.offset = offset;
@@ -375,16 +373,16 @@ mod tests {
         assert!(arena.has_span(ia));
         assert!(!arena.has_span(ib));
         assert_eq!(arena.get(key(&b)), Some(ib));
-        arena.restore_span(ib, b.assignments());
+        arena.restore_span(ib, b.assignments().iter().copied());
         assert_eq!(arena.assignments(ib), b.assignments());
         arena.compact_spans(&[ib]);
         assert!(!arena.has_span(ia));
         assert_eq!(arena.assignments(ib), b.assignments());
         let evicted = arena.evict_closed(|id| id != ia);
-        assert_eq!(evicted, vec![(key(&a) as u128, ia)]);
+        assert_eq!(evicted, vec![(key(&a), ia)]);
         assert_eq!(arena.get(key(&a)), None);
         assert_eq!(arena.get(key(&b)), Some(ib));
-        arena.restore_closed(key(&a) as u128, ia);
+        arena.restore_closed(key(&a), ia);
         assert_eq!(arena.get(key(&a)), Some(ia));
     }
 

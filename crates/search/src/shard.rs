@@ -71,7 +71,7 @@ pub(crate) fn parent_idx(r: ParentRef) -> u32 {
 /// parent that reached the state, the shortest known program length `g`,
 /// and the producing action index (`u16`: large machines exceed 256
 /// actions).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Edge {
     pub parent: ParentRef,
     pub g: u32,
@@ -312,7 +312,7 @@ impl Shard {
         // but their span goes to the frontier segment. Goals stay resident
         // — reconstruction and bound updates touch them immediately.
         let spill_over = match &self.spill {
-            Some(tier) if !f.goal => self.resident_bytes() > tier.budget(),
+            Some(tier) if !f.goal => self.resident_bytes() > tier.budget,
             _ => false,
         };
         let id = if spill_over {
@@ -324,14 +324,14 @@ impl Shard {
                 f.goal,
             );
             let tier = self.spill.as_mut().expect("spill_over implies a tier");
-            tier.spill_span(c.g, id, f.assigns);
+            tier.spill_span(c.g, id, f.assigns, &mut self.counters);
             id
         } else {
             self.arena
                 .insert_new(c.key, f.assigns, f.perm, f.max_dist, f.goal)
         };
         if let Some(tier) = &mut self.spill {
-            tier.note_fresh(c.key as u128, id);
+            tier.note_fresh(c.key, id);
         }
         self.edges.push(Edge {
             parent: c.parent,
@@ -420,8 +420,8 @@ impl<'a> RunFrame<'a> {
         None
     }
 
-    /// The one fold over the shards: sums their counter blocks, arena and
-    /// memory figures, and spill tiers into `stats`, and returns one
+    /// The one fold over the shards: sums their counter blocks and their
+    /// arena and memory figures into `stats`, and returns one
     /// snapshot row per shard. Live snapshots and the run's final totals
     /// both come from here.
     fn fold<S: Deref<Target = Shard>>(
@@ -440,13 +440,6 @@ impl<'a> RunFrame<'a> {
             stats.arena_reallocs += shard.arena.reallocs();
             stats.resident_bytes += shard.resident_bytes();
             stats.bucket_scans += shard.open.scans();
-            if let Some(tier) = &shard.spill {
-                stats.spilled_open += tier.spilled_open;
-                stats.spilled_closed += tier.spilled_closed;
-                stats.ddd_dedup_hits += tier.ddd_dedup_hits;
-                stats.spilled_bytes += tier.spilled_bytes;
-                stats.spill_segments += tier.segments_created;
-            }
         }
         stats.expanded = total.expanded;
         stats.generated = total.generated;
@@ -462,6 +455,11 @@ impl<'a> RunFrame<'a> {
         stats.routed = total.routed;
         stats.steals = total.steals;
         stats.bound_pruned = total.bound_pruned;
+        stats.spilled_open = total.spilled_open;
+        stats.spilled_closed = total.spilled_closed;
+        stats.ddd_dedup_hits = total.ddd_dedup_hits;
+        stats.spilled_bytes = total.spilled_bytes;
+        stats.spill_segments = total.spill_segments;
         stats.resumed_frontier_states = self.resumed_frontier_states;
         rows
     }

@@ -13,21 +13,24 @@
 //!   append order), so one sequential read covers the whole layer.
 //! * **Closed-set segments** — at the end of a layer under budget pressure,
 //!   closed-map entries of already-expanded layers are evicted to a sorted
-//!   `closed-{g}.seg`. Candidates interned after that are checked against
-//!   those segments by **delayed duplicate detection** (DDD): a sorted
-//!   merge-join at the end of each layer deletes the frontier entries that
-//!   duplicate an evicted state. Same-layer and next-layer duplicates stay
-//!   exact through the resident map, so only older-layer dedup is delayed —
-//!   which is lossless for layered search (an older duplicate can never be
-//!   on a shorter path).
-//! * **Journal** — a checkpoint written atomically at each layer boundary
-//!   records everything needed to re-run the next layer: parent edges,
-//!   per-state metadata, the resident closed map, the frontier (resident
-//!   spans inline, spilled spans by segment reference), and the counters. A
-//!   killed search resumes with [`crate::SynthesisConfig::resume_from`]; the
-//!   journal and every referenced segment byte are strictly re-verified
-//!   (checksums, recorded valid lengths) before anything is trusted, so a
-//!   torn or corrupt spill directory is reported as a [`ResumeError`], never
+//!   `closed-{g}.seg` of 12-byte `key u64 | id u32` entries. Candidates
+//!   interned after that are checked against those segments by **delayed
+//!   duplicate detection** (DDD): a sorted merge-join at the end of each
+//!   layer deletes the frontier entries that duplicate an evicted state.
+//!   Same-layer and next-layer duplicates stay exact through the resident
+//!   map, so only older-layer dedup is delayed — which is lossless for
+//!   layered search (an older duplicate can never be on a shorter path).
+//! * **Journal** — at each layer boundary [`checkpoint`] streams the shard
+//!   to `journal.ssj` as tagged records, each encoded only as the atomic
+//!   writer consumes it: a header (fingerprint, layer, bound, budget, the
+//!   [`ShardStats`] block, §3.5 minima, goals, segment references, and each
+//!   section's entry count), then chunked sections — states (edge and
+//!   metadata), extra parents, the resident closed map, frontier ids, and
+//!   resident frontier spans. A killed search resumes with
+//!   [`crate::SynthesisConfig::resume_from`]: [`restore`] checks the
+//!   fingerprint, strictly re-verifies every referenced segment, reads the
+//!   records into an empty shard, and cross-checks the section counts, so a
+//!   torn, cut, or corrupt spill directory is a [`ResumeError`], never
 //!   silently replayed.
 //!
 //! Mid-run spill I/O failures (disk full, permission loss) panic with a
@@ -37,7 +40,9 @@
 use std::fmt;
 use std::fs;
 use std::io;
+use std::iter;
 use std::path::{Path, PathBuf};
+use std::slice::ChunksExact;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,8 +52,9 @@ use sortsynth_obs::names;
 use sortsynth_obs::segment::{self, fnv1a, SegmentError, SegmentReader, SegmentWriter};
 use sortsynth_obs::Histogram;
 
-use crate::config::SynthesisConfig;
+use crate::config::{Strategy, SynthesisConfig};
 use crate::engine::ShardStats;
+use crate::shard::{parent_idx, parent_ref, Edge, MinPerm, Shard, PARENT_NONE};
 
 /// Magic for frontier-span segments.
 pub(crate) const FRONTIER_MAGIC: &[u8; 8] = b"SSSPILLF";
@@ -56,16 +62,33 @@ pub(crate) const FRONTIER_MAGIC: &[u8; 8] = b"SSSPILLF";
 pub(crate) const CLOSED_MAGIC: &[u8; 8] = b"SSSPILLC";
 /// Magic for the resume journal.
 pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"SSJOURNL";
-/// On-disk format version shared by all three file kinds. Version 2 moved
-/// to tagged records: a directory written by an older build is refused as
-/// a bad header, never misparsed.
-pub(crate) const SPILL_VERSION: u32 = 2;
+/// On-disk format version shared by all three file kinds. Version 3
+/// streams the journal as tagged sections and narrows closed entries to
+/// 64-bit keys: a directory written by an older build is refused as a bad
+/// header, never misparsed.
+pub(crate) const SPILL_VERSION: u32 = 3;
 /// Journal file name inside the spill directory.
 pub(crate) const JOURNAL_NAME: &str = "journal.ssj";
-/// Closed-segment record granularity: entries per checksummed record.
-const CLOSED_CHUNK: usize = 4096;
-/// Bytes per closed-segment entry: stored-width key u128 + state id u32.
-const CLOSED_ENTRY: usize = 20;
+/// Entries per checksummed record, in closed segments and journal sections.
+const CHUNK: usize = 4096;
+/// Bytes per closed entry, in closed segments and the journal: key u64 +
+/// state id u32.
+const CLOSED_ENTRY: usize = 12;
+/// Bytes per journal state entry: parent u32, instr u16, g u16, span
+/// length u32, perm u32, max_dist u16, goal u8.
+const STATE_ENTRY: usize = 19;
+/// Bytes per journal extra-parent entry: state id u32, parent u32, instr u16.
+const PARENT_ENTRY: usize = 10;
+
+/// Journal record tags: the header, then the sections in stream order.
+const TAG_HEADER: u64 = 0;
+const TAG_STATES: u64 = 1;
+const TAG_PARENTS: u64 = 2;
+const TAG_CLOSED: u64 = 3;
+const TAG_FRONTIER: u64 = 4;
+const TAG_SPANS: u64 = 5;
+/// Sections whose entry counts the header carries, indexed by tag − 1.
+const SECTIONS: usize = 5;
 
 /// Why resuming a search from a spill directory failed.
 #[derive(Debug)]
@@ -87,8 +110,9 @@ pub enum ResumeError {
         /// Fingerprint recorded in the journal.
         found: u64,
     },
-    /// The journal payload decoded to nonsense (internal corruption that
-    /// still passed the checksum — should not happen).
+    /// The journal's records passed their checksums but do not add up: a
+    /// journal cut at a record boundary, or an entry naming a state the
+    /// journal never declared.
     Malformed {
         /// Which journal section failed to decode.
         what: &'static str,
@@ -171,19 +195,77 @@ pub(crate) fn default_spill_dir() -> PathBuf {
     ))
 }
 
-/// A segment file referenced by the journal: name (inside the spill
-/// directory) plus the byte length that was fully flushed when the
-/// reference was recorded — the strict reader's trust boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A segment file referenced by the journal: the layer it belongs to (the
+/// file is `frontier-{layer}.seg` or `closed-{layer}.seg`) plus the byte
+/// length that was fully flushed when the reference was recorded — the
+/// strict reader's trust boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SegRef {
-    pub name: String,
+    pub layer: u32,
     pub valid_len: u64,
 }
 
-/// The spill tier owned by one sequential layered engine.
+/// The path of the segment of `layer` with `magic`.
+fn seg_path(dir: &Path, magic: &[u8; 8], layer: u32) -> PathBuf {
+    let kind = if magic == FRONTIER_MAGIC {
+        "frontier"
+    } else {
+        "closed"
+    };
+    dir.join(format!("{kind}-{layer}.seg"))
+}
+
+/// Opens a referenced segment strictly against its recorded valid length.
+fn open_seg(dir: &Path, magic: &[u8; 8], seg: SegRef) -> Result<SegmentReader, SegmentError> {
+    let path = seg_path(dir, magic, seg.layer);
+    SegmentReader::open_strict(path, magic, SPILL_VERSION, seg.valid_len)
+}
+
+/// Appends a span's assignments as u64 LE bits: the payload of a
+/// frontier-segment record and the body of a journal span entry.
+fn put_span(out: &mut Vec<u8>, assigns: &[MachineState]) {
+    for a in assigns {
+        out.extend_from_slice(&a.bits().to_le_bytes());
+    }
+}
+
+/// Decodes the bytes [`put_span`] wrote.
+fn span_of(bytes: &[u8]) -> impl Iterator<Item = MachineState> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|b| MachineState::from_bits(le64(b)))
+}
+
+/// Appends one closed entry: key u64 | id u32.
+fn put_closed(out: &mut Vec<u8>, key: u64, id: u32) {
+    out.extend_from_slice(&key.to_le_bytes());
+    out.extend_from_slice(&id.to_le_bytes());
+}
+
+/// Decodes one entry [`put_closed`] wrote.
+fn closed_of(entry: &[u8]) -> (u64, u32) {
+    (le64(&entry[..8]), le32(&entry[8..]))
+}
+
+fn le16(b: &[u8]) -> u16 {
+    u16::from_le_bytes(b.try_into().expect("two bytes"))
+}
+
+fn le32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("four bytes"))
+}
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("eight bytes"))
+}
+
+/// The spill tier owned by one sequential layered engine. Its counters
+/// live in the owning shard's [`ShardStats`], which every method that
+/// moves bytes takes.
 pub(crate) struct SpillTier {
     dir: PathBuf,
-    budget: u64,
+    /// The resident-estimate budget the shard's spill decision holds.
+    pub budget: u64,
     /// Writer for the frontier segment of the layer currently being
     /// generated (`g + 1` while layer `g` expands). Created lazily on the
     /// first spilled span of the layer.
@@ -195,20 +277,16 @@ pub(crate) struct SpillTier {
     /// Streaming reader over `cur`, opened lazily at the first fetch.
     reader: Option<SegmentReader>,
     read_buf: Vec<MachineState>,
-    /// Consumed segment files awaiting deletion. A segment may only be
-    /// removed once a journal checkpoint that no longer references it has
-    /// been durably renamed into place — deleting earlier opens a crash
-    /// window where the last durable checkpoint points at a missing file.
-    pending_delete: Vec<String>,
-    /// Stored-width keys of every state first interned in the current
-    /// layer, for the end-of-layer DDD merge-join.
-    layer_keys: Vec<(u128, u32)>,
+    /// Layers of consumed frontier segments awaiting deletion. A segment
+    /// may only be removed once a journal checkpoint that no longer
+    /// references it has been durably renamed into place — deleting
+    /// earlier opens a crash window where the last durable checkpoint
+    /// points at a missing file.
+    pending_delete: Vec<u32>,
+    /// Closed-set keys of every state first interned in the current layer,
+    /// for the end-of-layer DDD merge-join.
+    layer_keys: Vec<(u64, u32)>,
     closed_segs: Vec<SegRef>,
-    pub spilled_open: u64,
-    pub spilled_closed: u64,
-    pub ddd_dedup_hits: u64,
-    pub spilled_bytes: u64,
-    pub segments_created: u64,
     write_hist: Arc<Histogram>,
     read_hist: Arc<Histogram>,
 }
@@ -227,65 +305,45 @@ impl SpillTier {
             pending_delete: Vec::new(),
             layer_keys: Vec::new(),
             closed_segs: Vec::new(),
-            spilled_open: 0,
-            spilled_closed: 0,
-            ddd_dedup_hits: 0,
-            spilled_bytes: 0,
-            segments_created: 0,
             write_hist: names::histogram(names::SEARCH_SPILL_WRITE_SECONDS),
             read_hist: names::histogram(names::SEARCH_SPILL_READ_SECONDS),
         })
     }
 
-    /// Rebuilds the tier a resumed engine left behind: segment references
-    /// and counters come from the verified journal.
-    pub fn resumed(dir: PathBuf, budget: u64, journal: &Journal) -> io::Result<SpillTier> {
-        let mut tier = SpillTier::new(dir, budget)?;
-        tier.cur = journal.frontier_seg.clone();
-        tier.closed_segs = journal.closed_segs.clone();
-        tier.spilled_open = journal.spilled_open;
-        tier.spilled_closed = journal.spilled_closed;
-        tier.ddd_dedup_hits = journal.ddd_dedup_hits;
-        tier.spilled_bytes = journal.spilled_bytes;
-        tier.segments_created = journal.spill_segments;
-        Ok(tier)
-    }
-
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// Records a fresh intern (resident or spilled) for the end-of-layer
-    /// DDD pass. `stored_key` is the arena's stored-width key
-    /// ([`crate::intern::StateArena::stored_key`]).
-    pub fn note_fresh(&mut self, stored_key: u128, id: u32) {
-        self.layer_keys.push((stored_key, id));
+    /// Records a fresh intern (resident or spilled) under its closed-set
+    /// key for the end-of-layer DDD pass.
+    pub fn note_fresh(&mut self, key: u64, id: u32) {
+        self.layer_keys.push((key, id));
     }
 
     /// Appends state `id`'s assignment span to the frontier segment of
     /// `layer`. Append order matches intern order (dense increasing ids),
     /// which is what the streaming fetch relies on.
-    pub fn spill_span(&mut self, layer: u32, id: u32, assigns: &[MachineState]) {
+    pub fn spill_span(
+        &mut self,
+        layer: u32,
+        id: u32,
+        assigns: &[MachineState],
+        stats: &mut ShardStats,
+    ) {
         let t0 = Instant::now();
         if self.writer.is_none() || self.writer_layer != layer {
-            let name = format!("frontier-{layer}.seg");
-            let writer = SegmentWriter::create(self.dir.join(&name), FRONTIER_MAGIC, SPILL_VERSION)
-                .unwrap_or_else(|e| panic!("spill tier cannot create {name}: {e}"));
+            let path = seg_path(&self.dir, FRONTIER_MAGIC, layer);
+            let writer = SegmentWriter::create(&path, FRONTIER_MAGIC, SPILL_VERSION)
+                .unwrap_or_else(|e| panic!("spill tier cannot create {}: {e}", path.display()));
             self.writer = Some(writer);
             self.writer_layer = layer;
-            self.segments_created += 1;
+            stats.spill_segments += 1;
         }
         let writer = self.writer.as_mut().unwrap();
         let mut payload = Vec::with_capacity(assigns.len() * 8);
-        for a in assigns {
-            put_u64(&mut payload, a.bits());
-        }
+        put_span(&mut payload, assigns);
         let before = writer.bytes();
         writer
             .append(id as u64, &payload)
             .unwrap_or_else(|e| panic!("spill tier frontier append failed: {e}"));
-        self.spilled_bytes += writer.bytes() - before;
-        self.spilled_open += 1;
+        stats.spilled_bytes += writer.bytes() - before;
+        stats.spilled_open += 1;
         self.write_hist.observe(t0.elapsed().as_secs_f64());
     }
 
@@ -293,21 +351,15 @@ impl SpillTier {
     /// fully expanded) and the one under construction becomes next layer's
     /// read target. The dead segment's file is *not* deleted here: the
     /// last durable journal still references it, so it is queued and only
-    /// removed after the next checkpoint rename ([`Self::write_journal`]).
+    /// removed after the next checkpoint rename ([`checkpoint`]).
     pub fn seal_frontier(&mut self) {
         self.reader = None;
         if let Some(old) = self.cur.take() {
-            self.pending_delete.push(old.name);
+            self.pending_delete.push(old.layer);
         }
         if let Some(writer) = self.writer.take() {
-            let name = writer
-                .path()
-                .file_name()
-                .expect("segment path has a file name")
-                .to_string_lossy()
-                .into_owned();
             self.cur = Some(SegRef {
-                name,
+                layer: self.writer_layer,
                 valid_len: writer.bytes(),
             });
         }
@@ -322,15 +374,9 @@ impl SpillTier {
         if self.reader.is_none() {
             let seg = self
                 .cur
-                .as_ref()
                 .expect("fetch_span without a sealed frontier segment");
-            let reader = SegmentReader::open_strict(
-                self.dir.join(&seg.name),
-                FRONTIER_MAGIC,
-                SPILL_VERSION,
-                seg.valid_len,
-            )
-            .unwrap_or_else(|e| panic!("spill tier cannot reopen frontier segment: {e}"));
+            let reader = open_seg(&self.dir, FRONTIER_MAGIC, seg)
+                .unwrap_or_else(|e| panic!("spill tier cannot reopen frontier segment: {e}"));
             self.reader = Some(reader);
         }
         let reader = self.reader.as_mut().unwrap();
@@ -347,11 +393,7 @@ impl SpillTier {
                 continue;
             }
             self.read_buf.clear();
-            self.read_buf.extend(
-                payload
-                    .chunks_exact(8)
-                    .map(|b| MachineState::from_bits(u64::from_le_bytes(b.try_into().unwrap()))),
-            );
+            self.read_buf.extend(span_of(&payload));
             self.read_hist.observe(t0.elapsed().as_secs_f64());
             return &self.read_buf;
         }
@@ -361,30 +403,25 @@ impl SpillTier {
     /// merge-join of this layer's keys against every closed segment.
     /// Returns the sorted, deduplicated ids that duplicate an evicted
     /// older-layer state — the engine deletes them from the next frontier.
-    pub fn ddd_filter(&mut self) -> Vec<u32> {
+    pub fn ddd_filter(&mut self, stats: &mut ShardStats) -> Vec<u32> {
         let mut keys = std::mem::take(&mut self.layer_keys);
         if keys.is_empty() || self.closed_segs.is_empty() {
             return Vec::new();
         }
         keys.sort_unstable_by_key(|&(k, _)| k);
         let mut dead: Vec<u32> = Vec::new();
-        for seg in &self.closed_segs {
+        for &seg in &self.closed_segs {
             let t0 = Instant::now();
-            let mut reader = SegmentReader::open_strict(
-                self.dir.join(&seg.name),
-                CLOSED_MAGIC,
-                SPILL_VERSION,
-                seg.valid_len,
-            )
-            .unwrap_or_else(|e| panic!("spill tier cannot reopen closed segment: {e}"));
+            let mut reader = open_seg(&self.dir, CLOSED_MAGIC, seg)
+                .unwrap_or_else(|e| panic!("spill tier cannot reopen closed segment: {e}"));
             let mut i = 0usize;
             'seg: while let Some((_, payload)) = reader
                 .next()
                 .unwrap_or_else(|e| panic!("spill tier closed read failed: {e}"))
             {
-                // (key u128, evicted id u32) entries; only the key is read.
+                // Only the key of each (key, evicted id) entry is read.
                 for entry in payload.chunks_exact(CLOSED_ENTRY) {
-                    let key = u128::from_le_bytes(entry[..16].try_into().unwrap());
+                    let (key, _) = closed_of(entry);
                     while i < keys.len() && keys[i].0 < key {
                         i += 1;
                     }
@@ -401,72 +438,43 @@ impl SpillTier {
         }
         dead.sort_unstable();
         dead.dedup();
-        self.ddd_dedup_hits += dead.len() as u64;
+        stats.ddd_dedup_hits += dead.len() as u64;
         dead
     }
 
     /// Persists evicted closed-map entries as the sorted segment
     /// `closed-{layer}.seg` (globally sorted across its chunked records).
-    pub fn append_closed(&mut self, layer: u32, mut evicted: Vec<(u128, u32)>) {
+    pub fn append_closed(
+        &mut self,
+        layer: u32,
+        mut evicted: Vec<(u64, u32)>,
+        stats: &mut ShardStats,
+    ) {
         if evicted.is_empty() {
             return;
         }
         evicted.sort_unstable_by_key(|&(k, _)| k);
-        let name = format!("closed-{layer}.seg");
+        let path = seg_path(&self.dir, CLOSED_MAGIC, layer);
         let t0 = Instant::now();
-        let mut writer = SegmentWriter::create(self.dir.join(&name), CLOSED_MAGIC, SPILL_VERSION)
-            .unwrap_or_else(|e| panic!("spill tier cannot create {name}: {e}"));
-        for chunk in evicted.chunks(CLOSED_CHUNK) {
+        let mut writer = SegmentWriter::create(&path, CLOSED_MAGIC, SPILL_VERSION)
+            .unwrap_or_else(|e| panic!("spill tier cannot create {}: {e}", path.display()));
+        for chunk in evicted.chunks(CHUNK) {
             let mut payload = Vec::with_capacity(chunk.len() * CLOSED_ENTRY);
             for &(key, id) in chunk {
-                put_u128(&mut payload, key);
-                put_u32(&mut payload, id);
+                put_closed(&mut payload, key, id);
             }
             writer
                 .append(0, &payload)
                 .unwrap_or_else(|e| panic!("spill tier closed append failed: {e}"));
         }
         self.write_hist.observe(t0.elapsed().as_secs_f64());
-        self.spilled_closed += evicted.len() as u64;
-        self.spilled_bytes += writer.bytes();
-        self.segments_created += 1;
+        stats.spilled_closed += evicted.len() as u64;
+        stats.spilled_bytes += writer.bytes();
+        stats.spill_segments += 1;
         self.closed_segs.push(SegRef {
-            name,
+            layer,
             valid_len: writer.bytes(),
         });
-    }
-
-    /// The current frontier segment reference, for the journal.
-    pub fn frontier_seg(&self) -> Option<SegRef> {
-        self.cur.clone()
-    }
-
-    /// The closed segment references, for the journal.
-    pub fn closed_segs(&self) -> Vec<SegRef> {
-        self.closed_segs.clone()
-    }
-
-    /// Atomically replaces the journal checkpoint, then deletes consumed
-    /// segments the new checkpoint no longer references — in that order,
-    /// so a kill at any point leaves the durable journal with every file
-    /// it names still on disk.
-    pub fn write_journal(&mut self, journal: &Journal) {
-        // Checkpoints larger than one record go out as consecutive
-        // records, so their size is bounded only by the filesystem.
-        let payload = journal.encode();
-        let records = payload
-            .chunks(segment::MAX_RECORD as usize)
-            .map(|chunk| (0, chunk));
-        segment::write_atomic(
-            &self.dir.join(JOURNAL_NAME),
-            JOURNAL_MAGIC,
-            SPILL_VERSION,
-            records,
-        )
-        .unwrap_or_else(|e| panic!("spill tier journal checkpoint failed: {e}"));
-        for name in self.pending_delete.drain(..) {
-            let _ = fs::remove_file(self.dir.join(name));
-        }
     }
 
     /// Removes the spill directory (end of a completed run that used a
@@ -476,391 +484,274 @@ impl SpillTier {
     }
 }
 
-/// A parent edge as persisted in the journal (mirror of the engine's
-/// private `Node`).
-#[derive(Debug, Clone)]
-pub(crate) struct JournalNode {
-    pub parent: u32,
-    pub instr: u16,
-    pub len: u16,
-    pub more: Vec<(u32, u16)>,
+/// Encodes `entries` as consecutive `tag` records of at most [`CHUNK`]
+/// entries each, lazily: a record's bytes exist only while it is written.
+fn chunked<T>(
+    tag: u64,
+    mut entries: impl Iterator<Item = T>,
+    mut put: impl FnMut(&mut Vec<u8>, T),
+) -> impl Iterator<Item = (u64, Vec<u8>)> {
+    iter::from_fn(move || {
+        let mut payload = Vec::new();
+        for e in entries.by_ref().take(CHUNK) {
+            put(&mut payload, e);
+        }
+        (!payload.is_empty()).then_some((tag, payload))
+    })
 }
 
-/// Per-state metadata as persisted in the journal (mirror of
-/// `StateMeta` minus the span offset, which the frontier section carries).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct JournalMeta {
-    pub len: u32,
-    pub perm: u32,
-    pub max_dist: u16,
-    pub goal: bool,
+/// Writes the journal checkpoint declaring layer `g`, with `frontier` as
+/// its frontier, straight from `shard` through [`segment::write_atomic`];
+/// then deletes the consumed segments the new checkpoint no longer
+/// references. In that order, a kill at any point leaves the durable
+/// journal with every file it names still on disk.
+pub(crate) fn checkpoint(
+    shard: &mut Shard,
+    cfg: &SynthesisConfig,
+    min_perm: &MinPerm,
+    g: u32,
+    bound: u32,
+    frontier: &[u32],
+) {
+    let tier = shard.spill.as_mut().expect("checkpoint without spill");
+    let (arena, edges, goals) = (&shard.arena, &shard.edges, &shard.goals);
+    let parents = || {
+        let lists = shard.more_parents.iter();
+        lists.flat_map(|(&id, ps)| ps.iter().map(move |&(p, a)| (id, p, a)))
+    };
+    let resident = || frontier.iter().copied().filter(|&id| arena.has_span(id));
+    let min_perm = min_perm.to_vec();
+    // The header is u64 LE words: scalars, counters, the section counts and
+    // list lengths, then the lists (minima, goals, segment references).
+    let counts = [
+        edges.len(),
+        parents().count(),
+        arena.closed().len(),
+        frontier.len(),
+        resident().count(),
+        min_perm.len(),
+        goals.len(),
+        tier.cur.iter().len(),
+        tier.closed_segs.len(),
+    ];
+    let segs = tier.cur.iter().chain(&tier.closed_segs);
+    let mut words = vec![config_fingerprint(cfg), g as u64, bound as u64, tier.budget];
+    words.extend(shard.counters.to_array());
+    words.extend(counts.map(|c| c as u64));
+    words.extend(min_perm.iter().chain(goals.iter()).map(|&v| v as u64));
+    words.extend(segs.flat_map(|s| [s.layer as u64, s.valid_len]));
+    let header: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+
+    let states = chunked(TAG_STATES, edges.iter().enumerate(), |out, (id, e)| {
+        let (m, g) = (arena.meta(id as u32), u16::try_from(e.g));
+        out.extend_from_slice(&parent_idx(e.parent).to_le_bytes());
+        out.extend_from_slice(&e.instr.to_le_bytes());
+        out.extend_from_slice(&g.expect("program lengths fit u16").to_le_bytes());
+        out.extend_from_slice(&m.assign_count().to_le_bytes());
+        out.extend_from_slice(&m.perm.to_le_bytes());
+        out.extend_from_slice(&m.max_dist.to_le_bytes());
+        out.push(m.goal as u8);
+    });
+    let extra = chunked(TAG_PARENTS, parents(), |out, (id, p, a)| {
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&p.to_le_bytes());
+        out.extend_from_slice(&a.to_le_bytes());
+    });
+    let closed = chunked(TAG_CLOSED, arena.closed(), |out, (k, id)| {
+        put_closed(out, k, id)
+    });
+    let ids = chunked(TAG_FRONTIER, frontier.iter(), |out, id| {
+        out.extend_from_slice(&id.to_le_bytes())
+    });
+    let spans = chunked(TAG_SPANS, resident(), |out, id| {
+        out.extend_from_slice(&id.to_le_bytes());
+        put_span(out, arena.assignments(id));
+    });
+    let records = iter::once((TAG_HEADER, header))
+        .chain(states)
+        .chain(extra)
+        .chain(closed)
+        .chain(ids)
+        .chain(spans);
+    let path = tier.dir.join(JOURNAL_NAME);
+    segment::write_atomic(&path, JOURNAL_MAGIC, SPILL_VERSION, records)
+        .unwrap_or_else(|e| panic!("spill tier journal checkpoint failed: {e}"));
+    for layer in tier.pending_delete.drain(..) {
+        let _ = fs::remove_file(seg_path(&tier.dir, FRONTIER_MAGIC, layer));
+    }
 }
 
-/// One layer-boundary checkpoint: everything needed to re-run the layer it
-/// names. Written via [`SpillTier::write_journal`] (atomic tmp + rename),
-/// decoded by [`load_journal`].
-#[derive(Debug, Clone)]
-pub(crate) struct Journal {
-    pub fingerprint: u64,
-    /// The layer about to be expanded.
+/// What [`restore`] hands back: the layer to re-run, its frontier, and the
+/// length bound at the checkpoint.
+pub(crate) struct Resumed {
     pub g: u32,
     pub bound: u32,
-    pub budget: u64,
-    pub min_perm: Vec<u32>,
-    pub goals: Vec<u32>,
-    /// Search counters at the checkpoint (layers < g fully counted). The
-    /// merge-disposition and routing counters are not persisted.
-    pub counters: ShardStats,
-    pub spilled_open: u64,
-    pub spilled_closed: u64,
-    pub ddd_dedup_hits: u64,
-    pub spilled_bytes: u64,
-    pub spill_segments: u64,
-    pub nodes: Vec<JournalNode>,
-    pub metas: Vec<JournalMeta>,
-    /// Resident closed-map entries, stored-width keys.
-    pub closed: Vec<(u128, u32)>,
-    /// The frontier of layer `g`, in expansion (id) order.
     pub frontier: Vec<u32>,
-    /// Resident frontier spans (spilled ones live in `frontier_seg`).
-    pub spans: Vec<(u32, Vec<MachineState>)>,
-    pub frontier_seg: Option<SegRef>,
-    pub closed_segs: Vec<SegRef>,
 }
 
-impl Journal {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.nodes.len() * 24);
-        put_u64(&mut out, self.fingerprint);
-        put_u32(&mut out, self.g);
-        put_u32(&mut out, self.bound);
-        put_u64(&mut out, self.budget);
-        put_u32(&mut out, self.min_perm.len() as u32);
-        for &p in &self.min_perm {
-            put_u32(&mut out, p);
-        }
-        put_u32(&mut out, self.goals.len() as u32);
-        for &g in &self.goals {
-            put_u32(&mut out, g);
-        }
-        let c = &self.counters;
-        for c in [
-            c.expanded,
-            c.generated,
-            c.dedup_hits,
-            c.viability_pruned,
-            c.cut_pruned,
-            c.dead_write_pruned,
-            c.value_flow_pruned,
-            c.states_kept,
-            c.scratch_reused,
-            c.swar_batches,
-            self.spilled_open,
-            self.spilled_closed,
-            self.ddd_dedup_hits,
-            self.spilled_bytes,
-            self.spill_segments,
-        ] {
-            put_u64(&mut out, c);
-        }
-        put_u32(&mut out, self.nodes.len() as u32);
-        for n in &self.nodes {
-            put_u32(&mut out, n.parent);
-            put_u16(&mut out, n.instr);
-            put_u16(&mut out, n.len);
-            put_u32(&mut out, n.more.len() as u32);
-            for &(p, ai) in &n.more {
-                put_u32(&mut out, p);
-                put_u16(&mut out, ai);
-            }
-        }
-        put_u32(&mut out, self.metas.len() as u32);
-        for m in &self.metas {
-            put_u32(&mut out, m.len);
-            put_u32(&mut out, m.perm);
-            put_u16(&mut out, m.max_dist);
-            out.push(m.goal as u8);
-        }
-        put_u32(&mut out, self.closed.len() as u32);
-        for &(key, id) in &self.closed {
-            put_u128(&mut out, key);
-            put_u32(&mut out, id);
-        }
-        put_u32(&mut out, self.frontier.len() as u32);
-        for &id in &self.frontier {
-            put_u32(&mut out, id);
-        }
-        put_u32(&mut out, self.spans.len() as u32);
-        for (id, span) in &self.spans {
-            put_u32(&mut out, *id);
-            put_u32(&mut out, span.len() as u32);
-            for a in span {
-                put_u64(&mut out, a.bits());
-            }
-        }
-        put_seg_ref_opt(&mut out, self.frontier_seg.as_ref());
-        put_u32(&mut out, self.closed_segs.len() as u32);
-        for seg in &self.closed_segs {
-            put_seg_ref(&mut out, seg);
-        }
-        out
+/// The fixed-stride entries of a section record, counted into `seen`.
+fn fixed<'a>(
+    payload: &'a [u8],
+    stride: usize,
+    seen: &mut u64,
+) -> Result<ChunksExact<'a, u8>, ResumeError> {
+    if !payload.len().is_multiple_of(stride) {
+        return Err(ResumeError::Malformed { what: "section" });
     }
-
-    pub fn decode(payload: &[u8]) -> Result<Journal, ResumeError> {
-        let bad = |what| ResumeError::Malformed { what };
-        let mut r = ByteReader::new(payload);
-        let fingerprint = r.u64().ok_or(bad("header"))?;
-        let g = r.u32().ok_or(bad("header"))?;
-        let bound = r.u32().ok_or(bad("header"))?;
-        let budget = r.u64().ok_or(bad("header"))?;
-        let min_perm = r.vec_u32().ok_or(bad("min_perm"))?;
-        let goals = r.vec_u32().ok_or(bad("goals"))?;
-        let mut counters = [0u64; 15];
-        for c in &mut counters {
-            *c = r.u64().ok_or(bad("counters"))?;
-        }
-        let node_count = r.u32().ok_or(bad("nodes"))? as usize;
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            let parent = r.u32().ok_or(bad("nodes"))?;
-            let instr = r.u16().ok_or(bad("nodes"))?;
-            let len = r.u16().ok_or(bad("nodes"))?;
-            let extra = r.u32().ok_or(bad("nodes"))? as usize;
-            let mut more = Vec::with_capacity(extra);
-            for _ in 0..extra {
-                more.push((r.u32().ok_or(bad("nodes"))?, r.u16().ok_or(bad("nodes"))?));
-            }
-            nodes.push(JournalNode {
-                parent,
-                instr,
-                len,
-                more,
-            });
-        }
-        let meta_count = r.u32().ok_or(bad("metas"))? as usize;
-        let mut metas = Vec::with_capacity(meta_count);
-        for _ in 0..meta_count {
-            metas.push(JournalMeta {
-                len: r.u32().ok_or(bad("metas"))?,
-                perm: r.u32().ok_or(bad("metas"))?,
-                max_dist: r.u16().ok_or(bad("metas"))?,
-                goal: r.u8().ok_or(bad("metas"))? != 0,
-            });
-        }
-        let closed_count = r.u32().ok_or(bad("closed"))? as usize;
-        let mut closed = Vec::with_capacity(closed_count);
-        for _ in 0..closed_count {
-            closed.push((
-                r.u128().ok_or(bad("closed"))?,
-                r.u32().ok_or(bad("closed"))?,
-            ));
-        }
-        let frontier = r.vec_u32().ok_or(bad("frontier"))?;
-        let span_count = r.u32().ok_or(bad("spans"))? as usize;
-        let mut spans = Vec::with_capacity(span_count);
-        for _ in 0..span_count {
-            let id = r.u32().ok_or(bad("spans"))?;
-            let len = r.u32().ok_or(bad("spans"))? as usize;
-            let mut span = Vec::with_capacity(len);
-            for _ in 0..len {
-                span.push(MachineState::from_bits(r.u64().ok_or(bad("spans"))?));
-            }
-            spans.push((id, span));
-        }
-        let frontier_seg = r.seg_ref_opt().ok_or(bad("frontier segment ref"))?;
-        let seg_count = r.u32().ok_or(bad("closed segment refs"))? as usize;
-        let mut closed_segs = Vec::with_capacity(seg_count);
-        for _ in 0..seg_count {
-            closed_segs.push(r.seg_ref().ok_or(bad("closed segment refs"))?);
-        }
-        if !r.at_end() {
-            return Err(bad("trailing bytes"));
-        }
-        Ok(Journal {
-            fingerprint,
-            g,
-            bound,
-            budget,
-            min_perm,
-            goals,
-            counters: ShardStats {
-                expanded: counters[0],
-                generated: counters[1],
-                dedup_hits: counters[2],
-                viability_pruned: counters[3],
-                cut_pruned: counters[4],
-                dead_write_pruned: counters[5],
-                value_flow_pruned: counters[6],
-                states_kept: counters[7],
-                scratch_reused: counters[8],
-                swar_batches: counters[9],
-                ..ShardStats::default()
-            },
-            spilled_open: counters[10],
-            spilled_closed: counters[11],
-            ddd_dedup_hits: counters[12],
-            spilled_bytes: counters[13],
-            spill_segments: counters[14],
-            nodes,
-            metas,
-            closed,
-            frontier,
-            spans,
-            frontier_seg,
-            closed_segs,
-        })
-    }
+    *seen += (payload.len() / stride) as u64;
+    Ok(payload.chunks_exact(stride))
 }
 
-/// Loads and fingerprint-checks the journal in `dir`.
-pub(crate) fn load_journal(dir: &Path, expected: u64) -> Result<Journal, ResumeError> {
+/// Restores the checkpoint in `dir` into the empty `shard` and `min_perm`.
+/// The journal is read strictly: its header's fingerprint must match
+/// `cfg`, and every segment it references is verified end to end before
+/// any section is trusted. The checkpointed layer re-runs from its start —
+/// the journal was written before the layer began, so a mid-layer crash
+/// loses at most one layer's work, and a partially written next-layer
+/// frontier segment is truncated when its writer is recreated.
+pub(crate) fn restore(
+    dir: &Path,
+    cfg: &SynthesisConfig,
+    shard: &mut Shard,
+    min_perm: &MinPerm,
+) -> Result<Resumed, ResumeError> {
+    if cfg.strategy != Strategy::Layered {
+        return Err(ResumeError::Unsupported {
+            why: "resume requires the layered strategy",
+        });
+    }
     let path = dir.join(JOURNAL_NAME);
     if !path.exists() {
         return Err(ResumeError::MissingJournal {
             dir: dir.to_path_buf(),
         });
     }
-    let payload = segment::read_atomic(&path, JOURNAL_MAGIC, SPILL_VERSION)?;
-    let journal = Journal::decode(&payload)?;
-    if journal.fingerprint != expected {
-        return Err(ResumeError::ConfigMismatch {
-            expected,
-            found: journal.fingerprint,
-        });
+    let bad = |what| ResumeError::Malformed { what };
+    let actions = cfg.machine.actions().len();
+    let instr = |b: &[u8]| Some(le16(b)).filter(|&a| (a as usize) < actions);
+    let len = fs::metadata(&path)?.len();
+    let mut reader = SegmentReader::open_strict(&path, JOURNAL_MAGIC, SPILL_VERSION, len)?;
+    let header = match reader.next()? {
+        Some((TAG_HEADER, payload)) if payload.len().is_multiple_of(8) => payload,
+        _ => return Err(bad("header")),
+    };
+    let mut words = header.chunks_exact(8).map(le64);
+    let mut next = || words.next().ok_or(bad("header"));
+    let expected = config_fingerprint(cfg);
+    let found = next()?;
+    if found != expected {
+        return Err(ResumeError::ConfigMismatch { expected, found });
     }
-    Ok(journal)
-}
-
-/// Strictly verifies every segment the journal references, end to end,
-/// before any of it is trusted: each record inside the recorded valid
-/// length must parse and checksum. A torn tail *within* the valid length —
-/// i.e. bytes the journal claims were durable — is an error; bytes past the
-/// valid length (a torn in-progress segment from the crashed run) are
-/// ignored by construction of the strict reader.
-pub(crate) fn verify_segments(dir: &Path, journal: &Journal) -> Result<(), ResumeError> {
-    if let Some(seg) = &journal.frontier_seg {
-        drain_strict(dir, seg, FRONTIER_MAGIC)?;
+    let (g, bound, budget) = (next()? as u32, next()? as u32, next()?);
+    let mut counters = [0; ShardStats::LEN];
+    let mut counts = [0; SECTIONS];
+    for c in counters.iter_mut().chain(&mut counts) {
+        *c = next()?;
     }
-    for seg in &journal.closed_segs {
-        drain_strict(dir, seg, CLOSED_MAGIC)?;
+    let [perms, goals, cur_segs, closed_segs] = [next()?, next()?, next()?, next()?];
+    if cur_segs > 1 {
+        return Err(bad("header"));
     }
-    Ok(())
-}
+    let mut list = |n: u64| (0..n).map(|_| next()).collect::<Result<Vec<u64>, _>>();
+    let perms: Vec<u32> = list(perms)?.into_iter().map(|v| v as u32).collect();
+    let goals = list(goals)?;
+    let refs = list(closed_segs.saturating_add(cur_segs).saturating_mul(2))?;
+    if words.next().is_some() {
+        return Err(bad("header"));
+    }
+    let mut segs: Vec<SegRef> = refs
+        .chunks_exact(2)
+        .map(|r| SegRef {
+            layer: r[0] as u32,
+            valid_len: r[1],
+        })
+        .collect();
+    let cur = (cur_segs == 1).then(|| segs.remove(0));
+    let referenced = cur.iter().map(|&s| (FRONTIER_MAGIC, s));
+    for (magic, seg) in referenced.chain(segs.iter().map(|&s| (CLOSED_MAGIC, s))) {
+        let mut seg = open_seg(dir, magic, seg)?;
+        while seg.next()?.is_some() {}
+    }
 
-fn drain_strict(dir: &Path, seg: &SegRef, magic: &[u8; 8]) -> Result<(), ResumeError> {
-    let mut reader =
-        SegmentReader::open_strict(dir.join(&seg.name), magic, SPILL_VERSION, seg.valid_len)?;
-    while reader.next()?.is_some() {}
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Byte codec helpers
-// ---------------------------------------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_seg_ref(out: &mut Vec<u8>, seg: &SegRef) {
-    put_u16(out, seg.name.len() as u16);
-    out.extend_from_slice(seg.name.as_bytes());
-    put_u64(out, seg.valid_len);
-}
-
-fn put_seg_ref_opt(out: &mut Vec<u8>, seg: Option<&SegRef>) {
-    match seg {
-        None => out.push(0),
-        Some(seg) => {
-            out.push(1);
-            put_seg_ref(out, seg);
+    let mut seen = [0u64; SECTIONS];
+    let mut frontier = Vec::new();
+    while let Some((tag, payload)) = reader.next()? {
+        let states = shard.edges.len() as u32;
+        let known = |id: u32| (id < states).then_some(id).ok_or(bad("state id"));
+        let seen = seen
+            .get_mut((tag as usize).wrapping_sub(1))
+            .ok_or(bad("record tag"))?;
+        match tag {
+            TAG_STATES => {
+                for e in fixed(&payload, STATE_ENTRY, seen)? {
+                    // A parent is interned before its child.
+                    let parent = match le32(&e[..4]) {
+                        u32::MAX => PARENT_NONE,
+                        p if (p as usize) < shard.edges.len() => parent_ref(0, p),
+                        _ => return Err(bad("parent")),
+                    };
+                    let instr = instr(&e[4..6]).ok_or(bad("instr"))?;
+                    let g = le16(&e[6..8]) as u32;
+                    shard.edges.push(Edge { parent, g, instr });
+                    let (len, perm) = (le32(&e[8..12]), le32(&e[12..16]));
+                    let (max_dist, goal) = (le16(&e[16..18]), e[18] != 0);
+                    shard.arena.restore_meta(len, perm, max_dist, goal);
+                }
+            }
+            TAG_PARENTS => {
+                for e in fixed(&payload, PARENT_ENTRY, seen)? {
+                    let id = known(le32(&e[..4]))?;
+                    let parent = (known(le32(&e[4..8]))?, instr(&e[8..]).ok_or(bad("instr"))?);
+                    shard.more_parents.entry(id).or_default().push(parent);
+                }
+            }
+            TAG_CLOSED => {
+                for e in fixed(&payload, CLOSED_ENTRY, seen)? {
+                    let (key, id) = closed_of(e);
+                    shard.arena.restore_closed(key, known(id)?);
+                }
+            }
+            TAG_FRONTIER => {
+                // Expansion streams spilled spans in increasing id order.
+                for e in fixed(&payload, 4, seen)? {
+                    let id = known(le32(e))?;
+                    if frontier.last().is_some_and(|&last| last >= id) {
+                        return Err(bad("frontier order"));
+                    }
+                    frontier.push(id);
+                }
+            }
+            TAG_SPANS => {
+                // id u32 | the state's span, its length from the restored meta.
+                let mut rest = &payload[..];
+                while let Some((id, tail)) = rest.split_first_chunk::<4>() {
+                    let id = known(u32::from_le_bytes(*id))?;
+                    let len = shard.arena.meta(id).assign_count() as usize * 8;
+                    let span = tail.get(..len).ok_or(bad("spans"))?;
+                    shard.arena.restore_span(id, span_of(span));
+                    rest = &tail[len..];
+                    *seen += 1;
+                }
+                if !rest.is_empty() {
+                    return Err(bad("spans"));
+                }
+            }
+            _ => unreachable!("every section tag has a count slot"),
         }
     }
-}
-
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
+    if seen != counts {
+        return Err(bad("section counts"));
     }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
+    if goals.iter().any(|&id| id >= shard.edges.len() as u64) {
+        return Err(bad("goals"));
     }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|s| u16::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u128(&mut self) -> Option<u128> {
-        self.take(16)
-            .map(|s| u128::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn vec_u32(&mut self) -> Option<Vec<u32>> {
-        let len = self.u32()? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            out.push(self.u32()?);
-        }
-        Some(out)
-    }
-
-    fn seg_ref(&mut self) -> Option<SegRef> {
-        let name_len = self.u16()? as usize;
-        let name = String::from_utf8(self.take(name_len)?.to_vec()).ok()?;
-        let valid_len = self.u64()?;
-        Some(SegRef { name, valid_len })
-    }
-
-    fn seg_ref_opt(&mut self) -> Option<Option<SegRef>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(self.seg_ref()?)),
-            _ => None,
-        }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+    let mut tier = SpillTier::new(dir.to_path_buf(), cfg.mem_budget_bytes.unwrap_or(budget))?;
+    (tier.cur, tier.closed_segs) = (cur, segs);
+    min_perm.restore(&perms);
+    shard.goals = goals.into_iter().map(|id| id as u32).collect();
+    shard.counters = ShardStats::from_array(counters);
+    shard.spill = Some(tier);
+    Ok(Resumed { g, bound, frontier })
 }
 
 #[cfg(test)]
@@ -874,174 +765,188 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn journal_round_trips() {
-        let journal = Journal {
-            fingerprint: 0xfeed,
-            g: 3,
-            bound: 20,
-            budget: 1 << 28,
-            min_perm: vec![24, 12, 6],
-            goals: vec![],
-            counters: ShardStats {
-                expanded: 100,
-                generated: 900,
-                swar_batches: 88,
-                ..ShardStats::default()
-            },
-            spilled_open: 7,
-            spilled_closed: 11,
-            ddd_dedup_hits: 5,
-            spilled_bytes: 4096,
-            spill_segments: 2,
-            nodes: vec![
-                JournalNode {
-                    parent: u32::MAX,
-                    instr: 0,
-                    len: 0,
-                    more: vec![],
-                },
-                JournalNode {
-                    parent: 0,
-                    instr: 9,
-                    len: 1,
-                    more: vec![(0, 4)],
-                },
-            ],
-            metas: vec![
-                JournalMeta {
-                    len: 6,
-                    perm: 6,
-                    max_dist: 4,
-                    goal: false,
-                },
-                JournalMeta {
-                    len: 5,
-                    perm: 4,
-                    max_dist: 3,
-                    goal: true,
-                },
-            ],
-            closed: vec![(42, 0), (77, 1)],
-            frontier: vec![1],
-            spans: vec![(1, vec![MachineState::from_values(&[1, 2])])],
-            frontier_seg: Some(SegRef {
-                name: "frontier-4.seg".into(),
-                valid_len: 1234,
-            }),
-            closed_segs: vec![SegRef {
-                name: "closed-3.seg".into(),
-                valid_len: 99,
-            }],
-        };
-        let decoded = Journal::decode(&journal.encode()).unwrap();
-        assert_eq!(decoded.fingerprint, journal.fingerprint);
-        assert_eq!(decoded.g, 3);
-        assert_eq!(decoded.bound, 20);
-        assert_eq!(decoded.min_perm, journal.min_perm);
-        assert_eq!(decoded.counters, journal.counters);
-        assert_eq!(decoded.nodes.len(), 2);
-        assert_eq!(decoded.nodes[1].more, vec![(0, 4)]);
-        assert_eq!(decoded.metas[1].perm, 4);
-        assert!(decoded.metas[1].goal);
-        assert_eq!(decoded.closed, journal.closed);
-        assert_eq!(decoded.frontier, vec![1]);
-        assert_eq!(decoded.spans, journal.spans);
-        assert_eq!(decoded.frontier_seg, journal.frontier_seg);
-        assert_eq!(decoded.closed_segs, journal.closed_segs);
-        assert_eq!(decoded.spilled_bytes, 4096);
+    fn cfg() -> SynthesisConfig {
+        SynthesisConfig::new(Machine::new(3, 1, IsaMode::Cmov)).max_len(11)
+    }
+
+    /// A shard holding `states` root-level states whose spans live on disk,
+    /// with `tier` attached.
+    fn spilled_shard(cfg: &SynthesisConfig, tier: SpillTier, states: u32) -> Shard {
+        let mut shard = Shard::new(cfg, 0, 0);
+        for id in 0..states {
+            shard.arena.insert_spilled(1000 + id as u64, 1, 1, 0, false);
+            shard.edges.push(Edge {
+                parent: PARENT_NONE,
+                g: 0,
+                instr: 0,
+            });
+        }
+        shard.spill = Some(tier);
+        shard
+    }
+
+    fn restore_into_empty(dir: &Path, cfg: &SynthesisConfig) -> Result<Resumed, ResumeError> {
+        restore(dir, cfg, &mut Shard::new(cfg, 0, 0), &MinPerm::new())
+    }
+
+    /// Byte offset of the last record in a segment file.
+    fn last_record_start(bytes: &[u8]) -> usize {
+        let (mut at, mut last) = (12, 12);
+        while at < bytes.len() {
+            last = at;
+            at += 20 + le32(&bytes[at + 8..at + 12]) as usize;
+        }
+        last
     }
 
     #[test]
-    fn truncated_journal_is_malformed() {
-        let journal = Journal {
-            fingerprint: 1,
-            g: 0,
-            bound: 0,
-            budget: 0,
-            min_perm: vec![],
-            goals: vec![],
-            counters: ShardStats::default(),
-            spilled_open: 0,
-            spilled_closed: 0,
-            ddd_dedup_hits: 0,
-            spilled_bytes: 0,
-            spill_segments: 0,
-            nodes: vec![],
-            metas: vec![],
-            closed: vec![],
-            frontier: vec![],
-            spans: vec![],
-            frontier_seg: None,
-            closed_segs: vec![],
+    fn checkpoint_round_trips_into_an_empty_shard() {
+        let dir = tmp("roundtrip");
+        let cfg = cfg().all_solutions(true);
+        let mut shard = Shard::new(&cfg, 0, 0);
+        let mut tier = SpillTier::new(dir.clone(), 1 << 20).unwrap();
+        // A root, a resident frontier state, and a spilled goal state.
+        let spans = [
+            vec![MachineState::from_values(&[1, 2, 3])],
+            vec![
+                MachineState::from_values(&[2, 1, 3]),
+                MachineState::from_values(&[3, 1, 2]),
+            ],
+            vec![MachineState::from_values(&[3, 2, 1])],
+        ];
+        for (id, span) in (0u32..).zip(&spans) {
+            let (key, len, goal) = (0x100 + id as u64, span.len() as u32, id == 2);
+            if goal {
+                shard.arena.insert_spilled(key, len, len + 3, 7, goal);
+                tier.spill_span(1, id, span, &mut shard.counters);
+            } else {
+                shard.arena.insert_new(key, span, len + 3, 7, goal);
+            }
+            shard.edges.push(Edge {
+                parent: if id == 0 {
+                    PARENT_NONE
+                } else {
+                    parent_ref(0, 0)
+                },
+                g: id.min(1),
+                instr: id as u16 + 4,
+            });
+        }
+        tier.seal_frontier();
+        tier.append_closed(0, vec![(0x42, 0)], &mut shard.counters);
+        shard.more_parents.insert(2, vec![(0, 5), (1, 6)]);
+        shard.more_parents.insert(1, vec![(0, 9)]);
+        shard.goals = vec![2];
+        // Every counter distinct, so a swapped or dropped one shows.
+        shard.counters = ShardStats::from_array(std::array::from_fn(|i| 10 + i as u64));
+        shard.spill = Some(tier);
+        let min_perm = MinPerm::new();
+        min_perm.note(0, 6);
+        min_perm.note(1, 4);
+        min_perm.note(3, 2);
+        let frontier = [1, 2];
+        checkpoint(&mut shard, &cfg, &min_perm, 1, 9, &frontier);
+
+        let mut restored = Shard::new(&cfg, 0, 0);
+        let restored_perm = MinPerm::new();
+        let resumed = restore(&dir, &cfg, &mut restored, &restored_perm).unwrap();
+        assert_eq!((resumed.g, resumed.bound), (1, 9));
+        assert_eq!(resumed.frontier, frontier);
+        assert_eq!(restored.edges, shard.edges);
+        assert_eq!(restored.more_parents, shard.more_parents);
+        assert_eq!(restored.goals, shard.goals);
+        let metas = |s: &Shard| {
+            (0..s.arena.len() as u32)
+                .map(|id| {
+                    let m = s.arena.meta(id);
+                    (m.assign_count(), m.perm, m.max_dist, m.goal)
+                })
+                .collect::<Vec<_>>()
         };
-        let bytes = journal.encode();
-        assert!(Journal::decode(&bytes[..bytes.len() - 1]).is_err());
-        assert!(Journal::decode(&bytes).is_ok());
+        assert_eq!(metas(&restored), metas(&shard));
+        let closed = |s: &Shard| {
+            let mut entries: Vec<_> = s.arena.closed().collect();
+            entries.sort_unstable();
+            entries
+        };
+        assert_eq!(closed(&restored), closed(&shard));
+        let spans_of = |s: &Shard| {
+            (0..s.arena.len() as u32)
+                .map(|id| {
+                    s.arena
+                        .has_span(id)
+                        .then(|| s.arena.assignments(id).to_vec())
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            spans_of(&restored),
+            [None, Some(spans[1].clone()), None],
+            "only the resident frontier span is restored"
+        );
+        assert_eq!(restored_perm.to_vec(), min_perm.to_vec());
+        assert_eq!(restored.counters, shard.counters);
+        let (a, b) = (restored.spill.unwrap(), shard.spill.as_ref().unwrap());
+        assert_eq!(
+            (a.cur, &a.closed_segs, a.budget),
+            (b.cur, &b.closed_segs, b.budget)
+        );
+
+        // A journal cut after its last complete record passes every
+        // checksum, and the section counts refuse it.
+        let path = dir.join(JOURNAL_NAME);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..last_record_start(&bytes)]).unwrap();
+        assert!(matches!(
+            restore_into_empty(&dir, &cfg),
+            Err(ResumeError::Malformed { .. })
+        ));
+        b.cleanup();
     }
 
     #[test]
     fn spill_round_trip_and_ddd() {
         let dir = tmp("tier");
+        let mut stats = ShardStats::default();
         let mut tier = SpillTier::new(dir.clone(), 0).unwrap();
         let a = [
             MachineState::from_values(&[1, 2, 3]),
             MachineState::from_values(&[3, 2, 1]),
         ];
         let b = [MachineState::from_values(&[2, 1, 3])];
-        tier.spill_span(1, 5, &a);
-        tier.spill_span(1, 7, &b);
+        tier.spill_span(1, 5, &a, &mut stats);
+        tier.spill_span(1, 7, &b, &mut stats);
         tier.note_fresh(100, 5);
         tier.note_fresh(200, 7);
         tier.seal_frontier();
-        assert_eq!(tier.spilled_open, 2);
+        assert_eq!(stats.spilled_open, 2);
         // DDD against a closed segment holding key 200 kills id 7.
-        tier.append_closed(0, vec![(200, 2), (150, 1)]);
-        let dead = tier.ddd_filter();
+        tier.append_closed(0, vec![(200, 2), (150, 1)], &mut stats);
+        let dead = tier.ddd_filter(&mut stats);
         assert_eq!(dead, vec![7]);
-        assert_eq!(tier.ddd_dedup_hits, 1);
+        assert_eq!(stats.ddd_dedup_hits, 1);
         // Streamed fetch skips the dead record in stride.
         assert_eq!(tier.fetch_span(5), &a[..]);
         // Journal round trip through the tier.
-        let journal = Journal {
-            fingerprint: 9,
-            g: 1,
-            bound: 11,
-            budget: 0,
-            min_perm: vec![],
-            goals: vec![],
-            counters: ShardStats::default(),
-            spilled_open: tier.spilled_open,
-            spilled_closed: tier.spilled_closed,
-            ddd_dedup_hits: tier.ddd_dedup_hits,
-            spilled_bytes: tier.spilled_bytes,
-            spill_segments: tier.segments_created,
-            nodes: vec![],
-            metas: vec![],
-            closed: vec![],
-            frontier: vec![5],
-            spans: vec![],
-            frontier_seg: tier.frontier_seg(),
-            closed_segs: tier.closed_segs(),
-        };
-        tier.write_journal(&journal);
-        let loaded = load_journal(&dir, 9).unwrap();
+        let cfg = cfg();
+        let mut shard = spilled_shard(&cfg, tier, 8);
+        shard.counters = stats;
+        checkpoint(&mut shard, &cfg, &MinPerm::new(), 1, 11, &[5]);
+        let loaded = restore_into_empty(&dir, &cfg).unwrap();
         assert_eq!(loaded.frontier, vec![5]);
-        verify_segments(&dir, &loaded).unwrap();
         assert!(matches!(
-            load_journal(&dir, 10),
+            restore_into_empty(&dir, &cfg.clone().max_len(10)),
             Err(ResumeError::ConfigMismatch { .. })
         ));
         // A torn byte inside a referenced segment is detected, not replayed.
-        let seg = loaded.frontier_seg.clone().unwrap();
-        let seg_path = dir.join(&seg.name);
+        let seg_path = dir.join("frontier-1.seg");
         let mut bytes = fs::read(&seg_path).unwrap();
         let at = bytes.len() / 2;
         bytes[at] ^= 0x10;
         fs::write(&seg_path, &bytes).unwrap();
-        let err = verify_segments(&dir, &loaded).unwrap_err();
+        let err = restore_into_empty(&dir, &cfg).err().unwrap();
         assert!(err.to_string().contains("checksum"), "{err}");
-        tier.cleanup();
+        shard.spill.unwrap().cleanup();
     }
 
     #[test]
@@ -1050,46 +955,155 @@ mod tests {
         // journal rename: a SIGKILL between seal and rename must leave the
         // durable journal with every file it references still on disk.
         let dir = tmp("gc");
+        let mut stats = ShardStats::default();
         let mut tier = SpillTier::new(dir.clone(), 0).unwrap();
-        tier.spill_span(1, 0, &[MachineState::from_values(&[1, 2])]);
+        tier.spill_span(1, 0, &[MachineState::from_values(&[1, 2])], &mut stats);
         tier.seal_frontier(); // layer-1 segment becomes the read target
         let first = dir.join("frontier-1.seg");
-        tier.spill_span(2, 1, &[MachineState::from_values(&[2, 1])]);
+        tier.spill_span(2, 1, &[MachineState::from_values(&[2, 1])], &mut stats);
         tier.seal_frontier(); // layer 1 consumed — must NOT delete yet
         assert!(
             first.exists(),
             "consumed segment deleted before the checkpoint rename"
         );
-        let journal = Journal {
-            fingerprint: 9,
-            g: 2,
-            bound: 11,
-            budget: 0,
-            min_perm: vec![],
-            goals: vec![],
-            counters: ShardStats::default(),
-            spilled_open: tier.spilled_open,
-            spilled_closed: tier.spilled_closed,
-            ddd_dedup_hits: tier.ddd_dedup_hits,
-            spilled_bytes: tier.spilled_bytes,
-            spill_segments: tier.segments_created,
-            nodes: vec![],
-            metas: vec![],
-            closed: vec![],
-            frontier: vec![1],
-            spans: vec![],
-            frontier_seg: tier.frontier_seg(),
-            closed_segs: tier.closed_segs(),
-        };
-        tier.write_journal(&journal);
+        let cfg = cfg();
+        let mut shard = spilled_shard(&cfg, tier, 2);
+        shard.counters = stats;
+        checkpoint(&mut shard, &cfg, &MinPerm::new(), 2, 11, &[1]);
         assert!(
             !first.exists(),
             "checkpoint rename must gc consumed segments"
         );
-        let loaded = load_journal(&dir, 9).unwrap();
-        verify_segments(&dir, &loaded).unwrap();
-        tier.cleanup();
+        restore_into_empty(&dir, &cfg).unwrap();
+        shard.spill.unwrap().cleanup();
     }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Writes one small checkpoint into `dir`: two states (one resident
+    /// and one spilled span) and one closed-segment reference.
+    fn two_state_checkpoint(dir: &Path) -> (SynthesisConfig, Shard) {
+        let cfg = cfg();
+        let mut shard = Shard::new(&cfg, 0, 0);
+        let mut tier = SpillTier::new(dir.to_path_buf(), 64).unwrap();
+        let resident = [MachineState::from_values(&[1, 2, 3])];
+        let spilled = [MachineState::from_values(&[2, 1, 3])];
+        shard.arena.insert_new(0xaaaa, &resident, 1, 2, false);
+        shard.arena.insert_spilled(0xbbbb, 1, 1, 1, false);
+        tier.spill_span(1, 1, &spilled, &mut shard.counters);
+        tier.seal_frontier();
+        tier.append_closed(0, vec![(0xcccc, 0)], &mut shard.counters);
+        for (g, instr) in [(1, 3), (1, 5)] {
+            shard.edges.push(Edge {
+                parent: PARENT_NONE,
+                g,
+                instr,
+            });
+        }
+        shard.counters.expanded = 1;
+        shard.spill = Some(tier);
+        let min_perm = MinPerm::new();
+        min_perm.note(1, 1);
+        checkpoint(&mut shard, &cfg, &min_perm, 1, 11, &[0, 1]);
+        (cfg, shard)
+    }
+
+    /// The two-state checkpoint, byte for byte. A change to this
+    /// expectation is a journal format change — bump [`SPILL_VERSION`]
+    /// with it.
+    #[test]
+    fn two_state_checkpoint_is_pinned() {
+        let dir = tmp("pin");
+        let (_, shard) = two_state_checkpoint(&dir);
+        let bytes = fs::read(dir.join(JOURNAL_NAME)).unwrap();
+        shard.spill.unwrap().cleanup();
+        assert_eq!(hex(&bytes), GOLDEN_JOURNAL);
+    }
+
+    /// Records that pass their checksums but name a state, parent, or
+    /// action the journal never declared, or a frontier out of expansion
+    /// order, are refused, never replayed. Each case rewrites one record
+    /// of the two-state checkpoint.
+    #[test]
+    fn inconsistent_journal_records_are_malformed() {
+        let dir = tmp("tamper");
+        let (cfg, shard) = two_state_checkpoint(&dir);
+        let path = dir.join(JOURNAL_NAME);
+        let len = fs::metadata(&path).unwrap().len();
+        let mut reader =
+            SegmentReader::open_strict(&path, JOURNAL_MAGIC, SPILL_VERSION, len).unwrap();
+        let mut records = Vec::new();
+        while let Some(record) = reader.next().unwrap() {
+            records.push(record);
+        }
+        type Damage = fn(&mut Vec<u8>);
+        let cases: [(&str, u64, Damage); 4] = [
+            ("state id", TAG_FRONTIER, |p| {
+                p[4..].copy_from_slice(&7u32.to_le_bytes())
+            }),
+            ("frontier order", TAG_FRONTIER, |p| p.rotate_left(4)),
+            ("parent", TAG_STATES, |p| {
+                p[..4].copy_from_slice(&1u32.to_le_bytes())
+            }),
+            ("instr", TAG_STATES, |p| {
+                p[4..6].copy_from_slice(&[0xff, 0xff])
+            }),
+        ];
+        for (what, tag, damage) in cases {
+            let mut records = records.clone();
+            let (_, payload) = records.iter_mut().find(|(t, _)| *t == tag).unwrap();
+            damage(payload);
+            segment::write_atomic(&path, JOURNAL_MAGIC, SPILL_VERSION, records).unwrap();
+            let err = restore_into_empty(&dir, &cfg).err().expect(what);
+            assert!(
+                matches!(err, ResumeError::Malformed { what: w } if w == what),
+                "{what}: {err}"
+            );
+        }
+        shard.spill.unwrap().cleanup();
+    }
+
+    const GOLDEN_JOURNAL: &str = concat!(
+        // header: "SSJOURNL", version 3
+        "53534a4f55524e4c03000000",
+        // header record: tag 0, payload_len 320, checksum; 40 u64 words
+        "000000000000000040010000790b7e6bb967495c",
+        // fingerprint, g = 1, bound = 11, budget = 64
+        "6a34d1a6a0ebf16301000000000000000b000000000000004000000000000000",
+        // ShardStats in declaration order: expanded = 1, spilled_open = 1,
+        // spilled_closed = 1, spilled_bytes = 72, spill_segments = 2
+        "0100000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0100000000000000010000000000000000000000000000004800000000000000",
+        "0200000000000000",
+        // section counts: 2 states, 0 parents, 2 closed, 2 frontier, 1 span
+        "0200000000000000000000000000000002000000000000000200000000000000",
+        "0100000000000000",
+        // list lengths: 2 minima, 0 goals, 1 frontier segment, 1 closed
+        "0200000000000000000000000000000001000000000000000100000000000000",
+        // minima [none, 1]; segment refs (layer, valid_len): frontier-1
+        // (40 bytes), closed-0 (44 bytes)
+        "ffffffff00000000010000000000000001000000000000002800000000000000",
+        "00000000000000002c00000000000000",
+        // states record: tag 1, two 19-byte entries
+        "01000000000000002600000096653b4c90d5e3a4",
+        "ffffffff030001000100000001000000020000ffffffff050001000100000001",
+        "000000010000",
+        // closed record: tag 3, two 12-byte entries (map order)
+        "03000000000000001800000052f32fa408bf1ba6",
+        "aaaa00000000000000000000bbbb00000000000001000000",
+        // frontier record: tag 4, ids 0 and 1
+        "040000000000000008000000347de4d1294ccd08",
+        "0000000001000000",
+        // spans record: tag 5, state 0's resident span (state 1's is in
+        // frontier-1.seg)
+        "05000000000000000c000000e54eb3a94e7b0ba6",
+        "000000002103000000000000",
+    );
 
     #[test]
     fn fingerprint_distinguishes_configurations() {

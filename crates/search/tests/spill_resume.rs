@@ -226,24 +226,72 @@ fn torn_segment_byte_is_rejected_on_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Resumes the min/max run killed into `dir` after `damage` rewrites its
+/// journal bytes.
+fn resume_damaged_journal(dir: &Path, damage: impl FnOnce(&mut Vec<u8>)) -> ResumeError {
+    let path = dir.join("journal.ssj");
+    let mut bytes = std::fs::read(&path).expect("journal readable");
+    damage(&mut bytes);
+    std::fs::write(&path, bytes).expect("journal writable");
+    try_synthesize(&layered(&Machine::new(3, 1, IsaMode::MinMax), 8).resume_from(dir.to_path_buf()))
+        .expect_err("resume accepted a damaged journal")
+}
+
 #[test]
 #[cfg_attr(miri, ignore = "corruption test does real file I/O")]
 fn journal_from_an_older_spill_version_is_refused() {
-    let dir = scratch("oldversion");
+    // Version 1 is the untagged record layout, version 2 the single-blob
+    // journal with 128-bit closed keys: resume must refuse either
+    // directory outright.
+    for version in [1u32, 2] {
+        let dir = scratch(&format!("oldversion-{version}"));
+        killed_minmax_run(&dir);
+        let err = resume_damaged_journal(&dir, |bytes| {
+            bytes[8..12].copy_from_slice(&version.to_le_bytes())
+        });
+        assert!(
+            matches!(err, ResumeError::Segment(SegmentError::BadHeader { .. })),
+            "version {version}: {err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "corruption test does real file I/O")]
+fn flipped_journal_byte_is_a_checksum_error() {
+    let dir = scratch("journal-flip");
     killed_minmax_run(&dir);
-    // Rewrite the journal's header version to 1, the untagged record
-    // layout of older builds: resume must refuse the directory outright.
-    let path = dir.join("journal.ssj");
-    let mut bytes = std::fs::read(&path).expect("journal readable");
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&path, bytes).expect("journal writable");
-    let err =
-        try_synthesize(&layered(&Machine::new(3, 1, IsaMode::MinMax), 8).resume_from(dir.clone()))
-            .expect_err("resume accepted a version-1 journal");
+    let err = resume_damaged_journal(&dir, |bytes| {
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+    });
     assert!(
-        matches!(err, ResumeError::Segment(SegmentError::BadHeader { .. })),
+        matches!(err, ResumeError::Segment(SegmentError::Checksum { .. })),
         "{err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "corruption test does real file I/O")]
+fn journal_cut_after_its_last_complete_record_is_malformed() {
+    // Every remaining record checksums, so only the header's section
+    // counts can tell the journal is short.
+    let dir = scratch("journal-cut");
+    killed_minmax_run(&dir);
+    let err = resume_damaged_journal(&dir, |bytes| {
+        // File header (12 bytes), then records of a 20-byte head
+        // (tag u64, payload_len u32, checksum u64) and the payload.
+        let (mut at, mut last) = (12, 12);
+        while at < bytes.len() {
+            last = at;
+            at += 20 + u32::from_le_bytes(bytes[at + 8..at + 12].try_into().unwrap()) as usize;
+        }
+        assert!(last > 12, "journal has a single record");
+        bytes.truncate(last);
+    });
+    assert!(matches!(err, ResumeError::Malformed { .. }), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -278,6 +326,8 @@ fn torn_checkpoint_temp_file_does_not_affect_resume() {
             s.spilled_open,
             s.spilled_closed,
             s.ddd_dedup_hits,
+            s.spilled_bytes,
+            s.spill_segments,
         )
     };
     assert_eq!(counters(&resumed.stats), counters(&reference.stats));
