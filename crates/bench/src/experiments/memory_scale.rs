@@ -127,12 +127,18 @@ pub fn run(cfg: &BenchConfig) {
         "budgeted run's resident estimate ({} B) exceeds the 256 MiB reference budget",
         spill.resident_bytes
     );
-    let spill_mb_per_sec =
-        spill.spilled_bytes as f64 / 1e6 / budgeted_elapsed.as_secs_f64().max(1e-9);
+    // Bytes per second alone would read a denser encoding as a slower
+    // tier, so the rate is also given in spans, with the bytes each costs
+    // (frontier and closed-segment bytes together, per spilled span).
+    let secs = budgeted_elapsed.as_secs_f64().max(1e-9);
+    let spill_mb_per_sec = spill.spilled_bytes as f64 / 1e6 / secs;
+    let spill_spans_per_sec = spill.spilled_open as f64 / secs;
+    let bytes_per_span = spill.spilled_bytes as f64 / spill.spilled_open.max(1) as f64;
     println!(
         "spill: n={} {spill_isa} resident {} KiB resident-only ({}), \
          budget {} KiB -> resident {} KiB + {} KiB on disk in {} segment(s), \
-         {} spilled spans, {} DDD dedups, {:.1} MB/s to disk ({})",
+         {} spilled spans, {} DDD dedups, {:.1} MB/s to disk, \
+         {spill_spans_per_sec:.0} spans/s at {bytes_per_span:.1} B/span ({})",
         spill_machine.n(),
         resident_footprint / 1024,
         fmt_duration(resident_elapsed),
@@ -152,6 +158,8 @@ pub fn run(cfg: &BenchConfig) {
          \"budgeted_resident_bytes\":{},\"spilled_bytes\":{},\"spill_segments\":{},\
          \"spilled_open\":{},\"spilled_closed\":{},\"ddd_dedup_hits\":{},\
          \"states_kept\":{},\"spill_mb_per_sec\":{spill_mb_per_sec:.2},\
+         \"spill_spans_per_sec\":{spill_spans_per_sec:.1},\
+         \"spilled_bytes_per_span\":{bytes_per_span:.2},\
          \"millis\":{:.3}}}",
         spill_machine.n(),
         spill.resident_bytes,

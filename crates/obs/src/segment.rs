@@ -19,10 +19,17 @@
 //! (Flight recordings checksum with `flight_fnv`, a variant of FNV-1a
 //! their writer has always used; every other file uses [`fnv1a`].)
 //!
-//! Every append is flushed before it returns, so a crash tears at most the
-//! final record. A reader refuses a record whose declared length exceeds
-//! [`MAX_RECORD`] or the bytes left in the file before it allocates the
-//! payload. Two read disciplines exist:
+//! Two write disciplines share one writer. [`SegmentWriter::append`]
+//! flushes every record before it returns, so a crash tears at most the
+//! final record — the write-ahead log of the kernel cache and the flight
+//! recorder. [`SegmentWriter::push`] only buffers: the spill tier's
+//! segments and [`write_atomic`] push every record and then call
+//! [`SegmentWriter::sync`] once, when the file is complete, and only a
+//! synced file is ever named by a journal or renamed into place.
+//!
+//! A reader refuses a record whose declared length exceeds [`MAX_RECORD`]
+//! or the bytes left in the file before it allocates the payload. Two read
+//! disciplines exist:
 //!
 //! * **Tolerant** ([`scan`]): a torn, corrupt, or undecodable record ends
 //!   the read, keeping the intact prefix and reporting the rest as lost —
@@ -49,6 +56,9 @@ pub const MAX_RECORD: u32 = 64 * 1024 * 1024;
 const HEADER_LEN: u64 = 12;
 /// Record header bytes: tag + payload length + checksum.
 const RECORD_HEAD: u64 = 20;
+/// Write buffer per writer: a pushed record of up to 64 KiB of payload
+/// reaches the file in one `write`, never split at a buffer boundary.
+const WRITE_BUF: usize = 64 * 1024 + RECORD_HEAD as usize;
 
 /// FNV-1a 64 — the record checksum, and the workspace's one fingerprint
 /// hash (cache keys, gate stamps, spill configuration fingerprints).
@@ -179,7 +189,7 @@ impl SegmentWriter {
             bytes = HEADER_LEN;
         }
         Ok(SegmentWriter {
-            file: BufWriter::new(file),
+            file: BufWriter::with_capacity(WRITE_BUF, file),
             checksum: checksum_for(magic),
             bytes,
             records: 0,
@@ -187,9 +197,18 @@ impl SegmentWriter {
     }
 
     /// Appends one record, flushed before returning so the record
-    /// survives any later crash of this process. A record that fits the
-    /// write buffer goes out in one write; a larger one is not copied.
+    /// survives any later crash of this process: [`Self::push`], then a
+    /// flush.
     pub fn append(&mut self, tag: u64, payload: &[u8]) -> io::Result<()> {
+        self.push(tag, payload)?;
+        self.file.flush()
+    }
+
+    /// Buffers one record. It reaches the file when the write buffer fills
+    /// or at the next [`Self::append`] or [`Self::sync`]; a crash before
+    /// then loses it. A record that fits the write buffer goes out in one
+    /// write; a larger one is not copied.
+    pub fn push(&mut self, tag: u64, payload: &[u8]) -> io::Result<()> {
         assert!(
             payload.len() as u64 <= MAX_RECORD as u64,
             "oversized record"
@@ -199,10 +218,18 @@ impl SegmentWriter {
         self.file
             .write_all(&(self.checksum)(payload).to_le_bytes())?;
         self.file.write_all(payload)?;
-        self.file.flush()?;
         self.bytes += RECORD_HEAD + payload.len() as u64;
         self.records += 1;
         Ok(())
+    }
+
+    /// Flushes every pushed record and syncs the file's data to disk, so
+    /// all [`Self::bytes`] survive a crash of the machine. The error of a
+    /// failed final write (a full disk) is returned here, not lost in a
+    /// drop.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.file.flush()?;
+        self.file.get_ref().sync_data()
     }
 
     /// Bytes in the file so far (header + records) — the valid length a
@@ -401,9 +428,9 @@ pub fn scan<T>(
 }
 
 /// Atomically replaces `path` with a segment holding `records` (tag,
-/// payload): written to `<path>.tmp`, fsynced, renamed into place, and the
-/// directory fsynced, so a reader or a crash sees the old file or the new
-/// one, never a mix, and the new one stays once this returns.
+/// payload): pushed to `<path>.tmp`, synced once, renamed into place, and
+/// the directory fsynced, so a reader or a crash sees the old file or the
+/// new one, never a mix, and the new one stays once this returns.
 pub fn write_atomic<P: AsRef<[u8]>>(
     path: &Path,
     magic: &[u8; 8],
@@ -415,9 +442,9 @@ pub fn write_atomic<P: AsRef<[u8]>>(
     let tmp = PathBuf::from(tmp);
     let mut w = SegmentWriter::create(&tmp, magic, version)?;
     for (tag, payload) in records {
-        w.append(tag, payload.as_ref())?;
+        w.push(tag, payload.as_ref())?;
     }
-    w.file.get_ref().sync_all()?;
+    w.sync()?;
     drop(w);
     fs::rename(&tmp, path)?;
     // The rename is durable only once the directory holding it is synced.
@@ -458,6 +485,26 @@ mod tests {
         let mut r = SegmentReader::open_strict(&path, MAGIC, 1, valid).unwrap();
         assert_eq!(r.next().unwrap(), Some((7, b"alpha".to_vec())));
         assert_eq!(r.next().unwrap(), Some((0, b"beta".to_vec())));
+        assert!(r.next().unwrap().is_none());
+    }
+
+    #[test]
+    fn pushed_records_reach_the_file_at_sync() {
+        let path = tmp("push");
+        let mut w = SegmentWriter::create(&path, MAGIC, 1).unwrap();
+        w.push(1, b"buffered").unwrap();
+        w.push(2, b"too").unwrap();
+        assert_eq!(w.bytes(), 12 + 20 + 8 + 20 + 3);
+        assert_eq!(fs::metadata(&path).unwrap().len(), 12, "push wrote through");
+        w.sync().unwrap();
+        assert_eq!(fs::metadata(&path).unwrap().len(), w.bytes());
+        // An append after pushes flushes them with it, in order.
+        w.append(3, b"logged").unwrap();
+        assert_eq!(fs::metadata(&path).unwrap().len(), w.bytes());
+        let mut r = SegmentReader::open_strict(&path, MAGIC, 1, w.bytes()).unwrap();
+        for (tag, payload) in [(1, &b"buffered"[..]), (2, b"too"), (3, b"logged")] {
+            assert_eq!(r.next().unwrap(), Some((tag, payload.to_vec())));
+        }
         assert!(r.next().unwrap().is_none());
     }
 

@@ -1077,7 +1077,7 @@ impl<'a> Engine<'a> {
         debug_assert!(next.windows(2).all(|w| w[0] < w[1]), "frontier id order");
         let shard = &mut self.shard;
         let tier = shard.spill.as_mut().expect("end_of_layer without spill");
-        tier.seal_frontier();
+        tier.seal_frontier(&mut shard.counters);
         let dead = tier.ddd_filter(&mut shard.counters);
         if !dead.is_empty() {
             next.retain(|id| dead.binary_search(id).is_err());

@@ -9,8 +9,13 @@
 //! * **Frontier spans** — once the resident estimate crosses the budget,
 //!   freshly interned states keep their metadata and closed-set entry but
 //!   their assignment span goes to `frontier-{g}.seg` instead of the arena.
-//!   The next layer's expansion streams those spans back in id order (the
-//!   append order), so one sequential read covers the whole layer.
+//!   Spans are batched into chunked records of at most [`CHUNK`] spans and
+//!   [`RECORD_CAP`] payload bytes, each a run of varint-coded span entries
+//!   ([`put_span`]) tagged with its first state id; a record is one
+//!   buffered push, and the segment is flushed and synced once, when it is
+//!   sealed at the layer boundary. The next layer's expansion streams those
+//!   spans back in id order (the append order), one record at a time, so
+//!   one sequential read covers the whole layer.
 //! * **Closed-set segments** — at the end of a layer under budget pressure,
 //!   closed-map entries of already-expanded layers are evicted to a sorted
 //!   `closed-{g}.seg` of 12-byte `key u64 | id u32` entries. Candidates
@@ -34,8 +39,10 @@
 //!   silently replayed.
 //!
 //! Mid-run spill I/O failures (disk full, permission loss) panic with a
-//! clear message: the engine cannot continue correctly without its spilled
-//! state, and the journal on disk remains valid for a later resume.
+//! clear message, a failed flush or sync when a segment is sealed
+//! included: the engine cannot continue correctly without its spilled
+//! state, and the journal on disk, which names only sealed and synced
+//! segments, remains valid for a later resume.
 
 use std::fmt;
 use std::fs;
@@ -62,15 +69,21 @@ pub(crate) const FRONTIER_MAGIC: &[u8; 8] = b"SSSPILLF";
 pub(crate) const CLOSED_MAGIC: &[u8; 8] = b"SSSPILLC";
 /// Magic for the resume journal.
 pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"SSJOURNL";
-/// On-disk format version shared by all three file kinds. Version 3
-/// streams the journal as tagged sections and narrows closed entries to
-/// 64-bit keys: a directory written by an older build is refused as a bad
+/// On-disk format version shared by all three file kinds. Version 4 codes
+/// frontier spans as chunked varint entries, in the segments and in journal
+/// section 5; version 3 streamed the journal as tagged sections with 64-bit
+/// closed keys. A directory written by an older build is refused as a bad
 /// header, never misparsed.
-pub(crate) const SPILL_VERSION: u32 = 3;
+pub(crate) const SPILL_VERSION: u32 = 4;
 /// Journal file name inside the spill directory.
 pub(crate) const JOURNAL_NAME: &str = "journal.ssj";
-/// Entries per checksummed record, in closed segments and journal sections.
+/// Entries per checksummed record: spans per frontier record, and entries
+/// per closed-segment record and journal section record.
 const CHUNK: usize = 4096;
+/// Payload bytes a frontier record stays within, so the pending record is
+/// small at any n. A record closes before an entry that would cross the
+/// cap; an entry larger than the cap gets a record of its own.
+const RECORD_CAP: usize = 64 * 1024;
 /// Bytes per closed entry, in closed segments and the journal: key u64 +
 /// state id u32.
 const CLOSED_ENTRY: usize = 12;
@@ -221,19 +234,81 @@ fn open_seg(dir: &Path, magic: &[u8; 8], seg: SegRef) -> Result<SegmentReader, S
     SegmentReader::open_strict(path, magic, SPILL_VERSION, seg.valid_len)
 }
 
-/// Appends a span's assignments as u64 LE bits: the payload of a
-/// frontier-segment record and the body of a journal span entry.
-fn put_span(out: &mut Vec<u8>, assigns: &[MachineState]) {
+/// Appends `v` as a LEB128 varint: seven bits per byte, low group first,
+/// the top bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Decodes one varint from the front of `bytes` and advances past it;
+/// `None` when it is cut short or does not fit 64 bits.
+fn varint(bytes: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let (&b, rest) = bytes.split_first()?;
+        *bytes = rest;
+        if shift == 63 && b > 1 {
+            return None;
+        }
+        v |= ((b & 0x7f) as u64) << shift;
+        if b < 0x80 {
+            return Some(v);
+        }
+    }
+    None
+}
+
+/// Appends the span entry of state `id`, the entry after state `prev`:
+/// `varint(id − prev) | varint(len) | len × varint(bits.rotate_left(4))`.
+/// The rotation moves the flag nibble (bits 60–63) to the bottom, so an
+/// n = 3 assignment codes in 3 bytes, not 8. The one encoder of frontier
+/// records and journal section 5; [`SpanEntries`] is its decoder.
+fn put_span(out: &mut Vec<u8>, prev: u32, id: u32, assigns: &[MachineState]) {
+    let delta = id.checked_sub(prev).expect("span entries in id order");
+    put_varint(out, delta as u64);
+    put_varint(out, assigns.len() as u64);
     for a in assigns {
-        out.extend_from_slice(&a.bits().to_le_bytes());
+        put_varint(out, a.bits().rotate_left(4));
     }
 }
 
-/// Decodes the bytes [`put_span`] wrote.
-fn span_of(bytes: &[u8]) -> impl Iterator<Item = MachineState> + '_ {
-    bytes
-        .chunks_exact(8)
-        .map(|b| MachineState::from_bits(le64(b)))
+/// Reads back the span entries [`put_span`] wrote into one record.
+struct SpanEntries<'a> {
+    rest: &'a [u8],
+    /// The id of the entry read last (at first, the delta base).
+    prev: u32,
+}
+
+impl SpanEntries<'_> {
+    /// Decodes the next entry's span into `span` and returns its state id;
+    /// `Ok(None)` at the end of the record.
+    fn next(&mut self, span: &mut Vec<MachineState>) -> Result<Option<u32>, ResumeError> {
+        if self.rest.is_empty() {
+            return Ok(None);
+        }
+        let bad = || ResumeError::Malformed { what: "spans" };
+        let rest = &mut self.rest;
+        let delta = varint(rest).and_then(|d| u32::try_from(d).ok());
+        let id = delta
+            .and_then(|d| self.prev.checked_add(d))
+            .ok_or_else(bad)?;
+        // Every assignment takes at least one byte: a length past the
+        // record's end is refused before anything is allocated.
+        let len = varint(rest).filter(|&len| len <= rest.len() as u64);
+        let len = len.ok_or_else(bad)?;
+        span.clear();
+        span.reserve(len as usize);
+        for _ in 0..len {
+            let bits = varint(rest).ok_or_else(bad)?;
+            span.push(MachineState::from_bits(bits.rotate_right(4)));
+        }
+        self.prev = id;
+        Ok(Some(id))
+    }
 }
 
 /// Appends one closed entry: key u64 | id u32.
@@ -269,13 +344,12 @@ pub(crate) struct SpillTier {
     /// Writer for the frontier segment of the layer currently being
     /// generated (`g + 1` while layer `g` expands). Created lazily on the
     /// first spilled span of the layer.
-    writer: Option<SegmentWriter>,
-    writer_layer: u32,
+    writer: Option<FrontierWriter>,
     /// Sealed frontier segment holding the spilled spans of the layer now
     /// being expanded.
     cur: Option<SegRef>,
     /// Streaming reader over `cur`, opened lazily at the first fetch.
-    reader: Option<SegmentReader>,
+    reader: Option<FrontierReader>,
     read_buf: Vec<MachineState>,
     /// Layers of consumed frontier segments awaiting deletion. A segment
     /// may only be removed once a journal checkpoint that no longer
@@ -298,7 +372,6 @@ impl SpillTier {
             dir,
             budget,
             writer: None,
-            writer_layer: 0,
             cur: None,
             reader: None,
             read_buf: Vec::new(),
@@ -316,9 +389,9 @@ impl SpillTier {
         self.layer_keys.push((key, id));
     }
 
-    /// Appends state `id`'s assignment span to the frontier segment of
+    /// Adds state `id`'s assignment span to the frontier segment of
     /// `layer`. Append order matches intern order (dense increasing ids),
-    /// which is what the streaming fetch relies on.
+    /// which is what the delta coding and the streaming fetch rely on.
     pub fn spill_span(
         &mut self,
         layer: u32,
@@ -326,76 +399,100 @@ impl SpillTier {
         assigns: &[MachineState],
         stats: &mut ShardStats,
     ) {
-        let t0 = Instant::now();
-        if self.writer.is_none() || self.writer_layer != layer {
+        let writer = self.writer.get_or_insert_with(|| {
             let path = seg_path(&self.dir, FRONTIER_MAGIC, layer);
-            let writer = SegmentWriter::create(&path, FRONTIER_MAGIC, SPILL_VERSION)
+            let seg = SegmentWriter::create(&path, FRONTIER_MAGIC, SPILL_VERSION)
                 .unwrap_or_else(|e| panic!("spill tier cannot create {}: {e}", path.display()));
-            self.writer = Some(writer);
-            self.writer_layer = layer;
             stats.spill_segments += 1;
-        }
-        let writer = self.writer.as_mut().unwrap();
-        let mut payload = Vec::with_capacity(assigns.len() * 8);
-        put_span(&mut payload, assigns);
-        let before = writer.bytes();
-        writer
-            .append(id as u64, &payload)
-            .unwrap_or_else(|e| panic!("spill tier frontier append failed: {e}"));
-        stats.spilled_bytes += writer.bytes() - before;
+            FrontierWriter {
+                seg,
+                layer,
+                payload: Vec::new(),
+                first: 0,
+                prev: 0,
+                spans: 0,
+            }
+        });
+        debug_assert_eq!(writer.layer, layer, "one frontier segment per layer");
+        writer.add(id, assigns, stats, &self.write_hist);
         stats.spilled_open += 1;
-        self.write_hist.observe(t0.elapsed().as_secs_f64());
     }
 
     /// End-of-layer: the consumed frontier segment is dead (its layer is
-    /// fully expanded) and the one under construction becomes next layer's
-    /// read target. The dead segment's file is *not* deleted here: the
-    /// last durable journal still references it, so it is queued and only
-    /// removed after the next checkpoint rename ([`checkpoint`]).
-    pub fn seal_frontier(&mut self) {
+    /// fully expanded) and the one under construction is pushed, synced,
+    /// and becomes next layer's read target. The dead segment's file is
+    /// *not* deleted here: the last durable journal still references it,
+    /// so it is queued and only removed after the next checkpoint rename
+    /// ([`checkpoint`]).
+    pub fn seal_frontier(&mut self, stats: &mut ShardStats) {
         self.reader = None;
         if let Some(old) = self.cur.take() {
             self.pending_delete.push(old.layer);
         }
-        if let Some(writer) = self.writer.take() {
+        if let Some(mut writer) = self.writer.take() {
+            writer.push_record(stats, &self.write_hist);
+            writer
+                .seg
+                .sync()
+                .unwrap_or_else(|e| panic!("spill tier frontier seal failed: {e}"));
             self.cur = Some(SegRef {
-                layer: self.writer_layer,
-                valid_len: writer.bytes(),
+                layer: writer.layer,
+                valid_len: writer.seg.bytes(),
             });
         }
     }
 
     /// Streams the spilled span of frontier state `id` back from the
-    /// current frontier segment. Callers fetch in increasing id order (the
-    /// frontier's order), so the read is one sequential pass per layer;
-    /// records whose state was deleted by DDD are skipped in stride.
+    /// current frontier segment, decoding one record at a time. Callers
+    /// fetch in increasing id order (the frontier's order), so the read is
+    /// one sequential pass per layer; entries whose state was deleted by
+    /// DDD are skipped in stride, across record boundaries.
     pub fn fetch_span(&mut self, id: u32) -> &[MachineState] {
-        let t0 = Instant::now();
-        if self.reader.is_none() {
+        let r = self.reader.get_or_insert_with(|| {
             let seg = self
                 .cur
                 .expect("fetch_span without a sealed frontier segment");
-            let reader = open_seg(&self.dir, FRONTIER_MAGIC, seg)
-                .unwrap_or_else(|e| panic!("spill tier cannot reopen frontier segment: {e}"));
-            self.reader = Some(reader);
-        }
-        let reader = self.reader.as_mut().unwrap();
-        loop {
-            let (rid, payload) = reader
-                .next()
-                .unwrap_or_else(|e| panic!("spill tier frontier read failed: {e}"))
-                .unwrap_or_else(|| panic!("spilled span of state {id} missing from segment"));
-            if rid != id as u64 {
-                assert!(
-                    rid < id as u64,
-                    "frontier segment out of order: saw {rid} while looking for {id}"
-                );
-                continue;
+            FrontierReader {
+                seg: open_seg(&self.dir, FRONTIER_MAGIC, seg)
+                    .unwrap_or_else(|e| panic!("spill tier cannot reopen frontier segment: {e}")),
+                record: Vec::new(),
+                at: 0,
+                prev: 0,
             }
-            self.read_buf.clear();
-            self.read_buf.extend(span_of(&payload));
-            self.read_hist.observe(t0.elapsed().as_secs_f64());
-            return &self.read_buf;
+        });
+        loop {
+            if r.at == r.record.len() {
+                let t0 = Instant::now();
+                let (tag, payload) = r
+                    .seg
+                    .next()
+                    .unwrap_or_else(|e| panic!("spill tier frontier read failed: {e}"))
+                    .unwrap_or_else(|| panic!("spilled span of state {id} missing from segment"));
+                self.read_hist.observe(t0.elapsed().as_secs_f64());
+                // A record's first entry is coded against its tag.
+                r.prev = u32::try_from(tag)
+                    .unwrap_or_else(|_| panic!("spill tier frontier record tagged {tag}"));
+                (r.record, r.at) = (payload, 0);
+            }
+            let mut entries = SpanEntries {
+                rest: &r.record[r.at..],
+                prev: r.prev,
+            };
+            let rid = entries
+                .next(&mut self.read_buf)
+                .unwrap_or_else(|_| {
+                    panic!("spill tier frontier record malformed before state {id}")
+                })
+                .expect("an unread record has an entry");
+            r.at = r.record.len() - entries.rest.len();
+            r.prev = rid;
+            if rid == id {
+                return &self.read_buf;
+            }
+            assert!(
+                rid < id,
+                "frontier segment out of order: saw {rid} while looking for {id}"
+            );
         }
     }
 
@@ -458,15 +555,19 @@ impl SpillTier {
         let t0 = Instant::now();
         let mut writer = SegmentWriter::create(&path, CLOSED_MAGIC, SPILL_VERSION)
             .unwrap_or_else(|e| panic!("spill tier cannot create {}: {e}", path.display()));
+        let mut payload = Vec::with_capacity(CHUNK * CLOSED_ENTRY);
         for chunk in evicted.chunks(CHUNK) {
-            let mut payload = Vec::with_capacity(chunk.len() * CLOSED_ENTRY);
+            payload.clear();
             for &(key, id) in chunk {
                 put_closed(&mut payload, key, id);
             }
             writer
-                .append(0, &payload)
+                .push(0, &payload)
                 .unwrap_or_else(|e| panic!("spill tier closed append failed: {e}"));
         }
+        writer
+            .sync()
+            .unwrap_or_else(|e| panic!("spill tier closed segment sync failed: {e}"));
         self.write_hist.observe(t0.elapsed().as_secs_f64());
         stats.spilled_closed += evicted.len() as u64;
         stats.spilled_bytes += writer.bytes();
@@ -482,6 +583,72 @@ impl SpillTier {
     pub fn cleanup(&self) {
         let _ = fs::remove_dir_all(&self.dir);
     }
+}
+
+/// The frontier segment under construction and its pending record: span
+/// entries since the last push, coded against the record's first id.
+struct FrontierWriter {
+    seg: SegmentWriter,
+    layer: u32,
+    payload: Vec<u8>,
+    /// The pending record's tag: the id of its first span.
+    first: u32,
+    /// The id of the last span added.
+    prev: u32,
+    /// Spans in the pending record.
+    spans: usize,
+}
+
+impl FrontierWriter {
+    /// Adds one span entry to the pending record, pushing the record first
+    /// when the entry would take it past [`RECORD_CAP`], and after when it
+    /// holds [`CHUNK`] spans or has reached the cap.
+    fn add(&mut self, id: u32, assigns: &[MachineState], stats: &mut ShardStats, hist: &Histogram) {
+        if self.spans == 0 {
+            (self.first, self.prev) = (id, id);
+        }
+        let start = self.payload.len();
+        put_span(&mut self.payload, self.prev, id, assigns);
+        if self.payload.len() > RECORD_CAP && self.spans > 0 {
+            // Re-coded as the first entry of the next record.
+            self.payload.truncate(start);
+            self.push_record(stats, hist);
+            (self.first, self.prev) = (id, id);
+            put_span(&mut self.payload, id, id, assigns);
+        }
+        self.prev = id;
+        self.spans += 1;
+        if self.spans == CHUNK || self.payload.len() >= RECORD_CAP {
+            self.push_record(stats, hist);
+        }
+    }
+
+    /// Pushes the pending record, if it holds any span, as one buffered
+    /// write.
+    fn push_record(&mut self, stats: &mut ShardStats, hist: &Histogram) {
+        if self.spans == 0 {
+            return;
+        }
+        let t0 = Instant::now();
+        let before = self.seg.bytes();
+        self.seg
+            .push(self.first as u64, &self.payload)
+            .unwrap_or_else(|e| panic!("spill tier frontier append failed: {e}"));
+        stats.spilled_bytes += self.seg.bytes() - before;
+        self.payload.clear();
+        self.spans = 0;
+        hist.observe(t0.elapsed().as_secs_f64());
+    }
+}
+
+/// The sealed frontier segment being read back and its current record:
+/// the payload, the offset of its next entry, and the id of the entry
+/// before that one.
+struct FrontierReader {
+    seg: SegmentReader,
+    record: Vec<u8>,
+    at: usize,
+    prev: u32,
 }
 
 /// Encodes `entries` as consecutive `tag` records of at most [`CHUNK`]
@@ -563,9 +730,11 @@ pub(crate) fn checkpoint(
     let ids = chunked(TAG_FRONTIER, frontier.iter(), |out, id| {
         out.extend_from_slice(&id.to_le_bytes())
     });
-    let spans = chunked(TAG_SPANS, resident(), |out, id| {
-        out.extend_from_slice(&id.to_le_bytes());
-        put_span(out, arena.assignments(id));
+    // Span entries are delta-coded across the whole section, from id 0.
+    let mut prev = 0;
+    let spans = chunked(TAG_SPANS, resident(), move |out, id| {
+        put_span(out, prev, id, arena.assignments(id));
+        prev = id;
     });
     let records = iter::once((TAG_HEADER, header))
         .chain(states)
@@ -675,6 +844,7 @@ pub(crate) fn restore(
 
     let mut seen = [0u64; SECTIONS];
     let mut frontier = Vec::new();
+    let (mut span, mut span_prev) = (Vec::new(), 0);
     while let Some((tag, payload)) = reader.next()? {
         let states = shard.edges.len() as u32;
         let known = |id: u32| (id < states).then_some(id).ok_or(bad("state id"));
@@ -722,19 +892,19 @@ pub(crate) fn restore(
                 }
             }
             TAG_SPANS => {
-                // id u32 | the state's span, its length from the restored meta.
-                let mut rest = &payload[..];
-                while let Some((id, tail)) = rest.split_first_chunk::<4>() {
-                    let id = known(u32::from_le_bytes(*id))?;
-                    let len = shard.arena.meta(id).assign_count() as usize * 8;
-                    let span = tail.get(..len).ok_or(bad("spans"))?;
-                    shard.arena.restore_span(id, span_of(span));
-                    rest = &tail[len..];
+                let mut entries = SpanEntries {
+                    rest: &payload,
+                    prev: span_prev,
+                };
+                while let Some(id) = entries.next(&mut span)? {
+                    let id = known(id)?;
+                    if span.len() != shard.arena.meta(id).assign_count() as usize {
+                        return Err(bad("spans"));
+                    }
+                    shard.arena.restore_span(id, span.drain(..));
                     *seen += 1;
                 }
-                if !rest.is_empty() {
-                    return Err(bad("spans"));
-                }
+                span_prev = entries.prev;
             }
             _ => unreachable!("every section tag has a count slot"),
         }
@@ -757,7 +927,9 @@ pub(crate) fn restore(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sortsynth_isa::{IsaMode, Machine};
+    use proptest::prelude::{any, prop, prop_assert, prop_assert_eq, proptest};
+    use proptest::Strategy as _;
+    use sortsynth_isa::{factorial, IsaMode, Machine};
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ssspill-{tag}-{}", std::process::id()));
@@ -832,7 +1004,7 @@ mod tests {
                 instr: id as u16 + 4,
             });
         }
-        tier.seal_frontier();
+        tier.seal_frontier(&mut shard.counters);
         tier.append_closed(0, vec![(0x42, 0)], &mut shard.counters);
         shard.more_parents.insert(2, vec![(0, 5), (1, 6)]);
         shard.more_parents.insert(1, vec![(0, 9)]);
@@ -918,7 +1090,7 @@ mod tests {
         tier.spill_span(1, 7, &b, &mut stats);
         tier.note_fresh(100, 5);
         tier.note_fresh(200, 7);
-        tier.seal_frontier();
+        tier.seal_frontier(&mut stats);
         assert_eq!(stats.spilled_open, 2);
         // DDD against a closed segment holding key 200 kills id 7.
         tier.append_closed(0, vec![(200, 2), (150, 1)], &mut stats);
@@ -949,6 +1121,161 @@ mod tests {
         shard.spill.unwrap().cleanup();
     }
 
+    /// A random assignment of an `n`-input machine with one scratch
+    /// register, its `lt`/`gt` flag bits set at random.
+    fn arb_assignment(n: usize) -> impl proptest::Strategy<Value = MachineState> {
+        let values = prop::collection::vec(0..=n as u8, n + 1);
+        (values, any::<bool>(), any::<bool>()).prop_map(|(values, lt, gt)| {
+            let mut a = MachineState::from_values(&values);
+            a.set_flags(lt, gt);
+            a
+        })
+    }
+
+    /// Spans of an `n`-input machine: an id delta and 1..=n! assignments.
+    fn arb_spans() -> impl proptest::Strategy<Value = Vec<(u32, Vec<MachineState>)>> {
+        (2usize..=5).prop_flat_map(|n| {
+            let span = prop::collection::vec(arb_assignment(n), 1..=factorial(n as u8) as usize);
+            prop::collection::vec((0u32..5000, span), 1..12)
+        })
+    }
+
+    proptest! {
+        /// Span entries decode to exactly the spans and ids encoded, flag
+        /// bits included, from any delta base; a record cut by one byte is
+        /// malformed, never a shorter valid record.
+        #[test]
+        fn span_entries_round_trip(spans in arb_spans(), base in 0u32..1 << 24) {
+            let (mut out, mut prev, mut ids) = (Vec::new(), base, Vec::new());
+            for (delta, span) in &spans {
+                put_span(&mut out, prev, prev + delta, span);
+                prev += delta;
+                ids.push(prev);
+            }
+            let mut entries = SpanEntries { rest: &out, prev: base };
+            let mut span = Vec::new();
+            for (&id, (_, expected)) in ids.iter().zip(&spans) {
+                prop_assert_eq!(entries.next(&mut span).unwrap(), Some(id));
+                prop_assert_eq!(&span, expected);
+            }
+            prop_assert!(entries.next(&mut span).unwrap().is_none());
+            let mut cut = SpanEntries { rest: &out[..out.len() - 1], prev: base };
+            let decoded = iter::from_fn(|| cut.next(&mut span).transpose()).last();
+            prop_assert!(matches!(decoded, Some(Err(ResumeError::Malformed { .. }))));
+        }
+    }
+
+    #[test]
+    fn varints_round_trip_and_refuse_overflow() {
+        for v in [0, 1, 0x7f, 0x80, 0x3fff, 0x4000, u32::MAX as u64, u64::MAX] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            let mut rest = &out[..];
+            assert_eq!((varint(&mut rest), rest.len()), (Some(v), 0), "{v:#x}");
+        }
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        assert_eq!(varint(&mut &max[..]), Some(u64::MAX));
+        // A tenth byte above 1 sets bits past 63; an eleventh never ends.
+        max[9] = 0x02;
+        assert_eq!(varint(&mut &max[..]), None);
+        assert_eq!(varint(&mut &[0xff; 11][..]), None);
+        assert_eq!(varint(&mut &[0x80][..]), None, "cut short");
+    }
+
+    /// Each record of the sealed frontier segment: its tag, the ids of
+    /// its spans, and its payload length.
+    fn frontier_records(tier: &SpillTier) -> Vec<(u64, Vec<u32>, usize)> {
+        let seg = tier.cur.expect("a sealed frontier segment");
+        let mut reader = open_seg(&tier.dir, FRONTIER_MAGIC, seg).unwrap();
+        let (mut records, mut span) = (Vec::new(), Vec::new());
+        while let Some((tag, payload)) = reader.next().unwrap() {
+            let mut entries = SpanEntries {
+                rest: &payload,
+                prev: tag as u32,
+            };
+            let ids = iter::from_fn(|| entries.next(&mut span).unwrap()).collect();
+            records.push((tag, ids, payload.len()));
+        }
+        records
+    }
+
+    /// A one-assignment span that differs with `id`.
+    fn small_span(id: u32) -> [MachineState; 1] {
+        [MachineState::from_values(&[1 + (id % 3) as u8, 2, 3, 0])]
+    }
+
+    #[test]
+    fn frontier_records_split_at_the_span_and_byte_caps() {
+        let dir = tmp("caps");
+        let mut stats = ShardStats::default();
+        let mut tier = SpillTier::new(dir.clone(), 0).unwrap();
+        // Small spans: the span cap closes the first record.
+        let small = CHUNK as u32 + 904;
+        for id in 0..small {
+            tier.spill_span(1, id, &small_span(id), &mut stats);
+        }
+        tier.seal_frontier(&mut stats);
+        let records = frontier_records(&tier);
+        let counts: Vec<_> = records.iter().map(|(t, ids, _)| (*t, ids.len())).collect();
+        assert_eq!(counts, [(0, CHUNK), (CHUNK as u64, 904)]);
+        for id in 0..small {
+            assert_eq!(tier.fetch_span(id), small_span(id));
+        }
+
+        // Wide spans of 10-byte assignments, 10 003 bytes an entry: six fit
+        // under the byte cap and a seventh would not. A span wider than the
+        // cap gets a record of its own, and the span after it a new one.
+        let wide = |id: u32, len: u64| -> Vec<MachineState> {
+            (0..len)
+                .map(|i| MachineState::from_bits(u64::MAX - i - id as u64))
+                .collect()
+        };
+        let lens: Vec<u64> = iter::repeat_n(1000, 20).chain([7000, 1]).collect();
+        let first = small;
+        for (id, &len) in (first..).zip(&lens) {
+            tier.spill_span(2, id, &wide(id, len), &mut stats);
+        }
+        tier.seal_frontier(&mut stats);
+        let records = frontier_records(&tier);
+        let spans: Vec<_> = records.iter().map(|(_, ids, _)| ids.len()).collect();
+        assert_eq!(spans, [6, 6, 6, 2, 1, 1]);
+        for (tag, ids, len) in &records {
+            assert_eq!(*tag, ids[0] as u64, "a record is tagged with its first id");
+            assert!(*len <= RECORD_CAP || ids.len() == 1, "{len} bytes");
+        }
+        for (id, &len) in (first..).zip(&lens) {
+            assert_eq!(tier.fetch_span(id), wide(id, len));
+        }
+        assert_eq!(stats.spilled_open, small as u64 + lens.len() as u64);
+        assert_eq!(stats.spill_segments, 2);
+        tier.cleanup();
+    }
+
+    #[test]
+    fn fetch_skips_ddd_deleted_ids_on_both_sides_of_a_record_boundary() {
+        let dir = tmp("boundary");
+        let mut stats = ShardStats::default();
+        let mut tier = SpillTier::new(dir.clone(), 0).unwrap();
+        let states = CHUNK as u32 + 100;
+        for id in 0..states {
+            tier.spill_span(1, id, &small_span(id), &mut stats);
+            tier.note_fresh(1 << 32 | id as u64, id);
+        }
+        tier.seal_frontier(&mut stats);
+        // The last two ids of the first record and the first two of the
+        // second duplicate evicted states.
+        let b = CHUNK as u32;
+        let deleted = [b - 2, b - 1, b, b + 1];
+        let evicted = deleted.iter().map(|&id| (1 << 32 | id as u64, 0)).collect();
+        tier.append_closed(0, evicted, &mut stats);
+        assert_eq!(tier.ddd_filter(&mut stats), deleted);
+        for id in (0..states).filter(|id| !deleted.contains(id)) {
+            assert_eq!(tier.fetch_span(id), small_span(id), "state {id}");
+        }
+        tier.cleanup();
+    }
+
     #[test]
     fn consumed_segment_outlives_the_checkpoint_that_drops_it() {
         // A consumed frontier segment may only be deleted after the next
@@ -958,10 +1285,10 @@ mod tests {
         let mut stats = ShardStats::default();
         let mut tier = SpillTier::new(dir.clone(), 0).unwrap();
         tier.spill_span(1, 0, &[MachineState::from_values(&[1, 2])], &mut stats);
-        tier.seal_frontier(); // layer-1 segment becomes the read target
+        tier.seal_frontier(&mut stats); // layer-1 segment becomes the read target
         let first = dir.join("frontier-1.seg");
         tier.spill_span(2, 1, &[MachineState::from_values(&[2, 1])], &mut stats);
-        tier.seal_frontier(); // layer 1 consumed — must NOT delete yet
+        tier.seal_frontier(&mut stats); // layer 1 consumed — must NOT delete yet
         assert!(
             first.exists(),
             "consumed segment deleted before the checkpoint rename"
@@ -993,7 +1320,7 @@ mod tests {
         shard.arena.insert_new(0xaaaa, &resident, 1, 2, false);
         shard.arena.insert_spilled(0xbbbb, 1, 1, 1, false);
         tier.spill_span(1, 1, &spilled, &mut shard.counters);
-        tier.seal_frontier();
+        tier.seal_frontier(&mut shard.counters);
         tier.append_closed(0, vec![(0xcccc, 0)], &mut shard.counters);
         for (g, instr) in [(1, 3), (1, 5)] {
             shard.edges.push(Edge {
@@ -1009,6 +1336,45 @@ mod tests {
         checkpoint(&mut shard, &cfg, &min_perm, 1, 11, &[0, 1]);
         (cfg, shard)
     }
+
+    /// One frontier record of two spans, byte for byte: state 3's span
+    /// (one assignment, `lt` set) and state 5's (two, one with `gt` set).
+    /// A change to this expectation is a segment format change — bump
+    /// [`SPILL_VERSION`] with it.
+    #[test]
+    fn two_span_frontier_record_is_pinned() {
+        let dir = tmp("frontier-pin");
+        let mut stats = ShardStats::default();
+        let mut tier = SpillTier::new(dir.clone(), 0).unwrap();
+        let state = |values: &[u8], lt, gt| {
+            let mut a = MachineState::from_values(values);
+            a.set_flags(lt, gt);
+            a
+        };
+        tier.spill_span(1, 3, &[state(&[2, 1, 3], true, false)], &mut stats);
+        let five = [
+            state(&[1, 3, 2], false, false),
+            state(&[3, 1, 2], false, true),
+        ];
+        tier.spill_span(1, 5, &five, &mut stats);
+        tier.seal_frontier(&mut stats);
+        let bytes = fs::read(dir.join("frontier-1.seg")).unwrap();
+        assert_eq!(stats.spilled_bytes, bytes.len() as u64 - 12);
+        tier.cleanup();
+        assert_eq!(hex(&bytes), GOLDEN_FRONTIER);
+    }
+
+    const GOLDEN_FRONTIER: &str = concat!(
+        // header: "SSSPILLF", version 4
+        "53535350494c4c4604000000",
+        // record: tag 3 (the first id), payload_len 10, checksum
+        "03000000000000000a000000a738553f1d12032e",
+        // state 3: delta 0, len 1, 0x1000_0000_0000_0312 rotated = 0x3121
+        "0001a162",
+        // state 5: delta 2, len 2, 0x231 rotated = 0x2310, then
+        // 0x2000_0000_0000_0213 rotated = 0x2132
+        "02029046b242",
+    );
 
     /// The two-state checkpoint, byte for byte. A change to this
     /// expectation is a journal format change — bump [`SPILL_VERSION`]
@@ -1066,19 +1432,19 @@ mod tests {
     }
 
     const GOLDEN_JOURNAL: &str = concat!(
-        // header: "SSJOURNL", version 3
-        "53534a4f55524e4c03000000",
+        // header: "SSJOURNL", version 4
+        "53534a4f55524e4c04000000",
         // header record: tag 0, payload_len 320, checksum; 40 u64 words
-        "000000000000000040010000790b7e6bb967495c",
+        "00000000000000004001000081eb066c3f55e02e",
         // fingerprint, g = 1, bound = 11, budget = 64
         "6a34d1a6a0ebf16301000000000000000b000000000000004000000000000000",
         // ShardStats in declaration order: expanded = 1, spilled_open = 1,
-        // spilled_closed = 1, spilled_bytes = 72, spill_segments = 2
+        // spilled_closed = 1, spilled_bytes = 68, spill_segments = 2
         "0100000000000000000000000000000000000000000000000000000000000000",
         "0000000000000000000000000000000000000000000000000000000000000000",
         "0000000000000000000000000000000000000000000000000000000000000000",
         "0000000000000000000000000000000000000000000000000000000000000000",
-        "0100000000000000010000000000000000000000000000004800000000000000",
+        "0100000000000000010000000000000000000000000000004400000000000000",
         "0200000000000000",
         // section counts: 2 states, 0 parents, 2 closed, 2 frontier, 1 span
         "0200000000000000000000000000000002000000000000000200000000000000",
@@ -1086,8 +1452,8 @@ mod tests {
         // list lengths: 2 minima, 0 goals, 1 frontier segment, 1 closed
         "0200000000000000000000000000000001000000000000000100000000000000",
         // minima [none, 1]; segment refs (layer, valid_len): frontier-1
-        // (40 bytes), closed-0 (44 bytes)
-        "ffffffff00000000010000000000000001000000000000002800000000000000",
+        // (36 bytes), closed-0 (44 bytes)
+        "ffffffff00000000010000000000000001000000000000002400000000000000",
         "00000000000000002c00000000000000",
         // states record: tag 1, two 19-byte entries
         "01000000000000002600000096653b4c90d5e3a4",
@@ -1100,9 +1466,9 @@ mod tests {
         "040000000000000008000000347de4d1294ccd08",
         "0000000001000000",
         // spans record: tag 5, state 0's resident span (state 1's is in
-        // frontier-1.seg)
-        "05000000000000000c000000e54eb3a94e7b0ba6",
-        "000000002103000000000000",
+        // frontier-1.seg): delta 0 from id 0, len 1, 0x321 rotated = 0x3210
+        "0500000000000000040000000e3a299a7f77f845",
+        "00019064",
     );
 
     #[test]

@@ -197,10 +197,12 @@ fn torn_segment_byte_is_rejected_on_resume() {
     let dir = scratch("torn");
     killed_minmax_run(&dir);
 
-    // Flip one byte in the middle of every sealed segment: a torn tail or
-    // bit rot anywhere in the journal-referenced region must surface as a
-    // checksum failure, not be deserialized on faith.
-    let mut corrupted = 0;
+    // Flip one byte in every sealed segment: in a frontier segment, the
+    // middle byte of its first chunked record's payload (file header 12
+    // bytes, record head 20); elsewhere the middle byte of the file. A torn
+    // tail or bit rot anywhere in the journal-referenced region must
+    // surface as a checksum failure, not be deserialized on faith.
+    let (mut corrupted, mut frontier_records) = (0, 0);
     for entry in std::fs::read_dir(&dir).expect("spill dir readable") {
         let path = entry.expect("dir entry").path();
         if path.extension().is_some_and(|e| e == "seg") {
@@ -208,20 +210,34 @@ fn torn_segment_byte_is_rejected_on_resume() {
             if bytes.is_empty() {
                 continue;
             }
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0xff;
+            let frontier = path
+                .file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("frontier-");
+            let at = if frontier && bytes.len() > 32 {
+                frontier_records += 1;
+                let payload_len = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
+                32 + payload_len as usize / 2
+            } else {
+                bytes.len() / 2
+            };
+            bytes[at] ^= 0xff;
             std::fs::write(&path, bytes).expect("segment writable");
             corrupted += 1;
         }
     }
     assert!(corrupted > 0, "killed run left no segments to corrupt");
+    assert!(frontier_records > 0, "killed run left no frontier record");
 
+    // The referenced frontier segment is verified first, so its record is
+    // the one refused.
     let err = try_synthesize(&layered(&machine, 8).resume_from(dir.clone()))
         .expect_err("resume accepted a corrupted segment");
     let msg = err.to_string();
     assert!(
-        msg.contains("checksum"),
-        "corruption surfaced as something other than a checksum failure: {msg}"
+        msg.contains("checksum") && msg.contains("frontier-"),
+        "a corrupt frontier record surfaced as something other than its checksum failure: {msg}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -241,9 +257,10 @@ fn resume_damaged_journal(dir: &Path, damage: impl FnOnce(&mut Vec<u8>)) -> Resu
 #[cfg_attr(miri, ignore = "corruption test does real file I/O")]
 fn journal_from_an_older_spill_version_is_refused() {
     // Version 1 is the untagged record layout, version 2 the single-blob
-    // journal with 128-bit closed keys: resume must refuse either
+    // journal with 128-bit closed keys, version 3 the one-record-per-span
+    // frontier with fixed 8-byte assignments: resume must refuse each
     // directory outright.
-    for version in [1u32, 2] {
+    for version in [1u32, 2, 3] {
         let dir = scratch(&format!("oldversion-{version}"));
         killed_minmax_run(&dir);
         let err = resume_damaged_journal(&dir, |bytes| {
