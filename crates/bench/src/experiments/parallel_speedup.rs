@@ -1,6 +1,6 @@
-//! Parallel search speedup: wall-clock of the sharded HDA*-style engine
-//! against the sequential engine on the paper's headline syntheses
-//! (n = 3/4, both ISA modes), at 1/2/4/8 threads.
+//! Parallel search speedup: wall-clock of the layer-synchronous parallel
+//! driver against the single-shard driver on the paper's headline
+//! syntheses (n = 3/4, both ISA modes), at 1/2/4/8 threads.
 //!
 //! Every parallel run is asserted to find the *same optimal cost* as the
 //! sequential run — the engine may only change how fast the answer
@@ -33,7 +33,7 @@ fn best_time(iters: usize, cfg: &SynthesisConfig) -> (Option<u32>, Duration) {
 
 /// Runs the experiment.
 pub fn run(cfg: &BenchConfig) {
-    println!("== parallel search speedup (sharded engine vs sequential) ==");
+    println!("== parallel search speedup (parallel driver vs one thread) ==");
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);

@@ -55,4 +55,4 @@ pub use machine::{IsaMode, Machine, Reg};
 pub use perm::{factorial, permutations};
 pub use pipeline::{analyze, simulate_cycles, PipelineReport, ThroughputModel};
 pub use state::MachineState;
-pub use swar::{rederive_span, BatchStepper, LANES as SWAR_LANES};
+pub use swar::{BatchStepper, LANES as SWAR_LANES};

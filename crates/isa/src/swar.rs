@@ -96,30 +96,6 @@ impl BatchStepper {
     }
 }
 
-/// Re-derives a successor span from its parent span and the edge's
-/// instruction: clears `out` and steps every parent assignment through the
-/// action's SWAR kernel. The lean cross-shard routing path uses this
-/// owner-side — a routed candidate carries only `(key, g, parent, action)`,
-/// and the owning shard reconstructs the raw (pre-canonicalization)
-/// assignments from the parent it already holds. Returns the SWAR pass
-/// count for the `swar_batches` counter.
-///
-/// # Examples
-///
-/// ```
-/// use sortsynth_isa::{rederive_span, Instr, MachineState, Op, Reg};
-///
-/// let instr = Instr::new(Op::Max, Reg::new(0), Reg::new(1));
-/// let parent = [MachineState::from_values(&[1, 3]), MachineState::from_values(&[2, 0])];
-/// let mut out = Vec::new();
-/// rederive_span(instr, &parent, &mut out);
-/// assert_eq!(out, parent.map(|s| s.step(instr)));
-/// ```
-pub fn rederive_span(instr: Instr, parent: &[MachineState], out: &mut Vec<MachineState>) -> u64 {
-    out.clear();
-    BatchStepper::new(instr).append_stepped(parent, out)
-}
-
 /// Sweeps `batch` through `f` in one pass. The single trusted-length
 /// `extend` of a branch-free body is the shape LLVM's auto-vectorizer
 /// turns into [`LANES`]-state-wide SIMD iterations (verified on the

@@ -127,11 +127,11 @@ families! {
     SEARCH_DEDUP_HITS_TOTAL = "sortsynth_search_dedup_hits_total", Counter,
         "Duplicate states dropped by the closed set.";
     SEARCH_PARALLEL_RUNS_TOTAL = "sortsynth_search_parallel_runs_total", Counter,
-        "Search runs executed by the sharded parallel engine.";
+        "Search runs executed by the parallel layered engine.";
     SEARCH_ROUTED_TOTAL = "sortsynth_search_routed_total", Counter,
-        "Successors routed across shard boundaries.";
+        "Successors handed to another worker's key partition.";
     SEARCH_STEALS_TOTAL = "sortsynth_search_steals_total", Counter,
-        "Open entries stolen by idle parallel workers.";
+        "Open entries stolen by idle parallel workers (the layered parallel engine never steals).";
     SEARCH_INTERNED_STATES_TOTAL = "sortsynth_search_interned_states_total", Counter,
         "Unique canonical states interned into search arenas.";
     SEARCH_SCRATCH_REUSED_TOTAL = "sortsynth_search_scratch_reused_total", Counter,

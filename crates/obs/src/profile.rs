@@ -53,7 +53,8 @@ pub enum Phase {
     Canonicalize = 3,
     /// Closed-set dedup, arena interning, and open-list pushes (merge).
     Intern = 4,
-    /// Parallel successor routing: batching, channel sends, inbox drains.
+    /// Parallel successor routing: filing survivors in the outbox bucket
+    /// of the key partition that merges them.
     Route = 5,
     /// Static verification gate on candidate solutions.
     VerifyGate = 6,

@@ -113,9 +113,9 @@ schema! {
     generated: u64, since 1;
     /// Open (not yet expanded) states at the time of the snapshot.
     open: u64, since 1;
-    /// Current frontier bound: the layer depth in layered mode, the `f`
-    /// value of the most recently popped entry in A* mode, the incumbent
-    /// bound in the sharded driver. `None` before the first expansion.
+    /// Current frontier bound: the layer depth in layered mode (on either
+    /// driver), the `f` value of the most recently popped entry in A* mode.
+    /// `None` before the first expansion.
     f_bound: Option<u64>, since 1;
     /// Successors dropped by the viability checks so far.
     viability_pruned: u64, since 1;

@@ -27,7 +27,7 @@ use crate::answer::engine_config;
 pub enum BackendKind {
     /// The paper's enumerative search, sequential (§3).
     AStar,
-    /// The sharded parallel enumerative search.
+    /// The parallel (layer-synchronous) enumerative search.
     AStarPar,
     /// SMT-CEGIS with the permutation counterexample domain, iterated over
     /// lengths so the first hit is minimal (§4.1).
@@ -192,7 +192,7 @@ fn outcome(kind: BackendKind, status: BackendStatus, start: Instant) -> BackendO
     }
 }
 
-/// The enumerative search (§3), sequential or sharded-parallel.
+/// The enumerative search (§3), on one thread or in parallel.
 struct AStarBackend {
     threads: usize,
 }

@@ -10,16 +10,16 @@ use crate::progress::ProgressHook;
 
 /// Open-state selection strategy (§3.1).
 ///
-/// Orthogonal to [`SynthesisConfig::threads`]: either strategy can run on
-/// one thread (exact sequential expansion order) or many (the sharded
-/// HDA*-style driver in [`crate::synthesize`]'s parallel mode).
+/// Layered runs with [`SynthesisConfig::threads`] above one run on the
+/// parallel driver, which returns the same kernel as one thread; best-first
+/// runs always run on one thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Dijkstra-style layered enumeration: all programs of length ℓ are
     /// processed before length ℓ+1, so the first solution is guaranteed to
-    /// be of minimal length. In parallel mode this becomes parallel
-    /// uniform-cost search (`f = g`) — the paper's "dijkstra, parallel"
-    /// ablation row.
+    /// be of minimal length. In parallel mode each layer is expanded in
+    /// rounds by every worker and merged in the single-thread order — the
+    /// paper's "dijkstra, parallel" ablation row.
     Layered,
     /// Best-first search ordered by `g + h` for the chosen heuristic.
     AStar {
@@ -157,15 +157,16 @@ pub struct SynthesisConfig {
     /// once more with a `finished` snapshot when the run ends (any outcome,
     /// including cancellation).
     pub progress_hook: Option<ProgressHook>,
-    /// Search worker threads. `1` (the default) preserves today's exact
-    /// sequential expansion order — bit-for-bit reproducible stats and DAG.
-    /// `0` means "auto": use [`std::thread::available_parallelism`]. Any
-    /// other value runs the sharded driver with that many workers (see
-    /// DESIGN.md, "Parallel search"). Runs the sharded driver
-    /// cannot serve fall back to the single-shard driver whatever this is
-    /// set to: all-solutions mode (the full solution DAG needs globally
-    /// ordered parent edges) and runs with a memory budget or a resume
-    /// journal (the spill tier streams one shard's layers).
+    /// Search worker threads. `1` (the default) runs the single-shard
+    /// driver. `0` means "auto": use [`std::thread::available_parallelism`].
+    /// Any other value runs a layered search on the parallel driver with
+    /// that many workers (see DESIGN.md, "Parallel search"): it returns the
+    /// same kernel as one thread, and an exhausted run has the same
+    /// counters. Runs the parallel driver cannot serve stay on the
+    /// single-shard driver whatever this is set to: best-first
+    /// ([`Strategy::AStar`]) runs, all-solutions mode (the full solution
+    /// DAG needs every parent edge), and runs with a memory budget or a
+    /// resume journal (the spill tier streams one shard's layers).
     pub threads: usize,
     /// Approximate resident-memory budget for search bookkeeping (arena
     /// spans + closed map + per-node metadata). When set, a layered run
@@ -325,8 +326,8 @@ impl SynthesisConfig {
         self
     }
 
-    /// Sets the worker-thread count: `1` = exact sequential order, `0` =
-    /// all available cores, otherwise that many parallel workers.
+    /// Sets the worker-thread count: `1` = one thread, `0` = all available
+    /// cores, otherwise that many parallel workers for a layered run.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

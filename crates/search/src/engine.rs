@@ -106,21 +106,22 @@ pub struct SearchStats {
     /// complement (`expanded - scratch_reused`) counts the warm-up
     /// expansions that grew a scratch or arena buffer.
     pub scratch_reused: u64,
-    /// Parallel mode only: successors routed across shard boundaries (a
-    /// successor whose owning shard is the generating worker's own is merged
-    /// in place and not counted here).
+    /// Parallel mode only: successors an expanding worker handed to another
+    /// worker's key partition (a successor in the expanding worker's own
+    /// partition is not counted here).
     pub routed: u64,
-    /// Parallel mode only: open entries taken from another worker's queue by
-    /// an idle worker.
+    /// Always 0: the layer-synchronous parallel driver splits each round
+    /// through a shared cursor and never steals. Kept so the counter block
+    /// and its readers keep their layout.
     pub steals: u64,
-    /// Parallel mode only: states discarded because the shared incumbent
-    /// bound proved they cannot lead to a strictly shorter kernel
-    /// (`g + 1 ≥ best_cost`). Lossless, unlike [`SearchStats::cut_pruned`].
+    /// Always 0: the layer-synchronous parallel driver merges in the
+    /// single-shard order, so its first goal is minimal without an
+    /// incumbent bound. Kept so the counter block and its readers keep
+    /// their layout.
     pub bound_pruned: u64,
     /// Open entries discarded at pop without expansion: superseded by a
     /// reopen at a shorter length, or overtaken by the length bound while
-    /// queued. Sequential best-first runs count their pop-time skips here;
-    /// parallel runs aggregate the shards' [`ShardStats::stale_pops`].
+    /// queued. Best-first runs count their pop-time skips here.
     pub stale_pops: u64,
     /// Cursor-advance steps the shards' bucketed open lists spent scanning
     /// empty buckets/lanes. The amortized-O(1) selection claim is this
@@ -160,9 +161,9 @@ pub struct SearchStats {
     /// holds under [`SynthesisConfig::mem_budget_bytes`].
     pub resident_bytes: u64,
     /// Parallel mode only: per-worker/shard counter blocks, in worker order.
-    /// Empty for sequential runs. The global counters above are the sums of
-    /// these (each shard owns a disjoint slice of the key space, so no state
-    /// is ever counted by two shards).
+    /// Empty for single-shard runs. The global counters above are the sums
+    /// of these (each shard owns a disjoint slice of the key space, so no
+    /// state is ever counted by two shards).
     pub shards: Vec<ShardStats>,
     /// Nanoseconds attributed to each engine phase by the instrumented
     /// profiler, indexed by [`sortsynth_obs::profile::Phase`]. All zero
@@ -178,7 +179,7 @@ pub struct SearchStats {
 /// sums. See [`SearchStats::shards`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// States this worker expanded (own or stolen).
+    /// States this worker expanded (from any partition).
     pub expanded: u64,
     /// States this worker generated by applying instructions.
     pub generated: u64,
@@ -190,8 +191,7 @@ pub struct ShardStats {
     pub dead_write_pruned: u64,
     /// Successors skipped by the value-flow cut on this worker.
     pub value_flow_pruned: u64,
-    /// Candidates this shard received (routed or merged in place) and
-    /// disposed of as the owner of their keys.
+    /// Candidates this shard disposed of as the owner of their keys.
     pub merged: u64,
     /// Candidates dropped by this shard's closed set (already known at an
     /// equal or shorter length).
@@ -200,20 +200,18 @@ pub struct ShardStats {
     /// recorded (the old open entry becomes stale).
     pub reopened: u64,
     /// Open entries discarded at pop without expansion: superseded by a
-    /// reopen, or overtaken by the shared incumbent bound while queued.
-    /// Summed into [`SearchStats::stale_pops`] and
-    /// `sortsynth_search_stale_pops_total`.
+    /// reopen, or overtaken by the length bound while queued. Summed into
+    /// [`SearchStats::stale_pops`] and `sortsynth_search_stale_pops_total`.
     pub stale_pops: u64,
-    /// Candidates discarded at merge against the shared incumbent bound.
-    /// Merge-side only, so per shard
+    /// Always 0 (see [`SearchStats::bound_pruned`]); per shard
     /// `merged == dedup_hits + reopened + bound_pruned + fresh states kept`
     /// holds exactly (the root state is seeded, not merged).
     pub bound_pruned: u64,
     /// Unique states first recorded by this shard's closed set.
     pub states_kept: u64,
-    /// Successors this worker sent to another shard's inbox.
+    /// Successors this worker handed to another worker's key partition.
     pub routed: u64,
-    /// Open entries this worker stole from other workers' queues.
+    /// Always 0 (see [`SearchStats::steals`]).
     pub steals: u64,
     /// Expansions this worker served entirely from already-reserved scratch
     /// capacity (see [`SearchStats::scratch_reused`]).
@@ -346,8 +344,8 @@ impl SolutionDag {
     /// Builds a degenerate DAG holding exactly one root-to-goal chain (or
     /// just the root when `path` is `None`). `path` is a sequence of action
     /// indices; an empty path means the initial state itself is the goal.
-    /// Used by the sharded driver, whose first-solution mode tracks a
-    /// single incumbent path instead of the full parent DAG.
+    /// Used by the parallel driver, whose shards hold parent edges across
+    /// partitions; its kernel is walked out of them as one path.
     pub(crate) fn from_path(actions: Vec<Instr>, path: Option<&[u16]>) -> SolutionDag {
         let mut edges = vec![Edge {
             parent: PARENT_NONE,
@@ -484,12 +482,14 @@ impl SynthesisResult {
 /// Runs the enumerative synthesis described by `cfg`.
 ///
 /// This is the main entry point of the crate; see [`SynthesisConfig`] for
-/// the knobs and the crate docs for a guided example. With
-/// [`SynthesisConfig::threads`] resolved to more than one worker the run is
-/// handed to the sharded driver ([`crate::parallel`]) — except in
-/// all-solutions mode, which needs globally ordered parent edges to build
-/// the full solution DAG, and in budgeted or resumed runs, whose spill tier
-/// streams one shard's layers. Those run on the single-shard driver.
+/// the knobs and the crate docs for a guided example. A layered run with
+/// [`SynthesisConfig::threads`] resolved to more than one worker is handed
+/// to the layer-synchronous round loop ([`crate::parallel`]), which returns
+/// the same kernel as one thread. Everything else runs on the single-shard
+/// driver whatever the thread count: best-first ([`Strategy::AStar`]) runs,
+/// whose pop order has no layers to synchronize on; all-solutions mode,
+/// which builds the full solution DAG; and budgeted or resumed runs, whose
+/// spill tier streams one shard's layers.
 pub fn synthesize(cfg: &SynthesisConfig) -> SynthesisResult {
     try_synthesize(cfg).unwrap_or_else(|e| panic!("synthesis failed to start: {e}"))
 }
@@ -499,9 +499,11 @@ pub fn synthesize(cfg: &SynthesisConfig) -> SynthesisResult {
 /// missing journal, a checksum-detected torn segment, or a configuration
 /// mismatch is reported, never silently replayed.
 pub fn try_synthesize(cfg: &SynthesisConfig) -> Result<SynthesisResult, ResumeError> {
-    let single_shard =
-        cfg.all_solutions || cfg.mem_budget_bytes.is_some() || cfg.resume_dir.is_some();
-    if cfg.effective_threads() > 1 && !single_shard {
+    let rounds = cfg.strategy == Strategy::Layered
+        && !cfg.all_solutions
+        && cfg.mem_budget_bytes.is_none()
+        && cfg.resume_dir.is_none();
+    if rounds && cfg.effective_threads() > 1 {
         return Ok(crate::parallel::run(cfg));
     }
     Engine::new(cfg).run()
@@ -549,6 +551,7 @@ pub(crate) fn build_distance_table(
 /// generated. The owner's [`Shard::merge`] consumes these without touching
 /// the assignments again — beyond one `memcpy` of the span into the arena
 /// for fresh states.
+#[derive(Clone, Copy)]
 pub(crate) struct SuccMeta {
     /// Index of the applied action in the machine's action list. `u16`
     /// because large machines exceed 256 actions.
@@ -997,6 +1000,7 @@ impl<'a> Engine<'a> {
                 self.shard.goals.push(root);
                 Outcome::Solved
             } else {
+                self.shard.enqueue(0, root);
                 // The external-memory tier serves the layered strategy; A*
                 // runs ignore the budget (their pop order revisits
                 // arbitrary layers, which defeats streaming frontier
@@ -1258,11 +1262,15 @@ impl<'a> Engine<'a> {
         );
     }
 
-    /// Offers one surviving successor of `parent` to the shard.
+    /// Offers one surviving successor of `parent` to the shard, queueing it
+    /// on the open list when it is fresh or reopened.
     fn merge_succ(&mut self, parent: u32, g: u32, m: &SuccMeta, buf: &SuccessorBuf) -> Merged {
         let (cand, facts) = buf.offer(m, g + 1, parent_ref(0, parent));
-        self.shard
-            .merge(&cand, Some(facts), u32::MAX, &self.min_perm)
+        let merged = self.shard.merge(&cand, facts, &self.min_perm);
+        if let Merged::Queued(id) = merged {
+            self.shard.enqueue(cand.g, id);
+        }
+        merged
     }
 
     /// Records a progress sample and delivers a throttled snapshot.

@@ -1,129 +1,248 @@
-//! The sharded driver: HDA*-style parallel search over the same core as
-//! the single-shard driver.
+//! The parallel driver: layered search in layer-synchronous rounds over the
+//! same core as the single-shard driver.
 //!
-//! `N` workers run the same enumeration as [`crate::engine`], with the
-//! closed set hash-partitioned into `N` [`Shard`]s — one per worker — so
-//! deduplication never takes a global lock:
+//! `N` workers run the single-shard driver's layered enumeration with the
+//! closed set hash-partitioned into `N` [`Shard`]s, one per worker, and
+//! merge every successor in the order the single-shard driver would have:
 //!
-//! * **Sharding.** A state's folded key ([`crate::narrow_key`]) is mixed
-//!   through a Fibonacci multiply and reduced mod `N` ([`shard_of`]); the
-//!   owning worker is the only writer of that shard's arena and edges. A
-//!   shard sits behind one `Mutex<Shard>`; open entries and the closed set
-//!   are plain `u32` ids into it, and parent edges are cross-shard
-//!   [`ParentRef`]s.
-//! * **One merge.** Every candidate is disposed of by its owner's
-//!   [`Shard::merge`], the same merge the single-shard driver calls, with
-//!   the shared incumbent bound as its cutoff.
-//! * **Routing.** Successors generated by any worker are routed to their
-//!   owner over bounded crossbeam channels as lean [`Cand`]s — key, depth,
-//!   parent ref, action. Assignment spans are not shipped: when the merge
-//!   finds a routed key fresh it asks for the span ([`Merged::NeedSpan`]),
-//!   and the owner re-derives it from its copy of the parent span (one
-//!   SWAR [`rederive_span`] sweep plus re-canonicalization). Duplicates —
-//!   the common case at depth — are disposed of from the key alone.
-//!   Senders never block on a full inbox: undeliverable batches stay in
-//!   per-destination pending buffers and are retried each loop iteration,
-//!   so the routing graph cannot deadlock.
-//! * **Work stealing.** A worker with nothing to pop steals a few entries
-//!   from a peer's open list instead of idling — `pop` on the victim's
-//!   queue takes from its lowest non-empty bucket. A stolen entry still
-//!   references the victim's arena, and its successors still route to
-//!   their proper owners, so per-shard write ownership stays intact.
-//! * **Incumbent bound.** The first goal a worker generates becomes the
-//!   shared incumbent (`best_cost`, an atomic `fetch_min`); every worker
-//!   prunes states whose depth already reaches the incumbent. The bound
-//!   only ever decreases, and pruning is restricted to states that cannot
-//!   begin a *strictly shorter* kernel, so the surviving space always
-//!   contains every potentially-improving path: at quiescence the incumbent
-//!   is provably optimal (see DESIGN.md, "Parallel search"). The incumbent
-//!   kernel itself is reconstructed after the workers join, by walking the
-//!   cross-shard parent refs of the goal's final edge.
-//! * **Termination.** A single outstanding-work counter tracks every live
-//!   open entry and in-flight candidate (+1 at creation, −1 at final
-//!   disposal; transfers keep the count). A worker that finds the counter
-//!   at zero while it has nothing buffered knows the whole system is
-//!   quiescent and stops the search.
-//! * **Counters.** Each worker counts its expansions in a private
-//!   [`ShardStats`] block and folds it into its own shard's block whenever
-//!   it pops; merge dispositions are counted by the merge itself. Worker 0
-//!   alone owns the progress [`Throttle`].
+//! * **Partitions.** A state's folded key ([`crate::narrow_key`]) is mixed
+//!   through a Fibonacci multiply and reduced mod `N` ([`shard_of`]);
+//!   worker `p` is the only writer of partition `p`'s arena, edges and
+//!   counters. Parent edges are cross-partition [`ParentRef`]s.
+//! * **Rounds.** A layer is expanded in rounds, each covering frontier
+//!   positions `[lo, hi)`. In the expand phase the shards are read-only:
+//!   every worker takes one read guard per shard for the round, claims
+//!   [`CHUNK`]-position slices from a shared cursor, runs the shared
+//!   [`ExpandCtx::expand`], and files each survivor — span, key, facts,
+//!   parent, action — in its outbox bucket for the partition that owns the
+//!   key. Spans travel with the survivor, so nothing is re-derived.
+//! * **Merge order.** Each survivor carries a tag: its parent's frontier
+//!   position in the high half, its index among the parent's survivors in
+//!   the low half — the position at which the single-shard driver merges
+//!   it. After a barrier, worker `p` alone merges bucket `p` of every
+//!   outbox through [`Shard::merge`] in tag order (each bucket is already
+//!   sorted: a worker claims positions in increasing order), so every key
+//!   meets its duplicates in the single-shard order. Fresh states join
+//!   partition `p`'s next-layer list with their tags; at the end of the
+//!   layer worker 0 concatenates the lists in tag order, which is the
+//!   single-shard frontier order, and fixes the next layer's cut threshold
+//!   from [`MinPerm`].
+//! * **Goals.** The smallest goal tag of a round wins, and merging stops
+//!   there. Same order and same per-layer thresholds mean the same
+//!   kernel as one thread at every thread count, minimal by layer order
+//!   (§3.1) with no incumbent bound; a run that ends `Exhausted` has
+//!   identical counters too. A solved run differs only in the goal
+//!   round's extra expansions.
+//! * **Round length.** A round's outbox holds about [`ROUND_BYTES`]: the
+//!   next round is sized from the last one's outbox bytes per expanded
+//!   state. That figure depends only on which states were expanded, so
+//!   round boundaries, and with them every counter, are deterministic.
+//! * **Limits and progress.** Workers poll [`RunFrame::limit`] once per
+//!   chunk; worker 0 plans the rounds and owns the progress [`Throttle`].
+//!   Barrier waits stay out of the phase attribution.
 //!
-//! First-solution, unbudgeted runs only: [`crate::synthesize`] keeps
-//! all-solutions, budgeted, and resumed runs on the single-shard driver.
+//! First-solution, unbudgeted layered runs only: [`crate::synthesize`]
+//! keeps best-first, all-solutions, budgeted and resumed runs on the
+//! single-shard driver.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, RwLock};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use sortsynth_isa::{rederive_span, Instr, MachineState};
+use sortsynth_isa::{Instr, MachineState};
 use sortsynth_obs::profile::{Phase, PhaseProbe};
 
 use crate::config::SynthesisConfig;
 use crate::distance::DistanceTable;
 use crate::engine::{
-    build_distance_table, open_f_hint, ExpandCtx, ExpandScratch, Outcome, SearchStats, ShardStats,
-    SolutionDag, SynthesisResult,
+    build_distance_table, ExpandCtx, ExpandScratch, Outcome, SearchStats, ShardStats, SolutionDag,
+    SuccMeta, SuccessorBuf, SynthesisResult,
 };
 use crate::shard::{
-    parent_idx, parent_ref, parent_shard, Cand, Closing, Facts, Merged, MinPerm, ParentRef,
-    RunFrame, Shard, Throttle, PARENT_NONE,
+    parent_idx, parent_ref, parent_shard, Closing, Merged, MinPerm, ParentRef, RunFrame, Shard,
+    Throttle, PARENT_NONE,
 };
 use crate::sizing::SizingTable;
-use crate::state::{
-    canonicalize_slice, key_of, narrow_key, perm_count_slice, value_reg_mask, StateSet,
-};
+use crate::state::{narrow_key, StateSet};
 
-/// Successors accumulated per destination before a batch is flushed.
-const ROUTE_BATCH: usize = 64;
-/// Capacity (in batches) of each worker's inbox channel.
-const INBOX_CAP: usize = 256;
-/// Open entries taken per successful steal.
-const STEAL_BATCH: usize = 4;
-/// How long an idle worker parks on its inbox before re-checking limits,
-/// steals, and quiescence.
-const IDLE_WAIT: Duration = Duration::from_micros(200);
+/// Frontier positions a worker claims from the round cursor at a time.
+const CHUNK: usize = 8;
+/// Target outbox bytes of one round, summed over the workers.
+const ROUND_BYTES: usize = 1 << 20;
+/// The goal tag while no goal was generated.
+const NO_GOAL: u64 = u64::MAX;
 
 /// A search lock is poisoned only when a worker panicked while holding it —
 /// a bug, which the worker scope re-raises after the join anyway.
 const POISONED: &str = "a search worker panicked while holding a search lock";
 
-/// Maps a folded state key to its owning shard/worker.
+/// Maps a folded state key to its owning partition/worker.
 fn shard_of(key: u64, workers: usize) -> usize {
     let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((mixed >> 32) as usize) % workers
 }
 
-/// xorshift64 — deterministic per-worker randomness for steal-victim
-/// selection, without an RNG dependency.
-struct Rng(u64);
+/// The next round's length after a `prev`-state round that filed `bytes`
+/// of outbox: enough states to fill [`ROUND_BYTES`] at that many bytes per
+/// state, at most four times `prev`, and at least one chunk.
+fn next_round_len(prev: usize, bytes: usize) -> usize {
+    let fit = ROUND_BYTES.saturating_mul(prev) / bytes.max(1);
+    fit.min(prev.saturating_mul(4)).max(CHUNK)
+}
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
+/// Visits the items of `runs`, each sorted by `tag`, in ascending tag order
+/// up to and including tag `until`, as `(run, index)` pairs.
+fn merge_by_tag<T>(
+    runs: &[&[T]],
+    tag: impl Fn(&T) -> u64,
+    until: u64,
+    mut visit: impl FnMut(usize, usize),
+) {
+    let mut heads = vec![0usize; runs.len()];
+    loop {
+        let mut min: Option<(u64, usize)> = None;
+        for (r, run) in runs.iter().enumerate() {
+            if let Some(item) = run.get(heads[r]) {
+                let t = tag(item);
+                if min.is_none_or(|(m, _)| t < m) {
+                    min = Some((t, r));
+                }
+            }
+        }
+        match min {
+            Some((t, r)) if t <= until => {
+                visit(r, heads[r]);
+                heads[r] += 1;
+            }
+            _ => return,
+        }
     }
 }
 
-/// One worker's shard with its inbox of routed candidate batches.
-struct Slot {
-    /// Written only by the owning worker; thieves take the lock briefly to
-    /// pop, for staleness checks, and to copy out a stolen entry's span.
-    shard: Mutex<Shard>,
-    tx: Sender<Vec<Cand>>,
-    rx: Receiver<Vec<Cand>>,
+/// The survivors one worker filed for one partition in the current round,
+/// in tag order: each one's span and facts, and its tag and parent.
+#[derive(Default)]
+struct Bucket {
+    buf: SuccessorBuf,
+    /// Index-aligned with `buf.metas`. The tag is the survivor's merge
+    /// position: its parent's frontier position in the high half, its index
+    /// among the parent's survivors in the low half.
+    tags: Vec<(u64, ParentRef)>,
 }
 
-/// State shared by every worker of one sharded run.
-struct SharedSearch<'a> {
+impl Bucket {
+    fn push(&mut self, tag: u64, parent: ParentRef, m: &SuccMeta, span: &[MachineState]) {
+        let offset = self.buf.assigns.len() as u32;
+        self.buf.metas.push(SuccMeta { offset, ..*m });
+        self.buf.assigns.extend_from_slice(span);
+        self.tags.push((tag, parent));
+    }
+
+    /// Outbox bytes held, for round sizing.
+    fn bytes(&self) -> usize {
+        self.buf.assigns.len() * std::mem::size_of::<MachineState>()
+            + self.tags.len() * std::mem::size_of::<(SuccMeta, u64, ParentRef)>()
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.tags.clear();
+    }
+}
+
+/// The round every worker runs next, published by worker 0 while the
+/// others wait at a barrier.
+#[derive(Clone, Copy, Default)]
+struct Plan {
+    /// Length of the layer's states.
+    g: u32,
+    /// The round's frontier positions: `[lo, hi)` of `len`.
+    lo: usize,
+    hi: usize,
+    len: usize,
+    /// The layer's §3.5 cut threshold.
+    cut: Option<u32>,
+    /// The layer is empty or at the length bound: the search is exhausted.
+    done: bool,
+}
+
+impl Plan {
+    /// The first round of a `len`-state layer at length `g`: one chunk per
+    /// worker, since the last layer's bytes per state say little about
+    /// this one's.
+    fn layer(sh: &Rounds<'_>, g: u32, len: usize) -> Plan {
+        sh.cursor.store(0, Ordering::Relaxed);
+        Plan {
+            g,
+            lo: 0,
+            hi: (CHUNK * sh.workers).min(len),
+            len,
+            cut: sh.min_perm.threshold(sh.cfg.cut, g),
+            done: len == 0 || g >= sh.max_len,
+        }
+    }
+}
+
+/// A reusable barrier that a panicking worker breaks, so its peers stop
+/// instead of waiting forever; the scope then re-raises the panic.
+struct RoundBarrier {
+    workers: usize,
+    /// Arrivals in the current generation, the generation, and whether a
+    /// worker panicked.
+    state: Mutex<(usize, u64, bool)>,
+    cvar: Condvar,
+}
+
+impl RoundBarrier {
+    fn new(workers: usize) -> Self {
+        RoundBarrier {
+            workers,
+            state: Mutex::new((0, 0, false)),
+            cvar: Condvar::new(),
+        }
+    }
+
+    /// Waits for every worker; `false` when the barrier is broken.
+    fn wait(&self) -> bool {
+        let mut state = self.state.lock().expect(POISONED);
+        if state.2 {
+            return false;
+        }
+        state.0 += 1;
+        if state.0 == self.workers {
+            state.0 = 0;
+            state.1 += 1;
+            self.cvar.notify_all();
+            return true;
+        }
+        let generation = state.1;
+        let state = self
+            .cvar
+            .wait_while(state, |s| s.1 == generation && !s.2)
+            .expect(POISONED);
+        !state.2
+    }
+
+    fn break_all(&self) {
+        if let Ok(mut state) = self.state.lock() {
+            state.2 = true;
+        }
+        self.cvar.notify_all();
+    }
+}
+
+/// Breaks the barrier if its worker unwinds.
+struct BreakOnPanic<'a>(&'a RoundBarrier);
+
+impl Drop for BreakOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.break_all();
+        }
+    }
+}
+
+/// State shared by every worker of one run.
+struct Rounds<'a> {
     cfg: &'a SynthesisConfig,
     frame: RunFrame<'a>,
     actions: Vec<Instr>,
@@ -131,36 +250,40 @@ struct SharedSearch<'a> {
     workers: usize,
     /// Static inclusive length bound from `max_len`.
     max_len: u32,
-    slots: Vec<Slot>,
-    min_perm: MinPerm,
-    /// Length of the best goal found so far (`u32::MAX` = none). Only ever
-    /// decreases (`fetch_min`).
-    best_cost: AtomicU32,
-    /// The incumbent kernel: cost, parent ref of the expanded state that
-    /// generated the goal, and the goal-producing action index. The full
-    /// program is reconstructed from the edge tables after workers join.
-    incumbent: Mutex<Option<(u32, ParentRef, u16)>>,
-    /// Outstanding-work counter: live open entries + in-flight candidates.
-    work: AtomicI64,
-    /// Set once by whichever worker first decides the run must end.
-    done: AtomicBool,
-    /// First limit tripped; `None` for natural quiescence.
+    /// One key partition per worker: read by every worker while expanding,
+    /// written by its owner alone while merging.
+    shards: Vec<RwLock<Shard>>,
+    /// `buckets[w * workers + p]`: worker `w`'s survivors for partition `p`.
+    buckets: Vec<Mutex<Bucket>>,
+    /// Per partition: the next layer's fresh states so far, with their tags.
+    next: Vec<Mutex<Vec<(u64, u32)>>>,
+    /// The layer under expansion, in single-shard order.
+    frontier: RwLock<Vec<ParentRef>>,
+    plan: Mutex<Plan>,
+    // `cursor`, `round_bytes` and `goal_tag` publish no other data and are
+    // read after the barrier that ends the phase writing them (worker
+    // 0 resets the cursor between barriers); the barrier's mutex orders
+    // the two, so `Relaxed` suffices.
+    /// The round's next unclaimed frontier position.
+    cursor: AtomicUsize,
+    /// Outbox bytes filed this round.
+    round_bytes: AtomicUsize,
+    /// Smallest tag of a goal survivor ([`NO_GOAL`] while none).
+    goal_tag: AtomicU64,
+    /// First limit a worker tripped.
     limit: Mutex<Option<Outcome>>,
-    /// Global generated-state counter, for `node_limit`.
+    /// Run totals, for the node limit and the progress throttle (relaxed
+    /// statistics: a limit poll may read them a chunk late).
     generated: AtomicU64,
-    /// Global expansion counter, for the progress throttle.
     expanded: AtomicU64,
-    /// Goal states seen (for progress samples).
-    goals_found: AtomicU64,
-    /// Bitmask selecting the machine's value registers, for owner-side
-    /// permutation recounts of routed candidates.
-    value_mask: u64,
+    min_perm: MinPerm,
+    barrier: RoundBarrier,
     /// Workers fold their phase probes in here as they exit. Latches the
     /// profiler switch at run start; workers follow its setting.
     probe_acc: Mutex<PhaseProbe>,
 }
 
-impl<'a> SharedSearch<'a> {
+impl Rounds<'_> {
     fn ctx(&self) -> ExpandCtx<'_> {
         ExpandCtx {
             cfg: self.cfg,
@@ -169,120 +292,68 @@ impl<'a> SharedSearch<'a> {
         }
     }
 
-    fn lock(&self, shard: usize) -> MutexGuard<'_, Shard> {
-        self.slots[shard].shard.lock().expect(POISONED)
+    fn limited(&self) -> bool {
+        self.limit.lock().expect(POISONED).is_some()
     }
 
-    /// The inclusive length bound right now: the static `max_len`, tightened
-    /// to `best_cost − 1` once an incumbent exists (only strictly shorter
-    /// kernels are still interesting).
-    fn bound_now(&self) -> u32 {
-        match self.best_cost.load(Ordering::Relaxed) {
-            u32::MAX => self.max_len,
-            best => self.max_len.min(best - 1),
-        }
-    }
-
-    /// Records a goal generated from the state at `parent` by action `ai`
-    /// and tightens the incumbent.
-    fn record_goal(&self, cost: u32, parent: ParentRef, ai: u16) {
-        self.goals_found.fetch_add(1, Ordering::Relaxed);
-        self.best_cost.fetch_min(cost, Ordering::AcqRel);
-        let mut incumbent = self.incumbent.lock().expect(POISONED);
-        if incumbent.as_ref().is_none_or(|(c, _, _)| cost < *c) {
-            *incumbent = Some((cost, parent, ai));
-        }
-    }
-
-    /// Stops the run; the first tripper's limit wins.
-    fn trip(&self, limit: Outcome) {
-        self.limit.lock().expect(POISONED).get_or_insert(limit);
-        self.done.store(true, Ordering::Release);
-    }
-
-    /// Settles the work unit of a merged candidate: a queued state keeps
-    /// it as an open entry, every other disposition retires it.
-    fn settle(&self, merged: Merged) {
-        debug_assert_ne!(merged, Merged::NeedSpan);
-        if merged != Merged::Queued {
-            self.work.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
-    fn open_now(&self) -> u64 {
-        self.work.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    fn f_bound(&self) -> Option<u64> {
-        let bound = self.bound_now();
-        (bound != u32::MAX).then_some(bound as u64)
+    /// Open states: the layer's unexpanded rest plus the next layer so far.
+    fn open(&self, plan: &Plan) -> u64 {
+        let queued: usize = self
+            .next
+            .iter()
+            .map(|n| n.lock().expect(POISONED).len())
+            .sum();
+        (plan.len - plan.lo + queued) as u64
     }
 
     /// Joins the shards into the run's result through the shared
     /// [`RunFrame::finish`].
     fn finish(self, stats: SearchStats, throttle: Throttle) -> SynthesisResult {
-        let outcome = match *self.limit.lock().expect(POISONED) {
-            Some(limit) => limit,
-            None if self.incumbent.lock().expect(POISONED).is_some() => Outcome::Solved,
-            None => Outcome::Exhausted,
+        let plan = *self.plan.lock().expect(POISONED);
+        let open = self.open(&plan);
+        let probe = self.probe_acc.into_inner().expect(POISONED);
+        let limit = self.limit.into_inner().expect(POISONED);
+        let shards: Vec<Shard> = self
+            .shards
+            .into_iter()
+            .map(|s| s.into_inner().expect(POISONED))
+            .collect();
+        let goal = (shards.iter().enumerate())
+            .find_map(|(p, s)| s.goals.first().map(|&id| parent_ref(p, id)));
+        let outcome = match (limit, goal) {
+            (Some(limit), _) => limit,
+            (None, Some(_)) => Outcome::Solved,
+            (None, None) => Outcome::Exhausted,
         };
-        // Approximation: outstanding work = open entries + in-flight
-        // candidates. The incumbent-derived bound stands in for the f-bound.
         let end = Closing {
             outcome,
-            open: self.open_now(),
-            f_bound: self.f_bound(),
+            open,
+            f_bound: Some(plan.g as u64),
         };
-        let probe = self.probe_acc.into_inner().expect(POISONED);
-        let incumbent = self.incumbent.into_inner().expect(POISONED);
-        let shards: Vec<Shard> = self
-            .slots
-            .into_iter()
-            .map(|s| s.shard.into_inner().expect(POISONED))
-            .collect();
         let stats = self.frame.finish(throttle, &shards, stats, &probe, end);
-
-        let (found_len, dag) = match incumbent {
-            Some((cost, parent, ai)) => {
-                let path = reconstruct_path(&shards, cost, parent, ai);
-                debug_assert!(path.len() as u32 <= cost);
-                (
-                    Some(path.len() as u32),
-                    SolutionDag::from_path(self.actions, Some(&path)),
-                )
-            }
-            None => (None, SolutionDag::from_path(self.actions, None)),
-        };
+        let path = goal.map(|goal| kernel_path(&shards, goal));
         SynthesisResult {
-            dag,
-            found_len,
-            // A truncated run (limit outcome) may hold an incumbent that was
-            // never proven minimal by quiescence; only a completed run
-            // certifies.
-            minimal_certified: outcome == Outcome::Solved
-                && found_len.is_some()
-                && self.cfg.guarantees_minimal(),
+            found_len: path.as_ref().map(|p| p.len() as u32),
+            minimal_certified: path.is_some() && self.cfg.guarantees_minimal(),
+            dag: SolutionDag::from_path(self.actions, path.as_deref()),
             outcome,
             stats,
         }
     }
 }
 
-/// Rebuilds the incumbent kernel by walking parent refs from the goal's
-/// generating state back to the root.
-fn reconstruct_path(shards: &[Shard], cost: u32, parent: ParentRef, ai: u16) -> Vec<u16> {
-    if cost == 0 {
-        // The initial state was already a goal: the empty program.
-        return Vec::new();
-    }
-    let mut rev = vec![ai];
-    let mut cur = parent;
-    while cur != PARENT_NONE {
-        let e = shards[parent_shard(cur)].edges[parent_idx(cur) as usize];
-        if e.parent != PARENT_NONE {
-            rev.push(e.instr);
+/// The kernel's action indices, walked from the goal state back to the root
+/// through the cross-partition parent edges.
+fn kernel_path(shards: &[Shard], goal: ParentRef) -> Vec<u16> {
+    let mut rev = Vec::new();
+    let mut node = goal;
+    loop {
+        let e = shards[parent_shard(node)].edges[parent_idx(node) as usize];
+        if e.parent == PARENT_NONE {
+            break;
         }
-        cur = e.parent;
+        rev.push(e.instr);
+        node = e.parent;
     }
     rev.reverse();
     rev
@@ -290,47 +361,27 @@ fn reconstruct_path(shards: &[Shard], cost: u32, parent: ParentRef, ai: u16) -> 
 
 /// Thread-local state of one worker.
 struct Worker<'a, 'b> {
-    sh: &'a SharedSearch<'b>,
+    sh: &'a Rounds<'b>,
     id: usize,
-    /// Per-destination batches awaiting (re)delivery. Never blocks a send:
-    /// a full inbox just leaves the batch here for the next loop iteration.
-    pending: Vec<Vec<Cand>>,
-    /// Routed candidates the merge found fresh, awaiting their spans.
-    fresh: Vec<Cand>,
     /// Reused expansion buffers ([`ExpandCtx::expand`] output).
     scratch: ExpandScratch,
-    /// Reused copy of the entry under expansion: assignments are copied out
-    /// of the owner's arena so the shard lock is not held while expanding.
-    state_buf: Vec<MachineState>,
-    /// Reused copy of a routed candidate's parent span, taken under the
-    /// parent shard's lock so re-derivation runs lock-free.
-    parent_buf: Vec<MachineState>,
-    /// Reused output buffer of the owner-side [`rederive_span`] sweep.
-    derived_buf: Vec<MachineState>,
     /// Expansion-side counters not yet folded into this worker's shard.
     local: ShardStats,
-    rng: Rng,
     /// This worker's phase profiler probe (inert unless the profiler was
     /// enabled at run start); folded into the shared accumulator on exit.
     probe: PhaseProbe,
-    /// The progress throttle: worker 0's alone.
+    /// Worker 0 alone: it also plans the rounds and emits progress.
     throttle: Option<&'a mut Throttle>,
 }
 
 impl<'a, 'b> Worker<'a, 'b> {
-    fn new(sh: &'a SharedSearch<'b>, id: usize, throttle: Option<&'a mut Throttle>) -> Self {
+    fn new(sh: &'a Rounds<'b>, id: usize, throttle: Option<&'a mut Throttle>) -> Self {
         let profile_on = sh.probe_acc.lock().expect(POISONED).is_on();
         Worker {
             sh,
             id,
-            pending: (0..sh.workers).map(|_| Vec::new()).collect(),
-            fresh: Vec::new(),
             scratch: ExpandScratch::default(),
-            state_buf: Vec::new(),
-            parent_buf: Vec::new(),
-            derived_buf: Vec::new(),
             local: ShardStats::default(),
-            rng: Rng::new(0xC0FF_EE00 ^ (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             probe: if profile_on {
                 PhaseProbe::new()
             } else {
@@ -340,290 +391,216 @@ impl<'a, 'b> Worker<'a, 'b> {
         }
     }
 
+    /// Waits at the round barrier; `false` when a peer panicked.
+    fn sync(&mut self) -> bool {
+        let ok = self.sh.barrier.wait();
+        self.probe.skip();
+        ok
+    }
+
     fn run(mut self) {
         let sh = self.sh;
+        let _guard = BreakOnPanic(&sh.barrier);
         loop {
-            if sh.done.load(Ordering::Acquire) {
+            let plan = *sh.plan.lock().expect(POISONED);
+            if plan.done {
                 break;
             }
-            self.probe.begin_cycle();
-            while let Ok(batch) = sh.slots[self.id].rx.try_recv() {
-                self.merge_batch(batch);
-            }
-            self.probe.lap(Phase::Intern);
-            self.flush_pending();
-            self.probe.lap(Phase::Route);
-            if let Some(limit) = sh.frame.limit(sh.generated.load(Ordering::Relaxed)) {
-                sh.trip(limit);
+            self.tick(&plan);
+            self.expand_round(&plan);
+            if !self.sync() || sh.limited() {
                 break;
             }
-            let entry = {
-                let mut own = sh.lock(self.id);
-                own.counters.add(&std::mem::take(&mut self.local));
-                own.open.pop()
-            };
-            self.probe.lap(Phase::Select);
-            if let Some(entry) = entry {
-                self.process(entry, self.id);
-                self.maybe_progress();
-                continue;
+            let goal = sh.goal_tag.load(Ordering::Relaxed);
+            if goal == NO_GOAL {
+                self.plan_round(&plan);
             }
-            if self.try_steal() {
-                continue;
-            }
-            // Nothing local, nothing stealable. Quiescent? `work` counts
-            // every open entry and in-flight candidate, so zero (with our
-            // own pending buffers empty) means the whole system is drained
-            // and the search is complete.
-            if self.pending.iter().all(Vec::is_empty) && sh.work.load(Ordering::Acquire) == 0 {
-                sh.done.store(true, Ordering::Release);
+            self.merge_round(&plan, goal);
+            if !self.sync() || goal != NO_GOAL {
                 break;
             }
-            // Park briefly for routed work; the timeout keeps us responsive
-            // to cancellation, stealable backlogs, and quiescence. Parked
-            // time is deliberately left out of the phase attribution.
-            if let Ok(batch) = sh.slots[self.id].rx.recv_timeout(IDLE_WAIT) {
-                self.probe.skip();
-                self.merge_batch(batch);
-                self.probe.lap(Phase::Intern);
+            if plan.hi == plan.len {
+                self.next_layer(&plan);
+                if !self.sync() {
+                    break;
+                }
             }
         }
-        sh.lock(self.id).counters.add(&self.local);
+        sh.shards[self.id]
+            .write()
+            .expect(POISONED)
+            .counters
+            .add(&self.local);
         sh.probe_acc.lock().expect(POISONED).merge(&self.probe);
     }
 
-    /// Tries to deliver every pending batch; full inboxes keep theirs for
-    /// the next iteration.
-    fn flush_pending(&mut self) {
-        for dest in 0..self.sh.workers {
-            if !self.pending[dest].is_empty() {
-                self.send(dest);
-            }
-        }
-    }
-
-    fn send(&mut self, dest: usize) {
-        let batch = std::mem::take(&mut self.pending[dest]);
-        if let Err(TrySendError::Full(batch) | TrySendError::Disconnected(batch)) =
-            self.sh.slots[dest].tx.try_send(batch)
-        {
-            self.pending[dest] = batch;
-        }
-    }
-
-    /// Owner-side disposal of a batch of routed candidates: one merge pass
-    /// under one lock resolves duplicates and reopenings from the keys
-    /// alone; only the candidates found fresh pay the re-derivation, and
-    /// are merged again with their spans. The owning worker is its shard's
-    /// only writer, so nothing else can insert their keys in between.
-    fn merge_batch(&mut self, batch: Vec<Cand>) {
+    /// The expand phase: claims chunks of `plan`'s positions until the round
+    /// is done, and files every survivor in this worker's outbox.
+    fn expand_round(&mut self, plan: &Plan) {
         let sh = self.sh;
-        {
-            let mut own = sh.lock(self.id);
-            for c in &batch {
-                match own.merge(c, None, sh.bound_now(), &sh.min_perm) {
-                    Merged::NeedSpan => self.fresh.push(*c),
-                    merged => sh.settle(merged),
+        let workers = sh.workers;
+        let frontier = sh.frontier.read().expect(POISONED);
+        let shards: Vec<_> = (sh.shards.iter())
+            .map(|s| s.read().expect(POISONED))
+            .collect();
+        let mut outbox: Vec<MutexGuard<'_, Bucket>> = sh.buckets
+            [self.id * workers..(self.id + 1) * workers]
+            .iter()
+            .map(|b| b.lock().expect(POISONED))
+            .collect();
+        let ctx = sh.ctx();
+        loop {
+            let start = sh.cursor.fetch_add(CHUNK, Ordering::Relaxed);
+            if start >= plan.hi || sh.limited() {
+                break;
+            }
+            if let Some(limit) = sh.frame.limit(sh.generated.load(Ordering::Relaxed)) {
+                sh.limit.lock().expect(POISONED).get_or_insert(limit);
+                break;
+            }
+            let end = (start + CHUNK).min(plan.hi);
+            let generated = self.local.generated;
+            for pos in start..end {
+                self.probe.begin_cycle();
+                let node = frontier[pos];
+                let shard = &shards[parent_shard(node)];
+                let id = parent_idx(node);
+                let e = shard.edges[id as usize];
+                let prev_instr = (e.parent != PARENT_NONE).then(|| sh.actions[e.instr as usize]);
+                self.probe.lap(Phase::Select);
+                ctx.expand(
+                    shard.arena.assignments(id),
+                    prev_instr,
+                    plan.g,
+                    sh.max_len,
+                    plan.cut,
+                    &mut self.scratch,
+                    &mut self.local,
+                    &mut self.probe,
+                );
+                let buf = &self.scratch.buf;
+                for (i, m) in buf.metas.iter().enumerate() {
+                    let tag = (pos as u64) << 32 | i as u64;
+                    if m.goal {
+                        sh.goal_tag.fetch_min(tag, Ordering::Relaxed);
+                    }
+                    let p = shard_of(m.key, workers);
+                    if p != self.id {
+                        self.local.routed += 1;
+                    }
+                    outbox[p].push(tag, node, m, buf.assigns_of(m));
                 }
+                self.probe.lap(Phase::Route);
             }
+            sh.generated
+                .fetch_add(self.local.generated - generated, Ordering::Relaxed);
+            sh.expanded
+                .fetch_add((end - start) as u64, Ordering::Relaxed);
         }
-        for c in std::mem::take(&mut self.fresh) {
-            self.merge_fresh(&c);
-        }
+        let bytes = outbox.iter().map(|b| b.bytes()).sum();
+        sh.round_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Re-derives a fresh routed candidate's span from its parent — copied
-    /// under the parent shard's lock, never held together with our own —
-    /// recounts its cached facts, and merges it.
-    fn merge_fresh(&mut self, c: &Cand) {
-        let sh = self.sh;
-        {
-            let parent = sh.lock(parent_shard(c.parent));
-            self.parent_buf.clear();
-            self.parent_buf
-                .extend_from_slice(parent.arena.assignments(parent_idx(c.parent)));
-        }
-        self.local.swar_batches += rederive_span(
-            sh.actions[c.instr as usize],
-            &self.parent_buf,
-            &mut self.derived_buf,
-        );
-        let kept = canonicalize_slice(&mut self.derived_buf);
-        self.derived_buf.truncate(kept);
-        debug_assert_eq!(
-            narrow_key(key_of(&self.derived_buf)),
-            c.key,
-            "owner-side re-derivation disagrees with the routed key"
-        );
-        let facts = Facts {
-            assigns: &self.derived_buf,
-            perm: perm_count_slice(
-                &self.derived_buf,
-                sh.value_mask,
-                &mut self.scratch.proj,
-                u32::MAX,
-            ),
-            max_dist: sh
-                .table
-                .as_ref()
-                .map_or(0, |t| t.max_dist_slice(&self.derived_buf)),
-            // Goals never route: the generating worker records them.
-            goal: false,
-        };
-        let merged = sh
-            .lock(self.id)
-            .merge(c, Some(facts), sh.bound_now(), &sh.min_perm);
-        sh.settle(merged);
-    }
-
-    /// Expands one open entry. `owner` is the shard whose queue (and arena)
-    /// it came from (`self.id`, or the victim's for stolen entries) —
-    /// staleness is judged against that shard's edge table, and the state
-    /// is copied out of that shard's arena.
-    fn process(&mut self, entry: (u64, u32, u32), owner: usize) {
-        let sh = self.sh;
-        let (_f, g, id) = entry;
-        let prev_instr = {
-            let shard = sh.lock(owner);
-            let e = shard.edges[id as usize];
-            // Skip stale entries: the state was re-reached at a shorter
-            // length after this entry was pushed.
-            if e.g < g {
-                drop(shard);
-                self.local.stale_pops += 1;
-                sh.work.fetch_sub(1, Ordering::AcqRel);
-                return;
-            }
-            self.state_buf.clear();
-            self.state_buf
-                .extend_from_slice(shard.arena.assignments(id));
-            (e.parent != PARENT_NONE).then(|| sh.actions[e.instr as usize])
-        };
-        let bound = sh.bound_now();
-        if g >= bound {
-            // The bound moved below this entry after it was queued (a new
-            // incumbent, or the static `max_len` for entries admitted before
-            // the merge-side filter tightened). Successors could only reach
-            // goals at or past the bound, never strictly under it. Counted
-            // with the stale pops (pop-time discards), keeping
-            // `bound_pruned` exclusively merge-side so the per-shard merge
-            // partition stays exact.
-            self.local.stale_pops += 1;
-            sh.work.fetch_sub(1, Ordering::AcqRel);
+    /// Worker 0, after the expand phase: sizes the next round from this
+    /// round's outbox, and publishes it unless this round ends the layer.
+    fn plan_round(&mut self, plan: &Plan) {
+        if self.id != 0 {
             return;
         }
-
-        let cut_threshold = sh.min_perm.threshold(sh.cfg.cut, g);
-        let generated = self.local.generated;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        sh.ctx().expand(
-            &self.state_buf,
-            prev_instr,
-            g,
-            bound,
-            cut_threshold,
-            &mut scratch,
-            &mut self.local,
-            &mut self.probe,
-        );
-        sh.generated
-            .fetch_add(self.local.generated - generated, Ordering::Relaxed);
-
-        let my_ref = parent_ref(owner, id);
-        let mut own = None;
-        for m in &scratch.buf.metas {
-            if m.goal {
-                // Goals never route: the generating worker records the
-                // incumbent directly, so bound propagation is immediate.
-                sh.record_goal(g + 1, my_ref, m.ai);
-                continue;
-            }
-            // The candidate's work unit is allocated before it becomes
-            // visible anywhere, so `work` can only reach zero once every
-            // successor has been finally disposed of.
-            sh.work.fetch_add(1, Ordering::AcqRel);
-            let (cand, facts) = scratch.buf.offer(m, g + 1, my_ref);
-            let dest = shard_of(m.key, sh.workers);
-            if dest == self.id {
-                // Local fast path: the span and its facts are still in
-                // scratch — no re-derivation needed.
-                let shard = own.get_or_insert_with(|| sh.lock(self.id));
-                sh.settle(shard.merge(&cand, Some(facts), sh.bound_now(), &sh.min_perm));
-            } else {
-                self.local.routed += 1;
-                self.pending[dest].push(cand);
-                if self.pending[dest].len() >= ROUTE_BATCH {
-                    self.send(dest);
-                }
-            }
-        }
-        drop(own);
-        self.scratch = scratch;
-        sh.expanded.fetch_add(1, Ordering::Relaxed);
-        // The expanded entry itself is disposed of only now, after its
-        // successors were counted — `work` never transiently hits zero
-        // while descendants exist.
-        sh.work.fetch_sub(1, Ordering::AcqRel);
-        // Everything after expansion — goal recording, self-merges, batch
-        // building and sends — is routing/merging.
-        self.probe.lap(Phase::Route);
-    }
-
-    /// Takes a few entries from a random peer's open list. Stolen entries
-    /// are processed immediately (their ids still reference the victim's
-    /// arena, and their successors still route to the proper owners),
-    /// keeping per-shard write ownership intact.
-    fn try_steal(&mut self) -> bool {
-        let n = self.sh.workers;
-        let offset = (self.rng.next() as usize % (n - 1)) + 1;
-        for k in 0..n - 1 {
-            let victim = (self.id + offset + k) % n;
-            let Ok(mut shard) = self.sh.slots[victim].shard.try_lock() else {
-                continue;
-            };
-            // `pop` takes from the victim's lowest non-empty bucket, so a
-            // theft grabs its most promising frontier entries.
-            let stolen: Vec<_> = std::iter::from_fn(|| shard.open.pop())
-                .take(STEAL_BATCH)
-                .collect();
-            drop(shard);
-            if stolen.is_empty() {
-                continue;
-            }
-            self.local.steals += stolen.len() as u64;
-            // The scan + lock + pop is selection, like a local pop.
-            self.probe.lap(Phase::Select);
-            for entry in stolen {
-                self.process(entry, victim);
-            }
-            return true;
-        }
-        false
-    }
-
-    /// Worker 0 doubles as the throttled progress emitter, from the global
-    /// expansion counter.
-    fn maybe_progress(&mut self) {
         let sh = self.sh;
+        let bytes = sh.round_bytes.swap(0, Ordering::Relaxed);
+        if plan.hi < plan.len {
+            let round_len = next_round_len(plan.hi - plan.lo, bytes);
+            sh.cursor.store(plan.hi, Ordering::Relaxed);
+            *sh.plan.lock().expect(POISONED) = Plan {
+                lo: plan.hi,
+                hi: (plan.hi + round_len).min(plan.len),
+                ..*plan
+            };
+        }
+    }
+
+    /// The merge phase: merges this worker's partition from every outbox in
+    /// tag order, up to and including tag `until`.
+    fn merge_round(&mut self, plan: &Plan, until: u64) {
+        let sh = self.sh;
+        let (p, workers) = (self.id, sh.workers);
+        let mut shard = sh.shards[p].write().expect(POISONED);
+        shard.counters.add(&std::mem::take(&mut self.local));
+        let mut inbox: Vec<MutexGuard<'_, Bucket>> = (0..workers)
+            .map(|w| sh.buckets[w * workers + p].lock().expect(POISONED))
+            .collect();
+        let mut next = sh.next[p].lock().expect(POISONED);
+        let runs: Vec<&[(u64, ParentRef)]> = inbox.iter().map(|b| &b.tags[..]).collect();
+        merge_by_tag(
+            &runs,
+            |&(tag, _)| tag,
+            until,
+            |w, i| {
+                self.probe.begin_cycle();
+                let (tag, parent) = inbox[w].tags[i];
+                let buf = &inbox[w].buf;
+                let (cand, facts) = buf.offer(&buf.metas[i], plan.g + 1, parent);
+                if let Merged::Queued(id) = shard.merge(&cand, facts, &sh.min_perm) {
+                    next.push((tag, id));
+                }
+                self.probe.lap(Phase::Intern);
+            },
+        );
+        inbox.iter_mut().for_each(|b| b.clear());
+    }
+
+    /// Worker 0, after the layer's last merge: concatenates the partitions'
+    /// fresh states in tag order into the next frontier and publishes its
+    /// first round.
+    fn next_layer(&mut self, plan: &Plan) {
+        if self.id != 0 {
+            return;
+        }
+        let sh = self.sh;
+        self.probe.begin_cycle();
+        let mut next: Vec<_> = (sh.next.iter())
+            .map(|n| n.lock().expect(POISONED))
+            .collect();
+        let mut frontier = sh.frontier.write().expect(POISONED);
+        frontier.clear();
+        let runs: Vec<&[(u64, u32)]> = next.iter().map(|n| &n[..]).collect();
+        merge_by_tag(
+            &runs,
+            |&(tag, _)| tag,
+            u64::MAX,
+            |p, i| {
+                frontier.push(parent_ref(p, runs[p][i].1));
+            },
+        );
+        next.iter_mut().for_each(|n| n.clear());
+        *sh.plan.lock().expect(POISONED) = Plan::layer(sh, plan.g + 1, frontier.len());
+        self.probe.lap(Phase::Select);
+    }
+
+    /// Worker 0, at the start of a round: throttled progress.
+    fn tick(&mut self, plan: &Plan) {
         let Some(throttle) = self.throttle.as_deref_mut() else {
             return;
         };
-        let open = sh.open_now();
+        let sh = self.sh;
+        let open = sh.open(plan);
         throttle.tick(
             &sh.frame,
             sh.expanded.load(Ordering::Relaxed),
             open,
-            sh.goals_found.load(Ordering::Relaxed),
+            0,
             || {
-                sh.frame
-                    .snapshot((0..sh.workers).map(|i| sh.lock(i)), open, sh.f_bound())
+                let shards = sh.shards.iter().map(|s| s.read().expect(POISONED));
+                sh.frame.snapshot(shards, open, Some(plan.g as u64))
             },
         );
     }
 }
 
-/// Runs the sharded search. Called by [`crate::synthesize`] when the
-/// resolved thread count exceeds one (first-solution, unbudgeted runs).
+/// Runs the parallel layered search. Called by [`crate::synthesize`] when
+/// the resolved thread count exceeds one (first-solution, unbudgeted
+/// layered runs).
 pub(crate) fn run(cfg: &SynthesisConfig) -> SynthesisResult {
     let workers = cfg.effective_threads().max(2);
     let probe_acc = PhaseProbe::new();
@@ -631,16 +608,13 @@ pub(crate) fn run(cfg: &SynthesisConfig) -> SynthesisResult {
     let table = build_distance_table(cfg, &mut stats);
     let frame = RunFrame::new(cfg, stats.distance_table_skipped);
     let mut throttle = Throttle::new(&frame);
-    let max_len = cfg.max_len.unwrap_or(u32::MAX);
-    let f_hint = open_f_hint(max_len, table.as_ref());
     // Pre-size each shard from the recorded high-water marks (plus 1/8
     // headroom over an even split: hash partitioning is never perfectly
     // balanced), so steady-state interning never reallocates.
     let sizing = SizingTable::row_for(cfg, workers as u32);
-    let slots = (0..workers)
+    let shards = (0..workers)
         .map(|_| {
-            let (tx, rx) = bounded(INBOX_CAP);
-            let mut shard = Shard::new(cfg, f_hint, 0);
+            let mut shard = Shard::new(cfg, 0, 0);
             if let Some(row) = sizing {
                 let per = |total: u64, slack_floor: u64| {
                     let even = total / workers as u64;
@@ -648,59 +622,57 @@ pub(crate) fn run(cfg: &SynthesisConfig) -> SynthesisResult {
                 };
                 shard.reserve(per(row.states, 64), per(row.assigns, 1024));
             }
-            Slot {
-                shard: Mutex::new(shard),
-                tx,
-                rx,
-            }
+            RwLock::new(shard)
         })
         .collect();
-    let shared = SharedSearch {
+    let sh = Rounds {
         cfg,
         frame,
         actions: cfg.machine.actions(),
+        table,
         workers,
-        max_len,
-        slots,
-        min_perm: MinPerm::new(),
-        best_cost: AtomicU32::new(u32::MAX),
-        incumbent: Mutex::new(None),
-        work: AtomicI64::new(0),
-        done: AtomicBool::new(false),
+        max_len: cfg.max_len.unwrap_or(u32::MAX),
+        shards,
+        buckets: (0..workers * workers).map(|_| Mutex::default()).collect(),
+        next: (0..workers).map(|_| Mutex::default()).collect(),
+        frontier: RwLock::new(Vec::new()),
+        plan: Mutex::default(),
+        cursor: AtomicUsize::new(0),
+        round_bytes: AtomicUsize::new(0),
+        goal_tag: AtomicU64::new(NO_GOAL),
         limit: Mutex::new(None),
         generated: AtomicU64::new(0),
         expanded: AtomicU64::new(0),
-        goals_found: AtomicU64::new(0),
-        value_mask: value_reg_mask(&cfg.machine),
+        min_perm: MinPerm::new(),
+        barrier: RoundBarrier::new(workers),
         probe_acc: Mutex::new(probe_acc),
-        table,
     };
 
     let init = StateSet::initial(&cfg.machine);
     let owner = shard_of(narrow_key(init.key()), workers);
-    let (_, goal) =
-        shared
-            .lock(owner)
-            .seed(&init, &cfg.machine, shared.table.as_ref(), &shared.min_perm);
-    if goal {
-        // Degenerate machines (n = 1) are sorted from the start; keep the
-        // single-snapshot + metrics contract without spawning workers.
-        shared.record_goal(0, PARENT_NONE, 0);
-        return shared.finish(stats, throttle);
-    }
+    let mut shard = sh.shards[owner].write().expect(POISONED);
+    let (root, goal) = shard.seed(&init, &cfg.machine, sh.table.as_ref(), &sh.min_perm);
+    // Degenerate machines (n = 1) are sorted from the start: an empty first
+    // layer, and the workers stop at once.
+    let layer = if goal {
+        shard.goals.push(root);
+        vec![]
+    } else {
+        vec![parent_ref(owner, root)]
+    };
+    drop(shard);
+    *sh.plan.lock().expect(POISONED) = Plan::layer(&sh, 0, layer.len());
+    *sh.frontier.write().expect(POISONED) = layer;
 
-    shared.work.store(1, Ordering::Release);
-    let mut emitter = Some(&mut throttle);
-    crossbeam::thread::scope(|scope| {
-        for id in 0..workers {
-            let sh = &shared;
-            let throttle = emitter.take();
-            scope.spawn(move |_| Worker::new(sh, id, throttle).run());
+    std::thread::scope(|scope| {
+        for id in 1..workers {
+            let sh = &sh;
+            scope.spawn(move || Worker::new(sh, id, None).run());
         }
-    })
-    .expect("parallel search worker scope");
+        Worker::new(&sh, 0, Some(&mut throttle)).run();
+    });
 
-    shared.finish(stats, throttle)
+    sh.finish(stats, throttle)
 }
 
 #[cfg(test)]
@@ -719,17 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn rng_is_deterministic_per_seed() {
-        let mut a = Rng::new(42);
-        let mut b = Rng::new(42);
-        for _ in 0..10 {
-            assert_eq!(a.next(), b.next());
-        }
-        let mut c = Rng::new(44);
-        assert_ne!(Rng::new(42).next(), c.next());
-    }
-
-    #[test]
     fn parent_refs_round_trip() {
         for (shard, idx) in [(0usize, 0u32), (3, 17), (7, u32::MAX - 1)] {
             let r = parent_ref(shard, idx);
@@ -737,5 +698,27 @@ mod tests {
             assert_eq!(parent_shard(r), shard);
             assert_eq!(parent_idx(r), idx);
         }
+    }
+
+    #[test]
+    fn merge_by_tag_interleaves_sorted_runs_up_to_the_limit() {
+        let a = [1u64, 4, 6];
+        let b = [2u64, 3, 9];
+        let runs: Vec<&[u64]> = vec![&a, &b, &[]];
+        let mut seen = Vec::new();
+        merge_by_tag(&runs, |&t| t, 6, |r, i| seen.push((r, runs[r][i])));
+        assert_eq!(seen, [(0, 1), (1, 2), (1, 3), (0, 4), (0, 6)]);
+    }
+
+    #[test]
+    fn round_length_follows_bytes_per_state() {
+        // 1 KiB per expanded state: the target's worth of states, capped at
+        // four times the last round.
+        let per_target = ROUND_BYTES / 1024;
+        assert_eq!(next_round_len(per_target, per_target * 1024), per_target);
+        assert_eq!(next_round_len(10, 10 * 1024), 40);
+        // An empty outbox still grows by the cap; a huge one keeps a chunk.
+        assert_eq!(next_round_len(100, 0), 400);
+        assert_eq!(next_round_len(100, usize::MAX / 2), CHUNK);
     }
 }

@@ -3,16 +3,18 @@
 //!
 //! The paper's §3 enumeration — select, step, viability, goal, cut, dedup —
 //! runs under two drivers: the single-shard driver in [`crate::engine`]
-//! (layered or A* on one thread, with the spill tier) and the sharded
-//! worker loop in [`crate::parallel`]. Everything below the driver loops is
-//! written once, here:
+//! (layered or A* on one thread, with the spill tier) and the
+//! layer-synchronous round loop in [`crate::parallel`]. Everything below the
+//! driver loops is written once, here:
 //!
 //! * [`Shard`] is the store: a [`StateArena`], an id-aligned [`Edge`]
 //!   table, and one [`BucketQueue`]. The single-shard driver holds
-//!   `&mut Shard`; the sharded driver holds one `Mutex<Shard>` per worker.
-//! * [`Shard::merge`] is the only successor merge: incumbent cutoff,
-//!   dedup, reopen at a shorter length, fresh insert with the spill
-//!   decision, and the open-list push.
+//!   `&mut Shard`; the round loop holds one `RwLock<Shard>` per key
+//!   partition.
+//! * [`Shard::merge`] is the only successor merge: dedup, reopen at a
+//!   shorter length, and fresh insert with the spill decision. It reports
+//!   a queued state's id; the caller decides where it goes next (the open
+//!   list, or the round loop's next-layer list).
 //! * [`ShardStats`] is the only counter block. Each shard owns one; the
 //!   run's [`SearchStats`] totals and every progress snapshot are folded
 //!   from them by one fold, `RunFrame::fold`.
@@ -86,8 +88,9 @@ const _: () = assert!(std::mem::size_of::<Edge>() == 16);
 const MAX_DEPTH: usize = 256;
 
 /// Minimum permutation count among kept states of each length — the §3.5
-/// cut's reference. Relaxed atomics so parallel workers can share one
-/// table: a stale read yields a *laxer* threshold, never a stricter one.
+/// cut's reference. Relaxed atomics so the round loop's partition mergers
+/// can share one table; every driver reads a length's threshold only
+/// after that length's states are all merged, so the value is final.
 pub(crate) struct MinPerm(Vec<AtomicU32>);
 
 impl MinPerm {
@@ -151,16 +154,11 @@ pub(crate) struct Facts<'a> {
 pub(crate) enum Merged {
     /// Already known at an equal or shorter length.
     Dup,
-    /// At or past the cutoff: cannot begin a strictly shorter kernel.
-    BoundPruned,
-    /// Fresh, or reopened at a shorter length, and pushed on the open
-    /// list.
-    Queued,
-    /// A goal state (fresh or reopened); never queued by the merge.
+    /// Fresh, or reopened at a shorter length: the state's id, for the
+    /// caller to queue at the candidate's length.
+    Queued(u32),
+    /// A goal state (fresh or reopened); never queued.
     Goal(u32),
-    /// A fresh state offered without [`Facts`]: nothing was recorded, and
-    /// the caller re-offers it with its span.
-    NeedSpan,
 }
 
 /// One closed-set shard: interned states, their edges, the open list, and
@@ -171,8 +169,7 @@ pub(crate) struct Shard {
     pub edges: Vec<Edge>,
     pub open: BucketQueue,
     pub counters: ShardStats,
-    /// Goal states interned by the merge, in discovery order (single-shard
-    /// runs; the sharded driver records goals as its incumbent instead).
+    /// Goal states interned by the merge, in discovery order.
     pub goals: Vec<u32>,
     /// All-solutions mode only: the extra same-length parents of each
     /// state, as `(parent id, action)`.
@@ -186,8 +183,7 @@ pub(crate) struct Shard {
 impl Shard {
     /// An empty shard for `cfg`, its open list pre-sized for f-values below
     /// `f_hint` with `lane_hint` ids per lane. States are ordered by
-    /// `g + heuristic`; layered runs order by `g` alone — the sharded
-    /// driver's uniform-cost form of layered search.
+    /// `g + heuristic`; layered runs order by `g` alone.
     pub fn new(cfg: &SynthesisConfig, f_hint: usize, lane_hint: usize) -> Self {
         let heuristic = match cfg.strategy {
             Strategy::Layered => Heuristic::None,
@@ -213,9 +209,8 @@ impl Shard {
         self.edges.reserve(states);
     }
 
-    /// Interns the initial state `init` of `machine` as the root and
-    /// queues it unless it is already a goal. Returns its id and whether it
-    /// is a goal.
+    /// Interns the initial state `init` of `machine` as the root. Returns
+    /// its id and whether it is a goal; the caller queues a non-goal root.
     pub fn seed(
         &mut self,
         init: &StateSet,
@@ -240,35 +235,20 @@ impl Shard {
         });
         self.counters.states_kept += 1;
         min_perm.note(0, perm);
-        if !goal {
-            self.enqueue(0, id);
-        }
         (id, goal)
     }
 
-    fn enqueue(&mut self, g: u32, id: u32) {
+    /// Pushes state `id` on the open list at length `g`.
+    pub fn enqueue(&mut self, g: u32, id: u32) {
         let m = self.arena.meta(id);
         let h = heuristic_from_meta(self.heuristic, m.perm, m.assign_count(), m.max_dist);
         self.open.push(g as u64 + h as u64, g, id);
     }
 
     /// The successor merge (§3.6). Disposes of `c` exactly once — counted
-    /// in `merged` plus one of `bound_pruned`, `dedup_hits`, `reopened`,
-    /// `states_kept` — unless it returns [`Merged::NeedSpan`], which
-    /// records nothing. `cutoff` is the sharded driver's incumbent bound
-    /// (`u32::MAX` in single-shard runs, which prune by length at pop).
-    pub fn merge(
-        &mut self,
-        c: &Cand,
-        facts: Option<Facts<'_>>,
-        cutoff: u32,
-        min_perm: &MinPerm,
-    ) -> Merged {
-        if c.g >= cutoff {
-            self.counters.merged += 1;
-            self.counters.bound_pruned += 1;
-            return Merged::BoundPruned;
-        }
+    /// in `merged` plus one of `dedup_hits`, `reopened`, `states_kept`.
+    /// `f` describes the candidate's span, used only when its key is fresh.
+    pub fn merge(&mut self, c: &Cand, f: Facts<'_>, min_perm: &MinPerm) -> Merged {
         if let Some(id) = self.arena.get(c.key) {
             self.counters.merged += 1;
             let edge = &mut self.edges[id as usize];
@@ -282,9 +262,9 @@ impl Shard {
                 self.counters.dedup_hits += 1;
                 return Merged::Dup;
             }
-            // Shorter path to a known state (no global layer order in A*
-            // or the sharded driver): re-parent it; an open entry at the
-            // old length turns stale and is dropped at pop.
+            // Shorter path to a known state (A* has no global layer order):
+            // re-parent it; an open entry at the old length turns stale and
+            // is dropped at pop.
             *edge = Edge {
                 parent: c.parent,
                 g: c.g,
@@ -299,12 +279,8 @@ impl Shard {
                 return Merged::Goal(id);
             }
             min_perm.note(c.g, meta.perm);
-            self.enqueue(c.g, id);
-            return Merged::Queued;
+            return Merged::Queued(id);
         }
-        let Some(f) = facts else {
-            return Merged::NeedSpan;
-        };
         self.counters.merged += 1;
         self.counters.states_kept += 1;
         // Spill decision: once the resident estimate crosses the budget,
@@ -343,8 +319,7 @@ impl Shard {
             return Merged::Goal(id);
         }
         min_perm.note(c.g, f.perm);
-        self.enqueue(c.g, id);
-        Merged::Queued
+        Merged::Queued(id)
     }
 
     /// Estimated resident footprint: arena spans + closed map + per-state

@@ -1,13 +1,14 @@
-//! Best-first search through the sharded driver.
+//! Best-first search at any thread count.
 //!
 //! The single-thread A* traces are pinned exactly by `golden_trace.rs`
 //! (whose constants were recorded while the bucketed open list still ran
 //! against a reference `BinaryHeap`; the queue-level comparison lives on in
-//! `proptest_search.rs`). Here the same lossless A* configurations run
-//! through the sharded driver, where expansion order races: every thread
-//! count must land on the single-thread optimal cost with a kernel the
-//! sortsynth-verify gate (exhaustive n! permutation oracle at these sizes)
-//! accepts.
+//! `proptest_search.rs`). Best-first pop order has no layers for the
+//! parallel driver's rounds to synchronize on, so an A* run asking for more
+//! threads runs on the single-shard driver: every row here asserts that
+//! route (no per-shard counter blocks), the single-thread optimal cost,
+//! and a kernel the sortsynth-verify gate (exhaustive n! permutation oracle
+//! at these sizes) accepts.
 
 use sortsynth_isa::{IsaMode, Machine};
 use sortsynth_search::{
@@ -47,13 +48,23 @@ fn check_kernel(machine: &Machine, label: &str, result: &SynthesisResult) {
     }
 }
 
+/// Asserts that `result` ran on the single-shard driver.
+fn assert_single_shard(label: &str, result: &SynthesisResult) {
+    assert!(
+        result.stats.shards.is_empty(),
+        "{label}: best-first runs take the single-shard driver"
+    );
+}
+
 /// Runs `cfg` on one thread and at every count in `threads`, asserting the
-/// sharded runs land on the single-thread cost with correct kernels.
+/// runs take the single-shard driver and land on the single-thread cost
+/// with correct kernels.
 fn assert_threads_agree(machine: &Machine, label: &str, cfg: &SynthesisConfig, threads: &[usize]) {
     let sequential = synthesize(cfg);
     check_kernel(machine, &format!("{label}@1"), &sequential);
     for &t in threads {
         let result = synthesize(&cfg.clone().threads(t));
+        assert_single_shard(&format!("{label}@{t}"), &result);
         assert_eq!(
             result.found_len, sequential.found_len,
             "{label}@{t}: diverged from sequential ({:?})",
@@ -120,12 +131,10 @@ fn n4_minmax_guided_row() {
 
 #[test]
 #[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
-fn repeated_oversubscribed_astar_is_interleaving_invariant() {
-    // The same sharded A* search 20 times at 8 workers: on a host with
-    // fewer cores the workers are oversubscribed, so the scheduler
-    // preempts them at different points every run and the interleavings
-    // genuinely differ. Every run must land on the single-thread optimal
-    // cost with an oracle-accepted kernel.
+fn repeated_astar_at_eight_threads_runs_single_shard() {
+    // The same A* search 20 times at 8 threads: every run must take the
+    // single-shard driver and land on the single-thread optimal cost with
+    // an oracle-accepted kernel.
     let machine = Machine::new(3, 1, IsaMode::MinMax);
     let cfg = SynthesisConfig::new(machine.clone())
         .budget_viability(true)
@@ -139,6 +148,7 @@ fn repeated_oversubscribed_astar_is_interleaving_invariant() {
 
     for run in 0..20 {
         let result = synthesize(&cfg.clone().threads(8));
+        assert_single_shard(&format!("run {run}"), &result);
         assert_eq!(
             result.found_len,
             Some(expected),
@@ -151,11 +161,13 @@ fn repeated_oversubscribed_astar_is_interleaving_invariant() {
 
 #[test]
 #[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
-fn oversized_machine_runs_best_first_on_both_drivers() {
+fn oversized_machine_runs_best_first_single_shard_at_any_thread_count() {
     // Regression: a machine past the distance table's action limit takes
     // the no-table fallback, whose f-values outgrow the open list's sizing
-    // estimate; neither the single-shard nor the sharded setup path may
-    // trip over it.
+    // estimate; the single-shard driver must not trip over it at any
+    // thread count. The parallel setup path for the same machine is
+    // covered by `parallel_equivalence`'s layered
+    // `oversized_machine_synthesizes_in_parallel_without_panic`.
     let machine = Machine::new(2, 8, IsaMode::Cmov);
     assert!(!sortsynth_search::DistanceTable::supports(&machine));
     for t in [1usize, 4] {
@@ -166,6 +178,7 @@ fn oversized_machine_runs_best_first_on_both_drivers() {
             .max_len(4)
             .threads(t);
         let result = synthesize(&cfg);
+        assert_single_shard(&format!("oversized @{t}"), &result);
         assert_eq!(result.found_len, Some(4), "@{t}");
         assert_eq!(result.outcome, Outcome::Solved, "@{t}");
         check_kernel(&machine, &format!("oversized @{t}"), &result);

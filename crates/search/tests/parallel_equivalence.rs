@@ -1,35 +1,35 @@
-//! Differential and determinism tests pinning the parallel engine to the
-//! sequential one.
+//! Differential and determinism tests pinning the parallel driver to the
+//! single-shard one.
 //!
-//! The equivalence matrix covers n = 2..4 on both ISA modes across the
-//! *lossless* pruning configurations (dead-write cut on/off × distance
-//! table on/off): for those the parallel search is provably cost-equal to
-//! the sequential search, so any divergence is a bug. The §3.5
-//! permutation-count cut is deliberately absent from the matrix — its
-//! thresholds are not optimality-preserving, so cost equality under racing
-//! per-layer minima is checked empirically by the `parallel_speedup` bench
-//! (and the release-only `#[ignore]` test below), not asserted here as a
-//! theorem.
+//! The parallel driver expands each layer in rounds and merges every key
+//! partition in the order the single-shard driver merges it, with the same
+//! per-layer cut thresholds. So every row here asserts more than cost
+//! equality: the kernel itself must equal the `threads = 1` kernel, under
+//! the lossless configurations (dead-write cut on/off × distance table
+//! on/off) and under the lossy `SynthesisConfig::best` configuration (the
+//! §3.5 permutation-count cut plus the optimal-instruction restriction)
+//! alike. A bounded row one below the optimum must exhaust with identical
+//! counters at every thread count.
 //!
 //! Every synthesized kernel additionally passes the sortsynth-verify gate,
 //! which falls back to the exhaustive n! permutation oracle — the parallel
-//! engine must not just agree on cost, it must emit *correct* kernels.
+//! driver must not just agree on the kernel, it must emit *correct* ones.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sortsynth_isa::{IsaMode, Machine};
 use sortsynth_search::{
-    synthesize, Outcome, ProgressHook, SearchBudget, SearchProgress, SynthesisConfig,
+    synthesize, Outcome, ProgressHook, SearchBudget, SearchProgress, SearchStats, SynthesisConfig,
     SynthesisResult,
 };
 
-/// Lossless configurations for `machine`, labelled. `bound` pins `max_len`
-/// where the viability budget needs it (and keeps the plain rows small
-/// enough for debug-mode CI).
-fn lossless_configs(machine: &Machine, bound: u32) -> Vec<(&'static str, SynthesisConfig)> {
-    // Viability only — `optimal_instrs_only` (§3.2) is formally
-    // non-optimality-preserving and would void the certification check.
+/// The configurations for `machine`, labelled: the lossless ones, where
+/// `bound` pins `max_len` (the viability budget needs it, and it keeps the
+/// plain rows small enough for debug-mode CI), and the paper's lossy best
+/// configuration.
+fn configs(machine: &Machine, bound: u32) -> Vec<(&'static str, SynthesisConfig)> {
     let base = || SynthesisConfig::new(machine.clone()).max_len(bound);
     let table = || base().budget_viability(true);
     vec![
@@ -37,41 +37,53 @@ fn lossless_configs(machine: &Machine, bound: u32) -> Vec<(&'static str, Synthes
         ("dead-write", base().dead_write_cut(true)),
         ("table", table()),
         ("table+dead-write", table().dead_write_cut(true)),
+        ("best", SynthesisConfig::best(machine.clone())),
     ]
 }
 
-/// Runs `cfg` sequentially and at each thread count, asserting identical
-/// optimal cost and oracle-verified kernels throughout.
+/// Runs `cfg` sequentially and at each thread count, asserting the same
+/// outcome, the same kernel, and oracle-verified kernels throughout.
 fn assert_equivalent(machine: &Machine, label: &str, cfg: &SynthesisConfig, threads: &[usize]) {
     let sequential = synthesize(cfg);
-    check_result(machine, label, 1, &sequential);
+    check_result(machine, label, 1, cfg, &sequential);
     for &t in threads {
         let parallel = synthesize(&cfg.clone().threads(t));
         assert_eq!(
-            sequential.found_len, parallel.found_len,
-            "{label} diverged at {t} threads (seq {:?}, par {:?})",
-            sequential.outcome, parallel.outcome
+            sequential.outcome, parallel.outcome,
+            "{label} diverged at {t} threads"
+        );
+        assert_eq!(
+            sequential.first_program(),
+            parallel.first_program(),
+            "{label}: the {t}-thread kernel differs from the 1-thread kernel"
         );
         assert_eq!(
             parallel.stats.shards.len(),
             t.max(2),
             "{label}: one shard per worker"
         );
-        check_result(machine, label, t, &parallel);
+        check_result(machine, label, t, cfg, &parallel);
     }
 }
 
 /// Common per-result assertions: kernel correctness via the exhaustive
 /// oracle, certification, and shard-counter aggregation.
-fn check_result(machine: &Machine, label: &str, threads: usize, result: &SynthesisResult) {
+fn check_result(
+    machine: &Machine,
+    label: &str,
+    threads: usize,
+    cfg: &SynthesisConfig,
+    result: &SynthesisResult,
+) {
     if let Some(len) = result.found_len {
         let prog = result.first_program().expect("found_len implies a program");
         assert_eq!(prog.len() as u32, len, "{label}@{threads}");
         sortsynth_verify::gate(machine, &prog)
             .unwrap_or_else(|e| panic!("{label}@{threads}: oracle rejected kernel: {e:?}"));
-        assert!(
+        assert_eq!(
             result.minimal_certified,
-            "{label}@{threads}: lossless layered config must certify"
+            cfg.guarantees_minimal(),
+            "{label}@{threads}: lossless layered configs certify, lossy ones do not"
         );
     }
     let s = &result.stats;
@@ -94,6 +106,20 @@ fn check_result(machine: &Machine, label: &str, threads: usize, result: &Synthes
     }
 }
 
+/// The counters a run decides, in one comparable row: every one of them is
+/// independent of the thread count and of scheduling on an exhausted run.
+fn decided(s: &SearchStats) -> [u64; 7] {
+    [
+        s.expanded,
+        s.generated,
+        s.viability_pruned,
+        s.cut_pruned,
+        s.dead_write_pruned,
+        s.dedup_hits,
+        s.states_kept,
+    ]
+}
+
 #[test]
 #[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
 fn n2_both_isas_full_matrix() {
@@ -103,7 +129,7 @@ fn n2_both_isas_full_matrix() {
             IsaMode::Cmov => 4,
             IsaMode::MinMax => 3,
         };
-        for (label, cfg) in lossless_configs(&machine, bound) {
+        for (label, cfg) in configs(&machine, bound) {
             assert_equivalent(&machine, &format!("n2 {mode:?} {label}"), &cfg, &[2, 4, 8]);
         }
     }
@@ -113,31 +139,27 @@ fn n2_both_isas_full_matrix() {
 #[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
 fn n3_minmax_full_matrix() {
     let machine = Machine::new(3, 1, IsaMode::MinMax);
-    for (label, cfg) in lossless_configs(&machine, 8) {
+    for (label, cfg) in configs(&machine, 8) {
         assert_equivalent(&machine, &format!("n3 MinMax {label}"), &cfg, &[2, 4]);
     }
 }
 
 #[test]
 #[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
-fn n3_cmov_table_rows() {
+fn n3_cmov_table_and_best_rows() {
     // The plain n = 3 cmov space is minutes-deep in debug mode (the paper's
     // 56 s Dijkstra row); the distance-table rows finish in seconds and
     // still exercise both dead-write settings. The table-off axis is
     // covered at n = 2 and n = 3 minmax above.
     let machine = Machine::new(3, 1, IsaMode::Cmov);
-    let table = || {
-        SynthesisConfig::new(machine.clone())
-            .budget_viability(true)
-            .max_len(11)
-    };
-    assert_equivalent(&machine, "n3 Cmov table", &table(), &[2]);
-    assert_equivalent(
-        &machine,
-        "n3 Cmov table+dead-write",
-        &table().dead_write_cut(true),
-        &[4],
-    );
+    let rows: Vec<_> = configs(&machine, 11)
+        .into_iter()
+        .filter(|(label, _)| label.starts_with("table") || *label == "best")
+        .collect();
+    assert_eq!(rows.len(), 3);
+    for ((label, cfg), threads) in rows.into_iter().zip([2, 4, 8]) {
+        assert_equivalent(&machine, &format!("n3 Cmov {label}"), &cfg, &[threads]);
+    }
 }
 
 #[test]
@@ -151,9 +173,9 @@ fn n4_minmax_table_rows() {
 }
 
 /// Release-only completion of the matrix: the n = 4 cmov space needs the
-/// full best() configuration (including the non-lossless permutation cut)
-/// to finish in reasonable time, so this row asserts *empirical* cost
-/// equality at every thread count. Run by the CI `parallel-smoke` job with
+/// full best() configuration (including the lossy permutation cut) to
+/// finish in reasonable time. Every thread count must return the
+/// single-thread kernel itself. Run by the CI `parallel-smoke` job with
 /// `--release -- --include-ignored`.
 #[test]
 #[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
@@ -163,23 +185,68 @@ fn n4_cmov_best_config_agrees_across_thread_counts() {
     let cfg = SynthesisConfig::best(machine.clone());
     let sequential = synthesize(&cfg);
     assert_eq!(sequential.found_len, Some(20));
+    let kernel = sequential.first_program().expect("kernel");
     for t in [2, 4, 8] {
         let parallel = synthesize(&cfg.clone().threads(t));
-        assert_eq!(parallel.found_len, Some(20), "diverged at {t} threads");
-        let prog = parallel.first_program().expect("kernel");
-        sortsynth_verify::gate(&machine, &prog)
+        assert_eq!(
+            parallel.first_program().as_ref(),
+            Some(&kernel),
+            "the {t}-thread kernel differs from the 1-thread kernel"
+        );
+        sortsynth_verify::gate(&machine, &kernel)
             .unwrap_or_else(|e| panic!("oracle rejected n4 kernel at {t} threads: {e:?}"));
+    }
+}
+
+/// A bound one below the optimum leaves nothing to find: the run exhausts
+/// the whole bounded space, and every counter it decides is the same at
+/// every thread count.
+fn assert_exhausts_identically(label: &str, cfg: &SynthesisConfig) {
+    let sequential = synthesize(cfg);
+    assert_eq!(sequential.outcome, Outcome::Exhausted, "{label}");
+    for t in [2, 8] {
+        let parallel = synthesize(&cfg.clone().threads(t));
+        assert_eq!(parallel.outcome, Outcome::Exhausted, "{label}@{t}");
+        assert_eq!(
+            decided(&parallel.stats),
+            decided(&sequential.stats),
+            "{label}@{t}: [expanded, generated, viability, cut, dead-write, dedup, kept]"
+        );
     }
 }
 
 #[test]
 #[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
+fn n3_cmov_one_below_the_optimum_exhausts_with_identical_counters() {
+    let machine = Machine::new(3, 1, IsaMode::Cmov);
+    let table = SynthesisConfig::new(machine.clone())
+        .budget_viability(true)
+        .max_len(10);
+    assert_exhausts_identically("n3 Cmov table", &table);
+    assert_exhausts_identically("n3 Cmov table+dead-write", &table.dead_write_cut(true));
+    assert_exhausts_identically("n3 Cmov best", &SynthesisConfig::best(machine).max_len(10));
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
+#[ignore = "seconds in release, minutes in debug; CI runs it with --release"]
+fn n4_minmax_one_below_the_optimum_exhausts_with_identical_counters() {
+    let machine = Machine::new(4, 1, IsaMode::MinMax);
+    let cfg = SynthesisConfig::new(machine)
+        .budget_viability(true)
+        .max_len(14);
+    assert_exhausts_identically("n4 MinMax table", &cfg);
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
 fn repeated_oversubscribed_runs_are_interleaving_invariant() {
-    // The same sharded search, 20 times, at 8 workers: on a host with fewer
-    // cores the workers are oversubscribed, so the scheduler preempts them
-    // at different points every run and the thread interleavings genuinely
-    // differ. Every run must produce the sequential optimal cost and
-    // internally consistent statistics.
+    // The same parallel search, 20 times, at 8 workers: on a host with
+    // fewer cores the workers are oversubscribed, so the scheduler preempts
+    // them at different points every run and the thread interleavings
+    // genuinely differ. Every run must return the single-thread kernel,
+    // internally consistent statistics, and the same decided counters:
+    // round boundaries depend only on which states were expanded.
     let machine = Machine::new(3, 1, IsaMode::MinMax);
     let cfg = SynthesisConfig::new(machine.clone())
         .budget_viability(true)
@@ -187,18 +254,18 @@ fn repeated_oversubscribed_runs_are_interleaving_invariant() {
     let sequential = synthesize(&cfg);
     let expected = sequential.found_len.expect("n3 minmax solves");
     assert_eq!(expected, 8);
+    let kernel = sequential.first_program().expect("kernel");
+    sortsynth_verify::gate(&machine, &kernel).expect("oracle accepts the kernel");
 
+    let mut first: Option<[u64; 7]> = None;
     for run in 0..20 {
         let result = synthesize(&cfg.clone().threads(8));
         assert_eq!(
-            result.found_len,
-            Some(expected),
-            "run {run}: cost diverged ({:?})",
+            result.first_program().as_ref(),
+            Some(&kernel),
+            "run {run}: kernel diverged ({:?})",
             result.outcome
         );
-        let prog = result.first_program().expect("kernel");
-        sortsynth_verify::gate(&machine, &prog)
-            .unwrap_or_else(|e| panic!("run {run}: oracle rejected kernel: {e:?}"));
 
         let s = &result.stats;
         // Lower bounds from the optimal path: every proper prefix of the
@@ -232,13 +299,12 @@ fn repeated_oversubscribed_runs_are_interleaving_invariant() {
             s.shards.iter().map(|sh| sh.expanded).sum::<u64>(),
             "run {run}"
         );
-        // Quiescence drained everything: a candidate routed off-shard is
-        // merged by its owner exactly once.
-        let routed: u64 = s.shards.iter().map(|sh| sh.routed).sum();
-        assert!(
-            merged >= routed,
-            "run {run}: routed {routed} candidates but merged only {merged}"
-        );
+        // Layer order needs no stealing and no incumbent bound.
+        assert_eq!((s.steals, s.bound_pruned, reopened), (0, 0, 0), "run {run}");
+        match first {
+            None => first = Some(decided(s)),
+            Some(row) => assert_eq!(decided(s), row, "run {run}: decided counters moved"),
+        }
     }
 }
 
@@ -247,46 +313,39 @@ fn live_threads() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(1, |d| d.count())
 }
 
-#[test]
-#[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
-fn cancelled_parallel_search_joins_workers_and_flushes_once() {
-    // Satellite 3: a parallel search cancelled mid-flight returns
-    // `Cancelled` promptly, leaves no worker thread behind, and emits the
-    // final progress snapshot exactly once.
-    let machine = Machine::new(4, 1, IsaMode::Cmov);
-    let (budget, cancel) = SearchBudget::unlimited().cancellable();
+/// Runs `cfg` (its progress hook replaced by a recorder) and asserts it
+/// ends with `outcome` within `within`, leaves no worker thread behind, and
+/// delivers exactly one final snapshot, last. `during` runs alongside the
+/// search (a canceller, say) and is joined before the checks.
+fn assert_limited(
+    cfg: SynthesisConfig,
+    outcome: Outcome,
+    within: Duration,
+    during: impl FnOnce() + Send + 'static,
+) {
     let snapshots: Arc<Mutex<Vec<SearchProgress>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&snapshots);
-    let cfg = SynthesisConfig::new(machine)
-        .max_len(15)
-        .threads(4)
-        .search_budget(budget)
-        .progress_every(512)
-        .progress_hook(ProgressHook::new(move |p: &SearchProgress| {
-            sink.lock().unwrap().push(p.clone());
-        }));
+    let cfg =
+        cfg.progress_every(512)
+            .progress_hook(ProgressHook::new(move |p: &SearchProgress| {
+                sink.lock().unwrap().push(p.clone());
+            }));
 
     let threads_before = live_threads();
-    let canceller = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(50));
-        cancel.cancel();
-    });
+    let side = std::thread::spawn(during);
     let started = Instant::now();
     let result = synthesize(&cfg);
     let elapsed = started.elapsed();
-    canceller.join().unwrap();
+    side.join().unwrap();
 
-    assert_eq!(result.outcome, Outcome::Cancelled);
+    assert_eq!(result.outcome, outcome);
     assert!(result.found_len.is_none());
-    assert!(
-        elapsed < Duration::from_secs(20),
-        "cancellation took {elapsed:?}"
-    );
-    // All four workers joined before `synthesize` returned: thread count is
-    // back to (at most) where it started, canceller aside. /proc/self/task
-    // can briefly list a task whose join already completed (the kernel
-    // removes the entry asynchronously), so poll for the count to settle
-    // instead of sampling once.
+    assert!(elapsed < within, "{outcome:?} took {elapsed:?}");
+    // Every worker joined before `synthesize` returned: the thread count is
+    // back to (at most) where it started. /proc/self/task can briefly list
+    // a task whose join already completed (the kernel removes the entry
+    // asynchronously), so poll for the count to settle instead of sampling
+    // once.
     let mut threads_after = live_threads();
     let settle = Instant::now();
     while threads_after > threads_before && settle.elapsed() < Duration::from_secs(2) {
@@ -301,18 +360,71 @@ fn cancelled_parallel_search_joins_workers_and_flushes_once() {
     let snapshots = snapshots.lock().unwrap();
     let finished: Vec<_> = snapshots.iter().filter(|p| p.finished).collect();
     assert_eq!(finished.len(), 1, "exactly one final snapshot");
-    assert_eq!(finished[0].outcome.as_deref(), Some("Cancelled"));
+    assert_eq!(finished[0].outcome, Some(format!("{outcome:?}")));
     let last = snapshots.last().expect("at least the final snapshot");
     assert!(last.finished, "final snapshot comes last");
+}
+
+/// A large unpruned n = 4 space: far from done when any limit trips.
+fn deep_n4() -> SynthesisConfig {
+    SynthesisConfig::new(Machine::new(4, 1, IsaMode::Cmov)).max_len(15)
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
+fn cancelled_parallel_search_joins_workers_and_flushes_once() {
+    let (budget, cancel) = SearchBudget::unlimited().cancellable();
+    let cfg = deep_n4().threads(4).search_budget(budget);
+    assert_limited(
+        cfg,
+        Outcome::Cancelled,
+        Duration::from_secs(20),
+        move || {
+            std::thread::sleep(Duration::from_millis(50));
+            cancel.cancel();
+        },
+    );
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
+fn node_limited_parallel_search_joins_workers_and_flushes_once() {
+    let cfg = deep_n4().threads(2).node_limit(20_000);
+    assert_limited(cfg, Outcome::NodeLimit, Duration::from_secs(20), || {});
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
+fn time_limited_parallel_search_joins_workers_and_flushes_once() {
+    let cfg = deep_n4().threads(2).time_limit(Duration::ZERO);
+    assert_limited(cfg, Outcome::TimeLimit, Duration::from_secs(20), || {});
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
+fn a_panicking_progress_hook_unwinds_out_of_a_parallel_search() {
+    // Worker 0 delivers progress; when the hook panics there, the other
+    // workers must stop at the round barrier instead of waiting for it
+    // forever, and the panic must reach the caller.
+    let cfg = deep_n4()
+        .threads(4)
+        .progress_every(1)
+        .progress_hook(ProgressHook::new(|p: &SearchProgress| {
+            if p.expanded >= 100 {
+                panic!("injected crash at {} expansions", p.expanded);
+            }
+        }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| synthesize(&cfg)));
+    assert!(outcome.is_err(), "the injected panic must propagate");
 }
 
 #[test]
 #[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
 fn oversized_machine_synthesizes_in_parallel_without_panic() {
-    // Satellite 4 regression: a machine past the distance table's
-    // 256-action limit must take the same graceful fallback on the parallel
-    // setup path as on the sequential one — skip the table, record the skip
-    // in the stats, and search on.
+    // A machine past the distance table's 256-action limit must take the
+    // same graceful fallback on the parallel setup path as on the
+    // sequential one — skip the table, record the skip in the stats, and
+    // search on.
     let machine = Machine::new(2, 8, IsaMode::Cmov);
     assert!(!sortsynth_search::DistanceTable::supports(&machine));
     let cfg = SynthesisConfig::new(machine.clone())
