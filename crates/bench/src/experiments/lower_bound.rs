@@ -1,7 +1,7 @@
 //! E15 — §5.3: optimality certification by exhaustive lower-bound proofs.
 //!
-//! Proves the n = 2 optimum (4) and the n = 3 optimum (11) outright; the
-//! n = 4 length-19 exhaustion (the paper's new bound, two weeks of compute)
+//! Proves the n = 2 optimum (4), the n = 3 optimum (11) and the n = 3 and
+//! n = 4 min/max optima (8 and 15) outright; the n = 4 length-19 exhaustion (the paper's new bound, two weeks of compute)
 //! runs with a node budget by default and completely under
 //! `SORTSYNTH_FULL=1`.
 
@@ -43,12 +43,22 @@ pub fn run(cfg: &BenchConfig) {
             prove("n = 3, cmov", Machine::new(3, 1, IsaMode::Cmov), 10, None),
             BoundVerdict::NoSolution
         );
-        // min/max optima: 8 (n = 3).
+        // min/max optima: 8 (n = 3) and 15 (n = 4).
         assert_eq!(
             prove(
                 "n = 3, min/max",
                 Machine::new(3, 1, IsaMode::MinMax),
                 7,
+                None
+            ),
+            BoundVerdict::NoSolution
+        );
+        // min/max optimum 15 (n = 4).
+        assert_eq!(
+            prove(
+                "n = 4, min/max",
+                Machine::new(4, 1, IsaMode::MinMax),
+                14,
                 None
             ),
             BoundVerdict::NoSolution

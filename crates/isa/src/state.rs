@@ -58,7 +58,7 @@ impl MachineState {
     }
 
     /// Rebuilds a state from [`Self::bits`].
-    pub fn from_bits(bits: u64) -> Self {
+    pub const fn from_bits(bits: u64) -> Self {
         MachineState(bits)
     }
 

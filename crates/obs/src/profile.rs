@@ -17,10 +17,13 @@
 //!    clock fallback elsewhere. Probes are placed at phase *boundaries*
 //!    (a few per expansion), never per candidate, and a probe measures only
 //!    one expansion cycle in [`SAMPLE_STRIDE`] ([`PhaseProbe::begin_cycle`]
-//!    decides; totals are scaled back up at conversion). Expansion cost is
-//!    homogeneous enough that the systematic sample converges within a few
-//!    hundred expansions, and the measured overhead on the synthesis
-//!    headline stays ≤1% (pinned by the `obs_overhead` bench).
+//!    decides). The sampled phase times are scaled up by a ratio estimator:
+//!    to the loop's measured in-loop wall time, which the probe stamps only
+//!    where the loop starts, pauses and ends. Attribution therefore sums
+//!    to that wall time by construction, and a sampled cycle that was
+//!    preempted shifts shares between phases instead of inflating the
+//!    total. The measured overhead on the synthesis headline stays ≤1%
+//!    (pinned by the `obs_overhead` bench).
 //! 3. **Per-worker accumulation.** Each engine worker owns a cache-line
 //!    padded [`PhaseProbe`]; totals are folded together once at the end of
 //!    the run and published to the process-wide registry
@@ -172,7 +175,8 @@ pub fn ticks_to_nanos(ticks: u64) -> u64 {
 }
 
 /// Expansion-sampling stride: a probe measures one expansion cycle in this
-/// many (power of two), scaling totals back up in [`PhaseProbe::nanos`].
+/// many (power of two); [`PhaseProbe::nanos`] scales the sample up to the
+/// in-loop wall time.
 /// At ~18 ns per TSC read and a few laps per expansion, full instrumentation
 /// costs several percent of a microsecond-scale hot loop; sampling divides
 /// that by the stride while the estimate stays within a percent or two of
@@ -191,6 +195,10 @@ pub struct PhaseProbe {
     cycles: u64,
     last: u64,
     ticks: [u64; PHASE_COUNT],
+    /// In-loop ticks of closed windows ([`PhaseProbe::pause`]).
+    wall: u64,
+    /// Start of the open in-loop window, 0 while paused.
+    open: u64,
 }
 
 impl Default for PhaseProbe {
@@ -204,12 +212,15 @@ impl PhaseProbe {
     /// first boundary stamp if profiling is on.
     pub fn new() -> Self {
         let on = enabled();
+        let now = if on { timestamp() } else { 0 };
         PhaseProbe {
             on,
             active: on,
             cycles: 0,
-            last: if on { timestamp() } else { 0 },
+            last: now,
             ticks: [0; PHASE_COUNT],
+            wall: 0,
+            open: now,
         }
     }
 
@@ -221,6 +232,8 @@ impl PhaseProbe {
             cycles: 0,
             last: 0,
             ticks: [0; PHASE_COUNT],
+            wall: 0,
+            open: 0,
         }
     }
 
@@ -257,14 +270,42 @@ impl PhaseProbe {
         }
     }
 
-    /// Restarts the interval without attributing the elapsed time to any
-    /// phase (for sections deliberately left out of the taxonomy, e.g. idle
-    /// waits in parallel workers).
+    /// Starts the in-loop window afresh and restarts the interval: the
+    /// time since the window opened (or since [`PhaseProbe::pause`]) is
+    /// neither attributed to a phase nor counted as in-loop time. Call it
+    /// where the loop starts, after setup the taxonomy leaves out, and
+    /// where it resumes after a pause (e.g. an idle wait in a parallel
+    /// worker). Two timestamps per call when on, so keep it off the
+    /// per-expansion path.
     #[inline]
     pub fn skip(&mut self) {
-        if self.active {
-            self.last = timestamp();
+        if self.on {
+            let t = timestamp();
+            self.open = t;
+            if self.active {
+                self.last = t;
+            }
         }
+    }
+
+    /// Closes the in-loop window: the time since it opened counts as
+    /// in-loop time, and nothing until the next [`PhaseProbe::skip`] does.
+    #[inline]
+    pub fn pause(&mut self) {
+        if self.on && self.open != 0 {
+            self.wall += timestamp().wrapping_sub(self.open);
+            self.open = 0;
+        }
+    }
+
+    /// In-loop ticks so far, the open window included.
+    fn wall_ticks(&self) -> u64 {
+        let open = if self.open != 0 {
+            timestamp().wrapping_sub(self.open)
+        } else {
+            0
+        };
+        self.wall + open
     }
 
     /// Adds a pre-measured tick interval to `phase` (for callers that stamp
@@ -276,23 +317,29 @@ impl PhaseProbe {
         }
     }
 
-    /// Folds another probe's totals into this one.
+    /// Folds another probe's totals into this one: its sampled phase
+    /// ticks and its in-loop time, the open window included. An
+    /// accumulator that times nothing itself should be paused first.
     pub fn merge(&mut self, other: &PhaseProbe) {
         for i in 0..PHASE_COUNT {
             self.ticks[i] += other.ticks[i];
         }
+        self.wall += other.wall_ticks();
     }
 
-    /// The accumulated totals converted to nanoseconds and scaled back up
-    /// by [`SAMPLE_STRIDE`] (only one cycle in the stride was measured),
-    /// indexed by `Phase as usize`. All zero when the probe was off.
+    /// The accumulated phase totals in nanoseconds, indexed by
+    /// `Phase as usize`: the sampled ticks scaled by the ratio of in-loop
+    /// time to sampled time, so they sum to the in-loop wall time. All
+    /// zero when the probe was off or sampled nothing.
     pub fn nanos(&self) -> [u64; PHASE_COUNT] {
-        if self.ticks.iter().all(|&t| t == 0) {
+        let sampled: u64 = self.ticks.iter().sum();
+        if sampled == 0 {
             return [0; PHASE_COUNT];
         }
+        let ratio = self.wall_ticks() as f64 / sampled as f64;
         let mut out = [0u64; PHASE_COUNT];
         for (o, &t) in out.iter_mut().zip(&self.ticks) {
-            *o = ticks_to_nanos(t) * SAMPLE_STRIDE;
+            *o = ticks_to_nanos((t as f64 * ratio) as u64);
         }
         out
     }

@@ -2,24 +2,23 @@
 //!
 //! Before the main search starts, the paper (§3.1, third heuristic; §3.2;
 //! §3.3) precomputes, for every *single* register assignment, the length of
-//! the shortest instruction sequence that sorts it. The table covers
-//! `(n+1)^(n+m)` register contents per flag plane: three planes (flags
-//! clear, `lt`, `gt`) when the ISA has `cmp`, one for min/max, which never
-//! writes a flag. [`DistanceTable::build`] does work only where an
-//! assignment can still be sorted:
+//! the shortest instruction sequence that sorts it. Every op copies a value
+//! and none makes a new one, so an assignment missing a value of `1..=n` is
+//! [`UNSORTABLE`] outright, and so is every successor; the table therefore
+//! covers the *live* assignments only, indexed by their live number
+//! ([`crate::LiveSpace`]): 1 080 at n = 4 cmp/cmov, 2 520 at n = 5 min/max,
+//! where the `(n+1)^(n+m)` contents of every flag plane would be 9 375 and
+//! 46 656. [`DistanceTable::build`]:
 //!
-//! 1. Every op copies a value and none makes a new one, so an assignment
-//!    missing a value of `1..=n` is [`UNSORTABLE`] outright, and so is every
-//!    successor. At n = 5, m = 1 only 2 520 of 46 656 contents per plane
-//!    survive this filter.
-//! 2. Each surviving (assignment, action) pair is stepped exactly once, into
-//!    a transient successor index that is dropped before `build` returns.
-//! 3. Backward induction from the sorted assignments runs over that index:
+//! 1. takes the successor of each (live assignment, action) pair from the
+//!    live space's successor table (machines without a live space step
+//!    each pair once into a transient index);
+//! 2. runs backward induction from the sorted assignments over that index:
 //!    round `d` gives distance `d + 1` to every undecided assignment with a
-//!    distance-`d` successor.
-//! 4. One pass over all encodings then fills the first moves and the
-//!    successor-distance rows from that index, and each row of successor
-//!    projections from the one digit an action can change.
+//!    distance-`d` successor;
+//! 3. fills the first moves, and — with a live space — the successor rows:
+//!    each live assignment's successor distance and successor projection
+//!    number under every action.
 //!
 //! The table serves three purposes:
 //!
@@ -31,9 +30,10 @@
 //! * the §3.2 action restriction — only instructions that start an optimal
 //!   completion for *some* assignment of the state are explored.
 
-use sortsynth_isa::{Instr, Machine, MachineState, Reg};
+use sortsynth_isa::{Instr, Machine, MachineState};
 
-use crate::state::{assignment_erased, ProjScratch, StateSet};
+use crate::live::{enumerate, index_in, LiveSpace, NONE};
+use crate::state::{count_distinct, Assign, ProjScratch, StateSet};
 
 /// Distance value meaning "cannot be sorted" (a value was erased).
 pub const UNSORTABLE: u16 = u16::MAX;
@@ -78,7 +78,7 @@ impl ActionSet {
 }
 
 /// Precomputed per-assignment shortest sorting distances (and optionally the
-/// optimal first moves) for a [`Machine`].
+/// optimal first moves) for a [`Machine`], indexed by live number.
 ///
 /// # Examples
 ///
@@ -96,37 +96,29 @@ impl ActionSet {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DistanceTable {
-    layout: Layout,
+    /// The live numbering: the live assignments, ascending.
+    states: Vec<MachineState>,
     actions: Vec<Instr>,
     dist: Vec<u16>,
     first_moves: Option<Vec<ActionSet>>,
     /// Largest finite distance in the table.
     max_finite: u16,
-    /// Successor distances, *encoding-major*: `succ_dist[enc * actions +
-    /// ai]` is `dist(step(decode(enc), actions[ai]))`. One contiguous row
-    /// holds a parent assignment's distance under *every* action, so
-    /// [`DistanceTable::succ_max_dist_sweep`] streams the whole action
-    /// sweep as packed integer max instead of gathering one scattered
-    /// entry per (action, assignment) pair (n = 4, m = 1 cmp/cmov: 66
-    /// actions × 9 375 encodings ≈ 1.2 MiB). Kept separate from
-    /// [`DistanceTable::succ_proj`] — rather than packed into one u32 —
-    /// so each of the two expansion passes streams only the 1.2 MiB half
-    /// it reads, keeping both L2-resident. `None` when the product
-    /// exceeds [`SUCC_DIST_MAX_ENTRIES`] or the projection outgrows 16
-    /// bits.
+    /// Successor distances, *live-index-major*: `succ_dist[li * actions +
+    /// ai]` is the distance of live assignment `li`'s successor under
+    /// `actions[ai]` ([`UNSORTABLE`] when the step erases a value). One
+    /// contiguous row holds a parent assignment's distance under *every*
+    /// action, so [`DistanceTable::succ_max_dist_sweep`] streams the whole
+    /// action sweep as packed integer max (n = 4, m = 1 cmp/cmov: 66
+    /// actions × 1 080 live assignments ≈ 139 KiB). Built with a live space
+    /// only.
     succ_dist: Option<Vec<u16>>,
-    /// The radix-packed value-register projection of each successor (a
-    /// bijection of the §3.5 permutation projection), same shape as
-    /// [`DistanceTable::succ_dist`]. Lets the expansion loop count a
-    /// candidate's distinct successor projections — the permutation-count
-    /// cut — *before* the candidate is ever stepped.
+    /// The projection number ([`LiveSpace::proj`]) of each successor, same
+    /// shape as [`DistanceTable::succ_dist`] (0 where the step erases a
+    /// value). Lets the expansion loop count a candidate's distinct
+    /// successor projections — the permutation-count cut — *before* the
+    /// candidate is ever stepped.
     succ_proj: Option<Vec<u16>>,
 }
-
-/// Cap on `actions × encodings` for the successor-distance table (two u16
-/// arrays, so 64 MiB total). Covers every machine through n = 5, m = 1;
-/// beyond that the expansion loop falls back to per-successor lookups.
-const SUCC_DIST_MAX_ENTRIES: usize = 1 << 24;
 
 impl DistanceTable {
     /// Whether `machine` is within the table's representable limits
@@ -141,48 +133,63 @@ impl DistanceTable {
     ///
     /// With `with_first_moves`, additionally records for every assignment the
     /// set of actions that start *some* shortest sorting sequence (the §3.2
-    /// "optimal instructions" guide). This roughly doubles memory.
+    /// "optimal instructions" guide).
     pub fn build(machine: &Machine, with_first_moves: bool) -> Self {
+        Self::build_over(
+            machine,
+            LiveSpace::build(machine).as_ref(),
+            with_first_moves,
+        )
+    }
+
+    /// [`DistanceTable::build`] over `machine`'s live space, when it has
+    /// one: the table takes its numbering and successors from `space`, and
+    /// gains the successor rows the expansion loop reads.
+    pub(crate) fn build_over(
+        machine: &Machine,
+        space: Option<&LiveSpace>,
+        with_first_moves: bool,
+    ) -> Self {
         let actions = machine.actions();
         assert!(
             actions.len() <= 256,
             "ActionSet supports at most 256 actions"
         );
         let na = actions.len();
-        let layout = Layout::of(machine);
-        let total = layout.encodings();
-
-        // Erasure ignores the flags, so the live (non-erased) encodings are
-        // plane 0's, repeated in every plane — in ascending encoding order.
-        let plane: Vec<u32> = (0..layout.flag_stride)
-            .filter(|&e| !assignment_erased(machine, layout.decode(e)))
-            .map(|e| e as u32)
-            .collect();
-        let live: Vec<u32> = (0..layout.planes)
-            .flat_map(|p| {
-                plane
-                    .iter()
-                    .map(move |&e| e + (p * layout.flag_stride) as u32)
-            })
-            .collect();
-
-        // The successor index: `succ[li * na + ai]` is the encoding reached
-        // from `live[li]` under `actions[ai]`.
-        let mut succ = Vec::with_capacity(live.len() * na);
-        for &e in &live {
-            let st = layout.decode(e as usize);
-            succ.extend(actions.iter().map(|&a| layout.encode(st.step(a)) as u32));
-        }
+        // The successor index: `succ[li * na + ai]` is the live index
+        // reached from `li` under `actions[ai]`, `u32::MAX` where the step
+        // erases a value.
+        let (states, succ) = match space {
+            Some(space) => {
+                let mut succ = vec![0u32; space.len() * na];
+                for ai in 0..na {
+                    for (li, &s) in space.succ_row(ai).iter().enumerate() {
+                        succ[li * na + ai] = if s == NONE { u32::MAX } else { s as u32 };
+                    }
+                }
+                (space.states().to_vec(), succ)
+            }
+            None => {
+                let (layout, states, index) = enumerate(machine);
+                let mut succ = Vec::with_capacity(states.len() * na);
+                for &st in &states {
+                    succ.extend(actions.iter().map(|&a| index[layout.encode(st.step(a))]));
+                }
+                (states, succ)
+            }
+        };
+        // An erased successor (`u32::MAX`) indexes past every table.
+        let reach = |s: u32, dist: &[u16]| dist.get(s as usize).copied().unwrap_or(UNSORTABLE);
 
         // Backward induction from the sorted assignments: an undecided
         // assignment gets distance d+1 in round d if some action leads to a
-        // distance-d assignment. Erased successors stay UNSORTABLE, so they
+        // distance-d assignment. Erased successors are UNSORTABLE, so they
         // never match.
-        let mut dist = vec![UNSORTABLE; total];
-        let mut undecided: Vec<u32> = Vec::with_capacity(live.len());
-        for (li, &e) in live.iter().enumerate() {
-            if machine.is_sorted(layout.decode(e as usize)) {
-                dist[e as usize] = 0;
+        let mut dist = vec![UNSORTABLE; states.len()];
+        let mut undecided: Vec<u32> = Vec::with_capacity(states.len());
+        for (li, &st) in states.iter().enumerate() {
+            if machine.is_sorted(st) {
+                dist[li] = 0;
             } else {
                 undecided.push(li as u32);
             }
@@ -194,9 +201,9 @@ impl DistanceTable {
                 let li = li as usize;
                 let reaches_d = succ[li * na..(li + 1) * na]
                     .iter()
-                    .any(|&s| dist[s as usize] == d);
+                    .any(|&s| reach(s, &dist) == d);
                 if reaches_d {
-                    dist[live[li] as usize] = d + 1;
+                    dist[li] = d + 1;
                 }
                 !reaches_d
             });
@@ -207,71 +214,36 @@ impl DistanceTable {
         }
         let max_finite = d;
 
-        // The packed projection must fit 16 bits; machines big enough to
-        // overflow it also blow the entry cap, but gate explicitly rather
-        // than rely on that coincidence. The projection of an encoding is
-        // its low `n` digits (the value registers).
-        let proj_modulus = layout.radix.pow(machine.n() as u32);
-        let with_succ = proj_modulus <= 1 << 16 && na * total <= SUCC_DIST_MAX_ENTRIES;
-        let weight: Vec<isize> = actions
-            .iter()
-            .map(|a| match a.dst.index() {
-                r if r < machine.n() => layout.radix.pow(r as u32) as isize,
-                _ => 0,
-            })
-            .collect();
-        let mut first_moves = with_first_moves.then(|| vec![ActionSet::empty(); total]);
-        let (mut td, mut tp) = if with_succ {
-            (vec![UNSORTABLE; na * total], vec![0u16; na * total])
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        // One pass over every encoding. Projections are stepped for every
-        // row; distances and first moves come from the successor index for
-        // live rows. An erased row's successors are erased too, so its
-        // distances stay UNSORTABLE and its first moves empty.
-        let mut next_live = live.iter().enumerate().peekable();
-        for e in 0..total {
-            let row = e * na..(e + 1) * na;
-            if with_succ {
-                // Only the destination digit changes, and it counts toward
-                // the projection only if it is a value register.
-                let st = layout.decode(e);
-                let base = (e % proj_modulus) as isize;
-                for ((p, &a), &w) in tp[row.clone()].iter_mut().zip(&actions).zip(&weight) {
-                    let delta = st.step(a).reg(a.dst) as isize - st.reg(a.dst) as isize;
-                    *p = (base + delta * w) as u16;
-                }
-            }
-            let Some((li, _)) = next_live.next_if(|&(_, &l)| l as usize == e) else {
-                continue;
-            };
-            let succs = &succ[li * na..(li + 1) * na];
-            if with_succ {
-                for (d, &s) in td[row].iter_mut().zip(succs) {
-                    *d = dist[s as usize];
-                }
-            }
-            let here = dist[e];
-            if let Some(moves) = first_moves.as_mut() {
-                if here != 0 && here != UNSORTABLE {
-                    for (ai, &s) in succs.iter().enumerate() {
-                        if dist[s as usize] == here - 1 {
-                            moves[e].insert(ai);
+        let first_moves = with_first_moves.then(|| {
+            (succ.chunks_exact(na).enumerate())
+                .map(|(li, row)| {
+                    let mut moves = ActionSet::empty();
+                    let here = dist[li];
+                    if here != 0 && here != UNSORTABLE {
+                        for (ai, &s) in row.iter().enumerate() {
+                            if reach(s, &dist) == here - 1 {
+                                moves.insert(ai);
+                            }
                         }
                     }
-                }
-            }
-        }
+                    moves
+                })
+                .collect()
+        });
+        let succ_dist = space.map(|_| succ.iter().map(|&s| reach(s, &dist)).collect());
+        let succ_proj = space.map(|space| {
+            let proj = |s: u32| u16::try_from(s).map_or(0, |li| space.proj(li));
+            succ.iter().map(|&s| proj(s)).collect()
+        });
 
         DistanceTable {
-            layout,
+            states,
             actions,
             dist,
             first_moves,
             max_finite,
-            succ_dist: with_succ.then_some(td),
-            succ_proj: with_succ.then_some(tp),
+            succ_dist,
+            succ_proj,
         }
     }
 
@@ -283,13 +255,18 @@ impl DistanceTable {
 
     /// Shortest number of instructions sorting `assign`, or [`UNSORTABLE`].
     pub fn dist(&self, assign: MachineState) -> u16 {
-        self.dist[self.layout.encode(assign)]
+        self.index(assign).map_or(UNSORTABLE, |li| self.dist[li])
     }
 
-    /// Number of per-assignment encodings the table covers: `(n+1)^(n+m)`
-    /// register contents times the flag planes the ISA can reach (three
-    /// with `cmp`, one for min/max).
-    pub fn encodings(&self) -> usize {
+    /// `assign`'s live index, or `None` when it is not live.
+    pub(crate) fn index(&self, assign: MachineState) -> Option<usize> {
+        index_in(&self.states, assign)
+    }
+
+    /// Number of live assignments the table covers: the register contents
+    /// that hold every value of `1..=n`, times the flag planes the ISA can
+    /// reach (three with `cmp`, one for min/max).
+    pub fn live(&self) -> usize {
         self.dist.len()
     }
 
@@ -303,17 +280,14 @@ impl DistanceTable {
     /// distance (§3.1). Returns [`UNSORTABLE`] if any assignment is
     /// unsortable.
     pub fn max_dist(&self, set: &StateSet) -> u16 {
-        self.max_dist_slice(set.assignments())
+        self.max_dist_of(set.assignments())
     }
 
-    /// [`DistanceTable::max_dist`] over a raw assignment slice — the
-    /// expansion hot loop evaluates successors while they still live in the
-    /// shared scratch buffer, before (and usually instead of) building a
-    /// `StateSet`.
-    pub fn max_dist_slice(&self, assigns: &[MachineState]) -> u16 {
+    /// [`DistanceTable::max_dist`] over a span of either element type.
+    pub(crate) fn max_dist_of<A: Assign>(&self, span: &[A]) -> u16 {
         let mut worst = 0;
-        for &a in assigns {
-            let d = self.dist(a);
+        for &a in span {
+            let d = A::table_index(self, a).map_or(UNSORTABLE, |li| self.dist[li]);
             if d == UNSORTABLE {
                 return UNSORTABLE;
             }
@@ -329,34 +303,21 @@ impl DistanceTable {
     ///
     /// Panics if the table was built without first moves.
     pub fn optimal_first_moves(&self, set: &StateSet) -> ActionSet {
-        self.optimal_first_moves_slice(set.assignments())
+        self.optimal_first_moves_of(set.assignments())
     }
 
-    /// [`DistanceTable::optimal_first_moves`] over a raw assignment slice
-    /// (same panic contract).
-    pub fn optimal_first_moves_slice(&self, assigns: &[MachineState]) -> ActionSet {
+    /// [`DistanceTable::optimal_first_moves`] over a span of either element
+    /// type (same panic contract). A non-live assignment adds no move.
+    pub(crate) fn optimal_first_moves_of<A: Assign>(&self, span: &[A]) -> ActionSet {
         let moves = self
             .first_moves
             .as_ref()
             .expect("DistanceTable built without first moves");
         let mut out = ActionSet::empty();
-        for &a in assigns {
-            out.union_with(&moves[self.layout.encode(a)]);
-        }
-        out
-    }
-
-    /// [`DistanceTable::optimal_first_moves_slice`] over already-computed
-    /// assignment encodings ([`DistanceTable::encode_assign`]), so callers
-    /// that hold the encodings anyway skip re-encoding every assignment.
-    pub(crate) fn optimal_first_moves_enc(&self, enc: &[u32]) -> ActionSet {
-        let moves = self
-            .first_moves
-            .as_ref()
-            .expect("DistanceTable built without first moves");
-        let mut out = ActionSet::empty();
-        for &e in enc {
-            out.union_with(&moves[e as usize]);
+        for &a in span {
+            if let Some(li) = A::table_index(self, a) {
+                out.union_with(&moves[li]);
+            }
         }
         out
     }
@@ -366,58 +327,24 @@ impl DistanceTable {
         self.first_moves.is_some()
     }
 
-    /// Whether the successor-distance table was built (see
-    /// [`DistanceTable::succ_max_dist`]).
+    /// Whether the successor rows were built (the machine has a live
+    /// space; see [`DistanceTable::succ_max_dist_sweep`]).
     pub fn has_succ_dist(&self) -> bool {
         self.succ_dist.is_some()
     }
 
-    /// The table encoding of one assignment, for use with
-    /// [`DistanceTable::succ_max_dist`]. Computed once per *expanded* state
-    /// and reused across its whole action sweep.
-    pub fn encode_assign(&self, assign: MachineState) -> u32 {
-        self.layout.encode(assign) as u32
-    }
-
-    /// `max_dist` of the successor reached by action `ai` from the parent
-    /// whose assignment encodings are `enc` — without materializing the
-    /// successor. Returns [`UNSORTABLE`] as soon as any assignment's
-    /// successor is unsortable.
+    /// The successor `max_dist` of the live-index span `indices` under
+    /// *every* action at once: `worst[ai]` becomes the largest distance of
+    /// a successor under action `ai` ([`UNSORTABLE`] — the numeric maximum
+    /// — propagates through the running max for free). One expansion's
+    /// whole viability sweep is a single streaming pass over `indices.len()`
+    /// contiguous rows, which the compiler turns into packed integer max.
     ///
     /// # Panics
     ///
-    /// Panics if the table was built without successor distances
+    /// Panics if the table was built without successor rows
     /// ([`DistanceTable::has_succ_dist`]).
-    pub fn succ_max_dist(&self, ai: usize, enc: &[u32]) -> u16 {
-        let table = self
-            .succ_dist
-            .as_ref()
-            .expect("DistanceTable built without successor distances");
-        let na = self.actions.len();
-        let mut worst = 0;
-        for &e in enc {
-            let d = table[e as usize * na + ai];
-            if d == UNSORTABLE {
-                return UNSORTABLE;
-            }
-            worst = worst.max(d);
-        }
-        worst
-    }
-
-    /// [`DistanceTable::succ_max_dist`] for *every* action at once:
-    /// `worst[ai]` becomes the successor `max_dist` under action `ai`
-    /// ([`UNSORTABLE`] — the numeric maximum — propagates through the
-    /// running max for free). One expansion's whole viability sweep is a
-    /// single streaming pass over `enc.len()` contiguous rows, which the
-    /// compiler turns into packed integer max — replacing one scattered
-    /// gather per surviving (action, assignment) pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table was built without successor distances
-    /// ([`DistanceTable::has_succ_dist`]).
-    pub fn succ_max_dist_sweep(&self, enc: &[u32], worst: &mut Vec<u16>) {
+    pub fn succ_max_dist_sweep(&self, indices: &[u16], worst: &mut Vec<u16>) {
         let table = self
             .succ_dist
             .as_ref()
@@ -425,50 +352,29 @@ impl DistanceTable {
         let na = self.actions.len();
         worst.clear();
         worst.resize(na, 0);
-        for &e in enc {
-            let row = &table[e as usize * na..(e as usize + 1) * na];
+        for &li in indices {
+            let row = &table[li as usize * na..(li as usize + 1) * na];
             for (w, &d) in worst.iter_mut().zip(row) {
                 *w = (*w).max(d);
             }
         }
     }
 
-    /// The radix-packed value-register projections of the successors of
-    /// the parent assignments `enc` under action `ai`, in parent order.
-    /// Feeding these to a distinct-count gives the successor's permutation
-    /// count (§3.5) *before* the successor is ever stepped: packing is a
-    /// bijection on value-register contents, so distinct packed
-    /// projections are exactly distinct permutation projections.
+    /// Distinct successor projections of the live-index span `indices`
+    /// under action `ai` — the §3.5 permutation count of the successor,
+    /// computed straight off the projection rows with no successor
+    /// materialized. Same cap contract as [`count_distinct`]: a return
+    /// `> cap` means the scan stopped early, any return `<= cap` is exact.
+    /// Meaningful only when no successor is erased.
     ///
     /// # Panics
     ///
-    /// Panics if the table was built without successor distances
-    /// ([`DistanceTable::has_succ_dist`]).
-    #[inline]
-    pub fn succ_projs<'a>(&'a self, ai: usize, enc: &'a [u32]) -> impl Iterator<Item = u16> + 'a {
-        let table = self
-            .succ_proj
-            .as_ref()
-            .expect("DistanceTable built without successor distances");
-        let na = self.actions.len();
-        enc.iter().map(move |&e| table[e as usize * na + ai])
-    }
-
-    /// Distinct successor projections of `enc` under action `ai` — the
-    /// §3.5 permutation count of the successor, computed straight off the
-    /// projection table with no successor materialized and nothing copied.
-    /// Same cap contract and chunked cap placement as
-    /// [`crate::state::perm_count_slice`]: a return `> cap` means the scan
-    /// stopped early, any return `<= cap` is exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table was built without successor distances
+    /// Panics if the table was built without successor rows
     /// ([`DistanceTable::has_succ_dist`]).
     pub(crate) fn succ_perm_capped(
         &self,
         ai: usize,
-        enc: &[u32],
+        indices: &[u16],
         scratch: &mut ProjScratch,
         cap: u32,
     ) -> u32 {
@@ -477,102 +383,32 @@ impl DistanceTable {
             .as_ref()
             .expect("DistanceTable built without successor distances");
         let na = self.actions.len();
-        let (stamp, epoch) = scratch.stamp_begin();
-        let mut count = 0u32;
-        let mut chunks = enc.chunks(8);
-        for c in &mut chunks {
-            for &e in c {
-                let v = table[e as usize * na + ai] as usize;
-                let s = &mut stamp[v];
-                count += u32::from(*s != epoch);
-                *s = epoch;
-            }
-            if count > cap {
-                break;
-            }
-        }
-        count
-    }
-}
-
-/// Where a single assignment sits in the table: the register digits
-/// (`0..=n`) radix-packed with register 0 least significant, then one block
-/// of `flag_stride` encodings per flag code. An ISA that never writes a flag
-/// gets one plane; `cmp` machines get three (clear, `lt`, `gt`).
-#[derive(Debug, Clone, Copy)]
-struct Layout {
-    regs: u8,
-    /// Radix for register digits: `n + 1` (values `0..=n`).
-    radix: usize,
-    /// Stride between flag planes: `radix^(n+m)`.
-    flag_stride: usize,
-    planes: usize,
-}
-
-impl Layout {
-    fn of(machine: &Machine) -> Self {
-        let writes_flags = machine.mode().ops().iter().any(|op| op.writes_flags());
-        Layout::with_planes(machine, if writes_flags { 3 } else { 1 })
-    }
-
-    fn with_planes(machine: &Machine, planes: usize) -> Self {
-        let radix = machine.n() as usize + 1;
-        Layout {
-            regs: machine.num_regs(),
-            radix,
-            flag_stride: radix.pow(machine.num_regs() as u32),
-            planes,
-        }
-    }
-
-    fn encodings(self) -> usize {
-        self.planes * self.flag_stride
-    }
-
-    fn encode(self, st: MachineState) -> usize {
-        let mut idx = 0usize;
-        for r in (0..self.regs).rev() {
-            let v = st.reg(Reg::new(r)) as usize;
-            debug_assert!(v < self.radix);
-            idx = idx * self.radix + v;
-        }
-        let flags = flag_code(st);
-        debug_assert!(flags < self.planes, "flagged state in a one-plane table");
-        flags * self.flag_stride + idx
-    }
-
-    fn decode(self, idx: usize) -> MachineState {
-        let flags = idx / self.flag_stride;
-        let mut rest = idx % self.flag_stride;
-        let mut st = MachineState::default();
-        for r in 0..self.regs {
-            st.set_reg(Reg::new(r), (rest % self.radix) as u8);
-            rest /= self.radix;
-        }
-        st.set_flags(flags == 1, flags == 2);
-        st
-    }
-}
-
-fn flag_code(st: MachineState) -> usize {
-    match (st.lt_flag(), st.gt_flag()) {
-        (false, false) => 0,
-        (true, false) => 1,
-        (false, true) => 2,
-        (true, true) => unreachable!("cmp never sets both flags"),
+        count_distinct(indices, |li| table[li as usize * na + ai], scratch, cap)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sortsynth_isa::IsaMode;
+    use crate::live::Layout;
+    use sortsynth_isa::{IsaMode, Reg};
+
+    /// The full sweep's output, indexed by [`Layout`] encoding over three
+    /// flag planes.
+    struct Reference {
+        layout: Layout,
+        dist: Vec<u16>,
+        first_moves: Option<Vec<ActionSet>>,
+        max_finite: u16,
+        succ_dist: Vec<u16>,
+        succ_proj: Vec<u16>,
+    }
 
     /// The full sweep, the reference for [`DistanceTable::build`]: three
     /// flag planes whatever the ISA, and every encoding re-stepped under
     /// every action in each round of induction, and again for the first
     /// moves and the successor rows. No shortcut, so it checks the build's.
-    fn reference_build(machine: &Machine, with_first_moves: bool) -> DistanceTable {
+    fn reference_build(machine: &Machine, with_first_moves: bool) -> Reference {
         let actions = machine.actions();
         let layout = Layout::with_planes(machine, 3);
         let radix = layout.radix;
@@ -630,27 +466,19 @@ mod tests {
             moves
         });
 
-        let proj_fits = (radix as u64).pow(machine.n() as u32) <= 1 << 16;
-        let (succ_dist, succ_proj) = if proj_fits && actions.len() * total <= SUCC_DIST_MAX_ENTRIES
-        {
-            let mut td = vec![0u16; actions.len() * total];
-            let mut tp = vec![0u16; actions.len() * total];
-            for idx in 0..total {
-                let st = layout.decode(idx);
-                for (ai, &a) in actions.iter().enumerate() {
-                    let succ = st.step(a);
-                    td[idx * actions.len() + ai] = dist[layout.encode(succ)];
-                    tp[idx * actions.len() + ai] = packed_proj(machine, radix, succ);
-                }
+        let mut succ_dist = vec![0u16; actions.len() * total];
+        let mut succ_proj = vec![0u16; actions.len() * total];
+        for idx in 0..total {
+            let st = layout.decode(idx);
+            for (ai, &a) in actions.iter().enumerate() {
+                let succ = st.step(a);
+                succ_dist[idx * actions.len() + ai] = dist[layout.encode(succ)];
+                succ_proj[idx * actions.len() + ai] = packed_proj(machine, radix, succ);
             }
-            (Some(td), Some(tp))
-        } else {
-            (None, None)
-        };
+        }
 
-        DistanceTable {
+        Reference {
             layout,
-            actions,
             dist,
             first_moves,
             max_finite,
@@ -668,35 +496,62 @@ mod tests {
         p as u16
     }
 
-    /// [`DistanceTable::build`] agrees with [`reference_build`] field by
-    /// field. A min/max table holds only the flag-free plane, which is the
-    /// reference's first `encodings()` entries (and rows); the reference's
-    /// flagged planes are unreachable without `cmp`.
+    /// [`DistanceTable::build`] agrees with [`reference_build`] at every
+    /// encoding of the flag planes the ISA reaches (all three with `cmp`,
+    /// the flag-free one for min/max): distances through `dist()`, first
+    /// moves, and the successor rows — a live encoding's row entry by
+    /// entry, every other encoding's row wholly unsortable. Successor
+    /// projection numbers must name the reference's packed projections.
     fn assert_matches_reference(n: u8, mode: IsaMode) {
         let m = Machine::new(n, 1, mode);
+        let space = LiveSpace::build(&m).expect("m = 1 machines have a live space");
+        let mut packed = vec![u16::MAX; space.len()];
+        let layout = Layout::with_planes(&m, 3);
+        for li in 0..space.len() as u16 {
+            packed[space.proj(li) as usize] = packed_proj(&m, layout.radix, space.state(li));
+        }
+        let planes = if mode == IsaMode::Cmov { 3 } else { 1 };
         for with_first_moves in [false, true] {
             let fast = DistanceTable::build(&m, with_first_moves);
             let slow = reference_build(&m, with_first_moves);
             let what = format!("n = {n} {mode:?} first moves {with_first_moves}");
-            let planes = if mode == IsaMode::Cmov { 3 } else { 1 };
-            assert_eq!(fast.encodings() * 3, slow.encodings() * planes, "{what}");
-            let len = fast.encodings();
-            let rows = len * fast.actions().len();
-            assert_eq!(fast.actions, slow.actions, "{what}");
-            assert!(fast.dist == slow.dist[..len], "dist differs: {what}");
-            assert_eq!(
-                fast.first_moves.as_deref(),
-                slow.first_moves.as_ref().map(|v| &v[..len]),
-                "first moves differ: {what}"
-            );
-            assert_eq!(fast.succ_dist.is_some(), slow.succ_dist.is_some(), "{what}");
-            if let (Some(f), Some(s)) = (&fast.succ_dist, &slow.succ_dist) {
-                assert!(f[..] == s[..rows], "succ_dist differs: {what}");
-            }
-            if let (Some(f), Some(s)) = (&fast.succ_proj, &slow.succ_proj) {
-                assert!(f[..] == s[..rows], "succ_proj differs: {what}");
-            }
+            assert_eq!(fast.actions, m.actions(), "{what}");
+            assert_eq!(fast.live(), space.len(), "{what}");
             assert_eq!(fast.max_finite, slow.max_finite, "{what}");
+            let na = fast.actions.len();
+            let (fd, fp) = (
+                fast.succ_dist.as_ref().unwrap(),
+                fast.succ_proj.as_ref().unwrap(),
+            );
+            for e in 0..planes * slow.layout.flag_stride {
+                let st = slow.layout.decode(e);
+                assert_eq!(fast.dist(st), slow.dist[e], "dist at {e}: {what}");
+                let slow_row = &slow.succ_dist[e * na..(e + 1) * na];
+                if let Some(moves) = &slow.first_moves {
+                    let got = fast.index(st).map_or(ActionSet::empty(), |li| {
+                        fast.first_moves.as_ref().unwrap()[li]
+                    });
+                    assert_eq!(got, moves[e], "first moves at {e}: {what}");
+                }
+                let Some(li) = fast.index(st) else {
+                    assert!(
+                        slow_row.iter().all(|&d| d == UNSORTABLE),
+                        "erased row {e}: {what}"
+                    );
+                    continue;
+                };
+                let row = li * na..(li + 1) * na;
+                assert_eq!(&fd[row.clone()], slow_row, "succ_dist row {e}: {what}");
+                for ((&d, &p), &want) in fd[row.clone()]
+                    .iter()
+                    .zip(&fp[row])
+                    .zip(&slow.succ_proj[e * na..(e + 1) * na])
+                {
+                    if d != UNSORTABLE {
+                        assert_eq!(packed[p as usize], want, "succ_proj row {e}: {what}");
+                    }
+                }
+            }
         }
     }
 
@@ -721,33 +576,36 @@ mod tests {
         assert_matches_reference(5, IsaMode::MinMax);
     }
 
+    /// A table built without a live space (the path of machines too big
+    /// for one) agrees with the live-space build on everything it holds.
     #[test]
-    fn encode_decode_round_trip() {
+    fn build_without_a_live_space_agrees() {
         for mode in [IsaMode::Cmov, IsaMode::MinMax] {
-            let layout = Layout::of(&Machine::new(3, 1, mode));
-            for idx in 0..layout.encodings() {
-                assert_eq!(layout.encode(layout.decode(idx)), idx);
-            }
+            let m = Machine::new(3, 1, mode);
+            let fast = DistanceTable::build(&m, true);
+            let plain = DistanceTable::build_over(&m, None, true);
+            assert_eq!(fast.states, plain.states);
+            assert_eq!(fast.dist, plain.dist);
+            assert_eq!(fast.first_moves, plain.first_moves);
+            assert_eq!(fast.max_finite, plain.max_finite);
+            assert!(!plain.has_succ_dist());
         }
     }
 
-    /// The successor-distance table must agree with stepping and looking
-    /// up directly, for every assignment and every action.
+    /// The successor rows must agree with stepping and looking up directly,
+    /// for every live assignment and every action.
     #[test]
     fn succ_dist_agrees_with_direct_lookup() {
         for mode in [IsaMode::Cmov, IsaMode::MinMax] {
             let m = Machine::new(3, 1, mode);
             let table = DistanceTable::build(&m, false);
             assert!(table.has_succ_dist());
-            for idx in 0..table.encodings() {
-                let st = table.layout.decode(idx);
-                let enc = [table.encode_assign(st)];
+            let mut worst = Vec::new();
+            for li in 0..table.live() {
+                let st = table.states[li];
+                table.succ_max_dist_sweep(&[li as u16], &mut worst);
                 for (ai, &a) in table.actions().iter().enumerate() {
-                    assert_eq!(
-                        table.succ_max_dist(ai, &enc),
-                        table.dist(st.step(a)),
-                        "{mode:?} idx {idx} action {ai}"
-                    );
+                    assert_eq!(worst[ai], table.dist(st.step(a)), "{mode:?} {li} {ai}");
                 }
             }
         }

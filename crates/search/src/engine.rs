@@ -6,23 +6,21 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use sortsynth_isa::{BatchStepper, Instr, Machine, MachineState, Op, Program};
+use sortsynth_isa::{Instr, Machine, MachineState, Op, Program};
 
 use sortsynth_obs::names;
 use sortsynth_obs::profile::{Phase, PhaseProbe, PHASE_COUNT};
 
 use crate::config::{Strategy, SynthesisConfig};
 use crate::distance::{DistanceTable, UNSORTABLE};
+use crate::live::LiveSpace;
 use crate::shard::{
     parent_idx, parent_ref, Cand, Closing, Edge, Facts, Merged, MinPerm, ParentRef, RunFrame,
     Shard, Throttle, PARENT_NONE,
 };
 use crate::sizing::SizingTable;
 use crate::spill::{self, ResumeError, SpillTier};
-use crate::state::{
-    assignment_erased, canonicalize_slice, key_of, narrow_key, perm_count_slice, value_reg_mask,
-    ProjScratch, StateSet,
-};
+use crate::state::{narrow_key, Assign, IndexBits, ProjScratch};
 
 /// How a synthesis run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +85,8 @@ pub struct SearchStats {
     /// degraded pruning (no viability budget, no optimal-first-instruction
     /// restriction, no `MaxRemaining` heuristic).
     pub distance_table_skipped: bool,
-    /// Time spent building the per-assignment distance table.
+    /// Time spent building the machine's live space
+    /// ([`crate::LiveSpace`]) and the per-assignment distance table.
     pub distance_build: Duration,
     /// Total wall-clock time of the search (excluding table build).
     pub search_time: Duration,
@@ -97,18 +96,18 @@ pub struct SearchStats {
     /// [`SearchStats::states_kept`]; parallel: summed over the per-shard
     /// arenas).
     pub interned_states: u64,
-    /// Bytes of assignment storage held by the state arena(s) at the end of
-    /// the run (contiguous `MachineState` spans, excluding per-state
-    /// metadata).
+    /// Bytes of span storage held by the state arena(s) at the end of the
+    /// run (contiguous spans of 2-byte live indices, or of 8-byte
+    /// `MachineState`s on machines without a live space; per-state metadata
+    /// excluded).
     pub arena_bytes: u64,
     /// Expansions whose scratch buffers were served entirely from already-
     /// reserved capacity — the steady-state, allocation-free path. The
     /// complement (`expanded - scratch_reused`) counts the warm-up
     /// expansions that grew a scratch or arena buffer.
     pub scratch_reused: u64,
-    /// Parallel mode only: successors an expanding worker handed to another
-    /// worker's key partition (a successor in the expanding worker's own
-    /// partition is not counted here).
+    /// Parallel mode only: successors filed for a key partition other than
+    /// their parent's.
     pub routed: u64,
     /// Always 0: the layer-synchronous parallel driver splits each round
     /// through a shared cursor and never steals. Kept so the counter block
@@ -127,9 +126,10 @@ pub struct SearchStats {
     /// empty buckets/lanes. The amortized-O(1) selection claim is this
     /// number staying small relative to [`SearchStats::expanded`].
     pub bucket_scans: u64,
-    /// SWAR passes taken by batch expansion: each pass steps up to
-    /// [`sortsynth_isa::SWAR_LANES`] packed parent assignments through one
-    /// action's lane kernel.
+    /// Passes taken by span stepping: each pass steps up to
+    /// [`sortsynth_isa::SWAR_LANES`] parent assignments through one action
+    /// (a live-index gather, or a SWAR lane kernel on machines without a
+    /// live space).
     pub swar_batches: u64,
     /// Frontier states whose assignment spans were written to a spill
     /// segment instead of the arena (external-memory tier; 0 unless
@@ -179,17 +179,20 @@ pub struct SearchStats {
 /// sums. See [`SearchStats::shards`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// States this worker expanded (from any partition).
+    /// States of this partition that were expanded, by any worker: every
+    /// expansion-side counter is attributed to the partition that owns the
+    /// expanded state, so the per-shard figures are deterministic.
     pub expanded: u64,
-    /// States this worker generated by applying instructions.
+    /// States generated by applying instructions to this partition's
+    /// states.
     pub generated: u64,
-    /// Successors dropped by this worker's viability checks.
+    /// Successors of this partition's states dropped by viability checks.
     pub viability_pruned: u64,
-    /// Successors dropped by this worker's §3.5 cut checks.
+    /// Successors of this partition's states dropped by §3.5 cut checks.
     pub cut_pruned: u64,
-    /// Successors skipped by the dead-write cut on this worker.
+    /// Successors of this partition's states skipped by the dead-write cut.
     pub dead_write_pruned: u64,
-    /// Successors skipped by the value-flow cut on this worker.
+    /// Successors of this partition's states skipped by the value-flow cut.
     pub value_flow_pruned: u64,
     /// Candidates this shard disposed of as the owner of their keys.
     pub merged: u64,
@@ -209,14 +212,16 @@ pub struct ShardStats {
     pub bound_pruned: u64,
     /// Unique states first recorded by this shard's closed set.
     pub states_kept: u64,
-    /// Successors this worker handed to another worker's key partition.
+    /// Successors of this partition's states filed for another key
+    /// partition.
     pub routed: u64,
     /// Always 0 (see [`SearchStats::steals`]).
     pub steals: u64,
-    /// Expansions this worker served entirely from already-reserved scratch
-    /// capacity (see [`SearchStats::scratch_reused`]).
+    /// Expansions of this partition's states served entirely from
+    /// already-reserved scratch capacity (see
+    /// [`SearchStats::scratch_reused`]).
     pub scratch_reused: u64,
-    /// SWAR batch passes taken by this worker's expansions (see
+    /// Stepping passes taken by expansions of this partition's states (see
     /// [`SearchStats::swar_batches`]).
     pub swar_batches: u64,
     /// Frontier spans this shard's spill tier wrote to disk (see
@@ -499,14 +504,29 @@ pub fn synthesize(cfg: &SynthesisConfig) -> SynthesisResult {
 /// missing journal, a checksum-detected torn segment, or a configuration
 /// mismatch is reported, never silently replayed.
 pub fn try_synthesize(cfg: &SynthesisConfig) -> Result<SynthesisResult, ResumeError> {
+    let t0 = Instant::now();
+    match LiveSpace::build(&cfg.machine) {
+        Some(space) => run::<u16>(cfg, space, t0.elapsed()),
+        None => run::<MachineState>(cfg, cfg.machine.clone(), t0.elapsed()),
+    }
+}
+
+/// Runs `cfg` over spans of `A` on the driver its strategy calls for.
+/// `setup` is the time already spent building `space`, counted with the
+/// table build.
+fn run<A: Assign>(
+    cfg: &SynthesisConfig,
+    space: A::Space,
+    setup: Duration,
+) -> Result<SynthesisResult, ResumeError> {
     let rounds = cfg.strategy == Strategy::Layered
         && !cfg.all_solutions
         && cfg.mem_budget_bytes.is_none()
         && cfg.resume_dir.is_none();
     if rounds && cfg.effective_threads() > 1 {
-        return Ok(crate::parallel::run(cfg));
+        return Ok(crate::parallel::run::<A>(cfg, space, setup));
     }
-    Engine::new(cfg).run()
+    Engine::<A>::new(cfg, space, setup).run()
 }
 
 /// The (states, assignments) arena pre-size for a run with a distance table
@@ -523,27 +543,35 @@ fn presize_estimate(machine: &Machine) -> (usize, usize) {
 }
 
 /// Builds the per-assignment distance table when the configuration needs it
-/// and the machine fits. Machines with many scratch registers overflow the
-/// table's action bitset; they search without the distance-based aids
-/// instead of panicking, and the fallback is recorded in
-/// [`SearchStats::distance_table_skipped`]. Shared by both drivers, so the
-/// skip flag is reported on both paths.
+/// and the machine fits, over the machine's live space when it has one.
+/// Machines with many scratch registers overflow the table's action bitset;
+/// they search without the distance-based aids instead of panicking, and
+/// the fallback is recorded in [`SearchStats::distance_table_skipped`].
+/// Shared by both drivers, so the skip flag is reported on both paths.
+/// `setup` (the live-space build) is counted in
+/// [`SearchStats::distance_build`] with the table.
 pub(crate) fn build_distance_table(
     cfg: &SynthesisConfig,
+    live: Option<&LiveSpace>,
+    setup: Duration,
     stats: &mut SearchStats,
 ) -> Option<DistanceTable> {
-    if cfg.needs_distance_table() && DistanceTable::supports(&cfg.machine) {
-        let t0 = Instant::now();
-        let table = DistanceTable::build(&cfg.machine, cfg.optimal_instrs_only);
-        stats.distance_build = t0.elapsed();
-        Some(table)
+    let t0 = Instant::now();
+    let table = if cfg.needs_distance_table() && DistanceTable::supports(&cfg.machine) {
+        Some(DistanceTable::build_over(
+            &cfg.machine,
+            live,
+            cfg.optimal_instrs_only,
+        ))
     } else {
         // Record the degraded-pruning fallback instead of silently searching
         // without the distance-based aids.
         stats.distance_table_skipped =
             cfg.needs_distance_table() && !DistanceTable::supports(&cfg.machine);
         None
-    }
+    };
+    stats.distance_build = setup + t0.elapsed();
+    table
 }
 
 /// One successor surviving expansion, described by its span in the shared
@@ -570,30 +598,38 @@ pub(crate) struct SuccMeta {
     pub goal: bool,
 }
 
-/// Reusable successor storage: all survivors of one expansion, their
-/// assignments concatenated in `assigns` and described by `metas`. Cleared
-/// — never shrunk — between expansions, so the steady state writes into
+/// Reusable successor storage: all survivors of one expansion, their spans
+/// concatenated in `assigns` and described by `metas`. Cleared — never
+/// shrunk — between expansions, so the steady state writes into
 /// already-reserved memory.
-#[derive(Default)]
-pub(crate) struct SuccessorBuf {
-    pub assigns: Vec<MachineState>,
+pub(crate) struct SuccessorBuf<A> {
+    pub assigns: Vec<A>,
     pub metas: Vec<SuccMeta>,
 }
 
-impl SuccessorBuf {
+impl<A> Default for SuccessorBuf<A> {
+    fn default() -> Self {
+        SuccessorBuf {
+            assigns: Vec::new(),
+            metas: Vec::new(),
+        }
+    }
+}
+
+impl<A: Assign> SuccessorBuf<A> {
     pub fn clear(&mut self) {
         self.assigns.clear();
         self.metas.clear();
     }
 
-    /// The assignment span of one successor.
-    pub fn assigns_of(&self, m: &SuccMeta) -> &[MachineState] {
+    /// The span of one successor.
+    pub fn assigns_of(&self, m: &SuccMeta) -> &[A] {
         &self.assigns[m.offset as usize..(m.offset + m.len) as usize]
     }
 
     /// One successor as a merge offer: the candidate at length `g` under
     /// `parent`, and the facts that insert it.
-    pub fn offer(&self, m: &SuccMeta, g: u32, parent: ParentRef) -> (Cand, Facts<'_>) {
+    pub fn offer(&self, m: &SuccMeta, g: u32, parent: ParentRef) -> (Cand, Facts<'_, A>) {
         let cand = Cand {
             key: m.key,
             g,
@@ -611,41 +647,53 @@ impl SuccessorBuf {
 }
 
 /// Per-worker expansion scratch: the successor buffer, the projection
-/// scratch used for permutation counting, and the parent's distance-table
-/// encodings (filled once per expansion, shared by the whole action sweep).
-#[derive(Default)]
-pub(crate) struct ExpandScratch {
-    pub buf: SuccessorBuf,
+/// scratch used for permutation counting, the bitmap that canonicalizes
+/// live-index spans, and the per-action successor distances of the state
+/// under expansion.
+pub(crate) struct ExpandScratch<A> {
+    pub buf: SuccessorBuf<A>,
     pub(crate) proj: ProjScratch,
-    enc: Vec<u32>,
+    bits: IndexBits,
     /// Per-action successor `max_dist` of the state under expansion
     /// ([`DistanceTable::succ_max_dist_sweep`] output).
     succ_worst: Vec<u16>,
 }
 
-impl ExpandScratch {
+impl<A> Default for ExpandScratch<A> {
+    fn default() -> Self {
+        ExpandScratch {
+            buf: SuccessorBuf::default(),
+            proj: ProjScratch::default(),
+            bits: IndexBits::default(),
+            succ_worst: Vec::new(),
+        }
+    }
+}
+
+impl<A> ExpandScratch<A> {
     /// Reserved capacities, for [`SearchStats::scratch_reused`]: an
     /// expansion that leaves the signature unchanged allocated nothing
     /// here.
-    pub fn capacity_signature(&self) -> (usize, usize, usize, usize, usize) {
+    pub fn capacity_signature(&self) -> (usize, usize, usize, usize) {
         (
             self.buf.assigns.capacity(),
             self.buf.metas.capacity(),
             self.proj.capacity(),
-            self.enc.capacity(),
             self.succ_worst.capacity(),
         )
     }
 }
 
 /// The read-only inputs of state expansion, shared by both drivers.
-pub(crate) struct ExpandCtx<'a> {
+pub(crate) struct ExpandCtx<'a, A: Assign> {
     pub cfg: &'a SynthesisConfig,
     pub actions: &'a [Instr],
     pub table: Option<&'a DistanceTable>,
+    /// What steps the spans: the live space, or the machine.
+    pub space: &'a A::Space,
 }
 
-impl ExpandCtx<'_> {
+impl<A: Assign> ExpandCtx<'_, A> {
     /// The thread-safe part of expansion: instruction selection (§3.2),
     /// viability (§3.3), goal detection (§3.4), and the cut (§3.5).
     /// Deduplication (§3.6) happens later, at the owner of the successor's
@@ -653,14 +701,14 @@ impl ExpandCtx<'_> {
     /// that produced `state` (used by the dead-write cut; ignored when the
     /// cut is off), `bound` the caller's current inclusive length bound.
     ///
-    /// `state` is a raw canonical assignment slice (arena-resident or
-    /// copied scratch); survivors land in `scratch.buf` as spans plus
-    /// cached facts, so the whole expansion allocates nothing once the
-    /// scratch has grown to steady state.
+    /// `state` is a raw canonical span (arena-resident or copied scratch);
+    /// survivors land in `scratch.buf` as spans plus cached facts, so the
+    /// whole expansion allocates nothing once the scratch has grown to
+    /// steady state.
     ///
     /// Expansion runs in two passes so the phase profiler can attribute
     /// time with one timestamp per pass instead of per candidate: the
-    /// action sweep (select, step, viability, cut) leaves survivors as raw
+    /// action sweep (select, viability, cut, step) leaves survivors as raw
     /// spans, then a second pass canonicalizes each span in place and
     /// computes its content hash. Dedup gaps the canonicalization leaves
     /// between spans are harmless — every consumer reads spans through
@@ -668,12 +716,12 @@ impl ExpandCtx<'_> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn expand(
         &self,
-        state: &[MachineState],
+        state: &[A],
         prev_instr: Option<Instr>,
         g: u32,
         bound: u32,
         cut_threshold: Option<u32>,
-        scratch: &mut ExpandScratch,
+        scratch: &mut ExpandScratch<A>,
         counters: &mut ShardStats,
         probe: &mut PhaseProbe,
     ) {
@@ -682,27 +730,25 @@ impl ExpandCtx<'_> {
         // allocated nothing here ([`SearchStats::scratch_reused`]).
         let reserved = scratch.capacity_signature();
         scratch.buf.clear();
-        // Successor-distance fast path: with the parent's encodings in hand
-        // a candidate's viability check is one table row scan — unsortable
-        // and over-budget successors are pruned without ever being stepped.
-        let succ_table = self.table.filter(|t| t.has_succ_dist());
-        if let Some(table) = succ_table {
-            scratch.enc.clear();
-            scratch
-                .enc
-                .extend(state.iter().map(|&a| table.encode_assign(a)));
+        let space = self.space;
+        // Successor-row fast path: a live-index span reads its successors'
+        // distances and projections straight off the table's rows, so a
+        // candidate's viability and cut are decided before it is stepped.
+        let succ_table = self
+            .table
+            .filter(|t| t.has_succ_dist())
+            .zip(A::indices(state));
+        if let Some((table, indices)) = succ_table {
             // Whole-sweep viability: one streaming pass computes every
             // action's successor distance up front (packed max over
             // contiguous rows), so the action loop below never touches the
             // table row-by-row for viability again.
-            table.succ_max_dist_sweep(&scratch.enc, &mut scratch.succ_worst);
+            table.succ_max_dist_sweep(indices, &mut scratch.succ_worst);
         }
         let allowed = match self.table {
-            Some(table) if self.cfg.optimal_instrs_only => Some(if succ_table.is_some() {
-                table.optimal_first_moves_enc(&scratch.enc)
-            } else {
-                table.optimal_first_moves_slice(state)
-            }),
+            Some(table) if self.cfg.optimal_instrs_only => {
+                Some(table.optimal_first_moves_of(state))
+            }
             _ => None,
         };
         // A successor whose new instruction erases the parent edge's effect
@@ -713,8 +759,6 @@ impl ExpandCtx<'_> {
         } else {
             None
         };
-        let machine = &self.cfg.machine;
-        let mask = value_reg_mask(machine);
         // Cut-bound permutation counting: a span the cut will discard only
         // needs its count known to exceed the threshold, so the scan stops
         // there. Kept spans never reach the cap — their count stays exact
@@ -732,7 +776,7 @@ impl ExpandCtx<'_> {
         // every assignment untouched, so all such successors share the
         // *parent's* permutation count — computed at most once per
         // expansion and reused across the whole sweep.
-        let n_vals = machine.n() as usize;
+        let n_vals = self.cfg.machine.n() as usize;
         let mut parent_perm: Option<u32> = None;
         for (ai, &instr) in self.actions.iter().enumerate() {
             if let Some(set) = &allowed {
@@ -757,7 +801,8 @@ impl ExpandCtx<'_> {
                     continue;
                 }
             }
-            if self.cfg.value_flow_cut && value_flow_redundant(state, instr, vf_subsume) {
+            if self.cfg.value_flow_cut && value_flow_redundant(space, state, ai, instr, vf_subsume)
+            {
                 counters.value_flow_pruned += 1;
                 continue;
             }
@@ -765,16 +810,15 @@ impl ExpandCtx<'_> {
 
             // Viability (§3.3): erased values can never be sorted again; a
             // state whose worst per-assignment distance overshoots the
-            // remaining budget cannot finish in time. With the
-            // successor-distance table the check runs off the *parent's*
-            // encodings, so a pruned candidate is never stepped at all.
-            // Zero distance iff sorted, so `d == 0` doubles as the §3.4
-            // goal check for free.
+            // remaining budget cannot finish in time. With the successor
+            // rows the check runs off the *parent's* indices, so a pruned
+            // candidate is never stepped at all. Zero distance iff sorted,
+            // so `d == 0` doubles as the §3.4 goal check for free.
             let mut max_dist = 0u16;
             let mut goal = false;
             let mut checked = false;
             let mut perm = 0u32;
-            if let Some(table) = succ_table {
+            if let Some((table, indices)) = succ_table {
                 let d = scratch.succ_worst[ai];
                 if d == UNSORTABLE
                     || (self.cfg.budget_viability && bound != u32::MAX && g + 1 + d as u32 > bound)
@@ -786,17 +830,16 @@ impl ExpandCtx<'_> {
                 goal = d == 0;
                 checked = true;
                 // Pre-step cut (§3.5): the successor span's permutation
-                // count equals the distinct count of the parents' packed
-                // table projections (the projection is a bijection of the
-                // masked value registers), so the cut verdict is known
-                // *before* stepping — and the majority of generated
-                // candidates die here without ever being stepped.
+                // count equals the distinct count of the parents' successor
+                // projection numbers, so the cut verdict is known *before*
+                // stepping — and the majority of generated candidates die
+                // here without ever being stepped.
                 let writes_value = instr.op != Op::Cmp && (instr.dst.index() as usize) < n_vals;
                 perm = if writes_value {
-                    table.succ_perm_capped(ai, &scratch.enc, &mut scratch.proj, cut_cap)
+                    table.succ_perm_capped(ai, indices, &mut scratch.proj, cut_cap)
                 } else {
                     *parent_perm.get_or_insert_with(|| {
-                        table.succ_perm_capped(ai, &scratch.enc, &mut scratch.proj, cut_cap)
+                        table.succ_perm_capped(ai, indices, &mut scratch.proj, cut_cap)
                     })
                 };
                 if !goal {
@@ -809,39 +852,37 @@ impl ExpandCtx<'_> {
                 }
             }
 
-            // Apply into the shared buffer; a pruned successor is truncated
+            // Step into the shared buffer; a pruned successor is truncated
             // away again, so survivors stay densely packed. Goal,
             // permutation count, and the cut are all insensitive to order
             // and duplicates, so (on the fallback paths) they run on the
-            // *raw* stepped span — the canonicalizing sort (the hottest
-            // single operation in the engine) is paid only by candidates
-            // that survive every filter.
+            // *raw* stepped span — the canonicalizing sort is paid only by
+            // candidates that survive every filter.
             let start = scratch.buf.assigns.len();
-            // SWAR batch step: one opcode dispatch and a branchless lane
-            // kernel for the whole span instead of a per-assignment
-            // `step` (whose cmov branch is data-dependent).
             counters.swar_batches +=
-                BatchStepper::new(instr).append_stepped(state, &mut scratch.buf.assigns);
+                A::step_span(space, ai, instr, state, &mut scratch.buf.assigns);
+            let stepped = &scratch.buf.assigns[start..];
             if checked {
                 debug_assert_eq!(
                     max_dist,
                     self.table
                         .expect("checked implies table")
-                        .max_dist_slice(&scratch.buf.assigns[start..]),
-                    "successor-distance table disagrees with direct lookup"
+                        .max_dist_of(stepped),
+                    "successor rows disagree with direct lookup"
                 );
                 debug_assert_eq!(
                     perm,
-                    {
-                        let (head, proj) = (&scratch.buf.assigns[start..], &mut scratch.proj);
-                        perm_count_slice(head, mask, proj, u32::MAX)
-                    },
-                    "packed projections disagree with the stepped span's count"
+                    A::perm_count(space, stepped, &mut scratch.proj, u32::MAX),
+                    "successor projections disagree with the stepped span's count"
                 );
-            } else if let Some(table) = self.table {
-                // Fallback for machines whose successor table exceeded the
-                // build cap: per-successor lookups on the stepped span.
-                let d = table.max_dist_slice(&scratch.buf.assigns[start..]);
+            } else {
+                // No successor rows (no table, or a machine without a live
+                // space): decide on the stepped span.
+                let d = match self.table {
+                    Some(table) => table.max_dist_of(stepped),
+                    None if stepped.iter().any(|&a| A::erased(space, a)) => UNSORTABLE,
+                    None => 0,
+                };
                 if d == UNSORTABLE
                     || (self.cfg.budget_viability && bound != u32::MAX && g + 1 + d as u32 > bound)
                 {
@@ -850,26 +891,11 @@ impl ExpandCtx<'_> {
                     continue;
                 }
                 max_dist = d;
-                goal = d == 0;
-            } else {
-                if scratch.buf.assigns[start..]
-                    .iter()
-                    .any(|&a| assignment_erased(machine, a))
-                {
-                    counters.viability_pruned += 1;
-                    scratch.buf.assigns.truncate(start);
-                    continue;
-                }
-                goal = scratch.buf.assigns[start..]
-                    .iter()
-                    .all(|&a| machine.is_sorted(a));
-            }
-
-            if !checked {
-                perm = {
-                    let (head, proj) = (&scratch.buf.assigns[start..], &mut scratch.proj);
-                    perm_count_slice(head, mask, proj, cut_cap)
+                goal = match self.table {
+                    Some(_) => d == 0,
+                    None => stepped.iter().all(|&a| A::sorted(space, a)),
                 };
+                perm = A::perm_count(space, stepped, &mut scratch.proj, cut_cap);
                 if !goal {
                     if let Some(threshold) = cut_threshold {
                         if perm > threshold {
@@ -899,9 +925,9 @@ impl ExpandCtx<'_> {
         let SuccessorBuf { assigns, metas } = &mut scratch.buf;
         for m in metas {
             let span = &mut assigns[m.offset as usize..(m.offset + m.len) as usize];
-            let kept = canonicalize_slice(span);
+            let kept = A::canonicalize(span, &mut scratch.bits);
             m.len = kept as u32;
-            m.key = narrow_key(key_of(&span[..kept]));
+            m.key = narrow_key(A::key(&span[..kept]));
         }
         if scratch.capacity_signature() == reserved {
             counters.scratch_reused += 1;
@@ -912,12 +938,14 @@ impl ExpandCtx<'_> {
 
 /// The single-shard driver: layered or A* search over one [`Shard`], on the
 /// calling thread, with the external-memory tier.
-struct Engine<'a> {
+struct Engine<'a, A: Assign> {
     cfg: &'a SynthesisConfig,
     actions: Vec<Instr>,
+    /// What steps the spans: the live space, or the machine.
+    space: A::Space,
     table: Option<DistanceTable>,
     /// The only shard. Node ids and arena ids coincide.
-    shard: Shard,
+    shard: Shard<A>,
     min_perm: MinPerm,
     /// Inclusive length bound (dynamic: shrinks when solutions are found in
     /// all-solutions mode).
@@ -929,19 +957,19 @@ struct Engine<'a> {
     /// layered mode, the last popped `f` in A* mode.
     current_f: Option<u64>,
     /// Reused expansion buffers ([`ExpandCtx::expand`] output).
-    scratch: ExpandScratch,
+    scratch: ExpandScratch<A>,
     /// Per-run phase profiler probe (inert unless the profiler was enabled
     /// when the run started).
     probe: PhaseProbe,
 }
 
-impl<'a> Engine<'a> {
-    fn new(cfg: &'a SynthesisConfig) -> Self {
+impl<'a, A: Assign> Engine<'a, A> {
+    fn new(cfg: &'a SynthesisConfig, space: A::Space, setup: Duration) -> Self {
         // Latch the profiler switch before the table build so its time is
         // attributable; the probe itself stamps from the first expansion.
         let probe = PhaseProbe::new();
         let mut stats = SearchStats::default();
-        let table = build_distance_table(cfg, &mut stats);
+        let table = build_distance_table(cfg, A::live(&space), setup, &mut stats);
         let frame = RunFrame::new(cfg, stats.distance_table_skipped);
         let throttle = Throttle::new(&frame);
         let actions = cfg.machine.actions();
@@ -969,6 +997,7 @@ impl<'a> Engine<'a> {
         Engine {
             cfg,
             actions,
+            space,
             table,
             shard,
             min_perm: MinPerm::new(),
@@ -991,10 +1020,12 @@ impl<'a> Engine<'a> {
             self.probe.skip();
             self.run_layered(resumed.frontier, resumed.g)
         } else {
-            let init = StateSet::initial(&cfg.machine);
-            let (root, goal) =
-                self.shard
-                    .seed(&init, &cfg.machine, self.table.as_ref(), &self.min_perm);
+            let (root, goal) = self.shard.seed(
+                &self.space,
+                &cfg.machine,
+                self.table.as_ref(),
+                &self.min_perm,
+            );
             debug_assert_eq!(root, 0);
             if goal {
                 self.shard.goals.push(root);
@@ -1249,6 +1280,7 @@ impl<'a> Engine<'a> {
             cfg: self.cfg,
             actions: &self.actions,
             table: self.table.as_ref(),
+            space: &self.space,
         };
         ctx.expand(
             state,
@@ -1264,7 +1296,7 @@ impl<'a> Engine<'a> {
 
     /// Offers one surviving successor of `parent` to the shard, queueing it
     /// on the open list when it is fresh or reopened.
-    fn merge_succ(&mut self, parent: u32, g: u32, m: &SuccMeta, buf: &SuccessorBuf) -> Merged {
+    fn merge_succ(&mut self, parent: u32, g: u32, m: &SuccMeta, buf: &SuccessorBuf<A>) -> Merged {
         let (cand, facts) = buf.offer(m, g + 1, parent_ref(0, parent));
         let merged = self.shard.merge(&cand, facts, &self.min_perm);
         if let Merged::Queued(id) = merged {
@@ -1357,18 +1389,25 @@ pub(crate) fn publish_search_metrics(stats: &SearchStats, outcome: Outcome) {
 /// successor then duplicates the one reached by `mov dst, src`, which the
 /// same action sweep generates (callers must ensure the full action set is
 /// in play and duplicate DAG edges are not wanted).
-fn value_flow_redundant(state: &[MachineState], instr: Instr, subsume: bool) -> bool {
-    if state.iter().all(|&a| a.step(instr) == a) {
+fn value_flow_redundant<A: Assign>(
+    space: &A::Space,
+    state: &[A],
+    ai: usize,
+    instr: Instr,
+    subsume: bool,
+) -> bool {
+    if state.iter().all(|&a| A::fixed_by(space, ai, instr, a)) {
         return true;
     }
     if !subsume {
         return false;
     }
+    let mut states = state.iter().map(|&a| A::state(space, a));
     match instr.op {
-        Op::Cmovl => state.iter().all(|&a| a.lt_flag()),
-        Op::Cmovg => state.iter().all(|&a| a.gt_flag()),
-        Op::Min => state.iter().all(|&a| a.reg(instr.src) <= a.reg(instr.dst)),
-        Op::Max => state.iter().all(|&a| a.reg(instr.src) >= a.reg(instr.dst)),
+        Op::Cmovl => states.all(|a| a.lt_flag()),
+        Op::Cmovg => states.all(|a| a.gt_flag()),
+        Op::Min => states.all(|a| a.reg(instr.src) <= a.reg(instr.dst)),
+        Op::Max => states.all(|a| a.reg(instr.src) >= a.reg(instr.dst)),
         _ => false,
     }
 }

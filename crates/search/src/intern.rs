@@ -5,8 +5,10 @@
 //! 128-bit content hash. The arena replaces that layout with three dense
 //! structures:
 //!
-//! * one contiguous `Vec<MachineState>` holding every kept state's
-//!   assignments back to back (a state is an `(offset, len)` span);
+//! * one contiguous span store holding every kept state's canonical span
+//!   back to back (a state is an `(offset, len)` span): `u16` live indices
+//!   ([`crate::LiveSpace`]), two bytes an assignment, or — for machines
+//!   without a live space — 8-byte `MachineState`s;
 //! * a `Vec<StateMeta>` of per-state facts — span, permutation count,
 //!   max per-assignment distance, goal flag — computed **once** when the
 //!   state is interned, so heuristics and goal checks become field reads;
@@ -20,9 +22,8 @@
 //! parallel worker behind that shard's lock — so interning never takes a
 //! global lock.
 
-use sortsynth_isa::MachineState;
-
 use crate::hashers::KeyMap;
+use crate::state::Assign;
 
 /// Sentinel offset marking a state whose span is not resident (spilled to
 /// a frontier segment, or compacted away after its layer was expanded).
@@ -61,9 +62,8 @@ impl StateMeta {
 }
 
 /// The interner. See the module docs for the layout.
-#[derive(Default)]
-pub(crate) struct StateArena {
-    assigns: Vec<MachineState>,
+pub(crate) struct StateArena<A> {
+    assigns: Vec<A>,
     metas: Vec<StateMeta>,
     /// The closed set: folded content key ([`crate::narrow_key`]) → id.
     ids: KeyMap<u32>,
@@ -74,7 +74,18 @@ pub(crate) struct StateArena {
     reallocs: u64,
 }
 
-impl StateArena {
+impl<A> Default for StateArena<A> {
+    fn default() -> Self {
+        StateArena {
+            assigns: Vec::new(),
+            metas: Vec::new(),
+            ids: KeyMap::default(),
+            reallocs: 0,
+        }
+    }
+}
+
+impl<A: Assign> StateArena<A> {
     /// Pre-sizes the backing structures for an expected population
     /// (`states` interned states holding `assign_total` assignments in
     /// all), so steady-state interning never reallocates.
@@ -95,7 +106,7 @@ impl StateArena {
     pub fn insert_new(
         &mut self,
         key: u64,
-        assigns: &[MachineState],
+        assigns: &[A],
         perm: u32,
         max_dist: u16,
         goal: bool,
@@ -165,7 +176,7 @@ impl StateArena {
     /// if the span was spilled or compacted away — the spill tier streams
     /// those from disk instead.
     #[inline]
-    pub fn assignments(&self, id: u32) -> &[MachineState] {
+    pub fn assignments(&self, id: u32) -> &[A] {
         let m = &self.metas[id as usize];
         debug_assert!(m.offset != SPAN_NONE, "assignments of a spilled state");
         &self.assigns[m.offset as usize..(m.offset + m.len) as usize]
@@ -189,11 +200,11 @@ impl StateArena {
         self.assigns.len()
     }
 
-    /// Bytes of assignment storage currently reserved (the arena's dominant
+    /// Bytes of span storage currently reserved (the arena's dominant
     /// memory term; per-state metadata is excluded by definition of
     /// [`crate::SearchStats::arena_bytes`]).
     pub fn assign_bytes(&self) -> u64 {
-        (self.assigns.capacity() * std::mem::size_of::<MachineState>()) as u64
+        (self.assigns.capacity() * std::mem::size_of::<A>()) as u64
     }
 
     /// Bytes of closed-map storage currently reserved (capacity × entry
@@ -286,7 +297,7 @@ impl StateArena {
     }
 
     /// Resume support: re-attaches a resident span to a restored meta.
-    pub fn restore_span(&mut self, id: u32, assigns: impl IntoIterator<Item = MachineState>) {
+    pub fn restore_span(&mut self, id: u32, assigns: impl IntoIterator<Item = A>) {
         let offset = u32::try_from(self.assigns.len()).expect("state arena span overflow");
         self.assigns.extend(assigns);
         let m = &mut self.metas[id as usize];

@@ -46,6 +46,7 @@ mod engine;
 mod hashers;
 mod heuristics;
 mod intern;
+mod live;
 mod lower_bound;
 mod netsort;
 mod parallel;
@@ -65,13 +66,14 @@ pub use engine::{
     SynthesisResult,
 };
 pub use heuristics::heuristic_value;
+pub use live::{LiveSpace, NONE};
 pub use lower_bound::{prove_no_solution, prove_optimal_length, BoundVerdict, LowerBoundResult};
 pub use progress::{ProgressHook, SearchProgress};
 pub use solutions::{
     command_signature, distinct_command_signatures, sample_lowest_strata, score_strata,
 };
 pub use spill::ResumeError;
-pub use state::{narrow_key, StateSet};
+pub use state::{live_key, narrow_key, StateSet};
 
 #[cfg(test)]
 mod tests {

@@ -128,6 +128,18 @@ mod tests {
         assert_eq!(prove_optimal_length(&m, 3, None, None), Some(true));
     }
 
+    /// The n = 4 min/max optimum, 15, by exhausting length 14 (a fraction
+    /// of a second in release).
+    #[test]
+    #[ignore = "seconds in release, minutes in debug; CI runs it with --release"]
+    fn n4_minmax_has_no_kernel_of_length_14() {
+        let m = Machine::new(4, 1, IsaMode::MinMax);
+        assert_eq!(
+            prove_no_solution(&m, 14, None, None).verdict,
+            BoundVerdict::NoSolution
+        );
+    }
+
     #[test]
     fn budget_limits_yield_inconclusive() {
         let m = Machine::new(3, 1, IsaMode::Cmov);

@@ -16,6 +16,11 @@
 //!   [`ExpandCtx::expand`], and files each survivor — span, key, facts,
 //!   parent, action — in its outbox bucket for the partition that owns the
 //!   key. Spans travel with the survivor, so nothing is re-derived.
+//! * **Counters.** Each expansion's counters are attributed to the
+//!   partition that owns the expanded state, not to the worker that
+//!   claimed it: a worker tallies them in its outbox bucket for the
+//!   parent's partition, and that partition's merger folds them in. So
+//!   every per-shard figure is deterministic.
 //! * **Merge order.** Each survivor carries a tag: its parent's frontier
 //!   position in the high half, its index among the parent's survivors in
 //!   the low half — the position at which the single-shard driver merges
@@ -47,8 +52,9 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock};
+use std::time::Duration;
 
-use sortsynth_isa::{Instr, MachineState};
+use sortsynth_isa::Instr;
 use sortsynth_obs::profile::{Phase, PhaseProbe};
 
 use crate::config::SynthesisConfig;
@@ -62,7 +68,7 @@ use crate::shard::{
     Throttle, PARENT_NONE,
 };
 use crate::sizing::SizingTable;
-use crate::state::{narrow_key, StateSet};
+use crate::state::{narrow_key, Assign};
 
 /// Frontier positions a worker claims from the round cursor at a time.
 const CHUNK: usize = 8;
@@ -118,19 +124,31 @@ fn merge_by_tag<T>(
     }
 }
 
-/// The survivors one worker filed for one partition in the current round,
-/// in tag order: each one's span and facts, and its tag and parent.
-#[derive(Default)]
-struct Bucket {
-    buf: SuccessorBuf,
+/// What one worker filed for one partition in the current round: the
+/// survivors whose keys the partition owns, in tag order — each one's span
+/// and facts, and its tag and parent — and the expansion counters of the
+/// partition's own states that the worker expanded.
+struct Bucket<A> {
+    buf: SuccessorBuf<A>,
     /// Index-aligned with `buf.metas`. The tag is the survivor's merge
     /// position: its parent's frontier position in the high half, its index
     /// among the parent's survivors in the low half.
     tags: Vec<(u64, ParentRef)>,
+    counters: ShardStats,
 }
 
-impl Bucket {
-    fn push(&mut self, tag: u64, parent: ParentRef, m: &SuccMeta, span: &[MachineState]) {
+impl<A> Default for Bucket<A> {
+    fn default() -> Self {
+        Bucket {
+            buf: SuccessorBuf::default(),
+            tags: Vec::new(),
+            counters: ShardStats::default(),
+        }
+    }
+}
+
+impl<A: Assign> Bucket<A> {
+    fn push(&mut self, tag: u64, parent: ParentRef, m: &SuccMeta, span: &[A]) {
         let offset = self.buf.assigns.len() as u32;
         self.buf.metas.push(SuccMeta { offset, ..*m });
         self.buf.assigns.extend_from_slice(span);
@@ -139,7 +157,7 @@ impl Bucket {
 
     /// Outbox bytes held, for round sizing.
     fn bytes(&self) -> usize {
-        self.buf.assigns.len() * std::mem::size_of::<MachineState>()
+        self.buf.assigns.len() * std::mem::size_of::<A>()
             + self.tags.len() * std::mem::size_of::<(SuccMeta, u64, ParentRef)>()
     }
 
@@ -169,7 +187,7 @@ impl Plan {
     /// The first round of a `len`-state layer at length `g`: one chunk per
     /// worker, since the last layer's bytes per state say little about
     /// this one's.
-    fn layer(sh: &Rounds<'_>, g: u32, len: usize) -> Plan {
+    fn layer<A: Assign>(sh: &Rounds<'_, A>, g: u32, len: usize) -> Plan {
         sh.cursor.store(0, Ordering::Relaxed);
         Plan {
             g,
@@ -242,19 +260,22 @@ impl Drop for BreakOnPanic<'_> {
 }
 
 /// State shared by every worker of one run.
-struct Rounds<'a> {
+struct Rounds<'a, A: Assign> {
     cfg: &'a SynthesisConfig,
     frame: RunFrame<'a>,
     actions: Vec<Instr>,
+    /// What steps the spans: the live space, or the machine.
+    space: A::Space,
     table: Option<DistanceTable>,
     workers: usize,
     /// Static inclusive length bound from `max_len`.
     max_len: u32,
     /// One key partition per worker: read by every worker while expanding,
     /// written by its owner alone while merging.
-    shards: Vec<RwLock<Shard>>,
-    /// `buckets[w * workers + p]`: worker `w`'s survivors for partition `p`.
-    buckets: Vec<Mutex<Bucket>>,
+    shards: Vec<RwLock<Shard<A>>>,
+    /// `buckets[w * workers + p]`: worker `w`'s survivors for partition
+    /// `p`, and its counters for expanding partition `p`'s states.
+    buckets: Vec<Mutex<Bucket<A>>>,
     /// Per partition: the next layer's fresh states so far, with their tags.
     next: Vec<Mutex<Vec<(u64, u32)>>>,
     /// The layer under expansion, in single-shard order.
@@ -283,12 +304,13 @@ struct Rounds<'a> {
     probe_acc: Mutex<PhaseProbe>,
 }
 
-impl Rounds<'_> {
-    fn ctx(&self) -> ExpandCtx<'_> {
+impl<A: Assign> Rounds<'_, A> {
+    fn ctx(&self) -> ExpandCtx<'_, A> {
         ExpandCtx {
             cfg: self.cfg,
             actions: &self.actions,
             table: self.table.as_ref(),
+            space: &self.space,
         }
     }
 
@@ -313,7 +335,7 @@ impl Rounds<'_> {
         let open = self.open(&plan);
         let probe = self.probe_acc.into_inner().expect(POISONED);
         let limit = self.limit.into_inner().expect(POISONED);
-        let shards: Vec<Shard> = self
+        let shards: Vec<Shard<A>> = self
             .shards
             .into_iter()
             .map(|s| s.into_inner().expect(POISONED))
@@ -344,7 +366,7 @@ impl Rounds<'_> {
 
 /// The kernel's action indices, walked from the goal state back to the root
 /// through the cross-partition parent edges.
-fn kernel_path(shards: &[Shard], goal: ParentRef) -> Vec<u16> {
+fn kernel_path<A>(shards: &[Shard<A>], goal: ParentRef) -> Vec<u16> {
     let mut rev = Vec::new();
     let mut node = goal;
     loop {
@@ -360,13 +382,11 @@ fn kernel_path(shards: &[Shard], goal: ParentRef) -> Vec<u16> {
 }
 
 /// Thread-local state of one worker.
-struct Worker<'a, 'b> {
-    sh: &'a Rounds<'b>,
+struct Worker<'a, 'b, A: Assign> {
+    sh: &'a Rounds<'b, A>,
     id: usize,
     /// Reused expansion buffers ([`ExpandCtx::expand`] output).
-    scratch: ExpandScratch,
-    /// Expansion-side counters not yet folded into this worker's shard.
-    local: ShardStats,
+    scratch: ExpandScratch<A>,
     /// This worker's phase profiler probe (inert unless the profiler was
     /// enabled at run start); folded into the shared accumulator on exit.
     probe: PhaseProbe,
@@ -374,14 +394,13 @@ struct Worker<'a, 'b> {
     throttle: Option<&'a mut Throttle>,
 }
 
-impl<'a, 'b> Worker<'a, 'b> {
-    fn new(sh: &'a Rounds<'b>, id: usize, throttle: Option<&'a mut Throttle>) -> Self {
+impl<'a, 'b, A: Assign> Worker<'a, 'b, A> {
+    fn new(sh: &'a Rounds<'b, A>, id: usize, throttle: Option<&'a mut Throttle>) -> Self {
         let profile_on = sh.probe_acc.lock().expect(POISONED).is_on();
         Worker {
             sh,
             id,
             scratch: ExpandScratch::default(),
-            local: ShardStats::default(),
             probe: if profile_on {
                 PhaseProbe::new()
             } else {
@@ -393,6 +412,7 @@ impl<'a, 'b> Worker<'a, 'b> {
 
     /// Waits at the round barrier; `false` when a peer panicked.
     fn sync(&mut self) -> bool {
+        self.probe.pause();
         let ok = self.sh.barrier.wait();
         self.probe.skip();
         ok
@@ -426,11 +446,12 @@ impl<'a, 'b> Worker<'a, 'b> {
                 }
             }
         }
-        sh.shards[self.id]
-            .write()
-            .expect(POISONED)
-            .counters
-            .add(&self.local);
+        // Counters of a round that ended without its merge (a limit).
+        for p in 0..sh.workers {
+            let mut shard = sh.shards[p].write().expect(POISONED);
+            let mut bucket = sh.buckets[self.id * sh.workers + p].lock().expect(POISONED);
+            shard.counters.add(&std::mem::take(&mut bucket.counters));
+        }
         sh.probe_acc.lock().expect(POISONED).merge(&self.probe);
     }
 
@@ -443,7 +464,7 @@ impl<'a, 'b> Worker<'a, 'b> {
         let shards: Vec<_> = (sh.shards.iter())
             .map(|s| s.read().expect(POISONED))
             .collect();
-        let mut outbox: Vec<MutexGuard<'_, Bucket>> = sh.buckets
+        let mut outbox: Vec<MutexGuard<'_, Bucket<A>>> = sh.buckets
             [self.id * workers..(self.id + 1) * workers]
             .iter()
             .map(|b| b.lock().expect(POISONED))
@@ -459,15 +480,18 @@ impl<'a, 'b> Worker<'a, 'b> {
                 break;
             }
             let end = (start + CHUNK).min(plan.hi);
-            let generated = self.local.generated;
+            let mut generated = 0;
             for pos in start..end {
                 self.probe.begin_cycle();
                 let node = frontier[pos];
-                let shard = &shards[parent_shard(node)];
+                let owner = parent_shard(node);
+                let shard = &shards[owner];
                 let id = parent_idx(node);
                 let e = shard.edges[id as usize];
                 let prev_instr = (e.parent != PARENT_NONE).then(|| sh.actions[e.instr as usize]);
                 self.probe.lap(Phase::Select);
+                let counters = &mut outbox[owner].counters;
+                let before = counters.generated;
                 ctx.expand(
                     shard.arena.assignments(id),
                     prev_instr,
@@ -475,9 +499,10 @@ impl<'a, 'b> Worker<'a, 'b> {
                     sh.max_len,
                     plan.cut,
                     &mut self.scratch,
-                    &mut self.local,
+                    counters,
                     &mut self.probe,
                 );
+                generated += counters.generated - before;
                 let buf = &self.scratch.buf;
                 for (i, m) in buf.metas.iter().enumerate() {
                     let tag = (pos as u64) << 32 | i as u64;
@@ -485,15 +510,14 @@ impl<'a, 'b> Worker<'a, 'b> {
                         sh.goal_tag.fetch_min(tag, Ordering::Relaxed);
                     }
                     let p = shard_of(m.key, workers);
-                    if p != self.id {
-                        self.local.routed += 1;
+                    if p != owner {
+                        outbox[owner].counters.routed += 1;
                     }
                     outbox[p].push(tag, node, m, buf.assigns_of(m));
                 }
                 self.probe.lap(Phase::Route);
             }
-            sh.generated
-                .fetch_add(self.local.generated - generated, Ordering::Relaxed);
+            sh.generated.fetch_add(generated, Ordering::Relaxed);
             sh.expanded
                 .fetch_add((end - start) as u64, Ordering::Relaxed);
         }
@@ -526,10 +550,12 @@ impl<'a, 'b> Worker<'a, 'b> {
         let sh = self.sh;
         let (p, workers) = (self.id, sh.workers);
         let mut shard = sh.shards[p].write().expect(POISONED);
-        shard.counters.add(&std::mem::take(&mut self.local));
-        let mut inbox: Vec<MutexGuard<'_, Bucket>> = (0..workers)
+        let mut inbox: Vec<MutexGuard<'_, Bucket<A>>> = (0..workers)
             .map(|w| sh.buckets[w * workers + p].lock().expect(POISONED))
             .collect();
+        for bucket in inbox.iter_mut() {
+            shard.counters.add(&std::mem::take(&mut bucket.counters));
+        }
         let mut next = sh.next[p].lock().expect(POISONED);
         let runs: Vec<&[(u64, ParentRef)]> = inbox.iter().map(|b| &b.tags[..]).collect();
         merge_by_tag(
@@ -601,11 +627,17 @@ impl<'a, 'b> Worker<'a, 'b> {
 /// Runs the parallel layered search. Called by [`crate::synthesize`] when
 /// the resolved thread count exceeds one (first-solution, unbudgeted
 /// layered runs).
-pub(crate) fn run(cfg: &SynthesisConfig) -> SynthesisResult {
+pub(crate) fn run<A: Assign>(
+    cfg: &SynthesisConfig,
+    space: A::Space,
+    setup: Duration,
+) -> SynthesisResult {
     let workers = cfg.effective_threads().max(2);
-    let probe_acc = PhaseProbe::new();
+    // Latches the profiler switch; the accumulator itself times nothing.
+    let mut probe_acc = PhaseProbe::new();
+    probe_acc.pause();
     let mut stats = SearchStats::default();
-    let table = build_distance_table(cfg, &mut stats);
+    let table = build_distance_table(cfg, A::live(&space), setup, &mut stats);
     let frame = RunFrame::new(cfg, stats.distance_table_skipped);
     let mut throttle = Throttle::new(&frame);
     // Pre-size each shard from the recorded high-water marks (plus 1/8
@@ -614,7 +646,7 @@ pub(crate) fn run(cfg: &SynthesisConfig) -> SynthesisResult {
     let sizing = SizingTable::row_for(cfg, workers as u32);
     let shards = (0..workers)
         .map(|_| {
-            let mut shard = Shard::new(cfg, 0, 0);
+            let mut shard = Shard::<A>::new(cfg, 0, 0);
             if let Some(row) = sizing {
                 let per = |total: u64, slack_floor: u64| {
                     let even = total / workers as u64;
@@ -629,6 +661,7 @@ pub(crate) fn run(cfg: &SynthesisConfig) -> SynthesisResult {
         cfg,
         frame,
         actions: cfg.machine.actions(),
+        space,
         table,
         workers,
         max_len: cfg.max_len.unwrap_or(u32::MAX),
@@ -648,10 +681,12 @@ pub(crate) fn run(cfg: &SynthesisConfig) -> SynthesisResult {
         probe_acc: Mutex::new(probe_acc),
     };
 
-    let init = StateSet::initial(&cfg.machine);
-    let owner = shard_of(narrow_key(init.key()), workers);
+    let owner = shard_of(
+        narrow_key(A::key(&A::initial(&sh.space, &cfg.machine))),
+        workers,
+    );
     let mut shard = sh.shards[owner].write().expect(POISONED);
-    let (root, goal) = shard.seed(&init, &cfg.machine, sh.table.as_ref(), &sh.min_perm);
+    let (root, goal) = shard.seed(&sh.space, &cfg.machine, sh.table.as_ref(), &sh.min_perm);
     // Degenerate machines (n = 1) are sorted from the start: an empty first
     // layer, and the workers stop at once.
     let layer = if goal {

@@ -27,7 +27,7 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use sortsynth_isa::{Machine, MachineState};
+use sortsynth_isa::Machine;
 use sortsynth_obs::profile::{Phase, PhaseProbe};
 use sortsynth_obs::ShardSnapshot;
 
@@ -40,7 +40,7 @@ use crate::intern::StateArena;
 use crate::progress::{deliver, delivery_active, SearchProgress};
 use crate::sizing::{SizingRow, SizingTable};
 use crate::spill::SpillTier;
-use crate::state::{narrow_key, StateSet};
+use crate::state::{narrow_key, Assign, ProjScratch};
 
 /// Default progress-emission throttle (expansions between snapshots) when
 /// [`SynthesisConfig::progress_every`] is 0.
@@ -142,8 +142,8 @@ pub(crate) struct Cand {
 
 /// What [`Shard::merge`] needs beyond the key to insert a fresh state.
 #[derive(Clone, Copy)]
-pub(crate) struct Facts<'a> {
-    pub assigns: &'a [MachineState],
+pub(crate) struct Facts<'a, A> {
+    pub assigns: &'a [A],
     pub perm: u32,
     pub max_dist: u16,
     pub goal: bool,
@@ -163,8 +163,8 @@ pub(crate) enum Merged {
 
 /// One closed-set shard: interned states, their edges, the open list, and
 /// the shard's counter block.
-pub(crate) struct Shard {
-    pub arena: StateArena,
+pub(crate) struct Shard<A> {
+    pub arena: StateArena<A>,
     /// Id-aligned with `arena`.
     pub edges: Vec<Edge>,
     pub open: BucketQueue,
@@ -175,12 +175,12 @@ pub(crate) struct Shard {
     /// state, as `(parent id, action)`.
     pub more_parents: HashMap<u32, Vec<(u32, u16)>>,
     /// External-memory tier (budgeted or resumed layered runs).
-    pub spill: Option<SpillTier>,
+    pub spill: Option<SpillTier<A>>,
     heuristic: Heuristic,
     all_solutions: bool,
 }
 
-impl Shard {
+impl<A: Assign> Shard<A> {
     /// An empty shard for `cfg`, its open list pre-sized for f-values below
     /// `f_hint` with `lane_hint` ids per lane. States are ordered by
     /// `g + heuristic`; layered runs order by `g` alone.
@@ -209,25 +209,22 @@ impl Shard {
         self.edges.reserve(states);
     }
 
-    /// Interns the initial state `init` of `machine` as the root. Returns
-    /// its id and whether it is a goal; the caller queues a non-goal root.
+    /// Interns the initial state of `machine` as the root. Returns its id
+    /// and whether it is a goal; the caller queues a non-goal root.
     pub fn seed(
         &mut self,
-        init: &StateSet,
+        space: &A::Space,
         machine: &Machine,
         table: Option<&DistanceTable>,
         min_perm: &MinPerm,
     ) -> (u32, bool) {
-        let perm = init.perm_count(machine);
-        let max_dist = table.map_or(0, |t| t.max_dist(init));
-        let goal = init.is_goal(machine);
-        let id = self.arena.insert_new(
-            narrow_key(init.key()),
-            init.assignments(),
-            perm,
-            max_dist,
-            goal,
-        );
+        let init = A::initial(space, machine);
+        let perm = A::perm_count(space, &init, &mut ProjScratch::default(), u32::MAX);
+        let max_dist = table.map_or(0, |t| t.max_dist_of(&init));
+        let goal = init.iter().all(|&a| A::sorted(space, a));
+        let id = self
+            .arena
+            .insert_new(narrow_key(A::key(&init)), &init, perm, max_dist, goal);
         self.edges.push(Edge {
             parent: PARENT_NONE,
             g: 0,
@@ -248,7 +245,7 @@ impl Shard {
     /// The successor merge (§3.6). Disposes of `c` exactly once — counted
     /// in `merged` plus one of `dedup_hits`, `reopened`, `states_kept`.
     /// `f` describes the candidate's span, used only when its key is fresh.
-    pub fn merge(&mut self, c: &Cand, f: Facts<'_>, min_perm: &MinPerm) -> Merged {
+    pub fn merge(&mut self, c: &Cand, f: Facts<'_, A>, min_perm: &MinPerm) -> Merged {
         if let Some(id) = self.arena.get(c.key) {
             self.counters.merged += 1;
             let edge = &mut self.edges[id as usize];
@@ -399,7 +396,7 @@ impl<'a> RunFrame<'a> {
     /// arena and memory figures into `stats`, and returns one
     /// snapshot row per shard. Live snapshots and the run's final totals
     /// both come from here.
-    fn fold<S: Deref<Target = Shard>>(
+    fn fold<A: Assign, S: Deref<Target = Shard<A>>>(
         &self,
         shards: impl IntoIterator<Item = S>,
         stats: &mut SearchStats,
@@ -474,7 +471,7 @@ impl<'a> RunFrame<'a> {
 
     /// One progress snapshot over `shards` (live totals may trail the
     /// workers by an expansion; final snapshots are exact).
-    pub fn snapshot<S: Deref<Target = Shard>>(
+    pub fn snapshot<A: Assign, S: Deref<Target = Shard<A>>>(
         &self,
         shards: impl IntoIterator<Item = S>,
         open: u64,
@@ -489,10 +486,10 @@ impl<'a> RunFrame<'a> {
     /// are kept only when there is more than one shard), records the
     /// sizing row and reclaims a default spill directory on completed
     /// runs, emits the final snapshot, and publishes the run's metrics.
-    pub fn finish(
+    pub fn finish<A: Assign>(
         &self,
         throttle: Throttle,
-        shards: &[Shard],
+        shards: &[Shard<A>],
         mut stats: SearchStats,
         probe: &PhaseProbe,
         end: Closing,

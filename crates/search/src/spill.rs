@@ -8,14 +8,16 @@
 //!
 //! * **Frontier spans** — once the resident estimate crosses the budget,
 //!   freshly interned states keep their metadata and closed-set entry but
-//!   their assignment span goes to `frontier-{g}.seg` instead of the arena.
+//!   their span goes to `frontier-{g}.seg` instead of the arena.
 //!   Spans are batched into chunked records of at most [`CHUNK`] spans and
 //!   [`RECORD_CAP`] payload bytes, each a run of varint-coded span entries
-//!   ([`put_span`]) tagged with its first state id; a record is one
-//!   buffered push, and the segment is flushed and synced once, when it is
-//!   sealed at the layer boundary. The next layer's expansion streams those
-//!   spans back in id order (the append order), one record at a time, so
-//!   one sequential read covers the whole layer.
+//!   ([`put_span`]: live indices, one to three bytes each, or rotated
+//!   `MachineState`s on machines without a live space) tagged with its
+//!   first state id; a record is one buffered push, and the segment is
+//!   flushed and synced once, when it is sealed at the layer boundary. The
+//!   next layer's expansion streams those spans back in id order (the
+//!   append order), one record at a time, so one sequential read covers
+//!   the whole layer.
 //! * **Closed-set segments** — at the end of a layer under budget pressure,
 //!   closed-map entries of already-expanded layers are evicted to a sorted
 //!   `closed-{g}.seg` of 12-byte `key u64 | id u32` entries. Candidates
@@ -54,7 +56,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use sortsynth_isa::MachineState;
 use sortsynth_obs::names;
 use sortsynth_obs::segment::{self, fnv1a, SegmentError, SegmentReader, SegmentWriter};
 use sortsynth_obs::Histogram;
@@ -62,6 +63,7 @@ use sortsynth_obs::Histogram;
 use crate::config::{Strategy, SynthesisConfig};
 use crate::engine::ShardStats;
 use crate::shard::{parent_idx, parent_ref, Edge, MinPerm, Shard, PARENT_NONE};
+use crate::state::Assign;
 
 /// Magic for frontier-span segments.
 pub(crate) const FRONTIER_MAGIC: &[u8; 8] = b"SSSPILLF";
@@ -69,12 +71,13 @@ pub(crate) const FRONTIER_MAGIC: &[u8; 8] = b"SSSPILLF";
 pub(crate) const CLOSED_MAGIC: &[u8; 8] = b"SSSPILLC";
 /// Magic for the resume journal.
 pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"SSJOURNL";
-/// On-disk format version shared by all three file kinds. Version 4 codes
-/// frontier spans as chunked varint entries, in the segments and in journal
-/// section 5; version 3 streamed the journal as tagged sections with 64-bit
-/// closed keys. A directory written by an older build is refused as a bad
-/// header, never misparsed.
-pub(crate) const SPILL_VERSION: u32 = 4;
+/// On-disk format version shared by all three file kinds. Version 5 codes
+/// a span element as its live index ([`crate::LiveSpace`]) on machines that
+/// have a live space; version 4 coded every element as a register
+/// assignment, in chunked varint entries; version 3 streamed the journal as
+/// tagged sections with 64-bit closed keys. A directory written by an older
+/// build is refused as a bad header, never misparsed.
+pub(crate) const SPILL_VERSION: u32 = 5;
 /// Journal file name inside the spill directory.
 pub(crate) const JOURNAL_NAME: &str = "journal.ssj";
 /// Entries per checksummed record: spans per frontier record, and entries
@@ -263,16 +266,17 @@ fn varint(bytes: &mut &[u8]) -> Option<u64> {
 }
 
 /// Appends the span entry of state `id`, the entry after state `prev`:
-/// `varint(id − prev) | varint(len) | len × varint(bits.rotate_left(4))`.
-/// The rotation moves the flag nibble (bits 60–63) to the bottom, so an
-/// n = 3 assignment codes in 3 bytes, not 8. The one encoder of frontier
-/// records and journal section 5; [`SpanEntries`] is its decoder.
-fn put_span(out: &mut Vec<u8>, prev: u32, id: u32, assigns: &[MachineState]) {
+/// `varint(id − prev) | varint(len) | len × varint(code)`, where an
+/// element's code ([`Assign::code`]) is its live index — one to three
+/// bytes — or, on machines without a live space, its packed bits with the
+/// flag nibble rotated to the bottom. The one encoder of frontier records and
+/// journal section 5; [`SpanEntries`] is its decoder.
+fn put_span<A: Assign>(out: &mut Vec<u8>, prev: u32, id: u32, span: &[A]) {
     let delta = id.checked_sub(prev).expect("span entries in id order");
     put_varint(out, delta as u64);
-    put_varint(out, assigns.len() as u64);
-    for a in assigns {
-        put_varint(out, a.bits().rotate_left(4));
+    put_varint(out, span.len() as u64);
+    for &a in span {
+        put_varint(out, a.code());
     }
 }
 
@@ -286,7 +290,7 @@ struct SpanEntries<'a> {
 impl SpanEntries<'_> {
     /// Decodes the next entry's span into `span` and returns its state id;
     /// `Ok(None)` at the end of the record.
-    fn next(&mut self, span: &mut Vec<MachineState>) -> Result<Option<u32>, ResumeError> {
+    fn next<A: Assign>(&mut self, span: &mut Vec<A>) -> Result<Option<u32>, ResumeError> {
         if self.rest.is_empty() {
             return Ok(None);
         }
@@ -303,8 +307,8 @@ impl SpanEntries<'_> {
         span.clear();
         span.reserve(len as usize);
         for _ in 0..len {
-            let bits = varint(rest).ok_or_else(bad)?;
-            span.push(MachineState::from_bits(bits.rotate_right(4)));
+            let a = varint(rest).and_then(A::from_code).ok_or_else(bad)?;
+            span.push(a);
         }
         self.prev = id;
         Ok(Some(id))
@@ -337,7 +341,7 @@ fn le64(b: &[u8]) -> u64 {
 /// The spill tier owned by one sequential layered engine. Its counters
 /// live in the owning shard's [`ShardStats`], which every method that
 /// moves bytes takes.
-pub(crate) struct SpillTier {
+pub(crate) struct SpillTier<A> {
     dir: PathBuf,
     /// The resident-estimate budget the shard's spill decision holds.
     pub budget: u64,
@@ -350,7 +354,7 @@ pub(crate) struct SpillTier {
     cur: Option<SegRef>,
     /// Streaming reader over `cur`, opened lazily at the first fetch.
     reader: Option<FrontierReader>,
-    read_buf: Vec<MachineState>,
+    read_buf: Vec<A>,
     /// Layers of consumed frontier segments awaiting deletion. A segment
     /// may only be removed once a journal checkpoint that no longer
     /// references it has been durably renamed into place — deleting
@@ -365,8 +369,8 @@ pub(crate) struct SpillTier {
     read_hist: Arc<Histogram>,
 }
 
-impl SpillTier {
-    pub fn new(dir: PathBuf, budget: u64) -> io::Result<SpillTier> {
+impl<A: Assign> SpillTier<A> {
+    pub fn new(dir: PathBuf, budget: u64) -> io::Result<SpillTier<A>> {
         fs::create_dir_all(&dir)?;
         Ok(SpillTier {
             dir,
@@ -392,13 +396,7 @@ impl SpillTier {
     /// Adds state `id`'s assignment span to the frontier segment of
     /// `layer`. Append order matches intern order (dense increasing ids),
     /// which is what the delta coding and the streaming fetch rely on.
-    pub fn spill_span(
-        &mut self,
-        layer: u32,
-        id: u32,
-        assigns: &[MachineState],
-        stats: &mut ShardStats,
-    ) {
+    pub fn spill_span(&mut self, layer: u32, id: u32, assigns: &[A], stats: &mut ShardStats) {
         let writer = self.writer.get_or_insert_with(|| {
             let path = seg_path(&self.dir, FRONTIER_MAGIC, layer);
             let seg = SegmentWriter::create(&path, FRONTIER_MAGIC, SPILL_VERSION)
@@ -447,7 +445,7 @@ impl SpillTier {
     /// fetch in increasing id order (the frontier's order), so the read is
     /// one sequential pass per layer; entries whose state was deleted by
     /// DDD are skipped in stride, across record boundaries.
-    pub fn fetch_span(&mut self, id: u32) -> &[MachineState] {
+    pub fn fetch_span(&mut self, id: u32) -> &[A] {
         let r = self.reader.get_or_insert_with(|| {
             let seg = self
                 .cur
@@ -603,7 +601,7 @@ impl FrontierWriter {
     /// Adds one span entry to the pending record, pushing the record first
     /// when the entry would take it past [`RECORD_CAP`], and after when it
     /// holds [`CHUNK`] spans or has reached the cap.
-    fn add(&mut self, id: u32, assigns: &[MachineState], stats: &mut ShardStats, hist: &Histogram) {
+    fn add<A: Assign>(&mut self, id: u32, assigns: &[A], stats: &mut ShardStats, hist: &Histogram) {
         if self.spans == 0 {
             (self.first, self.prev) = (id, id);
         }
@@ -672,8 +670,8 @@ fn chunked<T>(
 /// then deletes the consumed segments the new checkpoint no longer
 /// references. In that order, a kill at any point leaves the durable
 /// journal with every file it names still on disk.
-pub(crate) fn checkpoint(
-    shard: &mut Shard,
+pub(crate) fn checkpoint<A: Assign>(
+    shard: &mut Shard<A>,
     cfg: &SynthesisConfig,
     min_perm: &MinPerm,
     g: u32,
@@ -778,10 +776,10 @@ fn fixed<'a>(
 /// the journal was written before the layer began, so a mid-layer crash
 /// loses at most one layer's work, and a partially written next-layer
 /// frontier segment is truncated when its writer is recreated.
-pub(crate) fn restore(
+pub(crate) fn restore<A: Assign>(
     dir: &Path,
     cfg: &SynthesisConfig,
-    shard: &mut Shard,
+    shard: &mut Shard<A>,
     min_perm: &MinPerm,
 ) -> Result<Resumed, ResumeError> {
     if cfg.strategy != Strategy::Layered {
@@ -929,7 +927,7 @@ mod tests {
     use super::*;
     use proptest::prelude::{any, prop, prop_assert, prop_assert_eq, proptest};
     use proptest::Strategy as _;
-    use sortsynth_isa::{factorial, IsaMode, Machine};
+    use sortsynth_isa::{factorial, IsaMode, Machine, MachineState};
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ssspill-{tag}-{}", std::process::id()));
@@ -943,7 +941,11 @@ mod tests {
 
     /// A shard holding `states` root-level states whose spans live on disk,
     /// with `tier` attached.
-    fn spilled_shard(cfg: &SynthesisConfig, tier: SpillTier, states: u32) -> Shard {
+    fn spilled_shard<A: Assign>(
+        cfg: &SynthesisConfig,
+        tier: SpillTier<A>,
+        states: u32,
+    ) -> Shard<A> {
         let mut shard = Shard::new(cfg, 0, 0);
         for id in 0..states {
             shard.arena.insert_spilled(1000 + id as u64, 1, 1, 0, false);
@@ -957,8 +959,11 @@ mod tests {
         shard
     }
 
-    fn restore_into_empty(dir: &Path, cfg: &SynthesisConfig) -> Result<Resumed, ResumeError> {
-        restore(dir, cfg, &mut Shard::new(cfg, 0, 0), &MinPerm::new())
+    fn restore_into_empty<A: Assign>(
+        dir: &Path,
+        cfg: &SynthesisConfig,
+    ) -> Result<Resumed, ResumeError> {
+        restore(dir, cfg, &mut Shard::<A>::new(cfg, 0, 0), &MinPerm::new())
     }
 
     /// Byte offset of the last record in a segment file.
@@ -978,14 +983,7 @@ mod tests {
         let mut shard = Shard::new(&cfg, 0, 0);
         let mut tier = SpillTier::new(dir.clone(), 1 << 20).unwrap();
         // A root, a resident frontier state, and a spilled goal state.
-        let spans = [
-            vec![MachineState::from_values(&[1, 2, 3])],
-            vec![
-                MachineState::from_values(&[2, 1, 3]),
-                MachineState::from_values(&[3, 1, 2]),
-            ],
-            vec![MachineState::from_values(&[3, 2, 1])],
-        ];
+        let spans: [Vec<u16>; 3] = [vec![17], vec![3, 900], vec![20_000]];
         for (id, span) in (0u32..).zip(&spans) {
             let (key, len, goal) = (0x100 + id as u64, span.len() as u32, id == 2);
             if goal {
@@ -1027,7 +1025,7 @@ mod tests {
         assert_eq!(restored.edges, shard.edges);
         assert_eq!(restored.more_parents, shard.more_parents);
         assert_eq!(restored.goals, shard.goals);
-        let metas = |s: &Shard| {
+        let metas = |s: &Shard<u16>| {
             (0..s.arena.len() as u32)
                 .map(|id| {
                     let m = s.arena.meta(id);
@@ -1036,13 +1034,13 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(metas(&restored), metas(&shard));
-        let closed = |s: &Shard| {
+        let closed = |s: &Shard<u16>| {
             let mut entries: Vec<_> = s.arena.closed().collect();
             entries.sort_unstable();
             entries
         };
         assert_eq!(closed(&restored), closed(&shard));
-        let spans_of = |s: &Shard| {
+        let spans_of = |s: &Shard<u16>| {
             (0..s.arena.len() as u32)
                 .map(|id| {
                     s.arena
@@ -1070,7 +1068,7 @@ mod tests {
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..last_record_start(&bytes)]).unwrap();
         assert!(matches!(
-            restore_into_empty(&dir, &cfg),
+            restore_into_empty::<u16>(&dir, &cfg),
             Err(ResumeError::Malformed { .. })
         ));
         b.cleanup();
@@ -1104,10 +1102,10 @@ mod tests {
         let mut shard = spilled_shard(&cfg, tier, 8);
         shard.counters = stats;
         checkpoint(&mut shard, &cfg, &MinPerm::new(), 1, 11, &[5]);
-        let loaded = restore_into_empty(&dir, &cfg).unwrap();
+        let loaded = restore_into_empty::<MachineState>(&dir, &cfg).unwrap();
         assert_eq!(loaded.frontier, vec![5]);
         assert!(matches!(
-            restore_into_empty(&dir, &cfg.clone().max_len(10)),
+            restore_into_empty::<MachineState>(&dir, &cfg.clone().max_len(10)),
             Err(ResumeError::ConfigMismatch { .. })
         ));
         // A torn byte inside a referenced segment is detected, not replayed.
@@ -1116,7 +1114,9 @@ mod tests {
         let at = bytes.len() / 2;
         bytes[at] ^= 0x10;
         fs::write(&seg_path, &bytes).unwrap();
-        let err = restore_into_empty(&dir, &cfg).err().unwrap();
+        let err = restore_into_empty::<MachineState>(&dir, &cfg)
+            .err()
+            .unwrap();
         assert!(err.to_string().contains("checksum"), "{err}");
         shard.spill.unwrap().cleanup();
     }
@@ -1153,7 +1153,7 @@ mod tests {
                 ids.push(prev);
             }
             let mut entries = SpanEntries { rest: &out, prev: base };
-            let mut span = Vec::new();
+            let mut span: Vec<MachineState> = Vec::new();
             for (&id, (_, expected)) in ids.iter().zip(&spans) {
                 prop_assert_eq!(entries.next(&mut span).unwrap(), Some(id));
                 prop_assert_eq!(&span, expected);
@@ -1162,6 +1162,41 @@ mod tests {
             let mut cut = SpanEntries { rest: &out[..out.len() - 1], prev: base };
             let decoded = iter::from_fn(|| cut.next(&mut span).transpose()).last();
             prop_assert!(matches!(decoded, Some(Err(ResumeError::Malformed { .. }))));
+        }
+    }
+
+    proptest! {
+        /// Live-index span entries round-trip too, and a code that is no
+        /// live index (`NONE` or wider than 16 bits) is malformed.
+        #[test]
+        fn live_span_entries_round_trip(
+            spans in prop::collection::vec(
+                (0u32..5000, prop::collection::vec(0u16..u16::MAX, 1..200)),
+                1..12,
+            ),
+            bad in 0usize..3,
+        ) {
+            let (mut out, mut prev, mut ids) = (Vec::new(), 0u32, Vec::new());
+            for (delta, span) in &spans {
+                put_span(&mut out, prev, prev + delta, span);
+                prev += delta;
+                ids.push(prev);
+            }
+            let mut entries = SpanEntries { rest: &out, prev: 0 };
+            let mut span: Vec<u16> = Vec::new();
+            for (&id, (_, expected)) in ids.iter().zip(&spans) {
+                prop_assert_eq!(entries.next(&mut span).unwrap(), Some(id));
+                prop_assert_eq!(&span, expected);
+            }
+            let mut wrong = Vec::new();
+            put_varint(&mut wrong, 0);
+            put_varint(&mut wrong, 1);
+            put_varint(&mut wrong, [u16::MAX as u64, 1 << 16, u64::MAX][bad]);
+            let mut entries = SpanEntries { rest: &wrong, prev: 0 };
+            prop_assert!(matches!(
+                entries.next(&mut span),
+                Err(ResumeError::Malformed { .. })
+            ));
         }
     }
 
@@ -1185,7 +1220,7 @@ mod tests {
 
     /// Each record of the sealed frontier segment: its tag, the ids of
     /// its spans, and its payload length.
-    fn frontier_records(tier: &SpillTier) -> Vec<(u64, Vec<u32>, usize)> {
+    fn frontier_records<A: Assign>(tier: &SpillTier<A>) -> Vec<(u64, Vec<u32>, usize)> {
         let seg = tier.cur.expect("a sealed frontier segment");
         let mut reader = open_seg(&tier.dir, FRONTIER_MAGIC, seg).unwrap();
         let (mut records, mut span) = (Vec::new(), Vec::new());
@@ -1194,7 +1229,7 @@ mod tests {
                 rest: &payload,
                 prev: tag as u32,
             };
-            let ids = iter::from_fn(|| entries.next(&mut span).unwrap()).collect();
+            let ids = iter::from_fn(|| entries.next::<A>(&mut span).unwrap()).collect();
             records.push((tag, ids, payload.len()));
         }
         records
@@ -1301,7 +1336,7 @@ mod tests {
             !first.exists(),
             "checkpoint rename must gc consumed segments"
         );
-        restore_into_empty(&dir, &cfg).unwrap();
+        restore_into_empty::<MachineState>(&dir, &cfg).unwrap();
         shard.spill.unwrap().cleanup();
     }
 
@@ -1311,12 +1346,12 @@ mod tests {
 
     /// Writes one small checkpoint into `dir`: two states (one resident
     /// and one spilled span) and one closed-segment reference.
-    fn two_state_checkpoint(dir: &Path) -> (SynthesisConfig, Shard) {
+    fn two_state_checkpoint(dir: &Path) -> (SynthesisConfig, Shard<u16>) {
         let cfg = cfg();
         let mut shard = Shard::new(&cfg, 0, 0);
         let mut tier = SpillTier::new(dir.to_path_buf(), 64).unwrap();
-        let resident = [MachineState::from_values(&[1, 2, 3])];
-        let spilled = [MachineState::from_values(&[2, 1, 3])];
+        let resident = [5u16];
+        let spilled = [300u16];
         shard.arena.insert_new(0xaaaa, &resident, 1, 2, false);
         shard.arena.insert_spilled(0xbbbb, 1, 1, 1, false);
         tier.spill_span(1, 1, &spilled, &mut shard.counters);
@@ -1338,25 +1373,16 @@ mod tests {
     }
 
     /// One frontier record of two spans, byte for byte: state 3's span
-    /// (one assignment, `lt` set) and state 5's (two, one with `gt` set).
-    /// A change to this expectation is a segment format change — bump
+    /// (live index 7) and state 5's (live indices 200 and 20 000). A change
+    /// to this expectation is a segment format change — bump
     /// [`SPILL_VERSION`] with it.
     #[test]
     fn two_span_frontier_record_is_pinned() {
         let dir = tmp("frontier-pin");
         let mut stats = ShardStats::default();
         let mut tier = SpillTier::new(dir.clone(), 0).unwrap();
-        let state = |values: &[u8], lt, gt| {
-            let mut a = MachineState::from_values(values);
-            a.set_flags(lt, gt);
-            a
-        };
-        tier.spill_span(1, 3, &[state(&[2, 1, 3], true, false)], &mut stats);
-        let five = [
-            state(&[1, 3, 2], false, false),
-            state(&[3, 1, 2], false, true),
-        ];
-        tier.spill_span(1, 5, &five, &mut stats);
+        tier.spill_span(1, 3, &[7u16], &mut stats);
+        tier.spill_span(1, 5, &[200u16, 20_000], &mut stats);
         tier.seal_frontier(&mut stats);
         let bytes = fs::read(dir.join("frontier-1.seg")).unwrap();
         assert_eq!(stats.spilled_bytes, bytes.len() as u64 - 12);
@@ -1365,16 +1391,37 @@ mod tests {
     }
 
     const GOLDEN_FRONTIER: &str = concat!(
-        // header: "SSSPILLF", version 4
-        "53535350494c4c4604000000",
+        // header: "SSSPILLF", version 5
+        "53535350494c4c4605000000",
         // record: tag 3 (the first id), payload_len 10, checksum
-        "03000000000000000a000000a738553f1d12032e",
-        // state 3: delta 0, len 1, 0x1000_0000_0000_0312 rotated = 0x3121
-        "0001a162",
-        // state 5: delta 2, len 2, 0x231 rotated = 0x2310, then
-        // 0x2000_0000_0000_0213 rotated = 0x2132
-        "02029046b242",
+        "03000000000000000a000000534494953a0e1079",
+        // state 3: delta 0, len 1, index 7
+        "000107",
+        // state 5: delta 2, len 2, index 200 (2 varint bytes), index 20 000
+        // (3 bytes)
+        "0202c801a09c01",
     );
+
+    /// A journal written by a build that coded spans as register
+    /// assignments (format version 4) is refused as a bad header, never
+    /// decoded as live indices.
+    #[test]
+    fn a_version_4_journal_is_refused() {
+        let dir = tmp("v4");
+        let (cfg, shard) = two_state_checkpoint(&dir);
+        let path = dir.join(JOURNAL_NAME);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let err = restore_into_empty::<u16>(&dir, &cfg)
+            .err()
+            .expect("refused");
+        assert!(
+            matches!(err, ResumeError::Segment(SegmentError::BadHeader { .. })),
+            "{err}"
+        );
+        shard.spill.unwrap().cleanup();
+    }
 
     /// The two-state checkpoint, byte for byte. A change to this
     /// expectation is a journal format change — bump [`SPILL_VERSION`]
@@ -1422,7 +1469,7 @@ mod tests {
             let (_, payload) = records.iter_mut().find(|(t, _)| *t == tag).unwrap();
             damage(payload);
             segment::write_atomic(&path, JOURNAL_MAGIC, SPILL_VERSION, records).unwrap();
-            let err = restore_into_empty(&dir, &cfg).err().expect(what);
+            let err = restore_into_empty::<u16>(&dir, &cfg).err().expect(what);
             assert!(
                 matches!(err, ResumeError::Malformed { what: w } if w == what),
                 "{what}: {err}"
@@ -1432,8 +1479,8 @@ mod tests {
     }
 
     const GOLDEN_JOURNAL: &str = concat!(
-        // header: "SSJOURNL", version 4
-        "53534a4f55524e4c04000000",
+        // header: "SSJOURNL", version 5
+        "53534a4f55524e4c05000000",
         // header record: tag 0, payload_len 320, checksum; 40 u64 words
         "00000000000000004001000081eb066c3f55e02e",
         // fingerprint, g = 1, bound = 11, budget = 64
@@ -1466,9 +1513,9 @@ mod tests {
         "040000000000000008000000347de4d1294ccd08",
         "0000000001000000",
         // spans record: tag 5, state 0's resident span (state 1's is in
-        // frontier-1.seg): delta 0 from id 0, len 1, 0x321 rotated = 0x3210
-        "0500000000000000040000000e3a299a7f77f845",
-        "00019064",
+        // frontier-1.seg): delta 0 from id 0, len 1, live index 5
+        "0500000000000000030000000d550c6c18b149d9",
+        "000105",
     );
 
     #[test]

@@ -5,16 +5,19 @@
 //! *different* canonical states would silently merge them and could produce
 //! a wrong "optimal" length, so the fold is fuzzed here: millions of random
 //! canonical states must map to distinct folded keys (distinct 128-bit keys
-//! implied). The quick rows run in CI; the `#[ignore]` rows push past 10M
-//! states per ISA under `--release -- --ignored`. Whole searches are pinned
-//! by `golden_trace.rs`, whose constants were recorded while a full 128-bit
-//! key ran alongside with identical counters.
+//! implied). The states are what the search keys: sorted spans of live
+//! indices ([`live_key`]) of each ISA's n = 4 live space. The quick rows
+//! run in CI; the `#[ignore]` rows push past 10M states per ISA under
+//! `--release -- --ignored`. The proptests also cover the assignment-span
+//! key ([`StateSet::key`]) that machines without a live space use. Whole
+//! searches are pinned by `golden_trace.rs`, whose constants were recorded
+//! while a full 128-bit key ran alongside with identical counters.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 use sortsynth_isa::{IsaMode, Machine, MachineState};
-use sortsynth_search::{narrow_key, StateSet};
+use sortsynth_search::{live_key, narrow_key, LiveSpace, StateSet};
 
 /// Splitmix64: a tiny, deterministic PRNG so the fuzz corpus is reproducible
 /// without threading `rand` state through helpers.
@@ -26,40 +29,42 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One random canonical state for `machine`: a random-size set of random
-/// register assignments (values confined to the machine's nibble lanes,
-/// random flag bits), canonicalized by [`StateSet::from_assignments`].
-fn random_state(machine: &Machine, rng: &mut u64) -> StateSet {
-    let regs = machine.n() as u32 + machine.scratch() as u32;
-    let value_mask = (1u64 << (4 * regs)) - 1;
-    let flag_mask = 0b11 << 60;
+/// One random canonical state of a `live`-index space: a random-size set
+/// of random live indices (up to n! = 24 of them, as at n = 4), sorted and
+/// deduplicated as the search keeps it.
+fn random_span(live: usize, rng: &mut u64) -> Vec<u16> {
     let count = 1 + (splitmix(rng) as usize % 24);
-    let assigns = (0..count)
-        .map(|_| MachineState::from_bits(splitmix(rng) & (value_mask | flag_mask)))
+    let mut span: Vec<u16> = (0..count)
+        .map(|_| (splitmix(rng) % live as u64) as u16)
         .collect();
-    StateSet::from_assignments(assigns)
+    span.sort_unstable();
+    span.dedup();
+    span
 }
 
-/// Feeds `states` random canonical states through the fold, asserting that
-/// equal narrowed keys only ever come from equal 128-bit keys *and* equal
-/// assignment sets. Checking each new state against everything already seen
-/// makes the pair count quadratic in distinct states — well past the 10M
-/// pair target at the `#[ignore]` scale.
+/// Feeds `states` random canonical states of the n = 4 `mode` live space
+/// through the fold, asserting that equal narrowed keys only ever come
+/// from equal 128-bit keys *and* equal spans. Checking each new state
+/// against everything already seen makes the pair count quadratic in
+/// distinct states — well past the 10M pair target at the `#[ignore]`
+/// scale.
 fn fuzz_fold(mode: IsaMode, states: u64, seed: u64) {
-    let machine = Machine::new(4, 1, mode);
+    let live = LiveSpace::build(&Machine::new(4, 1, mode))
+        .expect("n = 4 has a live space")
+        .len();
     let mut rng = seed;
-    let mut seen: HashMap<u64, (u128, StateSet)> = HashMap::with_capacity(states as usize);
+    let mut seen: HashMap<u64, (u128, Vec<u16>)> = HashMap::with_capacity(states as usize);
     for i in 0..states {
-        let state = random_state(&machine, &mut rng);
-        let key = state.key();
+        let span = random_span(live, &mut rng);
+        let key = live_key(&span);
         match seen.get(&narrow_key(key)) {
             None => {
-                seen.insert(narrow_key(key), (key, state));
+                seen.insert(narrow_key(key), (key, span));
             }
-            Some((prev_key, prev_state)) => {
+            Some((prev_key, prev_span)) => {
                 assert_eq!(
-                    (*prev_key, prev_state.assignments()),
-                    (key, state.assignments()),
+                    (*prev_key, prev_span),
+                    (key, &span),
                     "{mode:?}: 64-bit fold collision after {i} states \
                      (fold {:#018x})",
                     narrow_key(key)
@@ -83,6 +88,30 @@ fn narrowed_keys_are_collision_free_deep() {
 }
 
 proptest! {
+    /// Distinct live-index spans get distinct keys and folds, spans that
+    /// differ only in their last index (or in length) included.
+    #[test]
+    fn distinct_live_spans_get_distinct_folds(
+        xs in prop::collection::vec(0u16..1080, 1..24),
+        ys in prop::collection::vec(0u16..1080, 1..24),
+    ) {
+        let canonical = |mut v: Vec<u16>| {
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let (a, b) = (canonical(xs), canonical(ys));
+        if a != b {
+            prop_assert_ne!(live_key(&a), live_key(&b));
+            prop_assert_ne!(narrow_key(live_key(&a)), narrow_key(live_key(&b)));
+            let mut longer = a.clone();
+            longer.push(1080);
+            prop_assert_ne!(narrow_key(live_key(&a)), narrow_key(live_key(&longer)));
+        } else {
+            prop_assert_eq!(live_key(&a), live_key(&b));
+        }
+    }
+
     /// Key equality is exactly assignment-set equality, wide and folded: the
     /// canonical key (and its fold) is a pure function of the canonical
     /// assignment list, insensitive to input order and duplicates.

@@ -198,6 +198,27 @@ fn n4_cmov_best_config_agrees_across_thread_counts() {
     }
 }
 
+/// Per-shard expansion counters belong to the partition that owns the
+/// expanded state, not to whichever worker claimed it, so two runs of the
+/// same 2-thread search report the same per-shard `expanded` and `routed`
+/// vectors — the balance figure the ledger's `search.shard_skew` reads.
+#[test]
+#[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
+#[ignore = "seconds in release, minutes in debug; CI runs it with --release"]
+fn per_shard_expansion_counters_repeat_across_runs() {
+    let cfg = SynthesisConfig::best(Machine::new(4, 1, IsaMode::Cmov)).threads(2);
+    let per_shard = |s: &SearchStats| {
+        let expanded: Vec<u64> = s.shards.iter().map(|sh| sh.expanded).collect();
+        let routed: Vec<u64> = s.shards.iter().map(|sh| sh.routed).collect();
+        (expanded, routed)
+    };
+    let first = synthesize(&cfg);
+    let second = synthesize(&cfg);
+    assert_eq!(first.stats.shards.len(), 2);
+    assert!(first.stats.routed > 0, "a 2-way split routes successors");
+    assert_eq!(per_shard(&first.stats), per_shard(&second.stats));
+}
+
 /// A bound one below the optimum leaves nothing to find: the run exhausts
 /// the whole bounded space, and every counter it decides is the same at
 /// every thread count.
