@@ -1,4 +1,4 @@
-//! Parallel search speedup benchmark: parallel driver vs one thread at
+//! Parallel search speedup benchmark: the layered round loop vs one worker at
 //! 1/2/4/8 threads on the n = 3/4 headline syntheses, with cost equality
 //! asserted. Emits `BENCH_parallel_speedup.json`.
 fn main() {

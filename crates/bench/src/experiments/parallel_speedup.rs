@@ -1,6 +1,6 @@
-//! Parallel search speedup: wall-clock of the layer-synchronous parallel
-//! driver against the single-shard driver on the paper's headline
-//! syntheses (n = 3/4, both ISA modes), at 1/2/4/8 threads.
+//! Parallel search speedup: wall-clock of the layered round loop at
+//! 2/4/8 workers against its one-worker run on the paper's headline
+//! syntheses (n = 3/4, both ISA modes).
 //!
 //! Every parallel run is asserted to find the *same optimal cost* as the
 //! sequential run — the engine may only change how fast the answer

@@ -86,8 +86,8 @@ macro_rules! schema {
             /// `finished`. The watch hub closes an unwound search with
             /// `Abandoned`, which is not an engine outcome.
             pub outcome: Option<String>,
-            /// Per-shard memory state: one entry per parallel worker shard,
-            /// or a single entry for the single-shard driver. Live values:
+            /// Per-shard memory state: one entry per key partition of a
+            /// layered run, or a single entry for a one-shard run. Live values:
             /// their running maxima are the high-water marks the flight
             /// recorder exists to capture.
             pub shards: Vec<ShardSnapshot>,

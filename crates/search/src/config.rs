@@ -10,16 +10,18 @@ use crate::progress::ProgressHook;
 
 /// Open-state selection strategy (§3.1).
 ///
-/// Layered runs with [`SynthesisConfig::threads`] above one run on the
-/// parallel driver, which returns the same kernel as one thread; best-first
-/// runs always run on one thread.
+/// Layered runs take the layer-synchronous round loop, with
+/// [`SynthesisConfig::threads`] workers for a first-solution run and the
+/// same kernel at every worker count; best-first runs always run on one
+/// thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Dijkstra-style layered enumeration: all programs of length ℓ are
     /// processed before length ℓ+1, so the first solution is guaranteed to
-    /// be of minimal length. In parallel mode each layer is expanded in
-    /// rounds by every worker and merged in the single-thread order — the
-    /// paper's "dijkstra, parallel" ablation row.
+    /// be of minimal length. Each layer is expanded in rounds by every
+    /// worker and merged in frontier order, the same at every worker count
+    /// — with more than one worker, the paper's "dijkstra, parallel"
+    /// ablation row.
     Layered,
     /// Best-first search ordered by `g + h` for the chosen heuristic.
     AStar {
@@ -157,16 +159,16 @@ pub struct SynthesisConfig {
     /// once more with a `finished` snapshot when the run ends (any outcome,
     /// including cancellation).
     pub progress_hook: Option<ProgressHook>,
-    /// Search worker threads. `1` (the default) runs the single-shard
-    /// driver. `0` means "auto": use [`std::thread::available_parallelism`].
-    /// Any other value runs a layered search on the parallel driver with
-    /// that many workers (see DESIGN.md, "Parallel search"): it returns the
-    /// same kernel as one thread, and an exhausted run has the same
-    /// counters. Runs the parallel driver cannot serve stay on the
-    /// single-shard driver whatever this is set to: best-first
-    /// ([`Strategy::AStar`]) runs, all-solutions mode (the full solution
-    /// DAG needs every parent edge), and runs with a memory budget or a
-    /// resume journal (the spill tier streams one shard's layers).
+    /// Search worker threads of a layered run. `1` is the default; `0`
+    /// means "auto": use [`std::thread::available_parallelism`]. A
+    /// first-solution layered run expands each layer with that many
+    /// workers on the round loop (see DESIGN.md, "Parallel search"), and
+    /// returns the same kernel with the same counters at every count, once
+    /// solved or exhausted. All-solutions runs (the full solution DAG needs
+    /// every parent edge in one shard) and runs with a memory budget or a
+    /// resume journal (the spill tier streams one partition) use one worker
+    /// whatever this is set to; best-first ([`Strategy::AStar`]) runs use
+    /// the calling thread.
     pub threads: usize,
     /// Approximate resident-memory budget for search bookkeeping (arena
     /// spans + closed map + per-node metadata). When set, a layered run
@@ -176,8 +178,8 @@ pub struct SynthesisConfig {
     /// the arena, old closed-set entries are evicted to sorted segments
     /// with delayed duplicate detection on re-read, and a journal
     /// checkpoint after every completed layer makes the run resumable. A
-    /// budgeted run always uses the single-shard driver; A* runs ignore
-    /// the budget (documented limitation of this tier).
+    /// budgeted run uses one worker; A* runs ignore the budget (documented
+    /// limitation of this tier).
     pub mem_budget_bytes: Option<u64>,
     /// Directory for spill segments and the resume journal. Defaults to a
     /// fresh per-run directory under the system temp dir when a budget is

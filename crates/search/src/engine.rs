@@ -1,7 +1,8 @@
 //! The enumerative synthesis engine: the public result types, the shared
 //! expansion step (instruction selection, viability, goal detection, and
-//! cuts — §3.2–§3.5 of the paper), and the single-shard driver running
-//! layered (Dijkstra) or A* search over the core in [`crate::shard`].
+//! cuts — §3.2–§3.5 of the paper), and the best-first (A*) driver over one
+//! [`Shard`] of the core in [`crate::shard`]. Layered runs, at any thread
+//! count, take the round loop in [`crate::layered`].
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -19,7 +20,7 @@ use crate::shard::{
     Shard, Throttle, PARENT_NONE,
 };
 use crate::sizing::SizingTable;
-use crate::spill::{self, ResumeError, SpillTier};
+use crate::spill::ResumeError;
 use crate::state::{narrow_key, Assign, IndexBits, ProjScratch};
 
 /// How a synthesis run ended.
@@ -92,9 +93,8 @@ pub struct SearchStats {
     pub search_time: Duration,
     /// Progress samples (empty unless `progress_every > 0`).
     pub progress: Vec<ProgressSample>,
-    /// Unique canonical states interned into the arena (sequential: equals
-    /// [`SearchStats::states_kept`]; parallel: summed over the per-shard
-    /// arenas).
+    /// Unique canonical states interned into the arenas, summed over the
+    /// shards (equals [`SearchStats::states_kept`]).
     pub interned_states: u64,
     /// Bytes of span storage held by the state arena(s) at the end of the
     /// run (contiguous spans of 2-byte live indices, or of 8-byte
@@ -106,17 +106,16 @@ pub struct SearchStats {
     /// complement (`expanded - scratch_reused`) counts the warm-up
     /// expansions that grew a scratch or arena buffer.
     pub scratch_reused: u64,
-    /// Parallel mode only: successors filed for a key partition other than
-    /// their parent's.
+    /// Successors filed for a key partition other than their parent's (0
+    /// with one partition).
     pub routed: u64,
-    /// Always 0: the layer-synchronous parallel driver splits each round
-    /// through a shared cursor and never steals. Kept so the counter block
-    /// and its readers keep their layout.
+    /// Always 0: the layered round loop splits each round through a shared
+    /// cursor and never steals. Kept so the counter block and its readers
+    /// keep their layout.
     pub steals: u64,
-    /// Always 0: the layer-synchronous parallel driver merges in the
-    /// single-shard order, so its first goal is minimal without an
-    /// incumbent bound. Kept so the counter block and its readers keep
-    /// their layout.
+    /// Always 0: the layered round loop merges in frontier order at every
+    /// worker count, so its first goal is minimal without an incumbent
+    /// bound. Kept so the counter block and its readers keep their layout.
     pub bound_pruned: u64,
     /// Open entries discarded at pop without expansion: superseded by a
     /// reopen at a shorter length, or overtaken by the length bound while
@@ -160,8 +159,9 @@ pub struct SearchStats {
     /// per-state metadata, and edges. The quantity the spill tier
     /// holds under [`SynthesisConfig::mem_budget_bytes`].
     pub resident_bytes: u64,
-    /// Parallel mode only: per-worker/shard counter blocks, in worker order.
-    /// Empty for single-shard runs. The global counters above are the sums
+    /// Per-partition counter blocks, in worker order, for runs with more
+    /// than one key partition; empty for one-shard runs (best-first, and
+    /// layered runs on one worker). The global counters above are the sums
     /// of these (each shard owns a disjoint slice of the key space, so no
     /// state is ever counted by two shards).
     pub shards: Vec<ShardStats>,
@@ -172,11 +172,11 @@ pub struct SearchStats {
     pub phase_nanos: [u64; PHASE_COUNT],
 }
 
-/// The counter block of one shard: the single-shard driver's only shard,
-/// or one parallel worker's. The only counter type the search keeps —
-/// expansion fills the pruning counters, [`crate::shard::Shard::merge`]
-/// the merge dispositions — and the run's [`SearchStats`] totals are its
-/// sums. See [`SearchStats::shards`].
+/// The counter block of one shard: the best-first driver's only shard, or
+/// one key partition of the layered round loop. The only counter type the
+/// search keeps — expansion fills the pruning counters,
+/// [`crate::shard::Shard::merge`] the merge dispositions — and the run's
+/// [`SearchStats`] totals are its sums. See [`SearchStats::shards`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// States of this partition that were expanded, by any worker: every
@@ -349,8 +349,9 @@ impl SolutionDag {
     /// Builds a degenerate DAG holding exactly one root-to-goal chain (or
     /// just the root when `path` is `None`). `path` is a sequence of action
     /// indices; an empty path means the initial state itself is the goal.
-    /// Used by the parallel driver, whose shards hold parent edges across
-    /// partitions; its kernel is walked out of them as one path.
+    /// Used by the round loop's first-solution runs, whose shards hold
+    /// parent edges across partitions; the kernel is walked out of them as
+    /// one path.
     pub(crate) fn from_path(actions: Vec<Instr>, path: Option<&[u16]>) -> SolutionDag {
         let mut edges = vec![Edge {
             parent: PARENT_NONE,
@@ -373,6 +374,35 @@ impl SolutionDag {
             more: HashMap::new(),
             goals,
             actions,
+        }
+    }
+
+    /// The DAG of a run's only shard: its edges, extra same-length parents
+    /// and goals, as they are.
+    pub(crate) fn from_shard<A>(shard: Shard<A>, actions: Vec<Instr>) -> SolutionDag {
+        SolutionDag {
+            edges: shard.edges,
+            more: shard.more_parents,
+            goals: shard.goals,
+            actions,
+        }
+    }
+
+    /// The result of a run that ended with this DAG: its first goal's
+    /// length, certified minimal when `cfg` guarantees it.
+    pub(crate) fn into_result(
+        self,
+        cfg: &SynthesisConfig,
+        outcome: Outcome,
+        stats: SearchStats,
+    ) -> SynthesisResult {
+        let found_len = self.goals.first().map(|&g| self.edges[g as usize].g);
+        SynthesisResult {
+            minimal_certified: found_len.is_some() && cfg.guarantees_minimal(),
+            dag: self,
+            found_len,
+            outcome,
+            stats,
         }
     }
 
@@ -487,22 +517,23 @@ impl SynthesisResult {
 /// Runs the enumerative synthesis described by `cfg`.
 ///
 /// This is the main entry point of the crate; see [`SynthesisConfig`] for
-/// the knobs and the crate docs for a guided example. A layered run with
-/// [`SynthesisConfig::threads`] resolved to more than one worker is handed
-/// to the layer-synchronous round loop ([`crate::parallel`]), which returns
-/// the same kernel as one thread. Everything else runs on the single-shard
-/// driver whatever the thread count: best-first ([`Strategy::AStar`]) runs,
-/// whose pop order has no layers to synchronize on; all-solutions mode,
-/// which builds the full solution DAG; and budgeted or resumed runs, whose
-/// spill tier streams one shard's layers.
+/// the knobs and the crate docs for a guided example. Every layered run
+/// takes the layer-synchronous round loop ([`crate::layered`]): a
+/// first-solution run with [`SynthesisConfig::effective_threads`] workers,
+/// which returns the same kernel and, once solved or exhausted, the same
+/// counters at every worker count; an all-solutions, budgeted or resumed
+/// run with one worker. Best-first ([`Strategy::AStar`]) runs, whose pop
+/// order has no layers to synchronize on, take the best-first driver on the
+/// calling thread whatever the thread count.
 pub fn synthesize(cfg: &SynthesisConfig) -> SynthesisResult {
     try_synthesize(cfg).unwrap_or_else(|e| panic!("synthesis failed to start: {e}"))
 }
 
 /// [`synthesize`], but resume failures surface as a [`ResumeError`] instead
 /// of a panic. Only [`SynthesisConfig::resume_from`] runs can fail here: a
-/// missing journal, a checksum-detected torn segment, or a configuration
-/// mismatch is reported, never silently replayed.
+/// missing journal, a checksum-detected torn segment, a configuration
+/// mismatch, or a best-first strategy is reported, never silently
+/// replayed.
 pub fn try_synthesize(cfg: &SynthesisConfig) -> Result<SynthesisResult, ResumeError> {
     let t0 = Instant::now();
     match LiveSpace::build(&cfg.machine) {
@@ -519,14 +550,14 @@ fn run<A: Assign>(
     space: A::Space,
     setup: Duration,
 ) -> Result<SynthesisResult, ResumeError> {
-    let rounds = cfg.strategy == Strategy::Layered
-        && !cfg.all_solutions
-        && cfg.mem_budget_bytes.is_none()
-        && cfg.resume_dir.is_none();
-    if rounds && cfg.effective_threads() > 1 {
-        return Ok(crate::parallel::run::<A>(cfg, space, setup));
+    match cfg.strategy {
+        Strategy::Layered => crate::layered::run::<A>(cfg, space, setup),
+        // The journal records layers; a best-first pop order has none.
+        Strategy::AStar { .. } if cfg.resume_dir.is_some() => Err(ResumeError::Unsupported {
+            why: "resume requires the layered strategy",
+        }),
+        Strategy::AStar { .. } => Ok(run_astar::<A>(cfg, space, setup)),
     }
-    Engine::<A>::new(cfg, space, setup).run()
 }
 
 /// The (states, assignments) arena pre-size for a run with a distance table
@@ -540,6 +571,32 @@ fn presize_estimate(machine: &Machine) -> (usize, usize) {
     let per_state = sortsynth_isa::factorial(machine.n()) as usize;
     let assigns = states.saturating_mul(per_state).min(16 * 1024 * 1024);
     (states, assigns)
+}
+
+/// Pre-sizes each of a run's shards (its key partitions) so steady-state
+/// interning does not reallocate: from the sizing row recorded for this
+/// shard count, split evenly with 1/8 headroom (hash partitioning is never
+/// perfectly balanced); else, for a run with a distance table and no
+/// memory budget, from [`presize_estimate`], split evenly.
+pub(crate) fn presize<A: Assign>(cfg: &SynthesisConfig, has_table: bool, shards: &mut [Shard<A>]) {
+    let parts = shards.len();
+    let (states, assigns) = match SizingTable::row_for(cfg, parts as u32) {
+        Some(row) => {
+            let per = |total: u64, floor: usize| {
+                let even = total as usize / parts;
+                even + even / 8 + floor
+            };
+            (per(row.states, 64), per(row.assigns, 1024))
+        }
+        None if has_table && cfg.mem_budget_bytes.is_none() => {
+            let (states, assigns) = presize_estimate(&cfg.machine);
+            (states / parts, assigns / parts)
+        }
+        None => return,
+    };
+    for shard in shards {
+        shard.reserve(states, assigns);
+    }
 }
 
 /// Builds the per-assignment distance table when the configuration needs it
@@ -936,387 +993,123 @@ impl<A: Assign> ExpandCtx<'_, A> {
     }
 }
 
-/// The single-shard driver: layered or A* search over one [`Shard`], on the
-/// calling thread, with the external-memory tier.
-struct Engine<'a, A: Assign> {
-    cfg: &'a SynthesisConfig,
-    actions: Vec<Instr>,
-    /// What steps the spans: the live space, or the machine.
+/// The best-first driver: A* ordered by `f = g + h` (§3.1) over one
+/// [`Shard`], on the calling thread. A memory budget does not apply: a
+/// best-first pop order revisits arbitrary lengths, which defeats
+/// streaming frontier segments.
+fn run_astar<A: Assign>(
+    cfg: &SynthesisConfig,
     space: A::Space,
-    table: Option<DistanceTable>,
-    /// The only shard. Node ids and arena ids coincide.
-    shard: Shard<A>,
-    min_perm: MinPerm,
-    /// Inclusive length bound (dynamic: shrinks when solutions are found in
-    /// all-solutions mode).
-    bound: u32,
-    stats: SearchStats,
-    frame: RunFrame<'a>,
-    throttle: Throttle,
-    /// Current frontier bound for progress snapshots: the layer depth in
-    /// layered mode, the last popped `f` in A* mode.
-    current_f: Option<u64>,
-    /// Reused expansion buffers ([`ExpandCtx::expand`] output).
-    scratch: ExpandScratch<A>,
-    /// Per-run phase profiler probe (inert unless the profiler was enabled
-    /// when the run started).
-    probe: PhaseProbe,
-}
-
-impl<'a, A: Assign> Engine<'a, A> {
-    fn new(cfg: &'a SynthesisConfig, space: A::Space, setup: Duration) -> Self {
-        // Latch the profiler switch before the table build so its time is
-        // attributable; the probe itself stamps from the first expansion.
-        let probe = PhaseProbe::new();
-        let mut stats = SearchStats::default();
-        let table = build_distance_table(cfg, A::live(&space), setup, &mut stats);
-        let frame = RunFrame::new(cfg, stats.distance_table_skipped);
-        let throttle = Throttle::new(&frame);
-        let actions = cfg.machine.actions();
-        // Edge records store action indices as `u16`.
-        assert!(actions.len() <= u16::MAX as usize + 1);
-        let bound = cfg.max_len.unwrap_or(u32::MAX);
-        let sizing_row = SizingTable::row_for(cfg, 1);
-        // Open entries spread over a handful of hot (f, g) lanes; a quarter
-        // of the recorded peak per lane covers the densest one without
-        // over-reserving the rest.
-        let lane_hint = sizing_row.map_or(0, |r| (r.open_depth / 4) as usize);
-        let mut shard = Shard::new(cfg, open_f_hint(bound, table.as_ref()), lane_hint);
-        // Pre-size the arena and edge table: a measured sizing row beats
-        // everything; otherwise derive a (clamped) estimate from the
-        // distance table's encoding count. Budgeted runs skip the estimate
-        // — pre-reserving a full-population arena would defeat the budget.
-        if let Some(row) = sizing_row {
-            let states = row.states as usize + row.states as usize / 8 + 64;
-            let assigns = row.assigns as usize + row.assigns as usize / 8 + 1024;
-            shard.reserve(states, assigns);
-        } else if cfg.mem_budget_bytes.is_none() && table.is_some() {
-            let (states, assigns) = presize_estimate(&cfg.machine);
-            shard.reserve(states, assigns);
-        }
-        Engine {
-            cfg,
-            actions,
-            space,
-            table,
-            shard,
-            min_perm: MinPerm::new(),
-            bound,
-            stats,
-            frame,
-            throttle,
-            current_f: None,
-            scratch: ExpandScratch::default(),
-            probe,
-        }
-    }
-
-    fn run(mut self) -> Result<SynthesisResult, ResumeError> {
-        let cfg = self.cfg;
-        let outcome = if let Some(dir) = cfg.resume_dir.as_deref() {
-            let resumed = spill::restore(dir, cfg, &mut self.shard, &self.min_perm)?;
-            self.bound = resumed.bound;
-            self.frame.resumed_frontier_states = resumed.frontier.len() as u64;
-            self.probe.skip();
-            self.run_layered(resumed.frontier, resumed.g)
-        } else {
-            let (root, goal) = self.shard.seed(
-                &self.space,
-                &cfg.machine,
-                self.table.as_ref(),
-                &self.min_perm,
-            );
-            debug_assert_eq!(root, 0);
-            if goal {
-                self.shard.goals.push(root);
-                Outcome::Solved
-            } else {
-                self.shard.enqueue(0, root);
-                // The external-memory tier serves the layered strategy; A*
-                // runs ignore the budget (their pop order revisits
-                // arbitrary layers, which defeats streaming frontier
-                // segments) — documented in DESIGN.md.
-                if let Some(budget) = cfg.mem_budget_bytes {
-                    if cfg.strategy == Strategy::Layered {
-                        let dir = cfg
-                            .spill_dir
-                            .clone()
-                            .unwrap_or_else(spill::default_spill_dir);
-                        let tier = SpillTier::new(dir, budget)
-                            .unwrap_or_else(|e| panic!("cannot create spill directory: {e}"));
-                        self.shard.spill = Some(tier);
-                        spill::checkpoint(
-                            &mut self.shard,
-                            cfg,
-                            &self.min_perm,
-                            0,
-                            self.bound,
-                            &[root],
-                        );
-                    }
-                }
-                // Re-stamp so the first Select lap starts at the search
-                // proper, not at probe creation (the table build is
-                // attributed separately).
-                self.probe.skip();
-                match cfg.strategy {
-                    Strategy::Layered => {
-                        let frontier = self.take_layer();
-                        self.run_layered(frontier, 0)
-                    }
-                    Strategy::AStar { .. } => self.run_astar(),
-                }
-            }
-        };
-
-        let end = Closing {
-            outcome,
-            open: self.shard.open.len() as u64,
-            f_bound: self.current_f,
-        };
-        let stats = self.frame.finish(
-            self.throttle,
-            std::slice::from_ref(&self.shard),
-            self.stats,
-            &self.probe,
-            end,
-        );
-        let Shard {
-            edges,
-            goals,
-            more_parents,
-            ..
-        } = self.shard;
-        let found_len = goals.first().map(|&g| edges[g as usize].g);
-        Ok(SynthesisResult {
-            minimal_certified: found_len.is_some() && cfg.guarantees_minimal(),
-            dag: SolutionDag {
-                edges,
-                more: more_parents,
-                goals,
-                actions: self.actions,
-            },
-            found_len,
-            outcome,
-            stats,
-        })
-    }
-
-    /// End-of-layer spill maintenance: seal the frontier segment under
-    /// construction, run delayed duplicate detection over this layer's
-    /// fresh interns (deleting duplicates of evicted states from `next`),
-    /// evict already-expanded closed entries under budget pressure, compact
-    /// the arena's span store down to the surviving frontier, and write the
-    /// journal checkpoint for the next layer.
-    fn end_of_layer(&mut self, g: u32, next: &mut Vec<u32>) {
-        debug_assert!(next.windows(2).all(|w| w[0] < w[1]), "frontier id order");
-        let shard = &mut self.shard;
-        let tier = shard.spill.as_mut().expect("end_of_layer without spill");
-        tier.seal_frontier(&mut shard.counters);
-        let dead = tier.ddd_filter(&mut shard.counters);
-        if !dead.is_empty() {
-            next.retain(|id| dead.binary_search(id).is_err());
-        }
-        let budget = tier.budget;
-        if shard.resident_bytes() > budget {
-            let evicted = shard
-                .arena
-                .evict_closed(|id| next.binary_search(&id).is_ok());
-            let tier = shard.spill.as_mut().expect("spill tier");
-            tier.append_closed(g, evicted, &mut shard.counters);
-        }
-        shard.arena.compact_spans(next);
-        spill::checkpoint(shard, self.cfg, &self.min_perm, g + 1, self.bound, next);
-    }
-
-    /// Drains the open list — in layered mode, exactly the next layer, in
-    /// ascending id order.
-    fn take_layer(&mut self) -> Vec<u32> {
-        let open = &mut self.shard.open;
-        let mut layer = Vec::with_capacity(open.len());
-        while let Some((_, _, id)) = open.pop() {
-            layer.push(id);
-        }
-        layer
-    }
-
-    // ------------------------------------------------------------------
-    // Layered (Dijkstra) search: process all programs of length g before
-    // any of length g + 1 (§3.1). First solution is minimal.
-    // ------------------------------------------------------------------
-    fn run_layered(&mut self, mut frontier: Vec<u32>, mut g: u32) -> Outcome {
-        loop {
-            if g >= self.bound || frontier.is_empty() {
-                return if self.shard.goals.is_empty() {
-                    Outcome::Exhausted
-                } else {
-                    Outcome::SolvedAll
-                };
-            }
-            self.current_f = Some(g as u64);
-            let cut_threshold = self.min_perm.threshold(self.cfg.cut, g);
-            // Merge each state's successors immediately, so goals (and
-            // progress samples) accumulate through the layer instead of
-            // appearing all at once at its end.
-            for &node in &frontier {
-                // One sampled probe cycle per expansion; frontier iteration
-                // and bookkeeping up to the expansion are selection.
-                self.probe.begin_cycle();
-                self.probe.lap(Phase::Select);
-                self.expand_node(node, g, cut_threshold);
-                // Detach the successor buffer so merging (which grows the
-                // arena) can't alias it; the move is two pointer swaps.
-                let buf = std::mem::take(&mut self.scratch.buf);
-                for m in &buf.metas {
-                    match self.merge_succ(node, g, m, &buf) {
-                        // Layer order makes the first goal minimal-length.
-                        Merged::Goal(_) if !self.cfg.all_solutions => {
-                            self.probe.lap(Phase::Intern);
-                            return Outcome::Solved;
-                        }
-                        Merged::Goal(_) => self.bound = self.bound.min(g + 1),
-                        _ => {}
-                    }
-                }
-                self.scratch.buf = buf;
-                self.probe.lap(Phase::Intern);
-                self.tick();
-                if let Some(limit) = self.frame.limit(self.shard.counters.generated) {
-                    return limit;
-                }
-            }
-            let mut next = self.take_layer();
-            if self.shard.spill.is_some() {
-                self.end_of_layer(g, &mut next);
-            }
-            if let Some(limit) = self.frame.limit(self.shard.counters.generated) {
-                return limit;
-            }
-            frontier = next;
-            g += 1;
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // A* / best-first search ordered by f = g + h (§3.1).
-    // ------------------------------------------------------------------
-    fn run_astar(&mut self) -> Outcome {
+    setup: Duration,
+) -> SynthesisResult {
+    // Latch the profiler switch before the table build so its time is
+    // attributable; the probe itself stamps from the first expansion.
+    let mut probe = PhaseProbe::new();
+    let mut stats = SearchStats::default();
+    let table = build_distance_table(cfg, A::live(&space), setup, &mut stats);
+    let frame = RunFrame::new(cfg, stats.distance_table_skipped);
+    let mut throttle = Throttle::new(&frame);
+    let actions = cfg.machine.actions();
+    // Edge records store action indices as `u16`.
+    assert!(actions.len() <= u16::MAX as usize + 1);
+    // Inclusive length bound: shrinks when a goal is generated.
+    let mut bound = cfg.max_len.unwrap_or(u32::MAX);
+    // Open entries spread over a handful of hot (f, g) lanes; a quarter of
+    // the recorded peak per lane covers the densest one without
+    // over-reserving the rest.
+    let lane_hint = SizingTable::row_for(cfg, 1).map_or(0, |r| (r.open_depth / 4) as usize);
+    let mut shard = Shard::<A>::new(cfg, open_f_hint(bound, table.as_ref()), lane_hint);
+    presize(cfg, table.is_some(), std::slice::from_mut(&mut shard));
+    let min_perm = MinPerm::new();
+    let ctx = ExpandCtx {
+        cfg,
+        actions: &actions,
+        table: table.as_ref(),
+        space: &space,
+    };
+    let mut scratch = ExpandScratch::default();
+    // The last popped `f`, for progress snapshots.
+    let mut current_f = None;
+    let (root, goal) = shard.seed(&space, &cfg.machine, table.as_ref(), &min_perm);
+    let outcome = if goal {
+        shard.goals.push(root);
+        Outcome::Solved
+    } else {
+        shard.enqueue(0, root);
+        // Re-stamp so the first Select lap starts at the search proper,
+        // not at probe creation (the table build is attributed separately).
+        probe.skip();
         loop {
             // One sampled probe cycle per expansion; the pop and staleness
             // checks are selection.
-            self.probe.begin_cycle();
-            let Some((f, g, node)) = self.shard.open.pop() else {
-                return if self.shard.goals.is_empty() {
+            probe.begin_cycle();
+            let Some((f, g, node)) = shard.open.pop() else {
+                break if shard.goals.is_empty() {
                     Outcome::Exhausted
                 } else {
                     Outcome::SolvedAll
                 };
             };
-            self.probe.lap(Phase::Select);
-            self.current_f = Some(f);
+            probe.lap(Phase::Select);
+            current_f = Some(f);
             // Goals are queued with f = g and accepted when *popped*, the
             // standard A* discipline: every open state that could lead to a
             // shorter kernel (f < g_goal) is expanded first.
-            if self.shard.arena.meta(node).goal {
-                return Outcome::Solved;
+            if shard.arena.meta(node).goal {
+                break Outcome::Solved;
             }
             // Skip entries overtaken by the bound, and stale entries: the
             // state was re-reached at a shorter length after this entry was
             // pushed.
-            if g >= self.bound || self.shard.edges[node as usize].g != g {
-                self.shard.counters.stale_pops += 1;
+            let e = shard.edges[node as usize];
+            if g >= bound || e.g != g {
+                shard.counters.stale_pops += 1;
                 continue;
             }
-            let cut_threshold = self.min_perm.threshold(self.cfg.cut, g);
-            self.expand_node(node, g, cut_threshold);
-            let buf = std::mem::take(&mut self.scratch.buf);
-            for m in &buf.metas {
-                if let Merged::Goal(idx) = self.merge_succ(node, g, m, &buf) {
-                    self.bound = self.bound.min(g + 1);
-                    if !self.cfg.all_solutions {
-                        self.shard.open.push((g + 1) as u64, g + 1, idx);
+            // The instruction on the parent edge, for the dead-write cut.
+            let prev_instr = (e.parent != PARENT_NONE).then(|| actions[e.instr as usize]);
+            let cut = min_perm.threshold(cfg.cut, g);
+            let (state, counters) = (shard.arena.assignments(node), &mut shard.counters);
+            ctx.expand(
+                state,
+                prev_instr,
+                g,
+                bound,
+                cut,
+                &mut scratch,
+                counters,
+                &mut probe,
+            );
+            for m in &scratch.buf.metas {
+                let (cand, facts) = scratch.buf.offer(m, g + 1, parent_ref(0, node));
+                match shard.merge(&cand, facts, &min_perm) {
+                    Merged::Queued(id) => shard.enqueue(cand.g, id),
+                    Merged::Goal(id) => {
+                        bound = bound.min(g + 1);
+                        if !cfg.all_solutions {
+                            shard.open.push((g + 1) as u64, g + 1, id);
+                        }
                     }
+                    Merged::Dup => {}
                 }
             }
-            self.scratch.buf = buf;
-            self.probe.lap(Phase::Intern);
-            self.tick();
-            if let Some(limit) = self.frame.limit(self.shard.counters.generated) {
-                return limit;
+            probe.lap(Phase::Intern);
+            let (open, goals) = (shard.open.len() as u64, shard.goals.len() as u64);
+            throttle.tick(&frame, shard.counters.expanded, open, goals, || {
+                frame.snapshot([&shard], &ShardStats::default(), open, current_f)
+            });
+            if let Some(limit) = frame.limit(shard.counters.generated) {
+                break limit;
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Shared successor generation and bookkeeping
-    // ------------------------------------------------------------------
-
-    /// Expands `node` in place: runs the shared expansion core over the
-    /// state's span (resident, or streamed back from its frontier
-    /// segment) and leaves survivors in `self.scratch.buf`.
-    fn expand_node(&mut self, node: u32, g: u32, cut_threshold: Option<u32>) {
-        let Shard {
-            arena,
-            edges,
-            counters,
-            spill,
-            ..
-        } = &mut self.shard;
-        // The instruction on the parent edge, for the dead-write cut.
-        let e = edges[node as usize];
-        let prev_instr = (e.parent != PARENT_NONE).then(|| self.actions[e.instr as usize]);
-        let state = if arena.has_span(node) {
-            arena.assignments(node)
-        } else {
-            // Spilled frontier state: layered expansion visits frontier ids
-            // in increasing (append) order, so this is one sequential read
-            // per layer.
-            spill
-                .as_mut()
-                .expect("state without a resident span outside spill mode")
-                .fetch_span(node)
-        };
-        let ctx = ExpandCtx {
-            cfg: self.cfg,
-            actions: &self.actions,
-            table: self.table.as_ref(),
-            space: &self.space,
-        };
-        ctx.expand(
-            state,
-            prev_instr,
-            g,
-            self.bound,
-            cut_threshold,
-            &mut self.scratch,
-            counters,
-            &mut self.probe,
-        );
-    }
-
-    /// Offers one surviving successor of `parent` to the shard, queueing it
-    /// on the open list when it is fresh or reopened.
-    fn merge_succ(&mut self, parent: u32, g: u32, m: &SuccMeta, buf: &SuccessorBuf<A>) -> Merged {
-        let (cand, facts) = buf.offer(m, g + 1, parent_ref(0, parent));
-        let merged = self.shard.merge(&cand, facts, &self.min_perm);
-        if let Merged::Queued(id) = merged {
-            self.shard.enqueue(cand.g, id);
-        }
-        merged
-    }
-
-    /// Records a progress sample and delivers a throttled snapshot.
-    fn tick(&mut self) {
-        let open = self.shard.open.len() as u64;
-        let (frame, shard) = (&self.frame, &self.shard);
-        self.throttle.tick(
-            frame,
-            shard.counters.expanded,
-            open,
-            shard.goals.len() as u64,
-            || frame.snapshot([shard], open, self.current_f),
-        );
-    }
+    };
+    let end = Closing {
+        outcome,
+        open: shard.open.len() as u64,
+        f_bound: current_f,
+    };
+    let stats = frame.finish(throttle, std::slice::from_ref(&shard), stats, &probe, end);
+    SolutionDag::from_shard(shard, actions).into_result(cfg, outcome, stats)
 }
 
 /// Adds one run's totals to the process-wide metric families. Called once
@@ -1417,7 +1210,7 @@ fn value_flow_redundant<A: Assign>(
 /// and stay near the depth bound otherwise. Clamped to keep an unbounded
 /// run (`bound == u32::MAX`) from pre-allocating absurdly; the queue
 /// grows past the hint on demand either way (see [`crate::BucketQueue`]).
-pub(crate) fn open_f_hint(bound: u32, table: Option<&DistanceTable>) -> usize {
+fn open_f_hint(bound: u32, table: Option<&DistanceTable>) -> usize {
     let depth = if bound == u32::MAX {
         64
     } else {

@@ -18,9 +18,9 @@
 //! Ids are dense and allocation stops once the backing vectors reach their
 //! high-water mark, so the steady-state cost of keeping a state is a
 //! `memcpy` of its span plus one map insert. Every [`crate::shard::Shard`]
-//! owns one arena — the single-shard driver's only shard, or one per
-//! parallel worker behind that shard's lock — so interning never takes a
-//! global lock.
+//! owns one arena — the best-first driver's only shard, or one per key
+//! partition of the layered round loop behind that shard's lock — so
+//! interning never takes a global lock.
 
 use crate::hashers::KeyMap;
 use crate::state::Assign;

@@ -46,10 +46,10 @@ mod engine;
 mod hashers;
 mod heuristics;
 mod intern;
+mod layered;
 mod live;
 mod lower_bound;
 mod netsort;
-mod parallel;
 mod progress;
 mod shard;
 mod sizing;

@@ -2,19 +2,21 @@
 //! merge, one counter block, and one run frame.
 //!
 //! The paper's §3 enumeration — select, step, viability, goal, cut, dedup —
-//! runs under two drivers: the single-shard driver in [`crate::engine`]
-//! (layered or A* on one thread, with the spill tier) and the
-//! layer-synchronous round loop in [`crate::parallel`]. Everything below the
-//! driver loops is written once, here:
+//! runs under two drivers: the layer-synchronous round loop in
+//! [`crate::layered`] (every layered run, one worker or many, with the
+//! spill tier on one partition) and the best-first driver in
+//! [`crate::engine`] (A* on one thread). Everything below the driver loops
+//! is written once, here:
 //!
 //! * [`Shard`] is the store: a [`StateArena`], an id-aligned [`Edge`]
-//!   table, and one [`BucketQueue`]. The single-shard driver holds
-//!   `&mut Shard`; the round loop holds one `RwLock<Shard>` per key
+//!   table, and the states still to expand — one [`BucketQueue`] for the
+//!   best-first driver, which holds `&mut Shard`, or the next layer so far
+//!   for the round loop, which holds one `RwLock<Shard>` per key
 //!   partition.
 //! * [`Shard::merge`] is the only successor merge: dedup, reopen at a
 //!   shorter length, and fresh insert with the spill decision. It reports
 //!   a queued state's id; the caller decides where it goes next (the open
-//!   list, or the round loop's next-layer list).
+//!   list, or the round loop's next layer).
 //! * [`ShardStats`] is the only counter block. Each shard owns one; the
 //!   run's [`SearchStats`] totals and every progress snapshot are folded
 //!   from them by one fold, `RunFrame::fold`.
@@ -167,15 +169,25 @@ pub(crate) struct Shard<A> {
     pub arena: StateArena<A>,
     /// Id-aligned with `arena`.
     pub edges: Vec<Edge>,
+    /// Best-first runs: the open list.
     pub open: BucketQueue,
+    /// Layered runs: the id of the first state interned for the next
+    /// layer, so every state from it on is that layer so far (layer order
+    /// admits no shorter path to a known state, so the merge queues only
+    /// fresh states); `None` for best-first runs.
+    pub layer_first: Option<u32>,
+    /// Layered runs with several partitions: the merge tag of each state
+    /// from `layer_first` on, to interleave the partitions by.
+    pub layer_tags: Vec<u64>,
     pub counters: ShardStats,
     /// Goal states interned by the merge, in discovery order.
     pub goals: Vec<u32>,
     /// All-solutions mode only: the extra same-length parents of each
     /// state, as `(parent id, action)`.
     pub more_parents: HashMap<u32, Vec<(u32, u16)>>,
-    /// External-memory tier (budgeted or resumed layered runs).
-    pub spill: Option<SpillTier<A>>,
+    /// External-memory tier (budgeted or resumed layered runs, which run
+    /// one partition).
+    pub spill: Option<SpillTier>,
     heuristic: Heuristic,
     all_solutions: bool,
 }
@@ -193,6 +205,8 @@ impl<A: Assign> Shard<A> {
             arena: StateArena::default(),
             edges: Vec::new(),
             open: BucketQueue::with_hints(f_hint, lane_hint),
+            layer_first: None,
+            layer_tags: Vec::new(),
             counters: ShardStats::default(),
             goals: Vec::new(),
             more_parents: HashMap::new(),
@@ -328,11 +342,20 @@ impl<A: Assign> Shard<A> {
             + (self.edges.len() * std::mem::size_of::<Edge>()) as u64
     }
 
+    /// Open states: the open list (best-first), or the next layer so far
+    /// (layered).
+    pub fn open_depth(&self) -> usize {
+        match self.layer_first {
+            Some(first) => self.arena.len() - first as usize,
+            None => self.open.len(),
+        }
+    }
+
     fn snapshot_row(&self) -> ShardSnapshot {
         ShardSnapshot {
             interned_states: self.arena.len() as u64,
             arena_bytes: self.arena.assign_bytes(),
-            open_depth: self.open.len() as u64,
+            open_depth: self.open_depth() as u64,
         }
     }
 }
@@ -399,9 +422,10 @@ impl<'a> RunFrame<'a> {
     fn fold<A: Assign, S: Deref<Target = Shard<A>>>(
         &self,
         shards: impl IntoIterator<Item = S>,
+        pending: &ShardStats,
         stats: &mut SearchStats,
     ) -> Vec<ShardSnapshot> {
-        let mut total = ShardStats::default();
+        let mut total = pending.clone();
         let mut rows = Vec::new();
         for shard in shards {
             total.add(&shard.counters);
@@ -469,16 +493,18 @@ impl<'a> RunFrame<'a> {
         }
     }
 
-    /// One progress snapshot over `shards` (live totals may trail the
-    /// workers by an expansion; final snapshots are exact).
+    /// One progress snapshot over `shards`, plus the `pending` counters
+    /// of expansions not yet folded into a shard (live totals may trail
+    /// other workers by a round; final snapshots are exact).
     pub fn snapshot<A: Assign, S: Deref<Target = Shard<A>>>(
         &self,
         shards: impl IntoIterator<Item = S>,
+        pending: &ShardStats,
         open: u64,
         f_bound: Option<u64>,
     ) -> SearchProgress {
         let mut stats = SearchStats::default();
-        let rows = self.fold(shards, &mut stats);
+        let rows = self.fold(shards, pending, &mut stats);
         self.progress(&stats, rows, open, f_bound, None)
     }
 
@@ -494,7 +520,7 @@ impl<'a> RunFrame<'a> {
         probe: &PhaseProbe,
         end: Closing,
     ) -> SearchStats {
-        let rows = self.fold(shards, &mut stats);
+        let rows = self.fold(shards, &ShardStats::default(), &mut stats);
         if shards.len() > 1 {
             stats.shards = shards.iter().map(|s| s.counters.clone()).collect();
         }
@@ -578,7 +604,8 @@ impl Throttle {
         }
     }
 
-    /// Called after every expansion with the run's totals: records a
+    /// Called after every expansion (best-first, and the round loop's
+    /// worker 0 for its own) with the run's totals: records a
     /// progress sample each time `expanded` crosses a multiple of
     /// `progress_every`, and delivers `snapshot()` at most once per
     /// throttle interval (expansion count, with a time floor so slow

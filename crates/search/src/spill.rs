@@ -1,10 +1,13 @@
 //! External-memory spill tier: disk-backed open-list spans, closed-set
 //! segments with delayed duplicate detection, and a resume journal.
 //!
-//! Under [`crate::SynthesisConfig::mem_budget_bytes`] a layered run on the
-//! single-shard driver keeps its resident footprint near the budget by moving cold data
-//! into checksummed append-only segments ([`sortsynth_obs::segment`], WAL
-//! discipline):
+//! Under [`crate::SynthesisConfig::mem_budget_bytes`] a layered run keeps
+//! its resident footprint near the budget by moving cold data into
+//! checksummed append-only segments ([`sortsynth_obs::segment`], WAL
+//! discipline). The round loop ([`crate::layered`]) runs such a run as one
+//! worker over one key partition, and the tier hangs off that partition's
+//! shard: [`checkpoint`] at seed, [`SpanStream`] fetches in the expand
+//! phase, and [`end_of_layer`] at the layer barrier.
 //!
 //! * **Frontier spans** — once the resident estimate crosses the budget,
 //!   freshly interned states keep their metadata and closed-set entry but
@@ -16,8 +19,8 @@
 //!   first state id; a record is one buffered push, and the segment is
 //!   flushed and synced once, when it is sealed at the layer boundary. The
 //!   next layer's expansion streams those spans back in id order (the
-//!   append order), one record at a time, so one sequential read covers
-//!   the whole layer.
+//!   append order) through a [`SpanStream`], one record at a time, so one
+//!   sequential read covers the whole layer.
 //! * **Closed-set segments** — at the end of a layer under budget pressure,
 //!   closed-map entries of already-expanded layers are evicted to a sorted
 //!   `closed-{g}.seg` of 12-byte `key u64 | id u32` entries. Candidates
@@ -60,7 +63,7 @@ use sortsynth_obs::names;
 use sortsynth_obs::segment::{self, fnv1a, SegmentError, SegmentReader, SegmentWriter};
 use sortsynth_obs::Histogram;
 
-use crate::config::{Strategy, SynthesisConfig};
+use crate::config::SynthesisConfig;
 use crate::engine::ShardStats;
 use crate::shard::{parent_idx, parent_ref, Edge, MinPerm, Shard, PARENT_NONE};
 use crate::state::Assign;
@@ -289,8 +292,13 @@ struct SpanEntries<'a> {
 
 impl SpanEntries<'_> {
     /// Decodes the next entry's span into `span` and returns its state id;
-    /// `Ok(None)` at the end of the record.
-    fn next<A: Assign>(&mut self, span: &mut Vec<A>) -> Result<Option<u32>, ResumeError> {
+    /// `Ok(None)` at the end of the record. An element that is no element
+    /// of `space` (a live index past its end) is malformed.
+    fn next<A: Assign>(
+        &mut self,
+        space: &A::Space,
+        span: &mut Vec<A>,
+    ) -> Result<Option<u32>, ResumeError> {
         if self.rest.is_empty() {
             return Ok(None);
         }
@@ -307,7 +315,8 @@ impl SpanEntries<'_> {
         span.clear();
         span.reserve(len as usize);
         for _ in 0..len {
-            let a = varint(rest).and_then(A::from_code).ok_or_else(bad)?;
+            let code = varint(rest);
+            let a = code.and_then(|c| A::from_code(space, c)).ok_or_else(bad)?;
             span.push(a);
         }
         self.prev = id;
@@ -338,10 +347,10 @@ fn le64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b.try_into().expect("eight bytes"))
 }
 
-/// The spill tier owned by one sequential layered engine. Its counters
-/// live in the owning shard's [`ShardStats`], which every method that
-/// moves bytes takes.
-pub(crate) struct SpillTier<A> {
+/// The spill tier of a budgeted layered run's one key partition. Its
+/// counters live in the owning shard's [`ShardStats`], which every method
+/// that moves bytes takes.
+pub(crate) struct SpillTier {
     dir: PathBuf,
     /// The resident-estimate budget the shard's spill decision holds.
     pub budget: u64,
@@ -350,11 +359,8 @@ pub(crate) struct SpillTier<A> {
     /// first spilled span of the layer.
     writer: Option<FrontierWriter>,
     /// Sealed frontier segment holding the spilled spans of the layer now
-    /// being expanded.
+    /// being expanded; [`SpillTier::frontier_stream`] reads it back.
     cur: Option<SegRef>,
-    /// Streaming reader over `cur`, opened lazily at the first fetch.
-    reader: Option<FrontierReader>,
-    read_buf: Vec<A>,
     /// Layers of consumed frontier segments awaiting deletion. A segment
     /// may only be removed once a journal checkpoint that no longer
     /// references it has been durably renamed into place — deleting
@@ -369,16 +375,14 @@ pub(crate) struct SpillTier<A> {
     read_hist: Arc<Histogram>,
 }
 
-impl<A: Assign> SpillTier<A> {
-    pub fn new(dir: PathBuf, budget: u64) -> io::Result<SpillTier<A>> {
+impl SpillTier {
+    pub fn new(dir: PathBuf, budget: u64) -> io::Result<SpillTier> {
         fs::create_dir_all(&dir)?;
         Ok(SpillTier {
             dir,
             budget,
             writer: None,
             cur: None,
-            reader: None,
-            read_buf: Vec::new(),
             pending_delete: Vec::new(),
             layer_keys: Vec::new(),
             closed_segs: Vec::new(),
@@ -396,7 +400,13 @@ impl<A: Assign> SpillTier<A> {
     /// Adds state `id`'s assignment span to the frontier segment of
     /// `layer`. Append order matches intern order (dense increasing ids),
     /// which is what the delta coding and the streaming fetch rely on.
-    pub fn spill_span(&mut self, layer: u32, id: u32, assigns: &[A], stats: &mut ShardStats) {
+    pub fn spill_span<A: Assign>(
+        &mut self,
+        layer: u32,
+        id: u32,
+        assigns: &[A],
+        stats: &mut ShardStats,
+    ) {
         let writer = self.writer.get_or_insert_with(|| {
             let path = seg_path(&self.dir, FRONTIER_MAGIC, layer);
             let seg = SegmentWriter::create(&path, FRONTIER_MAGIC, SPILL_VERSION)
@@ -423,7 +433,6 @@ impl<A: Assign> SpillTier<A> {
     /// so it is queued and only removed after the next checkpoint rename
     /// ([`checkpoint`]).
     pub fn seal_frontier(&mut self, stats: &mut ShardStats) {
-        self.reader = None;
         if let Some(old) = self.cur.take() {
             self.pending_delete.push(old.layer);
         }
@@ -440,58 +449,19 @@ impl<A: Assign> SpillTier<A> {
         }
     }
 
-    /// Streams the spilled span of frontier state `id` back from the
-    /// current frontier segment, decoding one record at a time. Callers
-    /// fetch in increasing id order (the frontier's order), so the read is
-    /// one sequential pass per layer; entries whose state was deleted by
-    /// DDD are skipped in stride, across record boundaries.
-    pub fn fetch_span(&mut self, id: u32) -> &[A] {
-        let r = self.reader.get_or_insert_with(|| {
-            let seg = self
-                .cur
-                .expect("fetch_span without a sealed frontier segment");
-            FrontierReader {
-                seg: open_seg(&self.dir, FRONTIER_MAGIC, seg)
-                    .unwrap_or_else(|e| panic!("spill tier cannot reopen frontier segment: {e}")),
-                record: Vec::new(),
-                at: 0,
-                prev: 0,
-            }
-        });
-        loop {
-            if r.at == r.record.len() {
-                let t0 = Instant::now();
-                let (tag, payload) = r
-                    .seg
-                    .next()
-                    .unwrap_or_else(|e| panic!("spill tier frontier read failed: {e}"))
-                    .unwrap_or_else(|| panic!("spilled span of state {id} missing from segment"));
-                self.read_hist.observe(t0.elapsed().as_secs_f64());
-                // A record's first entry is coded against its tag.
-                r.prev = u32::try_from(tag)
-                    .unwrap_or_else(|_| panic!("spill tier frontier record tagged {tag}"));
-                (r.record, r.at) = (payload, 0);
-            }
-            let mut entries = SpanEntries {
-                rest: &r.record[r.at..],
-                prev: r.prev,
-            };
-            let rid = entries
-                .next(&mut self.read_buf)
-                .unwrap_or_else(|_| {
-                    panic!("spill tier frontier record malformed before state {id}")
-                })
-                .expect("an unread record has an entry");
-            r.at = r.record.len() - entries.rest.len();
-            r.prev = rid;
-            if rid == id {
-                return &self.read_buf;
-            }
-            assert!(
-                rid < id,
-                "frontier segment out of order: saw {rid} while looking for {id}"
-            );
-        }
+    /// A stream over the spilled spans of the layer now being expanded;
+    /// `None` when that layer spilled nothing.
+    pub fn frontier_stream<A: Assign>(&self) -> Option<SpanStream<A>> {
+        self.cur.map(|seg| SpanStream {
+            dir: self.dir.clone(),
+            seg,
+            reader: None,
+            record: Vec::new(),
+            at: 0,
+            prev: 0,
+            span: Vec::new(),
+            hist: Arc::clone(&self.read_hist),
+        })
     }
 
     /// Delayed duplicate detection over the layer's fresh interns: sorted
@@ -639,14 +609,66 @@ impl FrontierWriter {
     }
 }
 
-/// The sealed frontier segment being read back and its current record:
-/// the payload, the offset of its next entry, and the id of the entry
-/// before that one.
-struct FrontierReader {
-    seg: SegmentReader,
+/// The spilled spans of one frontier, read back from its sealed segment
+/// in id order, one record at a time: the segment (opened at the first
+/// fetch), the current record's payload, the offset of its next entry, the
+/// id of the entry before that one, and the span fetched last.
+pub(crate) struct SpanStream<A> {
+    dir: PathBuf,
+    seg: SegRef,
+    reader: Option<SegmentReader>,
     record: Vec<u8>,
     at: usize,
     prev: u32,
+    span: Vec<A>,
+    hist: Arc<Histogram>,
+}
+
+impl<A: Assign> SpanStream<A> {
+    /// The spilled span of frontier state `id`. Callers fetch in
+    /// increasing id order (the frontier's order), so the read is one
+    /// sequential pass per layer; entries whose state was deleted by DDD
+    /// are skipped in stride, across record boundaries.
+    pub fn fetch(&mut self, space: &A::Space, id: u32) -> &[A] {
+        let (dir, seg) = (&self.dir, self.seg);
+        let reader = self.reader.get_or_insert_with(|| {
+            open_seg(dir, FRONTIER_MAGIC, seg)
+                .unwrap_or_else(|e| panic!("spill tier cannot reopen frontier segment: {e}"))
+        });
+        loop {
+            if self.at == self.record.len() {
+                let t0 = Instant::now();
+                let (tag, payload) = reader
+                    .next()
+                    .unwrap_or_else(|e| panic!("spill tier frontier read failed: {e}"))
+                    .unwrap_or_else(|| panic!("spilled span of state {id} missing from segment"));
+                self.hist.observe(t0.elapsed().as_secs_f64());
+                // A record's first entry is coded against its tag.
+                self.prev = u32::try_from(tag)
+                    .unwrap_or_else(|_| panic!("spill tier frontier record tagged {tag}"));
+                (self.record, self.at) = (payload, 0);
+            }
+            let mut entries = SpanEntries {
+                rest: &self.record[self.at..],
+                prev: self.prev,
+            };
+            let rid = entries
+                .next(space, &mut self.span)
+                .unwrap_or_else(|_| {
+                    panic!("spill tier frontier record malformed before state {id}")
+                })
+                .expect("an unread record has an entry");
+            self.at = self.record.len() - entries.rest.len();
+            self.prev = rid;
+            if rid == id {
+                return &self.span;
+            }
+            assert!(
+                rid < id,
+                "frontier segment out of order: saw {rid} while looking for {id}"
+            );
+        }
+    }
 }
 
 /// Encodes `entries` as consecutive `tag` records of at most [`CHUNK`]
@@ -748,6 +770,40 @@ pub(crate) fn checkpoint<A: Assign>(
     }
 }
 
+/// The tier's layer barrier, once layer `g` is merged: seals the frontier
+/// segment under construction, runs delayed duplicate detection over the
+/// layer's fresh interns (deleting duplicates of evicted states from
+/// `next`), evicts already-expanded closed entries under budget pressure,
+/// compacts the arena's span store down to the surviving frontier, and
+/// writes the journal checkpoint for layer `g + 1`. `next` is that layer's
+/// frontier, in ascending id order.
+pub(crate) fn end_of_layer<A: Assign>(
+    shard: &mut Shard<A>,
+    cfg: &SynthesisConfig,
+    min_perm: &MinPerm,
+    g: u32,
+    bound: u32,
+    next: &mut Vec<u32>,
+) {
+    debug_assert!(next.windows(2).all(|w| w[0] < w[1]), "frontier id order");
+    let tier = shard.spill.as_mut().expect("end_of_layer without spill");
+    tier.seal_frontier(&mut shard.counters);
+    let dead = tier.ddd_filter(&mut shard.counters);
+    if !dead.is_empty() {
+        next.retain(|id| dead.binary_search(id).is_err());
+    }
+    let budget = tier.budget;
+    if shard.resident_bytes() > budget {
+        let evicted = shard
+            .arena
+            .evict_closed(|id| next.binary_search(&id).is_ok());
+        let tier = shard.spill.as_mut().expect("spill tier");
+        tier.append_closed(g, evicted, &mut shard.counters);
+    }
+    shard.arena.compact_spans(next);
+    checkpoint(shard, cfg, min_perm, g + 1, bound, next);
+}
+
 /// What [`restore`] hands back: the layer to re-run, its frontier, and the
 /// length bound at the checkpoint.
 pub(crate) struct Resumed {
@@ -771,22 +827,19 @@ fn fixed<'a>(
 
 /// Restores the checkpoint in `dir` into the empty `shard` and `min_perm`.
 /// The journal is read strictly: its header's fingerprint must match
-/// `cfg`, and every segment it references is verified end to end before
-/// any section is trusted. The checkpointed layer re-runs from its start —
+/// `cfg`, every segment it references is verified end to end before any
+/// section is trusted, and every resident span element must be an element
+/// of `space`. The checkpointed layer re-runs from its start —
 /// the journal was written before the layer began, so a mid-layer crash
 /// loses at most one layer's work, and a partially written next-layer
 /// frontier segment is truncated when its writer is recreated.
 pub(crate) fn restore<A: Assign>(
     dir: &Path,
     cfg: &SynthesisConfig,
+    space: &A::Space,
     shard: &mut Shard<A>,
     min_perm: &MinPerm,
 ) -> Result<Resumed, ResumeError> {
-    if cfg.strategy != Strategy::Layered {
-        return Err(ResumeError::Unsupported {
-            why: "resume requires the layered strategy",
-        });
-    }
     let path = dir.join(JOURNAL_NAME);
     if !path.exists() {
         return Err(ResumeError::MissingJournal {
@@ -894,7 +947,7 @@ pub(crate) fn restore<A: Assign>(
                     rest: &payload,
                     prev: span_prev,
                 };
-                while let Some(id) = entries.next(&mut span)? {
+                while let Some(id) = entries.next(space, &mut span)? {
                     let id = known(id)?;
                     if span.len() != shard.arena.meta(id).assign_count() as usize {
                         return Err(bad("spans"));
@@ -929,6 +982,8 @@ mod tests {
     use proptest::Strategy as _;
     use sortsynth_isa::{factorial, IsaMode, Machine, MachineState};
 
+    use crate::live::LiveSpace;
+
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ssspill-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -941,11 +996,7 @@ mod tests {
 
     /// A shard holding `states` root-level states whose spans live on disk,
     /// with `tier` attached.
-    fn spilled_shard<A: Assign>(
-        cfg: &SynthesisConfig,
-        tier: SpillTier<A>,
-        states: u32,
-    ) -> Shard<A> {
+    fn spilled_shard<A: Assign>(cfg: &SynthesisConfig, tier: SpillTier, states: u32) -> Shard<A> {
         let mut shard = Shard::new(cfg, 0, 0);
         for id in 0..states {
             shard.arena.insert_spilled(1000 + id as u64, 1, 1, 0, false);
@@ -962,8 +1013,26 @@ mod tests {
     fn restore_into_empty<A: Assign>(
         dir: &Path,
         cfg: &SynthesisConfig,
+        space: &A::Space,
     ) -> Result<Resumed, ResumeError> {
-        restore(dir, cfg, &mut Shard::<A>::new(cfg, 0, 0), &MinPerm::new())
+        restore(
+            dir,
+            cfg,
+            space,
+            &mut Shard::<A>::new(cfg, 0, 0),
+            &MinPerm::new(),
+        )
+    }
+
+    /// The live space of `cfg`'s machine.
+    fn live(cfg: &SynthesisConfig) -> LiveSpace {
+        LiveSpace::build(&cfg.machine).expect("the machine has a live space")
+    }
+
+    /// The assignment spans `tier` spilled into the layer now being
+    /// expanded.
+    fn stream(tier: &SpillTier) -> SpanStream<MachineState> {
+        tier.frontier_stream().expect("a sealed frontier segment")
     }
 
     /// Byte offset of the last record in a segment file.
@@ -983,7 +1052,9 @@ mod tests {
         let mut shard = Shard::new(&cfg, 0, 0);
         let mut tier = SpillTier::new(dir.clone(), 1 << 20).unwrap();
         // A root, a resident frontier state, and a spilled goal state.
-        let spans: [Vec<u16>; 3] = [vec![17], vec![3, 900], vec![20_000]];
+        // Live indices below the n = 3 cmp/cmov space's 180 where they are
+        // restored: the resident spans.
+        let spans: [Vec<u16>; 3] = [vec![17], vec![3, 170], vec![20_000]];
         for (id, span) in (0u32..).zip(&spans) {
             let (key, len, goal) = (0x100 + id as u64, span.len() as u32, id == 2);
             if goal {
@@ -1019,7 +1090,7 @@ mod tests {
 
         let mut restored = Shard::new(&cfg, 0, 0);
         let restored_perm = MinPerm::new();
-        let resumed = restore(&dir, &cfg, &mut restored, &restored_perm).unwrap();
+        let resumed = restore(&dir, &cfg, &live(&cfg), &mut restored, &restored_perm).unwrap();
         assert_eq!((resumed.g, resumed.bound), (1, 9));
         assert_eq!(resumed.frontier, frontier);
         assert_eq!(restored.edges, shard.edges);
@@ -1068,7 +1139,7 @@ mod tests {
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..last_record_start(&bytes)]).unwrap();
         assert!(matches!(
-            restore_into_empty::<u16>(&dir, &cfg),
+            restore_into_empty::<u16>(&dir, &cfg, &live(&cfg)),
             Err(ResumeError::Malformed { .. })
         ));
         b.cleanup();
@@ -1096,16 +1167,16 @@ mod tests {
         assert_eq!(dead, vec![7]);
         assert_eq!(stats.ddd_dedup_hits, 1);
         // Streamed fetch skips the dead record in stride.
-        assert_eq!(tier.fetch_span(5), &a[..]);
+        assert_eq!(stream(&tier).fetch(&cfg().machine, 5), &a[..]);
         // Journal round trip through the tier.
         let cfg = cfg();
-        let mut shard = spilled_shard(&cfg, tier, 8);
+        let mut shard = spilled_shard::<MachineState>(&cfg, tier, 8);
         shard.counters = stats;
         checkpoint(&mut shard, &cfg, &MinPerm::new(), 1, 11, &[5]);
-        let loaded = restore_into_empty::<MachineState>(&dir, &cfg).unwrap();
+        let loaded = restore_into_empty::<MachineState>(&dir, &cfg, &cfg.machine).unwrap();
         assert_eq!(loaded.frontier, vec![5]);
         assert!(matches!(
-            restore_into_empty::<MachineState>(&dir, &cfg.clone().max_len(10)),
+            restore_into_empty::<MachineState>(&dir, &cfg.clone().max_len(10), &cfg.machine),
             Err(ResumeError::ConfigMismatch { .. })
         ));
         // A torn byte inside a referenced segment is detected, not replayed.
@@ -1114,7 +1185,7 @@ mod tests {
         let at = bytes.len() / 2;
         bytes[at] ^= 0x10;
         fs::write(&seg_path, &bytes).unwrap();
-        let err = restore_into_empty::<MachineState>(&dir, &cfg)
+        let err = restore_into_empty::<MachineState>(&dir, &cfg, &cfg.machine)
             .err()
             .unwrap();
         assert!(err.to_string().contains("checksum"), "{err}");
@@ -1152,30 +1223,47 @@ mod tests {
                 prev += delta;
                 ids.push(prev);
             }
+            let machine = cfg().machine;
             let mut entries = SpanEntries { rest: &out, prev: base };
             let mut span: Vec<MachineState> = Vec::new();
             for (&id, (_, expected)) in ids.iter().zip(&spans) {
-                prop_assert_eq!(entries.next(&mut span).unwrap(), Some(id));
+                prop_assert_eq!(entries.next(&machine, &mut span).unwrap(), Some(id));
                 prop_assert_eq!(&span, expected);
             }
-            prop_assert!(entries.next(&mut span).unwrap().is_none());
+            prop_assert!(entries.next(&machine, &mut span).unwrap().is_none());
             let mut cut = SpanEntries { rest: &out[..out.len() - 1], prev: base };
-            let decoded = iter::from_fn(|| cut.next(&mut span).transpose()).last();
+            let decoded = iter::from_fn(|| cut.next(&machine, &mut span).transpose()).last();
             prop_assert!(matches!(decoded, Some(Err(ResumeError::Malformed { .. }))));
         }
     }
 
+    /// Live assignments of the n = 6 min/max machine: enough that the
+    /// largest indices take three varint bytes.
+    const LIVE6: u16 = 20_160;
+
+    /// The n = 6 min/max live space, built once per test binary.
+    fn live6() -> &'static LiveSpace {
+        static SPACE: std::sync::OnceLock<LiveSpace> = std::sync::OnceLock::new();
+        SPACE.get_or_init(|| {
+            let space = LiveSpace::build(&Machine::new(6, 1, IsaMode::MinMax)).expect("live space");
+            assert_eq!(space.len(), LIVE6 as usize);
+            space
+        })
+    }
+
     proptest! {
         /// Live-index span entries round-trip too, and a code that is no
-        /// live index (`NONE` or wider than 16 bits) is malformed.
+        /// live index of the space (past its end, `NONE`, or wider than 16
+        /// bits) is malformed.
         #[test]
         fn live_span_entries_round_trip(
             spans in prop::collection::vec(
-                (0u32..5000, prop::collection::vec(0u16..u16::MAX, 1..200)),
+                (0u32..5000, prop::collection::vec(0u16..LIVE6, 1..200)),
                 1..12,
             ),
-            bad in 0usize..3,
+            bad in 0usize..4,
         ) {
+            let space = live6();
             let (mut out, mut prev, mut ids) = (Vec::new(), 0u32, Vec::new());
             for (delta, span) in &spans {
                 put_span(&mut out, prev, prev + delta, span);
@@ -1185,16 +1273,17 @@ mod tests {
             let mut entries = SpanEntries { rest: &out, prev: 0 };
             let mut span: Vec<u16> = Vec::new();
             for (&id, (_, expected)) in ids.iter().zip(&spans) {
-                prop_assert_eq!(entries.next(&mut span).unwrap(), Some(id));
+                prop_assert_eq!(entries.next(space, &mut span).unwrap(), Some(id));
                 prop_assert_eq!(&span, expected);
             }
             let mut wrong = Vec::new();
             put_varint(&mut wrong, 0);
             put_varint(&mut wrong, 1);
-            put_varint(&mut wrong, [u16::MAX as u64, 1 << 16, u64::MAX][bad]);
+            let code = [LIVE6 as u64, u16::MAX as u64, 1 << 16, u64::MAX][bad];
+            put_varint(&mut wrong, code);
             let mut entries = SpanEntries { rest: &wrong, prev: 0 };
             prop_assert!(matches!(
-                entries.next(&mut span),
+                entries.next(space, &mut span),
                 Err(ResumeError::Malformed { .. })
             ));
         }
@@ -1220,16 +1309,16 @@ mod tests {
 
     /// Each record of the sealed frontier segment: its tag, the ids of
     /// its spans, and its payload length.
-    fn frontier_records<A: Assign>(tier: &SpillTier<A>) -> Vec<(u64, Vec<u32>, usize)> {
+    fn frontier_records(tier: &SpillTier, machine: &Machine) -> Vec<(u64, Vec<u32>, usize)> {
         let seg = tier.cur.expect("a sealed frontier segment");
         let mut reader = open_seg(&tier.dir, FRONTIER_MAGIC, seg).unwrap();
-        let (mut records, mut span) = (Vec::new(), Vec::new());
+        let (mut records, mut span) = (Vec::new(), Vec::<MachineState>::new());
         while let Some((tag, payload)) = reader.next().unwrap() {
             let mut entries = SpanEntries {
                 rest: &payload,
                 prev: tag as u32,
             };
-            let ids = iter::from_fn(|| entries.next::<A>(&mut span).unwrap()).collect();
+            let ids = iter::from_fn(|| entries.next(machine, &mut span).unwrap()).collect();
             records.push((tag, ids, payload.len()));
         }
         records
@@ -1251,11 +1340,13 @@ mod tests {
             tier.spill_span(1, id, &small_span(id), &mut stats);
         }
         tier.seal_frontier(&mut stats);
-        let records = frontier_records(&tier);
+        let machine = cfg().machine;
+        let records = frontier_records(&tier, &machine);
         let counts: Vec<_> = records.iter().map(|(t, ids, _)| (*t, ids.len())).collect();
         assert_eq!(counts, [(0, CHUNK), (CHUNK as u64, 904)]);
+        let mut spans = stream(&tier);
         for id in 0..small {
-            assert_eq!(tier.fetch_span(id), small_span(id));
+            assert_eq!(spans.fetch(&machine, id), small_span(id));
         }
 
         // Wide spans of 10-byte assignments, 10 003 bytes an entry: six fit
@@ -1272,15 +1363,16 @@ mod tests {
             tier.spill_span(2, id, &wide(id, len), &mut stats);
         }
         tier.seal_frontier(&mut stats);
-        let records = frontier_records(&tier);
+        let records = frontier_records(&tier, &machine);
         let spans: Vec<_> = records.iter().map(|(_, ids, _)| ids.len()).collect();
         assert_eq!(spans, [6, 6, 6, 2, 1, 1]);
         for (tag, ids, len) in &records {
             assert_eq!(*tag, ids[0] as u64, "a record is tagged with its first id");
             assert!(*len <= RECORD_CAP || ids.len() == 1, "{len} bytes");
         }
+        let mut spans = stream(&tier);
         for (id, &len) in (first..).zip(&lens) {
-            assert_eq!(tier.fetch_span(id), wide(id, len));
+            assert_eq!(spans.fetch(&machine, id), wide(id, len));
         }
         assert_eq!(stats.spilled_open, small as u64 + lens.len() as u64);
         assert_eq!(stats.spill_segments, 2);
@@ -1305,8 +1397,9 @@ mod tests {
         let evicted = deleted.iter().map(|&id| (1 << 32 | id as u64, 0)).collect();
         tier.append_closed(0, evicted, &mut stats);
         assert_eq!(tier.ddd_filter(&mut stats), deleted);
+        let (machine, mut spans) = (cfg().machine, stream(&tier));
         for id in (0..states).filter(|id| !deleted.contains(id)) {
-            assert_eq!(tier.fetch_span(id), small_span(id), "state {id}");
+            assert_eq!(spans.fetch(&machine, id), small_span(id), "state {id}");
         }
         tier.cleanup();
     }
@@ -1329,14 +1422,14 @@ mod tests {
             "consumed segment deleted before the checkpoint rename"
         );
         let cfg = cfg();
-        let mut shard = spilled_shard(&cfg, tier, 2);
+        let mut shard = spilled_shard::<MachineState>(&cfg, tier, 2);
         shard.counters = stats;
         checkpoint(&mut shard, &cfg, &MinPerm::new(), 2, 11, &[1]);
         assert!(
             !first.exists(),
             "checkpoint rename must gc consumed segments"
         );
-        restore_into_empty::<MachineState>(&dir, &cfg).unwrap();
+        restore_into_empty::<MachineState>(&dir, &cfg, &cfg.machine).unwrap();
         shard.spill.unwrap().cleanup();
     }
 
@@ -1413,7 +1506,7 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
-        let err = restore_into_empty::<u16>(&dir, &cfg)
+        let err = restore_into_empty::<u16>(&dir, &cfg, &live(&cfg))
             .err()
             .expect("refused");
         assert!(
@@ -1435,9 +1528,9 @@ mod tests {
         assert_eq!(hex(&bytes), GOLDEN_JOURNAL);
     }
 
-    /// Records that pass their checksums but name a state, parent, or
-    /// action the journal never declared, or a frontier out of expansion
-    /// order, are refused, never replayed. Each case rewrites one record
+    /// Records that pass their checksums but name a state, parent, action,
+    /// or live index the journal's machine does not have, or a frontier
+    /// out of expansion order, are refused, never replayed. Each case rewrites one record
     /// of the two-state checkpoint.
     #[test]
     fn inconsistent_journal_records_are_malformed() {
@@ -1452,7 +1545,7 @@ mod tests {
             records.push(record);
         }
         type Damage = fn(&mut Vec<u8>);
-        let cases: [(&str, u64, Damage); 4] = [
+        let cases: [(&str, u64, Damage); 5] = [
             ("state id", TAG_FRONTIER, |p| {
                 p[4..].copy_from_slice(&7u32.to_le_bytes())
             }),
@@ -1463,13 +1556,21 @@ mod tests {
             ("instr", TAG_STATES, |p| {
                 p[4..6].copy_from_slice(&[0xff, 0xff])
             }),
+            // State 0's resident span names live index 65 534: no element
+            // of any live space, yet no `NONE` either.
+            ("spans", TAG_SPANS, |p| {
+                p.truncate(2);
+                put_varint(p, u16::MAX as u64 - 1);
+            }),
         ];
         for (what, tag, damage) in cases {
             let mut records = records.clone();
             let (_, payload) = records.iter_mut().find(|(t, _)| *t == tag).unwrap();
             damage(payload);
             segment::write_atomic(&path, JOURNAL_MAGIC, SPILL_VERSION, records).unwrap();
-            let err = restore_into_empty::<u16>(&dir, &cfg).err().expect(what);
+            let err = restore_into_empty::<u16>(&dir, &cfg, &live(&cfg))
+                .err()
+                .expect(what);
             assert!(
                 matches!(err, ResumeError::Malformed { what: w } if w == what),
                 "{what}: {err}"

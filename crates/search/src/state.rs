@@ -437,9 +437,9 @@ pub(crate) trait Assign: Copy + Ord + Send + Sync + 'static {
     fn key(span: &[Self]) -> u128;
     /// The spill codec's word for `a`.
     fn code(self) -> u64;
-    /// The inverse of [`Assign::code`]; `None` for a word no element codes
-    /// to.
-    fn from_code(word: u64) -> Option<Self>;
+    /// The inverse of [`Assign::code`]; `None` for a word no element of
+    /// `space` codes to.
+    fn from_code(space: &Self::Space, word: u64) -> Option<Self>;
 }
 
 impl Assign for u16 {
@@ -510,8 +510,12 @@ impl Assign for u16 {
         self as u64
     }
 
-    fn from_code(word: u64) -> Option<u16> {
-        u16::try_from(word).ok().filter(|&li| li != NONE)
+    /// Only live indices of `space` decode: an index past its end would
+    /// read out of bounds at the first expansion.
+    fn from_code(space: &LiveSpace, word: u64) -> Option<u16> {
+        u16::try_from(word)
+            .ok()
+            .filter(|&li| (li as usize) < space.len())
     }
 }
 
@@ -594,7 +598,7 @@ impl Assign for MachineState {
         self.bits().rotate_left(4)
     }
 
-    fn from_code(word: u64) -> Option<MachineState> {
+    fn from_code(_: &Machine, word: u64) -> Option<MachineState> {
         Some(MachineState::from_bits(word.rotate_right(4)))
     }
 }

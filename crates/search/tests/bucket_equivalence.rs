@@ -4,9 +4,10 @@
 //! (whose constants were recorded while the bucketed open list still ran
 //! against a reference `BinaryHeap`; the queue-level comparison lives on in
 //! `proptest_search.rs`). Best-first pop order has no layers for the
-//! parallel driver's rounds to synchronize on, so an A* run asking for more
-//! threads runs on the single-shard driver: every row here asserts that
-//! route (no per-shard counter blocks), the single-thread optimal cost,
+//! layered round loop to synchronize on, so an A* run asking for more
+//! threads runs on the best-first driver's one shard: every row here
+//! asserts that route (no per-shard counter blocks), the single-thread
+//! optimal cost,
 //! and a kernel the sortsynth-verify gate (exhaustive n! permutation oracle
 //! at these sizes) accepts.
 
@@ -48,16 +49,16 @@ fn check_kernel(machine: &Machine, label: &str, result: &SynthesisResult) {
     }
 }
 
-/// Asserts that `result` ran on the single-shard driver.
+/// Asserts that `result` ran on one shard (the best-first driver).
 fn assert_single_shard(label: &str, result: &SynthesisResult) {
     assert!(
         result.stats.shards.is_empty(),
-        "{label}: best-first runs take the single-shard driver"
+        "{label}: best-first runs take the best-first driver's one shard"
     );
 }
 
 /// Runs `cfg` on one thread and at every count in `threads`, asserting the
-/// runs take the single-shard driver and land on the single-thread cost
+/// runs take the best-first driver and land on the single-thread cost
 /// with correct kernels.
 fn assert_threads_agree(machine: &Machine, label: &str, cfg: &SynthesisConfig, threads: &[usize]) {
     let sequential = synthesize(cfg);
@@ -133,7 +134,7 @@ fn n4_minmax_guided_row() {
 #[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
 fn repeated_astar_at_eight_threads_runs_single_shard() {
     // The same A* search 20 times at 8 threads: every run must take the
-    // single-shard driver and land on the single-thread optimal cost with
+    // best-first driver's one shard and land on the single-thread optimal cost with
     // an oracle-accepted kernel.
     let machine = Machine::new(3, 1, IsaMode::MinMax);
     let cfg = SynthesisConfig::new(machine.clone())
@@ -164,8 +165,8 @@ fn repeated_astar_at_eight_threads_runs_single_shard() {
 fn oversized_machine_runs_best_first_single_shard_at_any_thread_count() {
     // Regression: a machine past the distance table's action limit takes
     // the no-table fallback, whose f-values outgrow the open list's sizing
-    // estimate; the single-shard driver must not trip over it at any
-    // thread count. The parallel setup path for the same machine is
+    // estimate; the best-first driver must not trip over it at any
+    // thread count. The layered setup path for the same machine is
     // covered by `parallel_equivalence`'s layered
     // `oversized_machine_synthesizes_in_parallel_without_panic`.
     let machine = Machine::new(2, 8, IsaMode::Cmov);

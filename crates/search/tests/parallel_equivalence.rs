@@ -1,19 +1,21 @@
-//! Differential and determinism tests pinning the parallel driver to the
-//! single-shard one.
+//! Differential and determinism tests pinning multi-worker layered runs to
+//! the one-worker run.
 //!
-//! The parallel driver expands each layer in rounds and merges every key
-//! partition in the order the single-shard driver merges it, with the same
-//! per-layer cut thresholds. So every row here asserts more than cost
-//! equality: the kernel itself must equal the `threads = 1` kernel, under
+//! The layered round loop expands each layer in rounds and merges every key
+//! partition in frontier order, with the same per-layer cut thresholds and
+//! a goal round that ends at the goal's parent, at every worker count. So
+//! every row here asserts more than cost equality: the kernel itself and
+//! every counter the run decides must equal the `threads = 1` run's, under
 //! the lossless configurations (dead-write cut on/off × distance table
 //! on/off) and under the lossy `SynthesisConfig::best` configuration (the
 //! §3.5 permutation-count cut plus the optimal-instruction restriction)
 //! alike. A bounded row one below the optimum must exhaust with identical
-//! counters at every thread count.
+//! counters at every thread count, and an all-solutions run (one worker at
+//! any thread count) must count the same solutions.
 //!
 //! Every synthesized kernel additionally passes the sortsynth-verify gate,
 //! which falls back to the exhaustive n! permutation oracle — the parallel
-//! driver must not just agree on the kernel, it must emit *correct* ones.
+//! runs must not just agree on the kernel, they must emit *correct* ones.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -21,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use sortsynth_isa::{IsaMode, Machine};
 use sortsynth_search::{
-    synthesize, Outcome, ProgressHook, SearchBudget, SearchProgress, SearchStats, SynthesisConfig,
-    SynthesisResult,
+    synthesize, Cut, Outcome, ProgressHook, SearchBudget, SearchProgress, SearchStats,
+    SynthesisConfig, SynthesisResult,
 };
 
 /// The configurations for `machine`, labelled: the lossless ones, where
@@ -42,7 +44,8 @@ fn configs(machine: &Machine, bound: u32) -> Vec<(&'static str, SynthesisConfig)
 }
 
 /// Runs `cfg` sequentially and at each thread count, asserting the same
-/// outcome, the same kernel, and oracle-verified kernels throughout.
+/// outcome, the same kernel, the same decided counters, and
+/// oracle-verified kernels throughout.
 fn assert_equivalent(machine: &Machine, label: &str, cfg: &SynthesisConfig, threads: &[usize]) {
     let sequential = synthesize(cfg);
     check_result(machine, label, 1, cfg, &sequential);
@@ -56,6 +59,11 @@ fn assert_equivalent(machine: &Machine, label: &str, cfg: &SynthesisConfig, thre
             sequential.first_program(),
             parallel.first_program(),
             "{label}: the {t}-thread kernel differs from the 1-thread kernel"
+        );
+        assert_eq!(
+            decided(&parallel.stats),
+            decided(&sequential.stats),
+            "{label}@{t}: [expanded, generated, viability, cut, dead-write, dedup, kept]"
         );
         assert_eq!(
             parallel.stats.shards.len(),
@@ -107,7 +115,8 @@ fn check_result(
 }
 
 /// The counters a run decides, in one comparable row: every one of them is
-/// independent of the thread count and of scheduling on an exhausted run.
+/// independent of the thread count and of scheduling on a solved or
+/// exhausted run.
 fn decided(s: &SearchStats) -> [u64; 7] {
     [
         s.expanded,
@@ -257,6 +266,35 @@ fn n4_minmax_one_below_the_optimum_exhausts_with_identical_counters() {
         .budget_viability(true)
         .max_len(14);
     assert_exhausts_identically("n4 MinMax table", &cfg);
+}
+
+/// All-solutions runs take one worker at any thread count: `threads(4)`
+/// counts the solutions `threads(1)` counts, the `golden_trace`
+/// all-solutions values.
+#[test]
+#[cfg_attr(miri, ignore = "differential equivalence suite is too slow under miri")]
+fn all_solutions_runs_agree_across_thread_counts() {
+    for (n, mode, cut, len, solutions) in [
+        (2, IsaMode::Cmov, false, 4, 8),
+        (2, IsaMode::MinMax, false, 3, 4),
+        (3, IsaMode::Cmov, true, 11, 234),
+        (3, IsaMode::MinMax, false, 8, 604),
+    ] {
+        let mut cfg = SynthesisConfig::new(Machine::new(n, 1, mode))
+            .budget_viability(true)
+            .max_len(len)
+            .all_solutions(true);
+        if cut {
+            cfg = cfg.cut(Cut::Factor(1.0));
+        }
+        for t in [1, 4] {
+            let result = synthesize(&cfg.clone().threads(t));
+            let label = format!("n{n} {mode:?} all-solutions@{t}");
+            assert_eq!(result.outcome, Outcome::SolvedAll, "{label}");
+            assert_eq!(result.found_len, Some(len), "{label}");
+            assert_eq!(result.solution_count(), solutions, "{label}");
+        }
+    }
 }
 
 #[test]

@@ -14,7 +14,9 @@ use std::path::{Path, PathBuf};
 
 use sortsynth_isa::{IsaMode, Machine};
 use sortsynth_obs::segment::SegmentError;
-use sortsynth_search::{synthesize, try_synthesize, ProgressHook, ResumeError, SynthesisConfig};
+use sortsynth_search::{
+    synthesize, try_synthesize, Heuristic, ProgressHook, ResumeError, Strategy, SynthesisConfig,
+};
 
 /// Crashes the run it is installed in once `expansions` states have been
 /// expanded: with `progress_every(1)` the hook sees every expansion's
@@ -137,7 +139,7 @@ fn killed_run_resumes_from_journal_to_the_same_optimum() {
 #[test]
 #[cfg_attr(miri, ignore = "spill differential does real file I/O")]
 fn multi_thread_budgeted_runs_spill_and_resume() {
-    // A budget or a journal pins the run to the single-shard driver, so
+    // A budget or a journal pins the layered run to one worker, so
     // `threads(2)` keeps the budget: the run spills, lands on the resident
     // optimum, and a killed run resumes under the same thread count.
     let machine = Machine::new(3, 1, IsaMode::Cmov);
@@ -172,6 +174,19 @@ fn multi_thread_budgeted_runs_spill_and_resume() {
     assert_eq!(resumed.found_len, Some(11), "{:?}", resumed.outcome);
     assert!(resumed.stats.resumed_frontier_states > 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "resume reads the file system")]
+fn best_first_runs_refuse_a_resume() {
+    // The journal records layers; a best-first pop order has none.
+    let cfg = SynthesisConfig::new(Machine::new(2, 1, IsaMode::Cmov))
+        .strategy(Strategy::AStar {
+            heuristic: Heuristic::None,
+        })
+        .resume_from(scratch("astar"));
+    let err = try_synthesize(&cfg).expect_err("an A* run resumed a journal");
+    assert!(matches!(err, ResumeError::Unsupported { .. }), "{err}");
 }
 
 /// Kills a min/max n = 3 run under a 1-byte budget and returns its
