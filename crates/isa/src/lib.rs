@@ -44,7 +44,6 @@ pub mod pipeline;
 #[cfg(feature = "serde")]
 mod serde_impls;
 pub mod state;
-pub mod swar;
 
 pub use cost::{
     critical_path, sampling_score, uica_estimate, weighted_score, CostWeights, InstrMix,
@@ -55,4 +54,3 @@ pub use machine::{IsaMode, Machine, Reg};
 pub use perm::{factorial, permutations};
 pub use pipeline::{analyze, simulate_cycles, PipelineReport, ThroughputModel};
 pub use state::MachineState;
-pub use swar::{BatchStepper, LANES as SWAR_LANES};

@@ -141,7 +141,7 @@ families! {
     SEARCH_BUCKET_SCANS_TOTAL = "sortsynth_search_bucket_scans_total", Counter,
         "Empty-bucket cursor scans performed by bucketed open lists.";
     SEARCH_SWAR_BATCHES_TOTAL = "sortsynth_search_swar_batches_total", Counter,
-        "SWAR lane passes taken by batch expansion.";
+        "Stepping passes of up to 8 assignments taken by span expansion.";
     SEARCH_ARENA_BYTES = "sortsynth_search_arena_bytes", Gauge,
         "Assignment bytes held by the last run's state arena(s).";
     SEARCH_RESIDENT_BYTES = "sortsynth_search_resident_bytes", Gauge,

@@ -1,41 +1,8 @@
 //! Heuristic evaluation for A* open-state selection (§3.1).
 
-use sortsynth_isa::Machine;
-
 use crate::config::Heuristic;
-use crate::distance::DistanceTable;
-use crate::state::StateSet;
 
-/// Evaluates `heuristic` on `state`.
-///
-/// `perm` is the precomputed permutation count of `state` (the engine always
-/// has it at hand, so we avoid recomputing the projection). `table` must be
-/// `Some` for [`Heuristic::MaxRemaining`].
-///
-/// # Panics
-///
-/// Panics if [`Heuristic::MaxRemaining`] is requested without a distance
-/// table.
-pub fn heuristic_value(
-    heuristic: Heuristic,
-    state: &StateSet,
-    perm: u32,
-    machine: &Machine,
-    table: Option<&DistanceTable>,
-) -> u32 {
-    let _ = machine;
-    match heuristic {
-        Heuristic::None => 0,
-        Heuristic::PermCount => perm,
-        Heuristic::AssignCount => state.assign_count(),
-        Heuristic::MaxRemaining => {
-            let table = table.expect("MaxRemaining heuristic requires the distance table");
-            table.max_dist(state) as u32
-        }
-    }
-}
-
-/// [`heuristic_value`] from facts cached at intern time
+/// Evaluates `heuristic` from facts cached at intern time
 /// ([`crate::intern::StateMeta`]): no state walk, no table lookup — three
 /// field reads. `max_dist` is `0` when the run has no distance table, so
 /// `MaxRemaining` degrades to uniform cost there (the documented
@@ -57,21 +24,22 @@ pub(crate) fn heuristic_from_meta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sortsynth_isa::IsaMode;
+    use crate::distance::DistanceTable;
+    use crate::state::StateSet;
+    use sortsynth_isa::{IsaMode, Machine};
 
     #[test]
     fn heuristic_values_on_initial_state() {
         let m = Machine::new(3, 1, IsaMode::Cmov);
         let s = StateSet::initial(&m);
-        let perm = s.perm_count(&m);
-        assert_eq!(heuristic_value(Heuristic::None, &s, perm, &m, None), 0);
-        assert_eq!(heuristic_value(Heuristic::PermCount, &s, perm, &m, None), 6);
-        assert_eq!(
-            heuristic_value(Heuristic::AssignCount, &s, perm, &m, None),
-            6
-        );
         let table = DistanceTable::build(&m, false);
-        let h = heuristic_value(Heuristic::MaxRemaining, &s, perm, &m, Some(&table));
+        let (perm, assigns) = (s.perm_count(&m), s.assign_count());
+        let max_dist = table.max_dist_of(s.assignments());
+        let h = |heuristic| heuristic_from_meta(heuristic, perm, assigns, max_dist);
+        assert_eq!(h(Heuristic::None), 0);
+        assert_eq!(h(Heuristic::PermCount), 6);
+        assert_eq!(h(Heuristic::AssignCount), 6);
+        let h = h(Heuristic::MaxRemaining);
         // Worst single assignment for n = 3 is a 3-cycle: a 4-mov rotation.
         // (Per-assignment programs know the concrete values, so they never
         // compare — the bound is weak but admissible.)

@@ -49,7 +49,6 @@ mod intern;
 mod layered;
 mod live;
 mod lower_bound;
-mod netsort;
 mod progress;
 mod shard;
 mod sizing;
@@ -65,7 +64,6 @@ pub use engine::{
     synthesize, try_synthesize, Outcome, ProgressSample, SearchStats, ShardStats, SolutionDag,
     SynthesisResult,
 };
-pub use heuristics::heuristic_value;
 pub use live::{LiveSpace, NONE};
 pub use lower_bound::{prove_no_solution, prove_optimal_length, BoundVerdict, LowerBoundResult};
 pub use progress::{ProgressHook, SearchProgress};

@@ -1,11 +1,11 @@
-//! Property-based tests for search states, the distance table, the
-//! bucketed open list, and SWAR batch stepping.
+//! Property-based tests for search states, the distance table, and the
+//! bucketed open list.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use sortsynth_isa::{BatchStepper, IsaMode, Machine, MachineState};
+use sortsynth_isa::{IsaMode, Machine, MachineState};
 use sortsynth_search::{BucketQueue, DistanceTable, StateSet, UNSORTABLE};
 
 fn machine() -> Machine {
@@ -182,29 +182,5 @@ proptest! {
         }
         prop_assert_eq!(bucket.pop(), None);
         prop_assert!(bucket.is_empty());
-    }
-
-    /// SWAR batch stepping is bit-for-bit the scalar `step` on every ISA
-    /// action, over random batches of *search-shaped* states (legal flag
-    /// combinations; the all-bit-patterns case is pinned by the unit
-    /// tests in `sortsynth-isa`). Also checks the appended span lands
-    /// after an untouched prefix, as the expansion buffer requires.
-    #[test]
-    #[cfg_attr(miri, ignore = "property sweep is too slow under miri")]
-    fn batch_step_matches_scalar_step(
-        batch in prop::collection::vec(arb_assignment(), 0..40),
-        action_idx in 0usize..64,
-        minmax in any::<bool>(),
-    ) {
-        let mode = if minmax { IsaMode::MinMax } else { IsaMode::Cmov };
-        let m = Machine::new(3, 1, mode);
-        let actions = m.actions();
-        let instr = actions[action_idx % actions.len()];
-        let sentinel = MachineState::from_values(&[1, 2, 3]);
-        let mut out = vec![sentinel];
-        BatchStepper::new(instr).append_stepped(&batch, &mut out);
-        prop_assert_eq!(out[0], sentinel);
-        let scalar: Vec<MachineState> = batch.iter().map(|s| s.step(instr)).collect();
-        prop_assert_eq!(&out[1..], &scalar[..]);
     }
 }
