@@ -702,12 +702,11 @@ impl<A: Assign> SuccessorBuf<A> {
     }
 }
 
-/// Per-worker expansion scratch: the successor buffer, the projection
-/// scratch used for permutation counting, the bitmap that canonicalizes
-/// live-index spans, and the per-action successor distances of the state
-/// under expansion.
-pub(crate) struct ExpandScratch<A> {
-    pub buf: SuccessorBuf<A>,
+/// Per-worker expansion scratch: the projection scratch used for
+/// permutation counting, the bitmap that canonicalizes live-index spans,
+/// and the per-action successor distances of the state under expansion.
+#[derive(Default)]
+pub(crate) struct ExpandScratch {
     pub(crate) proj: ProjScratch,
     bits: IndexBits,
     /// Per-action successor `max_dist` of the state under expansion
@@ -715,29 +714,19 @@ pub(crate) struct ExpandScratch<A> {
     succ_worst: Vec<u16>,
 }
 
-impl<A> Default for ExpandScratch<A> {
-    fn default() -> Self {
-        ExpandScratch {
-            buf: SuccessorBuf::default(),
-            proj: ProjScratch::default(),
-            bits: IndexBits::default(),
-            succ_worst: Vec::new(),
-        }
-    }
-}
-
-impl<A> ExpandScratch<A> {
-    /// Reserved capacities, for [`SearchStats::scratch_reused`]: an
-    /// expansion that leaves the signature unchanged allocated nothing
-    /// here.
-    pub fn capacity_signature(&self) -> (usize, usize, usize, usize) {
-        (
-            self.buf.assigns.capacity(),
-            self.buf.metas.capacity(),
-            self.proj.capacity(),
-            self.succ_worst.capacity(),
-        )
-    }
+/// Reserved capacities of an expansion's buffers, for
+/// [`SearchStats::scratch_reused`]: an expansion that leaves the signature
+/// unchanged allocated nothing there.
+fn capacity_signature<A>(
+    buf: &SuccessorBuf<A>,
+    scratch: &ExpandScratch,
+) -> (usize, usize, usize, usize) {
+    (
+        buf.assigns.capacity(),
+        buf.metas.capacity(),
+        scratch.proj.capacity(),
+        scratch.succ_worst.capacity(),
+    )
 }
 
 /// The read-only inputs of state expansion, shared by both drivers.
@@ -758,9 +747,11 @@ impl<A: Assign> ExpandCtx<'_, A> {
     /// cut is off), `bound` the caller's current inclusive length bound.
     ///
     /// `state` is a raw canonical span (arena-resident or copied scratch);
-    /// survivors land in `scratch.buf` as spans plus cached facts, so the
-    /// whole expansion allocates nothing once the scratch has grown to
-    /// steady state.
+    /// survivors are appended to `buf` as spans plus cached facts, so the
+    /// whole expansion allocates nothing once `buf` and the scratch have
+    /// grown to steady state. `buf` may already hold other expansions'
+    /// survivors (the one-partition round loop files straight into its
+    /// outbox); they are left as they are.
     ///
     /// Expansion runs in two passes so the phase profiler can attribute
     /// time with one timestamp per pass instead of per candidate: the
@@ -777,15 +768,16 @@ impl<A: Assign> ExpandCtx<'_, A> {
         g: u32,
         bound: u32,
         cut_threshold: Option<u32>,
-        scratch: &mut ExpandScratch<A>,
+        buf: &mut SuccessorBuf<A>,
+        scratch: &mut ExpandScratch,
         counters: &mut ShardStats,
         probe: &mut PhaseProbe,
     ) {
         counters.expanded += 1;
-        // An expansion that leaves the scratch capacities unchanged
+        // An expansion that leaves the buffer capacities unchanged
         // allocated nothing here ([`SearchStats::scratch_reused`]).
-        let reserved = scratch.capacity_signature();
-        scratch.buf.clear();
+        let reserved = capacity_signature(buf, scratch);
+        let first = buf.metas.len();
         let space = self.space;
         // Successor-row fast path: a live-index span reads its successors'
         // distances and projections straight off the table's rows, so a
@@ -914,10 +906,9 @@ impl<A: Assign> ExpandCtx<'_, A> {
             // and duplicates, so (on the fallback paths) they run on the
             // *raw* stepped span — the canonicalizing sort is paid only by
             // candidates that survive every filter.
-            let start = scratch.buf.assigns.len();
-            counters.swar_batches +=
-                A::step_span(space, ai, instr, state, &mut scratch.buf.assigns);
-            let stepped = &scratch.buf.assigns[start..];
+            let start = buf.assigns.len();
+            counters.swar_batches += A::step_span(space, ai, instr, state, &mut buf.assigns);
+            let stepped = &buf.assigns[start..];
             if checked {
                 debug_assert_eq!(
                     max_dist,
@@ -943,7 +934,7 @@ impl<A: Assign> ExpandCtx<'_, A> {
                     || (self.cfg.budget_viability && bound != u32::MAX && g + 1 + d as u32 > bound)
                 {
                     counters.viability_pruned += 1;
-                    scratch.buf.assigns.truncate(start);
+                    buf.assigns.truncate(start);
                     continue;
                 }
                 max_dist = d;
@@ -956,16 +947,16 @@ impl<A: Assign> ExpandCtx<'_, A> {
                     if let Some(threshold) = cut_threshold {
                         if perm > threshold {
                             counters.cut_pruned += 1;
-                            scratch.buf.assigns.truncate(start);
+                            buf.assigns.truncate(start);
                             continue;
                         }
                     }
                 }
             }
-            scratch.buf.metas.push(SuccMeta {
+            buf.metas.push(SuccMeta {
                 ai: ai as u16,
                 offset: start as u32,
-                len: (scratch.buf.assigns.len() - start) as u32,
+                len: (buf.assigns.len() - start) as u32,
                 key: 0,
                 perm,
                 max_dist,
@@ -974,18 +965,18 @@ impl<A: Assign> ExpandCtx<'_, A> {
         }
         probe.lap(Phase::Step);
 
-        // Second pass: canonicalize every survivor's span in place (the
-        // hottest single operation in the engine) and hash it. Dedup may
+        // Second pass: canonicalize this expansion's survivors in place (the
+        // hottest single operation in the engine) and hash them. Dedup may
         // shrink a span, leaving a gap before the next one; `len` is
         // updated to the kept prefix.
-        let SuccessorBuf { assigns, metas } = &mut scratch.buf;
-        for m in metas {
+        let SuccessorBuf { assigns, metas } = &mut *buf;
+        for m in &mut metas[first..] {
             let span = &mut assigns[m.offset as usize..(m.offset + m.len) as usize];
             let kept = A::canonicalize(span, &mut scratch.bits);
             m.len = kept as u32;
             m.key = narrow_key(A::key(&span[..kept]));
         }
-        if scratch.capacity_signature() == reserved {
+        if capacity_signature(buf, scratch) == reserved {
             counters.scratch_reused += 1;
         }
         probe.lap(Phase::Canonicalize);
@@ -1026,6 +1017,7 @@ fn run_astar<A: Assign>(
         table: table.as_ref(),
         space: &space,
     };
+    let mut buf = SuccessorBuf::default();
     let mut scratch = ExpandScratch::default();
     // The last popped `f`, for progress snapshots.
     let mut current_f = None;
@@ -1069,18 +1061,20 @@ fn run_astar<A: Assign>(
             let prev_instr = (e.parent != PARENT_NONE).then(|| actions[e.instr as usize]);
             let cut = min_perm.threshold(cfg.cut, g);
             let (state, counters) = (shard.arena.assignments(node), &mut shard.counters);
+            buf.clear();
             ctx.expand(
                 state,
                 prev_instr,
                 g,
                 bound,
                 cut,
+                &mut buf,
                 &mut scratch,
                 counters,
                 &mut probe,
             );
-            for m in &scratch.buf.metas {
-                let (cand, facts) = scratch.buf.offer(m, g + 1, parent_ref(0, node));
+            for m in &buf.metas {
+                let (cand, facts) = buf.offer(m, g + 1, parent_ref(0, node));
                 match shard.merge(&cand, facts, &min_perm) {
                     Merged::Queued(id) => shard.enqueue(cand.g, id),
                     Merged::Goal(id) => {

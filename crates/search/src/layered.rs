@@ -14,14 +14,19 @@
 //!   [`ExpandCtx::expand`], and file each survivor (span, facts, tag) in
 //!   their outbox bucket for the partition that owns its key, and each
 //!   expansion's counters in the bucket for the parent's partition, so
-//!   per-shard figures do not depend on who claimed what.
+//!   per-shard figures do not depend on who claimed what. With one
+//!   partition the expansion appends straight into its bucket and the
+//!   worker files only tags.
 //! * **Merge order.** A survivor's tag is its parent's frontier position
 //!   (high half) and its index among the parent's survivors (low half).
 //!   After a barrier, worker `p` merges bucket `p` of every outbox through
 //!   [`Shard::merge`] in tag order, so every key meets its duplicates in
-//!   the same order at every worker count. At the end of the layer worker
-//!   0 concatenates the partitions' fresh states in tag order into the
-//!   next frontier and fixes its cut threshold from [`MinPerm`].
+//!   the same order at every worker count. The merge prefetches the
+//!   closed-map slot of the item [`PREFETCH`] places ahead in the same
+//!   run, so probes overlap their misses; in a first-solution run a hit
+//!   is a duplicate without an edge read (layer order). At the end of the
+//!   layer worker 0 concatenates the partitions' fresh states in tag order
+//!   into the next frontier and fixes its cut threshold from [`MinPerm`].
 //! * **Goals.** A goal ends its round at its parent's position `P`:
 //!   workers claim nothing past the smallest goal tag, and if one expanded
 //!   past `P` before the goal was filed, every outbox is dropped and
@@ -68,6 +73,9 @@ use crate::state::{narrow_key, Assign};
 const CHUNK: usize = 8;
 /// Target outbox bytes of one round, per worker.
 const ROUND_BYTES: usize = 256 << 10;
+/// How many items of an inbox run ahead the merge prefetches closed-map
+/// slots: enough probes in flight to cover a miss to memory.
+const PREFETCH: usize = 32;
 /// The goal tag while no goal was generated.
 const NO_GOAL: u64 = u64::MAX;
 
@@ -409,8 +417,11 @@ fn kernel_path<A>(shards: &[Shard<A>], goal: ParentRef) -> Vec<u16> {
 struct Worker<'a, 'b, A: Assign> {
     sh: &'a Rounds<'b, A>,
     id: usize,
-    /// Reused expansion buffers ([`ExpandCtx::expand`] output).
-    scratch: ExpandScratch<A>,
+    /// Reused expansion scratch.
+    scratch: ExpandScratch,
+    /// With several partitions, one expansion's survivors before they are
+    /// routed; one partition files them straight into its bucket.
+    buf: SuccessorBuf<A>,
     /// The spilled spans of layer `stream.0`, when it spilled any.
     stream: (u32, Option<SpanStream<A>>),
     /// This worker's phase profiler probe (inert unless the profiler was
@@ -428,6 +439,7 @@ impl<'a, 'b, A: Assign> Worker<'a, 'b, A> {
             sh,
             id,
             scratch: ExpandScratch::default(),
+            buf: SuccessorBuf::default(),
             stream: (u32::MAX, None),
             probe: if profile_on {
                 PhaseProbe::new()
@@ -575,31 +587,49 @@ impl<'a, 'b, A: Assign> Worker<'a, 'b, A> {
                         .fetch(&sh.space, id)
                 };
                 self.probe.lap(Phase::Select);
-                let counters = &mut outbox[owner].counters;
-                let before = counters.generated;
+                let bucket = &mut *outbox[owner];
+                let (generated_before, first) = (bucket.counters.generated, bucket.buf.metas.len());
+                // One partition owns every key: the survivors land in its
+                // bucket as they are, and only their tags are filed.
+                let buf = if workers == 1 {
+                    &mut bucket.buf
+                } else {
+                    self.buf.clear();
+                    &mut self.buf
+                };
                 ctx.expand(
                     state,
                     prev_instr,
                     plan.g,
                     plan.bound,
                     plan.cut,
+                    buf,
                     &mut self.scratch,
-                    counters,
+                    &mut bucket.counters,
                     &mut self.probe,
                 );
-                generated += counters.generated - before;
+                generated += bucket.counters.generated - generated_before;
                 expanded += 1;
-                let buf = &self.scratch.buf;
-                for (i, m) in buf.metas.iter().enumerate() {
-                    let tag = (pos as u64) << 32 | i as u64;
+                let tag_of = |i: usize| (pos as u64) << 32 | i as u64;
+                let note_goal = |i: usize, m: &SuccMeta| {
                     if m.goal {
-                        sh.goal_tag.fetch_min(tag, Ordering::Relaxed);
+                        sh.goal_tag.fetch_min(tag_of(i), Ordering::Relaxed);
                     }
-                    let p = shard_of(m.key, workers);
-                    if p != owner {
-                        outbox[owner].counters.routed += 1;
+                };
+                if workers == 1 {
+                    for (i, m) in bucket.buf.metas[first..].iter().enumerate() {
+                        note_goal(i, m);
+                        bucket.tags.push(tag_of(i));
                     }
-                    outbox[p].push(tag, m, buf.assigns_of(m));
+                } else {
+                    for (i, m) in self.buf.metas.iter().enumerate() {
+                        note_goal(i, m);
+                        let p = shard_of(m.key, workers);
+                        if p != owner {
+                            outbox[owner].counters.routed += 1;
+                        }
+                        outbox[p].push(tag_of(i), m, self.buf.assigns_of(m));
+                    }
                 }
                 self.probe.lap(Phase::Route);
                 if let Some(throttle) = self.throttle.as_deref_mut() {
@@ -680,6 +710,11 @@ impl<'a, 'b, A: Assign> Worker<'a, 'b, A> {
             until,
             |w, i| {
                 self.probe.begin_cycle();
+                // Closed-map probes miss the cache: start loading the slot
+                // of the item this run merges `PREFETCH` items from now.
+                if let Some(ahead) = inbox[w].buf.metas.get(i + PREFETCH) {
+                    shard.arena.prefetch(ahead.key);
+                }
                 let tag = inbox[w].tags[i];
                 let parent = frontier.at(tag_position(tag) as usize);
                 let buf = &inbox[w].buf;

@@ -43,7 +43,6 @@ mod budget;
 mod config;
 mod distance;
 mod engine;
-mod hashers;
 mod heuristics;
 mod intern;
 mod layered;

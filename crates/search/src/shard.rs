@@ -262,6 +262,14 @@ impl<A: Assign> Shard<A> {
     pub fn merge(&mut self, c: &Cand, f: Facts<'_, A>, min_perm: &MinPerm) -> Merged {
         if let Some(id) = self.arena.get(c.key) {
             self.counters.merged += 1;
+            if self.layer_first.is_some() && !self.all_solutions {
+                // Layer order: every known state was reached at the
+                // candidate's length or shorter, so a first-solution layered
+                // run needs no edge read to call a hit a duplicate.
+                debug_assert!(self.edges[id as usize].g <= c.g, "layer order");
+                self.counters.dedup_hits += 1;
+                return Merged::Dup;
+            }
             let edge = &mut self.edges[id as usize];
             if edge.g <= c.g {
                 if edge.g == c.g && self.all_solutions {
@@ -638,5 +646,78 @@ impl Throttle {
         self.last_expanded = expanded;
         self.last_at = Instant::now();
         deliver(hook, &snapshot());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sortsynth_isa::IsaMode;
+
+    const SPAN: [u16; 3] = [0, 1, 2];
+
+    fn facts() -> Facts<'static, u16> {
+        Facts {
+            assigns: &SPAN,
+            perm: 2,
+            max_dist: 1,
+            goal: false,
+        }
+    }
+
+    fn cand(key: u64, g: u32, parent: u32, instr: u16) -> Cand {
+        Cand {
+            key,
+            g,
+            parent: parent_ref(0, parent),
+            instr,
+        }
+    }
+
+    /// A layered shard holding one state: id 0, key 7, reached at length 1
+    /// from parent 9 by action 4.
+    fn layered_shard(cfg: &SynthesisConfig, min_perm: &MinPerm) -> Shard<u16> {
+        let mut shard = Shard::new(cfg, 0, 0);
+        shard.layer_first = Some(0);
+        let fresh = shard.merge(&cand(7, 1, 9, 4), facts(), min_perm);
+        assert_eq!(fresh, Merged::Queued(0));
+        shard
+    }
+
+    #[test]
+    fn first_solution_layered_duplicate_is_dup() {
+        let cfg = SynthesisConfig::new(Machine::new(3, 1, IsaMode::Cmov));
+        let min_perm = MinPerm::new();
+        let mut shard = layered_shard(&cfg, &min_perm);
+        let before = shard.counters.clone();
+        for g in [1, 2] {
+            let dup = shard.merge(&cand(7, g, 0, 5), facts(), &min_perm);
+            assert_eq!(dup, Merged::Dup, "a known key at length {g}");
+        }
+        assert_eq!(shard.counters.dedup_hits, before.dedup_hits + 2);
+        assert_eq!(shard.counters.merged, before.merged + 2);
+        assert_eq!(shard.counters.reopened, before.reopened);
+        assert_eq!(shard.counters.states_kept, before.states_kept);
+        assert!(shard.more_parents.is_empty());
+        assert_eq!(
+            (shard.edges[0].parent, shard.edges[0].instr),
+            (parent_ref(0, 9), 4)
+        );
+    }
+
+    #[test]
+    fn all_solutions_duplicate_records_the_extra_parent() {
+        let machine = Machine::new(3, 1, IsaMode::Cmov);
+        let cfg = SynthesisConfig::new(machine).all_solutions(true);
+        let min_perm = MinPerm::new();
+        let mut shard = layered_shard(&cfg, &min_perm);
+        let dup = shard.merge(&cand(7, 1, 0, 5), facts(), &min_perm);
+        assert_eq!(dup, Merged::Dup);
+        assert_eq!(shard.more_parents.get(&0), Some(&vec![(0, 5)]));
+        // A longer path is no extra minimal parent.
+        shard.merge(&cand(7, 2, 0, 6), facts(), &min_perm);
+        assert_eq!(shard.more_parents.get(&0), Some(&vec![(0, 5)]));
+        assert_eq!(shard.counters.dedup_hits, 2);
+        assert_eq!(shard.counters.reopened, 0);
     }
 }

@@ -713,7 +713,7 @@ pub(crate) fn checkpoint<A: Assign>(
     let counts = [
         edges.len(),
         parents().count(),
-        arena.closed().len(),
+        arena.closed_len(),
         frontier.len(),
         resident().count(),
         min_perm.len(),
