@@ -713,7 +713,6 @@ fn inspect_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
             recording.lost_bytes
         )));
     }
-    let first = recording.frames.first().unwrap();
     let last = recording.frames.last().unwrap();
     let duration_secs = last.elapsed.as_secs_f64();
     let avg_nodes_per_sec = if duration_secs > 0.0 {
@@ -809,41 +808,11 @@ fn inspect_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
     println!("duration: {duration_secs:.2}s");
     println!("finished: {}", last.finished);
     println!("outcome: {}", last.outcome.as_deref().unwrap_or("-"));
-    println!("expanded: {}", last.expanded);
-    println!("generated: {}", last.generated);
-    println!("open: {}", last.open);
     println!("nodes/sec: {avg_nodes_per_sec:.0} avg, {peak_nodes_per_sec:.0} peak");
-    println!(
-        "f-bound: {} -> {}",
-        first.f_bound.map_or("-".into(), |f| f.to_string()),
-        last.f_bound.map_or("-".into(), |f| f.to_string()),
-    );
-    println!(
-        "pruned: {} viability, {} cut, {} dedup, {} dead-write, {} value-flow",
-        last.viability_pruned,
-        last.cut_pruned,
-        last.dedup_hits,
-        last.dead_write_pruned,
-        last.value_flow_pruned
-    );
     if last.distance_table_skipped {
         println!("distance table: skipped (degraded pruning)");
     }
-    if last.resumed_frontier_states > 0 {
-        println!("resumed: {} frontier states", last.resumed_frontier_states);
-    }
-    if last.resident_bytes > 0 {
-        println!("resident: {}", fmt_bytes(last.resident_bytes));
-    }
-    if last.spilled_bytes > 0 {
-        println!(
-            "spill: {} written ({} open states, {} closed entries, {} DDD dedups)",
-            fmt_bytes(last.spilled_bytes),
-            last.spilled_open,
-            last.spilled_closed,
-            last.ddd_dedup_hits
-        );
-    }
+    print_columns(last);
     for (i, shard) in shard_peaks.iter().enumerate() {
         println!(
             "shard {i}: peak {} states, {} arena, open depth {}",
@@ -875,25 +844,7 @@ fn top_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
         }
         println!("sortsynth top — {addr}");
         println!("{}", progress_line(frame, nodes_per_sec));
-        println!(
-            "generated={}  dedup={}  pruned: viability={} cut={} dead-write={} value-flow={}",
-            frame.generated,
-            frame.dedup_hits,
-            frame.viability_pruned,
-            frame.cut_pruned,
-            frame.dead_write_pruned,
-            frame.value_flow_pruned
-        );
-        if frame.spilled_bytes > 0 || frame.resumed_frontier_states > 0 {
-            println!(
-                "spill: {} on disk ({} open, {} closed, {} DDD dedups), resumed {}",
-                fmt_bytes(frame.spilled_bytes),
-                frame.spilled_open,
-                frame.spilled_closed,
-                frame.ddd_dedup_hits,
-                frame.resumed_frontier_states
-            );
-        }
+        print_columns(frame);
         for (i, shard) in frame.shards.iter().enumerate() {
             println!(
                 "shard {i}: {} states, {} arena, open depth {}",
@@ -903,6 +854,16 @@ fn top_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
             );
         }
     })
+}
+
+/// One `name: value` line per progress column, `-` for an absent value.
+fn print_columns(progress: &SearchProgress) {
+    for col in COLUMNS {
+        match (col.get)(progress) {
+            Some(value) => println!("{}: {value}", col.name),
+            None => println!("{}: -", col.name),
+        }
+    }
 }
 
 /// Human-readable byte count.

@@ -130,8 +130,6 @@ families! {
         "Search runs executed by the parallel layered engine.";
     SEARCH_ROUTED_TOTAL = "sortsynth_search_routed_total", Counter,
         "Successors handed to another worker's key partition.";
-    SEARCH_STEALS_TOTAL = "sortsynth_search_steals_total", Counter,
-        "Open entries stolen by idle parallel workers (the layered parallel engine never steals).";
     SEARCH_INTERNED_STATES_TOTAL = "sortsynth_search_interned_states_total", Counter,
         "Unique canonical states interned into search arenas.";
     SEARCH_SCRATCH_REUSED_TOTAL = "sortsynth_search_scratch_reused_total", Counter,

@@ -9,8 +9,7 @@ use std::time::{Duration, Instant};
 
 use sortsynth_isa::{Instr, Machine, MachineState, Op, Program};
 
-use sortsynth_obs::names;
-use sortsynth_obs::profile::{Phase, PhaseProbe, PHASE_COUNT};
+use sortsynth_obs::profile::{Phase, PhaseProbe};
 
 use crate::config::{Strategy, SynthesisConfig};
 use crate::distance::{DistanceTable, UNSORTABLE};
@@ -22,6 +21,7 @@ use crate::shard::{
 use crate::sizing::SizingTable;
 use crate::spill::ResumeError;
 use crate::state::{narrow_key, Assign, IndexBits, ProjScratch};
+use crate::stats::{SearchStats, ShardStats};
 
 /// How a synthesis run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,282 +54,6 @@ pub struct ProgressSample {
     pub open_states: u64,
     /// Goal states found so far.
     pub solutions: u64,
-}
-
-/// Counters and timings for one synthesis run.
-#[derive(Debug, Clone, Default)]
-pub struct SearchStats {
-    /// States produced by applying an instruction (before any pruning).
-    pub generated: u64,
-    /// States whose successors were explored.
-    pub expanded: u64,
-    /// Successors dropped because an equivalent state was already known
-    /// (§3.6).
-    pub dedup_hits: u64,
-    /// Successors dropped by the viability checks (§3.3).
-    pub viability_pruned: u64,
-    /// Successors dropped by the cut (§3.5).
-    pub cut_pruned: u64,
-    /// Successors skipped by the liveness-based dead-write cut
-    /// ([`SynthesisConfig::dead_write_cut`]): the appended instruction would
-    /// have made the parent edge's instruction dead.
-    pub dead_write_pruned: u64,
-    /// Successors skipped by the symbolic value-flow cut
-    /// ([`SynthesisConfig::value_flow_cut`]): the appended instruction was
-    /// proven effect-free on every assignment of the parent state (or
-    /// subsumed by the plain `mov` generated alongside it).
-    pub value_flow_pruned: u64,
-    /// Unique states kept (nodes in the solution DAG).
-    pub states_kept: u64,
-    /// The configuration asked for the distance table, but the machine has
-    /// too many actions for [`DistanceTable::supports`]: the search ran with
-    /// degraded pruning (no viability budget, no optimal-first-instruction
-    /// restriction, no `MaxRemaining` heuristic).
-    pub distance_table_skipped: bool,
-    /// Time spent building the machine's live space
-    /// ([`crate::LiveSpace`]) and the per-assignment distance table.
-    pub distance_build: Duration,
-    /// Total wall-clock time of the search (excluding table build).
-    pub search_time: Duration,
-    /// Progress samples (empty unless `progress_every > 0`).
-    pub progress: Vec<ProgressSample>,
-    /// Unique canonical states interned into the arenas, summed over the
-    /// shards (equals [`SearchStats::states_kept`]).
-    pub interned_states: u64,
-    /// Bytes of span storage held by the state arena(s) at the end of the
-    /// run (contiguous spans of 2-byte live indices, or of 8-byte
-    /// `MachineState`s on machines without a live space; per-state metadata
-    /// excluded).
-    pub arena_bytes: u64,
-    /// Expansions whose scratch buffers were served entirely from already-
-    /// reserved capacity — the steady-state, allocation-free path. The
-    /// complement (`expanded - scratch_reused`) counts the warm-up
-    /// expansions that grew a scratch or arena buffer.
-    pub scratch_reused: u64,
-    /// Successors filed for a key partition other than their parent's (0
-    /// with one partition).
-    pub routed: u64,
-    /// Always 0: the layered round loop splits each round through a shared
-    /// cursor and never steals. Kept so the counter block and its readers
-    /// keep their layout.
-    pub steals: u64,
-    /// Always 0: the layered round loop merges in frontier order at every
-    /// worker count, so its first goal is minimal without an incumbent
-    /// bound. Kept so the counter block and its readers keep their layout.
-    pub bound_pruned: u64,
-    /// Open entries discarded at pop without expansion: superseded by a
-    /// reopen at a shorter length, or overtaken by the length bound while
-    /// queued. Best-first runs count their pop-time skips here.
-    pub stale_pops: u64,
-    /// Cursor-advance steps the shards' bucketed open lists spent scanning
-    /// empty buckets/lanes. The amortized-O(1) selection claim is this
-    /// number staying small relative to [`SearchStats::expanded`].
-    pub bucket_scans: u64,
-    /// Stepping passes of up to 8 assignments, each through one action (a
-    /// live-index gather, or `MachineState::step` on machines without a
-    /// live space).
-    pub swar_batches: u64,
-    /// Frontier states whose assignment spans were written to a spill
-    /// segment instead of the arena (external-memory tier; 0 unless
-    /// [`SynthesisConfig::mem_budget_bytes`] is set on a layered run).
-    pub spilled_open: u64,
-    /// Closed-map entries evicted to sorted on-disk segments under budget
-    /// pressure.
-    pub spilled_closed: u64,
-    /// Frontier states deleted by delayed duplicate detection: they
-    /// duplicated a state whose closed-map entry had been evicted to disk.
-    /// These are dedup hits the resident map could no longer see.
-    pub ddd_dedup_hits: u64,
-    /// Frontier states restored from a resume journal
-    /// ([`SynthesisConfig::resume_from`]); 0 for non-resumed runs.
-    pub resumed_frontier_states: u64,
-    /// Growth reallocations of the arena's backing stores (span store, meta
-    /// store, closed map) after construction. A run pre-sized from the
-    /// sizing table pins this to zero after warm-up.
-    pub arena_reallocs: u64,
-    /// Bytes of closed-map storage reserved at end of run: capacity × the
-    /// 16-byte entry of a folded `u64` key and a `u32` id.
-    pub key_bytes: u64,
-    /// Bytes appended to spill segments (frontier spans + closed entries).
-    pub spilled_bytes: u64,
-    /// Spill segment files created over the run.
-    pub spill_segments: u64,
-    /// Estimated resident footprint at end of run: arena spans, closed map,
-    /// per-state metadata, and edges. The quantity the spill tier
-    /// holds under [`SynthesisConfig::mem_budget_bytes`].
-    pub resident_bytes: u64,
-    /// Per-partition counter blocks, in worker order, for runs with more
-    /// than one key partition; empty for one-shard runs (best-first, and
-    /// layered runs on one worker). The global counters above are the sums
-    /// of these (each shard owns a disjoint slice of the key space, so no
-    /// state is ever counted by two shards).
-    pub shards: Vec<ShardStats>,
-    /// Nanoseconds attributed to each engine phase by the instrumented
-    /// profiler, indexed by [`sortsynth_obs::profile::Phase`]. All zero
-    /// unless the profiler was enabled for the run
-    /// ([`sortsynth_obs::profile::set_enabled`]).
-    pub phase_nanos: [u64; PHASE_COUNT],
-}
-
-/// The counter block of one shard: the best-first driver's only shard, or
-/// one key partition of the layered round loop. The only counter type the
-/// search keeps — expansion fills the pruning counters,
-/// [`crate::shard::Shard::merge`] the merge dispositions — and the run's
-/// [`SearchStats`] totals are its sums. See [`SearchStats::shards`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// States of this partition that were expanded, by any worker: every
-    /// expansion-side counter is attributed to the partition that owns the
-    /// expanded state, so the per-shard figures are deterministic.
-    pub expanded: u64,
-    /// States generated by applying instructions to this partition's
-    /// states.
-    pub generated: u64,
-    /// Successors of this partition's states dropped by viability checks.
-    pub viability_pruned: u64,
-    /// Successors of this partition's states dropped by §3.5 cut checks.
-    pub cut_pruned: u64,
-    /// Successors of this partition's states skipped by the dead-write cut.
-    pub dead_write_pruned: u64,
-    /// Successors of this partition's states skipped by the value-flow cut.
-    pub value_flow_pruned: u64,
-    /// Candidates this shard disposed of as the owner of their keys.
-    pub merged: u64,
-    /// Candidates dropped by this shard's closed set (already known at an
-    /// equal or shorter length).
-    pub dedup_hits: u64,
-    /// Candidates re-admitted at a strictly shorter length than previously
-    /// recorded (the old open entry becomes stale).
-    pub reopened: u64,
-    /// Open entries discarded at pop without expansion: superseded by a
-    /// reopen, or overtaken by the length bound while queued. Summed into
-    /// [`SearchStats::stale_pops`] and `sortsynth_search_stale_pops_total`.
-    pub stale_pops: u64,
-    /// Always 0 (see [`SearchStats::bound_pruned`]); per shard
-    /// `merged == dedup_hits + reopened + bound_pruned + fresh states kept`
-    /// holds exactly (the root state is seeded, not merged).
-    pub bound_pruned: u64,
-    /// Unique states first recorded by this shard's closed set.
-    pub states_kept: u64,
-    /// Successors of this partition's states filed for another key
-    /// partition.
-    pub routed: u64,
-    /// Always 0 (see [`SearchStats::steals`]).
-    pub steals: u64,
-    /// Expansions of this partition's states served entirely from
-    /// already-reserved scratch capacity (see
-    /// [`SearchStats::scratch_reused`]).
-    pub scratch_reused: u64,
-    /// Stepping passes of up to 8 assignments taken by expansions of this
-    /// partition's states (see [`SearchStats::swar_batches`]).
-    pub swar_batches: u64,
-    /// Frontier spans this shard's spill tier wrote to disk (see
-    /// [`SearchStats::spilled_open`]).
-    pub spilled_open: u64,
-    /// Closed-map entries this shard's spill tier evicted to disk.
-    pub spilled_closed: u64,
-    /// Fresh states deleted by delayed duplicate detection.
-    pub ddd_dedup_hits: u64,
-    /// Bytes appended to this shard's spill segments.
-    pub spilled_bytes: u64,
-    /// Spill segment files this shard created.
-    pub spill_segments: u64,
-}
-
-impl ShardStats {
-    /// Number of counters in the block.
-    pub(crate) const LEN: usize = 21;
-
-    /// Every counter, in declaration order — the journal's persisted form.
-    /// The destructure is exhaustive, so a counter added to the block does
-    /// not compile until it is listed here (and so persisted).
-    pub(crate) fn to_array(&self) -> [u64; Self::LEN] {
-        let ShardStats {
-            expanded,
-            generated,
-            viability_pruned,
-            cut_pruned,
-            dead_write_pruned,
-            value_flow_pruned,
-            merged,
-            dedup_hits,
-            reopened,
-            stale_pops,
-            bound_pruned,
-            states_kept,
-            routed,
-            steals,
-            scratch_reused,
-            swar_batches,
-            spilled_open,
-            spilled_closed,
-            ddd_dedup_hits,
-            spilled_bytes,
-            spill_segments,
-        } = *self;
-        [
-            expanded,
-            generated,
-            viability_pruned,
-            cut_pruned,
-            dead_write_pruned,
-            value_flow_pruned,
-            merged,
-            dedup_hits,
-            reopened,
-            stale_pops,
-            bound_pruned,
-            states_kept,
-            routed,
-            steals,
-            scratch_reused,
-            swar_batches,
-            spilled_open,
-            spilled_closed,
-            ddd_dedup_hits,
-            spilled_bytes,
-            spill_segments,
-        ]
-    }
-
-    /// The inverse of [`ShardStats::to_array`]: a struct literal, so a
-    /// counter added to the block does not compile until it is read back.
-    pub(crate) fn from_array(counters: [u64; Self::LEN]) -> ShardStats {
-        let mut counters = counters.into_iter();
-        let mut next = || counters.next().expect("one value per counter");
-        ShardStats {
-            expanded: next(),
-            generated: next(),
-            viability_pruned: next(),
-            cut_pruned: next(),
-            dead_write_pruned: next(),
-            value_flow_pruned: next(),
-            merged: next(),
-            dedup_hits: next(),
-            reopened: next(),
-            stale_pops: next(),
-            bound_pruned: next(),
-            states_kept: next(),
-            routed: next(),
-            steals: next(),
-            scratch_reused: next(),
-            swar_batches: next(),
-            spilled_open: next(),
-            spilled_closed: next(),
-            ddd_dedup_hits: next(),
-            spilled_bytes: next(),
-            spill_segments: next(),
-        }
-    }
-
-    /// Adds `other` into `self`, counter by counter.
-    pub(crate) fn add(&mut self, other: &ShardStats) {
-        let mut sum = self.to_array();
-        for (s, o) in sum.iter_mut().zip(other.to_array()) {
-            *s += o;
-        }
-        *self = ShardStats::from_array(sum);
-    }
 }
 
 /// The deduplicated search DAG with its goal nodes; every root-to-goal path
@@ -573,13 +297,13 @@ fn presize_estimate(machine: &Machine) -> (usize, usize) {
 }
 
 /// Pre-sizes each of a run's shards (its key partitions) so steady-state
-/// interning does not reallocate: from the sizing row recorded for this
-/// shard count, split evenly with 1/8 headroom (hash partitioning is never
-/// perfectly balanced); else, for a run with a distance table and no
+/// interning does not reallocate: from the sizing row recorded for the
+/// machine, split evenly over the shards with 1/8 headroom (hash
+/// partitioning is never perfectly balanced); else, for a run with a distance table and no
 /// memory budget, from [`presize_estimate`], split evenly.
 pub(crate) fn presize<A: Assign>(cfg: &SynthesisConfig, has_table: bool, shards: &mut [Shard<A>]) {
     let parts = shards.len();
-    let (states, assigns) = match SizingTable::row_for(cfg, parts as u32) {
+    let (states, assigns) = match SizingTable::row_for(cfg) {
         Some(row) => {
             let per = |total: u64, floor: usize| {
                 let even = total as usize / parts;
@@ -1007,7 +731,7 @@ fn run_astar<A: Assign>(
     // Open entries spread over a handful of hot (f, g) lanes; a quarter of
     // the recorded peak per lane covers the densest one without
     // over-reserving the rest.
-    let lane_hint = SizingTable::row_for(cfg, 1).map_or(0, |r| (r.open_depth / 4) as usize);
+    let lane_hint = SizingTable::row_for(cfg).map_or(0, |r| (r.open_depth / 4) as usize);
     let mut shard = Shard::<A>::new(cfg, open_f_hint(bound, table.as_ref()), lane_hint);
     presize(cfg, table.is_some(), std::slice::from_mut(&mut shard));
     let min_perm = MinPerm::new();
@@ -1103,65 +827,6 @@ fn run_astar<A: Assign>(
     };
     let stats = frame.finish(throttle, std::slice::from_ref(&shard), stats, &probe, end);
     SolutionDag::from_shard(shard, actions).into_result(cfg, outcome, stats)
-}
-
-/// Adds one run's totals to the process-wide metric families. Called once
-/// per run, by [`RunFrame::finish`]; each family's kind and help text come
-/// from the [`names::FAMILIES`] table.
-pub(crate) fn publish_search_metrics(stats: &SearchStats, outcome: Outcome) {
-    let parallel = !stats.shards.is_empty();
-    for (name, value) in [
-        (names::SEARCH_RUNS_TOTAL, 1),
-        (names::SEARCH_EXPANDED_TOTAL, stats.expanded),
-        (names::SEARCH_GENERATED_TOTAL, stats.generated),
-        (names::SEARCH_VIABILITY_PRUNED_TOTAL, stats.viability_pruned),
-        (names::SEARCH_CUT_PRUNED_TOTAL, stats.cut_pruned),
-        (
-            names::SEARCH_DEAD_WRITE_PRUNED_TOTAL,
-            stats.dead_write_pruned,
-        ),
-        (
-            names::SEARCH_VALUE_FLOW_PRUNED_TOTAL,
-            stats.value_flow_pruned,
-        ),
-        (names::SEARCH_DEDUP_HITS_TOTAL, stats.dedup_hits),
-        (names::SEARCH_INTERNED_STATES_TOTAL, stats.interned_states),
-        (names::SEARCH_SCRATCH_REUSED_TOTAL, stats.scratch_reused),
-        (names::SEARCH_STALE_POPS_TOTAL, stats.stale_pops),
-        (names::SEARCH_BUCKET_SCANS_TOTAL, stats.bucket_scans),
-        (names::SEARCH_SWAR_BATCHES_TOTAL, stats.swar_batches),
-        (names::SEARCH_ARENA_BYTES, stats.arena_bytes),
-        (names::SEARCH_RESIDENT_BYTES, stats.resident_bytes),
-        (names::SEARCH_SPILLED_BYTES, stats.spilled_bytes),
-        (names::SEARCH_SPILL_SEGMENTS, stats.spill_segments),
-        (names::SEARCH_SPILLED_OPEN_TOTAL, stats.spilled_open),
-        (names::SEARCH_SPILLED_CLOSED_TOTAL, stats.spilled_closed),
-        (names::SEARCH_DDD_DEDUP_HITS_TOTAL, stats.ddd_dedup_hits),
-        (
-            names::SEARCH_RESUMED_FRONTIER_TOTAL,
-            stats.resumed_frontier_states,
-        ),
-    ] {
-        names::publish(name, value);
-    }
-    // Families that only count some runs.
-    for (name, applies) in [
-        (
-            names::SEARCH_DISTANCE_TABLE_SKIPPED_TOTAL,
-            stats.distance_table_skipped,
-        ),
-        (names::SEARCH_CANCELLED_TOTAL, outcome == Outcome::Cancelled),
-        (names::SEARCH_PARALLEL_RUNS_TOTAL, parallel),
-    ] {
-        if applies {
-            names::publish(name, 1);
-        }
-    }
-    if parallel {
-        names::publish(names::SEARCH_ROUTED_TOTAL, stats.routed);
-        names::publish(names::SEARCH_STEALS_TOTAL, stats.steals);
-    }
-    sortsynth_obs::profile::publish_phase_nanos(&stats.phase_nanos);
 }
 
 /// Whether the symbolic value-flow cut may discard `instr` as a successor of

@@ -59,8 +59,8 @@ use sortsynth_obs::profile::{Phase, PhaseProbe};
 use crate::config::SynthesisConfig;
 use crate::distance::DistanceTable;
 use crate::engine::{
-    build_distance_table, presize, ExpandCtx, ExpandScratch, Outcome, SearchStats, ShardStats,
-    SolutionDag, SuccMeta, SuccessorBuf, SynthesisResult,
+    build_distance_table, presize, ExpandCtx, ExpandScratch, Outcome, SolutionDag, SuccMeta,
+    SuccessorBuf, SynthesisResult,
 };
 use crate::shard::{
     parent_idx, parent_ref, parent_shard, Closing, Merged, MinPerm, ParentRef, RunFrame, Shard,
@@ -68,6 +68,7 @@ use crate::shard::{
 };
 use crate::spill::{self, ResumeError, SpanStream, SpillTier};
 use crate::state::{narrow_key, Assign};
+use crate::stats::{SearchStats, ShardStats};
 
 /// Frontier positions a worker claims from the round cursor at a time.
 const CHUNK: usize = 8;

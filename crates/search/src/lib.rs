@@ -54,14 +54,14 @@ mod sizing;
 mod solutions;
 mod spill;
 mod state;
+mod stats;
 
 pub use bucket::BucketQueue;
 pub use budget::{CancelHandle, SearchBudget};
 pub use config::{Cut, Heuristic, Strategy, SynthesisConfig};
 pub use distance::{ActionSet, DistanceTable, UNSORTABLE};
 pub use engine::{
-    synthesize, try_synthesize, Outcome, ProgressSample, SearchStats, ShardStats, SolutionDag,
-    SynthesisResult,
+    synthesize, try_synthesize, Outcome, ProgressSample, SolutionDag, SynthesisResult,
 };
 pub use live::{LiveSpace, NONE};
 pub use lower_bound::{prove_no_solution, prove_optimal_length, BoundVerdict, LowerBoundResult};
@@ -71,6 +71,7 @@ pub use solutions::{
 };
 pub use spill::ResumeError;
 pub use state::{live_key, narrow_key, StateSet};
+pub use stats::{SearchStats, ShardStats};
 
 #[cfg(test)]
 mod tests {

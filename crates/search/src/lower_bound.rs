@@ -10,7 +10,8 @@ use std::time::Duration;
 use sortsynth_isa::Machine;
 
 use crate::config::{Strategy, SynthesisConfig};
-use crate::engine::{synthesize, Outcome, SearchStats};
+use crate::engine::{synthesize, Outcome};
+use crate::stats::SearchStats;
 
 /// Verdict of a lower-bound exhaustion run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -17,9 +17,10 @@
 //!   shorter length, and fresh insert with the spill decision. It reports
 //!   a queued state's id; the caller decides where it goes next (the open
 //!   list, or the round loop's next layer).
-//! * [`ShardStats`] is the only counter block. Each shard owns one; the
-//!   run's [`SearchStats`] totals and every progress snapshot are folded
-//!   from them by one fold, `RunFrame::fold`.
+//! * [`ShardStats`] is the only counter block, declared in
+//!   [`crate::stats`]. Each shard owns one; the run's [`SearchStats`]
+//!   totals and every progress snapshot are folded from them by one fold,
+//!   `RunFrame::fold`.
 //! * [`RunFrame`] owns the deadline and the limit precedence, builds every
 //!   progress snapshot, and finishes every run; [`Throttle`] is the
 //!   progress throttle, owned by whichever thread emits snapshots.
@@ -31,18 +32,20 @@ use std::time::{Duration, Instant};
 
 use sortsynth_isa::Machine;
 use sortsynth_obs::profile::{Phase, PhaseProbe};
+use sortsynth_obs::progress::COLUMNS;
 use sortsynth_obs::ShardSnapshot;
 
 use crate::bucket::BucketQueue;
 use crate::config::{Cut, Heuristic, Strategy, SynthesisConfig};
 use crate::distance::DistanceTable;
-use crate::engine::{publish_search_metrics, Outcome, ProgressSample, SearchStats, ShardStats};
+use crate::engine::{Outcome, ProgressSample};
 use crate::heuristics::heuristic_from_meta;
 use crate::intern::StateArena;
 use crate::progress::{deliver, delivery_active, SearchProgress};
 use crate::sizing::{SizingRow, SizingTable};
 use crate::spill::SpillTier;
 use crate::state::{narrow_key, Assign, ProjScratch};
+use crate::stats::{publish_search_metrics, SearchStats, ShardStats};
 
 /// Default progress-emission throttle (expansions between snapshots) when
 /// [`SynthesisConfig::progress_every`] is 0.
@@ -423,8 +426,8 @@ impl<'a> RunFrame<'a> {
         None
     }
 
-    /// The one fold over the shards: sums their counter blocks and their
-    /// arena and memory figures into `stats`, and returns one
+    /// The one fold over the shards: sums their counter blocks into the
+    /// totals of `stats`, adds their arena and memory figures, and returns one
     /// snapshot row per shard. Live snapshots and the run's final totals
     /// both come from here.
     fn fold<A: Assign, S: Deref<Target = Shard<A>>>(
@@ -445,25 +448,7 @@ impl<'a> RunFrame<'a> {
             stats.resident_bytes += shard.resident_bytes();
             stats.bucket_scans += shard.open.scans();
         }
-        stats.expanded = total.expanded;
-        stats.generated = total.generated;
-        stats.dedup_hits = total.dedup_hits;
-        stats.viability_pruned = total.viability_pruned;
-        stats.cut_pruned = total.cut_pruned;
-        stats.dead_write_pruned = total.dead_write_pruned;
-        stats.value_flow_pruned = total.value_flow_pruned;
-        stats.states_kept = total.states_kept;
-        stats.scratch_reused = total.scratch_reused;
-        stats.swar_batches = total.swar_batches;
-        stats.stale_pops = total.stale_pops;
-        stats.routed = total.routed;
-        stats.steals = total.steals;
-        stats.bound_pruned = total.bound_pruned;
-        stats.spilled_open = total.spilled_open;
-        stats.spilled_closed = total.spilled_closed;
-        stats.ddd_dedup_hits = total.ddd_dedup_hits;
-        stats.spilled_bytes = total.spilled_bytes;
-        stats.spill_segments = total.spill_segments;
+        stats.set_totals(&total);
         stats.resumed_frontier_states = self.resumed_frontier_states;
         rows
     }
@@ -477,28 +462,25 @@ impl<'a> RunFrame<'a> {
         f_bound: Option<u64>,
         finished: Option<Outcome>,
     ) -> SearchProgress {
-        SearchProgress {
+        let mut progress = SearchProgress {
             elapsed: self.start.elapsed(),
-            expanded: stats.expanded,
-            generated: stats.generated,
             open,
             f_bound,
-            viability_pruned: stats.viability_pruned,
-            cut_pruned: stats.cut_pruned,
-            dedup_hits: stats.dedup_hits,
-            dead_write_pruned: stats.dead_write_pruned,
-            value_flow_pruned: stats.value_flow_pruned,
-            spilled_open: stats.spilled_open,
-            spilled_closed: stats.spilled_closed,
-            ddd_dedup_hits: stats.ddd_dedup_hits,
             resumed_frontier_states: stats.resumed_frontier_states,
             resident_bytes: stats.resident_bytes,
-            spilled_bytes: stats.spilled_bytes,
             distance_table_skipped: self.table_skipped,
             finished: finished.is_some(),
             outcome: finished.map(|o| format!("{o:?}")),
             shards,
+            ..SearchProgress::default()
+        };
+        // Every other column is a counter of the block, read by name.
+        for col in COLUMNS {
+            if let Some(value) = stats.get(col.name) {
+                (col.set)(&mut progress, value);
+            }
         }
+        progress
     }
 
     /// One progress snapshot over `shards`, plus the `pending` counters
@@ -553,11 +535,9 @@ impl<'a> RunFrame<'a> {
                 let mut table = SizingTable::load(path);
                 table.record(
                     &self.cfg.machine,
-                    shards.len() as u32,
                     SizingRow {
                         states: stats.interned_states,
                         assigns: shards.iter().map(|s| s.arena.assign_len() as u64).sum(),
-                        arena_bytes: stats.arena_bytes,
                         open_depth: throttle.peak_open,
                     },
                 );

@@ -1,7 +1,9 @@
-//! Persisted arena-sizing table: per-(n, scratch, ISA, threads) high-water
-//! marks from completed runs, used to pre-size the state arena, node store,
-//! and open-list lanes so steady-state search never pays a growth
-//! reallocation spike.
+//! Persisted arena-sizing table: per-(n, scratch, ISA) high-water marks
+//! from completed runs, used to pre-size the state arena, node store, and
+//! open-list lanes so steady-state search never pays a growth reallocation
+//! spike. A solved or exhausted layered run interns the same states at
+//! every worker count, so the worker count is not part of the key: a run
+//! splits the recorded totals over its own partitions.
 //!
 //! The table is a tiny human-readable text file (one row per
 //! configuration), written next to the kernel cache when the CLI/service
@@ -19,7 +21,7 @@ use sortsynth_isa::{IsaMode, Machine};
 use crate::config::SynthesisConfig;
 
 /// First line of the sizing file; a file with any other header is ignored.
-const HEADER: &str = "# sortsynth sizing v1";
+const HEADER: &str = "# sortsynth sizing v2";
 
 /// One configuration's identity in the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,16 +29,14 @@ pub(crate) struct SizingKey {
     pub n: u8,
     pub scratch: u8,
     pub minmax: bool,
-    pub threads: u32,
 }
 
 impl SizingKey {
-    fn of(machine: &Machine, threads: u32) -> SizingKey {
+    fn of(machine: &Machine) -> SizingKey {
         SizingKey {
             n: machine.n(),
             scratch: machine.scratch(),
             minmax: machine.mode() == IsaMode::MinMax,
-            threads,
         }
     }
 }
@@ -48,8 +48,6 @@ pub(crate) struct SizingRow {
     pub states: u64,
     /// Total assignments held by the arena's span store.
     pub assigns: u64,
-    /// Assignment bytes reserved at end of run.
-    pub arena_bytes: u64,
     /// Peak open-list / frontier depth.
     pub open_depth: u64,
 }
@@ -58,7 +56,6 @@ impl SizingRow {
     fn max_merge(&mut self, other: SizingRow) {
         self.states = self.states.max(other.states);
         self.assigns = self.assigns.max(other.assigns);
-        self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
         self.open_depth = self.open_depth.max(other.open_depth);
     }
 }
@@ -87,7 +84,7 @@ impl SizingTable {
                 continue;
             }
             let f: Vec<&str> = line.split_whitespace().collect();
-            if f.len() != 8 {
+            if f.len() != 6 {
                 continue;
             }
             let parsed = (|| {
@@ -99,13 +96,11 @@ impl SizingTable {
                         "minmax" => true,
                         _ => return None,
                     },
-                    threads: f[3].parse().ok()?,
                 };
                 let row = SizingRow {
-                    states: f[4].parse().ok()?,
-                    assigns: f[5].parse().ok()?,
-                    arena_bytes: f[6].parse().ok()?,
-                    open_depth: f[7].parse().ok()?,
+                    states: f[3].parse().ok()?,
+                    assigns: f[4].parse().ok()?,
+                    open_depth: f[5].parse().ok()?,
                 };
                 Some((key, row))
             })();
@@ -123,22 +118,22 @@ impl SizingTable {
         }
     }
 
-    /// The row recorded for `cfg`'s machine at `threads` workers, from the
-    /// table at [`SynthesisConfig::sizing_path`] (none when unset).
-    pub fn row_for(cfg: &SynthesisConfig, threads: u32) -> Option<SizingRow> {
+    /// The row recorded for `cfg`'s machine, from the table at
+    /// [`SynthesisConfig::sizing_path`] (none when unset).
+    pub fn row_for(cfg: &SynthesisConfig) -> Option<SizingRow> {
         let path = cfg.sizing_path.as_deref()?;
-        SizingTable::load(path).lookup(&cfg.machine, threads)
+        SizingTable::load(path).lookup(&cfg.machine)
     }
 
-    /// The recorded high-water marks for `machine` at `threads` workers.
-    pub fn lookup(&self, machine: &Machine, threads: u32) -> Option<SizingRow> {
-        let key = SizingKey::of(machine, threads);
+    /// The recorded high-water marks for `machine`.
+    pub fn lookup(&self, machine: &Machine) -> Option<SizingRow> {
+        let key = SizingKey::of(machine);
         self.rows.iter().find(|(k, _)| *k == key).map(|&(_, r)| r)
     }
 
     /// Max-merges one completed run's marks into the table.
-    pub fn record(&mut self, machine: &Machine, threads: u32, row: SizingRow) {
-        self.merge(SizingKey::of(machine, threads), row);
+    pub fn record(&mut self, machine: &Machine, row: SizingRow) {
+        self.merge(SizingKey::of(machine), row);
     }
 
     /// Atomically rewrites the file (tmp + rename). I/O errors are ignored:
@@ -147,19 +142,12 @@ impl SizingTable {
     pub fn save(&self, path: &Path) {
         let mut text = String::from(HEADER);
         text.push('\n');
-        text.push_str("# n scratch isa threads states assigns arena_bytes open_depth\n");
+        text.push_str("# n scratch isa states assigns open_depth\n");
         for (key, row) in &self.rows {
             let isa = if key.minmax { "minmax" } else { "cmov" };
             text.push_str(&format!(
-                "{} {} {} {} {} {} {} {}\n",
-                key.n,
-                key.scratch,
-                isa,
-                key.threads,
-                row.states,
-                row.assigns,
-                row.arena_bytes,
-                row.open_depth
+                "{} {} {} {} {} {}\n",
+                key.n, key.scratch, isa, row.states, row.assigns, row.open_depth
             ));
         }
         let tmp = path.with_extension("tmp");
@@ -190,24 +178,20 @@ mod tests {
         let m3 = Machine::new(3, 1, IsaMode::Cmov);
         let m3mm = Machine::new(3, 1, IsaMode::MinMax);
         let mut table = SizingTable::load(&path);
-        assert!(table.lookup(&m3, 1).is_none());
+        assert!(table.lookup(&m3).is_none());
         table.record(
             &m3,
-            1,
             SizingRow {
                 states: 100,
                 assigns: 600,
-                arena_bytes: 4800,
                 open_depth: 40,
             },
         );
         table.record(
             &m3mm,
-            4,
             SizingRow {
                 states: 50,
                 assigns: 300,
-                arena_bytes: 2400,
                 open_depth: 20,
             },
         );
@@ -215,59 +199,48 @@ mod tests {
 
         let mut loaded = SizingTable::load(&path);
         assert_eq!(
-            loaded.lookup(&m3, 1).unwrap(),
+            loaded.lookup(&m3).unwrap(),
             SizingRow {
                 states: 100,
                 assigns: 600,
-                arena_bytes: 4800,
                 open_depth: 40,
             }
         );
-        assert!(
-            loaded.lookup(&m3, 4).is_none(),
-            "threads are part of the key"
-        );
-        assert!(loaded.lookup(&m3mm, 4).is_some());
+        assert!(loaded.lookup(&m3mm).is_some());
+        assert!(loaded.lookup(&Machine::new(3, 2, IsaMode::Cmov)).is_none());
         // Max-merge: a smaller rerun never lowers the marks, a larger one
         // raises them fieldwise.
         loaded.record(
             &m3,
-            1,
             SizingRow {
                 states: 80,
                 assigns: 900,
-                arena_bytes: 100,
                 open_depth: 50,
             },
         );
-        let merged = loaded.lookup(&m3, 1).unwrap();
+        let merged = loaded.lookup(&m3).unwrap();
         assert_eq!(merged.states, 100);
         assert_eq!(merged.assigns, 900);
-        assert_eq!(merged.arena_bytes, 4800);
         assert_eq!(merged.open_depth, 50);
     }
 
     #[test]
     fn damaged_file_loads_as_empty() {
         let path = tmp("bad");
-        fs::write(&path, "not a sizing file\n3 1 cmov 1 1 1 1 1\n").unwrap();
-        let table = SizingTable::load(&path);
-        assert!(table
-            .lookup(&Machine::new(3, 1, IsaMode::Cmov), 1)
-            .is_none());
+        let m3 = Machine::new(3, 1, IsaMode::Cmov);
+        fs::write(&path, "not a sizing file\n3 1 cmov 10 60 7\n").unwrap();
+        assert!(SizingTable::load(&path).lookup(&m3).is_none());
+        // A v1 file (with its threads and arena_bytes columns) reads as
+        // empty: the next run warms up once and rewrites it.
+        fs::write(&path, "# sortsynth sizing v1\n3 1 cmov 1 10 60 480 7\n").unwrap();
+        assert!(SizingTable::load(&path).lookup(&m3).is_none());
         // Bad rows under a good header are skipped, good rows kept.
-        fs::write(
-            &path,
-            format!("{HEADER}\ngarbage row\n3 1 cmov 1 10 60 480 7\n"),
-        )
-        .unwrap();
-        let table = SizingTable::load(&path);
+        fs::write(&path, format!("{HEADER}\ngarbage row\n3 1 cmov 10 60 7\n")).unwrap();
         assert_eq!(
-            table.lookup(&Machine::new(3, 1, IsaMode::Cmov), 1).unwrap(),
+            SizingTable::load(&path).lookup(&m3).unwrap(),
             SizingRow {
                 states: 10,
                 assigns: 60,
-                arena_bytes: 480,
                 open_depth: 7,
             }
         );

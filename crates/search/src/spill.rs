@@ -64,9 +64,9 @@ use sortsynth_obs::segment::{self, fnv1a, SegmentError, SegmentReader, SegmentWr
 use sortsynth_obs::Histogram;
 
 use crate::config::SynthesisConfig;
-use crate::engine::ShardStats;
 use crate::shard::{parent_idx, parent_ref, Edge, MinPerm, Shard, PARENT_NONE};
 use crate::state::Assign;
+use crate::stats::ShardStats;
 
 /// Magic for frontier-span segments.
 pub(crate) const FRONTIER_MAGIC: &[u8; 8] = b"SSSPILLF";

@@ -218,7 +218,6 @@ fn search_metric_families_are_pinned() {
             "# TYPE sortsynth_search_spilled_closed_total counter",
             "# TYPE sortsynth_search_spilled_open_total counter",
             "# TYPE sortsynth_search_stale_pops_total counter",
-            "# TYPE sortsynth_search_steals_total counter",
             "# TYPE sortsynth_search_swar_batches_total counter",
             "# TYPE sortsynth_search_value_flow_pruned_total counter",
             "# TYPE sortsynth_search_viability_pruned_total counter",
