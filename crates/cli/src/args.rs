@@ -61,7 +61,6 @@ const VALUED: &[&str] = &[
     "data",
     "len",
     "budget-states",
-    "strategy",
     "timeout",
     "cache-dir",
     "addr",
@@ -247,8 +246,10 @@ mod tests {
 
     #[test]
     fn unknown_options_are_rejected() {
-        let err = parse(&strings(&["synth", "--maxlen", "9"])).unwrap_err();
-        assert!(err.to_string().contains("--maxlen"), "{err}");
+        for option in ["--maxlen", "--strategy"] {
+            let err = parse(&strings(&["synth", option, "9"])).unwrap_err();
+            assert!(err.to_string().contains(option), "{err}");
+        }
     }
 
     #[test]

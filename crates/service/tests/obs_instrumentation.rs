@@ -28,9 +28,11 @@ fn coalesced_requests_emit_one_search_span_and_n_minus_1_coalesced_increments() 
     .expect("bind")
     .spawn();
     let addr = handle.addr();
-    // A cold query whose search takes milliseconds — long enough that all
-    // eight concurrent requests join the flight before the leader finishes.
-    let query = KernelQuery::best(3, 2, IsaMode::MinMax);
+    // A cold query whose search takes a quarter second in release, far
+    // longer than eight clients need to connect and join the flight. (A
+    // query that finishes in a few milliseconds lets late clients miss the
+    // flight and hit the cache instead.)
+    let query = KernelQuery::best(4, 1, IsaMode::Cmov);
 
     let coalesced_before =
         sortsynth_obs::registry().counter_value(names::SINGLEFLIGHT_COALESCED_TOTAL);
