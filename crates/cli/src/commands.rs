@@ -4,6 +4,7 @@ use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use serde::Value;
 use sortsynth_cache::{CutSpec, KernelQuery};
 use sortsynth_isa::{analyze, sampling_score, InstrMix, Machine, Program, ThroughputModel};
 use sortsynth_jit::JitKernel;
@@ -445,11 +446,7 @@ fn run(args: &ParsedArgs) -> Result<(), ArgsError> {
 
 fn serve(args: &ParsedArgs) -> Result<(), ArgsError> {
     let config = ServiceConfig {
-        addr: args
-            .options
-            .get("addr")
-            .cloned()
-            .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
+        addr: addr(args),
         workers: args.num::<usize>("workers")?.unwrap_or(4),
         queue_depth: args.num::<usize>("queue-depth")?.unwrap_or(64),
         cache_dir: args.options.get("cache-dir").map(PathBuf::from),
@@ -495,19 +492,25 @@ fn read_text(source: Option<&String>) -> Result<String, ArgsError> {
     }
 }
 
+/// The `--addr` option, defaulting to the server's default listen address.
+fn addr(args: &ParsedArgs) -> String {
+    let addr = args.options.get("addr").cloned();
+    addr.unwrap_or_else(|| ServiceConfig::default().addr)
+}
+
+/// Connects to the server at `addr`.
+fn connect(addr: &str) -> Result<Client, ArgsError> {
+    Client::connect(addr).map_err(|e| ArgsError::new(format!("connect {addr}: {e}")))
+}
+
 fn client_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
-    let addr = args
-        .options
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    let addr = addr(args);
     let op = args.positional.first().map(String::as_str).ok_or_else(|| {
         ArgsError::new(
             "client needs an operation: ping | synth | check | analyze | metrics | stats | watch",
         )
     })?;
-    let mut client = Client::connect(addr.as_str())
-        .map_err(|e| ArgsError::new(format!("connect {addr}: {e}")))?;
+    let mut client = connect(&addr)?;
     let response = match op {
         "ping" => client.ping(),
         "metrics" => client.metrics(),
@@ -611,9 +614,6 @@ fn stream_watch(
                     return Ok(());
                 }
             }
-            Response::Error { message } => {
-                return Err(ArgsError::new(format!("server error: {message}")))
-            }
             other => return render_response(other),
         }
     }
@@ -621,17 +621,8 @@ fn stream_watch(
 
 /// `sortsynth stats`: query a running server for its live counters.
 fn stats_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
-    let addr = args
-        .options
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let mut client = Client::connect(addr.as_str())
-        .map_err(|e| ArgsError::new(format!("connect {addr}: {e}")))?;
-    let response = client
-        .stats()
-        .map_err(|e| ArgsError::new(format!("request: {e}")))?;
-    render_response(response)
+    let response = connect(&addr(args))?.stats();
+    render_response(response.map_err(|e| ArgsError::new(format!("request: {e}")))?)
 }
 
 /// `sortsynth profile`: run one search with the phase profiler enabled and
@@ -757,7 +748,7 @@ fn inspect_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
         .unwrap_or((0, 0));
 
     if args.flag("json") {
-        use serde::{Serialize, Value};
+        use serde::Serialize;
         let shards = shard_peaks
             .iter()
             .map(|s| {
@@ -829,13 +820,8 @@ fn inspect_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
 /// place on a terminal and degrading to one line per frame in a pipe.
 fn top_cmd(args: &ParsedArgs) -> Result<(), ArgsError> {
     use std::io::IsTerminal;
-    let addr = args
-        .options
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let mut client = Client::connect(addr.as_str())
-        .map_err(|e| ArgsError::new(format!("connect {addr}: {e}")))?;
+    let addr = addr(args);
+    let mut client = connect(&addr)?;
     let clear = std::io::stdout().is_terminal();
     stream_watch(&mut client, args, move |frame, nodes_per_sec| {
         if clear {
@@ -977,27 +963,15 @@ fn render_response(response: Response) -> Result<(), ArgsError> {
             Ok(())
         }
         Response::Stats(s) => {
-            println!(
-                "uptime                 : {:.1} s",
-                s.uptime_ms as f64 / 1000.0
-            );
-            println!("queue depth            : {}", s.queue_depth);
-            println!("inflight               : {}", s.inflight);
-            println!("requests total         : {}", s.requests_total);
-            println!("requests shed          : {}", s.shed_total);
-            println!("worker panics          : {}", s.worker_panics);
-            println!("searches started       : {}", s.searches_started);
-            println!("singleflight coalesced : {}", s.singleflight_coalesced);
-            println!("cache memory hits      : {}", s.cache_memory_hits);
-            println!("cache disk hits        : {}", s.cache_disk_hits);
-            println!("cache misses           : {}", s.cache_misses);
-            println!("cache insertions       : {}", s.cache_insertions);
-            println!("cache evictions        : {}", s.cache_evictions);
-            println!("cache verify rejected  : {}", s.cache_verify_rejected);
-            println!("cache verify skipped   : {}", s.cache_verify_skipped);
-            println!("portfolio races        : {}", s.portfolio_races);
-            println!("portfolio wins         : {}", s.portfolio_wins);
-            println!("portfolio widened      : {}", s.portfolio_widened);
+            // One `name: value` line per scalar row of the reply's table;
+            // the dispatch table, its one list, prints as a block below.
+            for (name, value) in s.entries() {
+                if !matches!(value, Value::Seq(_)) {
+                    let value = serde_json::to_string(&value)
+                        .expect("value-tree serialization is infallible");
+                    println!("{name}: {value}");
+                }
+            }
             if !s.portfolio.is_empty() {
                 println!("dispatch table (shape backend wins losses cancelled millis):");
                 for row in &s.portfolio {

@@ -12,6 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
+use serde::{Deserialize, Error, Serialize, Value};
 use sortsynth_cache::{fnv1a, CacheEntry, CutSpec, KernelCache, KernelQuery};
 use sortsynth_isa::Program;
 use sortsynth_search::{Cut, SearchBudget, SearchStats, SynthesisConfig, SynthesisResult};
@@ -126,6 +127,29 @@ pub struct Timeout {
     pub elapsed_ms: u64,
     /// `true` if the budget was cancelled rather than timing out.
     pub cancelled: bool,
+}
+
+/// The service's `timeout` reply carries these keys next to its tag.
+impl Serialize for Timeout {
+    fn serialize(&self) -> Value {
+        Value::map([
+            ("generated", self.generated.serialize()),
+            ("expanded", self.expanded.serialize()),
+            ("elapsed_ms", self.elapsed_ms.serialize()),
+            ("cancelled", self.cancelled.serialize()),
+        ])
+    }
+}
+
+impl Deserialize for Timeout {
+    fn deserialize(value: &Value) -> Result<Self, Error> {
+        Ok(Timeout {
+            generated: u64::deserialize(value.required("generated")?)?,
+            expanded: u64::deserialize(value.required("expanded")?)?,
+            elapsed_ms: u64::deserialize(value.required("elapsed_ms")?)?,
+            cancelled: bool::deserialize(value.required("cancelled")?)?,
+        })
+    }
 }
 
 /// One answered query.

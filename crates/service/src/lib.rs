@@ -5,8 +5,9 @@
 //! few-dozen-instruction answer, so the serving problem is dominated by
 //! three concerns, each owned by one module:
 //!
-//! * [`proto`] — a length-prefixed JSON wire protocol for `synth` / `check`
-//!   / `analyze` requests;
+//! * [`proto`] — a length-prefixed JSON wire protocol, each message
+//!   declared once as a table row (`synth`, `check`, `analyze`, the
+//!   `metrics` / `stats` / `watch` observability verbs, …);
 //! * [`singleflight`] — concurrent identical queries coalesce onto a single
 //!   search; combined with the persistent [`sortsynth_cache::KernelCache`],
 //!   a cold query is searched exactly once no matter how many clients race;

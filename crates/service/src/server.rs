@@ -379,7 +379,7 @@ fn worker_loop(jobs: Receiver<Job>, shared: Arc<Shared>) {
                 // move on to the next request. An unwinding search leader
                 // drops its flight token, which releases any followers.
                 let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute(&shared, &job)
+                    execute(&shared, &job.request, job.deadline, job.span_id)
                 }))
                 .unwrap_or_else(|payload| {
                     shared.worker_panics.fetch_add(1, Ordering::Relaxed);
@@ -397,37 +397,6 @@ fn worker_loop(jobs: Receiver<Job>, shared: Arc<Shared>) {
             Err(channel::RecvTimeoutError::Timeout) => continue,
             Err(channel::RecvTimeoutError::Disconnected) => return,
         }
-    }
-}
-
-/// Wire tag of a request, for span fields.
-fn op_name(request: &Request) -> &'static str {
-    match request {
-        Request::Ping => "ping",
-        Request::Synth { .. } => "synth",
-        Request::Check { .. } => "check",
-        Request::Analyze { .. } => "analyze",
-        Request::Sleep { .. } => "sleep",
-        Request::Metrics => "metrics",
-        Request::Stats => "stats",
-        Request::Watch { .. } => "watch",
-    }
-}
-
-/// Wire tag of a response, for span fields.
-fn response_name(response: &Response) -> &'static str {
-    match response {
-        Response::Pong => "pong",
-        Response::Synth(_) => "synth",
-        Response::Check(_) => "check",
-        Response::Analyze(_) => "analyze",
-        Response::Timeout(_) => "timeout",
-        Response::Overloaded => "overloaded",
-        Response::Slept => "slept",
-        Response::Metrics { .. } => "metrics",
-        Response::Stats(_) => "stats",
-        Response::Progress(_) => "progress",
-        Response::Error { .. } => "error",
     }
 }
 
@@ -496,18 +465,8 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         // queue: a scrape must keep working precisely when the server is
         // overloaded and sheds everything else.
         match &request {
-            Request::Metrics => {
-                let response = Response::Metrics {
-                    text: sortsynth_obs::registry().render_prometheus(),
-                };
-                if write_message(&mut writer, &response).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Request::Stats => {
-                let response = Response::Stats(shared.stats_reply());
-                if write_message(&mut writer, &response).is_err() {
+            Request::Metrics | Request::Stats => {
+                if write_message(&mut writer, &execute(&shared, &request, None, 0)).is_err() {
                     return;
                 }
                 continue;
@@ -524,7 +483,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             }
             _ => {}
         }
-        let span = Span::root_with("request", &[("op", FieldValue::Static(op_name(&request)))]);
+        let span = Span::root_with("request", &[("op", FieldValue::Static(request.tag()))]);
         let accepted = Instant::now();
         let deadline = admission_deadline(&shared, &request);
         let (reply_tx, reply_rx) = channel::bounded::<Response>(1);
@@ -557,10 +516,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             },
         };
         names::histogram(names::REQUEST_SECONDS).observe_duration(accepted.elapsed());
-        span.event(
-            "reply",
-            &[("type", FieldValue::Static(response_name(&response)))],
-        );
+        span.event("reply", &[("type", FieldValue::Static(response.tag()))]);
         drop(span);
         if write_message(&mut writer, &response).is_err() {
             return;
@@ -628,8 +584,13 @@ fn admission_deadline(shared: &Shared, request: &Request) -> Option<Instant> {
     }
 }
 
-fn execute(shared: &Shared, job: &Job) -> Response {
-    match &job.request {
+fn execute(
+    shared: &Shared,
+    request: &Request,
+    deadline: Option<Instant>,
+    span_id: u64,
+) -> Response {
+    match request {
         Request::Ping => Response::Pong,
         Request::Sleep { ms } => {
             std::thread::sleep(Duration::from_millis((*ms).min(MAX_SLEEP_MS)));
@@ -676,10 +637,10 @@ fn execute(shared: &Shared, job: &Job) -> Response {
             },
         },
         Request::Synth { query, backend, .. } => {
-            handle_synth(shared, query, backend.as_deref(), job.deadline, job.span_id)
+            handle_synth(shared, query, backend.as_deref(), deadline, span_id)
         }
-        // Metrics/stats/watch are answered inline by the connection thread
-        // and never enqueued; answer anyway so the protocol stays total.
+        // The connection thread answers metrics and stats through here
+        // without enqueueing them, and streams watch itself.
         Request::Metrics => Response::Metrics {
             text: sortsynth_obs::registry().render_prometheus(),
         },

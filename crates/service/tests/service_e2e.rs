@@ -1,15 +1,18 @@
 //! End-to-end service tests: cold/warm round trips over a real TCP socket,
 //! cache persistence across server restarts, single-flight coalescing, load
-//! shedding, and deadline propagation.
+//! shedding, deadline propagation, and faults injected on the wire.
 
 use std::fs;
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
 use sortsynth_cache::KernelQuery;
 use sortsynth_isa::{IsaMode, Machine};
+use sortsynth_service::proto::{read_frame, read_message, MAX_FRAME};
 use sortsynth_service::{
-    Client, ReplySource, Request, Response, Server, ServerHandle, ServiceConfig,
+    Client, ReplySource, Request, Response, Server, ServerHandle, ServiceConfig, StatsReply,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -579,5 +582,106 @@ fn golden_route_pins() {
         }
     }
     assert_eq!(handle.searches_started(), 0);
+    handle.shutdown().unwrap();
+}
+
+/// Writes `bytes` on a fresh raw connection, closing the write half after
+/// them when `close_write` is set. Returns the server's one reply and
+/// whether the server closed the connection after it.
+fn send_raw(addr: SocketAddr, bytes: &[u8], close_write: bool) -> (Response, bool) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(bytes).unwrap();
+    if close_write {
+        stream.shutdown(Shutdown::Write).unwrap();
+    }
+    let reply = read_message::<Response>(&mut stream)
+        .unwrap()
+        .expect("the server replies before closing");
+    let closed = read_frame(&mut stream).unwrap().is_none();
+    (reply, closed)
+}
+
+/// One frame around `payload`.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// Torn, oversized and garbage frames, and well-formed JSON that is not a
+/// request: each gets an error reply naming the fault, then the server
+/// closes that connection. No worker panics, and a fresh connection is
+/// served as before.
+#[test]
+fn wire_faults_get_an_error_reply_and_the_server_keeps_serving() {
+    let handle = start(local_config());
+    let addr = handle.addr();
+    let query = r#""query":{"budget_viability":true,"cut":null,"max_len":null,"mode":"cmov","n":2,"optimal_instrs_only":true,"scratch":1}"#;
+    let faults: [(&str, Vec<u8>, bool, &str); 7] = [
+        ("torn header", vec![0, 0], true, "torn frame header"),
+        (
+            "oversized frame",
+            (MAX_FRAME + 1).to_be_bytes().to_vec(),
+            false,
+            "frame exceeds MAX_FRAME",
+        ),
+        (
+            "non-UTF-8 payload",
+            frame(b"\xff\xfe"),
+            false,
+            "bad message: invalid utf-8: invalid utf-8 sequence of 1 bytes from index 0",
+        ),
+        (
+            "non-JSON payload",
+            frame(b"not json"),
+            false,
+            "bad message: unexpected Some('n') at offset 0",
+        ),
+        (
+            "unknown op",
+            frame(br#"{"op":"frobnicate"}"#),
+            false,
+            "bad message: unknown op `frobnicate`",
+        ),
+        (
+            "missing query",
+            frame(br#"{"op":"synth","timeout_ms":100}"#),
+            false,
+            "bad message: missing field `query`",
+        ),
+        (
+            "wrong type",
+            frame(format!(r#"{{"op":"synth",{query},"timeout_ms":"soon"}}"#).as_bytes()),
+            false,
+            r#"bad message: expected integer, got Str("soon")"#,
+        ),
+    ];
+    for (fault, bytes, close_write, message) in faults {
+        let (reply, closed) = send_raw(addr, &bytes, close_write);
+        assert_eq!(
+            reply,
+            Response::Error {
+                message: message.to_string()
+            },
+            "{fault}"
+        );
+        assert!(closed, "{fault}: the server closes the connection");
+        let mut client = Client::connect(addr).unwrap();
+        assert_eq!(client.ping().unwrap(), Response::Pong, "{fault}");
+    }
+    let mut client = Client::connect(addr).unwrap();
+    let Response::Stats(StatsReply {
+        worker_panics,
+        requests_total,
+        ..
+    }) = client.stats().unwrap()
+    else {
+        panic!("expected stats reply");
+    };
+    assert_eq!(worker_panics, 0);
+    assert_eq!(requests_total, 7, "only the pings were admitted");
     handle.shutdown().unwrap();
 }
