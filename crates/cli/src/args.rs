@@ -114,24 +114,28 @@ pub fn parse_bytes(value: &str) -> Result<u64, ArgsError> {
 /// # Errors
 ///
 /// Returns [`ArgsError`] when no subcommand is present, a valued option is
-/// missing its value, or an option is not recognized (so a typo like
-/// `--maxlen` fails loudly instead of silently running without the bound).
+/// missing its value, an option is not recognized (so a typo like
+/// `--maxlen` fails loudly instead of silently running without the bound),
+/// or an option is given twice (so `--n 3 … --n 2` cannot quietly run
+/// n = 2).
 pub fn parse(args: &[String]) -> Result<ParsedArgs, ArgsError> {
     let mut command = None;
     let mut options = HashMap::new();
     let mut positional = Vec::new();
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if let Some(key) = arg.strip_prefix("--") {
-            if VALUED.contains(&key) {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| ArgsError::new(format!("--{key} needs a value")))?;
-                options.insert(key.to_string(), value.clone());
+            let value = if VALUED.contains(&key) {
+                iter.next()
+                    .ok_or_else(|| ArgsError::new(format!("--{key} needs a value")))?
+                    .clone()
             } else if FLAGS.contains(&key) {
-                options.insert(key.to_string(), "true".to_string());
+                "true".to_string()
             } else {
                 return Err(ArgsError::new(format!("unknown option `--{key}`")));
+            };
+            if options.insert(key.to_string(), value).is_some() {
+                return Err(ArgsError::new(format!("option `--{key}` given twice")));
             }
         } else if command.is_none() {
             command = Some(arg.clone());
@@ -250,6 +254,20 @@ mod tests {
             let err = parse(&strings(&["synth", option, "9"])).unwrap_err();
             assert!(err.to_string().contains(option), "{err}");
         }
+    }
+
+    #[test]
+    fn a_repeated_valued_option_is_rejected() {
+        let line = "client synth --n 3 --backend portfolio --n 2";
+        let args: Vec<String> = line.split(' ').map(String::from).collect();
+        let err = parse(&args).unwrap_err();
+        assert_eq!(err.to_string(), "option `--n` given twice");
+    }
+
+    #[test]
+    fn a_repeated_flag_is_rejected() {
+        let err = parse(&strings(&["synth", "--plain", "--n", "4", "--plain"])).unwrap_err();
+        assert_eq!(err.to_string(), "option `--plain` given twice");
     }
 
     #[test]

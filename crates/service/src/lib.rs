@@ -8,17 +8,18 @@
 //! * [`proto`] — a length-prefixed JSON wire protocol, each message
 //!   declared once as a table row (`synth`, `check`, `analyze`, the
 //!   `metrics` / `stats` / `watch` observability verbs, …);
-//! * [`singleflight`] — concurrent identical queries coalesce onto a single
-//!   search; combined with the persistent [`sortsynth_cache::KernelCache`],
-//!   a cold query is searched exactly once no matter how many clients race;
+//! * `flight` — one registry of in-flight requests by flight key:
+//!   concurrent identical queries coalesce onto a single search (with the
+//!   persistent [`sortsynth_cache::KernelCache`], a cold query is searched
+//!   exactly once no matter how many clients race), and the `watch` verb
+//!   attaches to the same flight to stream its search's progress. Each
+//!   flight holds only its latest frame; a watcher writes the newest one
+//!   each time, so a slow watcher skips frames instead of queueing them;
 //! * [`server`] — a worker pool behind a *bounded* admission queue
 //!   (overload is shed explicitly, not queued indefinitely), with
 //!   per-request deadlines that propagate into the engine as a cooperative
 //!   [`sortsynth_search::SearchBudget`] — an expired request returns partial
-//!   search diagnostics instead of hanging a worker;
-//! * [`watch`] — live attach: the `watch` verb streams an in-flight
-//!   search's throttled progress frames to any number of observers, riding
-//!   the same single-flight key the synth path coalesces on.
+//!   search diagnostics instead of hanging a worker.
 //!
 //! # Quick start
 //!
@@ -41,10 +42,9 @@
 //! ```
 
 pub mod client;
+mod flight;
 pub mod proto;
 pub mod server;
-pub mod singleflight;
-pub mod watch;
 
 pub use client::Client;
 pub use proto::{
@@ -52,5 +52,3 @@ pub use proto::{
     TimeoutReply,
 };
 pub use server::{Server, ServerHandle, ServiceConfig};
-pub use singleflight::{LeaderToken, Role, SingleFlight};
-pub use watch::WatchHub;

@@ -1,5 +1,5 @@
 //! The synthesis server: acceptor, bounded admission queue, worker pool,
-//! cache + single-flight synth pipeline, and deadline propagation.
+//! cache + coalesced synth pipeline, live attach, and deadline propagation.
 //!
 //! # Architecture
 //!
@@ -10,10 +10,17 @@
 //!                │    └─ Full → Overloaded │
 //!                ▼                         ▼
 //!              write response  <──  worker pool (N threads)
-//!                                     │ synth: cache → single-flight → search
+//!                                     │ synth: cache → flight registry → search
 //!                                     │ deadline → SearchBudget → Timeout reply
 //!                                     └ check/analyze/sleep: direct
 //! ```
+//!
+//! One flight registry (`crate::flight`) serves coalescing and live attach:
+//! a cache miss joins the flight for its key (leading the search or
+//! following the leader's reply), the engine's progress hook publishes into
+//! that flight, and a `watch` on the connection thread reads the flight's
+//! newest frame each time it writes, so a watcher that stops reading costs
+//! the server one frame, not a queue.
 //!
 //! Admission control is a `try_send` into a bounded crossbeam channel: when
 //! the queue is full the connection thread answers [`Response::Overloaded`]
@@ -38,12 +45,11 @@ use sortsynth_obs::{names, FieldValue, Span};
 use sortsynth_portfolio::{Answerer, Route};
 use sortsynth_search::{ProgressHook, SearchBudget};
 
+use crate::flight::{Flights, Role};
 use crate::proto::{
     read_message, write_message, AnalyzeReply, CheckReply, LintReply, ReplySource, Request,
     Response, StatsReply, TimeoutReply,
 };
-use crate::singleflight::{Role, SingleFlight};
-use crate::watch::WatchHub;
 
 /// Upper bound honoured for `Request::Sleep` (keeps the diagnostic op from
 /// wedging a worker).
@@ -137,7 +143,8 @@ struct Job {
 struct Shared {
     /// The answer path: kernel cache, dispatch table, and default roster.
     answers: Answerer,
-    flights: SingleFlight<Response>,
+    /// In-flight requests by flight key: coalescing and live attach.
+    flights: Flights,
     jobs: Sender<Job>,
     searches_started: AtomicU64,
     shutdown: AtomicBool,
@@ -153,10 +160,6 @@ struct Shared {
     coalesced: AtomicU64,
     queue_depth: AtomicI64,
     inflight: AtomicI64,
-    /// Live-attach fan-out registry, keyed by single-flight key. `Arc` so
-    /// the search progress hook (which must be `'static`) can publish into
-    /// it from worker threads.
-    watch: Arc<WatchHub>,
     /// Flight-recording directory (`ServiceConfig::record_dir`).
     record_dir: Option<PathBuf>,
     /// Distinguishes recordings of repeated identical queries.
@@ -237,7 +240,7 @@ impl Server {
         let (jobs_tx, jobs_rx) = channel::bounded::<Job>(config.queue_depth.max(1));
         let shared = Arc::new(Shared {
             answers,
-            flights: SingleFlight::new(),
+            flights: Flights::default(),
             jobs: jobs_tx,
             searches_started: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -250,7 +253,6 @@ impl Server {
             coalesced: AtomicU64::new(0),
             queue_depth: AtomicI64::new(0),
             inflight: AtomicI64::new(0),
-            watch: Arc::new(WatchHub::new()),
             record_dir: config.record_dir.clone(),
             recording_seq: AtomicU64::new(0),
             search_mem_limit: config.search_mem_limit,
@@ -541,7 +543,12 @@ fn handle_watch(
         }
     };
     let wait = Duration::from_millis(wait_ms.unwrap_or(DEFAULT_WATCH_WAIT_MS));
-    let Some((rx, last)) = shared.watch.attach(route.flight_key(query), wait) else {
+    // Only engine searches publish progress, so only their flights take
+    // watchers.
+    let flight = (route == Route::Engine)
+        .then(|| shared.flights.attach(route.flight_key(query), wait))
+        .flatten();
+    let Some(flight) = flight else {
         return write_message(
             writer,
             &Response::Error {
@@ -552,11 +559,12 @@ fn handle_watch(
     };
     names::counter(names::WATCH_STREAMS_TOTAL).inc();
     let frames = names::counter(names::WATCH_FRAMES_TOTAL);
-    // Prime with the latest frame, then stream live ones. The hub
-    // guarantees termination: every flight ends with a `finished` frame
-    // (synthesized as `Abandoned` if the search unwound).
-    let live = std::iter::from_fn(|| rx.recv().ok());
-    for frame in last.into_iter().chain(live) {
+    // Each write carries the flight's newest frame, so a watcher that falls
+    // behind skips ahead. The stream ends with a `finished` frame: the
+    // search's own, or an `Abandoned` one if the flight ended without it.
+    let mut seen = 0;
+    loop {
+        let frame = flight.next_frame(&mut seen);
         let finished = frame.finished;
         if write_message(writer, &Response::Progress(frame)).is_err() {
             return false;
@@ -566,10 +574,6 @@ fn handle_watch(
             return true;
         }
     }
-    // The flight was replaced out from under us; end the stream explicitly
-    // rather than leaving the client waiting.
-    let message = "watch stream interrupted".to_string();
-    write_message(writer, &Response::Error { message }).is_ok()
 }
 
 /// Deadline stamped when the request is admitted: synth requests honour
@@ -652,7 +656,7 @@ fn execute(
 }
 
 /// Answers one synth request: deadline check, cache get, route, then the
-/// single-flight coalesced run.
+/// coalesced run.
 fn handle_synth(
     shared: &Shared,
     query: &KernelQuery,
@@ -696,7 +700,7 @@ fn coalesce(
             // A request that missed the cache while the previous leader was
             // still searching can join only after that leader completed its
             // flight — by which time its answer is in the memory front (see
-            // the singleflight docs). Re-check before searching again.
+            // the `flight` docs). Re-check before searching again.
             let response = match shared.answers.resident(query) {
                 Some(answer) => Response::answer(query, Ok(answer)),
                 None => search(shared, query, route, key, deadline, span_id),
@@ -733,27 +737,29 @@ fn search(
     if let Some(deadline) = deadline {
         cfg.budget = SearchBudget::with_deadline(deadline);
     }
-    // Every engine search is observable: register the flight so watchers
-    // can attach, and (when configured) leave a flight recording on disk.
-    // The engine's guaranteed final snapshot publishes the `finished`
-    // frame; the guard covers the unwind path with a synthetic one.
-    let _watch_guard = (*route == Route::Engine).then(|| {
+    // Every engine search is observable: its progress hook publishes into
+    // the leader's flight, looked up once here, for watchers, and (when
+    // configured) leaves a flight recording on disk. The engine's
+    // guaranteed final snapshot publishes the `finished` frame; if the
+    // search unwinds, the abandoned flight ends its watchers' streams.
+    if *route == Route::Engine {
         let recorder = shared.record_dir.as_ref().and_then(|dir| {
             let seq = shared.recording_seq.fetch_add(1, Ordering::Relaxed);
             let path = dir.join(format!("search-{:016x}-{seq}.ssfr", query.fingerprint()));
             FlightRecorder::create(&path).ok()
         });
-        let hub = Arc::clone(&shared.watch);
+        let flight = shared.flights.attach(key, Duration::ZERO);
         cfg.progress_hook = Some(ProgressHook::new(move |p| {
             if let Some(recorder) = &recorder {
                 // Recording is best-effort: a full disk must not fail a
                 // search.
                 let _ = recorder.record(p);
             }
-            hub.publish(key, p);
+            if let Some(flight) = &flight {
+                flight.publish(p);
+            }
         }));
-        shared.watch.begin(key)
-    });
+    }
     Response::answer(query, shared.answers.run(query, route, cfg))
 }
 
@@ -770,7 +776,9 @@ fn mark_coalesced(response: Response) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Client;
     use sortsynth_isa::IsaMode;
+    use std::net::Shutdown;
 
     /// Request B misses the cache while leader A is still searching; A's
     /// search inserts its kernel and A completes its flight; only then does
@@ -803,5 +811,81 @@ mod tests {
         for worker in workers {
             worker.join().unwrap();
         }
+    }
+
+    /// The slow query of `tests/watch_stream.rs`: n = 4 with no pruning aids
+    /// and a length bound below the optimum, so it runs until its deadline.
+    fn slow_query() -> KernelQuery {
+        KernelQuery {
+            max_len: Some(15),
+            optimal_instrs_only: false,
+            budget_viability: false,
+            cut: None,
+            ..KernelQuery::best(4, 1, IsaMode::Cmov)
+        }
+    }
+
+    /// A watcher reads one frame, then shuts its socket down. The flight it
+    /// watched runs on to its deadline, both coalesced requests get their
+    /// reply, the flight leaves the registry, and the server keeps serving,
+    /// watches of a fresh flight included.
+    #[test]
+    fn a_watcher_that_disconnects_mid_stream_leaves_the_flight_running() {
+        let server = Server::bind(ServiceConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 4,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let shared = Arc::clone(&server.shared);
+        let handle = server.spawn();
+        let addr = handle.addr();
+        let synth = |timeout_ms| {
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                let mut client = Client::connect(addr).unwrap();
+                let reply = client.synth(slow_query(), Some(timeout_ms)).unwrap();
+                (reply, started.elapsed())
+            })
+        };
+        let (leader, follower) = (synth(2_000), synth(2_000));
+
+        let mut watcher = TcpStream::connect(addr).unwrap();
+        let watch = Request::Watch {
+            query: slow_query(),
+            backend: None,
+            wait_ms: Some(10_000),
+        };
+        write_message(&mut watcher, &watch).unwrap();
+        let first = read_message::<Response>(&mut watcher).unwrap();
+        assert!(
+            matches!(&first, Some(Response::Progress(frame)) if !frame.finished),
+            "{first:?}"
+        );
+        watcher.shutdown(Shutdown::Both).unwrap();
+        drop(watcher);
+
+        for synth in [leader, follower] {
+            let (reply, elapsed) = synth.join().unwrap();
+            assert!(matches!(reply, Response::Timeout(_)), "{reply:?}");
+            assert!(
+                elapsed >= Duration::from_millis(1_800),
+                "the flight ran to its deadline: {elapsed:?}"
+            );
+        }
+        assert_eq!(handle.searches_started(), 1);
+        assert_eq!(shared.flights.in_flight(), 0, "the leader completed");
+
+        let mut client = Client::connect(addr).unwrap();
+        assert!(matches!(client.ping().unwrap(), Response::Pong));
+        let fresh = synth(1_000);
+        let frames = client.watch(slow_query(), None, Some(10_000)).unwrap();
+        let last = frames.last().expect("at least the finished frame");
+        assert!(last.finished);
+        assert_eq!(last.outcome.as_deref(), Some("TimeLimit"));
+        assert!(matches!(fresh.join().unwrap().0, Response::Timeout(_)));
+        assert_eq!(handle.searches_started(), 2);
+        assert_eq!(shared.flights.in_flight(), 0);
+        handle.shutdown().unwrap();
     }
 }

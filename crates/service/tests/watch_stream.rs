@@ -1,14 +1,17 @@
 //! Live-attach end-to-end: a watcher on a real TCP connection streams
-//! progress frames from an in-flight, coalesced search, and the server's
-//! flight recorder leaves a readable recording of the same run.
+//! progress frames from an in-flight, coalesced search, the server's
+//! flight recorder leaves a readable recording of the same run, and a
+//! watcher that never reads holds up neither the flight nor other watchers.
 
 use std::fs;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use sortsynth_cache::KernelQuery;
 use sortsynth_isa::IsaMode;
-use sortsynth_service::{Client, Response, Server, ServiceConfig};
+use sortsynth_service::proto::write_message;
+use sortsynth_service::{Client, Request, Response, Server, ServiceConfig};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sortsynth-watch-{tag}-{}", std::process::id()));
@@ -136,5 +139,57 @@ fn watch_without_a_matching_flight_errors_after_the_wait_window() {
     assert!(err.to_string().contains("no in-flight search"), "{err}");
     // The connection survives the refused watch.
     assert!(matches!(client.ping().unwrap(), Response::Pong));
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_watcher_that_never_reads_holds_up_neither_the_flight_nor_other_watchers() {
+    let handle = Server::bind(ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 4,
+        ..ServiceConfig::default()
+    })
+    .expect("bind")
+    .spawn();
+    let addr = handle.addr();
+    let query = slow_query();
+    let synth = || {
+        let query = query.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            client.synth(query, Some(2_500)).unwrap()
+        })
+    };
+    let (synth_a, synth_b) = (synth(), synth());
+
+    // The stalled watcher asks for the stream and never reads a byte of it.
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    let watch = Request::Watch {
+        query: query.clone(),
+        backend: None,
+        wait_ms: Some(10_000),
+    };
+    write_message(&mut stalled, &watch).unwrap();
+
+    let mut watcher = Client::connect(addr).unwrap();
+    watcher
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let frames = watcher
+        .watch(query, None, Some(10_000))
+        .expect("flight is live long enough to attach");
+
+    let (a, b) = (synth_a.join().unwrap(), synth_b.join().unwrap());
+    assert!(
+        matches!(a, Response::Timeout(_)) && matches!(b, Response::Timeout(_)),
+        "the deliberately slow query must time out: {a:?} / {b:?}"
+    );
+    assert_eq!(handle.searches_started(), 1, "one coalesced search");
+    assert!(frames.len() >= 2, "got {} frames", frames.len());
+    let last = frames.last().unwrap();
+    assert!(last.finished);
+    assert_eq!(last.outcome.as_deref(), Some("TimeLimit"));
+
+    drop(stalled);
     handle.shutdown().unwrap();
 }
