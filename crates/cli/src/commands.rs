@@ -27,8 +27,12 @@ pub const USAGE: &str = "usage:
                     [--plain] [--dead-write-cut] [--value-flow-cut]
                     [--timeout SECS] [--cache-dir DIR]
                     [--threads T]                 T search threads (0 = all cores; default 1)
-                    [--backend B]                 astar|astar-par|cegis|smt-min|mcts|stoke|plan,
-                                                  or `portfolio` to race them all first-win
+                    [--backend B]                 astar|cegis|smt-min|mcts|stoke|plan, or
+                                                  `portfolio` to race them all first-win;
+                                                  astar is the engine under the arm's name,
+                                                  the only backend that takes --threads,
+                                                  --record, --mem-limit, --spill-dir,
+                                                  --resume and the two lossless cuts
                     [--record FILE]               leave a flight recording of the search
                     [--mem-limit BYTES]           spill cold search state to disk past this
                                                   budget (suffixes: K, M, G; layered search,
@@ -105,6 +109,18 @@ fn synth_query(args: &ParsedArgs) -> Result<KernelQuery, ArgsError> {
     Ok(query)
 }
 
+/// The `synth` flags that configure the engine search. A backend that does
+/// not run the engine refuses them instead of ignoring them.
+const ENGINE_FLAGS: [&str; 7] = [
+    "threads",
+    "mem-limit",
+    "spill-dir",
+    "resume",
+    "record",
+    "dead-write-cut",
+    "value-flow-cut",
+];
+
 /// `sortsynth synth`: answers the query through the same path the server
 /// uses (cache get, route, run, cache insert), with `--backend` choosing the
 /// route. `--all` runs the engine route on its own query and prints every
@@ -140,6 +156,17 @@ fn synth(args: &ParsedArgs) -> Result<(), ArgsError> {
     let dir = args.options.get("cache-dir").map(String::as_str);
     let answers = Answerer::open(dir.map(Path::new), 1024, None)
         .map_err(|e| ArgsError::new(format!("--cache-dir {}: {e}", dir.unwrap_or_default())))?;
+    if let Some(flag) = ENGINE_FLAGS.iter().find(|f| args.options.contains_key(**f)) {
+        let route = answers
+            .route(backend)
+            .map_err(|failure| ArgsError::new(failure.to_string()))?;
+        if !route.runs_engine() {
+            return Err(ArgsError::new(format!(
+                "--{flag} configures the engine search, which backend `{}` does not run",
+                backend.unwrap_or_default()
+            )));
+        }
+    }
     let mut cfg = run_flags(args, answers.engine_config(&query))?;
     cfg.all_solutions = all;
     let answer = if all {

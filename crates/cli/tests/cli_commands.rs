@@ -301,6 +301,69 @@ fn backend_answer_is_a_cache_hit_for_the_engine_route() {
 }
 
 #[test]
+fn engine_flags_are_refused_by_backends_that_do_not_run_the_engine() {
+    let dir =
+        std::env::temp_dir().join(format!("sortsynth-cli-engine-flags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8").to_string();
+    let record = path("refused.ssfr");
+    let engine_flags: [&[&str]; 7] = [
+        &["--threads", "2"],
+        &["--mem-limit", "1M"],
+        &["--spill-dir", &path("spill")],
+        &["--resume", &path("resume")],
+        &["--record", &record],
+        &["--dead-write-cut"],
+        &["--value-flow-cut"],
+    ];
+    for backend in ["cegis", "smt-min", "mcts", "stoke", "plan", "portfolio"] {
+        for flag in engine_flags {
+            let out = sortsynth()
+                .args(["synth", "--n", "2", "--backend", backend])
+                .args(flag)
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{backend} {flag:?}: {out:?}");
+            assert!(
+                stderr.contains(flag[0]) && stderr.contains(&format!("`{backend}`")),
+                "{backend} {flag:?}: {stderr}"
+            );
+        }
+    }
+    assert!(
+        !dir.join("refused.ssfr").exists(),
+        "a refused run records nothing"
+    );
+
+    // The two-thread engine is no arm of its own: its old name is unknown.
+    let out = sortsynth()
+        .args(["synth", "--n", "2", "--backend", "astar-par"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains(
+        "unknown backend `astar-par` (expected portfolio or one of: \
+         astar, cegis, smt-min, mcts, stoke, plan)"
+    ));
+
+    // The engine takes them, named or not.
+    for backend in [&["--backend", "astar"][..], &[]] {
+        let out = sortsynth()
+            .args(["synth", "--n", "2", "--threads", "2", "--record", &record])
+            .args(backend)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{backend:?}: {out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 4);
+        assert!(dir.join("refused.ssfr").exists(), "{backend:?}");
+        std::fs::remove_file(&record).expect("recording");
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
 fn serve_and_client_round_trip() {
     use std::io::{BufRead as _, BufReader};
 

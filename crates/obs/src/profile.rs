@@ -308,15 +308,6 @@ impl PhaseProbe {
         self.wall + open
     }
 
-    /// Adds a pre-measured tick interval to `phase` (for callers that stamp
-    /// manually).
-    #[inline]
-    pub fn add_ticks(&mut self, phase: Phase, ticks: u64) {
-        if self.active {
-            self.ticks[phase as usize] += ticks;
-        }
-    }
-
     /// Folds another probe's totals into this one: its sampled phase
     /// ticks and its in-loop time, the open window included. An
     /// accumulator that times nothing itself should be paused first.

@@ -347,11 +347,6 @@ impl Span {
         Span::open(name, Some(parent), &[])
     }
 
-    /// Opens a child span with fields.
-    pub fn child_with(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) -> Span {
-        Span::open(name, Some(self.id), fields)
-    }
-
     /// This span's ID.
     pub fn id(&self) -> u64 {
         self.id

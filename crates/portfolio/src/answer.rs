@@ -45,7 +45,8 @@ pub fn engine_config(query: &KernelQuery) -> SynthesisConfig {
 pub enum Route {
     /// The paper's enumerative search, under the caller's engine settings.
     Engine,
-    /// One named backend through its portfolio adapter.
+    /// One named backend: `astar` runs what [`Route::Engine`] runs, the
+    /// others run through their portfolio adapter.
     Single(BackendKind),
     /// A first-win race over this roster.
     Race(Vec<BackendKind>),
@@ -62,6 +63,12 @@ impl Route {
             Route::Single(kind) => query.fingerprint() ^ fnv1a(kind.name().as_bytes()),
             Route::Race(_) => query.fingerprint() ^ fnv1a(b"portfolio"),
         }
+    }
+
+    /// Whether this route runs the engine under the caller's engine
+    /// settings, publishing progress and returning the whole search result.
+    pub fn runs_engine(&self) -> bool {
+        matches!(self, Route::Engine | Route::Single(BackendKind::AStar))
     }
 }
 
@@ -115,8 +122,8 @@ impl fmt::Display for Failure {
     }
 }
 
-/// How far a route got before its budget ran out. Only the engine route
-/// counts states; the other routes report 0.
+/// How far a route got before its budget ran out. Only routes that
+/// [run the engine](Route::runs_engine) count states; the others report 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Timeout {
     /// States generated before the budget expired.
@@ -164,11 +171,11 @@ pub struct Answer {
     /// Wall-clock milliseconds of the producing run (the original run's
     /// for cache hits).
     pub millis: u64,
-    /// The named backend or race winner; `None` for the engine route and
-    /// for cache hits.
+    /// The named backend or race winner; `None` for the default engine
+    /// route and for cache hits.
     pub backend: Option<BackendKind>,
-    /// The engine route's whole result (counters and solution DAG);
-    /// `None` otherwise.
+    /// The engine's whole result (counters and solution DAG) when the
+    /// route [runs it](Route::runs_engine); `None` otherwise.
     pub search: Option<SynthesisResult>,
 }
 
@@ -303,9 +310,9 @@ impl Answerer {
     }
 
     /// Runs `route` on `query` and inserts the kernel it found into the
-    /// cache. `engine` is the engine route's configuration — the caller's
-    /// settings on top of [`Self::engine_config`] — and its budget bounds
-    /// every route.
+    /// cache. `engine` is the engine's configuration — the caller's
+    /// settings on top of [`Self::engine_config`] — for every route that
+    /// [runs it](Route::runs_engine), and its budget bounds every route.
     pub fn run(
         &self,
         query: &KernelQuery,
@@ -313,31 +320,29 @@ impl Answerer {
         engine: SynthesisConfig,
     ) -> Result<Answer, Failure> {
         let budget = &engine.budget;
-        let answer = match route {
-            Route::Engine => {
-                let (out, result) = search(BackendKind::AStar, &engine)
-                    .map_err(|e| Failure::Resume(e.to_string()))?;
+        let mut answer = match route {
+            Route::Race(kinds) => self.race(query, kinds, budget)?,
+            Route::Single(kind) if !route.runs_engine() => {
+                computed(backend_for(*kind).run(query, budget), None, budget)?
+            }
+            _ => {
+                let (out, result) = search(&engine).map_err(|e| Failure::Resume(e.to_string()))?;
                 let answer = computed(out, Some(&result.stats), budget)?;
                 Answer {
                     search: Some(result),
                     ..answer
                 }
             }
-            Route::Single(kind) => {
-                let out = backend_for(*kind).run(query, budget);
-                // Stochastic arms are not gated by a race on this route, so
-                // gate here: an unverifiable program is never served.
-                if let Some(program) = out.program() {
-                    sortsynth_verify::gate(&query.machine(), program)
-                        .map_err(|e| Failure::Refused(*kind, e.to_string()))?;
-                }
-                Answer {
-                    backend: Some(*kind),
-                    ..computed(out, None, budget)?
-                }
-            }
-            Route::Race(kinds) => self.race(query, kinds, budget)?,
         };
+        if let Route::Single(kind) = route {
+            // A race gates its winner; a named arm is gated here, so an
+            // unverifiable program is never served.
+            if let Some(program) = &answer.program {
+                sortsynth_verify::gate(&query.machine(), program)
+                    .map_err(|e| Failure::Refused(*kind, e.to_string()))?;
+            }
+            answer.backend = Some(*kind);
+        }
         if let Some(program) = &answer.program {
             // A failed insert (a full disk) does not withhold the answer.
             let _ = self.cache.insert(CacheEntry {

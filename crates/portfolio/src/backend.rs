@@ -25,10 +25,10 @@ use crate::answer::engine_config;
 /// The racing roster: every synthesis engine the portfolio can dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BackendKind {
-    /// The paper's enumerative search, sequential (§3).
+    /// The paper's enumerative search (§3). Named on its own, it runs the
+    /// engine route under the caller's engine settings; in a race, under
+    /// the query's configuration alone.
     AStar,
-    /// The parallel (layer-synchronous) enumerative search.
-    AStarPar,
     /// SMT-CEGIS with the permutation counterexample domain, iterated over
     /// lengths so the first hit is minimal (§4.1).
     Cegis,
@@ -45,9 +45,8 @@ pub enum BackendKind {
 impl BackendKind {
     /// All racing arms, in the order used when no dispatch policy ranks
     /// them (cheap exact engines first).
-    pub const ALL: [BackendKind; 7] = [
+    pub const ALL: [BackendKind; 6] = [
         BackendKind::AStar,
-        BackendKind::AStarPar,
         BackendKind::Cegis,
         BackendKind::SmtMin,
         BackendKind::Mcts,
@@ -60,7 +59,6 @@ impl BackendKind {
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::AStar => "astar",
-            BackendKind::AStarPar => "astar-par",
             BackendKind::Cegis => "cegis",
             BackendKind::SmtMin => "smt-min",
             BackendKind::Mcts => "mcts",
@@ -76,10 +74,9 @@ impl BackendKind {
 
     /// The name with `-` mapped to `_`, for embedding in Prometheus metric
     /// names (the registry has no label support, so per-backend series are
-    /// name-suffixed: `sortsynth_portfolio_astar_par_wins_total`).
+    /// name-suffixed: `sortsynth_portfolio_smt_min_wins_total`).
     pub fn metric_token(self) -> &'static str {
         match self {
-            BackendKind::AStarPar => "astar_par",
             BackendKind::SmtMin => "smt_min",
             other => other.name(),
         }
@@ -127,16 +124,6 @@ pub struct BackendOutcome {
     pub elapsed: Duration,
 }
 
-impl BackendOutcome {
-    /// The found program, if any.
-    pub fn program(&self) -> Option<&Program> {
-        match &self.status {
-            BackendStatus::Found { program, .. } => Some(program),
-            _ => None,
-        }
-    }
-}
-
 /// One synthesis engine behind the uniform interface.
 pub trait Backend: Send + Sync {
     /// Which arm this is.
@@ -151,8 +138,7 @@ pub trait Backend: Send + Sync {
 /// Constructs the default adapter for `kind`.
 pub fn backend_for(kind: BackendKind) -> Box<dyn Backend> {
     match kind {
-        BackendKind::AStar => Box::new(AStarBackend { threads: 1 }),
-        BackendKind::AStarPar => Box::new(AStarBackend { threads: 2 }),
+        BackendKind::AStar => Box::new(AStarBackend),
         BackendKind::Cegis => Box::new(CegisBackend),
         BackendKind::SmtMin => Box::new(SmtMinBackend),
         BackendKind::Mcts => Box::new(MctsBackend {
@@ -192,35 +178,28 @@ fn outcome(kind: BackendKind, status: BackendStatus, start: Instant) -> BackendO
     }
 }
 
-/// The enumerative search (§3), on one thread or in parallel.
-struct AStarBackend {
-    threads: usize,
-}
+/// The enumerative search (§3) as a race arm: the query's configuration
+/// under the race's budget.
+struct AStarBackend;
 
 impl Backend for AStarBackend {
     fn kind(&self) -> BackendKind {
-        if self.threads <= 1 {
-            BackendKind::AStar
-        } else {
-            BackendKind::AStarPar
-        }
+        BackendKind::AStar
     }
 
     fn run(&self, query: &KernelQuery, budget: &SearchBudget) -> BackendOutcome {
         let mut cfg = engine_config(query);
-        cfg.threads = self.threads;
         cfg.budget = budget.clone();
-        search(self.kind(), &cfg)
+        search(&cfg)
             .expect("a search without a resume directory always starts")
             .0
     }
 }
 
-/// Runs the enumerative search `cfg` describes as the `kind` arm, and hands
-/// back the whole result too: the body of the A* adapters, and of the engine
-/// route, which runs it with the caller's engine settings.
+/// Runs the enumerative search `cfg` describes as the `astar` arm, and
+/// hands back the whole result too: the body of the race arm, and of the
+/// engine route, which runs it with the caller's engine settings.
 pub(crate) fn search(
-    kind: BackendKind,
     cfg: &SynthesisConfig,
 ) -> Result<(BackendOutcome, SynthesisResult), ResumeError> {
     let start = Instant::now();
@@ -235,7 +214,7 @@ pub(crate) fn search(
         },
         Outcome::TimeLimit | Outcome::Cancelled | Outcome::NodeLimit => BackendStatus::Budget,
     };
-    Ok((outcome(kind, status, start), result))
+    Ok((outcome(BackendKind::AStar, status, start), result))
 }
 
 /// SMT-CEGIS, iterated over lengths from 1 so the first hit is minimal.
@@ -450,15 +429,14 @@ mod tests {
         let machine = query.machine();
         for kind in [
             BackendKind::AStar,
-            BackendKind::AStarPar,
             BackendKind::Cegis,
             BackendKind::SmtMin,
             BackendKind::Plan,
         ] {
             let out = backend_for(kind).run(&query, &SearchBudget::unlimited());
-            let prog = out
-                .program()
-                .unwrap_or_else(|| panic!("{} found no program: {:?}", kind.name(), out.status));
+            let BackendStatus::Found { program: prog, .. } = &out.status else {
+                panic!("{} found no program: {:?}", kind.name(), out.status);
+            };
             assert!(machine.is_correct(prog), "{} incorrect", kind.name());
             assert_eq!(prog.len(), 4, "{} non-minimal", kind.name());
         }

@@ -1,12 +1,12 @@
 //! First-win portfolio execution: race every synthesis backend behind one
 //! dispatch layer.
 //!
-//! The repository grew seven ways to produce a sorting kernel — the paper's
-//! enumerative search (sequential and parallel), the SMT front-ends
-//! (CEGIS and iterated-deepening SMT-Perm), the AlphaDev-style MCTS
-//! baseline, the STOKE-style MCMC sampler, and the classical planner. They
-//! have wildly different sweet spots, and no single choice dominates across
-//! query shapes. This crate gives them one uniform face and races them:
+//! The repository grew six ways to produce a sorting kernel — the paper's
+//! enumerative search, the SMT front-ends (CEGIS and iterated-deepening
+//! SMT-Perm), the AlphaDev-style MCTS baseline, the STOKE-style MCMC
+//! sampler, and the classical planner. They have wildly different sweet
+//! spots, and no single choice dominates across query shapes. This crate
+//! gives them one uniform face and races them:
 //!
 //! * [`Backend`] — one trait, `run(query, budget) -> BackendOutcome`, with
 //!   an adapter per engine ([`backend_for`]).

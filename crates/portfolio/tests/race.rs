@@ -44,7 +44,6 @@ fn differential_matrix_exact_arms() {
     let _guard = METRICS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let exact = [
         BackendKind::AStar,
-        BackendKind::AStarPar,
         BackendKind::Cegis,
         BackendKind::SmtMin,
         BackendKind::Plan,
@@ -111,7 +110,7 @@ fn full_roster_race_produces_one_verified_winner() {
     let program = report.program.as_ref().expect("winner program");
     assert!(machine.is_correct(program));
     assert_eq!(win_total(), before + 1);
-    // All seven arms ran (single wave without a policy) and were joined.
+    // All six arms ran (single wave without a policy) and were joined.
     assert_eq!(report.outcomes.len(), BackendKind::ALL.len());
     // Any stochastic arm that completed is also oracle-correct.
     for out in &report.outcomes {

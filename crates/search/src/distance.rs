@@ -322,11 +322,6 @@ impl DistanceTable {
         out
     }
 
-    /// Whether first moves were recorded at build time.
-    pub fn has_first_moves(&self) -> bool {
-        self.first_moves.is_some()
-    }
-
     /// Whether the successor rows were built (the machine has a live
     /// space; see [`DistanceTable::succ_max_dist_sweep`]).
     pub fn has_succ_dist(&self) -> bool {

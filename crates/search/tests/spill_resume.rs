@@ -189,6 +189,69 @@ fn best_first_runs_refuse_a_resume() {
     assert!(matches!(err, ResumeError::Unsupported { .. }), "{err}");
 }
 
+/// A full disk under the first frontier segment: every `frontier-<k>.seg`
+/// of the run's spill directory is a symlink to `/dev/full`, so the first
+/// frontier write fails with ENOSPC. The run returns no kernel (today the
+/// spill tier panics), the journal it left is intact, and once the links
+/// are gone a resume from that journal finds the optimum.
+#[test]
+#[cfg(target_os = "linux")]
+#[cfg_attr(miri, ignore = "full-disk injection does real file I/O")]
+fn a_full_disk_during_spill_leaves_a_journal_that_resumes() {
+    use sortsynth_obs::segment::SegmentReader;
+
+    let machine = Machine::new(3, 1, IsaMode::Cmov);
+    let dir = scratch("full-disk");
+    std::fs::create_dir_all(&dir).unwrap();
+    let links: Vec<PathBuf> = (1..=11)
+        .map(|k| dir.join(format!("frontier-{k}.seg")))
+        .collect();
+    for link in &links {
+        std::os::unix::fs::symlink("/dev/full", link).unwrap();
+    }
+
+    let full = catch_unwind(AssertUnwindSafe(|| {
+        try_synthesize(
+            &layered(&machine, 11)
+                .mem_budget_bytes(64 << 10)
+                .spill_dir(dir.clone()),
+        )
+    }));
+    assert!(
+        !matches!(&full, Ok(Ok(result)) if result.first_program().is_some()),
+        "a run whose frontier writes all failed returned a kernel"
+    );
+
+    // Intact: every record of the journal parses and checksums.
+    let journal = dir.join("journal.ssj");
+    let bytes = std::fs::read(&journal).expect("a journal was left behind");
+    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let mut reader = SegmentReader::open_strict(&journal, b"SSJOURNL", version, bytes.len() as u64)
+        .expect("journal header");
+    let mut records = 0;
+    while reader.next().expect("journal record").is_some() {
+        records += 1;
+    }
+    assert!(records > 0, "the journal holds no record");
+
+    for link in &links {
+        std::fs::remove_file(link).unwrap();
+    }
+    let resumed = try_synthesize(&layered(&machine, 11).resume_from(dir.clone()))
+        .expect("journal resume failed");
+    assert_eq!(
+        resumed.found_len,
+        Some(11),
+        "resume lost the optimum ({:?})",
+        resumed.outcome
+    );
+    assert!(
+        resumed.stats.resumed_frontier_states > 0,
+        "resume restored an empty frontier"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Kills a min/max n = 3 run under a 1-byte budget and returns its
 /// configuration. The budget spills every span from layer 0 on, so the
 /// journal written at each layer boundary references real segment bytes

@@ -96,12 +96,12 @@ pub struct ServiceConfig {
     /// every known backend). Requests carrying an explicit `backend`
     /// override this. Enabled by `sortsynth serve --portfolio`.
     pub portfolio: Option<Vec<String>>,
-    /// When set, every engine-route search leaves a flight recording
-    /// `search-<fingerprint>-<seq>.ssfr` in this directory (bounded by the
-    /// recorder's segment rotation), readable post-mortem with
-    /// `sortsynth inspect`. Enabled by `sortsynth serve --record-dir`.
+    /// When set, every engine search (no backend, or `astar`) leaves a
+    /// recording `search-<fingerprint>-<seq>.ssfr` in this directory
+    /// (bounded by the recorder's segment rotation), readable post-mortem
+    /// with `sortsynth inspect`. Enabled by `sortsynth serve --record-dir`.
     pub record_dir: Option<PathBuf>,
-    /// Memory budget applied to every engine-route search. When the
+    /// Memory budget applied to every engine search. When the
     /// resident estimate crosses it, cold open-list buckets and closed-set
     /// segments spill to disk instead of growing the heap. A budgeted
     /// search always runs on one search thread, whatever `search_threads`
@@ -545,7 +545,8 @@ fn handle_watch(
     let wait = Duration::from_millis(wait_ms.unwrap_or(DEFAULT_WATCH_WAIT_MS));
     // Only engine searches publish progress, so only their flights take
     // watchers.
-    let flight = (route == Route::Engine)
+    let flight = route
+        .runs_engine()
         .then(|| shared.flights.attach(route.flight_key(query), wait))
         .flatten();
     let Some(flight) = flight else {
@@ -742,7 +743,7 @@ fn search(
     // configured) leaves a flight recording on disk. The engine's
     // guaranteed final snapshot publishes the `finished` frame; if the
     // search unwinds, the abandoned flight ends its watchers' streams.
-    if *route == Route::Engine {
+    if route.runs_engine() {
         let recorder = shared.record_dir.as_ref().and_then(|dir| {
             let seq = shared.recording_seq.fetch_add(1, Ordering::Relaxed);
             let path = dir.join(format!("search-{:016x}-{seq}.ssfr", query.fingerprint()));

@@ -457,6 +457,8 @@ fn portfolio_route_races_persists_policy_and_reports_the_winner() {
 struct RoutePin {
     /// The request's `backend` field.
     backend: Option<&'static str>,
+    /// The server's `search_threads`.
+    search_threads: usize,
     /// The cold reply's `backend`; `Some("*")` means "some exact arm" (a
     /// race's winner is whichever verified arm reported first).
     replied_backend: Option<&'static str>,
@@ -466,36 +468,45 @@ struct RoutePin {
 /// enumerative search under the query's `k = 1` cut does not, the solver
 /// and planner arms do.
 fn certifies_minimality(backend: Option<&str>) -> bool {
-    !matches!(backend, None | Some("astar") | Some("astar-par"))
+    !matches!(backend, None | Some("astar"))
 }
 
 /// Golden pins for every synth route on a fresh server: the cold reply,
 /// the warm repeat, and the reply to an already-expired deadline.
 #[test]
 fn golden_route_pins() {
-    const EXACT_ARMS: [&str; 5] = ["astar", "astar-par", "cegis", "smt-min", "plan"];
+    const EXACT_ARMS: [&str; 4] = ["astar", "cegis", "smt-min", "plan"];
     let query = KernelQuery::best(3, 1, IsaMode::Cmov);
     let pins = [
         RoutePin {
             backend: None,
+            search_threads: 1,
             replied_backend: None,
         },
         RoutePin {
             backend: Some("astar"),
+            search_threads: 1,
+            replied_backend: Some("astar"),
+        },
+        // The engine at two search threads, under the arm's name.
+        RoutePin {
+            backend: Some("astar"),
+            search_threads: 2,
             replied_backend: Some("astar"),
         },
         RoutePin {
-            backend: Some("astar-par"),
-            replied_backend: Some("astar-par"),
-        },
-        RoutePin {
             backend: Some("portfolio"),
+            search_threads: 1,
             replied_backend: Some("*"),
         },
     ];
     for pin in &pins {
         let route = pin.backend.unwrap_or("<engine>");
-        let handle = start(local_config());
+        let route = format!("{route} at {} search threads", pin.search_threads);
+        let handle = start(ServiceConfig {
+            search_threads: pin.search_threads,
+            ..local_config()
+        });
         let mut client = Client::connect(handle.addr()).unwrap();
         let backend = pin.backend.map(str::to_string);
 
@@ -562,6 +573,18 @@ fn golden_route_pins() {
     // (nothing was cached), and an expired deadline still wins over it.
     let handle = start(local_config());
     let mut client = Client::connect(handle.addr()).unwrap();
+    // The two-thread engine is no arm of its own: its old name is unknown.
+    match client
+        .synth_with(query.clone(), Some(60_000), Some("astar-par".to_string()))
+        .unwrap()
+    {
+        Response::Error { message } => assert_eq!(
+            message,
+            "unknown backend `astar-par` (expected portfolio or one of: \
+             astar, cegis, smt-min, mcts, stoke, plan)"
+        ),
+        other => panic!("unexpected {other:?}"),
+    }
     let nope = Some("nope".to_string());
     let Response::Timeout(expired) = client
         .synth_with(query.clone(), Some(0), nope.clone())

@@ -193,3 +193,81 @@ fn a_watcher_that_never_reads_holds_up_neither_the_flight_nor_other_watchers() {
     drop(stalled);
     handle.shutdown().unwrap();
 }
+
+/// A server running two search threads per request, recording every
+/// engine search into `record_dir`.
+fn two_thread_server(record_dir: Option<PathBuf>) -> sortsynth_service::ServerHandle {
+    Server::bind(ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 4,
+        search_threads: 2,
+        record_dir,
+        ..ServiceConfig::default()
+    })
+    .expect("bind")
+    .spawn()
+}
+
+/// `--backend astar` runs the engine route under the server's engine
+/// settings: it answers with the default route's kernel, takes watchers,
+/// leaves a recording, and counts states when it times out.
+#[test]
+fn the_astar_arm_runs_the_engine_route_under_the_server_settings() {
+    let astar = Some("astar".to_string());
+    let query = KernelQuery::best(3, 1, IsaMode::Cmov);
+    let synth_on_a_fresh_server = |backend: Option<String>| {
+        let handle = two_thread_server(None);
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let Response::Synth(reply) = client.synth_with(query.clone(), None, backend).unwrap()
+        else {
+            panic!("expected a synth reply");
+        };
+        handle.shutdown().unwrap();
+        reply
+    };
+    let named = synth_on_a_fresh_server(astar.clone());
+    let default = synth_on_a_fresh_server(None);
+    assert_eq!(named.backend.as_deref(), Some("astar"));
+    assert_eq!(default.backend, None);
+    assert_eq!(named.found_len, Some(11));
+    assert_eq!(named.program, default.program, "the default route's kernel");
+    assert_eq!(named.minimal_certified, default.minimal_certified);
+
+    let record_dir = tmp_dir("astar");
+    let handle = two_thread_server(Some(record_dir.clone()));
+    let addr = handle.addr();
+    let synth = {
+        let (query, astar) = (slow_query(), astar.clone());
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            client.synth_with(query, Some(2_500), astar).unwrap()
+        })
+    };
+    let mut watcher = Client::connect(addr).unwrap();
+    watcher
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let frames = watcher
+        .watch(slow_query(), astar, Some(10_000))
+        .expect("an astar flight takes watchers");
+    let Response::Timeout(timeout) = synth.join().unwrap() else {
+        panic!("the deliberately slow query must time out");
+    };
+    assert!(timeout.generated > 0, "{timeout:?}");
+    assert!(frames.len() >= 2, "got {} frames", frames.len());
+    let last = frames.last().unwrap();
+    assert!(last.finished);
+    assert_eq!(last.outcome.as_deref(), Some("TimeLimit"));
+    assert_eq!(last.generated, timeout.generated, "stream and reply agree");
+
+    let recordings: Vec<_> = fs::read_dir(&record_dir)
+        .unwrap()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .collect();
+    assert_eq!(recordings.len(), 1, "one astar search, one recording");
+    let recording = sortsynth_obs::read_recording(&recordings[0]).unwrap();
+    assert!(recording.frames.last().is_some_and(|f| f.finished));
+
+    handle.shutdown().unwrap();
+    let _ = fs::remove_dir_all(&record_dir);
+}
