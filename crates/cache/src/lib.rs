@@ -49,9 +49,8 @@ mod query;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use sortsynth_obs::names;
 use sortsynth_obs::segment::SegmentWriter;
 
@@ -122,7 +121,7 @@ fn gate_error(entry: &CacheEntry) -> Option<String> {
 struct DiskStore {
     dir: PathBuf,
     /// Append handle, serialized so concurrent inserts can't interleave
-    /// records.
+    /// records. Poison is ignored: loading discards a torn record.
     file: Mutex<SegmentWriter>,
 }
 
@@ -204,7 +203,7 @@ impl KernelCache {
         if let Some(store) = &self.store {
             // Hold the append lock while scanning so a concurrent insert
             // can't be half-written under the reader.
-            let _guard = store.file.lock();
+            let _guard = store.file.lock().unwrap_or_else(PoisonError::into_inner);
             let scan_start = std::time::Instant::now();
             let scanned = disk::load(&store.dir);
             names::histogram(names::CACHE_DISK_PROMOTION_SECONDS)
@@ -288,7 +287,7 @@ impl KernelCache {
         entry.stamp_gate();
         let entry = Arc::new(entry);
         if let Some(store) = &self.store {
-            let mut file = store.file.lock();
+            let mut file = store.file.lock().unwrap_or_else(PoisonError::into_inner);
             disk::append(&mut file, &entry)?;
         }
         let evicted_before = self.lru.evictions();
@@ -305,7 +304,7 @@ impl KernelCache {
         let Some(store) = &self.store else {
             return Ok(());
         };
-        let mut file = store.file.lock();
+        let mut file = store.file.lock().unwrap_or_else(PoisonError::into_inner);
         let (entries, _) = disk::load(&store.dir)?;
         let mut deduped: Vec<CacheEntry> = Vec::new();
         for entry in entries {

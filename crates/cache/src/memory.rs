@@ -8,9 +8,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::entry::CacheEntry;
 
@@ -34,7 +32,7 @@ pub struct ShardedLru {
 }
 
 /// Number of shards. A power of two so shard selection is a mask; 16 is
-/// plenty of write-parallelism for a worker pool of typical size.
+/// plenty of write-parallelism for a server's typical number of run slots.
 const SHARDS: usize = 16;
 
 impl ShardedLru {
@@ -59,7 +57,7 @@ impl ShardedLru {
 
     /// Looks up a fingerprint, stamping recency.
     pub fn get(&self, fingerprint: u64) -> Option<Arc<CacheEntry>> {
-        let shard = self.shard(fingerprint).read();
+        let shard = read(self.shard(fingerprint));
         let slot = shard.map.get(&fingerprint)?;
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         slot.last_used.store(now, Ordering::Relaxed);
@@ -71,7 +69,7 @@ impl ShardedLru {
     pub fn insert(&self, entry: Arc<CacheEntry>) {
         let fingerprint = entry.fingerprint();
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(fingerprint).write();
+        let mut shard = write(self.shard(fingerprint));
         if !shard.map.contains_key(&fingerprint) && shard.map.len() >= self.per_shard_cap {
             if let Some((&victim, _)) = shard
                 .map
@@ -93,7 +91,7 @@ impl ShardedLru {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().map.len()).sum()
+        self.shards.iter().map(|s| read(s).map.len()).sum()
     }
 
     /// Whether the front is empty.
@@ -105,6 +103,15 @@ impl ShardedLru {
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
+}
+
+/// Shard locks ignore poison: a shard's map is whole at every unlock.
+fn read(shard: &RwLock<Shard>) -> RwLockReadGuard<'_, Shard> {
+    shard.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write(shard: &RwLock<Shard>) -> RwLockWriteGuard<'_, Shard> {
+    shard.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -206,10 +206,15 @@ impl Serialize for DispatchPolicy {
 }
 
 impl Deserialize for DispatchPolicy {
+    /// Rows naming an arm outside [`BackendKind::ALL`] (one since retired)
+    /// are dropped: no race can run that arm again.
     fn deserialize(value: &Value) -> Result<Self, Error> {
         let rows = Vec::<PolicyRow>::deserialize(value.required("rows")?)?;
         let mut policy = DispatchPolicy::new();
-        for row in rows {
+        for row in rows
+            .into_iter()
+            .filter(|row| BackendKind::parse(&row.backend).is_some())
+        {
             policy.shapes.entry(row.shape).or_default().insert(
                 row.backend,
                 ArmStats {

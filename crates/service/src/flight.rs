@@ -25,12 +25,12 @@
 //! counters if the flight ends without one.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
 use sortsynth_obs::SearchProgress;
 
+use crate::lock;
 use crate::proto::Response;
 
 /// The in-flight requests, by flight key.
@@ -86,7 +86,7 @@ impl Flights {
     /// follower until the active leader finishes.
     pub(crate) fn join(&self, key: u64) -> Role<'_> {
         let flight = {
-            let mut map = self.map.lock();
+            let mut map = lock(&self.map);
             if let Some(flight) = map.get(&key) {
                 Arc::clone(flight)
             } else {
@@ -100,28 +100,25 @@ impl Flights {
                 });
             }
         };
-        let mut state = flight.state.lock();
-        loop {
-            match &state.result {
-                Slot::Flying => flight.changed.wait(&mut state),
-                Slot::Abandoned => return Role::Follower(None),
-                Slot::Done(response) => return Role::Follower(Some(response.clone())),
-            }
+        let flying = |state: &mut State| matches!(state.result, Slot::Flying);
+        let state = flight
+            .changed
+            .wait_while(lock(&flight.state), flying)
+            .unwrap_or_else(|e| e.into_inner());
+        match &state.result {
+            Slot::Done(response) => Role::Follower(Some(response.clone())),
+            _ => Role::Follower(None),
         }
     }
 
     /// The flight under `key`, waiting up to `wait` for one to start; `None`
     /// if none did.
     pub(crate) fn attach(&self, key: u64, wait: Duration) -> Option<Arc<Flight>> {
-        let deadline = Instant::now().checked_add(wait);
-        let mut map = self.map.lock();
-        while !map.contains_key(&key) {
-            // A wait too long for an `Instant` has no deadline to count down.
-            let left = deadline.map_or(wait, |d| d.saturating_duration_since(Instant::now()));
-            if self.started.wait_for(&mut map, left).timed_out() {
-                break;
-            }
-        }
+        let absent = |map: &mut HashMap<u64, Arc<Flight>>| !map.contains_key(&key);
+        let (map, _) = self
+            .started
+            .wait_timeout_while(lock(&self.map), wait, absent)
+            .unwrap_or_else(|e| e.into_inner());
         map.get(&key).cloned()
     }
 }
@@ -129,7 +126,7 @@ impl Flights {
 impl Flight {
     /// Replaces the latest frame and wakes the watchers.
     pub(crate) fn publish(&self, frame: &SearchProgress) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         state.latest = Some(frame.clone());
         state.published += 1;
         self.changed.notify_all();
@@ -141,7 +138,7 @@ impl Flight {
     /// `Abandoned` final frame carrying the last known counters. A caller
     /// stops after the first `finished` frame.
     pub(crate) fn next_frame(&self, seen: &mut u64) -> SearchProgress {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         loop {
             if state.published > *seen {
                 *seen = state.published;
@@ -154,7 +151,7 @@ impl Flight {
                     ..state.latest.clone().unwrap_or_default()
                 };
             }
-            self.changed.wait(&mut state);
+            state = self.changed.wait(state).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -163,15 +160,15 @@ impl LeaderToken<'_> {
     /// Publishes the reply and releases the key: followers wake with a
     /// clone, later joiners start a fresh flight.
     pub(crate) fn complete(self, response: Response) {
-        self.flight.state.lock().result = Slot::Done(response);
+        lock(&self.flight.state).result = Slot::Done(response);
         // `Drop` releases the key and wakes the followers.
     }
 }
 
 impl Drop for LeaderToken<'_> {
     fn drop(&mut self) {
-        self.flights.map.lock().remove(&self.key);
-        let mut state = self.flight.state.lock();
+        lock(&self.flights.map).remove(&self.key);
+        let mut state = lock(&self.flight.state);
         if matches!(state.result, Slot::Flying) {
             state.result = Slot::Abandoned;
         }
@@ -183,7 +180,7 @@ impl Drop for LeaderToken<'_> {
 impl Flights {
     /// Number of in-flight keys.
     pub(crate) fn in_flight(&self) -> usize {
-        self.map.lock().len()
+        lock(&self.map).len()
     }
 }
 
@@ -191,6 +188,7 @@ impl Flights {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Instant;
 
     fn reply(n: u64) -> Response {
         Response::Metrics {
@@ -218,9 +216,9 @@ mod tests {
         let flights = Flights::default();
         let computations = AtomicU64::new(0);
         let agreed = AtomicU64::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..8 {
-                scope.spawn(|_| match flights.join(42) {
+                scope.spawn(|| match flights.join(42) {
                     Role::Leader(token) => {
                         computations.fetch_add(1, Ordering::SeqCst);
                         // Complete only once the map, this token and all
@@ -236,8 +234,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(computations.load(Ordering::SeqCst), 1);
         assert_eq!(agreed.load(Ordering::SeqCst), 7);
         assert_eq!(flights.in_flight(), 0);
@@ -258,9 +255,9 @@ mod tests {
     #[test]
     fn an_abandoned_leader_wakes_followers_with_an_error() {
         let flights = Flights::default();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let token = lead(&flights, 7);
-            let follower = scope.spawn(|_| match flights.join(7) {
+            let follower = scope.spawn(|| match flights.join(7) {
                 Role::Follower(result) => result,
                 // The join raced past the abandonment: a fresh flight, which
                 // we complete normally.
@@ -273,8 +270,7 @@ mod tests {
             drop(token); // the leader dies without completing
             let got = follower.join().unwrap();
             assert!(got.is_none() || got == Some(reply(99)));
-        })
-        .unwrap();
+        });
         assert_eq!(flights.in_flight(), 0);
     }
 
@@ -340,25 +336,24 @@ mod tests {
         assert_eq!(a.next_frame(&mut seen_a).expanded, 5);
         assert_eq!(b.next_frame(&mut seen_b).expanded, 5);
         // A watcher blocks until the next frame, and every watcher wakes.
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let readers = [(&a, seen_a), (&b, seen_b)]
-                .map(|(flight, mut seen)| scope.spawn(move |_| flight.next_frame(&mut seen)));
+                .map(|(flight, mut seen)| scope.spawn(move || flight.next_frame(&mut seen)));
             std::thread::sleep(Duration::from_millis(20));
             a.publish(&frame(6, false));
             for reader in readers {
                 assert_eq!(reader.join().unwrap().expanded, 6);
             }
-        })
-        .unwrap();
+        });
     }
 
     #[test]
     fn attach_waits_for_a_flight_to_start_and_times_out_on_an_absent_one() {
         let flights = Flights::default();
-        crossbeam::thread::scope(|scope| {
-            let (attached, on_attach) = crossbeam::channel::bounded(1);
+        std::thread::scope(|scope| {
+            let (attached, on_attach) = std::sync::mpsc::sync_channel(1);
             let flights = &flights;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(60));
                 let token = lead(flights, 9);
                 on_attach.recv().unwrap();
@@ -370,8 +365,7 @@ mod tests {
                 .expect("the flight appears within the window");
             attached.send(()).unwrap();
             assert!(flight.next_frame(&mut 0).finished);
-        })
-        .unwrap();
+        });
         let started = Instant::now();
         assert!(
             flights.attach(1234, Duration::from_millis(30)).is_none(),
@@ -379,14 +373,13 @@ mod tests {
         );
         assert!(started.elapsed() >= Duration::from_millis(30));
         // A wait too long for an `Instant` waits without a deadline.
-        crossbeam::thread::scope(|scope| {
-            let watcher = scope.spawn(|_| flights.attach(10, Duration::MAX).is_some());
+        std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| flights.attach(10, Duration::MAX).is_some());
             std::thread::sleep(Duration::from_millis(20));
             let token = lead(&flights, 10);
             assert!(watcher.join().unwrap());
             drop(token);
-        })
-        .unwrap();
+        });
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //!   attaches to the same flight to stream its search's progress. Each
 //!   flight holds only its latest frame; a watcher writes the newest one
 //!   each time, so a slow watcher skips frames instead of queueing them;
-//! * [`server`] — a worker pool behind a *bounded* admission queue
-//!   (overload is shed explicitly, not queued indefinitely), with
-//!   per-request deadlines that propagate into the engine as a cooperative
-//!   [`sortsynth_search::SearchBudget`] — an expired request returns partial
-//!   search diagnostics instead of hanging a worker.
+//! * [`server`] — a thread per connection that runs its requests itself
+//!   behind a *bounded* admission gate (overload is shed explicitly, not
+//!   queued indefinitely), with per-request deadlines that propagate into
+//!   the engine as a cooperative [`sortsynth_search::SearchBudget`] — an
+//!   expired request returns partial search diagnostics instead of holding
+//!   its run slot.
 //!
 //! # Quick start
 //!
@@ -52,3 +53,9 @@ pub use proto::{
     TimeoutReply,
 };
 pub use server::{Server, ServerHandle, ServiceConfig};
+
+/// Locks `mutex`, ignoring poison: an unwinding flight leader takes these
+/// locks in its token's `drop`, and must not abort the server.
+fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -1,18 +1,19 @@
-//! The synthesis server: acceptor, bounded admission queue, worker pool,
-//! cache + coalesced synth pipeline, live attach, and deadline propagation.
+//! The synthesis server: acceptor, admission gate, cache + coalesced synth
+//! pipeline, live attach, and deadline propagation.
 //!
 //! # Architecture
 //!
 //! ```text
 //! acceptor ──> connection thread (one per client)
 //!                │  read frame, parse request
-//!                │  try_send ──────────────┐ bounded queue (admission)
-//!                │    └─ Full → Overloaded │
-//!                ▼                         ▼
-//!              write response  <──  worker pool (N threads)
-//!                                     │ synth: cache → flight registry → search
-//!                                     │ deadline → SearchBudget → Timeout reply
-//!                                     └ check/analyze/sleep: direct
+//!                │  admission gate: take a free run slot, else wait in
+//!                │    arrival order for one, else (wait slots full) Overloaded
+//!                │  execute on this thread, holding the run slot:
+//!                │    synth: cache → flight registry → search
+//!                │    deadline → SearchBudget → Timeout reply
+//!                │    check/analyze/sleep: direct
+//!                ▼
+//!              write response
 //! ```
 //!
 //! One flight registry (`crate::flight`) serves coalescing and live attach:
@@ -22,22 +23,21 @@
 //! newest frame each time it writes, so a watcher that stops reading costs
 //! the server one frame, not a queue.
 //!
-//! Admission control is a `try_send` into a bounded crossbeam channel: when
-//! the queue is full the connection thread answers [`Response::Overloaded`]
-//! immediately instead of letting latency grow without bound. Deadlines are
-//! stamped at admission, so time spent queued counts against the request —
-//! a request that waits out its deadline in the queue is answered with
-//! [`Response::Timeout`] without ever reaching the engine.
+//! Admission control is a gate of `workers` run slots and `queue_depth`
+//! wait slots, filled in arrival order: a request that finds both full is
+//! answered [`Response::Overloaded`] at once instead of letting latency
+//! grow without bound. Deadlines are stamped before the wait, so a request
+//! that waits out its deadline is answered with [`Response::Timeout`]
+//! without ever reaching the engine.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use sortsynth_cache::KernelQuery;
 use sortsynth_isa::{analyze, ThroughputModel};
 use sortsynth_obs::FlightRecorder;
@@ -46,13 +46,14 @@ use sortsynth_portfolio::{Answerer, Route};
 use sortsynth_search::{ProgressHook, SearchBudget};
 
 use crate::flight::{Flights, Role};
+use crate::lock;
 use crate::proto::{
     read_message, write_message, AnalyzeReply, CheckReply, LintReply, ReplySource, Request,
     Response, StatsReply, TimeoutReply,
 };
 
 /// Upper bound honoured for `Request::Sleep` (keeps the diagnostic op from
-/// wedging a worker).
+/// holding a run slot for long).
 const MAX_SLEEP_MS: u64 = 10_000;
 
 /// How long a `watch` request waits for a matching flight to start when the
@@ -64,10 +65,11 @@ const DEFAULT_WATCH_WAIT_MS: u64 = 2_000;
 pub struct ServiceConfig {
     /// Listen address; use port 0 to let the OS pick (tests).
     pub addr: String,
-    /// Worker threads executing requests.
+    /// Requests executing at once, each on the connection thread that read
+    /// it (the admission gate's run slots; at least one).
     pub workers: usize,
-    /// Admission-queue depth; requests beyond it are shed with
-    /// [`Response::Overloaded`].
+    /// Requests waiting for a run slot (at least one); requests beyond it
+    /// are shed with [`Response::Overloaded`].
     pub queue_depth: usize,
     /// Durable cache directory; `None` keeps the cache in memory only.
     pub cache_dir: Option<PathBuf>,
@@ -77,7 +79,7 @@ pub struct ServiceConfig {
     pub default_timeout: Option<Duration>,
     /// Search-engine threads per synth request (`1` = sequential engine,
     /// `0` = all available cores). Interplay with admission control: up to
-    /// `workers` synth jobs execute at once, each using up to
+    /// `workers` synth requests execute at once, each using up to
     /// `search_threads` engine threads, so the process can run
     /// `workers × search_threads` search threads at peak. Size the two
     /// knobs together — e.g. on an 8-core box prefer `workers = 2,
@@ -128,45 +130,101 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One admitted unit of work.
-struct Job {
-    request: Request,
-    /// Deadline stamped at admission (queue wait counts).
-    deadline: Option<Instant>,
-    reply: Sender<Response>,
-    /// The connection's per-request span, so worker-side child spans keep
-    /// their parent link across the queue boundary.
-    span_id: u64,
-}
-
-/// State shared by the acceptor, connection threads, and workers.
+/// State shared by the acceptor and the connection threads.
 struct Shared {
     /// The answer path: kernel cache, dispatch table, and default roster.
     answers: Answerer,
     /// In-flight requests by flight key: coalescing and live attach.
     flights: Flights,
-    jobs: Sender<Job>,
+    gate: Gate,
+    /// Timeouts, search threads, recording directory, memory budget.
+    config: ServiceConfig,
     searches_started: AtomicU64,
     shutdown: AtomicBool,
-    default_timeout: Option<Duration>,
-    search_threads: usize,
     started: Instant,
-    /// Per-server live gauges/counters backing [`Request::Stats`]. The
-    /// process-wide metrics registry is updated at the same sites, but these
-    /// stay correct even when several servers share one process (tests).
-    requests_total: AtomicU64,
-    shed_total: AtomicU64,
+    /// Per-server counters behind [`Request::Stats`] (the gate keeps the
+    /// admission ones); unlike the process-wide registry, they stay per
+    /// server when several servers share one process (tests).
     worker_panics: AtomicU64,
     coalesced: AtomicU64,
-    queue_depth: AtomicI64,
-    inflight: AtomicI64,
-    /// Flight-recording directory (`ServiceConfig::record_dir`).
-    record_dir: Option<PathBuf>,
     /// Distinguishes recordings of repeated identical queries.
     recording_seq: AtomicU64,
-    /// Memory budget for engine-route searches
-    /// (`ServiceConfig::search_mem_limit`).
-    search_mem_limit: Option<u64>,
+}
+
+/// Admission control: `run_slots` requests execute at once, up to
+/// `wait_slots` more wait for a run slot in arrival order, and the rest are
+/// shed.
+struct Gate {
+    run_slots: usize,
+    wait_slots: u64,
+    counts: Mutex<GateCounts>,
+    /// Signalled when a run slot frees up or the head of the line moves.
+    turn: Condvar,
+}
+
+/// Admission counts. Each admitted request takes a ticket; the waiters
+/// hold `next..issued`.
+#[derive(Default)]
+struct GateCounts {
+    running: usize,
+    issued: u64,
+    next: u64,
+    shed: u64,
+}
+
+impl GateCounts {
+    fn waiting(&self) -> u64 {
+        self.issued - self.next
+    }
+}
+
+/// A held run slot, given back on drop (also when the handler unwinds).
+struct RunSlot<'a>(&'a Gate);
+
+impl Gate {
+    /// Takes a run slot, first waiting for one behind earlier arrivals;
+    /// `None` (the request is shed) when every wait slot is taken too.
+    fn enter(&self) -> Option<RunSlot<'_>> {
+        let mut counts = lock(&self.counts);
+        if counts.waiting() >= self.wait_slots {
+            counts.shed += 1;
+            names::counter(names::REQUESTS_SHED_TOTAL).inc();
+            return None;
+        }
+        names::counter(names::REQUESTS_TOTAL).inc();
+        let ticket = counts.issued;
+        counts.issued += 1;
+        let blocked = |c: &mut GateCounts| c.next != ticket || c.running >= self.run_slots;
+        if blocked(&mut counts) {
+            let queued = names::gauge(names::QUEUE_DEPTH);
+            queued.inc();
+            counts = self
+                .turn
+                .wait_while(counts, blocked)
+                .unwrap_or_else(|e| e.into_inner());
+            queued.dec();
+        }
+        counts.next += 1;
+        counts.running += 1;
+        names::gauge(names::INFLIGHT_REQUESTS).inc();
+        // The next in line may find a slot free too.
+        self.turn.notify_all();
+        Some(RunSlot(self))
+    }
+
+    /// Blocks until no request holds or waits for a run slot.
+    fn wait_idle(&self) {
+        let busy = |c: &mut GateCounts| c.running > 0 || c.waiting() > 0;
+        drop(self.turn.wait_while(lock(&self.counts), busy));
+    }
+}
+
+impl Drop for RunSlot<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.counts).running -= 1;
+        names::gauge(names::INFLIGHT_REQUESTS).dec();
+        self.0.turn.notify_all();
+    }
 }
 
 impl Shared {
@@ -174,12 +232,13 @@ impl Shared {
     fn stats_reply(&self) -> StatsReply {
         let cache = self.answers.cache().stats();
         let (rows, races) = self.answers.policy();
+        let gate = lock(&self.gate.counts);
         StatsReply {
             uptime_ms: self.started.elapsed().as_millis() as u64,
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            inflight: self.inflight.load(Ordering::Relaxed),
-            requests_total: self.requests_total.load(Ordering::Relaxed),
-            shed_total: self.shed_total.load(Ordering::Relaxed),
+            queue_depth: gate.waiting() as i64,
+            inflight: gate.running as i64,
+            requests_total: gate.issued,
+            shed_total: gate.shed,
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             searches_started: self.searches_started.load(Ordering::SeqCst),
             singleflight_coalesced: self.coalesced.load(Ordering::Relaxed),
@@ -203,7 +262,7 @@ pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    reporter: Option<JoinHandle<()>>,
 }
 
 /// Control handle for a server running on a background thread.
@@ -214,9 +273,9 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Binds the listener, opens the cache, and starts the worker pool.
-    /// The server does not accept connections until [`Server::run`] (or
-    /// [`Server::spawn`]).
+    /// Binds the listener, opens the cache, and starts the self-report
+    /// thread if one is configured. The server does not accept connections
+    /// until [`Server::run`] (or [`Server::spawn`]).
     pub fn bind(config: ServiceConfig) -> io::Result<Server> {
         let listener =
             TcpListener::bind(config.addr.to_socket_addrs()?.next().ok_or_else(|| {
@@ -237,50 +296,35 @@ impl Server {
         if let Some(dir) = &config.record_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let (jobs_tx, jobs_rx) = channel::bounded::<Job>(config.queue_depth.max(1));
         let shared = Arc::new(Shared {
             answers,
             flights: Flights::default(),
-            jobs: jobs_tx,
+            gate: Gate {
+                run_slots: config.workers.max(1),
+                wait_slots: config.queue_depth.max(1) as u64,
+                counts: Mutex::default(),
+                turn: Condvar::new(),
+            },
             searches_started: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            default_timeout: config.default_timeout,
-            search_threads: config.search_threads,
             started: Instant::now(),
-            requests_total: AtomicU64::new(0),
-            shed_total: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            queue_depth: AtomicI64::new(0),
-            inflight: AtomicI64::new(0),
-            record_dir: config.record_dir.clone(),
             recording_seq: AtomicU64::new(0),
-            search_mem_limit: config.search_mem_limit,
+            config,
         });
-        let mut workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-            .map(|i| {
-                let rx = jobs_rx.clone();
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("sortsynth-worker-{i}"))
-                    .spawn(move || worker_loop(rx, shared))
-                    .expect("spawn worker")
-            })
-            .collect();
-        if let Some(interval) = config.self_report {
+        let reporter = shared.config.self_report.map(|interval| {
             let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name("sortsynth-reporter".to_string())
-                    .spawn(move || self_report_loop(shared, interval))
-                    .expect("spawn reporter"),
-            );
-        }
+            std::thread::Builder::new()
+                .name("sortsynth-reporter".to_string())
+                .spawn(move || self_report_loop(shared, interval))
+                .expect("spawn reporter")
+        });
         Ok(Server {
             listener,
             addr,
             shared,
-            workers,
+            reporter,
         })
     }
 
@@ -289,12 +333,13 @@ impl Server {
         self.addr
     }
 
-    /// Accepts connections until shut down. Blocks the calling thread.
+    /// Accepts connections until shut down, then waits until every admitted
+    /// request is answered. Blocks the calling thread.
     pub fn run(self) -> io::Result<()> {
         let Server {
             listener,
             shared,
-            workers,
+            reporter,
             ..
         } = self;
         for stream in listener.incoming() {
@@ -313,8 +358,9 @@ impl Server {
                 Err(e) => return Err(e),
             }
         }
-        for worker in workers {
-            let _ = worker.join();
+        shared.gate.wait_idle();
+        if let Some(reporter) = reporter {
+            let _ = reporter.join();
         }
         Ok(())
     }
@@ -354,7 +400,8 @@ impl ServerHandle {
         self.shared.answers.cache().stats()
     }
 
-    /// Stops accepting, drains the workers, and joins the acceptor.
+    /// Stops accepting, waits until every admitted request is answered, and
+    /// joins the acceptor.
     pub fn shutdown(self) -> io::Result<()> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
@@ -363,54 +410,12 @@ impl ServerHandle {
     }
 }
 
-fn worker_loop(jobs: Receiver<Job>, shared: Arc<Shared>) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match jobs.recv_timeout(Duration::from_millis(50)) {
-            Ok(job) => {
-                shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                names::gauge(names::QUEUE_DEPTH).dec();
-                shared.inflight.fetch_add(1, Ordering::Relaxed);
-                let inflight = names::gauge(names::INFLIGHT_REQUESTS);
-                inflight.inc();
-                let execute_span = Span::child_of(job.span_id, "execute");
-                // A panicking handler (engine bug, pathological query) must
-                // not take the worker down with it: answer with an error and
-                // move on to the next request. An unwinding search leader
-                // drops its flight token, which releases any followers.
-                let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute(&shared, &job.request, job.deadline, job.span_id)
-                }))
-                .unwrap_or_else(|payload| {
-                    shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    names::counter(names::WORKER_PANICS_TOTAL).inc();
-                    Response::Error {
-                        message: format!("request handler panicked: {}", panic_message(&payload)),
-                    }
-                });
-                drop(execute_span);
-                shared.inflight.fetch_sub(1, Ordering::Relaxed);
-                inflight.dec();
-                // The connection may have gone away; that's its problem.
-                let _ = job.reply.send(response);
-            }
-            Err(channel::RecvTimeoutError::Timeout) => continue,
-            Err(channel::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
 /// Periodic self-reporting: one summary log line per interval, until
 /// shutdown. The line carries the same gauges as [`Request::Stats`].
 fn self_report_loop(shared: Arc<Shared>, interval: Duration) {
     let interval = interval.max(Duration::from_millis(100));
     let mut last = Instant::now();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
+    while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(100));
         if last.elapsed() < interval {
             continue;
@@ -444,9 +449,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
+    let Ok(mut reader) = stream.try_clone() else {
+        return;
     };
     let mut writer = stream;
     loop {
@@ -463,16 +467,11 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                 return;
             }
         };
-        // Observability verbs are answered inline, bypassing the admission
-        // queue: a scrape must keep working precisely when the server is
+        // Observability verbs are answered without passing the admission
+        // gate: a scrape must keep working precisely when the server is
         // overloaded and sheds everything else.
-        match &request {
-            Request::Metrics | Request::Stats => {
-                if write_message(&mut writer, &execute(&shared, &request, None, 0)).is_err() {
-                    return;
-                }
-                continue;
-            }
+        let response = match &request {
+            Request::Metrics | Request::Stats => execute(&shared, &request, None, 0),
             Request::Watch {
                 query,
                 backend,
@@ -483,47 +482,55 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                 }
                 continue;
             }
-            _ => {}
-        }
-        let span = Span::root_with("request", &[("op", FieldValue::Static(request.tag()))]);
-        let accepted = Instant::now();
-        let deadline = admission_deadline(&shared, &request);
-        let (reply_tx, reply_rx) = channel::bounded::<Response>(1);
-        let job = Job {
-            request,
-            deadline,
-            reply: reply_tx,
-            span_id: span.id(),
+            _ => admit(&shared, &request),
         };
-        let response = match shared.jobs.try_send(job) {
-            Ok(()) => {
-                shared.requests_total.fetch_add(1, Ordering::Relaxed);
-                shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-                names::counter(names::REQUESTS_TOTAL).inc();
-                names::gauge(names::QUEUE_DEPTH).inc();
-                // Admission is implied by the request span itself; only the
-                // shed path gets an explicit marker event.
-                reply_rx.recv().unwrap_or_else(|_| Response::Error {
-                    message: "worker dropped the request".to_string(),
-                })
-            }
-            Err(TrySendError::Full(_)) => {
-                shared.shed_total.fetch_add(1, Ordering::Relaxed);
-                names::counter(names::REQUESTS_SHED_TOTAL).inc();
-                span.event("shed", &[]);
-                Response::Overloaded
-            }
-            Err(TrySendError::Disconnected(_)) => Response::Error {
-                message: "server shutting down".to_string(),
-            },
-        };
-        names::histogram(names::REQUEST_SECONDS).observe_duration(accepted.elapsed());
-        span.event("reply", &[("type", FieldValue::Static(response.tag()))]);
-        drop(span);
         if write_message(&mut writer, &response).is_err() {
             return;
         }
     }
+}
+
+/// Answers one request that needs a run slot, under its request span.
+/// Admission is implied by the span itself; only the shed path gets an
+/// explicit marker event.
+fn admit(shared: &Shared, request: &Request) -> Response {
+    let span = Span::root_with("request", &[("op", FieldValue::Static(request.tag()))]);
+    let accepted = Instant::now();
+    // Synth requests honour their own `timeout_ms`, falling back to the
+    // server default; the deadline is stamped before the wait.
+    let deadline = match request {
+        Request::Synth { timeout_ms, .. } => timeout_ms
+            .map(Duration::from_millis)
+            .or(shared.config.default_timeout)
+            .map(|t| accepted + t),
+        _ => None,
+    };
+    let response = match shared.gate.enter() {
+        Some(_slot) => {
+            let _execute = Span::child_of(span.id(), "execute");
+            // A panicking handler (engine bug, pathological query) must not
+            // take the connection down with it: answer with an error and
+            // keep serving. An unwinding search leader drops its flight
+            // token, which releases any followers.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                execute(shared, request, deadline, span.id())
+            }))
+            .unwrap_or_else(|payload| {
+                shared.worker_panics.fetch_add(1, Ordering::Relaxed);
+                names::counter(names::WORKER_PANICS_TOTAL).inc();
+                Response::Error {
+                    message: format!("request handler panicked: {}", panic_message(&payload)),
+                }
+            })
+        }
+        None => {
+            span.event("shed", &[]);
+            Response::Overloaded
+        }
+    };
+    names::histogram(names::REQUEST_SECONDS).observe_duration(accepted.elapsed());
+    span.event("reply", &[("type", FieldValue::Static(response.tag()))]);
+    response
 }
 
 /// Streams an in-flight search's progress frames to one watcher. Runs on
@@ -574,18 +581,6 @@ fn handle_watch(
         if finished {
             return true;
         }
-    }
-}
-
-/// Deadline stamped when the request is admitted: synth requests honour
-/// their own `timeout_ms`, falling back to the server default.
-fn admission_deadline(shared: &Shared, request: &Request) -> Option<Instant> {
-    match request {
-        Request::Synth { timeout_ms, .. } => timeout_ms
-            .map(Duration::from_millis)
-            .or(shared.default_timeout)
-            .map(|t| Instant::now() + t),
-        _ => None,
     }
 }
 
@@ -645,7 +640,7 @@ fn execute(
             handle_synth(shared, query, backend.as_deref(), deadline, span_id)
         }
         // The connection thread answers metrics and stats through here
-        // without enqueueing them, and streams watch itself.
+        // without passing the gate, and streams watch itself.
         Request::Metrics => Response::Metrics {
             text: sortsynth_obs::registry().render_prometheus(),
         },
@@ -665,7 +660,7 @@ fn handle_synth(
     deadline: Option<Instant>,
     span_id: u64,
 ) -> Response {
-    // Deadline may already have expired in the queue.
+    // Deadline may already have expired while waiting for a run slot.
     if deadline.is_some_and(|d| Instant::now() >= d) {
         return Response::Timeout(TimeoutReply::default());
     }
@@ -689,10 +684,13 @@ fn coalesce(
 ) -> Response {
     let key = route.flight_key(query);
     match shared.flights.join(key) {
-        Role::Follower(Some(response)) => {
+        Role::Follower(Some(mut response)) => {
             shared.coalesced.fetch_add(1, Ordering::Relaxed);
             names::counter(names::SINGLEFLIGHT_COALESCED_TOTAL).inc();
-            mark_coalesced(response)
+            if let Response::Synth(reply) = &mut response {
+                reply.source = ReplySource::Coalesced;
+            }
+            response
         }
         Role::Follower(None) => Response::Error {
             message: "coalesced search was abandoned".to_string(),
@@ -733,8 +731,8 @@ fn search(
         )],
     );
     let mut cfg = shared.answers.engine_config(query);
-    cfg.threads = shared.search_threads;
-    cfg.mem_budget_bytes = shared.search_mem_limit;
+    cfg.threads = shared.config.search_threads;
+    cfg.mem_budget_bytes = shared.config.search_mem_limit;
     if let Some(deadline) = deadline {
         cfg.budget = SearchBudget::with_deadline(deadline);
     }
@@ -744,7 +742,7 @@ fn search(
     // guaranteed final snapshot publishes the `finished` frame; if the
     // search unwinds, the abandoned flight ends its watchers' streams.
     if route.runs_engine() {
-        let recorder = shared.record_dir.as_ref().and_then(|dir| {
+        let recorder = shared.config.record_dir.as_ref().and_then(|dir| {
             let seq = shared.recording_seq.fetch_add(1, Ordering::Relaxed);
             let path = dir.join(format!("search-{:016x}-{seq}.ssfr", query.fingerprint()));
             FlightRecorder::create(&path).ok()
@@ -762,16 +760,6 @@ fn search(
         }));
     }
     Response::answer(query, shared.answers.run(query, route, cfg))
-}
-
-fn mark_coalesced(response: Response) -> Response {
-    match response {
-        Response::Synth(mut reply) => {
-            reply.source = ReplySource::Coalesced;
-            Response::Synth(reply)
-        }
-        other => other,
-    }
 }
 
 #[cfg(test)]
@@ -792,9 +780,7 @@ mod tests {
             workers: 1,
             ..ServiceConfig::default()
         };
-        let Server {
-            shared, workers, ..
-        } = Server::bind(config).unwrap();
+        let Server { shared, .. } = Server::bind(config).unwrap();
         let (query, route) = (KernelQuery::best(2, 1, IsaMode::Cmov), Route::Engine);
         let key = route.flight_key(&query);
         let Role::Leader(a) = shared.flights.join(key) else {
@@ -808,10 +794,6 @@ mod tests {
         assert_eq!(b.source, ReplySource::Cache);
         assert_eq!(b.found_len, Some(4));
         assert_eq!(shared.searches_started.load(Ordering::SeqCst), 1);
-        shared.shutdown.store(true, Ordering::SeqCst);
-        for worker in workers {
-            worker.join().unwrap();
-        }
     }
 
     /// The slow query of `tests/watch_stream.rs`: n = 4 with no pruning aids

@@ -6,7 +6,7 @@ use std::fs;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sortsynth_cache::KernelQuery;
 use sortsynth_isa::{IsaMode, Machine};
@@ -162,11 +162,11 @@ fn concurrent_identical_requests_run_exactly_one_search() {
     let query = KernelQuery::best(3, 2, IsaMode::Cmov);
 
     const CLIENTS: usize = 8;
-    let replies = crossbeam::thread::scope(|scope| {
+    let replies = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|_| {
                 let query = query.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut client = Client::connect(addr).unwrap();
                     client.synth(query, Some(60_000)).unwrap()
                 })
@@ -176,8 +176,7 @@ fn concurrent_identical_requests_run_exactly_one_search() {
             .into_iter()
             .map(|h| h.join().unwrap())
             .collect::<Vec<_>>()
-    })
-    .unwrap();
+    });
 
     let mut programs = Vec::new();
     for reply in &replies {
@@ -225,6 +224,32 @@ fn expired_deadline_returns_timeout_and_worker_survives() {
     handle.shutdown().unwrap();
 }
 
+/// Sends one request on a fresh connection.
+fn send(addr: SocketAddr, request: Request) -> Response {
+    Client::connect(addr).unwrap().request(&request).unwrap()
+}
+
+fn stats(addr: SocketAddr) -> StatsReply {
+    let Response::Stats(stats) = send(addr, Request::Stats) else {
+        panic!("expected a stats reply");
+    };
+    stats
+}
+
+/// Polls `stats` (answered without passing the admission gate) until the
+/// gate holds `queue_depth` waiting and `inflight` running requests.
+fn await_gate(addr: SocketAddr, queue_depth: i64, inflight: i64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = stats(addr);
+        if (stats.queue_depth, stats.inflight) == (queue_depth, inflight) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "gate stuck at {stats:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn full_admission_queue_sheds_load() {
     let handle = start(ServiceConfig {
@@ -234,36 +259,79 @@ fn full_admission_queue_sheds_load() {
     });
     let addr = handle.addr();
 
-    let outcome = crossbeam::thread::scope(|scope| {
-        // Occupy the only worker.
-        let busy = scope.spawn(move |_| {
-            let mut client = Client::connect(addr).unwrap();
-            client.request(&Request::Sleep { ms: 800 }).unwrap()
-        });
-        std::thread::sleep(Duration::from_millis(200));
-        // Fill the queue's single slot.
-        let queued = scope.spawn(move |_| {
-            let mut client = Client::connect(addr).unwrap();
-            client.request(&Request::Sleep { ms: 100 }).unwrap()
-        });
-        std::thread::sleep(Duration::from_millis(200));
-        // Worker busy + queue full → this one must be shed immediately.
-        let mut client = Client::connect(addr).unwrap();
-        let shed = client.ping().unwrap();
-        (busy.join().unwrap(), queued.join().unwrap(), shed)
-    })
-    .unwrap();
-
-    assert_eq!(outcome.0, Response::Slept);
-    assert_eq!(outcome.1, Response::Slept);
-    assert_eq!(outcome.2, Response::Overloaded);
+    std::thread::scope(|scope| {
+        // Occupy the only run slot, then the single wait slot.
+        let busy = scope.spawn(move || send(addr, Request::Sleep { ms: 800 }));
+        await_gate(addr, 0, 1);
+        let queued = scope.spawn(move || send(addr, Request::Sleep { ms: 100 }));
+        await_gate(addr, 1, 1);
+        // Slot busy + queue full → this one must be shed immediately.
+        assert_eq!(send(addr, Request::Ping), Response::Overloaded);
+        assert_eq!(stats(addr).shed_total, 1);
+        assert_eq!(busy.join().unwrap(), Response::Slept);
+        assert_eq!(queued.join().unwrap(), Response::Slept);
+    });
 
     // Load shedding is not a failure state: once the backlog drains, the
-    // server answers again.
-    let mut client = Client::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(900));
-    assert_eq!(client.ping().unwrap(), Response::Pong);
+    // server answers again and both gauges are back at zero.
+    assert_eq!(send(addr, Request::Ping), Response::Pong);
+    let drained = stats(addr);
+    assert_eq!((drained.queue_depth, drained.inflight), (0, 0));
     handle.shutdown().unwrap();
+
+    // Requests waiting behind a busy slot run in the order they arrived.
+    // (Each sleeps long enough that a client thread scheduled late cannot
+    // swap the order in which the replies are read.)
+    let handle = start(ServiceConfig {
+        workers: 1,
+        queue_depth: 2,
+        ..local_config()
+    });
+    let addr = handle.addr();
+    let answered_at = move || {
+        assert_eq!(send(addr, Request::Sleep { ms: 50 }), Response::Slept);
+        Instant::now()
+    };
+    std::thread::scope(|scope| {
+        let busy = scope.spawn(move || send(addr, Request::Sleep { ms: 400 }));
+        await_gate(addr, 0, 1);
+        let first = scope.spawn(answered_at);
+        await_gate(addr, 1, 1);
+        std::thread::sleep(Duration::from_millis(100));
+        let second = scope.spawn(answered_at);
+        await_gate(addr, 2, 1);
+        assert_eq!(busy.join().unwrap(), Response::Slept);
+        assert!(first.join().unwrap() < second.join().unwrap());
+    });
+    handle.shutdown().unwrap();
+}
+
+/// A request still waiting for its run slot when `shutdown` is called is
+/// answered before the server stops.
+#[test]
+fn shutdown_answers_what_it_admitted() {
+    let handle = start(ServiceConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..local_config()
+    });
+    let addr = handle.addr();
+    std::thread::scope(|scope| {
+        let busy = scope.spawn(move || send(addr, Request::Sleep { ms: 600 }));
+        await_gate(addr, 0, 1);
+        let queued = scope.spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            // A hang fails the test instead of wedging it.
+            client
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            client.ping()
+        });
+        await_gate(addr, 1, 1);
+        handle.shutdown().unwrap();
+        assert_eq!(busy.join().unwrap(), Response::Slept);
+        assert_eq!(queued.join().unwrap().unwrap(), Response::Pong);
+    });
 }
 
 #[test]
@@ -328,11 +396,11 @@ fn coalesced_source_is_reported() {
     });
     let addr = handle.addr();
     let query = KernelQuery::best(3, 1, IsaMode::MinMax);
-    let sources = crossbeam::thread::scope(|scope| {
+    let sources = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let query = query.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut client = Client::connect(addr).unwrap();
                     match client.synth(query, Some(60_000)).unwrap() {
                         Response::Synth(reply) => reply.source,
@@ -345,8 +413,7 @@ fn coalesced_source_is_reported() {
             .into_iter()
             .map(|h| h.join().unwrap())
             .collect::<Vec<_>>()
-    })
-    .unwrap();
+    });
     assert_eq!(handle.searches_started(), 1);
     assert_eq!(
         sources
