@@ -192,10 +192,13 @@ pub struct SynthesisConfig {
     /// silently replayed. Use [`crate::try_synthesize`] to observe the
     /// error.
     pub resume_dir: Option<PathBuf>,
-    /// Persisted per-(n, scratch, ISA, threads) arena sizing table. When
-    /// the file has a row for this run's shape, arenas and open lanes are
+    /// Persisted per-(n, scratch, ISA) arena sizing table. When the file
+    /// has a row for this run's machine, arenas and open lanes are
     /// pre-sized to the recorded high-water marks (eliminating growth
-    /// reallocations); the row is refreshed after every run.
+    /// reallocations); every `Solved` run max-merges its marks into the
+    /// row. Without a file row, a run with a distance table and no memory
+    /// budget pre-sizes from the shipped row of its machine (what a cold
+    /// [`SynthesisConfig::best`] run records; paper machines only).
     pub sizing_path: Option<PathBuf>,
 }
 

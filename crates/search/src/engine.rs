@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use sortsynth_isa::{Instr, Machine, MachineState, Op, Program};
+use sortsynth_isa::{Instr, MachineState, Op, Program};
 
 use sortsynth_obs::profile::{Phase, PhaseProbe};
 
@@ -283,40 +283,27 @@ fn run<A: Assign>(
     }
 }
 
-/// The (states, assignments) arena pre-size for a run with a distance table
-/// and no measured sizing row: 32 states per single-assignment encoding of a
-/// three-flag-plane table, clamped. The estimate counts three planes even
-/// for min/max, whose table holds one, so what small runs reserve (and so
-/// what they pay in setup and RSS) does not depend on the table's layout.
-fn presize_estimate(machine: &Machine) -> (usize, usize) {
-    let encodings = 3 * (machine.n() as usize + 1).pow(machine.num_regs() as u32);
-    let states = encodings.saturating_mul(32).min(512 * 1024);
-    let per_state = sortsynth_isa::factorial(machine.n()) as usize;
-    let assigns = states.saturating_mul(per_state).min(16 * 1024 * 1024);
-    (states, assigns)
-}
-
 /// Pre-sizes each of a run's shards (its key partitions) so steady-state
-/// interning does not reallocate: from the sizing row recorded for the
-/// machine, split evenly over the shards with 1/8 headroom (hash
-/// partitioning is never perfectly balanced); else, for a run with a distance table and no
-/// memory budget, from [`presize_estimate`], split evenly.
+/// interning does not reallocate, from one sizing row split evenly over the
+/// shards with 1/8 headroom (hash partitioning is never perfectly
+/// balanced): the row recorded at [`SynthesisConfig::sizing_path`], else,
+/// for a run with a distance table and no memory budget, the shipped row
+/// of the machine. A run with neither grows from empty.
 pub(crate) fn presize<A: Assign>(cfg: &SynthesisConfig, has_table: bool, shards: &mut [Shard<A>]) {
-    let parts = shards.len();
-    let (states, assigns) = match SizingTable::row_for(cfg) {
-        Some(row) => {
-            let per = |total: u64, floor: usize| {
-                let even = total as usize / parts;
-                even + even / 8 + floor
-            };
-            (per(row.states, 64), per(row.assigns, 1024))
-        }
-        None if has_table && cfg.mem_budget_bytes.is_none() => {
-            let (states, assigns) = presize_estimate(&cfg.machine);
-            (states / parts, assigns / parts)
-        }
-        None => return,
+    let row = SizingTable::row_for(cfg).or_else(|| {
+        (has_table && cfg.mem_budget_bytes.is_none())
+            .then(|| SizingTable::shipped_row(&cfg.machine))
+            .flatten()
+    });
+    let Some(row) = row else {
+        return;
     };
+    let parts = shards.len();
+    let per = |total: u64, floor: usize| {
+        let even = total as usize / parts;
+        even + even / 8 + floor
+    };
+    let (states, assigns) = (per(row.states, 64), per(row.assigns, 1024));
     for shard in shards {
         shard.reserve(states, assigns);
     }
@@ -884,32 +871,11 @@ mod tests {
 
     use sortsynth_isa::{IsaMode, Machine, MachineState};
 
-    use super::{presize_estimate, run, SearchStats};
+    use super::{run, SearchStats};
     use crate::config::{Heuristic, Strategy, SynthesisConfig};
     use crate::live::LiveSpace;
 
     use IsaMode::{Cmov, MinMax};
-
-    /// The arena pre-size for each machine a table-backed run can use: the
-    /// three-plane values, for min/max as for cmp/cmov.
-    #[test]
-    fn presize_estimate_is_pinned() {
-        let pinned = [
-            (2, (2_592, 5_184)),
-            (3, (24_576, 147_456)),
-            (4, (300_000, 7_200_000)),
-            (5, (524_288, 16_777_216)),
-        ];
-        for (n, expected) in pinned {
-            for mode in [IsaMode::Cmov, IsaMode::MinMax] {
-                assert_eq!(
-                    presize_estimate(&Machine::new(n, 1, mode)),
-                    expected,
-                    "n = {n} {mode:?}"
-                );
-            }
-        }
-    }
 
     /// The configurations the fallback is compared on.
     #[derive(Clone, Copy, Debug)]

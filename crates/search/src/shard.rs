@@ -500,8 +500,9 @@ impl<'a> RunFrame<'a> {
 
     /// Ends a run: folds the shards into `stats` (per-shard counter blocks
     /// are kept only when there is more than one shard), records the
-    /// sizing row and reclaims a default spill directory on completed
-    /// runs, emits the final snapshot, and publishes the run's metrics.
+    /// sizing row of a solved run, reclaims a default spill directory on
+    /// completed runs, emits the final snapshot, and publishes the run's
+    /// metrics.
     pub fn finish<A: Assign>(
         &self,
         throttle: Throttle,
@@ -525,13 +526,12 @@ impl<'a> RunFrame<'a> {
         }
 
         let outcome = end.outcome;
-        if matches!(
-            outcome,
-            Outcome::Solved | Outcome::SolvedAll | Outcome::Exhausted
-        ) {
-            // Completed runs feed the sizing table, so the next run of this
-            // shape pre-sizes its arenas and skips the growth spikes.
-            if let Some(path) = self.cfg.sizing_path.as_deref() {
+        // Solved runs feed the sizing table, so the next run of this shape
+        // pre-sizes its arenas and skips the growth spikes. A proof or an
+        // all-solutions run interns many times the states of a
+        // first-solution run, and its row would size every later one.
+        if let Some(path) = self.cfg.sizing_path.as_deref() {
+            if outcome == Outcome::Solved {
                 let mut table = SizingTable::load(path);
                 table.record(
                     &self.cfg.machine,
@@ -543,12 +543,16 @@ impl<'a> RunFrame<'a> {
                 );
                 table.save(path);
             }
-            // A completed run that spilled into a default temp directory
-            // leaves nothing to resume — reclaim the disk.
-            if self.cfg.spill_dir.is_none() && self.cfg.resume_dir.is_none() {
-                for tier in shards.iter().filter_map(|s| s.spill.as_ref()) {
-                    tier.cleanup();
-                }
+        }
+        // A completed run that spilled into a default temp directory leaves
+        // nothing to resume — reclaim the disk.
+        let completed = matches!(
+            outcome,
+            Outcome::Solved | Outcome::SolvedAll | Outcome::Exhausted
+        );
+        if completed && self.cfg.spill_dir.is_none() && self.cfg.resume_dir.is_none() {
+            for tier in shards.iter().filter_map(|s| s.spill.as_ref()) {
+                tier.cleanup();
             }
         }
         // Every run — solved, exhausted, limited, or cancelled — flushes one

@@ -1,17 +1,25 @@
-//! Persisted arena-sizing table: per-(n, scratch, ISA) high-water marks
-//! from completed runs, used to pre-size the state arena, node store, and
-//! open-list lanes so steady-state search never pays a growth reallocation
-//! spike. A solved or exhausted layered run interns the same states at
-//! every worker count, so the worker count is not part of the key: a run
-//! splits the recorded totals over its own partitions.
+//! Arena-sizing rows: per-(n, scratch, ISA) high-water marks of solved
+//! runs, used to pre-size the state arena, node store, and open-list lanes
+//! so steady-state search never pays a growth reallocation spike. A solved
+//! layered run interns the same states at every worker count, so the
+//! worker count is not part of the key: a run splits the recorded totals
+//! over its own partitions.
 //!
-//! The table is a tiny human-readable text file (one row per
-//! configuration), written next to the kernel cache when the CLI/service
-//! passes [`crate::SynthesisConfig::sizing_path`]. Rows max-merge: a rerun
-//! only ever raises the recorded high-water marks. Parsing is best-effort —
-//! a missing or damaged file simply yields an empty table, and saving
-//! ignores I/O errors (sizing is an optimization, never a correctness
-//! input).
+//! Rows come from two tables in one format (`# sortsynth sizing v2`, one
+//! row per configuration). The file at
+//! [`crate::SynthesisConfig::sizing_path`] (written next to the kernel
+//! cache by the CLI and the service) holds what runs on this host
+//! recorded; rows max-merge, so a rerun only ever raises them. The shipped
+//! table (`sizing_rows.txt`, compiled in) holds what a cold
+//! [`crate::SynthesisConfig::best`] run records on each paper machine;
+//! `engine::presize` falls back to it for table-backed, unbudgeted runs.
+//! Only `Solved` runs record: an exhaustion or an all-solutions run
+//! interns far more states than a first-solution run of the same machine,
+//! and its row would make every later run reserve for it.
+//!
+//! Parsing is best-effort — a missing or damaged file simply yields an
+//! empty table, and saving ignores I/O errors (sizing is an optimization,
+//! never a correctness input).
 
 use std::fs;
 use std::path::Path;
@@ -22,6 +30,9 @@ use crate::config::SynthesisConfig;
 
 /// First line of the sizing file; a file with any other header is ignored.
 const HEADER: &str = "# sortsynth sizing v2";
+
+/// The shipped table (see the module docs).
+const SHIPPED: &str = include_str!("sizing_rows.txt");
 
 /// One configuration's identity in the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +52,7 @@ impl SizingKey {
     }
 }
 
-/// High-water marks of one completed run (max-merged across runs).
+/// High-water marks of one solved run (max-merged across runs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SizingRow {
     /// Unique canonical states interned.
@@ -70,10 +81,12 @@ impl SizingTable {
     /// Best-effort load: missing file, bad header, or unparsable rows yield
     /// an empty (or partial) table.
     pub fn load(path: &Path) -> SizingTable {
+        fs::read_to_string(path).map_or_else(|_| SizingTable::default(), |t| SizingTable::parse(&t))
+    }
+
+    /// The table `text` holds; see [`SizingTable::load`].
+    fn parse(text: &str) -> SizingTable {
         let mut table = SizingTable::default();
-        let Ok(text) = fs::read_to_string(path) else {
-            return table;
-        };
         let mut lines = text.lines();
         if lines.next().map(str::trim) != Some(HEADER) {
             return table;
@@ -125,13 +138,19 @@ impl SizingTable {
         SizingTable::load(path).lookup(&cfg.machine)
     }
 
+    /// The shipped row for `machine`: what a cold
+    /// [`SynthesisConfig::best`] run records on it.
+    pub fn shipped_row(machine: &Machine) -> Option<SizingRow> {
+        SizingTable::parse(SHIPPED).lookup(machine)
+    }
+
     /// The recorded high-water marks for `machine`.
     pub fn lookup(&self, machine: &Machine) -> Option<SizingRow> {
         let key = SizingKey::of(machine);
         self.rows.iter().find(|(k, _)| *k == key).map(|&(_, r)| r)
     }
 
-    /// Max-merges one completed run's marks into the table.
+    /// Max-merges one solved run's marks into the table.
     pub fn record(&mut self, machine: &Machine, row: SizingRow) {
         self.merge(SizingKey::of(machine), row);
     }
@@ -222,6 +241,23 @@ mod tests {
         assert_eq!(merged.states, 100);
         assert_eq!(merged.assigns, 900);
         assert_eq!(merged.open_depth, 50);
+    }
+
+    /// Every shipped row parses, one per paper machine. Whether each is
+    /// what its run records is the `sizing_rows` suite's check.
+    #[test]
+    fn shipped_table_covers_the_paper_machines() {
+        let shipped = SizingTable::parse(SHIPPED);
+        let mut machines = vec![Machine::new(5, 1, IsaMode::MinMax)];
+        for n in 2..=4 {
+            machines.extend([IsaMode::Cmov, IsaMode::MinMax].map(|m| Machine::new(n, 1, m)));
+        }
+        for m in &machines {
+            let label = format!("n = {} {:?}", m.n(), m.mode());
+            assert!(shipped.lookup(m).is_some(), "no shipped row for {label}");
+        }
+        assert_eq!(shipped.rows.len(), machines.len());
+        assert!(SizingTable::shipped_row(&Machine::new(5, 1, IsaMode::Cmov)).is_none());
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! reference lives on in `proptest_search.rs`, the fold-collision fuzz in
 //! `key_width.rs`.
 //!
-//! The unpruned n = 3 cmp/cmov rows, the unpruned n = 4 min/max rows, and
-//! the n = 4 cmp/cmov headline take minutes in a debug build; they are
-//! `#[ignore]`d and run by CI with `--release -- --include-ignored`.
+//! The unpruned n = 3 cmp/cmov rows and the unpruned n = 4 min/max rows
+//! take minutes in a debug build. They and the two headline rows (n = 4
+//! cmp/cmov and n = 5 min/max, seconds each in debug) are `#[ignore]`d and
+//! run by CI with `--release -- --include-ignored`.
 
 use sortsynth_isa::{IsaMode, Machine};
 use sortsynth_search::{
@@ -60,17 +61,17 @@ fn bound(n: u8, mode: IsaMode) -> u32 {
 
 fn config(n: u8, mode: IsaMode, kind: Kind) -> SynthesisConfig {
     let machine = Machine::new(n, 1, mode);
-    let base = SynthesisConfig::new(machine.clone()).max_len(bound(n, mode));
+    let base = || SynthesisConfig::new(machine.clone()).max_len(bound(n, mode));
     let astar = |heuristic| Strategy::AStar { heuristic };
     match kind {
-        New => base,
-        Best => SynthesisConfig::best(machine),
-        Lossless => base.dead_write_cut(true).value_flow_cut(true),
-        Ucs => base.strategy(astar(Heuristic::None)),
-        MaxRem => base
+        New => base(),
+        Best => SynthesisConfig::best(machine.clone()),
+        Lossless => base().dead_write_cut(true).value_flow_cut(true),
+        Ucs => base().strategy(astar(Heuristic::None)),
+        MaxRem => base()
             .budget_viability(true)
             .strategy(astar(Heuristic::MaxRemaining)),
-        MaxRemDw => base
+        MaxRemDw => base()
             .budget_viability(true)
             .strategy(astar(Heuristic::MaxRemaining))
             .dead_write_cut(true),
@@ -340,6 +341,17 @@ fn unpruned_n3_cmov_and_n4_minmax_rows() {
 fn n4_cmov_best_row() {
     check(&[
         row(4, Cmov, Best, Solved, Some(20), "mov s1 r1; cmp r1 r2; cmovl s1 r2; cmovl r2 r1; mov r1 r3; cmp r1 r4; cmovl r3 r4; cmovl r4 r1; mov r1 r2; cmp r1 r4; cmovl r2 r4; cmovg r1 r4; mov r4 r3; cmp r3 s1; cmovl r4 s1; cmovg r3 s1; mov s1 r2; cmp r2 r3; cmovg r2 r3; cmovg r3 s1", [259090, 6958715, 625448, 2241301, 3832422, 0, 0, 259545, 0, 1833893]),
+    ]);
+}
+
+/// The paper's n = 5 min/max request (§5.4) under configuration (III): the
+/// 23-instruction kernel, and the run the shipped n = 5 sizing row records.
+#[test]
+#[cfg_attr(miri, ignore = "golden traces are too slow under miri")]
+#[ignore = "release-only headline row; CI runs it with --release"]
+fn n5_minmax_best_row() {
+    check(&[
+        row(5, MinMax, Best, Solved, Some(23), "mov s1 r1; min r1 r2; max r2 s1; mov s1 r3; min r3 r5; max r5 s1; mov s1 r1; min r1 r4; max s1 r4; max r4 r2; min r2 s1; mov s1 r1; min r1 r3; max s1 r3; max r3 r2; min r2 s1; min r2 r5; max s1 r5; max r5 r4; min r4 s1; mov s1 r3; min r3 r4; max r4 s1", [68697, 1473256, 167957, 821845, 414747, 0, 0, 68708, 0, 907882]),
     ]);
 }
 
